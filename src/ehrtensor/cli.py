@@ -282,8 +282,10 @@ def _cmd_verify(args) -> int:
             checks.append((f"h_sum_is_normalized_volume_moment_r{r}",
                            total == ehrhart.moment_tensor(p, r)
                            * math.factorial(p.dim + r)))
+        # to_hr_vector's top entry is L(P°) by construction; test the oracle's
+        h_oracle = ehrhart._all_dilates_oracle(p, r)[1]
         checks.append((f"h_top_is_interior_moment_r{r}",
-                       h[len(h) - 1] == ehrhart.discrete_moment_interior(p, r, 1)))
+                       h_oracle[len(h_oracle) - 1] == ehrhart.discrete_moment_interior(p, r, 1)))
 
     if p.dim == 2:
         tri = triangulation.unimodular_triangulation(p)

@@ -2,10 +2,20 @@
 
 The rank-r discrete moment of a lattice polytope is the sum of r-fold
 symmetric outer powers over its lattice points.  As a function of the
-dilation factor n it is a polynomial of degree at most dim + r whose
-coefficients are recovered here by an exact Vandermonde solve on the nodes
-n = 0..dim+r; the h-tensor vector is the same data in the shifted binomial
-basis, extracted by alternating binomial sums (pure integer arithmetic).
+dilation factor n it is a polynomial L(n) of degree at most m = dim + r.
+
+One row scan of nP gives both the closed moment L(nP) and the interior
+moment L(nP°): every row of the scan contributes its prefix monomials times
+the power sums of the last coordinate over its closed and strict intervals.
+Ehrhart-Macdonald reciprocity for moment tensors, L(-n) = (-1)^m L(nP°),
+turns interior moments into values at negative nodes, so the polynomial is
+fixed by the nodes n = -ceil(m/2)..floor(m/2) and needs the scans of nP for
+n = 0..ceil(m/2) only.  Coefficients and h-tensor entries are exact linear
+maps of the node values with weights that depend on m alone.
+
+The route through closed moments at every node 0..m, a Vandermonde solve and
+alternating binomial sums survives only as :func:`_all_dilates_oracle`, the
+independent side of :func:`reciprocity_check` and of ``ehrtensor verify``.
 """
 from __future__ import annotations
 
@@ -13,14 +23,19 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import mul
 
 from . import linalg
-from .polytopes import Polytope, interior_lattice_points, iter_lattice_points, polygon_vertex_cycle
+from .polytopes import Polytope, dilate_rows, polygon_vertex_cycle
 from .tensors import (HrVector, SymTensor, TensorPolynomial, multi_indices,
                       outer_power, sym_product, vsub)
 
 
-def _moment_from_iter(points, r: int, dim: int) -> SymTensor:
+# ---------------------------------------------------------------------------
+# moment kernels: point lists and scan rows
+
+def moment_of_points(points, r: int, dim: int) -> SymTensor:
+    """Sum of outer powers x^r over an explicit list of points."""
     idx = multi_indices(dim, r)
     acc = [0] * len(idx)
     for x in points:
@@ -32,64 +47,180 @@ def _moment_from_iter(points, r: int, dim: int) -> SymTensor:
     return SymTensor.from_entries(r, dim, acc)
 
 
+@lru_cache(maxsize=None)
+def _power_sum_poly(k: int) -> tuple[tuple[int, ...], int]:
+    """``F_k(n) = sum_{t=1..n} t^k`` as integer coefficients over one denominator.
+
+    Built from ``(n+1)^(k+1) - 1 = sum_{j<=k} C(k+1, j) F_j(n)``.  Since
+    ``F_k(n) - F_k(n-1) = n^k`` is a polynomial identity, the power sum over
+    any integer interval is ``F_k(hi) - F_k(lo - 1)``.
+    """
+    lower = [_power_sum_poly(j) for j in range(k)]
+    coeffs = [Fraction(math.comb(k + 1, i)) for i in range(k + 2)]
+    coeffs[0] -= 1
+    for j, (num, den) in enumerate(lower):
+        for i, c in enumerate(num):
+            coeffs[i] -= Fraction(math.comb(k + 1, j) * c, den)
+    coeffs = [c / (k + 1) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * den) for c in coeffs), den
+
+
+def _power_sums(lo: int, hi: int, polys) -> list[int]:
+    """``[sum_{t=lo..hi} t^k for k = 0..r]`` from the polynomials of k = 1..r."""
+    out = [hi - lo + 1]
+    below = lo - 1
+    for num, den in polys:
+        a = b = 0
+        for c in reversed(num):
+            a = a * hi + c
+            b = b * below + c
+        out.append((a - b) // den)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _row_plan(dim: int, r: int):
+    """Split each stored multi-index into a prefix monomial and a last-axis power.
+
+    The prefix monomials (over coordinates 0..dim-2, ranks 0..r) are built
+    from 1 by ``steps``: monomial s+1 is monomial ``j`` times coordinate
+    ``i``.  ``plan`` gives, per stored entry, the position of its prefix
+    monomial and the power k of coordinate dim-1.
+    """
+    last = dim - 1
+    prefixes = [pm for j in range(r + 1) for pm in multi_indices(last, j)]
+    pos = {pm: s for s, pm in enumerate(prefixes)}
+    steps = tuple((pos[pm[:-1]], pm[-1]) for pm in prefixes[1:])
+    plan = tuple((pos[m[:len(m) - m.count(last)]], m.count(last))
+                 for m in multi_indices(dim, r))
+    return steps, plan
+
+
+def row_moments(rows, r: int, dim: int) -> tuple[list[int], list[int]]:
+    """Closed and strict rank-r moments of :func:`~ehrtensor.polytopes.scan_rows` rows.
+
+    A row ``(prefix, lo, hi, slo, shi)`` adds, for each stored multi-index,
+    its prefix monomial times ``sum t^k`` over ``[lo, hi]`` to the closed
+    moment and over ``[slo, shi]`` to the strict one, k being the power of
+    the last coordinate.  Entries are integers in storage order.
+    """
+    steps, plan = _row_plan(dim, r)
+    polys = [_power_sum_poly(k) for k in range(1, r + 1)]
+    closed = [0] * len(plan)
+    inner = [0] * len(plan)
+    for prefix, lo, hi, slo, shi in rows:
+        mono = [1]
+        for j, i in steps:
+            mono.append(mono[j] * prefix[i])
+        sums = _power_sums(lo, hi, polys)
+        for e, (j, k) in enumerate(plan):
+            closed[e] += mono[j] * sums[k]
+        if slo <= shi:
+            if slo != lo or shi != hi:
+                sums = _power_sums(slo, shi, polys)
+            for e, (j, k) in enumerate(plan):
+                inner[e] += mono[j] * sums[k]
+    return closed, inner
+
+
+@lru_cache(maxsize=65536)
+def _dilate_moments(p: Polytope, r: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Entries of L^r(nP) and L^r(nP°), from one row scan of nP."""
+    if r < 0 or n < 0:
+        raise ValueError("rank and dilation must be nonnegative")
+    closed, inner = row_moments(dilate_rows(p, n), r, p.dim)
+    return tuple(closed), tuple(inner)
+
+
 @lru_cache(maxsize=65536)
 def discrete_moment(p: Polytope, r: int, n: int) -> SymTensor:
     """Sum of outer powers x^r over the lattice points of n*P."""
-    if r < 0 or n < 0:
-        raise ValueError("rank and dilation must be nonnegative")
-    return _moment_from_iter(iter_lattice_points(p, n), r, p.dim)
+    return SymTensor.from_entries(r, p.dim, _dilate_moments(p, r, n)[0])
 
 
 @lru_cache(maxsize=65536)
 def discrete_moment_interior(p: Polytope, r: int, n: int) -> SymTensor:
     """Sum of outer powers over lattice points strictly inside n*P (n >= 1)."""
-    return _moment_from_iter(interior_lattice_points(p, n), r, p.dim)
+    if n < 1:
+        raise ValueError("interior enumeration needs n >= 1")
+    return SymTensor.from_entries(r, p.dim, _dilate_moments(p, r, n)[1])
 
+
+# ---------------------------------------------------------------------------
+# the moment polynomial from reciprocity-halved nodes
 
 @lru_cache(maxsize=None)
-def _vandermonde_inverse(m: int):
-    nodes = list(range(m + 1))
-    vm = [[Fraction(node) ** k for k in range(m + 1)] for node in nodes]
-    return linalg.invert(vm)
+def _node_weights(m: int) -> tuple[tuple[tuple[int, ...], ...], int, tuple[tuple[int, ...], ...]]:
+    """Weights from the values at nodes -ceil(m/2)..floor(m/2) to the outputs.
+
+    Returns ``(coef, den, h)``: coefficient k of the polynomial is
+    ``sum_j coef[k][j] * value_j / den`` and h-entry i is
+    ``sum_j h[i][j] * value_j``.  Both come from the Lagrange basis
+    ``l_j(x) = prod_{k != j} (x - x_k) / (x_j - x_k)`` in integer arithmetic:
+    ``coef`` holds its coefficients over a common denominator, and ``h``
+    composes ``h_i = sum_{n<=i} (-1)^(i-n) C(m+1, i-n) L(n)`` with the
+    values ``l_j(n)``, which are integers on consecutive integer nodes.
+    """
+    nodes = range(-((m + 1) // 2), m // 2 + 1)
+    bases = []          # (numerator coefficients, low degree first; denominator)
+    for xj in nodes:
+        num, den = [1], 1
+        for xk in nodes:
+            if xk != xj:
+                num = [a - xk * b for a, b in zip([0] + num, num + [0])]
+                den *= xj - xk
+        bases.append((num, den))
+    common = math.lcm(*(abs(den) for _, den in bases))
+    coef = tuple(tuple(num[k] * (common // den) for num, den in bases) for k in range(m + 1))
+    at = [[math.prod(n - xk for xk in nodes if xk != xj) // den
+           for xj, (_, den) in zip(nodes, bases)] for n in range(m + 1)]
+    h = tuple(tuple(sum((-1) ** (i - n) * math.comb(m + 1, i - n) * at[n][j] for n in range(i + 1))
+                    for j in range(m + 1)) for i in range(m + 1))
+    return coef, common, h
+
+
+def _node_values(p: Polytope, r: int) -> list[tuple[int, ...]]:
+    """Entries of L^r at the nodes n = -ceil(m/2)..floor(m/2), m = dim + r.
+
+    Negative nodes come from interior moments by reciprocity,
+    ``L(-n) = (-1)^m L(nP°)``, so the scans of nP for n = 0..ceil(m/2) fix
+    every value.  Returned transposed: one tuple of node values per entry.
+    """
+    m = p.dim + r
+    sign = -1 if m % 2 else 1
+    values = [tuple(sign * v for v in _dilate_moments(p, r, n)[1])
+              for n in range((m + 1) // 2, 0, -1)]
+    values += [_dilate_moments(p, r, n)[0] for n in range(m // 2 + 1)]
+    return list(zip(*values))
 
 
 def ehrhart_tensor_polynomial(p: Polytope, r: int) -> TensorPolynomial:
-    """The unique degree <= dim+r polynomial matching the moments at n = 0..dim+r.
+    """The unique degree <= dim+r polynomial with L(n) = L^r(nP) for n >= 0.
 
-    Solved entry-wise through the inverse Vandermonde matrix on the smallest
-    valid node set; the constant term is automatically zero for r >= 1.
+    Interpolated on the reciprocity-halved nodes -ceil(m/2)..floor(m/2);
+    the constant term is automatically zero for r >= 1.
     """
-    m = p.dim + r
-    values = [discrete_moment(p, r, n) for n in range(m + 1)]
-    inv = _vandermonde_inverse(m)
-    coeffs = []
-    for k in range(m + 1):
-        acc = SymTensor.zero(r, p.dim)
-        for j in range(m + 1):
-            if inv[k][j] != 0:
-                acc = acc + values[j] * inv[k][j]
-        coeffs.append(acc)
-    return TensorPolynomial(tuple(coeffs))
+    columns = _node_values(p, r)
+    coef, den, _ = _node_weights(p.dim + r)
+    return TensorPolynomial(tuple(
+        SymTensor(r, p.dim, tuple(Fraction(sum(map(mul, row, col)), den) for col in columns))
+        for row in coef))
 
 
 def to_hr_vector(p: Polytope, r: int) -> HrVector:
     """h-tensor vector of P: numerator coefficients of the moment series.
 
-    ``h_i = sum_{j<=i} (-1)^(i-j) C(d+r+1, i-j) L^r(jP)`` for i = 0..d+r.
+    ``h_i = sum_{j<=i} (-1)^(i-j) C(d+r+1, i-j) L^r(jP)`` for i = 0..d+r,
+    evaluated as integer weights on the reciprocity-halved node values.
     The top entry equals the interior moment L^r(P°) and, for r >= 1, entry
     0 vanishes and entry 1 is L^r(P).
     """
-    m = p.dim + r
-    moments = [discrete_moment(p, r, j) for j in range(m + 1)]
-    entries = []
-    for i in range(m + 1):
-        acc = SymTensor.zero(r, p.dim)
-        for j in range(i + 1):
-            c = (-1) ** (i - j) * math.comb(m + 1, i - j)
-            if c:
-                acc = acc + moments[j] * c
-        entries.append(acc)
-    return HrVector(tuple(entries))
+    columns = _node_values(p, r)
+    _, _, h = _node_weights(p.dim + r)
+    return HrVector(tuple(
+        SymTensor.from_entries(r, p.dim, [sum(map(mul, row, col)) for col in columns])
+        for row in h))
 
 
 @lru_cache(maxsize=None)
@@ -122,16 +253,43 @@ def hr_vector_to_polynomial(h: HrVector) -> TensorPolynomial:
     return TensorPolynomial(tuple(coeffs))
 
 
+@lru_cache(maxsize=65536)
+def _all_dilates_oracle(p: Polytope, r: int) -> tuple[TensorPolynomial, HrVector]:
+    """Moment polynomial and h-vector from the closed moments of nP, n = 0..dim+r.
+
+    The cross-check route: no interior moment and no reciprocity enters it,
+    only a Vandermonde solve on the nodes 0..m and alternating binomial sums.
+    :func:`reciprocity_check` and ``ehrtensor verify`` compare against it.
+    """
+    m = p.dim + r
+    values = [discrete_moment(p, r, n) for n in range(m + 1)]
+    inv = linalg.invert([[Fraction(n) ** k for k in range(m + 1)] for n in range(m + 1)])
+    coeffs = []
+    for k in range(m + 1):
+        acc = SymTensor.zero(r, p.dim)
+        for j in range(m + 1):
+            if inv[k][j] != 0:
+                acc = acc + values[j] * inv[k][j]
+        coeffs.append(acc)
+    entries = []
+    for i in range(m + 1):
+        acc = SymTensor.zero(r, p.dim)
+        for j in range(i + 1):
+            acc = acc + values[j] * ((-1) ** (i - j) * math.comb(m + 1, i - j))
+        entries.append(acc)
+    return TensorPolynomial(tuple(coeffs)), HrVector(tuple(entries))
+
+
 def reciprocity_check(p: Polytope, r: int, n: int) -> bool:
     """Exact check that the moment polynomial at -n matches the interior sum.
 
     Compares L^r_P(-n) against (-1)^(dim+r) L^r(nP°), both sides computed
-    independently (interpolation vs. strict enumeration).
+    independently: the polynomial comes from :func:`_all_dilates_oracle`
+    (closed moments only), the right side from strict enumeration.
     """
     if n < 1:
         raise ValueError("reciprocity check needs n >= 1")
-    poly = ehrhart_tensor_polynomial(p, r)
-    lhs = poly.evaluate(-n)
+    lhs = _all_dilates_oracle(p, r)[0].evaluate(-n)
     rhs = discrete_moment_interior(p, r, n) * ((-1) ** (p.dim + r))
     return lhs == rhs
 

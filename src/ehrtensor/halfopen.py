@@ -16,9 +16,10 @@ from functools import lru_cache
 from itertools import product
 
 from . import linalg
-from .polytopes import EQ, LE, LT, scan_points
-from .tensors import (HrVector, IntPoint, SymTensor, dot, multi_indices,
-                      outer_power, sym_product, vsub)
+from .ehrhart import moment_of_points, row_moments
+from .polytopes import EQ, LE, LT, scan_rows
+from .tensors import (HrVector, IntPoint, SymTensor, dot, outer_power,
+                      sym_product, vsub)
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +228,16 @@ def box_slices(s: HalfOpenSimplex) -> BoxSlices:
     return BoxSlices(tuple(tuple(sorted(sl)) for sl in slices))
 
 
-def _moment_of_points(points, r: int, dim: int) -> SymTensor:
-    idx = multi_indices(dim, r)
-    acc = [0] * len(idx)
-    for x in points:
-        for k, m in enumerate(idx):
-            p = 1
-            for i in m:
-                p *= x[i]
-            acc[k] += p
-    return SymTensor.from_entries(r, dim, acc)
+def _scan_moment(s: HalfOpenSimplex, n: int, cons, r: int) -> SymTensor:
+    closed, _ = row_moments(scan_rows(s.bounds(n), cons), r, s.dim)
+    return SymTensor.from_entries(r, s.dim, closed)
 
 
 def moment_halfopen(s: HalfOpenSimplex, r: int, n: int) -> SymTensor:
     """Rank-r moment of the dilate n*S*, by direct strict/weak enumeration."""
     if n < 0 or r < 0:
         raise ValueError("rank and dilation must be nonnegative")
-    pts = scan_points(s.bounds(n), s.constraints(n, removed_mode=LT))
-    return _moment_of_points(pts, r, s.dim)
+    return _scan_moment(s, n, s.constraints(n, removed_mode=LT), r)
 
 
 def moment_halfopen_inclusion_exclusion(s: HalfOpenSimplex, r: int, n: int) -> SymTensor:
@@ -257,17 +250,15 @@ def moment_halfopen_inclusion_exclusion(s: HalfOpenSimplex, r: int, n: int) -> S
     if n < 0 or r < 0:
         raise ValueError("rank and dilation must be nonnegative")
     d = s.dim
-    closed = _moment_of_points(scan_points(s.bounds(n), s.constraints(n, removed_mode=LE)),
-                               r, d)
+    acc = _scan_moment(s, n, s.constraints(n, removed_mode=LE), r)
     removed = sorted(s.removed)
-    acc = closed
     for mask in range(1, 1 << len(removed)):
         subset = [removed[k] for k in range(len(removed)) if mask >> k & 1]
         cons = []
         for i in range(d + 1):
             normal, rhs = s.facet(i)
             cons.append((normal, n * rhs, EQ if i in subset else LE))
-        face = _moment_of_points(scan_points(s.bounds(n), cons), r, d)
+        face = _scan_moment(s, n, cons, r)
         signm = (-1) ** (len(subset) + 1)
         acc = acc - face * signm
     return acc
@@ -305,7 +296,7 @@ def hr_halfopen(s: HalfOpenSimplex, r: int) -> HrVector:
         raise ValueError("half-open h-vectors implemented for rank <= 2")
     d = s.dim
     slices = box_slices(s).slices
-    slice_moments = [[_moment_of_points(pts, k, d) for pts in slices]
+    slice_moments = [[moment_of_points(pts, k, d) for pts in slices]
                      for k in range(r + 1)]
     m = d + r
     out = [SymTensor.zero(r, d) for _ in range(m + 1)]
@@ -336,7 +327,7 @@ def hr_halfopen(s: HalfOpenSimplex, r: int) -> HrVector:
 
 def _slice_data(s: HalfOpenSimplex, max_rank: int):
     slices = box_slices(s).slices
-    return [[_moment_of_points(pts, k, s.dim) for pts in slices]
+    return [[moment_of_points(pts, k, s.dim) for pts in slices]
             for k in range(max_rank + 1)]
 
 

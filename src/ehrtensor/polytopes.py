@@ -157,109 +157,121 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
 # ---------------------------------------------------------------------------
 # exact lattice point scanning
 
-def _floor_div(p: int, q: int) -> int:
-    return p // q
+def scan_rows(bounds: Sequence[tuple[int, int]],
+              constraints: Sequence[tuple[IntPoint, int, int]]
+              ) -> Iterator[tuple[IntPoint, int, int, int, int]]:
+    """Integer points in a box satisfying linear constraints, row by row.
 
+    ``constraints`` are ``(normal, rhs, mode)`` with mode LE (<=), LT (<) or
+    EQ (=).  For every prefix of the first d-1 coordinates that admits a
+    point, in lexicographic order, yields ``(prefix, lo, hi, slo, shi)``: the
+    last coordinate runs over ``[lo, hi]`` under the constraints as given and
+    over ``[slo, shi]`` with every constraint strict.  The strict interval is
+    empty (``slo > shi``) when the prefix lies on a constraint hyperplane
+    parallel to the last axis, and always when an EQ constraint is present.
+    Prefix levels are clipped by suffix bounds over the box, so the cost
+    tracks the feasible region, not the box.
+    """
+    d = len(bounds)
+    if d == 0:
+        raise ValueError("row scan needs at least one coordinate")
+    last = d - 1
+    # Over the integers a.x < c is a.x <= c - 1, and a.x = c is the pair
+    # a.x <= c, -a.x <= -c.  Each inequality keeps its closed rhs and the gap
+    # (0 or 1) down to its strict rhs.
+    ineqs = []
+    for a, c, mode in constraints:
+        a, c = tuple(a), int(c)
+        if mode == EQ:
+            ineqs += [(a, c, 1), (vneg(a), -c, 1)]
+        else:
+            ineqs.append((a, c - 1, 0) if mode == LT else (a, c, 1))
+    # positive, then negative, then zero coefficient of the last coordinate
+    ineqs.sort(key=lambda q: (q[0][last] <= 0) + (q[0][last] == 0))
+    cols = [[a[k] for a, _, _ in ineqs] for k in range(d)]
+    gaps = [g for _, _, g in ineqs]
+    npos = sum(a > 0 for a in cols[last])
+    nneg = sum(a < 0 for a in cols[last])
+    pos = cols[last][:npos]
+    neg = [-a for a in cols[last][npos:npos + nneg]]
+    # least[k][i]: least value coordinates k+1..d-1 can add to inequality i
+    # over the box
+    least = [[0] * len(ineqs)]
+    for k in range(last, 0, -1):
+        lo, hi = bounds[k]
+        least.append([m + min(a * lo, a * hi) for m, a in zip(least[-1], cols[k])])
+    least.reverse()
+    blo, bhi = bounds[last]
 
-def _ceil_div(p: int, q: int) -> int:
-    return -((-p) // q)
+    def row(rem: list[int], prefix: IntPoint):
+        # rem[i]: closed rhs of inequality i minus the prefix's contribution
+        lo, hi = blo, bhi
+        for a, t in zip(pos, rem):
+            q = t // a
+            if q < hi:
+                hi = q
+        rest = rem[npos:]
+        for b, t in zip(neg, rest):
+            q = -(t // b)
+            if q > lo:
+                lo = q
+        if lo > hi or any(t < 0 for t in rest[nneg:]):
+            return None
+        slo, shi = lo, hi
+        for a, t, g in zip(pos, rem, gaps):
+            q = (t - g) // a
+            if q < shi:
+                shi = q
+        for b, t, g in zip(neg, rest, gaps[npos:]):
+            q = -((t - g) // b)
+            if q > slo:
+                slo = q
+        if any(t < g for t, g in zip(rest[nneg:], gaps[npos + nneg:])):
+            slo, shi = 1, 0
+        return prefix, lo, hi, slo, shi
+
+    def rows(level: int, rem: list[int], prefix: IntPoint):
+        lo, hi = bounds[level]
+        col = cols[level]
+        for a, t, m in zip(col, rem, least[level]):
+            t -= m
+            if a > 0:
+                hi = min(hi, t // a)
+            elif a < 0:
+                lo = max(lo, -(t // -a))
+            elif t < 0:
+                return
+        for x in range(lo, hi + 1):
+            nrem = [t - a * x for t, a in zip(rem, col)]
+            if level + 1 == last:
+                found = row(nrem, prefix + (x,))
+                if found is not None:
+                    yield found
+            else:
+                yield from rows(level + 1, nrem, prefix + (x,))
+
+    rhs = [c for _, c, _ in ineqs]
+    if last == 0:
+        found = row(rhs, ())
+        return iter(() if found is None else (found,))
+    return rows(0, rhs, ())
 
 
 def scan_points(bounds: Sequence[tuple[int, int]],
                 constraints: Sequence[tuple[IntPoint, int, int]]) -> Iterator[IntPoint]:
     """All integer points in a box satisfying linear constraints.
 
-    ``constraints`` are ``(normal, rhs, mode)`` with mode LE (<=), LT (<) or
-    EQ (=).  The box is scanned in lexicographic order; the last coordinate
-    is clipped to the exact feasible interval and inner levels are pruned by
-    suffix bounds, so the cost tracks the feasible region, not the box.
+    Same constraint format as :func:`scan_rows`; points come out in
+    lexicographic order, expanded from its rows.
     """
-    d = len(bounds)
-    cons = [(tuple(a), int(c), mode) for a, c, mode in constraints]
-    # suffix min/max of the achievable contribution of coordinates k..d-1
-    minrest = []
-    maxrest = []
-    for a, _, _ in cons:
-        mn = [0] * (d + 1)
-        mx = [0] * (d + 1)
-        for k in range(d - 1, -1, -1):
-            lo, hi = bounds[k]
-            mn[k] = mn[k + 1] + min(a[k] * lo, a[k] * hi)
-            mx[k] = mx[k + 1] + max(a[k] * lo, a[k] * hi)
-        minrest.append(mn)
-        maxrest.append(mx)
-
-    ncons = len(cons)
-    prefix = [0] * d
-
-    def feasible(level: int, sums: list[int]) -> bool:
-        for i in range(ncons):
-            _, c, mode = cons[i]
-            lo_total = sums[i] + minrest[i][level]
-            if mode == LE:
-                if lo_total > c:
-                    return False
-            elif mode == LT:
-                if lo_total >= c:
-                    return False
-            else:
-                if lo_total > c or sums[i] + maxrest[i][level] < c:
-                    return False
-        return True
-
-    def rec(level: int, sums: list[int]) -> Iterator[IntPoint]:
-        if level == d - 1:
-            lo, hi = bounds[level]
-            for i in range(ncons):
-                a, c, mode = cons[i]
-                ak = a[level]
-                t = c - sums[i]
-                if ak == 0:
-                    if mode == LE:
-                        if 0 > t:
-                            return
-                    elif mode == LT:
-                        if 0 >= t:
-                            return
-                    else:
-                        if t != 0:
-                            return
-                elif mode == LE:
-                    if ak > 0:
-                        hi = min(hi, _floor_div(t, ak))
-                    else:
-                        lo = max(lo, _ceil_div(t, ak))
-                elif mode == LT:
-                    if ak > 0:
-                        hi = min(hi, _ceil_div(t, ak) - 1)
-                    else:
-                        lo = max(lo, _floor_div(t, ak) + 1)
-                else:
-                    if t % ak != 0:
-                        return
-                    x0 = t // ak
-                    lo = max(lo, x0)
-                    hi = min(hi, x0)
-                if lo > hi:
-                    return
-            for x in range(lo, hi + 1):
-                prefix[level] = x
-                yield tuple(prefix)
-            return
-        lo, hi = bounds[level]
-        for x in range(lo, hi + 1):
-            nsums = [sums[i] + cons[i][0][level] * x for i in range(ncons)]
-            if feasible(level + 1, nsums):
-                prefix[level] = x
-                yield from rec(level + 1, nsums)
-
-    if d == 0:
+    if not bounds:
         if all((c >= 0 if mode == LE else c > 0 if mode == LT else c == 0)
-               for _, c, mode in cons):
+               for _, c, mode in constraints):
             yield ()
         return
-    if feasible(0, [0] * ncons):
-        yield from rec(0, [0] * ncons)
+    for prefix, lo, hi, _, _ in scan_rows(bounds, constraints):
+        for t in range(lo, hi + 1):
+            yield prefix + (t,)
 
 
 def dilate_bounds(p: Polytope, n: int) -> list[tuple[int, int]]:
@@ -270,24 +282,26 @@ def dilate_bounds(p: Polytope, n: int) -> list[tuple[int, int]]:
     return list(zip(lo, hi))
 
 
-def iter_lattice_points(p: Polytope, n: int, strict: bool = False) -> Iterator[IntPoint]:
+def dilate_rows(p: Polytope, n: int) -> Iterator[tuple[IntPoint, int, int, int, int]]:
+    """:func:`scan_rows` of n*P: closed rows of nP, strict rows of nP°."""
     if n < 0:
         raise ValueError("dilation factor must be nonnegative")
-    mode = LT if strict else LE
-    cons = [(f.normal, n * f.rhs, mode) for f in p.facets]
-    return scan_points(dilate_bounds(p, n), cons)
+    cons = [(f.normal, n * f.rhs, LE) for f in p.facets]
+    return scan_rows(dilate_bounds(p, n), cons)
 
 
 def lattice_points(p: Polytope, n: int) -> list[IntPoint]:
     """All lattice points of the dilate n*P, in lexicographic order."""
-    return list(iter_lattice_points(p, n))
+    return [prefix + (t,) for prefix, lo, hi, _, _ in dilate_rows(p, n)
+            for t in range(lo, hi + 1)]
 
 
 def interior_lattice_points(p: Polytope, n: int) -> list[IntPoint]:
-    """Lattice points strictly inside n*P (n >= 1)."""
+    """Lattice points strictly inside n*P (n >= 1), in lexicographic order."""
     if n < 1:
         raise ValueError("interior enumeration needs n >= 1")
-    return list(iter_lattice_points(p, n, strict=True))
+    return [prefix + (t,) for prefix, _, _, slo, shi in dilate_rows(p, n)
+            for t in range(slo, shi + 1)]
 
 
 def is_reflexive(p: Polytope) -> bool:

@@ -1,0 +1,109 @@
+"""Property tests for the row scanner, the fused moment kernel and halved nodes.
+
+The references here avoid the scanner: points come from testing every point
+of the box against every constraint, moments from summing outer powers, and
+the moment polynomial from the all-dilates oracle (closed moments at every
+node 0..dim+r).
+"""
+import random
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ehrtensor as et
+from ehrtensor.ehrhart import _all_dilates_oracle, row_moments
+from ehrtensor.polytopes import EQ, LE, LT, dilate_rows, scan_points, scan_rows
+from ehrtensor.tensors import dot
+
+from conftest import oracle_moment
+
+
+def _holds(value: int, rhs: int, mode: int, strict: bool) -> bool:
+    if strict:
+        return mode != EQ and value < rhs
+    return value <= rhs if mode == LE else value < rhs if mode == LT else value == rhs
+
+
+def box_points(bounds, constraints, strict=False):
+    """Box points meeting every constraint (strict: every one strictly,
+    which no equality does)."""
+    return [x for x in product(*(range(lo, hi + 1) for lo, hi in bounds))
+            if all(_holds(dot(a, x), c, mode, strict) for a, c, mode in constraints)]
+
+
+def expand(rows, strict=False):
+    return [prefix + (t,) for prefix, lo, hi, slo, shi in rows
+            for t in (range(slo, shi + 1) if strict else range(lo, hi + 1))]
+
+
+def polytopes(max_dim: int, bound: int):
+    """Seeded random lattice polytopes of dimension 1..max_dim."""
+    return st.builds(lambda d, seed: et.random_lattice_polytope(d, bound, d + 3, seed),
+                     st.integers(1, max_dim), st.integers(0, 10**6))
+
+
+constraint_mixes = st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.just([(-2, 2)] * d),
+    st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                       st.integers(-4, 6), st.sampled_from((LE, LT, EQ))),
+             min_size=0, max_size=5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(constraint_mixes)
+def test_rows_expand_to_box_scan(case):
+    bounds, constraints = case
+    rows = list(scan_rows(bounds, constraints))
+    assert expand(rows) == box_points(bounds, constraints)
+    assert list(scan_points(bounds, constraints)) == box_points(bounds, constraints)
+    assert expand(rows, strict=True) == box_points(bounds, constraints, strict=True)
+    assert all(lo <= hi for _, lo, hi, _, _ in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10**6), st.integers(0, 2),
+       st.sampled_from((LE, LT)))
+def test_rows_of_halfopen_constraints(d, seed, n, removed_mode):
+    rng = random.Random(seed)
+    while True:
+        vertices = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d + 1)]
+        try:
+            s = et.HalfOpenSimplex.make(vertices, rng.sample(range(d + 1), rng.randint(0, d)))
+            break
+        except ValueError:
+            continue
+    cons = s.constraints(n, removed_mode=removed_mode)
+    assert expand(scan_rows(s.bounds(n), cons)) == box_points(s.bounds(n), cons)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polytopes(3, 2), st.integers(0, 3), st.integers(0, 3))
+def test_fused_kernel_matches_point_sums(p, r, n):
+    bounds = et.polytopes.dilate_bounds(p, n)
+    closed = [x for x in product(*(range(lo, hi + 1) for lo, hi in bounds))
+              if p.contains(x, n)]
+    inner = [x for x in closed if p.contains(x, n, strict=True)]
+    got_closed, got_inner = row_moments(dilate_rows(p, n), r, p.dim)
+    assert et.SymTensor.from_entries(r, p.dim, got_closed) == oracle_moment(closed, r, p.dim)
+    assert et.SymTensor.from_entries(r, p.dim, got_inner) == oracle_moment(inner, r, p.dim)
+    assert et.discrete_moment(p, r, n) == oracle_moment(closed, r, p.dim)
+    if n >= 1:
+        assert et.discrete_moment_interior(p, r, n) == oracle_moment(inner, r, p.dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polytopes(3, 2), st.integers(0, 3))
+def test_halved_nodes_match_all_dilates_oracle(p, r):
+    poly, h = _all_dilates_oracle(p, r)
+    assert et.ehrhart_tensor_polynomial(p, r) == poly
+    assert et.to_hr_vector(p, r) == h
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 3))
+def test_halved_nodes_match_oracle_in_dimension_four(seed, r):
+    p = et.random_lattice_polytope(4, 1, 7, seed)
+    poly, h = _all_dilates_oracle(p, r)
+    assert et.ehrhart_tensor_polynomial(p, r) == poly
+    assert et.to_hr_vector(p, r) == h
