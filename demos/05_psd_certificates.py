@@ -1,9 +1,9 @@
 """Exact definiteness, sum-of-squares certificates, reflexivity.
 
-Definiteness of rational symmetric matrices is decided by the signs of the
-elementary symmetric functions of the eigenvalues (all rational; no
+Definiteness of rational symmetric matrices is decided by the inertia of an
+exact congruence diagonalization (the signs of its rational diagonal; no
 numerics), and positive semidefinite matrices get exact rational
-sum-of-squares certificates by congruence.  Reflexive polytopes are
+sum-of-squares certificates from the same congruence.  Reflexive polytopes are
 recognized by facet right-hand sides and equivalently by palindromic
 h-vectors of even rank.
 """

@@ -7,7 +7,7 @@ machinery -- everything in exact rational arithmetic.
 """
 
 from .tensors import (HrVector, IntPoint, SymTensor, TensorPolynomial,
-                      apply_linear_map, outer_power, sym_product, tensor_apply)
+                      apply_linear_map, outer_power, sym_product)
 from .polytopes import (DegenerateInputError, FacetIneq, Polytope, convex_hull,
                         interior_lattice_points, is_reflexive, lattice_points,
                         polytope_from_json, polytope_to_json,

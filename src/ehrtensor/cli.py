@@ -323,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_io(sp, needs_input=True):
         if needs_input:
             sp.add_argument("input", help="path to polytope JSON, inline JSON, or - for stdin")
-        sp.add_argument("--json", action="store_true", default=True,
-                        help="JSON output (default)")
         sp.add_argument("--table", action="store_true", help="human-readable table output")
 
     sp = sub.add_parser("moments", help="discrete moment tensor of a dilate")

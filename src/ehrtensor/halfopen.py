@@ -17,7 +17,7 @@ from itertools import product
 
 from . import linalg
 from .ehrhart import moment_of_points, row_moments
-from .polytopes import EQ, LE, LT, scan_rows
+from .polytopes import EQ, LE, LT, checked_int, scan_rows
 from .tensors import (HrVector, IntPoint, SymTensor, dot, outer_power,
                       sym_product, vsub)
 
@@ -126,8 +126,8 @@ class HalfOpenSimplex:
 
     @classmethod
     def make(cls, vertices, removed=()) -> "HalfOpenSimplex":
-        return cls(tuple(tuple(int(c) for c in v) for v in vertices),
-                   frozenset(int(i) for i in removed))
+        return cls(tuple(tuple(map(checked_int, v)) for v in vertices),
+                   frozenset(map(checked_int, removed)))
 
     @property
     def dim(self) -> int:
@@ -295,9 +295,7 @@ def hr_halfopen(s: HalfOpenSimplex, r: int) -> HrVector:
     if r > 2:
         raise ValueError("half-open h-vectors implemented for rank <= 2")
     d = s.dim
-    slices = box_slices(s).slices
-    slice_moments = [[moment_of_points(pts, k, d) for pts in slices]
-                     for k in range(r + 1)]
+    slice_moments = _slice_data(s, r)
     m = d + r
     out = [SymTensor.zero(r, d) for _ in range(m + 1)]
     for comp in _compositions(r, d + 2):
@@ -356,9 +354,7 @@ def h2_halfopen_2d(s: HalfOpenSimplex) -> HrVector:
         raise ValueError("closed form is two-dimensional")
     lk = _slice_data(s, 2)
     vsum_vec = outer_power([sum(v[i] for v in s.vertices) for i in range(2)], 1, 2)
-    sq_sum = SymTensor.zero(2, 2)
-    for v in s.vertices:
-        sq_sum = sq_sum + outer_power(v, 2, 2)
+    sq_sum = moment_of_points(s.vertices, 2, 2)
     vsum_sq = outer_power([sum(v[i] for v in s.vertices) for i in range(2)], 2, 2)
 
     def l(k, i):

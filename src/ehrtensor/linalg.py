@@ -19,83 +19,29 @@ def _frac_rows(a) -> list[list[Fraction]]:
     return [[Fraction(x) for x in row] for row in a]
 
 
-def solve(a: Sequence[Sequence], b: Sequence) -> list[Fraction]:
-    """Solve the square system a x = b exactly; raises if singular."""
-    n = len(a)
-    m = _frac_rows(a)
-    rhs = [Fraction(x) for x in b]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        rhs[col] *= inv
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                rhs[r] -= f * rhs[col]
-    return rhs
+def _gauss_jordan(a: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Reduced row echelon form of a, pivoting on the first nonzero entry.
 
-
-def invert(a: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix; raises if singular."""
-    n = len(a)
-    m = _frac_rows(a)
-    aug = [m[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def rank(a: Sequence[Sequence]) -> int:
+    Returns ``(rows, pivots, product)``: ``pivots[k]`` is the pivot column of
+    row k, and ``product`` is the product of the pivots as they were found,
+    negated once per row swap, so it is the determinant of a square matrix
+    whose every column is a pivot column.  Stops once every row has a pivot.
+    """
     rows = _frac_rows(a)
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rk = 0
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    product = Fraction(1)
     for col in range(ncols):
-        piv = next((r for r in range(rk, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        inv = 1 / rows[rk][col]
-        rows[rk] = [x * inv for x in rows[rk]]
-        for r in range(len(rows)):
-            if r != rk and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rk])]
-        rk += 1
+        rk = len(pivots)
         if rk == len(rows):
             break
-    return rk
-
-
-def nullspace(a: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Basis of the right kernel of a (rows x cols), exact."""
-    rows = _frac_rows(a)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    rk = 0
-    for col in range(ncols):
         piv = next((r for r in range(rk, len(rows)) if rows[r][col] != 0), None)
         if piv is None:
             continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
+        if piv != rk:
+            rows[rk], rows[piv] = rows[piv], rows[rk]
+            product = -product
+        product *= rows[rk][col]
         inv = 1 / rows[rk][col]
         rows[rk] = [x * inv for x in rows[rk]]
         for r in range(len(rows)):
@@ -103,9 +49,36 @@ def nullspace(a: Sequence[Sequence]) -> list[list[Fraction]]:
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rk])]
         pivots.append(col)
-        rk += 1
-        if rk == len(rows):
-            break
+    return rows, pivots, product
+
+
+def solve(a: Sequence[Sequence], b: Sequence) -> list[Fraction]:
+    """Solve the square system a x = b exactly; raises if singular."""
+    n = len(a)
+    rows, pivots, _ = _gauss_jordan([list(row) + [x] for row, x in zip(a, b, strict=True)])
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError("singular system")
+    return [row[n] for row in rows]
+
+
+def invert(a: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Exact inverse of a square matrix; raises if singular."""
+    n = len(a)
+    rows, pivots, _ = _gauss_jordan([list(row) + [int(i == j) for j in range(n)]
+                                     for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError("singular matrix")
+    return [row[n:] for row in rows]
+
+
+def rank(a: Sequence[Sequence]) -> int:
+    return len(_gauss_jordan(a)[1])
+
+
+def nullspace(a: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Basis of the right kernel of a (rows x cols), exact."""
+    rows, pivots, _ = _gauss_jordan(a)
+    ncols = len(rows[0]) if rows else 0
     basis = []
     free = [c for c in range(ncols) if c not in pivots]
     for fc in free:
@@ -118,24 +91,9 @@ def nullspace(a: Sequence[Sequence]) -> list[list[Fraction]]:
 
 
 def det(a: Sequence[Sequence]) -> Fraction:
-    """Exact determinant over Q (Gaussian elimination with Fractions)."""
-    n = len(a)
-    m = _frac_rows(a)
-    out = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            out = -out
-        out *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return out
+    """Exact determinant over Q: the signed pivot product of the row reduction."""
+    _, pivots, product = _gauss_jordan(a)
+    return product if len(pivots) == len(a) else Fraction(0)
 
 
 def int_det(a: Sequence[Sequence[int]]) -> int:

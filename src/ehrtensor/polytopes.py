@@ -20,6 +20,13 @@ from .tensors import IntPoint, dot, vadd, vneg, vsub
 LE, LT, EQ = 0, 1, 2
 
 
+def checked_int(x) -> int:
+    """x itself when it is an int; bools, floats and other types raise ValueError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 class DegenerateInputError(ValueError):
     """Input points do not affinely span their ambient space."""
 
@@ -101,7 +108,7 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
     Raises :class:`DegenerateInputError` when the points are not
     full-dimensional in their ambient space.
     """
-    pts = sorted(set(tuple(int(c) for c in p) for p in points))
+    pts = sorted(set(tuple(map(checked_int, p)) for p in points))
     if not pts:
         raise ValueError("no input points")
     d = len(pts[0])
@@ -357,7 +364,7 @@ def project_to_plane(points: Sequence[Sequence[int]]) -> tuple[list[IntPoint], I
     ``y`` in ``coords``.  The basis is recorded so rank-r tensors computed in
     the plane can be pushed back to the ambient space.
     """
-    pts = [tuple(int(c) for c in q) for q in points]
+    pts = [tuple(map(checked_int, q)) for q in points]
     origin = min(pts)
     diffs = [vsub(q, origin) for q in pts]
     ar = affine_rank(pts)
@@ -390,7 +397,7 @@ def polytope_from_json(data: dict) -> Polytope:
         raise ValueError("polytope JSON needs a 'vertices' array")
     verts = data["vertices"]
     p = convex_hull(verts)
-    if "dim" in data and int(data["dim"]) != p.dim:
+    if "dim" in data and checked_int(data["dim"]) != p.dim:
         raise ValueError(f"declared dim {data['dim']} != ambient dim {p.dim}")
     return p
 

@@ -1,10 +1,10 @@
 """Exact definiteness classification, square certificates and scanners.
 
-A rank-2 tensor is classified through the signs of the elementary symmetric
-functions of its eigenvalues (sums of principal minors, all rational):
-weakly alternating signs characterize positive semidefiniteness, strict for
-definiteness.  Witness directions come from an exact congruence
-diagonalization, never from eigenvalues, so everything stays in Q.
+A rank-2 tensor is classified by its inertia: an exact congruence
+diagonalization C^t M C = D with C invertible keeps the numbers of positive,
+negative and zero eigenvalues (Sylvester's law of inertia), so the signs of
+the diagonal of D fix the class, and the columns of C give the witness and
+kernel directions.  No eigenvalue is ever computed; everything stays in Q.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from . import linalg
 from .ehrhart import to_hr_vector
@@ -55,19 +54,6 @@ class SosCertificate:
                 2, dim, {(i, j): lam * u[i] * u[j]
                          for i in range(dim) for j in range(i, dim)})
         return acc
-
-
-def _elementary_symmetric(matrix) -> list[Fraction]:
-    """e_k of the eigenvalues = sum of k x k principal minors, k = 1..d."""
-    d = len(matrix)
-    out = []
-    for k in range(1, d + 1):
-        total = Fraction(0)
-        for rows in combinations(range(d), k):
-            sub = [[matrix[i][j] for j in rows] for i in rows]
-            total += linalg.det(sub)
-        out.append(total)
-    return out
 
 
 def congruence_diagonalization(matrix) -> tuple[list[Fraction], list[list[Fraction]]]:
@@ -123,14 +109,7 @@ def classify_definiteness(t: SymTensor) -> DefinitenessReport:
         d = t.dim
         e0 = tuple(Fraction(int(i == 0)) for i in range(d))
         return DefinitenessReport("zero", kernel=e0)
-    matrix = t.to_matrix()
-    es = _elementary_symmetric(matrix)
-    pos_def = all(e > 0 for e in es)
-    pos_semi = all(e >= 0 for e in es)
-    neg_def = all((e > 0 if k % 2 == 0 else e < 0) for k, e in enumerate(es, start=1))
-    neg_semi = all((e >= 0 if k % 2 == 0 else e <= 0) for k, e in enumerate(es, start=1))
-
-    diag, c = congruence_diagonalization(matrix)
+    diag, c = congruence_diagonalization(t.to_matrix())
     witness = witness_value = kernel = None
     for k, dv in enumerate(diag):
         if dv < 0 and witness is None:
@@ -139,14 +118,12 @@ def classify_definiteness(t: SymTensor) -> DefinitenessReport:
         if dv == 0 and kernel is None:
             kernel = tuple(c[i][k] for i in range(t.dim))
 
-    if pos_def:
-        cls = "positive_definite"
-    elif pos_semi:
-        cls = "positive_semidefinite"
-    elif neg_def:
-        cls = "negative_definite"
-    elif neg_semi:
-        cls = "negative_semidefinite"
+    # by inertia: a negative diagonal entry refutes positivity, a zero one
+    # definiteness
+    if witness is None:
+        cls = "positive_definite" if kernel is None else "positive_semidefinite"
+    elif all(dv <= 0 for dv in diag):
+        cls = "negative_definite" if kernel is None else "negative_semidefinite"
     else:
         cls = "indefinite"
 

@@ -217,11 +217,6 @@ def outer_power(x: Sequence[int], r: int, dim: int | None = None) -> SymTensor:
     return SymTensor.from_entries(r, d, vals)
 
 
-def tensor_apply(t: SymTensor, v: Sequence[Scalar]) -> Fraction:
-    """Free-function form of :meth:`SymTensor.apply`."""
-    return t.apply(v)
-
-
 def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
     """Symmetrized tensor product of two symmetric tensors.
 

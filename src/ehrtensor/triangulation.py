@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
+from .ehrhart import moment_of_points
 from .halfopen import HalfOpenSimplex
 from .linalg import affine_rank, cross2
 from .polytopes import DegenerateInputError, Polytope, convex_hull, lattice_points
 from .tensors import (HrVector, IntPoint, SymTensor, TensorPolynomial, dot,
-                      outer_power, vadd)
+                      vadd, vsub)
 
 INSERTION_ORDERS: dict[str, Callable[[IntPoint], tuple]] = {
     "lex": lambda p: (p[0], p[1]),
@@ -150,17 +151,6 @@ def edge_stats(t: Triangulation) -> EdgeStats:
     boundary = frozenset(i for i in range(len(pts)) if on_facet[i])
     interior = frozenset(i for i in range(len(pts)) if not on_facet[i])
 
-    def msum(tensors: Iterable[SymTensor], rank: int) -> SymTensor:
-        acc = SymTensor.zero(rank, 2)
-        for x in tensors:
-            acc = acc + x
-        return acc
-
-    sum_v = msum((outer_power(pts[i], 1) for i in range(len(pts))), 1)
-    sum_v_int = msum((outer_power(pts[i], 1) for i in sorted(interior)), 1)
-    sum_v_sq = msum((outer_power(pts[i], 2) for i in range(len(pts))), 2)
-    sum_v_int_sq = msum((outer_power(pts[i], 2) for i in sorted(interior)), 2)
-
     interior_edges = []
     boundary_edges = []
     for e in edges:
@@ -169,14 +159,15 @@ def edge_stats(t: Triangulation) -> EdgeStats:
         else:
             interior_edges.append(e)
 
-    def esum(pairs, rank, diff=False):
-        acc = SymTensor.zero(rank, 2)
-        for a, b in pairs:
-            v = tuple(pts[a][i] - pts[b][i] for i in range(2)) if diff \
-                else vadd(pts[a], pts[b])
-            acc = acc + outer_power(v, rank)
-        return acc
-
+    inner = [pts[i] for i in sorted(interior)]
+    e_all = [vadd(pts[a], pts[b]) for a, b in edges]
+    e_int = [vadd(pts[a], pts[b]) for a, b in interior_edges]
+    e_bd = [vadd(pts[a], pts[b]) for a, b in boundary_edges]
+    e_bd_diff = [vsub(pts[a], pts[b]) for a, b in boundary_edges]
+    sum_v = moment_of_points(pts, 1, 2)
+    sum_v_int = moment_of_points(inner, 1, 2)
+    sum_v_sq = moment_of_points(pts, 2, 2)
+    sum_v_int_sq = moment_of_points(inner, 2, 2)
     return EdgeStats(
         points=pts,
         edges=tuple(edges),
@@ -190,11 +181,11 @@ def edge_stats(t: Triangulation) -> EdgeStats:
         sum_v_sq=sum_v_sq,
         sum_v_int_sq=sum_v_int_sq,
         sum_v_bd_sq=sum_v_sq - sum_v_int_sq,
-        sum_e_sq=esum(edges, 2),
-        sum_e_int=esum(interior_edges, 1),
-        sum_e_int_sq=esum(interior_edges, 2),
-        sum_e_bd_sq=esum(boundary_edges, 2),
-        sum_e_bd_diff_sq=esum(boundary_edges, 2, diff=True),
+        sum_e_sq=moment_of_points(e_all, 2, 2),
+        sum_e_int=moment_of_points(e_int, 1, 2),
+        sum_e_int_sq=moment_of_points(e_int, 2, 2),
+        sum_e_bd_sq=moment_of_points(e_bd, 2, 2),
+        sum_e_bd_diff_sq=moment_of_points(e_bd_diff, 2, 2),
     )
 
 

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ehrtensor.cli import main
 
 SQUARE = '{"vertices": [[0,0],[1,0],[0,1],[1,1]]}'
@@ -117,6 +119,18 @@ def test_malformed_input_exit_code(capsys):
     code, out, _ = run_cli(["moments", '{"vertices": "nope"}'], capsys)
     assert code == 2
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("command, data", [
+    ("hvec", '{"vertices": [[0,0],[1.9,0],[0,1]]}'),
+    ("hvec", '{"vertices": [[0,0],[true,0],[0,1]]}'),
+    ("halfopen", '{"vertices": [[0,0],[1,0],[0,1]], "removed": [0.7]}'),
+    ("hvec", '{"dim": 2.9, "vertices": [[0,0],[1,0],[0,1]]}'),
+])
+def test_non_integer_input_exit_code(command, data, capsys):
+    code, out, _ = run_cli([command, data], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "malformed_input"
 
 
 def test_degenerate_input_exit_code(capsys):

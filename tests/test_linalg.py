@@ -2,6 +2,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehrtensor import linalg
 
@@ -32,6 +34,45 @@ def test_det_matches_int_det():
              [[1, 2, 3], [2, 4, 6], [0, 1, 1]]]
     for m in cases:
         assert linalg.det(m) == linalg.int_det(m)
+
+
+def _int_matrices(rows, cols):
+    return st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+square_matrices = st.integers(1, 5).flatmap(lambda n: _int_matrices(n, n))
+matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: _int_matrices(*shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices, st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+def test_square_reductions_agree_with_bareiss(a, b):
+    n = len(a)
+    b = b[:n]
+    assert linalg.det(a) == linalg.int_det(a)
+    if linalg.int_det(a) == 0:
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.invert(a)
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.solve(a, b)
+        return
+    inv = linalg.invert(a)
+    assert all(sum(inv[i][k] * a[k][j] for k in range(n)) == (i == j)
+               for i in range(n) for j in range(n))
+    x = linalg.solve(a, b)
+    assert all(sum(row[j] * x[j] for j in range(n)) == rhs for row, rhs in zip(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices)
+def test_rank_nullity(a):
+    ncols = len(a[0])
+    basis = linalg.nullspace(a)
+    assert linalg.rank(a) + len(basis) == ncols
+    for v in basis:
+        assert all(sum(row[j] * v[j] for j in range(ncols)) == 0 for row in a)
 
 
 def test_bareiss_determinant_values():

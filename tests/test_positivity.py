@@ -2,13 +2,14 @@
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehrtensor as et
+from ehrtensor import linalg
 from ehrtensor.positivity import NotPositiveSemidefiniteError, trial_seed
 
 from conftest import NAMED_POLYGONS
@@ -53,6 +54,58 @@ def test_classify_zero_and_indefinite():
 def test_classify_negative_semidefinite():
     rep = et.classify_definiteness(mat([[-1, 1], [1, -1]]))
     assert rep.classification == "negative_semidefinite"
+
+
+def _principal_minor_class(matrix) -> str:
+    """Oracle: the class from the elementary symmetric functions of the eigenvalues.
+
+    e_k is the sum of the k x k principal minors; weakly alternating signs
+    characterize positive semidefiniteness, strict ones definiteness.
+    """
+    d = len(matrix)
+    if all(x == 0 for row in matrix for x in row):
+        return "zero"
+    es = [sum((linalg.det([[matrix[i][j] for j in rows] for i in rows])
+               for rows in combinations(range(d), k)), F(0))
+          for k in range(1, d + 1)]
+    if all(e > 0 for e in es):
+        return "positive_definite"
+    if all(e >= 0 for e in es):
+        return "positive_semidefinite"
+    if all((e > 0 if k % 2 == 0 else e < 0) for k, e in enumerate(es, start=1)):
+        return "negative_definite"
+    if all((e >= 0 if k % 2 == 0 else e <= 0) for k, e in enumerate(es, start=1)):
+        return "negative_semidefinite"
+    return "indefinite"
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Random symmetric integer matrices, d <= 5; rank-one sums make singular
+    and semidefinite cases common."""
+    d = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        upper = draw(st.lists(st.integers(-4, 4), min_size=d * d, max_size=d * d))
+        return [[upper[min(i, j) * d + max(i, j)] for j in range(d)] for i in range(d)]
+    terms = draw(st.lists(st.tuples(st.sampled_from((-1, 1, 2)),
+                                    st.lists(st.integers(-3, 3), min_size=d, max_size=d)),
+                          min_size=1, max_size=d))
+    return [[sum(s * v[i] * v[j] for s, v in terms) for j in range(d)] for i in range(d)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_inertia_class_matches_principal_minor_signs(m):
+    t = mat(m)
+    rep = et.classify_definiteness(t)
+    assert rep.classification == _principal_minor_class(m)
+    assert (rep.witness is None) == rep.is_psd
+    if rep.witness is not None:
+        assert rep.witness_value < 0
+        assert t.apply(rep.witness) == rep.witness_value
+    if rep.kernel is not None:
+        assert t.apply(rep.kernel) == 0
+        assert all(sum(row[j] * rep.kernel[j] for j in range(t.dim)) == 0 for row in m)
 
 
 def _brute_force_sign_scan(t: et.SymTensor, bound: int = 10):
