@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from . import linalg
 from .ehrhart import moment_of_points, row_moments
 from .polytopes import EQ, LE, LT, checked_int, scan_rows
 from .tensors import (HrVector, IntPoint, SymTensor, dot, outer_power,
-                      sym_product, vsub)
+                      sym_product, vneg, vsub)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +111,11 @@ class HalfOpenSimplex:
     removed: frozenset[int]
 
     def __post_init__(self):
+        if not self.vertices or not self.vertices[0]:
+            raise ValueError("a simplex needs vertices with at least one coordinate")
         d = len(self.vertices[0])
+        if any(len(v) != d for v in self.vertices):
+            raise ValueError("vertices have mixed dimensions")
         if len(self.vertices) != d + 1:
             raise ValueError(f"a {d}-simplex needs {d + 1} vertices")
         if self.lifted_det() == 0:
@@ -183,49 +186,29 @@ class BoxSlices:
 def box_slices(s: HalfOpenSimplex) -> BoxSlices:
     """Enumerate the box points of the lifted half-open parallelepiped.
 
-    A candidate integer point z is accepted when the exact barycentric
-    solution of ``z = sum lambda_i (v_i, 1)`` satisfies ``0 < lambda_i <= 1``
-    for removed facets and ``0 <= lambda_i < 1`` otherwise.
+    With ``a_i`` the integer adjugate rows of the lifted vertex matrix and
+    ``D = |det|``, an integer point z of Z^(d+1) has barycentric coordinates
+    ``lambda_i = a_i.z / D``.  The box is the row scan of the lifted bounding
+    box under ``0 < a_i.z <= D`` for removed facets and ``0 <= a_i.z < D``
+    otherwise.  Height is the last coordinate, so a row ``(prefix, lo, hi)``
+    puts ``prefix`` into slices lo..hi, each slice in lexicographic order.
     """
     d = s.dim
     lifted = [tuple(v) + (1,) for v in s.vertices]
-    det = linalg.int_det([[lifted[col][row] for col in range(d + 1)] for row in range(d + 1)])
-    slices: list[list[IntPoint]] = [[] for _ in range(d + 1)]
-
-    if abs(det) == 1:
-        # unimodular: the lifted vertices are a lattice basis, so the only
-        # box point has coefficient 1 exactly on the removed facets
-        z = [0] * (d + 1)
-        for i in s.removed:
-            for k in range(d + 1):
-                z[k] += lifted[i][k]
-        height = z[d]
-        slices[height].append(tuple(z[:d]))
-        return BoxSlices(tuple(tuple(sorted(sl)) for sl in slices))
-
     vmat = [[lifted[col][row] for col in range(d + 1)] for row in range(d + 1)]
-    inv = linalg.invert(vmat)
-    dabs = abs(det)
-    sign = 1 if det > 0 else -1
-    # integer adjugate rows: dabs * inv (exact)
-    adj = [[int(inv[i][j] * det) * sign for j in range(d + 1)] for i in range(d + 1)]
-    lo = [sum(min(0, lifted[i][j]) for i in range(d + 1)) for j in range(d + 1)]
-    hi = [sum(max(0, lifted[i][j]) for i in range(d + 1)) for j in range(d + 1)]
-    for z in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        ok = True
-        for i in range(d + 1):
-            num = sum(adj[i][j] * z[j] for j in range(d + 1))
-            if i in s.removed:
-                if not (0 < num <= dabs):
-                    ok = False
-                    break
-            else:
-                if not (0 <= num < dabs):
-                    ok = False
-                    break
-        if ok:
-            slices[z[d]].append(tuple(z[:d]))
-    return BoxSlices(tuple(tuple(sorted(sl)) for sl in slices))
+    dabs = s.normalized_volume()
+    adj = [[int(x * dabs) for x in row] for row in linalg.invert(vmat)]
+    cons = []
+    for i, a in enumerate(adj):
+        kept = i not in s.removed
+        cons += [(vneg(a), 0, LE if kept else LT), (a, dabs, LT if kept else LE)]
+    bounds = [(sum(min(0, v[j]) for v in lifted), sum(max(0, v[j]) for v in lifted))
+              for j in range(d + 1)]
+    slices: list[list[IntPoint]] = [[] for _ in range(d + 1)]
+    for prefix, lo, hi, _, _ in scan_rows(bounds, cons):
+        for height in range(lo, hi + 1):
+            slices[height].append(prefix)
+    return BoxSlices(tuple(map(tuple, slices)))
 
 
 def _scan_moment(s: HalfOpenSimplex, n: int, cons, r: int) -> SymTensor:

@@ -114,6 +114,8 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise ValueError("points have mixed dimensions")
+    if d == 0:
+        raise ValueError("points need at least one coordinate")
     ar = affine_rank(pts)
     if ar < d:
         raise DegenerateInputError(ar, d)

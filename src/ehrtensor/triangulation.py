@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 from .ehrhart import moment_of_points
 from .halfopen import HalfOpenSimplex
 from .linalg import affine_rank, cross2
-from .polytopes import DegenerateInputError, Polytope, convex_hull, lattice_points
+from .polytopes import (DegenerateInputError, Polytope, convex_hull, lattice_points,
+                        scan_points)
 from .tensors import (HrVector, IntPoint, SymTensor, TensorPolynomial, dot,
                       vadd, vsub)
 
@@ -318,23 +319,9 @@ def cell_simplex(t: Triangulation, cell: HalfOpenCell) -> HalfOpenSimplex:
 
 
 def cell_lattice_points(t: Triangulation, cell: HalfOpenCell) -> list[IntPoint]:
-    """Lattice points of the half-open cell (facet-strict membership)."""
-    pts = t.triangle_points(cell.triangle)
-    out = []
-    for x in lattice_points(convex_hull(pts), 1):
-        ok = True
-        for k in cell.removed:
-            others = [pts[j] for j in range(3) if j != k]
-            inner = cross2(others[0], others[1], pts[k])
-            val = cross2(others[0], others[1], x)
-            if val == 0:  # on the removed facet line
-                ok = False
-                break
-            if (val > 0) != (inner > 0):
-                raise AssertionError("cell point outside its triangle")
-        if ok:
-            out.append(x)
-    return out
+    """Lattice points of the half-open cell, in lexicographic order."""
+    s = cell_simplex(t, cell)
+    return list(scan_points(s.bounds(1), s.constraints(1)))
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,10 @@ def test_criterion_11_reflexivity_palindromicity():
     _pass(11, "reflexivity equals h-vector palindromicity on 50-polygon corpus")
 
 
+FINDING_VERTICES = ((-2, 0, -2, -2), (-2, 0, 0, 0), (-2, 0, 1, 0), (-1, 0, 0, 2),
+                    (0, 0, -1, -1), (0, 1, -1, -2), (0, 1, 1, 1), (1, 2, 0, -1))
+
+
 def test_criterion_12_conjecture_scans():
     start = time.monotonic()
     reports = {}
@@ -240,6 +244,14 @@ def test_criterion_12_conjecture_scans():
                 assert v.witness is None or v.witness_value < 0
     elapsed = time.monotonic() - start
     assert elapsed < 600.0, f"took {elapsed:.1f}s"
+    # the shipped finding: h_5 - h_1 of seed 42, trial 95 is indefinite
+    finding = reports[(4, "hibi")].violations
+    assert [(v.trial, v.index, v.classification) for v in finding] == \
+        [(95, 5, "indefinite")]
+    assert finding[0].vertices == FINDING_VERTICES
+    clear_library_caches()
+    h = et.to_hr_vector(et.convex_hull(FINDING_VERTICES), 2)
+    assert (h[5] - h[1]).apply((-8, -7, 0, 0)) == -5
     # the criterion is completion + reproducibility; violations are findings,
     # so they are reported rather than asserted away
     counts = {f"d{d}_{w}": len(r.violations) for (d, w), r in reports.items()}

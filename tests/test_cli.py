@@ -126,6 +126,10 @@ def test_malformed_input_exit_code(capsys):
     ("hvec", '{"vertices": [[0,0],[true,0],[0,1]]}'),
     ("halfopen", '{"vertices": [[0,0],[1,0],[0,1]], "removed": [0.7]}'),
     ("hvec", '{"dim": 2.9, "vertices": [[0,0],[1,0],[0,1]]}'),
+    ("hvec", '{"vertices": [[]]}'),
+    ("hvec", '{"vertices": [[], []]}'),
+    ("halfopen", '{"vertices": []}'),
+    ("halfopen", '{"vertices": [[0,0],[1,0],[0,1,2]]}'),
 ])
 def test_non_integer_input_exit_code(command, data, capsys):
     code, out, _ = run_cli([command, data], capsys)

@@ -2,10 +2,12 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import ehrtensor as et
+from ehrtensor import linalg
 from ehrtensor.halfopen import UniPoly, halfopen_from_json, halfopen_to_json
 
 F = Fraction
@@ -100,6 +102,64 @@ def test_box_slice_count_is_normalized_volume():
                            [[(0, 0), (2, 1), (1, 3)], [2]]):
         s = et.HalfOpenSimplex.make(verts, removed)
         assert et.box_slices(s).total == s.normalized_volume()
+
+
+def brute_force_box_slices(s):
+    """Box points by testing every point of the lifted bounding box.
+
+    Each candidate z gets its barycentric coordinates ``lambda_i = num_i / D``
+    (``num`` from the integer matrix ``D * inverse`` of the lifted vertex
+    matrix, ``D = |det|``) and is kept when ``0 < lambda_i <= 1`` on removed
+    facets and ``0 <= lambda_i < 1`` on kept ones.
+    """
+    d = s.dim
+    lifted = [tuple(v) + (1,) for v in s.vertices]
+    dabs = s.normalized_volume()
+    adj = [[int(x * dabs) for x in row]
+           for row in linalg.invert([[lifted[col][row] for col in range(d + 1)]
+                                     for row in range(d + 1)])]
+    lo = [sum(min(0, v[j]) for v in lifted) for j in range(d + 1)]
+    hi = [sum(max(0, v[j]) for v in lifted) for j in range(d + 1)]
+    slices = [[] for _ in range(d + 1)]
+    for z in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        nums = (sum(c * x for c, x in zip(row, z)) for row in adj)
+        if all(0 < num <= dabs if i in s.removed else 0 <= num < dabs
+               for i, num in enumerate(nums)):
+            slices[z[d]].append(tuple(z[:d]))
+    return tuple(tuple(sorted(sl)) for sl in slices)
+
+
+def _unimodular_simplex(rng, d):
+    # the standard simplex under random integer shears, swaps and a shift
+    basis = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
+        if i != j:
+            k = rng.randint(-1, 1)
+            basis[i] = [a + k * b for a, b in zip(basis[i], basis[j])]
+        basis.reverse()
+    shift = [rng.randint(-2, 2) for _ in range(d)]
+    return [shift] + [[a + b for a, b in zip(shift, row)] for row in basis]
+
+
+def test_box_slices_match_brute_force_oracle():
+    rng = random.Random(404)
+    unimodular = 0
+    for d in range(1, 5):
+        for k in range(d + 1):
+            cases = [_unimodular_simplex(rng, d)]
+            while len(cases) < 4:
+                verts = [[rng.randint(-2, 2) for _ in range(d)]
+                         for _ in range(d + 1)]
+                if linalg.int_det([v + [1] for v in verts]):
+                    cases.append(verts)
+            for verts in cases:
+                s = et.HalfOpenSimplex.make(verts, rng.sample(range(d + 1), k))
+                box = et.box_slices(s)
+                assert box.slices == brute_force_box_slices(s), (verts, s.removed)
+                assert box.total == s.normalized_volume()
+                unimodular += s.normalized_volume() == 1
+    assert unimodular >= 14
 
 
 def test_hr_halfopen_monotonicity_counterexample_vertices():
@@ -242,6 +302,9 @@ def test_halfopen_validation():
         et.HalfOpenSimplex.make([(0, 0), (1, 1), (2, 2)], [])
     with pytest.raises(ValueError):
         et.HalfOpenSimplex.make(UNIT, [5])
+    for verts in ([], [()], [(0, 0), (1, 0), (0, 1, 2)]):
+        with pytest.raises(ValueError):
+            et.HalfOpenSimplex.make(verts, [])
 
 
 def test_hr_halfopen_3d_consistency():
