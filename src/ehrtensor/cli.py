@@ -164,8 +164,8 @@ def _cmd_pick(args) -> int:
 
 def _cmd_halfopen(args) -> int:
     s = _load_halfopen(args.input)
-    h = halfopen.hr_halfopen(s, args.r)
     slices = halfopen.box_slices(s)
+    h = halfopen._hr_from_box(s, args.r, slices)
     out = {
         "r": args.r,
         "dim": s.dim,

@@ -277,8 +277,13 @@ def hr_halfopen(s: HalfOpenSimplex, r: int) -> HrVector:
         raise ValueError("rank must be nonnegative")
     if r > 2:
         raise ValueError("half-open h-vectors implemented for rank <= 2")
+    return _hr_from_box(s, r, box_slices(s))
+
+
+def _hr_from_box(s: HalfOpenSimplex, r: int, box: BoxSlices) -> HrVector:
+    """Assembly step of ``hr_halfopen`` from the box points of ``s``."""
     d = s.dim
-    slice_moments = _slice_data(s, r)
+    slice_moments = _slice_data(box, r, d)
     m = d + r
     out = [SymTensor.zero(r, d) for _ in range(m + 1)]
     for comp in _compositions(r, d + 2):
@@ -306,9 +311,8 @@ def hr_halfopen(s: HalfOpenSimplex, r: int) -> HrVector:
     return HrVector(tuple(out))
 
 
-def _slice_data(s: HalfOpenSimplex, max_rank: int):
-    slices = box_slices(s).slices
-    return [[moment_of_points(pts, k, s.dim) for pts in slices]
+def _slice_data(box: BoxSlices, max_rank: int, dim: int):
+    return [[moment_of_points(pts, k, dim) for pts in box.slices]
             for k in range(max_rank + 1)]
 
 
@@ -316,7 +320,7 @@ def h1_halfopen_2d(s: HalfOpenSimplex) -> HrVector:
     """Closed 2D vector form: h_i = L^1(S_i) - L^1(S_(i-1)) + L(S_(i-1)) (v1+v2+v3)."""
     if s.dim != 2:
         raise ValueError("closed form is two-dimensional")
-    lk = _slice_data(s, 1)
+    lk = _slice_data(box_slices(s), 1, 2)
     vsum = outer_power([sum(v[i] for v in s.vertices) for i in range(2)], 1, 2)
 
     def l(k, i):
@@ -335,7 +339,7 @@ def h2_halfopen_2d(s: HalfOpenSimplex) -> HrVector:
     """Closed 2D matrix form built from slice moments of rank 0..2."""
     if s.dim != 2:
         raise ValueError("closed form is two-dimensional")
-    lk = _slice_data(s, 2)
+    lk = _slice_data(box_slices(s), 2, 2)
     vsum_vec = outer_power([sum(v[i] for v in s.vertices) for i in range(2)], 1, 2)
     sq_sum = moment_of_points(s.vertices, 2, 2)
     vsum_sq = outer_power([sum(v[i] for v in s.vertices) for i in range(2)], 2, 2)

@@ -14,6 +14,7 @@ or four lattice points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -22,8 +23,7 @@ from .halfopen import HalfOpenSimplex
 from .linalg import affine_rank, cross2
 from .polytopes import (DegenerateInputError, Polytope, convex_hull, lattice_points,
                         scan_points)
-from .tensors import (HrVector, IntPoint, SymTensor, TensorPolynomial, dot,
-                      vadd, vsub)
+from .tensors import HrVector, IntPoint, SymTensor, TensorPolynomial, dot
 
 INSERTION_ORDERS: dict[str, Callable[[IntPoint], tuple]] = {
     "lex": lambda p: (p[0], p[1]),
@@ -43,6 +43,10 @@ class Triangulation:
 
     def triangle_points(self, tri: tuple[int, int, int]) -> tuple[IntPoint, IntPoint, IntPoint]:
         return self.points[tri[0]], self.points[tri[1]], self.points[tri[2]]
+
+    @cached_property
+    def _edge_stats(self) -> "EdgeStats":
+        return _build_edge_stats(self)
 
 
 def _oriented(pts: Sequence[IntPoint], a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -140,31 +144,42 @@ class EdgeStats:
 
 
 def edge_stats(t: Triangulation) -> EdgeStats:
-    pts = t.points
-    poly = t.polygon
-    edges = sorted({tuple(sorted(pair)) for tri in t.triangles
-                    for pair in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2]))})
+    """Edge-graph classification and sums of a triangulation.
 
-    on_facet = []
-    for x in pts:
-        on_facet.append(frozenset(i for i, f in enumerate(poly.facets)
-                                  if dot(f.normal, x) == f.rhs))
-    boundary = frozenset(i for i in range(len(pts)) if on_facet[i])
-    interior = frozenset(i for i in range(len(pts)) if not on_facet[i])
+    The sums are built once per triangulation, on first use, and kept on
+    the triangulation object; the four Pick formulas all read that result.
+    """
+    return t._edge_stats
+
+
+def _build_edge_stats(t: Triangulation) -> EdgeStats:
+    pts = t.points
+    facets = [(f.normal[0], f.normal[1], f.rhs) for f in t.polygon.facets]
+    # bit i of on_facet[k] is set when point k lies on facet i
+    on_facet = [sum(1 << i for i, (a, b, c) in enumerate(facets) if a * x + b * y == c)
+                for x, y in pts]
+    edges = sorted({(a, b) if a < b else (b, a) for tri in t.triangles
+                    for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2]))})
 
     interior_edges = []
     boundary_edges = []
+    e_all = []
+    e_int = []
+    e_bd = []
+    e_bd_diff = []
     for e in edges:
+        (x0, y0), (x1, y1) = pts[e[0]], pts[e[1]]
+        ends = (x0 + x1, y0 + y1)
+        e_all.append(ends)
         if on_facet[e[0]] & on_facet[e[1]]:
             boundary_edges.append(e)
+            e_bd.append(ends)
+            e_bd_diff.append((x0 - x1, y0 - y1))
         else:
             interior_edges.append(e)
+            e_int.append(ends)
 
-    inner = [pts[i] for i in sorted(interior)]
-    e_all = [vadd(pts[a], pts[b]) for a, b in edges]
-    e_int = [vadd(pts[a], pts[b]) for a, b in interior_edges]
-    e_bd = [vadd(pts[a], pts[b]) for a, b in boundary_edges]
-    e_bd_diff = [vsub(pts[a], pts[b]) for a, b in boundary_edges]
+    inner = [x for x, mask in zip(pts, on_facet) if not mask]
     sum_v = moment_of_points(pts, 1, 2)
     sum_v_int = moment_of_points(inner, 1, 2)
     sum_v_sq = moment_of_points(pts, 2, 2)
@@ -172,8 +187,8 @@ def edge_stats(t: Triangulation) -> EdgeStats:
     return EdgeStats(
         points=pts,
         edges=tuple(edges),
-        interior_points=interior,
-        boundary_points=boundary,
+        interior_points=frozenset(i for i, mask in enumerate(on_facet) if not mask),
+        boundary_points=frozenset(i for i, mask in enumerate(on_facet) if mask),
         interior_edges=tuple(interior_edges),
         boundary_edges=tuple(boundary_edges),
         sum_v=sum_v,

@@ -7,6 +7,7 @@ so enumeration results are cross-checked by a genuinely different route.
 """
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -65,6 +66,15 @@ def oracle_polygon_interior_points(vertices, n: int) -> list[tuple[int, int]]:
         if all(_cross(a, b, p) * side > 0 for a, b, side in support):
             out.append(p)
     return out
+
+
+def clear_library_caches():
+    """Empty every module-level ``lru_cache`` of the ehrtensor package."""
+    for name, module in list(sys.modules.items()):
+        if name == "ehrtensor" or name.startswith("ehrtensor."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
 
 
 def oracle_moment(points, r: int, dim: int = 2) -> et.SymTensor:

@@ -6,7 +6,6 @@ reproducible.
 """
 import json
 import math
-import sys
 import time
 from fractions import Fraction
 
@@ -15,6 +14,7 @@ import pytest
 import ehrtensor as et
 from ehrtensor.ehrhart import _all_dilates_oracle
 
+from conftest import clear_library_caches
 from test_triangulation import check_sparse_conditions
 
 F = Fraction
@@ -26,15 +26,6 @@ def mat(rows):
 
 def _pass(num, name):
     print(f"ACCEPTANCE {num:02d} {name}: PASS")
-
-
-def clear_library_caches():
-    """Empty every module-level ``lru_cache`` of the ehrtensor package."""
-    for name, module in list(sys.modules.items()):
-        if name == "ehrtensor" or name.startswith("ehrtensor."):
-            for obj in vars(module).values():
-                if callable(getattr(obj, "cache_clear", None)):
-                    obj.cache_clear()
 
 
 @pytest.fixture(scope="module")

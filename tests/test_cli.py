@@ -69,6 +69,19 @@ def test_halfopen_subcommand(capsys):
     assert data["h"][3] == [["25", "-15"], ["-15", "9"]]
 
 
+def test_halfopen_enumerates_box_once(capsys, monkeypatch):
+    from ehrtensor import halfopen
+    calls = []
+    box_slices = halfopen.box_slices
+    monkeypatch.setattr(halfopen, "box_slices", lambda s: calls.append(s) or box_slices(s))
+    code, out, _ = run_cli(
+        ["halfopen", '{"vertices": [[2,-2],[3,-2],[2,-1]], "removed": [0]}', "--r", "2"],
+        capsys)
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out)["box_slices"] == [[], [[2, -2]], []]
+
+
 def test_psd_subcommand(capsys):
     code, out, _ = run_cli(["psd", TRIANGLE_51], capsys)
     assert code == 0

@@ -1,12 +1,15 @@
 """Unimodular triangulations, edge sums, closed polygon formulas."""
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 import ehrtensor as et
-from ehrtensor.triangulation import cell_lattice_points
+from ehrtensor import triangulation
+from ehrtensor.tensors import dot, vadd, vsub
+from ehrtensor.triangulation import INSERTION_ORDERS, EdgeStats, cell_lattice_points
 
-from conftest import NAMED_POLYGONS, oracle_polygon_points
+from conftest import NAMED_POLYGONS, oracle_moment, oracle_polygon_points
 
 F = Fraction
 
@@ -87,6 +90,78 @@ def test_edge_stats_unit_triangle_no_interior():
     s = et.edge_stats(et.unimodular_triangulation(p))
     assert not s.interior_points
     assert not s.interior_edges
+
+
+def brute_force_edge_stats(t: et.Triangulation) -> EdgeStats:
+    """Edge sums point by point: facet sets by ``dot``, edge endpoints by
+    ``vadd``/``vsub``, moments by summing outer powers."""
+    pts = t.points
+    edges = sorted({tuple(sorted(pair)) for tri in t.triangles
+                    for pair in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2]))})
+    on_facet = [frozenset(i for i, f in enumerate(t.polygon.facets)
+                          if dot(f.normal, x) == f.rhs) for x in pts]
+    interior = frozenset(i for i in range(len(pts)) if not on_facet[i])
+    boundary = frozenset(range(len(pts))) - interior
+    boundary_edges = [e for e in edges if on_facet[e[0]] & on_facet[e[1]]]
+    interior_edges = [e for e in edges if not on_facet[e[0]] & on_facet[e[1]]]
+    inner = [pts[i] for i in sorted(interior)]
+    outer = [pts[i] for i in sorted(boundary)]
+
+    def sums(es):
+        return [vadd(pts[a], pts[b]) for a, b in es]
+
+    return EdgeStats(
+        points=pts, edges=tuple(edges),
+        interior_points=interior, boundary_points=boundary,
+        interior_edges=tuple(interior_edges), boundary_edges=tuple(boundary_edges),
+        sum_v=oracle_moment(pts, 1), sum_v_int=oracle_moment(inner, 1),
+        sum_v_bd=oracle_moment(outer, 1), sum_v_sq=oracle_moment(pts, 2),
+        sum_v_int_sq=oracle_moment(inner, 2), sum_v_bd_sq=oracle_moment(outer, 2),
+        sum_e_sq=oracle_moment(sums(edges), 2),
+        sum_e_int=oracle_moment(sums(interior_edges), 1),
+        sum_e_int_sq=oracle_moment(sums(interior_edges), 2),
+        sum_e_bd_sq=oracle_moment(sums(boundary_edges), 2),
+        sum_e_bd_diff_sq=oracle_moment([vsub(pts[a], pts[b]) for a, b in boundary_edges], 2),
+    )
+
+
+def test_edge_stats_match_brute_force_oracle():
+    for seed in range(60):
+        p = et.random_lattice_polytope(2, 4, 6, seed=3000 + seed)
+        expected = (et.to_hr_vector(p, 1), et.to_hr_vector(p, 2),
+                    et.ehrhart_tensor_polynomial(p, 1), et.ehrhart_tensor_polynomial(p, 2))
+        for order in INSERTION_ORDERS:
+            t = et.unimodular_triangulation(p, order)
+            s, oracle = et.edge_stats(t), brute_force_edge_stats(t)
+            for field in dataclasses.fields(EdgeStats):
+                assert getattr(s, field.name) == getattr(oracle, field.name), \
+                    (seed, order, field.name)
+            assert (et.h1_pick(t), et.h2_pick(t), et.ehrhart_vector_pick(t),
+                    et.ehrhart_matrix_pick(t)) == expected, (seed, order)
+
+
+def test_edge_sums_built_once_per_triangulation(monkeypatch):
+    builds = []
+    build = triangulation._build_edge_stats
+    monkeypatch.setattr(triangulation, "_build_edge_stats",
+                        lambda t: builds.append(t) or build(t))
+    p = et.convex_hull(NAMED_POLYGONS["skew_quad"])
+    t = et.unimodular_triangulation(p, "lex")
+    et.h1_pick(t), et.h2_pick(t), et.ehrhart_vector_pick(t), et.ehrhart_matrix_pick(t)
+    assert len(builds) == 1
+    assert et.edge_stats(t) is et.edge_stats(t)
+
+    # another insertion order triangulates differently and gets its own sums
+    u = et.unimodular_triangulation(p, "colex")
+    su = et.edge_stats(u)
+    assert len(builds) == 2 and builds[1] is u
+    assert su is not et.edge_stats(t)
+
+    def segments(tri, stats):
+        return {frozenset((tri.points[a], tri.points[b])) for a, b in stats.edges}
+
+    assert segments(u, su) != segments(t, et.edge_stats(t))
+    assert su == brute_force_edge_stats(u)
 
 
 def test_h1_pick_examples():
