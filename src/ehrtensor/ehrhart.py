@@ -26,7 +26,8 @@ from itertools import combinations_with_replacement
 from operator import mul
 
 from . import linalg
-from .polytopes import Polytope, dilate_rows, polygon_vertex_cycle
+from .polytopes import (Polytope, dilate_rows, placing_triangulation,
+                        polygon_vertex_cycle)
 from .tensors import (HrVector, SymTensor, TensorPolynomial, multi_indices,
                       outer_power, sym_product, vsub)
 
@@ -298,15 +299,13 @@ def reciprocity_check(p: Polytope, r: int, n: int) -> bool:
 # exact volume moments
 
 def _simplex_moment(verts: list, r: int, dim: int) -> SymTensor:
-    """Integral of x^r over a d-simplex via barycentric monomial moments.
+    """Integral of x^r over a lattice d-simplex via barycentric monomial moments.
 
     With vertex tensors w_0..w_d this is
     ``|det| * r! / (d+r)! * sum_{|k|=r} w_0^(k_0) ... w_d^(k_d)``.
     """
     base = verts[0]
-    det = abs(linalg.det([vsub(v, base) for v in verts[1:]]))
-    if det == 0:
-        return SymTensor.zero(r, dim)
+    det = abs(linalg.int_det([vsub(v, base) for v in verts[1:]]))
     acc = SymTensor.zero(r, dim)
     for combo in combinations_with_replacement(range(len(verts)), r):
         term = SymTensor.scalar(dim, 1)
@@ -317,45 +316,16 @@ def _simplex_moment(verts: list, r: int, dim: int) -> SymTensor:
     return acc * scale
 
 
-def _facet_triangles_3d(p: Polytope) -> list[tuple]:
-    """Fan triangulations of every facet polygon of a 3-polytope."""
-    tris = []
-    for f in p.facets:
-        verts = list(p.facet_vertices(f))
-        # order the facet cycle via a coordinate projection killing no area
-        drop = max(range(3), key=lambda i: abs(f.normal[i]))
-        keep = [i for i in range(3) if i != drop]
-        flat = {(v[keep[0]], v[keep[1]]): v for v in verts}
-        from .polytopes import _hull_2d
-        cycle = [flat[q] for q in _hull_2d(list(flat))]
-        for i in range(1, len(cycle) - 1):
-            tris.append((cycle[0], cycle[i], cycle[i + 1]))
-    return tris
-
-
 def moment_tensor(p: Polytope, r: int) -> SymTensor:
-    """Exact integral of x^r over P (r <= 2, dim <= 3).
+    """Exact integral of x^r over P, in any dimension and rank.
 
-    P is triangulated into simplices coned from the vertex centroid over
-    (fan-triangulated) facets and each simplex integrated in closed form.
+    P is cut into the simplices of the placing triangulation of its vertices
+    and each simplex is integrated in closed form.
     """
-    if r > 2:
-        raise ValueError("volume moments implemented for rank <= 2 only")
-    d = p.dim
-    nv = len(p.vertices)
-    centroid = tuple(Fraction(sum(v[i] for v in p.vertices), nv) for i in range(d))
-    acc = SymTensor.zero(r, d)
-    if d == 1:
-        return _simplex_moment([p.vertices[0], p.vertices[1]], r, 1)
-    if d == 2:
-        cycle = polygon_vertex_cycle(p)
-        faces = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
-    elif d == 3:
-        faces = _facet_triangles_3d(p)
-    else:
-        raise ValueError("volume moments implemented for dim <= 3 only")
-    for face in faces:
-        acc = acc + _simplex_moment([centroid, *face], r, d)
+    verts = p.vertices
+    acc = SymTensor.zero(r, p.dim)
+    for simplex in placing_triangulation(verts)[0]:
+        acc = acc + _simplex_moment([verts[i] for i in simplex], r, p.dim)
     return acc
 
 

@@ -1,19 +1,18 @@
 """Lattice polytopes in small dimension with exact facet and point machinery.
 
-V-representation in, facets derived.  Facet enumeration is brute force over
-vertex subsets (desk scale, d <= 4) with a fast monotone-chain special case
-for polygons.  Lattice point enumeration scans the bounding box with exact
-per-coordinate interval clipping, so no epsilon appears anywhere.
+V-representation in, facets derived from the boundary of one integer
+beneath-beyond placing triangulation (a monotone chain for polygons).
+Lattice point enumeration scans the bounding box with exact per-coordinate
+interval clipping, so no epsilon appears anywhere.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import (affine_rank, cross2, generalized_cross, gcd_vector,
-                     primitive, rank, smith_unimodular_left, solve)
+from .linalg import (affine_rank, cross2, generalized_cross, primitive,
+                     smith_unimodular_left, solve)
 from .tensors import IntPoint, dot, vadd, vneg, vsub
 
 # constraint modes for the point scanner
@@ -53,9 +52,6 @@ class Polytope:
     dim: int
     vertices: tuple[IntPoint, ...]
     facets: tuple[FacetIneq, ...]
-
-    def facet_vertices(self, facet: FacetIneq) -> tuple[IntPoint, ...]:
-        return tuple(v for v in self.vertices if dot(facet.normal, v) == facet.rhs)
 
     def contains(self, x: Sequence[int], n: int = 1, strict: bool = False) -> bool:
         """Membership of x in the dilate n*P (strict: relative interior)."""
@@ -102,9 +98,75 @@ def _facets_from_cycle(cycle: Sequence[IntPoint]) -> list[FacetIneq]:
     return facets
 
 
+def _affine_basis(pts: Sequence[IntPoint]) -> tuple[int, ...]:
+    """Indices of the first d+1 affinely independent points, by integer elimination."""
+    d = len(pts[0])
+    basis, rows = [0], []       # rows: (pivot column, reduced difference)
+    for i, q in enumerate(pts):
+        v = vsub(q, pts[0])
+        for piv, row in rows:
+            if v[piv]:
+                v = [row[piv] * x - v[piv] * y for x, y in zip(v, row)]
+        piv = next((k for k, x in enumerate(v) if x), None)
+        if piv is not None:
+            rows.append((piv, v))
+            basis.append(i)
+            if len(basis) == d + 1:
+                return tuple(basis)
+    raise DegenerateInputError(len(rows), d)
+
+
+def placing_triangulation(points: Sequence[Sequence[int]]
+                          ) -> tuple[list[tuple[int, ...]], list[tuple[IntPoint, int]]]:
+    """Beneath-beyond placing triangulation of integer points, in the order given.
+
+    Starts from the first d+1 affinely independent points; every later point
+    q is coned over the boundary simplices it sees strictly
+    (``normal . q > rhs``), and is skipped when it sees none.  Returns
+    ``(simplices, boundary)``: tuples of d+1 indices into ``points``, and the
+    primitive ``(normal, rhs)`` of every boundary simplex, ``normal . x <=
+    rhs`` on the hull.  Raises :class:`DegenerateInputError` when the points
+    do not span Z^d.
+    """
+    pts = [tuple(p) for p in points]
+    d = len(pts[0])
+    first = _affine_basis(pts)
+    boundary = {}       # boundary simplex (sorted indices) -> (normal, rhs)
+
+    def add(face, inside):
+        base = pts[face[0]]
+        normal = primitive(generalized_cross([vsub(pts[i], base) for i in face[1:]], d))
+        rhs = dot(normal, base)
+        boundary[face] = (vneg(normal), -rhs) if dot(normal, pts[inside]) > rhs else (normal, rhs)
+
+    for j, v in enumerate(first):
+        add(first[:j] + first[j + 1:], v)
+    simplices = [first]
+    for k, q in enumerate(pts):
+        if k in first:
+            continue
+        visible = [face for face, (normal, rhs) in boundary.items() if dot(normal, q) > rhs]
+        # A ridge lies on two boundary simplices.  It is on the horizon when
+        # only one of them is visible; the new face ridge + q then points
+        # away from that simplex's vertex off the ridge.
+        horizon = {}
+        for face in visible:
+            del boundary[face]
+            simplices.append(face + (k,))
+            for j in range(d):
+                ridge = face[:j] + face[j + 1:]
+                if horizon.pop(ridge, None) is None:
+                    horizon[ridge] = face[j]
+        for ridge, v in horizon.items():
+            add(tuple(sorted(ridge + (k,))), v)
+    return simplices, list(boundary.values())
+
+
 def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
     """Convex hull of integer points: irredundant vertex set plus facet list.
 
+    Facets are the distinct boundary planes of :func:`placing_triangulation`;
+    a point is a vertex iff no other point lies on every facet it lies on.
     Raises :class:`DegenerateInputError` when the points are not
     full-dimensional in their ambient space.
     """
@@ -116,51 +178,20 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
         raise ValueError("points have mixed dimensions")
     if d == 0:
         raise ValueError("points need at least one coordinate")
-    ar = affine_rank(pts)
-    if ar < d:
-        raise DegenerateInputError(ar, d)
-
-    if d == 1:
-        lo, hi = pts[0][0], pts[-1][0]
-        return Polytope(1, ((lo,), (hi,)),
-                        (FacetIneq((-1,), -lo), FacetIneq((1,), hi)))
 
     if d == 2:
+        _affine_basis(pts)      # raises on collinear points
         cycle = _hull_2d(pts)
         facets = tuple(sorted(_facets_from_cycle(cycle), key=lambda f: (f.normal, f.rhs)))
         return Polytope(2, tuple(sorted(cycle)), facets)
 
-    facet_set: set[tuple[IntPoint, int]] = set()
-    for subset in combinations(pts, d):
-        base = subset[0]
-        vecs = [vsub(p, base) for p in subset[1:]]
-        normal = generalized_cross(vecs, d)
-        if gcd_vector(normal) == 0:
-            continue
-        normal = primitive(normal)
-        rhs = dot(normal, base)
-        above = below = False
-        for p in pts:
-            s = dot(normal, p) - rhs
-            if s > 0:
-                above = True
-            elif s < 0:
-                below = True
-            if above and below:
-                break
-        if above and below:
-            continue
-        if above:
-            normal, rhs = vneg(normal), -rhs
-        facet_set.add((normal, rhs))
-
-    facets = tuple(FacetIneq(n, r) for n, r in sorted(facet_set))
-    vertices = []
-    for p in pts:
-        active = [f.normal for f in facets if dot(f.normal, p) == f.rhs]
-        if len(active) >= d and rank(active) == d:
-            vertices.append(p)
-    return Polytope(d, tuple(vertices), facets)
+    planes = sorted(set(placing_triangulation(pts)[1]))
+    # bit i of masks[k] is set when point k lies on facet i
+    masks = [sum(1 << i for i, (normal, rhs) in enumerate(planes) if dot(normal, p) == rhs)
+             for p in pts]
+    vertices = tuple(p for k, (p, m) in enumerate(zip(pts, masks))
+                     if not any(o & m == m for j, o in enumerate(masks) if j != k))
+    return Polytope(d, vertices, tuple(FacetIneq(n, r) for n, r in planes))
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,6 @@ def vneg(x: Sequence) -> tuple:
     return tuple(-a for a in x)
 
 
-def vscale(c, x: Sequence) -> tuple:
-    return tuple(c * a for a in x)
-
-
 @lru_cache(maxsize=None)
 def multi_indices(dim: int, rank: int) -> tuple[tuple[int, ...], ...]:
     """All sorted multi-indices of the given rank, in storage order."""

@@ -150,6 +150,15 @@ def test_non_integer_input_exit_code(command, data, capsys):
     assert json.loads(out)["error"]["kind"] == "malformed_input"
 
 
+def test_negative_trial_count_exit_code(capsys):
+    code, out, _ = run_cli(["scan", "--trials", "-3", "--dim", "2"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "invalid_arguments"
+    code, out, _ = run_cli(["scan", "--trials", "0", "--dim", "2"], capsys)
+    assert code == 0
+    assert json.loads(out)["completed"] == 0
+
+
 def test_degenerate_input_exit_code(capsys):
     code, out, _ = run_cli(["moments", '{"vertices": [[0,0],[1,1],[2,2]]}'], capsys)
     assert code == 3

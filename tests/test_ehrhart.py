@@ -2,8 +2,6 @@
 import math
 from fractions import Fraction
 
-import pytest
-
 import ehrtensor as et
 from ehrtensor.ehrhart import translation_covariance_rhs
 
@@ -146,10 +144,13 @@ def test_moment_tensor_examples():
     assert et.moment_tensor(tri, 2) == mat([[F(1, 12), F(1, 24)], [F(1, 24), F(1, 12)]])
 
 
-def test_moment_tensor_rejects_high_rank():
-    sq = et.convex_hull(NAMED_POLYGONS["unit_square"])
-    with pytest.raises(ValueError):
-        et.moment_tensor(sq, 3)
+def test_moment_tensor_is_leading_coefficient_in_every_dim_and_rank():
+    for d in (1, 2, 3, 4):
+        for seed in range(3):
+            p = et.random_lattice_polytope(d, 1 if d == 4 else 2, d + 3, seed=1300 + seed)
+            for r in (0, 1, 2, 3):
+                assert et.moment_tensor(p, r) == \
+                    et.ehrhart_tensor_polynomial(p, r).coeffs[-1], (d, seed, r)
 
 
 def test_leading_coefficient_is_moment(corpus_polygons, random_3polytopes):

@@ -6,6 +6,7 @@ import pytest
 
 import ehrtensor as et
 from ehrtensor import triangulation
+from ehrtensor.polytopes import placing_triangulation
 from ehrtensor.tensors import dot, vadd, vsub
 from ehrtensor.triangulation import INSERTION_ORDERS, EdgeStats, cell_lattice_points
 
@@ -138,6 +139,19 @@ def test_edge_stats_match_brute_force_oracle():
                     (seed, order, field.name)
             assert (et.h1_pick(t), et.h2_pick(t), et.ehrhart_vector_pick(t),
                     et.ehrhart_matrix_pick(t)) == expected, (seed, order)
+
+
+def test_lattice_cycle_is_the_placing_triangulation():
+    # the 2D cycle is the d=2 case of the general routine, kept for speed
+    for seed in range(150):
+        for gens in (4, 6, 8):
+            p = et.random_lattice_polytope(2, 5, gens, seed=seed)
+            for order, key in INSERTION_ORDERS.items():
+                pts = sorted(et.lattice_points(p, 1), key=key)
+                simplices, _ = placing_triangulation(pts)
+                placed = sorted(triangulation._oriented(pts, *s) for s in simplices)
+                assert tuple(placed) == et.unimodular_triangulation(p, order).triangles, \
+                    (seed, gens, order)
 
 
 def test_edge_sums_built_once_per_triangulation(monkeypatch):
