@@ -10,7 +10,7 @@ simplex changes the verdict.
 from ehrtensor import (HalfOpenSimplex, box_slices, classify_definiteness,
                        convex_hull, discrete_moment, eulerian_polynomial,
                        half_open_decomposition, hr_halfopen, moment_halfopen,
-                       cell_simplex, unimodular_triangulation, SymTensor)
+                       unimodular_triangulation, SymTensor)
 
 print("Eulerian polynomials (numerators of sum n^j t^n):")
 for j in range(5):
@@ -40,9 +40,9 @@ for i, e in enumerate(hr_halfopen(t, 2).entries):
 print("\nhalf-open cells of a polygon partition its moments:")
 polygon = convex_hull([(0, 0), (3, 0), (1, 2), (0, 2)])
 tri = unimodular_triangulation(polygon)
-cells = half_open_decomposition(tri)
+cells = half_open_decomposition(tri.points, tri.triangles)
 total = SymTensor.zero(2, 2)
 for c in cells:
-    total = total + moment_halfopen(cell_simplex(tri, c), 2, 2)
+    total = total + moment_halfopen(c, 2, 2)
 print("  sum of cell moments == polygon moment at n=2:",
       total == discrete_moment(polygon, 2, 2))

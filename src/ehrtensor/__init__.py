@@ -18,13 +18,12 @@ from .ehrhart import (discrete_moment, discrete_moment_interior,
                       second_coefficient_facets, to_hr_vector)
 from .halfopen import (BoxSlices, HalfOpenSimplex, UniPoly, box_slices,
                        eulerian_polynomial, h1_halfopen_2d, h2_halfopen_2d,
-                       halfopen_from_json, halfopen_to_json, hr_halfopen,
-                       moment_halfopen, moment_halfopen_inclusion_exclusion)
-from .triangulation import (EdgeStats, HalfOpenCell, Triangulation,
-                            cell_lattice_points, cell_simplex, edge_stats,
+                       half_open_decomposition, halfopen_from_json,
+                       halfopen_to_json, hr_halfopen, moment_halfopen)
+from .triangulation import (EdgeStats, Triangulation, edge_stats,
                             ehrhart_matrix_pick, ehrhart_vector_pick,
-                            h1_pick, h2_pick, half_open_decomposition,
-                            sparse_decomposition, unimodular_triangulation)
+                            h1_pick, h2_pick, sparse_decomposition,
+                            unimodular_triangulation)
 from .positivity import (DefinitenessReport, NotPositiveSemidefiniteError,
                          ScanReport, SosCertificate, check_ehrhart_psd,
                          check_h2_psd, classify_definiteness, conjecture_scan,

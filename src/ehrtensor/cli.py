@@ -115,9 +115,6 @@ def _cmd_ehrhart(args) -> int:
 
 def _cmd_hvec(args) -> int:
     p = _load_polytope(args.input)
-    if args.r > 2:
-        print(f"warning: closed moment formulas cap at rank 2; rank {args.r} "
-              "h-vector comes from enumeration only", file=sys.stderr)
     h = ehrhart.to_hr_vector(p, args.r)
     if args.table:
         for k, c in enumerate(h.entries):

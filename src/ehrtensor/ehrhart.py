@@ -338,8 +338,6 @@ def second_coefficient_facets(p: Polytope, r: int) -> SymTensor:
     """
     if p.dim != 2:
         raise ValueError("facet-sum coefficient implemented for polygons only")
-    if r > 2:
-        raise ValueError("facet moments implemented for rank <= 2 only")
     cycle = polygon_vertex_cycle(p)
     acc = SymTensor.zero(r, 2)
     for i in range(len(cycle)):

@@ -7,6 +7,11 @@ parallelepiped; its integer points, graded by height, are the box points.
 The h-tensor vector of the half-open simplex then comes out of an explicit
 numerator formula whose polynomial ingredients are Eulerian polynomials, the
 generating numerators of ``sum_n n^j t^n``.
+
+Any triangulation of a polytope, in any dimension, splits into half-open
+cells that partition it (:func:`half_open_decomposition`), so the moments
+and h-vectors of the cells add up to the polytope's with no
+inclusion-exclusion.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from functools import lru_cache
 
 from . import linalg
 from .ehrhart import moment_of_points, row_moments
-from .polytopes import EQ, LE, LT, checked_int, scan_rows
+from .polytopes import LE, LT, checked_int, scan_rows
 from .tensors import (HrVector, IntPoint, SymTensor, dot, outer_power,
                       sym_product, vneg, vsub)
 
@@ -168,6 +173,36 @@ class HalfOpenSimplex:
                 for i in range(d)]
 
 
+def half_open_decomposition(points, simplices) -> list[HalfOpenSimplex]:
+    """Half-open cells of a triangulation, one per simplex, in the same order.
+
+    ``simplices`` are tuples of d+1 indices into ``points``.  Each simplex
+    loses the facets that the reference point ``c + (e, e^2, ..., e^d)``
+    strictly sees, where c is the centroid of ``simplices[0]`` and e > 0 is
+    infinitesimal (the lexicographic perturbation of Koeppe-Verdoolaege):
+    facet ``(normal, rhs)`` is removed iff the first nonzero entry of
+    ``(normal.sum(v) - (d+1) rhs, normal_0, ..., normal_(d-1))`` is positive,
+    with v the vertices of ``simplices[0]``.  The perturbed point lies on no
+    facet hyperplane, so the cells partition the triangulated polytope and
+    ``simplices[0]`` stays closed; reorder ``simplices`` to move the point.
+    """
+    if not simplices:
+        return []
+    d = len(points[0])
+    vsum = [sum(points[i][j] for i in simplices[0]) for j in range(d)]
+    cells = []
+    for simplex in simplices:
+        closed = HalfOpenSimplex.make([points[i] for i in simplex])
+        removed = []
+        for i in range(d + 1):
+            normal, rhs = closed.facet(i)
+            key = (dot(normal, vsum) - (d + 1) * rhs,) + normal
+            if next(x for x in key if x) > 0:
+                removed.append(i)
+        cells.append(HalfOpenSimplex(closed.vertices, frozenset(removed)))
+    return cells
+
+
 @dataclass(frozen=True)
 class BoxSlices:
     """Integer points of the half-open parallelepiped, graded by height.
@@ -211,40 +246,12 @@ def box_slices(s: HalfOpenSimplex) -> BoxSlices:
     return BoxSlices(tuple(map(tuple, slices)))
 
 
-def _scan_moment(s: HalfOpenSimplex, n: int, cons, r: int) -> SymTensor:
-    closed, _ = row_moments(scan_rows(s.bounds(n), cons), r, s.dim)
-    return SymTensor.from_entries(r, s.dim, closed)
-
-
 def moment_halfopen(s: HalfOpenSimplex, r: int, n: int) -> SymTensor:
     """Rank-r moment of the dilate n*S*, by direct strict/weak enumeration."""
     if n < 0 or r < 0:
         raise ValueError("rank and dilation must be nonnegative")
-    return _scan_moment(s, n, s.constraints(n, removed_mode=LT), r)
-
-
-def moment_halfopen_inclusion_exclusion(s: HalfOpenSimplex, r: int, n: int) -> SymTensor:
-    """Same moment by inclusion-exclusion over removed-facet intersections.
-
-    Subtracts the moment of the union of removed facets from the closed
-    moment; the face ``F_J`` cut out by a subset J of removed facets is
-    enumerated with equality constraints.  Must agree with the direct path.
-    """
-    if n < 0 or r < 0:
-        raise ValueError("rank and dilation must be nonnegative")
-    d = s.dim
-    acc = _scan_moment(s, n, s.constraints(n, removed_mode=LE), r)
-    removed = sorted(s.removed)
-    for mask in range(1, 1 << len(removed)):
-        subset = [removed[k] for k in range(len(removed)) if mask >> k & 1]
-        cons = []
-        for i in range(d + 1):
-            normal, rhs = s.facet(i)
-            cons.append((normal, n * rhs, EQ if i in subset else LE))
-        face = _scan_moment(s, n, cons, r)
-        signm = (-1) ** (len(subset) + 1)
-        acc = acc - face * signm
-    return acc
+    closed, _ = row_moments(scan_rows(s.bounds(n), s.constraints(n)), r, s.dim)
+    return SymTensor.from_entries(r, s.dim, closed)
 
 
 def _compositions(total: int, parts: int):
@@ -270,13 +277,10 @@ def hr_halfopen(s: HalfOpenSimplex, r: int) -> HrVector:
     ``(1-t)^(d+r+1)`` as a sum over compositions ``r = k_0 + ... + k_(d+1)``
     of multinomially weighted symmetric products of vertex powers with slice
     moments, times ``(1-t)^(k_0) A_(k_1)(t) ... A_(k_(d+1))(t)`` and the
-    slice height marker t^i.  Works in any dimension; rank is capped at 2
-    (all closed matrix/vector forms live there).
+    slice height marker t^i.  Works in any dimension and rank.
     """
     if r < 0:
         raise ValueError("rank must be nonnegative")
-    if r > 2:
-        raise ValueError("half-open h-vectors implemented for rank <= 2")
     return _hr_from_box(s, r, box_slices(s))
 
 

@@ -19,18 +19,15 @@ def _frac_rows(a) -> list[list[Fraction]]:
     return [[Fraction(x) for x in row] for row in a]
 
 
-def _gauss_jordan(a: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int], Fraction]:
+def _gauss_jordan(a: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of a, pivoting on the first nonzero entry.
 
-    Returns ``(rows, pivots, product)``: ``pivots[k]`` is the pivot column of
-    row k, and ``product`` is the product of the pivots as they were found,
-    negated once per row swap, so it is the determinant of a square matrix
-    whose every column is a pivot column.  Stops once every row has a pivot.
+    Returns ``(rows, pivots)``: ``pivots[k]`` is the pivot column of row k.
+    Stops once every row has a pivot.
     """
     rows = _frac_rows(a)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    product = Fraction(1)
     for col in range(ncols):
         rk = len(pivots)
         if rk == len(rows):
@@ -38,10 +35,7 @@ def _gauss_jordan(a: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int
         piv = next((r for r in range(rk, len(rows)) if rows[r][col] != 0), None)
         if piv is None:
             continue
-        if piv != rk:
-            rows[rk], rows[piv] = rows[piv], rows[rk]
-            product = -product
-        product *= rows[rk][col]
+        rows[rk], rows[piv] = rows[piv], rows[rk]
         inv = 1 / rows[rk][col]
         rows[rk] = [x * inv for x in rows[rk]]
         for r in range(len(rows)):
@@ -49,13 +43,13 @@ def _gauss_jordan(a: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rk])]
         pivots.append(col)
-    return rows, pivots, product
+    return rows, pivots
 
 
 def solve(a: Sequence[Sequence], b: Sequence) -> list[Fraction]:
     """Solve the square system a x = b exactly; raises if singular."""
     n = len(a)
-    rows, pivots, _ = _gauss_jordan([list(row) + [x] for row, x in zip(a, b, strict=True)])
+    rows, pivots = _gauss_jordan([list(row) + [x] for row, x in zip(a, b, strict=True)])
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("singular system")
     return [row[n] for row in rows]
@@ -64,8 +58,8 @@ def solve(a: Sequence[Sequence], b: Sequence) -> list[Fraction]:
 def invert(a: Sequence[Sequence]) -> list[list[Fraction]]:
     """Exact inverse of a square matrix; raises if singular."""
     n = len(a)
-    rows, pivots, _ = _gauss_jordan([list(row) + [int(i == j) for j in range(n)]
-                                     for i, row in enumerate(a)])
+    rows, pivots = _gauss_jordan([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(a)])
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("singular matrix")
     return [row[n:] for row in rows]
@@ -73,27 +67,6 @@ def invert(a: Sequence[Sequence]) -> list[list[Fraction]]:
 
 def rank(a: Sequence[Sequence]) -> int:
     return len(_gauss_jordan(a)[1])
-
-
-def nullspace(a: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Basis of the right kernel of a (rows x cols), exact."""
-    rows, pivots, _ = _gauss_jordan(a)
-    ncols = len(rows[0]) if rows else 0
-    basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def det(a: Sequence[Sequence]) -> Fraction:
-    """Exact determinant over Q: the signed pivot product of the row reduction."""
-    _, pivots, product = _gauss_jordan(a)
-    return product if len(pivots) == len(a) else Fraction(0)
 
 
 def int_det(a: Sequence[Sequence[int]]) -> int:

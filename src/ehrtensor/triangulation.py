@@ -7,9 +7,10 @@ every created triangle has exactly its three corners as lattice points,
 which makes unimodularity structural rather than repaired.
 
 On top of the triangulation sit the edge-graph sums, the closed vector and
-matrix formulas for h-vectors and dilation polynomials of polygons, exact
-half-open decompositions, and sparse decompositions into pieces with three
-or four lattice points.
+matrix formulas for h-vectors and dilation polynomials of polygons, and
+sparse decompositions into pieces with three or four lattice points.  Its
+half-open cells come from ``halfopen.half_open_decomposition(t.points,
+t.triangles)``, the same routine that serves every dimension.
 """
 from __future__ import annotations
 
@@ -19,10 +20,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .ehrhart import moment_of_points
-from .halfopen import HalfOpenSimplex
 from .linalg import affine_rank, cross2
-from .polytopes import (DegenerateInputError, Polytope, convex_hull, lattice_points,
-                        scan_points)
+from .polytopes import DegenerateInputError, Polytope, convex_hull, lattice_points
 from .tensors import HrVector, IntPoint, SymTensor, TensorPolynomial, dot
 
 INSERTION_ORDERS: dict[str, Callable[[IntPoint], tuple]] = {
@@ -246,97 +245,6 @@ def ehrhart_matrix_pick(t: Triangulation) -> TensorPolynomial:
     c3 = (s.sum_v_bd_sq * 2 + s.sum_e_bd_sq) * Fraction(1, 12)
     c4 = (s.sum_e_sq + s.sum_e_int_sq) * Fraction(1, 24)
     return TensorPolynomial((SymTensor.zero(2, 2), c1, c2, c3, c4))
-
-
-# ---------------------------------------------------------------------------
-# half-open decomposition
-
-@dataclass(frozen=True)
-class HalfOpenCell:
-    """One triangle with the facets visible from the reference point removed.
-
-    ``removed`` holds positions 0..2 inside the triangle; facet k is the
-    edge opposite the k-th triangle vertex.
-    """
-
-    triangle: tuple[int, int, int]
-    removed: frozenset[int]
-
-
-_GENERIC_PRIMES = [(10007, 10009), (100003, 100019), (1000003, 1000033),
-                   (10000019, 10000079), (100000007, 100000037)]
-
-
-def _default_generic_point(t: Triangulation) -> tuple[Fraction, Fraction]:
-    a, b, c = t.triangle_points(t.triangles[0])
-    for p1, p2 in _GENERIC_PRIMES:
-        q = (Fraction(a[0] + b[0] + c[0], 3) + Fraction(1, p1),
-             Fraction(a[1] + b[1] + c[1], 3) + Fraction(1, p2))
-        if _is_generic(t, q) and _strictly_inside(q, (a, b, c)):
-            return q
-    raise RuntimeError("no generic reference point found (prime budget exhausted)")
-
-
-def _cross_q(y: IntPoint, z: IntPoint, q) -> Fraction:
-    return (z[0] - y[0]) * (q[1] - y[1]) - (z[1] - y[1]) * (q[0] - y[0])
-
-
-def _is_generic(t: Triangulation, q) -> bool:
-    seen = set()
-    for tri in t.triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])):
-            e = (a, b) if a < b else (b, a)
-            if e in seen:
-                continue
-            seen.add(e)
-            if _cross_q(t.points[e[0]], t.points[e[1]], q) == 0:
-                return False
-    return True
-
-
-def _strictly_inside(q, tri_pts) -> bool:
-    a, b, c = tri_pts
-    s1 = _cross_q(a, b, q)
-    s2 = _cross_q(b, c, q)
-    s3 = _cross_q(c, a, q)
-    return (s1 > 0 and s2 > 0 and s3 > 0) or (s1 < 0 and s2 < 0 and s3 < 0)
-
-
-def half_open_decomposition(t: Triangulation, q=None) -> list[HalfOpenCell]:
-    """Remove from each triangle the facets visible from q.
-
-    q defaults to a perturbed centroid of the first triangle (so the union
-    of the cells' lattice points partitions the polygon's lattice points);
-    explicit q must be generic, i.e. on no edge line of the triangulation.
-    """
-    if q is None:
-        q = _default_generic_point(t)
-    else:
-        q = (Fraction(q[0]), Fraction(q[1]))
-        if not _is_generic(t, q):
-            raise ValueError("reference point lies on a triangulation edge line")
-    cells = []
-    for tri in t.triangles:
-        pts = t.triangle_points(tri)
-        removed = set()
-        for k in range(3):
-            others = [pts[j] for j in range(3) if j != k]
-            side_inner = cross2(others[0], others[1], pts[k])
-            side_q = _cross_q(others[0], others[1], q)
-            if (side_inner > 0) != (side_q > 0):
-                removed.add(k)
-        cells.append(HalfOpenCell(tri, frozenset(removed)))
-    return cells
-
-
-def cell_simplex(t: Triangulation, cell: HalfOpenCell) -> HalfOpenSimplex:
-    return HalfOpenSimplex.make(t.triangle_points(cell.triangle), cell.removed)
-
-
-def cell_lattice_points(t: Triangulation, cell: HalfOpenCell) -> list[IntPoint]:
-    """Lattice points of the half-open cell, in lexicographic order."""
-    s = cell_simplex(t, cell)
-    return list(scan_points(s.bounds(1), s.constraints(1)))
 
 
 # ---------------------------------------------------------------------------

@@ -168,8 +168,7 @@ def test_criterion_10_halfopen_additivity():
     polys = [et.random_lattice_polytope(2, 4, 6, seed=30_000 + k) for k in range(50)]
     for p in polys:
         t = et.unimodular_triangulation(p)
-        cells = et.half_open_decomposition(t)
-        simplices = [et.cell_simplex(t, c) for c in cells]
+        simplices = et.half_open_decomposition(t.points, t.triangles)
         for r in (0, 1, 2):
             for n in (1, 2, 3):
                 total = et.SymTensor.zero(r, 2)

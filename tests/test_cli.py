@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+import ehrtensor as et
 from ehrtensor.cli import main
+from ehrtensor.tensors import tensor_to_json
 
 SQUARE = '{"vertices": [[0,0],[1,0],[0,1],[1,1]]}'
 TRIANGLE_51 = '{"dim": 2, "vertices": [[0,1],[-1,-7],[1,-4]]}'
@@ -41,12 +43,14 @@ def test_ehrhart_json_round_trips_to_same_bytes(capsys, tmp_path):
     assert out1 == out2
 
 
-def test_hvec_high_rank_warns(capsys):
+def test_hvec_high_rank_is_silent(capsys):
     code, out, err = run_cli(["hvec", "--r", "3", SQUARE], capsys)
     assert code == 0
-    assert "cap" in err
+    assert err == ""
     data = json.loads(out)
     assert len(data["h"]) == 6
+    h = et.to_hr_vector(et.convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)]), 3)
+    assert data["h"] == [tensor_to_json(e) for e in h.entries]
 
 
 def test_pick_agreement_flag(capsys):

@@ -181,7 +181,7 @@ def test_second_coefficient_unit_square():
 
 def test_second_coefficient_matches_interpolation(corpus_polygons):
     for p in corpus_polygons.values():
-        for r in (0, 1, 2):
+        for r in (0, 1, 2, 3):
             poly = et.ehrhart_tensor_polynomial(p, r)
             assert poly.coeffs[p.dim + r - 1] == et.second_coefficient_facets(p, r)
 

@@ -9,6 +9,10 @@ import pytest
 import ehrtensor as et
 from ehrtensor import linalg
 from ehrtensor.halfopen import UniPoly, halfopen_from_json, halfopen_to_json
+from ehrtensor.polytopes import EQ, LE, placing_triangulation, scan_points
+from ehrtensor.triangulation import INSERTION_ORDERS
+
+from conftest import oracle_moment
 
 F = Fraction
 
@@ -196,10 +200,16 @@ def test_hr_halfopen_closed_equals_polytope_h(corpus_polygons):
         assert et.hr_halfopen(s, r) == et.to_hr_vector(tri, r)
 
 
-def test_hr_halfopen_rejects_rank3():
-    s = et.HalfOpenSimplex.make(UNIT, [])
-    with pytest.raises(ValueError):
-        et.hr_halfopen(s, 3)
+def test_hr_halfopen_rank3_matches_enumeration():
+    for verts, removed in (([(2, -2), (3, -2), (2, -1)], [0]),
+                           ([(-1, -1), (2, 0), (0, 3)], [1, 2]),
+                           ([(0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 2)], [1])):
+        s = et.HalfOpenSimplex.make(verts, removed)
+        h = et.hr_halfopen(s, 3)
+        assert len(h) == s.dim + 4
+        poly = et.hr_vector_to_polynomial(h)
+        for n in range(s.dim + 5):
+            assert poly.evaluate(n) == et.moment_halfopen(s, 3, n), (verts, n)
 
 
 def test_moment_halfopen_closed_equals_discrete():
@@ -225,6 +235,26 @@ def test_moment_halfopen_unit_examples():
     assert et.moment_halfopen(s0, 0, 0).as_scalar() == 1
 
 
+def moment_halfopen_inclusion_exclusion(s, r, n):
+    """Moment of n*S* by inclusion-exclusion over removed-facet intersections.
+
+    Subtracts the moment of the union of removed facets from the closed
+    moment; the face cut out by a subset J of removed facets is enumerated
+    with equality constraints.
+    """
+    acc = oracle_moment(scan_points(s.bounds(n), s.constraints(n, removed_mode=LE)), r, s.dim)
+    removed = sorted(s.removed)
+    for mask in range(1, 1 << len(removed)):
+        subset = [removed[k] for k in range(len(removed)) if mask >> k & 1]
+        cons = []
+        for i in range(s.dim + 1):
+            normal, rhs = s.facet(i)
+            cons.append((normal, n * rhs, EQ if i in subset else LE))
+        face = oracle_moment(scan_points(s.bounds(n), cons), r, s.dim)
+        acc = acc + face * (-1) ** len(subset)
+    return acc
+
+
 def test_moment_halfopen_inclusion_exclusion_agrees():
     cases = [([(2, -2), (3, -2), (2, -1)], [0]),
              ([(0, 0), (3, 1), (1, 2)], [1]),
@@ -236,7 +266,7 @@ def test_moment_halfopen_inclusion_exclusion_agrees():
         for r in (0, 1, 2):
             for n in (0, 1, 2, 3):
                 assert et.moment_halfopen(s, r, n) == \
-                    et.moment_halfopen_inclusion_exclusion(s, r, n)
+                    moment_halfopen_inclusion_exclusion(s, r, n)
 
 
 def test_hr_halfopen_generating_consistency():
@@ -326,3 +356,107 @@ def test_hr_halfopen_3d_consistency():
 def test_halfopen_rejects_removing_every_facet():
     with pytest.raises(ValueError):
         et.HalfOpenSimplex.make(UNIT, [0, 1, 2])
+
+
+# ---------------------------------------------------------------------------
+# half-open decomposition of a triangulated polytope
+
+def cells_seen_from_point(points, simplices):
+    """Removed sets seen from the rational point c + (t, t^2, ..., t^d).
+
+    c is the centroid of ``simplices[0]``; facet i of a simplex is removed
+    when the barycentric coordinate of vertex i is negative at the point.
+    That coordinate is ``b_0 + b_1 t + ... + b_d t^d`` and each nonzero
+    ``b_j`` is at least ``1 / ((d+1) |det|)`` in size, so for the t chosen
+    here its sign is the sign of the lowest nonzero ``b_j``.  Also returns
+    how many coordinates vanish at c, i.e. how often the tie-break decides.
+    """
+    d = len(points[0])
+    c = [F(sum(points[i][j] for i in simplices[0]), d + 1) for j in range(d)] + [1]
+    coords = []
+    for simplex in simplices:
+        lifted = [[points[i][j] for i in simplex] for j in range(d)] + [[1] * (d + 1)]
+        dabs = abs(linalg.int_det(lifted))
+        coords.append([(dabs, [sum(x * y for x, y in zip(row, c))] + row[:d])
+                       for row in linalg.invert(lifted)])
+    t = min(F(1, 2 * (d + 1) * dabs * (math.ceil(sum(map(abs, b))) + 1))
+            for rows in coords for dabs, b in rows)
+    removed = [frozenset(i for i, (_, b) in enumerate(rows)
+                         if sum(bj * t ** j for j, bj in enumerate(b)) < 0)
+               for rows in coords]
+    ties = sum(b[0] == 0 for rows in coords for _, b in rows)
+    return removed, ties
+
+
+def assert_cells_partition(p, cells):
+    """The cells partition the lattice points; moments and h-vectors add up."""
+    seen = [x for s in cells for x in scan_points(s.bounds(1), s.constraints(1))]
+    assert len(seen) == len(set(seen))
+    assert sorted(seen) == sorted(et.lattice_points(p, 1))
+    for r in (0, 1, 2):
+        for n in (1, 2):
+            total = et.SymTensor.zero(r, p.dim)
+            for s in cells:
+                total = total + et.moment_halfopen(s, r, n)
+            assert total == et.discrete_moment(p, r, n), (r, n)
+        hsum = et.hr_halfopen(cells[0], r)
+        for s in cells[1:]:
+            hsum = hsum + et.hr_halfopen(s, r)
+        assert hsum == et.to_hr_vector(p, r), r
+
+
+def seeded_triangulation(d, bound, gens, seed):
+    """A seeded polytope with the placing triangulation of its vertices.
+
+    In d = 1 the vertices give one segment, so its lattice points, which
+    the placing order inserts end to end, are triangulated instead.
+    """
+    p = et.random_lattice_polytope(d, bound, gens, seed)
+    points = et.lattice_points(p, 1) if d == 1 else p.vertices
+    return p, points, placing_triangulation(points)[0]
+
+
+# (d, coordinate bound, generators, seed); the d >= 3 draws include centroids
+# of the first simplex on another simplex's facet plane
+SEEDED = [(1, 5, 3, 0), (1, 5, 3, 1), (3, 2, 6, 8), (3, 2, 6, 17), (4, 2, 8, 4)]
+
+
+@pytest.mark.parametrize("d, bound, gens, seed", SEEDED)
+def test_half_open_cells_partition_in_every_dimension(d, bound, gens, seed):
+    p, points, simplices = seeded_triangulation(d, bound, gens, seed)
+    cells = et.half_open_decomposition(points, simplices)
+    assert [s.vertices for s in cells] == [tuple(points[i] for i in sx) for sx in simplices]
+    assert cells[0].removed == frozenset()
+    assert_cells_partition(p, cells)
+
+
+def test_half_open_cells_are_seen_from_a_perturbed_point(corpus_polygons):
+    cases = []
+    for p in corpus_polygons.values():
+        for order in INSERTION_ORDERS:
+            t = et.unimodular_triangulation(p, order)
+            cases.append((t.points, t.triangles))
+    for spec in SEEDED + [(3, 2, 8, 19), (4, 2, 8, 10)]:
+        cases.append(seeded_triangulation(*spec)[1:])
+    ties = 0
+    for points, simplices in cases:
+        expected, tied = cells_seen_from_point(points, simplices)
+        ties += tied
+        cells = et.half_open_decomposition(points, simplices)
+        assert [s.removed for s in cells] == expected, (points, simplices)
+    assert ties >= 50
+    assert et.half_open_decomposition(UNIT, []) == []
+
+
+@pytest.mark.parametrize("d, bound, gens, seed", [(3, 2, 8, 6), (3, 2, 8, 19), (4, 2, 8, 11)])
+def test_half_open_sums_independent_of_triangulation(d, bound, gens, seed):
+    # two insertion orders, each with two different simplices in front
+    p = et.random_lattice_polytope(d, bound, gens, seed)
+    triangulations = set()
+    for points in (p.vertices, p.vertices[::-1]):
+        simplices = placing_triangulation(points)[0]
+        triangulations.add(frozenset(frozenset(points[i] for i in sx) for sx in simplices))
+        for k in (0, len(simplices) - 1):
+            order = [simplices[k]] + simplices[:k] + simplices[k + 1:]
+            assert_cells_partition(p, et.half_open_decomposition(points, order))
+    assert len(triangulations) == 2

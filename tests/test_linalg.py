@@ -1,5 +1,7 @@
-"""Exact linear algebra helpers: solve, determinants, kernels, lattices."""
+"""Exact linear algebra helpers: solve, determinants, rank, lattices."""
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -29,11 +31,21 @@ def test_invert_round_trip():
             assert s == (1 if i == j else 0)
 
 
+def leibniz_det(a):
+    """Determinant as the signed sum over permutations (sign by inversion count)."""
+    n = len(a)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(a[i][perm[i]] for i in range(n))
+    return total
+
+
 def test_det_matches_int_det():
     cases = [[[3]], [[1, 2], [3, 4]], [[2, 0, 1], [1, 1, 1], [0, 3, 1]],
              [[1, 2, 3], [2, 4, 6], [0, 1, 1]]]
     for m in cases:
-        assert linalg.det(m) == linalg.int_det(m)
+        assert leibniz_det(m) == linalg.int_det(m)
 
 
 def _int_matrices(rows, cols):
@@ -51,7 +63,7 @@ matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
 def test_square_reductions_agree_with_bareiss(a, b):
     n = len(a)
     b = b[:n]
-    assert linalg.det(a) == linalg.int_det(a)
+    assert leibniz_det(a) == linalg.int_det(a)
     if linalg.int_det(a) == 0:
         with pytest.raises(linalg.SingularMatrixError):
             linalg.invert(a)
@@ -67,12 +79,12 @@ def test_square_reductions_agree_with_bareiss(a, b):
 
 @settings(max_examples=200, deadline=None)
 @given(matrices)
-def test_rank_nullity(a):
-    ncols = len(a[0])
-    basis = linalg.nullspace(a)
-    assert linalg.rank(a) + len(basis) == ncols
-    for v in basis:
-        assert all(sum(row[j] * v[j] for j in range(ncols)) == 0 for row in a)
+def test_rank_is_largest_nonsingular_minor(a):
+    rows, cols = len(a), len(a[0])
+    largest = max((k for k in range(1, min(rows, cols) + 1)
+                   for r in combinations(range(rows), k) for c in combinations(range(cols), k)
+                   if linalg.int_det([[a[i][j] for j in c] for i in r])), default=0)
+    assert linalg.rank(a) == largest
 
 
 def test_bareiss_determinant_values():
@@ -81,13 +93,8 @@ def test_bareiss_determinant_values():
     assert linalg.int_det([[0, 1], [1, 0]]) == -1
 
 
-def test_rank_and_nullspace():
-    a = [[1, 2, 3], [2, 4, 6]]
-    assert linalg.rank(a) == 1
-    basis = linalg.nullspace(a)
-    assert len(basis) == 2
-    for v in basis:
-        assert all(sum(row[j] * v[j] for j in range(3)) == 0 for row in a)
+def test_rank():
+    assert linalg.rank([[1, 2, 3], [2, 4, 6]]) == 1
 
 
 def test_generalized_cross_orthogonal():

@@ -65,8 +65,8 @@ def _principal_minor_class(matrix) -> str:
     d = len(matrix)
     if all(x == 0 for row in matrix for x in row):
         return "zero"
-    es = [sum((linalg.det([[matrix[i][j] for j in rows] for i in rows])
-               for rows in combinations(range(d), k)), F(0))
+    es = [sum(linalg.int_det([[matrix[i][j] for j in rows] for i in rows])
+              for rows in combinations(range(d), k))
           for k in range(1, d + 1)]
     if all(e > 0 for e in es):
         return "positive_definite"
