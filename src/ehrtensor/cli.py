@@ -265,8 +265,9 @@ def _cmd_verify(args) -> int:
     for r in (0, 1, 2):
         poly = ehrhart.ehrhart_tensor_polynomial(p, r)
         if p.dim <= 3:
+            volume_moment = ehrhart.moment_tensor(p, r)
             checks.append((f"leading_coefficient_is_volume_moment_r{r}",
-                           poly.coeffs[-1] == ehrhart.moment_tensor(p, r)))
+                           poly.coeffs[-1] == volume_moment))
         if p.dim == 2:
             checks.append((f"second_coefficient_facet_sum_r{r}",
                            poly.coeffs[p.dim + r - 1]
@@ -277,8 +278,7 @@ def _cmd_verify(args) -> int:
             total = total + entry
         if p.dim <= 3:
             checks.append((f"h_sum_is_normalized_volume_moment_r{r}",
-                           total == ehrhart.moment_tensor(p, r)
-                           * math.factorial(p.dim + r)))
+                           total == volume_moment * math.factorial(p.dim + r)))
         # to_hr_vector's top entry is L(P°) by construction; test the oracle's
         h_oracle = ehrhart._all_dilates_oracle(p, r)[1]
         checks.append((f"h_top_is_interior_moment_r{r}",
@@ -324,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("moments", help="discrete moment tensor of a dilate")
     add_io(sp)
-    sp.add_argument("--r", type=int, default=0, choices=(0, 1, 2))
+    sp.add_argument("--r", type=int, default=0)
     sp.add_argument("--n", type=int, default=1)
     sp.set_defaults(func=_cmd_moments)
 
     sp = sub.add_parser("ehrhart", help="moment tensor dilation polynomial")
     add_io(sp)
-    sp.add_argument("--r", type=int, default=0, choices=(0, 1, 2))
+    sp.add_argument("--r", type=int, default=0)
     sp.set_defaults(func=_cmd_ehrhart)
 
     sp = sub.add_parser("hvec", help="h-tensor vector")
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("halfopen", help="h-vector of a half-open simplex")
     add_io(sp)
-    sp.add_argument("--r", type=int, default=2, choices=(0, 1, 2))
+    sp.add_argument("--r", type=int, default=2)
     sp.set_defaults(func=_cmd_halfopen)
 
     sp = sub.add_parser("psd", help="definiteness of h- and moment-matrix coefficients")

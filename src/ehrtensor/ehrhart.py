@@ -22,12 +22,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from operator import mul
 
 from . import linalg
-from .polytopes import (Polytope, dilate_rows, placing_triangulation,
-                        polygon_vertex_cycle)
+from .polytopes import Polytope, dilate_rows, placing_triangulation
 from .tensors import (HrVector, SymTensor, TensorPolynomial, multi_indices,
                       outer_power, sym_product, vsub)
 
@@ -296,58 +294,57 @@ def reciprocity_check(p: Polytope, r: int, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact volume moments
+# exact volume and facet moments
 
-def _simplex_moment(verts: list, r: int, dim: int) -> SymTensor:
-    """Integral of x^r over a lattice d-simplex via barycentric monomial moments.
+def _simplex_moment(verts: list, r: int, dim: int, volume: int) -> SymTensor:
+    """Integral of x^r over a k-simplex of normalized volume ``volume`` (k! vol).
 
-    With vertex tensors w_0..w_d this is
-    ``|det| * r! / (d+r)! * sum_{|k|=r} w_0^(k_0) ... w_d^(k_d)``.
+    ``volume * r!/(k+r)! * h_r`` with h_r the complete homogeneous tensor of
+    the vertices (Baldoni et al., "How to integrate a polynomial over a
+    simplex", 2011), built from the vertex power sums p_j by Newton's
+    identity ``j h_j = sum_{i=1..j} p_i . h_(j-i)``.
     """
-    base = verts[0]
-    det = abs(linalg.int_det([vsub(v, base) for v in verts[1:]]))
-    acc = SymTensor.zero(r, dim)
-    for combo in combinations_with_replacement(range(len(verts)), r):
-        term = SymTensor.scalar(dim, 1)
-        for i in combo:
-            term = sym_product(term, outer_power(verts[i], 1, dim))
-        acc = acc + term
-    scale = det * Fraction(math.factorial(r), math.factorial(dim + r))
-    return acc * scale
+    powers = [moment_of_points(verts, j, dim) for j in range(1, r + 1)]
+    h = [SymTensor.scalar(dim, 1)]
+    for j in range(1, r + 1):
+        acc = SymTensor.zero(j, dim)
+        for i in range(1, j + 1):
+            acc = acc + sym_product(powers[i - 1], h[j - i])
+        h.append(acc * Fraction(1, j))
+    return h[r] * Fraction(volume * math.factorial(r), math.factorial(len(verts) - 1 + r))
 
 
 def moment_tensor(p: Polytope, r: int) -> SymTensor:
     """Exact integral of x^r over P, in any dimension and rank.
 
-    P is cut into the simplices of the placing triangulation of its vertices
-    and each simplex is integrated in closed form.
+    Sums :func:`_simplex_moment` over the simplices of the placing
+    triangulation of the vertices, each with normalized volume ``|det|``.
     """
     verts = p.vertices
     acc = SymTensor.zero(r, p.dim)
     for simplex in placing_triangulation(verts)[0]:
-        acc = acc + _simplex_moment([verts[i] for i in simplex], r, p.dim)
+        vs = [verts[i] for i in simplex]
+        volume = abs(linalg.int_det([vsub(v, vs[0]) for v in vs[1:]]))
+        acc = acc + _simplex_moment(vs, r, p.dim, volume)
     return acc
 
 
 def second_coefficient_facets(p: Polytope, r: int) -> SymTensor:
-    """Half the facet-moment sum: the coefficient of n^(dim+r-1).
+    """Half the facet-moment sum: the coefficient of n^(dim+r-1), in any dimension.
 
-    Each polygon edge is parametrized in primitive lattice steps, so the
-    facet integral is a 1D rational integral weighted by lattice length:
-    ``1/2 * sum_F integral_0^g (u + s p)^r ds``.
+    ``1/2 * sum_F integral_F x^r`` in the lattice measure of each facet's
+    hyperplane (Brion-Vergne, "Lattice points in simple polytopes", 1997):
+    :func:`_simplex_moment` over the boundary simplices of the placing
+    triangulation, each with its facet-lattice normalized volume, the gcd of
+    the cofactor normal of its edges.
     """
-    if p.dim != 2:
-        raise ValueError("facet-sum coefficient implemented for polygons only")
-    cycle = polygon_vertex_cycle(p)
-    acc = SymTensor.zero(r, 2)
-    for i in range(len(cycle)):
-        u, w = cycle[i], cycle[(i + 1) % len(cycle)]
-        step = vsub(w, u)
-        g = math.gcd(step[0], step[1])
-        prim = (step[0] // g, step[1] // g)
-        for j in range(r + 1):
-            tensor = sym_product(outer_power(u, r - j, 2), outer_power(prim, j, 2))
-            acc = acc + tensor * (math.comb(r, j) * Fraction(g ** (j + 1), j + 1))
+    verts = p.vertices
+    acc = SymTensor.zero(r, p.dim)
+    for face, _ in placing_triangulation(verts)[1]:
+        vs = [verts[i] for i in face]
+        edges = [vsub(v, vs[0]) for v in vs[1:]]
+        volume = linalg.gcd_vector(linalg.generalized_cross(edges, p.dim))
+        acc = acc + _simplex_moment(vs, r, p.dim, volume)
     return acc * Fraction(1, 2)
 
 

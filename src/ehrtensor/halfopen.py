@@ -159,12 +159,11 @@ class HalfOpenSimplex:
             normal, rhs = tuple(-c for c in normal), -rhs
         return normal, rhs
 
-    def constraints(self, n: int, removed_mode: int = LT) -> list[tuple[IntPoint, int, int]]:
+    def constraints(self, n: int) -> list[tuple[IntPoint, int, int]]:
         cons = []
         for i in range(self.dim + 1):
             normal, rhs = self.facet(i)
-            mode = removed_mode if i in self.removed else LE
-            cons.append((normal, n * rhs, mode))
+            cons.append((normal, n * rhs, LT if i in self.removed else LE))
         return cons
 
     def bounds(self, n: int) -> list[tuple[int, int]]:
@@ -279,13 +278,13 @@ def hr_halfopen(s: HalfOpenSimplex, r: int) -> HrVector:
     moments, times ``(1-t)^(k_0) A_(k_1)(t) ... A_(k_(d+1))(t)`` and the
     slice height marker t^i.  Works in any dimension and rank.
     """
-    if r < 0:
-        raise ValueError("rank must be nonnegative")
     return _hr_from_box(s, r, box_slices(s))
 
 
 def _hr_from_box(s: HalfOpenSimplex, r: int, box: BoxSlices) -> HrVector:
     """Assembly step of ``hr_halfopen`` from the box points of ``s``."""
+    if r < 0:
+        raise ValueError("rank must be nonnegative")
     d = s.dim
     slice_moments = _slice_data(box, r, d)
     m = d + r

@@ -116,17 +116,18 @@ def _affine_basis(pts: Sequence[IntPoint]) -> tuple[int, ...]:
     raise DegenerateInputError(len(rows), d)
 
 
-def placing_triangulation(points: Sequence[Sequence[int]]
-                          ) -> tuple[list[tuple[int, ...]], list[tuple[IntPoint, int]]]:
+def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[
+        list[tuple[int, ...]], list[tuple[tuple[int, ...], tuple[IntPoint, int]]]]:
     """Beneath-beyond placing triangulation of integer points, in the order given.
 
     Starts from the first d+1 affinely independent points; every later point
     q is coned over the boundary simplices it sees strictly
     (``normal . q > rhs``), and is skipped when it sees none.  Returns
-    ``(simplices, boundary)``: tuples of d+1 indices into ``points``, and the
-    primitive ``(normal, rhs)`` of every boundary simplex, ``normal . x <=
-    rhs`` on the hull.  Raises :class:`DegenerateInputError` when the points
-    do not span Z^d.
+    ``(simplices, boundary)``: the simplices as tuples of d+1 indices into
+    ``points``, and the boundary as ``(face, (normal, rhs))`` pairs, one per
+    boundary simplex: its d sorted indices and its primitive plane,
+    ``normal . x <= rhs`` on the hull.  Raises :class:`DegenerateInputError`
+    when the points do not span Z^d.
     """
     pts = [tuple(p) for p in points]
     d = len(pts[0])
@@ -159,7 +160,7 @@ def placing_triangulation(points: Sequence[Sequence[int]]
                     horizon[ridge] = face[j]
         for ridge, v in horizon.items():
             add(tuple(sorted(ridge + (k,))), v)
-    return simplices, list(boundary.values())
+    return simplices, list(boundary.items())
 
 
 def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
@@ -185,7 +186,7 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
         facets = tuple(sorted(_facets_from_cycle(cycle), key=lambda f: (f.normal, f.rhs)))
         return Polytope(2, tuple(sorted(cycle)), facets)
 
-    planes = sorted(set(placing_triangulation(pts)[1]))
+    planes = sorted({plane for _, plane in placing_triangulation(pts)[1]})
     # bit i of masks[k] is set when point k lies on facet i
     masks = [sum(1 << i for i, (normal, rhs) in enumerate(planes) if dot(normal, p) == rhs)
              for p in pts]

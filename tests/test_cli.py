@@ -53,6 +53,24 @@ def test_hvec_high_rank_is_silent(capsys):
     assert data["h"] == [tensor_to_json(e) for e in h.entries]
 
 
+def test_rank_flags_take_any_nonnegative_rank(capsys):
+    halfopen = '{"vertices": [[2,-2],[3,-2],[2,-1]], "removed": [0]}'
+    code, out, _ = run_cli(["halfopen", halfopen, "--r", "3"], capsys)
+    assert code == 0
+    h = et.hr_halfopen(et.HalfOpenSimplex.make([[2, -2], [3, -2], [2, -1]], [0]), 3)
+    assert json.loads(out)["h"] == [tensor_to_json(e) for e in h.entries]
+    triangle = '{"vertices": [[0,0],[1,0],[0,1]]}'
+    code, out, _ = run_cli(["moments", triangle, "--r", "3"], capsys)
+    assert code == 0
+    moment = et.discrete_moment(et.convex_hull([(0, 0), (1, 0), (0, 1)]), 3, 1)
+    assert json.loads(out)["moment"] == tensor_to_json(moment)
+    for command, data in [("moments", triangle), ("ehrhart", triangle),
+                          ("hvec", triangle), ("halfopen", halfopen)]:
+        code, out, _ = run_cli([command, data, "--r", "-1"], capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "invalid_arguments"
+
+
 def test_pick_agreement_flag(capsys):
     code, out, _ = run_cli(["pick", SQUARE, "--triangulate"], capsys)
     assert code == 0

@@ -1,9 +1,13 @@
 """Moment polynomials, h-vectors, reciprocity, coefficient identities."""
 import math
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import ehrtensor as et
-from ehrtensor.ehrhart import translation_covariance_rhs
+from ehrtensor.ehrhart import _simplex_moment, translation_covariance_rhs
+from ehrtensor.linalg import gcd_vector, generalized_cross, int_det
+from ehrtensor.tensors import vsub
 
 from conftest import NAMED_POLYGONS, oracle_moment, oracle_polygon_points
 
@@ -144,6 +148,38 @@ def test_moment_tensor_examples():
     assert et.moment_tensor(tri, 2) == mat([[F(1, 12), F(1, 24)], [F(1, 24), F(1, 12)]])
 
 
+def barycentric_simplex_moment(verts, r: int, dim: int, volume: int) -> et.SymTensor:
+    """Integral of x^r over a k-simplex as ``volume * r!/(k+r)!`` times the sum
+    of ``w_0^(k_0) ... w_k^(k_k)`` over every vertex multiset of size r."""
+    acc = et.SymTensor.zero(r, dim)
+    for combo in combinations_with_replacement(range(len(verts)), r):
+        term = et.SymTensor.scalar(dim, 1)
+        for i in combo:
+            term = et.sym_product(term, et.outer_power(verts[i], 1, dim))
+        acc = acc + term
+    return acc * Fraction(volume * math.factorial(r), math.factorial(len(verts) - 1 + r))
+
+
+def test_simplex_moment_matches_barycentric_oracle():
+    rng = random.Random(1400)
+    for d in range(1, 6):
+        done = 0
+        while done < 2:
+            verts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d + 1)]
+            volume = abs(int_det([vsub(v, verts[0]) for v in verts[1:]]))
+            if volume == 0:
+                continue
+            done += 1
+            # the simplex and one of its facets, in the facet lattice measure
+            facet = verts[1:]
+            facet_volume = gcd_vector(generalized_cross([vsub(v, facet[0]) for v in facet[1:]], d))
+            for r in range(5):
+                assert _simplex_moment(verts, r, d, volume) == \
+                    barycentric_simplex_moment(verts, r, d, volume), (verts, r)
+                assert _simplex_moment(facet, r, d, facet_volume) == \
+                    barycentric_simplex_moment(facet, r, d, facet_volume), (facet, r)
+
+
 def test_moment_tensor_is_leading_coefficient_in_every_dim_and_rank():
     for d in (1, 2, 3, 4):
         for seed in range(3):
@@ -180,7 +216,9 @@ def test_second_coefficient_unit_square():
 
 
 def test_second_coefficient_matches_interpolation(corpus_polygons):
-    for p in corpus_polygons.values():
+    seeded = [et.random_lattice_polytope(d, 1 if d == 4 else 2, d + 3, seed=1500 + seed)
+              for d in (1, 3, 4) for seed in range(3)]
+    for p in list(corpus_polygons.values()) + seeded:
         for r in (0, 1, 2, 3):
             poly = et.ehrhart_tensor_polynomial(p, r)
             assert poly.coeffs[p.dim + r - 1] == et.second_coefficient_facets(p, r)

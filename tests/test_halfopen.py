@@ -242,7 +242,8 @@ def moment_halfopen_inclusion_exclusion(s, r, n):
     moment; the face cut out by a subset J of removed facets is enumerated
     with equality constraints.
     """
-    acc = oracle_moment(scan_points(s.bounds(n), s.constraints(n, removed_mode=LE)), r, s.dim)
+    closed = et.HalfOpenSimplex(s.vertices, frozenset()).constraints(n)
+    acc = oracle_moment(scan_points(s.bounds(n), closed), r, s.dim)
     removed = sorted(s.removed)
     for mask in range(1, 1 << len(removed)):
         subset = [removed[k] for k in range(len(removed)) if mask >> k & 1]

@@ -62,9 +62,8 @@ def test_rows_expand_to_box_scan(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3), st.integers(0, 10**6), st.integers(0, 2),
-       st.sampled_from((LE, LT)))
-def test_rows_of_halfopen_constraints(d, seed, n, removed_mode):
+@given(st.integers(1, 3), st.integers(0, 10**6), st.integers(0, 2))
+def test_rows_of_halfopen_constraints(d, seed, n):
     rng = random.Random(seed)
     while True:
         vertices = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d + 1)]
@@ -73,7 +72,7 @@ def test_rows_of_halfopen_constraints(d, seed, n, removed_mode):
             break
         except ValueError:
             continue
-    cons = s.constraints(n, removed_mode=removed_mode)
+    cons = s.constraints(n)
     assert expand(scan_rows(s.bounds(n), cons)) == box_points(s.bounds(n), cons)
 
 

@@ -115,7 +115,8 @@ def test_placing_simplices_sum_to_normalized_volume():
                          for s in simplices)
             lead = et.ehrhart_tensor_polynomial(p, 0).coeffs[-1].as_scalar()
             assert volume == math.factorial(d) * lead, pts
-            assert sorted(set(boundary)) == [(f.normal, f.rhs) for f in p.facets], pts
+            planes = {plane for _, plane in boundary}
+            assert sorted(planes) == [(f.normal, f.rhs) for f in p.facets], pts
 
 
 def test_unit_square_dilate_counts():
