@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scan", help="seeded random conjecture scan")
     add_io(sp, needs_input=False)
-    sp.add_argument("--dim", type=int, default=3, choices=(2, 3, 4))
+    sp.add_argument("--dim", type=int, default=3)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--bound", type=int, default=2)

@@ -23,7 +23,7 @@ from . import linalg
 from .ehrhart import moment_of_points, row_moments
 from .polytopes import LE, LT, checked_int, scan_rows
 from .tensors import (HrVector, IntPoint, SymTensor, dot, outer_power,
-                      sym_product, vneg, vsub)
+                      sym_product, vneg)
 
 
 # ---------------------------------------------------------------------------
@@ -41,14 +41,6 @@ class UniPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         return tuple(cs)
-
-    @classmethod
-    def of(cls, *coeffs: int) -> "UniPoly":
-        return cls(cls._trim(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -77,9 +69,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
 
 ONE_MINUS_T = UniPoly((1, -1))
@@ -147,24 +136,32 @@ class HalfOpenSimplex:
     def normalized_volume(self) -> int:
         return abs(self.lifted_det())
 
-    def facet(self, i: int) -> tuple[IntPoint, int]:
-        """Inequality (normal, rhs) of facet i, polytope side normal.x <= rhs."""
+    def barycentric_rows(self) -> tuple[list[list[int]], int]:
+        """``(rows, D)``: D = |det| and rows a_i of D times the inverse of the
+        matrix with columns (v_j, 1).
+
+        A point z of Z^(d+1) has barycentric coordinate ``a_i.z / D`` for vertex i.
+        """
         d = self.dim
-        others = [self.vertices[j] for j in range(d + 1) if j != i]
-        base = others[0]
-        normal = linalg.generalized_cross([vsub(v, base) for v in others[1:]], d)
-        normal = linalg.primitive(normal)
-        rhs = dot(normal, base)
-        if dot(normal, self.vertices[i]) > rhs:
-            normal, rhs = tuple(-c for c in normal), -rhs
-        return normal, rhs
+        vmat = [[v[row] for v in self.vertices] for row in range(d)] + [[1] * (d + 1)]
+        return linalg.int_inverse(vmat)
+
+    def facets(self) -> list[tuple[IntPoint, int]]:
+        """Facet i as (normal, rhs), polytope side normal.x <= rhs, for i = 0..d.
+
+        From ``a_i.(x, 1) >= 0`` with the barycentric row a_i and g the gcd of
+        ``a_i[:d]``: normal ``-a_i[:d]/g``, rhs ``a_i[d]/g``.
+        """
+        d = self.dim
+        out = []
+        for a in self.barycentric_rows()[0]:
+            g = linalg.gcd_vector(a[:d])
+            out.append((tuple(-x // g for x in a[:d]), a[d] // g))
+        return out
 
     def constraints(self, n: int) -> list[tuple[IntPoint, int, int]]:
-        cons = []
-        for i in range(self.dim + 1):
-            normal, rhs = self.facet(i)
-            cons.append((normal, n * rhs, LT if i in self.removed else LE))
-        return cons
+        return [(normal, n * rhs, LT if i in self.removed else LE)
+                for i, (normal, rhs) in enumerate(self.facets())]
 
     def bounds(self, n: int) -> list[tuple[int, int]]:
         d = self.dim
@@ -193,8 +190,7 @@ def half_open_decomposition(points, simplices) -> list[HalfOpenSimplex]:
     for simplex in simplices:
         closed = HalfOpenSimplex.make([points[i] for i in simplex])
         removed = []
-        for i in range(d + 1):
-            normal, rhs = closed.facet(i)
+        for i, (normal, rhs) in enumerate(closed.facets()):
             key = (dot(normal, vsum) - (d + 1) * rhs,) + normal
             if next(x for x in key if x) > 0:
                 removed.append(i)
@@ -220,20 +216,18 @@ class BoxSlices:
 def box_slices(s: HalfOpenSimplex) -> BoxSlices:
     """Enumerate the box points of the lifted half-open parallelepiped.
 
-    With ``a_i`` the integer adjugate rows of the lifted vertex matrix and
-    ``D = |det|``, an integer point z of Z^(d+1) has barycentric coordinates
-    ``lambda_i = a_i.z / D``.  The box is the row scan of the lifted bounding
-    box under ``0 < a_i.z <= D`` for removed facets and ``0 <= a_i.z < D``
-    otherwise.  Height is the last coordinate, so a row ``(prefix, lo, hi)``
-    puts ``prefix`` into slices lo..hi, each slice in lexicographic order.
+    With ``a_i`` the barycentric rows of ``s`` and ``D = |det|``, an integer
+    point z of Z^(d+1) has barycentric coordinates ``lambda_i = a_i.z / D``.
+    The box is the row scan of the lifted bounding box under
+    ``0 < a_i.z <= D`` for removed facets and ``0 <= a_i.z < D`` otherwise.
+    Height is the last coordinate, so a row ``(prefix, lo, hi)`` puts
+    ``prefix`` into slices lo..hi, each slice in lexicographic order.
     """
     d = s.dim
     lifted = [tuple(v) + (1,) for v in s.vertices]
-    vmat = [[lifted[col][row] for col in range(d + 1)] for row in range(d + 1)]
-    dabs = s.normalized_volume()
-    adj = [[int(x * dabs) for x in row] for row in linalg.invert(vmat)]
+    rows, dabs = s.barycentric_rows()
     cons = []
-    for i, a in enumerate(adj):
+    for i, a in enumerate(rows):
         kept = i not in s.removed
         cons += [(vneg(a), 0, LE if kept else LT), (a, dabs, LT if kept else LE)]
     bounds = [(sum(min(0, v[j]) for v in lifted), sum(max(0, v[j]) for v in lifted))

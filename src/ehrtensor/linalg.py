@@ -1,8 +1,10 @@
-"""Exact linear algebra helpers over Q and Z for small matrices.
+"""Exact linear algebra helpers over Z (and Q) for small matrices.
 
-Plain list-of-lists matrices, Fraction arithmetic, no pivoting heuristics
-beyond "first nonzero": matrices here are tiny (d <= 5 or so) and exactness
-is the only requirement.
+Plain list-of-lists matrices.  One fraction-free Gauss-Jordan elimination
+(Bareiss) on integer rows serves determinants, solving, inversion,
+integer normals and affine bases; rational input is scaled to integer rows
+first.  Pivoting is "first nonzero": matrices here are tiny (d <= 5 or so)
+and exactness is the only requirement.
 """
 from __future__ import annotations
 
@@ -15,81 +17,82 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def _frac_rows(a) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in a]
+def _reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan (Bareiss) of an integer matrix: ``(rows, pivots, det)``.
 
-
-def _gauss_jordan(a: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of a, pivoting on the first nonzero entry.
-
-    Returns ``(rows, pivots)``: ``pivots[k]`` is the pivot column of row k.
-    Stops once every row has a pivot.
+    Pivots on the first nonzero entry of each column until every row has one;
+    each step sets every other row to ``(p * row - f * top) // prev``, which is
+    exact and keeps every entry a minor of the input.  Every pivot entry ends
+    equal to the last one; ``det`` is the minor on the pivot columns, signed by
+    the row swaps, or 0 when some row has no pivot.
     """
-    rows = _frac_rows(a)
-    ncols = len(rows[0]) if rows else 0
+    m = [list(row) for row in rows]
+    ncols = len(m[0]) if m else 0
     pivots: list[int] = []
+    sign, prev = 1, 1
     for col in range(ncols):
-        rk = len(pivots)
-        if rk == len(rows):
+        k = len(pivots)
+        if k == len(m):
             break
-        piv = next((r for r in range(rk, len(rows)) if rows[r][col] != 0), None)
+        piv = next((r for r in range(k, len(m)) if m[r][col]), None)
         if piv is None:
             continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        inv = 1 / rows[rk][col]
-        rows[rk] = [x * inv for x in rows[rk]]
-        for r in range(len(rows)):
-            if r != rk and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rk])]
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top = m[k]
+        p = top[col]
+        for r, row in enumerate(m):
+            if r != k:
+                f = row[col]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         pivots.append(col)
-    return rows, pivots
+    return m, pivots, sign * prev if len(pivots) == len(m) else 0
+
+
+def _integer_rows(a: Sequence[Sequence]) -> list[list[int]]:
+    """Each row of a rational matrix times the lcm of its denominators."""
+    scales = [math.lcm(*(x.denominator for x in row)) for row in a]
+    return [[int(x * k) for x in row] for row, k in zip(a, scales)]
+
+
+def _divide(a: Sequence[Sequence], rhs: Sequence[Sequence],
+            message: str) -> tuple[list[list[int]], int]:
+    """``(x, D)`` with ``D > 0`` and ``a^-1 rhs = x / D``, reducing ``[a | rhs]``.
+
+    Raises :class:`SingularMatrixError` with ``message`` when a is singular.
+    """
+    n = len(a)
+    rows, pivots, _ = _reduce(_integer_rows([list(row) + list(b)
+                                             for row, b in zip(a, rhs, strict=True)]))
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError(message)
+    sign = -1 if rows and rows[0][0] < 0 else 1
+    return [[sign * x for x in row[n:]] for row in rows], sign * rows[0][0] if rows else 1
 
 
 def solve(a: Sequence[Sequence], b: Sequence) -> list[Fraction]:
     """Solve the square system a x = b exactly; raises if singular."""
+    x, dabs = _divide(a, [[y] for y in b], "singular system")
+    return [Fraction(y, dabs) for y, in x]
+
+
+def int_inverse(a: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """``(m, D)`` with integer m, ``D > 0`` and ``a^-1 = m / D``; ``D = |det a|`` for integer a."""
     n = len(a)
-    rows, pivots = _gauss_jordan([list(row) + [x] for row, x in zip(a, b, strict=True)])
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError("singular system")
-    return [row[n] for row in rows]
+    return _divide(a, [[int(i == j) for j in range(n)] for i in range(n)], "singular matrix")
 
 
 def invert(a: Sequence[Sequence]) -> list[list[Fraction]]:
     """Exact inverse of a square matrix; raises if singular."""
-    n = len(a)
-    rows, pivots = _gauss_jordan([list(row) + [int(i == j) for j in range(n)]
-                                  for i, row in enumerate(a)])
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError("singular matrix")
-    return [row[n:] for row in rows]
-
-
-def rank(a: Sequence[Sequence]) -> int:
-    return len(_gauss_jordan(a)[1])
+    m, dabs = int_inverse(a)
+    return [[Fraction(x, dabs) for x in row] for row in m]
 
 
 def int_det(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix (fraction-free Bareiss)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(map(int, row)) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    """Determinant of an integer matrix."""
+    return _reduce(a)[2]
 
 
 def gcd_vector(v: Sequence[int]) -> int:
@@ -108,17 +111,21 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
 
 
 def generalized_cross(vectors: Sequence[Sequence[int]], dim: int) -> tuple[int, ...]:
-    """Integer normal to d-1 vectors in Z^d via cofactor expansion.
+    """Integer normal to d-1 vectors in Z^d: entry j is (-1)^j times the minor without column j.
 
-    For d = 1 (no input vectors) returns (1,).  The result is zero iff the
-    vectors are linearly dependent.
+    It is the null vector of the reduced vectors with ``(-1)^j det`` at their
+    one non-pivot column j; (1,) for d = 1, zero iff the vectors are dependent.
     """
     if len(vectors) != dim - 1:
         raise ValueError(f"need {dim - 1} vectors in dimension {dim}")
-    normal = []
-    for j in range(dim):
-        minor = [[row[c] for c in range(dim) if c != j] for row in vectors]
-        normal.append((-1) ** j * int_det(minor))
+    rows, pivots, det = _reduce(vectors)
+    if det == 0:
+        return (0,) * dim
+    j = next(c for c in range(dim) if c not in pivots)
+    normal = [0] * dim
+    normal[j] = (-1) ** j * det
+    for row, c in zip(rows, pivots):
+        normal[c] = -row[j] * normal[j] // row[c]
     return tuple(normal)
 
 
@@ -127,13 +134,19 @@ def cross2(o: Sequence[int], a: Sequence[int], b: Sequence[int]) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def affine_basis(points: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """0, then each point whose difference from ``points[0]`` is independent of the
+    earlier ones: the pivot columns of the matrix with those differences as columns."""
+    if not points:
+        return ()
+    origin = points[0]
+    cols = [[p[i] - origin[i] for p in points[1:]] for i in range(len(origin))]
+    return (0,) + tuple(c + 1 for c in _reduce(cols)[1])
+
+
 def affine_rank(points: Sequence[Sequence[int]]) -> int:
     """Dimension of the affine hull of a point set."""
-    if len(points) <= 1:
-        return 0
-    origin = points[0]
-    diffs = [[p[i] - origin[i] for i in range(len(origin))] for p in points[1:]]
-    return rank(diffs)
+    return max(len(affine_basis(points)) - 1, 0)
 
 
 def smith_unimodular_left(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:

@@ -11,8 +11,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import (affine_rank, cross2, generalized_cross, primitive,
-                     smith_unimodular_left, solve)
+from .linalg import (affine_basis, affine_rank, cross2, generalized_cross,
+                     primitive, smith_unimodular_left, solve)
 from .tensors import IntPoint, dot, vadd, vneg, vsub
 
 # constraint modes for the point scanner
@@ -99,21 +99,11 @@ def _facets_from_cycle(cycle: Sequence[IntPoint]) -> list[FacetIneq]:
 
 
 def _affine_basis(pts: Sequence[IntPoint]) -> tuple[int, ...]:
-    """Indices of the first d+1 affinely independent points, by integer elimination."""
-    d = len(pts[0])
-    basis, rows = [0], []       # rows: (pivot column, reduced difference)
-    for i, q in enumerate(pts):
-        v = vsub(q, pts[0])
-        for piv, row in rows:
-            if v[piv]:
-                v = [row[piv] * x - v[piv] * y for x, y in zip(v, row)]
-        piv = next((k for k, x in enumerate(v) if x), None)
-        if piv is not None:
-            rows.append((piv, v))
-            basis.append(i)
-            if len(basis) == d + 1:
-                return tuple(basis)
-    raise DegenerateInputError(len(rows), d)
+    """Indices of the first d+1 affinely independent points; raises when there are fewer."""
+    basis = affine_basis(pts)
+    if len(basis) <= len(pts[0]):
+        raise DegenerateInputError(len(basis) - 1, len(pts[0]))
+    return basis
 
 
 def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[

@@ -263,6 +263,8 @@ def conjecture_scan(d: int, trials: int, coord_bound: int, num_gens: int,
     """
     if which not in ("psd", "hibi"):
         raise ValueError("scan kind must be 'psd' or 'hibi'")
+    if d < 1:
+        raise ValueError("dimension must be positive")
     if trials < 0:
         raise ValueError("trial count must be nonnegative")
     start = time.monotonic()

@@ -290,13 +290,6 @@ class TensorPolynomial:
     def dim(self) -> int:
         return self.coeffs[0].dim
 
-    @property
-    def degree(self) -> int:
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[k].is_zero:
-                return k
-        return 0
-
     def evaluate(self, n: Scalar) -> SymTensor:
         n = _as_fraction(n)
         acc = SymTensor.zero(self.rank, self.dim)

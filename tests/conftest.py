@@ -4,11 +4,15 @@ The oracles here deliberately avoid the library's facet/scan machinery:
 membership goes through exact barycentric sign tests over vertex triples
 (Caratheodory) and interior membership through supporting-line strictness,
 so enumeration results are cross-checked by a genuinely different route.
+The linear-algebra oracles (Leibniz determinants, Fraction Gauss-Jordan)
+likewise share nothing with the library's integer elimination.
 """
 from __future__ import annotations
 
 import sys
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 
@@ -83,6 +87,62 @@ def oracle_moment(points, r: int, dim: int = 2) -> et.SymTensor:
     for p in points:
         acc = acc + et.outer_power(p, r, dim)
     return acc
+
+
+def leibniz_det(a):
+    """Determinant as the signed sum over permutations (sign by inversion count)."""
+    n = len(a)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(a[i][perm[i]] for i in range(n))
+    return total
+
+
+def cofactor_cross(vectors, dim):
+    """Normal to d-1 vectors in Z^d by cofactor expansion along the missing row."""
+    normal = []
+    for j in range(dim):
+        minor = [[row[c] for c in range(dim) if c != j] for row in vectors]
+        normal.append((-1) ** j * leibniz_det(minor))
+    return tuple(normal)
+
+
+def fraction_rref(a):
+    """Reduced row echelon form of a in Fractions, pivoting on the first nonzero entry.
+
+    Returns ``(rows, pivots)``: ``pivots[k]`` is the pivot column of row k.
+    Stops once every row has a pivot.
+    """
+    rows = [[Fraction(x) for x in row] for row in a]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(ncols):
+        rk = len(pivots)
+        if rk == len(rows):
+            break
+        piv = next((r for r in range(rk, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        inv = 1 / rows[rk][col]
+        rows[rk] = [x * inv for x in rows[rk]]
+        for r in range(len(rows)):
+            if r != rk and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rk])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def fraction_inverse(a):
+    """Inverse of a square matrix by :func:`fraction_rref` of ``[a | I]``; None if singular."""
+    n = len(a)
+    rows, pivots = fraction_rref([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,19 @@ def test_scan_deterministic_output(capsys):
     assert data["violations"] == []
 
 
+def test_scan_takes_any_positive_dimension(capsys):
+    code, out, _ = run_cli(["scan", "--dim", "5", "--trials", "1", "--which", "hibi"], capsys)
+    assert code == 0
+    expected = et.conjecture_scan(5, 1, 2, 8, 0, "hibi").to_json()
+    assert out == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_scan_refuses_dimension_zero(capsys):
+    code, out, _ = run_cli(["scan", "--dim", "0"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "invalid_arguments"
+
+
 def test_verify_square_passes(capsys):
     code, out, _ = run_cli(["verify", SQUARE, "--json"], capsys)
     assert code == 0

@@ -7,12 +7,12 @@ from itertools import product
 import pytest
 
 import ehrtensor as et
-from ehrtensor import linalg
 from ehrtensor.halfopen import UniPoly, halfopen_from_json, halfopen_to_json
 from ehrtensor.polytopes import EQ, LE, placing_triangulation, scan_points
+from ehrtensor.tensors import dot
 from ehrtensor.triangulation import INSERTION_ORDERS
 
-from conftest import oracle_moment
+from conftest import fraction_inverse, leibniz_det, oracle_moment
 
 F = Fraction
 
@@ -118,10 +118,9 @@ def brute_force_box_slices(s):
     """
     d = s.dim
     lifted = [tuple(v) + (1,) for v in s.vertices]
-    dabs = s.normalized_volume()
-    adj = [[int(x * dabs) for x in row]
-           for row in linalg.invert([[lifted[col][row] for col in range(d + 1)]
-                                     for row in range(d + 1)])]
+    vmat = [[lifted[col][row] for col in range(d + 1)] for row in range(d + 1)]
+    dabs = abs(leibniz_det(vmat))
+    adj = [[int(x * dabs) for x in row] for row in fraction_inverse(vmat)]
     lo = [sum(min(0, v[j]) for v in lifted) for j in range(d + 1)]
     hi = [sum(max(0, v[j]) for v in lifted) for j in range(d + 1)]
     slices = [[] for _ in range(d + 1)]
@@ -155,7 +154,7 @@ def test_box_slices_match_brute_force_oracle():
             while len(cases) < 4:
                 verts = [[rng.randint(-2, 2) for _ in range(d)]
                          for _ in range(d + 1)]
-                if linalg.int_det([v + [1] for v in verts]):
+                if leibniz_det([v + [1] for v in verts]):
                     cases.append(verts)
             for verts in cases:
                 s = et.HalfOpenSimplex.make(verts, rng.sample(range(d + 1), k))
@@ -163,6 +162,11 @@ def test_box_slices_match_brute_force_oracle():
                 assert box.slices == brute_force_box_slices(s), (verts, s.removed)
                 assert box.total == s.normalized_volume()
                 unimodular += s.normalized_volume() == 1
+                for i, (normal, rhs) in enumerate(s.facets()):
+                    assert math.gcd(*normal) == 1
+                    assert [dot(normal, v) - rhs == 0 for v in s.vertices] == \
+                        [j != i for j in range(d + 1)]
+                    assert dot(normal, s.vertices[i]) < rhs
     assert unimodular >= 14
 
 
@@ -247,10 +251,8 @@ def moment_halfopen_inclusion_exclusion(s, r, n):
     removed = sorted(s.removed)
     for mask in range(1, 1 << len(removed)):
         subset = [removed[k] for k in range(len(removed)) if mask >> k & 1]
-        cons = []
-        for i in range(s.dim + 1):
-            normal, rhs = s.facet(i)
-            cons.append((normal, n * rhs, EQ if i in subset else LE))
+        cons = [(normal, n * rhs, EQ if i in subset else LE)
+                for i, (normal, rhs) in enumerate(s.facets())]
         face = oracle_moment(scan_points(s.bounds(n), cons), r, s.dim)
         acc = acc + face * (-1) ** len(subset)
     return acc
@@ -377,9 +379,9 @@ def cells_seen_from_point(points, simplices):
     coords = []
     for simplex in simplices:
         lifted = [[points[i][j] for i in simplex] for j in range(d)] + [[1] * (d + 1)]
-        dabs = abs(linalg.int_det(lifted))
+        dabs = abs(leibniz_det(lifted))
         coords.append([(dabs, [sum(x * y for x, y in zip(row, c))] + row[:d])
-                       for row in linalg.invert(lifted)])
+                       for row in fraction_inverse(lifted)])
     t = min(F(1, 2 * (d + 1) * dabs * (math.ceil(sum(map(abs, b))) + 1))
             for rows in coords for dabs, b in rows)
     removed = [frozenset(i for i, (_, b) in enumerate(rows)

@@ -1,13 +1,15 @@
 """Exact linear algebra helpers: solve, determinants, rank, lattices."""
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import prod
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrtensor import linalg
+from ehrtensor.polytopes import DegenerateInputError, _affine_basis
+
+from conftest import cofactor_cross, fraction_inverse, fraction_rref, leibniz_det
 
 F = Fraction
 
@@ -29,16 +31,6 @@ def test_invert_round_trip():
         for j in range(3):
             s = sum(a[i][k] * inv[k][j] for k in range(3))
             assert s == (1 if i == j else 0)
-
-
-def leibniz_det(a):
-    """Determinant as the signed sum over permutations (sign by inversion count)."""
-    n = len(a)
-    total = 0
-    for perm in permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        total += (-1) ** inversions * prod(a[i][perm[i]] for i in range(n))
-    return total
 
 
 def test_det_matches_int_det():
@@ -83,8 +75,120 @@ def test_rank_is_largest_nonsingular_minor(a):
     rows, cols = len(a), len(a[0])
     largest = max((k for k in range(1, min(rows, cols) + 1)
                    for r in combinations(range(rows), k) for c in combinations(range(cols), k)
-                   if linalg.int_det([[a[i][j] for j in c] for i in r])), default=0)
-    assert linalg.rank(a) == largest
+                   if leibniz_det([[a[i][j] for j in c] for i in r])), default=0)
+    assert len(linalg._reduce(a)[1]) == largest
+
+
+def _low_rank(shape):
+    # a rows x cols product through an inner dimension k, so rank <= k
+    rows, cols, k = shape
+    return st.tuples(_int_matrices(rows, k), _int_matrices(k, cols)).map(
+        lambda bc: [[sum(x * y for x, y in zip(row, col)) for col in zip(*bc[1])]
+                    for row in bc[0]])
+
+
+wide_tall_deficient = st.one_of(
+    matrices,
+    st.tuples(st.integers(1, 3), st.integers(4, 7)).flatmap(lambda s: _int_matrices(*s)),
+    st.tuples(st.integers(4, 7), st.integers(1, 3)).flatmap(lambda s: _int_matrices(*s)),
+    st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2)).flatmap(_low_rank))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_tall_deficient)
+def test_reduce_over_its_pivot_is_the_fraction_rref(a):
+    rows, pivots, det = linalg._reduce(a)
+    expected, expected_pivots = fraction_rref(a)
+    assert pivots == expected_pivots
+    pivot = rows[0][pivots[0]] if pivots else 1
+    assert all(row[c] == pivot for row, c in zip(rows, pivots))
+    assert [[Fraction(x, pivot) for x in row] for row in rows] == expected
+    minor = [[row[c] for c in pivots] for row in a]
+    assert det == (leibniz_det(minor) if len(pivots) == len(a) else 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+    st.just(d), _int_matrices(d - 1, d), st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+    st.booleans())))
+def test_generalized_cross_matches_cofactor_expansion(case):
+    d, vectors, coeffs, dependent = case
+    if dependent and vectors:
+        # replace the last vector by a combination of the others
+        vectors[-1] = [sum(c * row[j] for c, row in zip(coeffs, vectors[:-1])) for j in range(d)]
+    normal = linalg.generalized_cross(vectors, d)
+    assert normal == cofactor_cross(vectors, d)
+    if dependent and vectors:
+        assert normal == (0,) * d
+
+
+def _rational_matrices(n):
+    fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    return st.lists(st.lists(fractions, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    _rational_matrices(n), st.lists(st.fractions(-3, 3, max_denominator=5),
+                                    min_size=n, max_size=n))))
+def test_invert_and_solve_rational_input(case):
+    a, b = case
+    n = len(a)
+    expected = fraction_inverse(a)
+    if expected is None:
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.invert(a)
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.solve(a, b)
+        return
+    assert linalg.invert(a) == expected
+    assert linalg.solve(a, b) == [sum(row[j] * b[j] for j in range(n)) for row in expected]
+
+
+def forward_affine_basis(pts):
+    """First d+1 affinely independent points by forward integer elimination.
+
+    Returns ``(basis, affine_dim)``; the basis is short when the points are
+    degenerate.
+    """
+    d = len(pts[0])
+    basis, rows = [0], []       # rows: (pivot column, reduced difference)
+    for i, q in enumerate(pts):
+        v = [a - b for a, b in zip(q, pts[0])]
+        for piv, row in rows:
+            if v[piv]:
+                v = [row[piv] * x - v[piv] * y for x, y in zip(v, row)]
+        piv = next((k for k, x in enumerate(v) if x), None)
+        if piv is not None:
+            rows.append((piv, v))
+            basis.append(i)
+            if len(basis) == d + 1:
+                break
+    return tuple(basis), len(rows)
+
+
+def _point_sets(d):
+    # points in an affine subspace spanned by k random directions
+    point = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    return st.integers(0, d).flatmap(lambda k: st.tuples(
+        point, st.lists(point, min_size=k, max_size=k),
+        st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k), min_size=1, max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(st.just(d), _point_sets(d))))
+def test_affine_basis_matches_forward_elimination(case):
+    d, (origin, directions, coords) = case
+    pts = [tuple(o + sum(c * v[j] for c, v in zip(cs, directions)) for j, o in enumerate(origin))
+           for cs in coords]
+    basis, affine_dim = forward_affine_basis(pts)
+    assert linalg.affine_rank(pts) == affine_dim
+    if len(basis) == d + 1:
+        assert _affine_basis(pts) == basis
+    else:
+        with pytest.raises(DegenerateInputError) as err:
+            _affine_basis(pts)
+        assert (err.value.affine_dim, err.value.ambient_dim) == (affine_dim, d)
 
 
 def test_bareiss_determinant_values():
@@ -94,7 +198,7 @@ def test_bareiss_determinant_values():
 
 
 def test_rank():
-    assert linalg.rank([[1, 2, 3], [2, 4, 6]]) == 1
+    assert len(linalg._reduce([[1, 2, 3], [2, 4, 6]])[1]) == 1
 
 
 def test_generalized_cross_orthogonal():
@@ -114,6 +218,7 @@ def test_affine_rank():
     assert linalg.affine_rank([(0, 0), (1, 1), (2, 2)]) == 1
     assert linalg.affine_rank([(0, 0), (1, 0), (0, 1)]) == 2
     assert linalg.affine_rank([(5, 5)]) == 0
+    assert linalg.affine_rank([]) == 0
 
 
 def test_smith_left_transform_properties():

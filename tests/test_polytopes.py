@@ -6,13 +6,14 @@ from itertools import combinations
 import pytest
 
 import ehrtensor as et
-from ehrtensor.linalg import affine_rank, gcd_vector, generalized_cross, int_det, primitive, rank
+from ehrtensor.linalg import gcd_vector, int_det, primitive
 from ehrtensor.polytopes import (DegenerateInputError, FacetIneq, placing_triangulation,
                                  polytope_from_json, polytope_to_json)
 from ehrtensor.positivity import trial_seed
 from ehrtensor.tensors import dot, vneg, vsub
 
-from conftest import NAMED_POLYGONS, oracle_polygon_interior_points, oracle_polygon_points
+from conftest import (NAMED_POLYGONS, cofactor_cross, fraction_rref,
+                      oracle_polygon_interior_points, oracle_polygon_points)
 
 
 def test_square_hull_removes_duplicates_and_interior():
@@ -38,16 +39,16 @@ def test_collinear_input_raises_with_affine_dim():
 def brute_force_hull(points) -> et.Polytope:
     """Hull over every d-subset: a subset spanning a hyperplane with all
     points on one side gives a facet; a point is a vertex when the normals
-    of its facets have rank d (Fraction elimination)."""
+    of its facets have rank d (cofactor normals, Fraction elimination)."""
     pts = sorted(set(map(tuple, points)))
     d = len(pts[0])
-    ar = affine_rank(pts)
+    ar = len(fraction_rref([vsub(p, pts[0]) for p in pts[1:]])[1])
     if ar < d:
         raise DegenerateInputError(ar, d)
     facet_set = set()
     for subset in combinations(pts, d):
         base = subset[0]
-        normal = generalized_cross([vsub(p, base) for p in subset[1:]], d)
+        normal = cofactor_cross([vsub(p, base) for p in subset[1:]], d)
         if gcd_vector(normal) == 0:
             continue
         normal = primitive(normal)
@@ -62,7 +63,7 @@ def brute_force_hull(points) -> et.Polytope:
     vertices = []
     for p in pts:
         active = [f.normal for f in facets if dot(f.normal, p) == f.rhs]
-        if len(active) >= d and rank(active) == d:
+        if len(active) >= d and len(fraction_rref(active)[1]) == d:
             vertices.append(p)
     return et.Polytope(d, tuple(vertices), facets)
 
