@@ -193,7 +193,7 @@ def _report_json(rep: positivity.DefinitenessReport) -> dict:
 def _cmd_psd(args) -> int:
     p = _load_polytope(args.input)
     h_reports = positivity.check_h2_psd(p)
-    l_reports = positivity.check_ehrhart_psd(p, 2)
+    l_reports = positivity.check_ehrhart_psd(p)
     out = {"h2": [_report_json(r) for r in h_reports],
            "ehrhart2": [_report_json(r) for r in l_reports]}
     if args.table:

@@ -26,25 +26,12 @@ from operator import mul
 
 from . import linalg
 from .polytopes import Polytope, dilate_rows, placing_triangulation
-from .tensors import (HrVector, SymTensor, TensorPolynomial, multi_indices,
-                      outer_power, sym_product, vsub)
+from .tensors import (HrVector, SymTensor, TensorPolynomial, moment_of_points,
+                      multi_indices, outer_power, sym_product, vsub)
 
 
 # ---------------------------------------------------------------------------
-# moment kernels: point lists and scan rows
-
-def moment_of_points(points, r: int, dim: int) -> SymTensor:
-    """Sum of outer powers x^r over an explicit list of points."""
-    idx = multi_indices(dim, r)
-    acc = [0] * len(idx)
-    for x in points:
-        for k, m in enumerate(idx):
-            p = 1
-            for i in m:
-                p *= x[i]
-            acc[k] += p
-    return SymTensor.from_entries(r, dim, acc)
-
+# moment kernel: scan rows
 
 @lru_cache(maxsize=None)
 def _power_sum_poly(k: int) -> tuple[tuple[int, ...], int]:
@@ -301,17 +288,20 @@ def _simplex_moment(verts: list, r: int, dim: int, volume: int) -> SymTensor:
 
     ``volume * r!/(k+r)! * h_r`` with h_r the complete homogeneous tensor of
     the vertices (Baldoni et al., "How to integrate a polynomial over a
-    simplex", 2011), built from the vertex power sums p_j by Newton's
-    identity ``j h_j = sum_{i=1..j} p_i . h_(j-i)``.
+    simplex", 2011).  The integer tensors ``H_j = j! h_j`` come from the
+    vertex power sums p_i by Newton's identity, which with the unnormalized
+    :func:`~ehrtensor.tensors.sym_product` reads
+    ``j H_j = sum_{i=1..j} i! sym_product(p_i, H_(j-i))``; the one division
+    is ``volume / (k+r)!`` at the end.
     """
     powers = [moment_of_points(verts, j, dim) for j in range(1, r + 1)]
-    h = [SymTensor.scalar(dim, 1)]
+    hs = [SymTensor.scalar(dim, 1)]
     for j in range(1, r + 1):
         acc = SymTensor.zero(j, dim)
         for i in range(1, j + 1):
-            acc = acc + sym_product(powers[i - 1], h[j - i])
-        h.append(acc * Fraction(1, j))
-    return h[r] * Fraction(volume * math.factorial(r), math.factorial(len(verts) - 1 + r))
+            acc = acc + sym_product(powers[i - 1], hs[j - i]) * math.factorial(i)
+        hs.append(SymTensor(j, dim, tuple(e // j for e in acc.entries)))
+    return hs[r] * Fraction(volume, math.factorial(len(verts) - 1 + r))
 
 
 def moment_tensor(p: Polytope, r: int) -> SymTensor:
@@ -351,12 +341,12 @@ def second_coefficient_facets(p: Polytope, r: int) -> SymTensor:
 def translation_covariance_rhs(p: Polytope, r: int, n: int, t) -> SymTensor:
     """Binomial expansion of the moment of a translated polytope.
 
-    ``sum_j C(r, j) L^(r-j)(nP) . (n t)^j`` — the exact value the moment of
-    the translate must equal (dilation scales the translation).
+    ``sum_j sym_product(L^(r-j)(nP), (n t)^j)``, the binomial coefficients
+    carried by the unnormalized product: the exact value the moment of the
+    translate must equal (dilation scales the translation).
     """
     acc = SymTensor.zero(r, p.dim)
     nt = tuple(n * c for c in t)
     for j in range(r + 1):
-        term = sym_product(discrete_moment(p, r - j, n), outer_power(nt, j, p.dim))
-        acc = acc + term * math.comb(r, j)
+        acc = acc + sym_product(discrete_moment(p, r - j, n), outer_power(nt, j, p.dim))
     return acc

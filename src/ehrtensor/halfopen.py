@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
-from .ehrhart import moment_of_points, row_moments
+from .ehrhart import row_moments
 from .polytopes import LE, LT, checked_int, scan_rows
-from .tensors import (HrVector, IntPoint, SymTensor, dot, outer_power,
-                      sym_product, vneg)
+from .tensors import (HrVector, IntPoint, SymTensor, dot, moment_of_points,
+                      outer_power, sym_product, vneg)
 
 
 # ---------------------------------------------------------------------------
@@ -256,21 +256,15 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _multinomial(total: int, parts) -> int:
-    n = math.factorial(total)
-    for k in parts:
-        n //= math.factorial(k)
-    return n
-
-
 def hr_halfopen(s: HalfOpenSimplex, r: int) -> HrVector:
     """h-tensor vector of a half-open simplex from its box points.
 
     Assembles the numerator of ``sum_n L^r(nS*) t^n`` over
     ``(1-t)^(d+r+1)`` as a sum over compositions ``r = k_0 + ... + k_(d+1)``
-    of multinomially weighted symmetric products of vertex powers with slice
-    moments, times ``(1-t)^(k_0) A_(k_1)(t) ... A_(k_(d+1))(t)`` and the
-    slice height marker t^i.  Works in any dimension and rank.
+    of unnormalized symmetric products of vertex powers with slice moments
+    (the chain carries the multinomial ``r!/(k_0! ... k_(d+1)!)``), times
+    ``(1-t)^(k_0) A_(k_1)(t) ... A_(k_(d+1))(t)`` and the slice height
+    marker t^i.  Works in any dimension and rank.
     """
     return _hr_from_box(s, r, box_slices(s))
 
@@ -285,7 +279,6 @@ def _hr_from_box(s: HalfOpenSimplex, r: int, box: BoxSlices) -> HrVector:
     out = [SymTensor.zero(r, d) for _ in range(m + 1)]
     for comp in _compositions(r, d + 2):
         k0 = comp[0]
-        mult = _multinomial(r, comp)
         poly = ONE_MINUS_T ** k0
         for kj in comp[1:]:
             if kj:
@@ -298,7 +291,7 @@ def _hr_from_box(s: HalfOpenSimplex, r: int, box: BoxSlices) -> HrVector:
             base = slice_moments[k0][i]
             if base.is_zero:
                 continue
-            tensor = sym_product(vertex_part, base) * mult
+            tensor = sym_product(vertex_part, base)
             for deg, c in enumerate(poly.coeffs):
                 if c:
                     k = i + deg
@@ -349,7 +342,7 @@ def h2_halfopen_2d(s: HalfOpenSimplex) -> HrVector:
     entries = []
     for i in range(5):
         term = l(2, i) - l(2, i - 1) * 2 + l(2, i - 2)
-        term = term + sym_product(vsum_vec, l(1, i - 1) - l(1, i - 2)) * 2
+        term = term + sym_product(vsum_vec, l(1, i - 1) - l(1, i - 2))
         term = term + sq_sum * l(0, i - 1).as_scalar()
         term = term + vsum_sq * l(0, i - 2).as_scalar()
         entries.append(term)

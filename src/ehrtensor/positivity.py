@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .ehrhart import to_hr_vector
+from .ehrhart import ehrhart_tensor_polynomial, to_hr_vector
 from .polytopes import (Polytope, interior_lattice_points, is_reflexive,
                         random_lattice_polytope)
 from .tensors import HrVector, SymTensor, rational_to_str
@@ -161,12 +161,9 @@ def check_h2_psd(p: Polytope) -> list[DefinitenessReport]:
     return [classify_definiteness(entry) for entry in h.entries]
 
 
-def check_ehrhart_psd(p: Polytope, r: int = 2) -> list[DefinitenessReport]:
-    """Classify the nonconstant coefficients of the rank-r moment polynomial."""
-    if r != 2:
-        raise ValueError("definiteness applies to matrix coefficients (r = 2)")
-    from .ehrhart import ehrhart_tensor_polynomial
-    poly = ehrhart_tensor_polynomial(p, r)
+def check_ehrhart_psd(p: Polytope) -> list[DefinitenessReport]:
+    """Classify the nonconstant coefficients of the rank-2 moment polynomial."""
+    poly = ehrhart_tensor_polynomial(p, 2)
     return [classify_definiteness(c) for c in poly.coeffs[1:]]
 
 

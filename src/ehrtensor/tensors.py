@@ -1,11 +1,15 @@
 """Exact symmetric tensors of small rank over Q^d.
 
-Everything here is exact: scalars are :class:`fractions.Fraction` (always
-reduced, positive denominator), lattice points are plain ``tuple[int, ...]``
-and a symmetric tensor of rank r is stored densely by its sorted
-multi-indices ``i_1 <= ... <= i_r`` (each in ``0..d-1``), in
-``itertools.combinations_with_replacement`` order.  A rank-0 tensor is a
-single rational, a rank-2 tensor round-trips to a symmetric d x d matrix.
+Everything here is exact: a scalar is an ``int`` or a
+:class:`fractions.Fraction`, kept as given, so lattice-point moments and
+h-tensor entries stay integers and only genuinely rational quantities
+(polynomial coefficients, volume moments) carry denominators.  ``3`` and
+``Fraction(3)`` compare, hash and print alike.  Floats and bools are refused.
+Lattice points are plain ``tuple[int, ...]`` and a symmetric tensor of rank r
+is stored densely by its sorted multi-indices ``i_1 <= ... <= i_r`` (each in
+``0..d-1``), in ``itertools.combinations_with_replacement`` order.  A rank-0
+tensor is a single scalar, a rank-2 tensor round-trips to a symmetric d x d
+matrix.
 
 All values are immutable after construction and safe to share.
 """
@@ -63,17 +67,13 @@ def _perm_count(index: tuple[int, ...]) -> int:
     return n
 
 
-def _as_fraction(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
-
-
 @dataclass(frozen=True)
 class SymTensor:
     """Symmetric tensor of rank ``rank`` on Q^dim, dense sorted-index storage."""
 
     rank: int
     dim: int
-    entries: tuple[Fraction, ...]
+    entries: tuple[Scalar, ...]
 
     def __post_init__(self):
         expected = len(multi_indices(self.dim, self.rank))
@@ -81,28 +81,32 @@ class SymTensor:
             raise ValueError(
                 f"rank-{self.rank} tensor on Q^{self.dim} needs {expected} entries, "
                 f"got {len(self.entries)}")
+        inexact = set(map(type, self.entries)) - {int, Fraction}
+        if inexact:
+            raise TypeError("tensor entries must be int or Fraction, got "
+                            + ", ".join(sorted(t.__name__ for t in inexact)))
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls, rank: int, dim: int) -> "SymTensor":
         n = len(multi_indices(dim, rank))
-        return cls(rank, dim, (Fraction(0),) * n)
+        return cls(rank, dim, (0,) * n)
 
     @classmethod
     def from_entries(cls, rank: int, dim: int, values: Iterable) -> "SymTensor":
-        return cls(rank, dim, tuple(_as_fraction(v) for v in values))
+        return cls(rank, dim, tuple(values))
 
     @classmethod
     def from_map(cls, rank: int, dim: int, mapping: Mapping[tuple[int, ...], Scalar]) -> "SymTensor":
         pos = _index_position(dim, rank)
-        vals = [Fraction(0)] * len(pos)
+        vals = [0] * len(pos)
         for idx, v in mapping.items():
-            vals[pos[tuple(sorted(idx))]] = _as_fraction(v)
+            vals[pos[tuple(sorted(idx))]] = v
         return cls(rank, dim, tuple(vals))
 
     @classmethod
     def scalar(cls, dim: int, value: Scalar) -> "SymTensor":
-        return cls(0, dim, (_as_fraction(value),))
+        return cls(0, dim, (value,))
 
     @classmethod
     def from_vector(cls, v: Sequence[Scalar]) -> "SymTensor":
@@ -113,27 +117,27 @@ class SymTensor:
         d = len(rows)
         for i in range(d):
             for j in range(i + 1, d):
-                if _as_fraction(rows[i][j]) != _as_fraction(rows[j][i]):
+                if rows[i][j] != rows[j][i]:
                     raise ValueError("matrix is not symmetric")
         return cls.from_entries(2, d, (rows[i][j] for i, j in multi_indices(d, 2)))
 
     # -- access ------------------------------------------------------------
-    def get(self, index: Sequence[int]) -> Fraction:
+    def get(self, index: Sequence[int]) -> Scalar:
         """Entry at an arbitrary-order multi-index (symmetry canonicalizes)."""
         key = tuple(sorted(index))
         return self.entries[_index_position(self.dim, self.rank)[key]]
 
-    def as_scalar(self) -> Fraction:
+    def as_scalar(self) -> Scalar:
         if self.rank != 0:
             raise ValueError("not a rank-0 tensor")
         return self.entries[0]
 
-    def to_vector(self) -> tuple[Fraction, ...]:
+    def to_vector(self) -> tuple[Scalar, ...]:
         if self.rank != 1:
             raise ValueError("not a rank-1 tensor")
         return self.entries
 
-    def to_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+    def to_matrix(self) -> tuple[tuple[Scalar, ...], ...]:
         if self.rank != 2:
             raise ValueError("not a rank-2 tensor")
         return tuple(tuple(self.get((i, j)) for j in range(self.dim))
@@ -164,12 +168,11 @@ class SymTensor:
         return SymTensor(self.rank, self.dim, tuple(-a for a in self.entries))
 
     def __mul__(self, c: Scalar) -> "SymTensor":
-        c = _as_fraction(c)
         return SymTensor(self.rank, self.dim, tuple(c * a for a in self.entries))
 
     __rmul__ = __mul__
 
-    def apply(self, v: Sequence[Scalar]) -> Fraction:
+    def apply(self, v: Sequence[Scalar]) -> Scalar:
         """Evaluate the multilinear form on the diagonal, T(v, ..., v).
 
         Sums ``T_{i_1...i_r} v_{i_1} ... v_{i_r}`` over all (unsorted) index
@@ -178,14 +181,13 @@ class SymTensor:
         """
         if len(v) != self.dim:
             raise ValueError(f"vector length {len(v)} != tensor dim {self.dim}")
-        vv = [_as_fraction(x) for x in v]
-        total = Fraction(0)
+        total = 0
         for m, e in zip(multi_indices(self.dim, self.rank), self.entries):
             if e == 0:
                 continue
             term = e * _perm_count(m)
             for i in m:
-                term *= vv[i]
+                term *= v[i]
             total += term
         return total
 
@@ -199,25 +201,35 @@ class SymTensor:
         return f"SymTensor(rank={self.rank}, dim={self.dim}, {body})"
 
 
-def outer_power(x: Sequence[int], r: int, dim: int | None = None) -> SymTensor:
-    """r-fold symmetric outer power x^r; by convention x^0 = 1."""
+def moment_of_points(points: Sequence[Sequence[int]], r: int, dim: int) -> SymTensor:
+    """Sum of outer powers x^r over an explicit list of points.
+
+    Column-wise: entry m is ``sum_x prod_(i in m) x_i``, the products taken
+    over the coordinate columns that m picks plus a column of ones, so that
+    rank 0 counts the points and no points give the zero tensor.
+    """
     if r < 0:
         raise ValueError("rank must be nonnegative")
-    d = len(x) if dim is None else dim
-    vals = []
-    for m in multi_indices(d, r):
-        p = 1
-        for i in m:
-            p *= x[i]
-        vals.append(p)
-    return SymTensor.from_entries(r, d, vals)
+    columns = list(zip(*points)) or [()] * dim
+    ones = (1,) * len(points)
+    return SymTensor(r, dim, tuple(sum(map(math.prod, zip(ones, *(columns[i] for i in m))))
+                                   for m in multi_indices(dim, r)))
+
+
+def outer_power(x: Sequence[int], r: int, dim: int | None = None) -> SymTensor:
+    """r-fold symmetric outer power x^r; by convention x^0 = 1."""
+    return moment_of_points((x,), r, len(x) if dim is None else dim)
 
 
 def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
-    """Symmetrized tensor product of two symmetric tensors.
+    """Unnormalized symmetric product of two symmetric tensors.
 
-    Normalized so that for vectors ``sym_product(u, u) == outer_power(u, 2)``
-    and ``(u + w)^2 == u^2 + 2 u.w + w^2``.
+    The sum of ``a (x) b`` over the C(r, r_a) ways to split the r = r_a + r_b
+    tensor slots between the factors, with no division: for vectors
+    ``sym_product(u, w) == u (x) w + w (x) u`` and
+    ``sym_product(u, u) == 2 * outer_power(u, 2)``.  A chain of products of
+    outer powers ``x_j^(k_j)`` therefore carries the multinomial
+    ``r!/(k_1! ... k_s!)`` itself, and a rank-0 factor just scales.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
@@ -227,17 +239,15 @@ def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
     if rb == 0:
         return a * b.as_scalar()
     r = ra + rb
-    splits = list(combinations(range(r), ra))
-    nsplits = len(splits)
+    apos, bpos = _index_position(d, ra), _index_position(d, rb)
+    splits = [(sel, [i for i in range(r) if i not in sel])
+              for sel in combinations(range(r), ra)]
     vals = []
     for m in multi_indices(d, r):
-        acc = Fraction(0)
-        for sel in splits:
-            selset = set(sel)
-            left = tuple(m[i] for i in sel)
-            right = tuple(m[i] for i in range(r) if i not in selset)
-            acc += a.get(left) * b.get(right)
-        vals.append(acc / nsplits)
+        # m is sorted, so each slot subsequence is already a stored index
+        vals.append(sum(a.entries[apos[tuple(m[i] for i in left)]]
+                        * b.entries[bpos[tuple(m[i] for i in right)]]
+                        for left, right in splits))
     return SymTensor(r, d, tuple(vals))
 
 
@@ -254,7 +264,7 @@ def apply_linear_map(t: SymTensor, matrix: Sequence[Sequence[int]]) -> SymTensor
         raise ValueError("matrix column count must match tensor dimension")
     vals = []
     for m in multi_indices(dout, t.rank):
-        acc = Fraction(0)
+        acc = 0
         for js in product(range(d), repeat=t.rank):
             coeff = 1
             for i, j in zip(m, js):
@@ -291,9 +301,8 @@ class TensorPolynomial:
         return self.coeffs[0].dim
 
     def evaluate(self, n: Scalar) -> SymTensor:
-        n = _as_fraction(n)
         acc = SymTensor.zero(self.rank, self.dim)
-        power = Fraction(1)
+        power = 1
         for c in self.coeffs:
             acc = acc + c * power
             power *= n
@@ -342,16 +351,12 @@ class HrVector:
 
 
 # ---------------------------------------------------------------------------
-# serialization: rationals as "p/q" (reduced, "p" when q = 1); rank-2 tensors
+# serialization: scalars as "p/q" (reduced, "p" when q = 1); rank-2 tensors
 # as nested symmetric matrices, rank 0 as a bare string, other ranks as flat
 # multi-index maps keyed by comma-joined sorted indices.
 
 def rational_to_str(x: Scalar) -> str:
-    return str(_as_fraction(x))
-
-
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s)
+    return str(x)
 
 
 def tensor_to_json(t: SymTensor):
@@ -361,13 +366,3 @@ def tensor_to_json(t: SymTensor):
         return [[rational_to_str(x) for x in row] for row in t.to_matrix()]
     return {",".join(map(str, m)): rational_to_str(e)
             for m, e in zip(multi_indices(t.dim, t.rank), t.entries)}
-
-
-def tensor_from_json(data, rank: int, dim: int) -> SymTensor:
-    if rank == 0:
-        return SymTensor.scalar(dim, rational_from_str(data))
-    if rank == 2:
-        return SymTensor.from_matrix([[rational_from_str(x) for x in row] for row in data])
-    mapping = {tuple(int(p) for p in key.split(",")) if key else (): rational_from_str(v)
-               for key, v in data.items()}
-    return SymTensor.from_map(rank, dim, mapping)

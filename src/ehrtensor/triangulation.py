@@ -19,10 +19,10 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .ehrhart import moment_of_points
 from .linalg import affine_rank, cross2
 from .polytopes import DegenerateInputError, Polytope, convex_hull, lattice_points
-from .tensors import HrVector, IntPoint, SymTensor, TensorPolynomial, dot
+from .tensors import (HrVector, IntPoint, SymTensor, TensorPolynomial, dot,
+                      moment_of_points)
 
 INSERTION_ORDERS: dict[str, Callable[[IntPoint], tuple]] = {
     "lex": lambda p: (p[0], p[1]),

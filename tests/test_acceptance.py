@@ -50,7 +50,7 @@ def test_criterion_01_matrix_polynomial_exact_reproduction():
 
 def test_criterion_02_indefinite_quadratic_coefficient():
     p = et.convex_hull([(0, -4), (0, 4), (-1, 0)])
-    reports = et.check_ehrhart_psd(p, 2)
+    reports = et.check_ehrhart_psd(p)
     rep = reports[1]  # coefficient of n^2
     assert rep.classification == "indefinite"
     assert mat(et.ehrhart_tensor_polynomial(p, 2).coeffs[2].to_matrix()) \

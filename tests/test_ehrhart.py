@@ -150,14 +150,16 @@ def test_moment_tensor_examples():
 
 def barycentric_simplex_moment(verts, r: int, dim: int, volume: int) -> et.SymTensor:
     """Integral of x^r over a k-simplex as ``volume * r!/(k+r)!`` times the sum
-    of ``w_0^(k_0) ... w_k^(k_k)`` over every vertex multiset of size r."""
+    of ``w_0^(k_0) ... w_k^(k_k)`` over every vertex multiset of size r.
+
+    The chain of r unnormalized rank-1 products carries the r! itself."""
     acc = et.SymTensor.zero(r, dim)
     for combo in combinations_with_replacement(range(len(verts)), r):
         term = et.SymTensor.scalar(dim, 1)
         for i in combo:
             term = et.sym_product(term, et.outer_power(verts[i], 1, dim))
         acc = acc + term
-    return acc * Fraction(volume * math.factorial(r), math.factorial(len(verts) - 1 + r))
+    return acc * Fraction(volume, math.factorial(len(verts) - 1 + r))
 
 
 def test_simplex_moment_matches_barycentric_oracle():

@@ -1,0 +1,188 @@
+"""Golden outputs: the exact stdout of fixed CLI invocations and of the demos.
+
+Each case is recorded as the sha256 of its exit code, a newline and its
+stdout, so any changed byte or exit code fails it.  CLI cases run in-process
+through :func:`ehrtensor.cli.main`; demos run as scripts.  To print the table
+for the current code, run ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+import contextlib
+import hashlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from ehrtensor.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SEGMENT = '{"vertices": [[-1],[2]]}'
+TRIANGLE = '{"vertices": [[0,1],[-1,-7],[1,-4]]}'
+SQUARE = '{"vertices": [[-1,-1],[1,-1],[-1,1],[1,1]]}'
+SKEW_QUAD = '{"vertices": [[0,0],[4,1],[3,4],[-1,2]]}'
+POLY3 = '{"vertices": [[0,0,0],[2,0,0],[0,1,0],[0,0,1],[1,1,1]]}'
+FINDING = ('{"vertices": [[-2,0,-2,-2],[-2,0,0,0],[-2,0,1,0],[-1,0,0,2],'
+           '[0,0,-1,-1],[0,1,-1,-2],[0,1,1,1],[1,2,0,-1]]}')
+HALF2 = '{"vertices": [[2,-2],[3,-2],[2,-1]], "removed": [0]}'
+HALF4 = ('{"vertices": [[0,0,0,0],[2,0,0,1],[0,3,0,0],[1,1,2,0],[0,1,1,3]], '
+         '"removed": [1,3]}')
+
+
+def _cli_cases() -> dict[str, list[str]]:
+    cases = {}
+    for name, poly in [("d1", SEGMENT), ("d2", TRIANGLE), ("d3", POLY3), ("d4_finding", FINDING)]:
+        cases[f"verify_{name}"] = ["verify", poly]
+        cases[f"verify_json_{name}"] = ["verify", poly, "--json"]
+    for r in range(4):
+        for command in ("hvec", "ehrhart", "moments"):
+            cases[f"{command}_d2_r{r}"] = [command, TRIANGLE, "--r", str(r)]
+            cases[f"{command}_d2_table_r{r}"] = [command, TRIANGLE, "--r", str(r), "--table"]
+            cases[f"{command}_d3_r{r}"] = [command, POLY3, "--r", str(r)]
+        cases[f"moments_d3_n2_r{r}"] = ["moments", POLY3, "--r", str(r), "--n", "2"]
+        for name, simplex in [("d2", HALF2), ("d4", HALF4)]:
+            cases[f"halfopen_{name}_r{r}"] = ["halfopen", simplex, "--r", str(r)]
+            cases[f"halfopen_{name}_table_r{r}"] = ["halfopen", simplex, "--r", str(r), "--table"]
+    cases.update({
+        "pick_triangulate": ["pick", SKEW_QUAD, "--triangulate"],
+        "pick_table": ["pick", TRIANGLE, "--table"],
+        "psd_d2": ["psd", TRIANGLE],
+        "psd_d2_table": ["psd", SKEW_QUAD, "--table"],
+        "psd_d4_finding": ["psd", FINDING],
+        "reflexive_square": ["reflexive", SQUARE],
+        "reflexive_triangle": ["reflexive", TRIANGLE],
+        "scan_d3_psd_20": ["scan", "--dim", "3", "--trials", "20", "--bound", "3",
+                           "--seed", "42", "--which", "psd"],
+        "hvec_negative_rank": ["hvec", TRIANGLE, "--r", "-1"],
+        "moments_degenerate": ["moments", '{"vertices": [[0,0],[1,1],[2,2]]}'],
+    })
+    return cases
+
+
+CLI_CASES = _cli_cases()
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+
+
+def _digest(code: int, stdout: str) -> str:
+    return hashlib.sha256(f"{code}\n{stdout}".encode()).hexdigest()
+
+
+def run_cli_case(name: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(CLI_CASES[name])
+    return _digest(code, out.getvalue())
+
+
+def run_demo(name: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=ROOT,
+                          env=env, capture_output=True, text=True)
+    return _digest(proc.returncode, proc.stdout)
+
+
+GOLDEN = {
+    "ehrhart_d2_r0": "cd00c69d79582e95e43acf92b5ae8c8e080e2b7d11cf2ae2081912c05109682c",
+    "ehrhart_d2_r1": "39a2c2329951a10ddf3730587b826a434a97fa7b1d336afff81c4c8630509b34",
+    "ehrhart_d2_r2": "fe09fee948fe5c034f34fd7875061ec19be07912405ec8daa3c91f6c3a60ed25",
+    "ehrhart_d2_r3": "2cb6b672c90c0c021761f76854a72b3e8d4c641fe0cf8b31f8a0550b40447e44",
+    "ehrhart_d2_table_r0": "039eb2edac0df8357a6c47b43c68ff04df60303d649650d17e775ea52a9ef465",
+    "ehrhart_d2_table_r1": "acaec16ec561f5c0aa63ca21f09cc61c659baa082334eedc309add171275391c",
+    "ehrhart_d2_table_r2": "141b46be44b863573d79fc04ec6e49eec109cf4f309b545b669b6b633d846113",
+    "ehrhart_d2_table_r3": "ecb9d40dd094e83502cd87ba940597bee3346d1c7558c45f68cb8ede6a2ce6c6",
+    "ehrhart_d3_r0": "7484bf6209e237a95d36b565bed30b75e181e303ccb8861f9e1d1ae6e968158d",
+    "ehrhart_d3_r1": "4638345a144c35eb4869da10c9545b01149c0c80fde672b9b3f618c8bc083bbf",
+    "ehrhart_d3_r2": "72e1ee42359a464ef25d82afb7dc918ad6df0cb12f41e889b00574df50ebba7b",
+    "ehrhart_d3_r3": "abe83570c1a256429856ba51a3a662c0e5685a0bc3d57f4881ca58a2a4241342",
+    "halfopen_d2_r0": "856cddc9ad54487c48c961bb2bb018692d8030168beafdd9c45e6d6ae4c1792d",
+    "halfopen_d2_r1": "e41818d7ad3791d6a360bc7ed6c5bda8552da39ccfe2a116fb33aeb4d1828806",
+    "halfopen_d2_r2": "e2c7745f22076bc3d7d0e19f89f5e67ad78f3eb3468309655e0f866287b89015",
+    "halfopen_d2_r3": "ae6ce02e215361ce4986785c4e22c299d6d7cf03b017294a7c8a27945db5bf0d",
+    "halfopen_d2_table_r0": "28a5d218ee9de9fc87ca133a1515f784b2d4a052c41172257e8904e257e79797",
+    "halfopen_d2_table_r1": "ff6e12c52dde41f3df0a099cbb4d3348d3e1d7a0ad07004edf6b4d5ff4070e9a",
+    "halfopen_d2_table_r2": "12e21d734ac583481ef36825863f19cca6aa2bb366e747c076b5b7b361203eb7",
+    "halfopen_d2_table_r3": "0b27d9770bf21fe29fa8d4aa2629c4d49b477d386d443a8f5d2317ef20595f57",
+    "halfopen_d4_r0": "4fac9cb99ac15083e51e1012492abd9b9a6fe36b4680756ddec46d32f573c3fc",
+    "halfopen_d4_r1": "3bf8a7ece0b4e84c5822027f0fa075ff738ff553a3f27d9b0a53e32d50459016",
+    "halfopen_d4_r2": "61b9ff58b12df1ff267ac2cda67f602709fa55c438fe76466ada979f4c9b8ecf",
+    "halfopen_d4_r3": "5e7aaa2f5c7af77eb7a467aeb2a482cac5517c34035f0d91420923e730440756",
+    "halfopen_d4_table_r0": "dd30a0ca07dc83f9867876ddd677b4b394ccf054132da17d8e91c07ae288b9d9",
+    "halfopen_d4_table_r1": "6661c36d14da7b3c1e827ff2b907d37f198c59c9ce5e07c7d093a90b34e7d02f",
+    "halfopen_d4_table_r2": "855a07c34e2a0dfcc9d0e98b0a82d6bcdeade36c6c4aba9d60393729dfd4c343",
+    "halfopen_d4_table_r3": "ef28e4decc03281d8f961f19f63676015e8182b380ce2614680cde435bec61a7",
+    "hvec_d2_r0": "431c1a348e01a1bc123912baa62ffd48840ada440b1a2734236c2cf37224b841",
+    "hvec_d2_r1": "8e0840b84480981708e99e13581c01802611193ae01a944f419162fcf92cfef8",
+    "hvec_d2_r2": "1bd3ceca243c32e344a53665498efbf3849c85b20d69bf32b8978fc6a077681c",
+    "hvec_d2_r3": "26e9726a4166e22775de640387fee3292873f7fe4538683eb51b44031a75b27c",
+    "hvec_d2_table_r0": "dd103ea8ed6e56c6f888390de612bfdf7950983ac3d788fd4f75d8a0e6b96d9d",
+    "hvec_d2_table_r1": "4ac0195fb2f9abca5ca21b83c9861590327c40e95b929ddc25b91cbc2266965e",
+    "hvec_d2_table_r2": "9a1f8b29df8652dfa896479e3b3855db03c08291c75e4f1a7a27073fd0fb6a98",
+    "hvec_d2_table_r3": "fbb825001f1779a15eeedfc5f2dedaac3c459ea858ff391b9e2d9029274b2c8c",
+    "hvec_d3_r0": "86ac0fa3b535ecafd3d93e192c822eb2b4fd5398fb7082b9b197b065c9603f93",
+    "hvec_d3_r1": "e5f5603b8ff7c500adc86078bd8642f9c85fa163b59c3e33077ba9de90556a2d",
+    "hvec_d3_r2": "ce21eefb7352c7ec224913908a5a3cf2e5b808a7b273bf0ee048c85e7f243b33",
+    "hvec_d3_r3": "d9d79748bbce4f6a3e0a8c9dbb11f0597dd1c62b7bb191aecb006836efbebabe",
+    "hvec_negative_rank": "3d49c74b317c79dbc8d939bc2a789b614bb8560f1682c3d40dc0069410131564",
+    "moments_d2_r0": "1cd39716c656da02f53d7a81f22952e7176de49d1c40549e06e5622c60a15c8d",
+    "moments_d2_r1": "925569c7039668c7c249bfcebc0c6a3103b1ce57fb220b6f7429d386ec3367d6",
+    "moments_d2_r2": "020f3d78a8e5c4ad47081ad0f2a9905c41ad1e1b876269018cead837ddf1791d",
+    "moments_d2_r3": "01f438e1298a40d6d581648ef548db2b1f354c6a3c338ee0da1ddc074f9e9c6e",
+    "moments_d2_table_r0": "6bd14f9ae26b4abaddce1e078009c1f49383779e615b4143c81373f113d5afe0",
+    "moments_d2_table_r1": "98772287243de3cf84555e67aaea85ffbb2cb4322f39d6c19febc5fbed486020",
+    "moments_d2_table_r2": "768f4e99608094a2eb42d22271e7cc8627227b95db64831b97280cf9ff022e88",
+    "moments_d2_table_r3": "290959f509557a3d3bf71655782446f8281845b27f9008eddd445f6bc652e52a",
+    "moments_d3_n2_r0": "f4dbf11174dc4fd5f3c9e709ff6a3df79abdfa7a7b73cb13155d8f73d61be09e",
+    "moments_d3_n2_r1": "605e67f1bfc20e9d72448b27fc349705e265186e391c8049969a78bcfd49c597",
+    "moments_d3_n2_r2": "59d6489f5ab52f05d334f3eed160b4d8fda92ef6b05b49a7ab6e0544f8aff072",
+    "moments_d3_n2_r3": "8f32b0f3d7dbc7407b15442f832d6aea136e99bf5fb5c3e9dad50b9b65623d72",
+    "moments_d3_r0": "991c1e5fc1d57fe7c3f9eb152249cab8cf24e27e2bc22a208faef1fd0e19e093",
+    "moments_d3_r1": "b05c24d263fbd1d03836b9399f871a8d7714a83536ea1b5f9c2f078422a5ea3c",
+    "moments_d3_r2": "bccd8fec2696fd34c50b614745b5ae1d64d61f868f974def952218593cfb0e19",
+    "moments_d3_r3": "c9e170e3ebbb3e60a2545f99004429fe15838c6bbde81ecda5c25132d0c27222",
+    "moments_degenerate": "f1d04a399e64880cabc9de90f5bbea6cb0feba989b43d82964d2cbe1ed78d7d1",
+    "pick_table": "5ba31ee2ce4ec340341eb20695161216dcce1ed4064381acaf7b3a1667871d68",
+    "pick_triangulate": "2e833edc13719a6f003afba4f591f29bf577acc60a223d8eb5a43f749466bca6",
+    "psd_d2": "a9dbc5b7e395e83d6ffd606ebf155a7762d627719e0d3a26fe7efc61678bdaf1",
+    "psd_d2_table": "97486fb18555a8760215bb7a2e4c45c1b9f20bd836a508dceb084ab643b73ba5",
+    "psd_d4_finding": "bbbe6026450f9a103878a5b3cc51d2c8a75cea2767f37af48e7585b4b02ab38c",
+    "reflexive_square": "dde368f0c3dee6d308b7e30f2ca08342187aaa5493e46062c17839336776952b",
+    "reflexive_triangle": "550400bb3f33a4d4b40a4da1d9dd1c37a305962ed5f4eecd213ab8432a8a275d",
+    "scan_d3_psd_20": "693d20a79ea2ccfdaab6703eb5fab9cb4eabbe0eade4d03120782190a0370c14",
+    "verify_d1": "4c344e17473ee1526cb7bdbe1fe78ff753a4b6e3fdd07701499f6e2bacb80a20",
+    "verify_d2": "77ad8f2d37ee529dcbbbc9e75d6c628066720d093c037970a72fac8f0e06ca03",
+    "verify_d3": "4c344e17473ee1526cb7bdbe1fe78ff753a4b6e3fdd07701499f6e2bacb80a20",
+    "verify_d4_finding": "6118e4d7d704177fcd5bd5df9db2597cc0f648ad2daf5bb5d138017c8c452d13",
+    "verify_json_d1": "da5b5b95ef488a8da8088b1e21ad62b5d717f436c583326c2f2906d63b76109d",
+    "verify_json_d2": "35ecbb982ae0301cc814fea29dc945da28a6464a429f342d18ddb114dfc773c0",
+    "verify_json_d3": "da5b5b95ef488a8da8088b1e21ad62b5d717f436c583326c2f2906d63b76109d",
+    "verify_json_d4_finding": "ff988741af91f0e7085cf3de7cf22a79ea5009f64167e9d6ea2018735d26f677",
+    "01_moment_tensors.py": "0d22a7ba460650a57b6d1de48122919895ba815fbeb8e3fa549ccf8260f8c880",
+    "02_h_vectors_and_reciprocity.py": "79373ca5e65138ff47a53ce55ef111abefdfdcb5fee358313fa328fcca46c407",
+    "03_polygon_triangulation_formulas.py": "faab93e6b2b8bbcf95003f0ae8d921dfd21e1805acff6011aa63373806475399",
+    "04_halfopen_simplices.py": "be9441e70c25a09bf6b704a8b43cdce8d5712b924f9300ba08b8610eb1138783",
+    "05_psd_certificates.py": "506efc7a562e59dc68cf43ce49c6296a11f9d6cdbf9c56ed2f199f62d2c46b43",
+    "06_conjecture_scan.py": "09b91c3b4fbdcb5a0aea3c3e6c1b94650de090bd477c90c50814d964d0e78cc0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_output_is_golden(name):
+    assert run_cli_case(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_output_is_golden(name):
+    assert run_demo(name) == GOLDEN[name]
+
+
+def test_golden_table_covers_every_case():
+    assert sorted(GOLDEN) == sorted(list(CLI_CASES) + DEMOS)
+
+
+if __name__ == "__main__":
+    for name in sorted(CLI_CASES):
+        print(f'    "{name}": "{run_cli_case(name)}",')
+    for name in DEMOS:
+        print(f'    "{name}": "{run_demo(name)}",')

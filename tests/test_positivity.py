@@ -261,12 +261,12 @@ def test_check_h2_psd_examples(corpus_polygons):
 
 def test_check_ehrhart_psd_examples():
     neg = et.convex_hull(NAMED_POLYGONS["neg_def_triangle"])
-    reps = et.check_ehrhart_psd(neg, 2)
+    reps = et.check_ehrhart_psd(neg)
     assert reps[1].classification == "negative_definite"
     ind = et.convex_hull(NAMED_POLYGONS["indef_triangle"])
-    assert et.check_ehrhart_psd(ind, 2)[1].classification == "indefinite"
+    assert et.check_ehrhart_psd(ind)[1].classification == "indefinite"
     sq = et.convex_hull(NAMED_POLYGONS["unit_square"])
-    assert all(r.is_psd for r in et.check_ehrhart_psd(sq, 2))
+    assert all(r.is_psd for r in et.check_ehrhart_psd(sq))
 
 
 def test_halfopen_non_monotonicity_reproduced():

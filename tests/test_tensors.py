@@ -1,13 +1,15 @@
 """Symmetric tensor algebra: exactness, symmetry, diagonal evaluation."""
+import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehrtensor as et
-from ehrtensor.tensors import (SymTensor, multi_indices, rational_from_str,
-                               rational_to_str, tensor_from_json, tensor_to_json)
+from ehrtensor.tensors import (SymTensor, moment_of_points, multi_indices,
+                               rational_to_str, tensor_to_json)
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
@@ -105,7 +107,7 @@ def test_sym_product_polarization():
     u, w = (1, 2), (3, -1)
     uw = et.sym_product(et.outer_power(u, 1), et.outer_power(w, 1))
     expect = et.outer_power((4, 1), 2) - et.outer_power(u, 2) - et.outer_power(w, 2)
-    assert uw * 2 == expect
+    assert uw == expect
 
 
 def test_sym_product_scalar_case():
@@ -126,11 +128,110 @@ def test_tensor_polynomial_evaluation():
 def test_rational_strings_reduced():
     assert rational_to_str(Fraction(2, 4)) == "1/2"
     assert rational_to_str(Fraction(-6, 3)) == "-2"
-    assert rational_from_str("7/3") == Fraction(7, 3)
 
 
 @pytest.mark.parametrize("rank", [0, 1, 2, 3])
 def test_tensor_json_round_trip(rank):
-    entries = [Fraction(k - 2, 3) for k in range(len(multi_indices(2, rank)))]
-    t = SymTensor.from_entries(rank, 2, entries)
-    assert tensor_from_json(tensor_to_json(t), rank, 2) == t
+    # read the layout back by hand: a bare string at rank 0, a symmetric
+    # matrix at rank 2, otherwise a map keyed by comma-joined sorted indices
+    idx = multi_indices(2, rank)
+    entries = [Fraction(k - 2, 3) for k in range(len(idx))]
+    data = tensor_to_json(SymTensor.from_entries(rank, 2, entries))
+    if rank == 0:
+        back = [data]
+    elif rank == 2:
+        back = [data[i][j] for i, j in idx] + [data[j][i] for i, j in idx]
+        entries = entries * 2
+    else:
+        back = [data[",".join(map(str, m))] for m in idx]
+    assert [Fraction(x) for x in back] == entries
+    # an integral entry prints alike whether it is stored as int or Fraction
+    ints = [k - 2 for k in range(len(idx))]
+    assert tensor_to_json(SymTensor.from_entries(rank, 2, ints)) == \
+        tensor_to_json(SymTensor.from_entries(rank, 2, map(Fraction, ints)))
+
+
+def all_int(t: SymTensor) -> bool:
+    return all(type(e) is int for e in t.entries)
+
+
+def test_integer_tensors_stay_int():
+    p = et.convex_hull([(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    for r in range(4):
+        assert all_int(et.discrete_moment(p, r, 2))
+        assert all(all_int(e) for e in et.to_hr_vector(p, r).entries)
+        assert all_int(moment_of_points([(1, -2, 3), (0, 4, -1)], r, 3))
+        assert all_int(moment_of_points([], r, 3))
+        assert all_int(et.outer_power((3, -1), r))
+        assert all_int(et.sym_product(et.outer_power((3, -1), r), et.outer_power((2, 5), 2)))
+    for s in (et.HalfOpenSimplex.make([(2, -2), (3, -2), (2, -1)], [0]),
+              et.HalfOpenSimplex.make([(0, 0, 0, 0), (2, 0, 0, 1), (0, 3, 0, 0),
+                                       (1, 1, 2, 0), (0, 1, 1, 3)], [1, 3])):
+        for r in range(3):
+            assert all(all_int(e) for e in et.hr_halfopen(s, r).entries)
+
+
+def test_moment_of_points_edge_cases():
+    assert moment_of_points([], 0, 2).as_scalar() == 0
+    assert moment_of_points([], 2, 2).is_zero
+    assert moment_of_points([(1, 2), (3, 4), (0, 0)], 0, 2).as_scalar() == 3
+    assert et.outer_power((), 0).as_scalar() == 1
+    assert moment_of_points([(1, 2), (3, 4)], 2, 2) == \
+        et.outer_power((1, 2), 2) + et.outer_power((3, 4), 2)
+    with pytest.raises(ValueError):
+        et.outer_power((1, 2), -1)
+
+
+def test_inexact_entries_are_refused():
+    with pytest.raises(TypeError):
+        SymTensor.from_entries(1, 2, [1, 0.5])
+    with pytest.raises(TypeError):
+        SymTensor.scalar(2, True)
+    with pytest.raises(TypeError):
+        SymTensor.from_map(2, 2, {(0, 1): False})
+    with pytest.raises(TypeError):
+        et.outer_power((1, 2), 2) * 0.5
+    with pytest.raises(TypeError):
+        et.outer_power((1.0, 2), 1)
+
+
+vectors = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(st.lists(small_ints, min_size=d, max_size=d),
+                        st.lists(small_ints, min_size=d, max_size=d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(vectors)
+def test_sym_product_of_vectors_is_polarization(uw):
+    u, w = uw
+    s = et.sym_product(et.outer_power(u, 1), et.outer_power(w, 1))
+    assert s == et.outer_power([a + b for a, b in zip(u, w)], 2) \
+        - et.outer_power(u, 2) - et.outer_power(w, 2)
+    assert et.sym_product(et.outer_power(u, 1), et.outer_power(u, 1)) == et.outer_power(u, 2) * 2
+
+
+def normalized_product(words, dim: int) -> SymTensor:
+    """Symmetrization of ``w_1 (x) ... (x) w_r``: the mean over the r! slot orders."""
+    r = len(words)
+    return SymTensor.from_entries(r, dim, [
+        Fraction(sum(math.prod(w[i] for w, i in zip(perm, m)) for perm in permutations(words)),
+                 math.factorial(r))
+        for m in multi_indices(dim, r)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4), st.data())
+def test_chain_of_vertex_powers_carries_the_multinomial(dim, r, data):
+    points = data.draw(st.lists(st.lists(small_ints, min_size=dim, max_size=dim),
+                                min_size=1, max_size=3))
+    cuts = sorted(data.draw(st.lists(st.integers(0, r), min_size=len(points) - 1,
+                                     max_size=len(points) - 1)))
+    ks = [b - a for a, b in zip([0] + cuts, cuts + [r])]
+    chain = SymTensor.scalar(dim, 1)
+    multinomial = math.factorial(r)
+    for x, k in zip(points, ks):
+        chain = et.sym_product(chain, et.outer_power(x, k))
+        multinomial //= math.factorial(k)
+    words = [x for x, k in zip(points, ks) for _ in range(k)]
+    assert chain == normalized_product(words, dim) * multinomial
+    assert all_int(chain)
