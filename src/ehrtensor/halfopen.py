@@ -18,12 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 from . import linalg
 from .ehrhart import row_moments
 from .polytopes import LE, LT, checked_int, scan_rows
 from .tensors import (HrVector, IntPoint, SymTensor, dot, moment_of_points,
-                      outer_power, sym_product, vneg)
+                      outer_power, sym_product)
 
 
 # ---------------------------------------------------------------------------
@@ -43,10 +44,7 @@ class UniPoly:
         return tuple(cs)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return UniPoly(self._trim(x + y for x, y in zip(a, b)))
+        return UniPoly(self._trim(map(sum, zip_longest(self.coeffs, other.coeffs, fillvalue=0))))
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if not self.coeffs or not other.coeffs:
@@ -83,19 +81,18 @@ def eulerian_polynomial(j: int) -> UniPoly:
     """
     if j < 0:
         raise ValueError("index must be nonnegative")
-    coeffs = []
-    for n in range(j + 1):
-        total = 0
-        for i in range(n + 1):
-            base = n - i
-            power = 1 if j == 0 else base ** j
-            total += (-1) ** i * math.comb(j + 1, i) * power
-        coeffs.append(total)
-    return UniPoly(UniPoly._trim(coeffs))
+    return UniPoly(UniPoly._trim(
+        sum((-1) ** i * math.comb(j + 1, i) * (n - i) ** j for i in range(n + 1))
+        for n in range(j + 1)))
 
 
 # ---------------------------------------------------------------------------
 # half-open simplices
+
+def _lifted(vertices) -> list[list[int]]:
+    """The matrix with columns (v_j, 1)."""
+    return [list(c) for c in zip(*vertices)] + [[1] * len(vertices)]
+
 
 @dataclass(frozen=True)
 class HalfOpenSimplex:
@@ -131,7 +128,7 @@ class HalfOpenSimplex:
         return len(self.vertices[0])
 
     def lifted_det(self) -> int:
-        return linalg.int_det([list(v) + [1] for v in self.vertices])
+        return linalg.int_det(_lifted(self.vertices))
 
     def normalized_volume(self) -> int:
         return abs(self.lifted_det())
@@ -142,9 +139,7 @@ class HalfOpenSimplex:
 
         A point z of Z^(d+1) has barycentric coordinate ``a_i.z / D`` for vertex i.
         """
-        d = self.dim
-        vmat = [[v[row] for v in self.vertices] for row in range(d)] + [[1] * (d + 1)]
-        return linalg.int_inverse(vmat)
+        return linalg.int_inverse(_lifted(self.vertices))
 
     def facets(self) -> list[tuple[IntPoint, int]]:
         """Facet i as (normal, rhs), polytope side normal.x <= rhs, for i = 0..d.
@@ -164,9 +159,7 @@ class HalfOpenSimplex:
                 for i, (normal, rhs) in enumerate(self.facets())]
 
     def bounds(self, n: int) -> list[tuple[int, int]]:
-        d = self.dim
-        return [(n * min(v[i] for v in self.vertices), n * max(v[i] for v in self.vertices))
-                for i in range(d)]
+        return [(n * min(c), n * max(c)) for c in zip(*self.vertices)]
 
 
 def half_open_decomposition(points, simplices) -> list[HalfOpenSimplex]:
@@ -181,20 +174,21 @@ def half_open_decomposition(points, simplices) -> list[HalfOpenSimplex]:
     with v the vertices of ``simplices[0]``.  The perturbed point lies on no
     facet hyperplane, so the cells partition the triangulated polytope and
     ``simplices[0]`` stays closed; reorder ``simplices`` to move the point.
+    Facet i is ``(-a_i[:d], a_i[d])`` times a positive factor (see
+    :meth:`HalfOpenSimplex.facets`), so it is removed iff the first nonzero
+    entry of ``(a_i.(sum(v), d+1), a_i[:d])`` is negative: one inverse per cell.
     """
     if not simplices:
         return []
     d = len(points[0])
-    vsum = [sum(points[i][j] for i in simplices[0]) for j in range(d)]
+    lifted_sum = [sum(points[i][j] for i in simplices[0]) for j in range(d)] + [d + 1]
     cells = []
     for simplex in simplices:
-        closed = HalfOpenSimplex.make([points[i] for i in simplex])
-        removed = []
-        for i, (normal, rhs) in enumerate(closed.facets()):
-            key = (dot(normal, vsum) - (d + 1) * rhs,) + normal
-            if next(x for x in key if x) > 0:
-                removed.append(i)
-        cells.append(HalfOpenSimplex(closed.vertices, frozenset(removed)))
+        vertices = tuple(tuple(map(checked_int, points[i])) for i in simplex)
+        removed = frozenset(
+            i for i, a in enumerate(linalg.int_inverse(_lifted(vertices))[0])
+            if next(x for x in (dot(a, lifted_sum),) + tuple(a[:d]) if x) < 0)
+        cells.append(HalfOpenSimplex(vertices, removed))
     return cells
 
 
@@ -216,27 +210,36 @@ class BoxSlices:
 def box_slices(s: HalfOpenSimplex) -> BoxSlices:
     """Enumerate the box points of the lifted half-open parallelepiped.
 
-    With ``a_i`` the barycentric rows of ``s`` and ``D = |det|``, an integer
-    point z of Z^(d+1) has barycentric coordinates ``lambda_i = a_i.z / D``.
-    The box is the row scan of the lifted bounding box under
-    ``0 < a_i.z <= D`` for removed facets and ``0 <= a_i.z < D`` otherwise.
-    Height is the last coordinate, so a row ``(prefix, lo, hi)`` puts
-    ``prefix`` into slices lo..hi, each slice in lexicographic order.
+    They are one representative per coset of the lattice spanned by the
+    lifted vertices ``(v_j, 1)``, listed as in Koeppe-Verdoolaege (primal
+    Barvinok, 2008) and Normaliz (Bruns-Ichim-Soeger, 2016).  With rows a_i
+    of ``s.barycentric_rows()`` and D = |det|, the numerators ``a.z mod D``
+    of z in Z^(d+1) form the group generated by the columns of the rows; it
+    has D elements, found by closing {0} under each generator.  Residue a
+    maps to ``z = sum_j a_j (v_j, 1) / D``, with a_j = D instead of 0 on
+    removed facets; z[:d] goes to slice z[d], each slice sorted.
     """
     d = s.dim
-    lifted = [tuple(v) + (1,) for v in s.vertices]
     rows, dabs = s.barycentric_rows()
-    cons = []
-    for i, a in enumerate(rows):
-        kept = i not in s.removed
-        cons += [(vneg(a), 0, LE if kept else LT), (a, dabs, LT if kept else LE)]
-    bounds = [(sum(min(0, v[j]) for v in lifted), sum(max(0, v[j]) for v in lifted))
-              for j in range(d + 1)]
+    group = [(0,) * (d + 1)]
+    for gen in zip(*rows):
+        # cosets H + k*gen of the subgroup H so far, until k*gen lies in H
+        subgroup, members = list(group), set(group)
+        shift = tuple(x % dabs for x in gen)
+        while shift not in members:
+            group += [tuple((x + y) % dabs for x, y in zip(a, shift)) for a in subgroup]
+            shift = tuple((x + y) % dabs for x, y in zip(shift, gen))
+    if len(group) != dabs:
+        raise AssertionError(f"{len(group)} box residues for normalized volume {dabs}")
+    coords = _lifted(s.vertices)
     slices: list[list[IntPoint]] = [[] for _ in range(d + 1)]
-    for prefix, lo, hi, _, _ in scan_rows(bounds, cons):
-        for height in range(lo, hi + 1):
-            slices[height].append(prefix)
-    return BoxSlices(tuple(map(tuple, slices)))
+    for a in group:
+        a = [dabs if x == 0 and j in s.removed else x for j, x in enumerate(a)]
+        z = [divmod(dot(c, a), dabs) for c in coords]
+        if any(rem for _, rem in z):
+            raise AssertionError(f"box residue {a} is not a lattice point")
+        slices[z[d][0]].append(tuple(q for q, _ in z[:d]))
+    return BoxSlices(tuple(tuple(sorted(sl)) for sl in slices))
 
 
 def moment_halfopen(s: HalfOpenSimplex, r: int, n: int) -> SymTensor:
@@ -306,18 +309,18 @@ def _slice_data(box: BoxSlices, max_rank: int, dim: int):
             for k in range(max_rank + 1)]
 
 
-def h1_halfopen_2d(s: HalfOpenSimplex) -> HrVector:
-    """Closed 2D vector form: h_i = L^1(S_i) - L^1(S_(i-1)) + L(S_(i-1)) (v1+v2+v3)."""
+def _slice_lookup(s: HalfOpenSimplex, max_rank: int):
+    """``l(k, i)``: rank-k moment of box slice i of a triangle, zero off 0..2."""
     if s.dim != 2:
         raise ValueError("closed form is two-dimensional")
-    lk = _slice_data(box_slices(s), 1, 2)
+    lk = _slice_data(box_slices(s), max_rank, 2)
+    return lambda k, i: lk[k][i] if 0 <= i <= 2 else SymTensor.zero(k, 2)
+
+
+def h1_halfopen_2d(s: HalfOpenSimplex) -> HrVector:
+    """Closed 2D vector form: h_i = L^1(S_i) - L^1(S_(i-1)) + L(S_(i-1)) (v1+v2+v3)."""
+    l = _slice_lookup(s, 1)
     vsum = outer_power([sum(v[i] for v in s.vertices) for i in range(2)], 1, 2)
-
-    def l(k, i):
-        if 0 <= i < len(lk[k]):
-            return lk[k][i]
-        return SymTensor.zero(k, 2)
-
     entries = []
     for i in range(4):
         term = l(1, i) - l(1, i - 1) + vsum * l(0, i - 1).as_scalar()
@@ -327,18 +330,10 @@ def h1_halfopen_2d(s: HalfOpenSimplex) -> HrVector:
 
 def h2_halfopen_2d(s: HalfOpenSimplex) -> HrVector:
     """Closed 2D matrix form built from slice moments of rank 0..2."""
-    if s.dim != 2:
-        raise ValueError("closed form is two-dimensional")
-    lk = _slice_data(box_slices(s), 2, 2)
+    l = _slice_lookup(s, 2)
     vsum_vec = outer_power([sum(v[i] for v in s.vertices) for i in range(2)], 1, 2)
     sq_sum = moment_of_points(s.vertices, 2, 2)
     vsum_sq = outer_power([sum(v[i] for v in s.vertices) for i in range(2)], 2, 2)
-
-    def l(k, i):
-        if 0 <= i < len(lk[k]):
-            return lk[k][i]
-        return SymTensor.zero(k, 2)
-
     entries = []
     for i in range(5):
         term = l(2, i) - l(2, i - 1) * 2 + l(2, i - 2)

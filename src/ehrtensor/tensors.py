@@ -67,6 +67,13 @@ def _perm_count(index: tuple[int, ...]) -> int:
     return n
 
 
+def _refuse_inexact(values: Sequence, what: str) -> None:
+    inexact = set(map(type, values)) - {int, Fraction}
+    if inexact:
+        raise TypeError(f"{what} must be int or Fraction, got "
+                        + ", ".join(sorted(t.__name__ for t in inexact)))
+
+
 @dataclass(frozen=True)
 class SymTensor:
     """Symmetric tensor of rank ``rank`` on Q^dim, dense sorted-index storage."""
@@ -81,10 +88,7 @@ class SymTensor:
             raise ValueError(
                 f"rank-{self.rank} tensor on Q^{self.dim} needs {expected} entries, "
                 f"got {len(self.entries)}")
-        inexact = set(map(type, self.entries)) - {int, Fraction}
-        if inexact:
-            raise TypeError("tensor entries must be int or Fraction, got "
-                            + ", ".join(sorted(t.__name__ for t in inexact)))
+        _refuse_inexact(self.entries, "tensor entries")
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -181,6 +185,7 @@ class SymTensor:
         """
         if len(v) != self.dim:
             raise ValueError(f"vector length {len(v)} != tensor dim {self.dim}")
+        _refuse_inexact(v, "direction entries")
         total = 0
         for m, e in zip(multi_indices(self.dim, self.rank), self.entries):
             if e == 0:

@@ -7,9 +7,10 @@ from itertools import product
 import pytest
 
 import ehrtensor as et
+from ehrtensor import linalg
 from ehrtensor.halfopen import UniPoly, halfopen_from_json, halfopen_to_json
-from ehrtensor.polytopes import EQ, LE, placing_triangulation, scan_points
-from ehrtensor.tensors import dot
+from ehrtensor.polytopes import EQ, LE, LT, placing_triangulation, scan_points, scan_rows
+from ehrtensor.tensors import dot, vneg
 from ehrtensor.triangulation import INSERTION_ORDERS
 
 from conftest import fraction_inverse, leibniz_det, oracle_moment
@@ -130,6 +131,64 @@ def brute_force_box_slices(s):
                for i, num in enumerate(nums)):
             slices[z[d]].append(tuple(z[:d]))
     return tuple(tuple(sorted(sl)) for sl in slices)
+
+
+def scan_box_slices(s):
+    """Box points by the row scan of the lifted bounding box.
+
+    The box is cut out of the bounding box of the lifted parallelepiped by
+    ``0 < a_i.z <= D`` on removed facets and ``0 <= a_i.z < D`` on kept ones
+    (``a_i`` the barycentric rows, ``D = |det|``).  Height is the last
+    coordinate, so a row ``(prefix, lo, hi)`` puts ``prefix`` into slices
+    lo..hi, each slice in lexicographic order.  Unlike the brute force it
+    stays fast at the normalized volumes of random 4-simplices.
+    """
+    d = s.dim
+    lifted = [tuple(v) + (1,) for v in s.vertices]
+    rows, dabs = s.barycentric_rows()
+    cons = []
+    for i, a in enumerate(rows):
+        kept = i not in s.removed
+        cons += [(vneg(a), 0, LE if kept else LT), (a, dabs, LT if kept else LE)]
+    bounds = [(sum(min(0, v[j]) for v in lifted), sum(max(0, v[j]) for v in lifted))
+              for j in range(d + 1)]
+    slices = [[] for _ in range(d + 1)]
+    for prefix, lo, hi, _, _ in scan_rows(bounds, cons):
+        for height in range(lo, hi + 1):
+            slices[height].append(prefix)
+    return tuple(map(tuple, slices))
+
+
+def assert_box_matches_scan(s):
+    box = et.box_slices(s)
+    assert box.slices == scan_box_slices(s), (s.vertices, s.removed)
+    assert box.total == s.normalized_volume()
+    assert all(list(sl) == sorted(sl) for sl in box.slices)
+    return box
+
+
+def test_box_slices_match_scan_at_large_volumes():
+    # drawn like the benchmark's half-open 4-simplices: vertices in [-3, 3]^4,
+    # the k-th simplex removes k mod 5 random facets
+    rng = random.Random(11)
+    volumes = []
+    while len(volumes) < 60:
+        verts = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(5)]
+        removed = rng.sample(range(5), len(volumes) % 5)
+        if leibniz_det([v + [1] for v in verts]):
+            s = et.HalfOpenSimplex.make(verts, removed)
+            volumes.append(assert_box_matches_scan(s).total)
+    assert max(volumes) > 300 and sum(volumes) > 60 * 80
+
+
+def test_box_slices_match_scan_in_low_dimensions():
+    rng = random.Random(303)
+    for d in range(1, 4):
+        for _ in range(150):
+            verts = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d + 1)]
+            if leibniz_det([v + [1] for v in verts]):
+                removed = rng.sample(range(d + 1), rng.randint(0, d))
+                assert_box_matches_scan(et.HalfOpenSimplex.make(verts, removed))
 
 
 def _unimodular_simplex(rng, d):
@@ -449,6 +508,20 @@ def test_half_open_cells_are_seen_from_a_perturbed_point(corpus_polygons):
         assert [s.removed for s in cells] == expected, (points, simplices)
     assert ties >= 50
     assert et.half_open_decomposition(UNIT, []) == []
+
+
+def test_half_open_decomposition_reduces_each_cell_at_most_twice(monkeypatch):
+    points = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    simplices = [(0, 1, 2, 3), (1, 2, 3, 4)]
+    calls = []
+    reduce = linalg._reduce
+    monkeypatch.setattr(linalg, "_reduce", lambda rows: calls.append(rows) or reduce(rows))
+    cells = et.half_open_decomposition(points, simplices)
+    assert len(calls) <= 2 * len(simplices)
+    monkeypatch.undo()
+    assert [s.vertices for s in cells] == [tuple(points[i] for i in sx) for sx in simplices]
+    assert [s.removed for s in cells] == cells_seen_from_point(points, simplices)[0]
+    assert [s.removed for s in cells] == [frozenset(), frozenset({3})]
 
 
 @pytest.mark.parametrize("d, bound, gens, seed", [(3, 2, 8, 6), (3, 2, 8, 19), (4, 2, 8, 11)])

@@ -195,6 +195,23 @@ def test_inexact_entries_are_refused():
         et.outer_power((1.0, 2), 1)
 
 
+def test_apply_refuses_inexact_directions():
+    t = et.outer_power((1, 2), 2)
+    with pytest.raises(TypeError):
+        t.apply((0.5, 1))
+    with pytest.raises(TypeError):
+        t.apply((True, 1))
+    with pytest.raises(TypeError):
+        SymTensor.scalar(2, 3).apply((1.0, 0))
+
+
+def test_apply_takes_int_and_fraction_directions():
+    t = et.outer_power((1, 2), 2)
+    assert t.apply((3, -1)) == 1
+    assert t.apply((Fraction(1, 2), 1)) == Fraction(25, 4)
+    assert type(t.apply((3, -1))) is int
+
+
 vectors = st.integers(1, 4).flatmap(
     lambda d: st.tuples(st.lists(small_ints, min_size=d, max_size=d),
                         st.lists(small_ints, min_size=d, max_size=d)))
