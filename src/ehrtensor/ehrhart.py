@@ -25,7 +25,7 @@ from functools import lru_cache
 from operator import mul
 
 from . import linalg
-from .polytopes import Polytope, dilate_rows, placing_triangulation
+from .polytopes import Polytope, dilate_rows
 from .tensors import (HrVector, SymTensor, TensorPolynomial, moment_of_points,
                       multi_indices, outer_power, sym_product, vsub)
 
@@ -312,7 +312,7 @@ def moment_tensor(p: Polytope, r: int) -> SymTensor:
     """
     verts = p.vertices
     acc = SymTensor.zero(r, p.dim)
-    for simplex in placing_triangulation(verts)[0]:
+    for simplex in p.placing_triangulation[0]:
         vs = [verts[i] for i in simplex]
         volume = abs(linalg.int_det([vsub(v, vs[0]) for v in vs[1:]]))
         acc = acc + _simplex_moment(vs, r, p.dim, volume)
@@ -330,7 +330,7 @@ def second_coefficient_facets(p: Polytope, r: int) -> SymTensor:
     """
     verts = p.vertices
     acc = SymTensor.zero(r, p.dim)
-    for face, _ in placing_triangulation(verts)[1]:
+    for face, _ in p.placing_triangulation[1]:
         vs = [verts[i] for i in face]
         edges = [vsub(v, vs[0]) for v in vs[1:]]
         volume = linalg.gcd_vector(linalg.generalized_cross(edges, p.dim))

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
+from operator import mul
 
 from . import linalg
 from .ehrhart import row_moments
@@ -57,6 +58,8 @@ class UniPoly:
         return UniPoly(self._trim(out))
 
     def __pow__(self, k: int) -> "UniPoly":
+        if k < 0:
+            raise ValueError("exponent must be nonnegative")
         result = UniPoly((1,))
         for _ in range(k):
             result = result * self
@@ -235,7 +238,7 @@ def box_slices(s: HalfOpenSimplex) -> BoxSlices:
     slices: list[list[IntPoint]] = [[] for _ in range(d + 1)]
     for a in group:
         a = [dabs if x == 0 and j in s.removed else x for j, x in enumerate(a)]
-        z = [divmod(dot(c, a), dabs) for c in coords]
+        z = [divmod(sum(map(mul, c, a)), dabs) for c in coords]
         if any(rem for _, rem in z):
             raise AssertionError(f"box residue {a} is not a lattice point")
         slices[z[d][0]].append(tuple(q for q, _ in z[:d]))
@@ -267,40 +270,38 @@ def hr_halfopen(s: HalfOpenSimplex, r: int) -> HrVector:
     of unnormalized symmetric products of vertex powers with slice moments
     (the chain carries the multinomial ``r!/(k_0! ... k_(d+1)!)``), times
     ``(1-t)^(k_0) A_(k_1)(t) ... A_(k_(d+1))(t)`` and the slice height
-    marker t^i.  Works in any dimension and rank.
+    marker t^i.  The product is bilinear, so the vertex parts are summed per
+    (k_0, t-degree) first.  Works in any dimension and rank.
     """
     return _hr_from_box(s, r, box_slices(s))
 
 
 def _hr_from_box(s: HalfOpenSimplex, r: int, box: BoxSlices) -> HrVector:
-    """Assembly step of ``hr_halfopen`` from the box points of ``s``."""
+    """Assembly of ``hr_halfopen``: one product per (k_0, t-degree, slice)."""
     if r < 0:
         raise ValueError("rank must be nonnegative")
     d = s.dim
-    slice_moments = _slice_data(box, r, d)
-    m = d + r
-    out = [SymTensor.zero(r, d) for _ in range(m + 1)]
+    weights = [{} for _ in range(r + 1)]    # [k_0][t-degree] -> sum of c * vertex part
     for comp in _compositions(r, d + 2):
-        k0 = comp[0]
-        poly = ONE_MINUS_T ** k0
-        for kj in comp[1:]:
+        poly = ONE_MINUS_T ** comp[0]
+        vertex_part = SymTensor.scalar(d, 1)
+        for v, kj in zip(s.vertices, comp[1:]):
             if kj:
                 poly = poly * eulerian_polynomial(kj)
-        vertex_part = SymTensor.scalar(d, 1)
-        for j, kj in enumerate(comp[1:]):
-            if kj:
-                vertex_part = sym_product(vertex_part, outer_power(s.vertices[j], kj, d))
-        for i in range(d + 1):
-            base = slice_moments[k0][i]
+                vertex_part = sym_product(vertex_part, outer_power(v, kj, d))
+        w = weights[comp[0]]
+        for deg, c in enumerate(poly.coeffs):
+            if c:
+                w[deg] = w[deg] + vertex_part * c if deg in w else vertex_part * c
+    out = [SymTensor.zero(r, d) for _ in range(d + r + 1)]
+    for moments, w in zip(_slice_data(box, r, d), weights):
+        for i, base in enumerate(moments):
             if base.is_zero:
                 continue
-            tensor = sym_product(vertex_part, base)
-            for deg, c in enumerate(poly.coeffs):
-                if c:
-                    k = i + deg
-                    if k > m:
-                        raise AssertionError("numerator degree exceeded d+r")
-                    out[k] = out[k] + tensor * c
+            for deg, tensor in w.items():
+                if i + deg >= len(out):
+                    raise AssertionError("numerator degree exceeded d+r")
+                out[i + deg] = out[i + deg] + sym_product(tensor, base)
     return HrVector(tuple(out))
 
 

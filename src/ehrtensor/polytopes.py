@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (affine_basis, affine_rank, cross2, generalized_cross,
@@ -62,6 +63,11 @@ class Polytope:
             if not strict and s > n * f.rhs:
                 return False
         return True
+
+    @cached_property
+    def placing_triangulation(self):
+        """:func:`placing_triangulation` of the vertices as tuples, built once per polytope."""
+        return tuple(map(tuple, placing_triangulation(self.vertices)))
 
     def translate(self, t: Sequence[int]) -> "Polytope":
         verts = tuple(sorted(vadd(v, t) for v in self.vertices))

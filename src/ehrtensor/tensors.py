@@ -243,17 +243,20 @@ def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
         return b * a.as_scalar()
     if rb == 0:
         return a * b.as_scalar()
-    r = ra + rb
-    apos, bpos = _index_position(d, ra), _index_position(d, rb)
-    splits = [(sel, [i for i in range(r) if i not in sel])
-              for sel in combinations(range(r), ra)]
-    vals = []
-    for m in multi_indices(d, r):
-        # m is sorted, so each slot subsequence is already a stored index
-        vals.append(sum(a.entries[apos[tuple(m[i] for i in left)]]
-                        * b.entries[bpos[tuple(m[i] for i in right)]]
-                        for left, right in splits))
-    return SymTensor(r, d, tuple(vals))
+    x, y = a.entries, b.entries
+    return SymTensor(ra + rb, d, tuple(sum(x[i] * y[j] for i, j in pairs)
+                                       for pairs in _product_plan(d, ra, rb)))
+
+
+@lru_cache(maxsize=None)
+def _product_plan(dim: int, ra: int, rb: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per stored index m of rank ra + rb, the factor entry positions of each
+    of its C(ra + rb, ra) slot splits; m is sorted, so each part is stored."""
+    apos, bpos, r = _index_position(dim, ra), _index_position(dim, rb), ra + rb
+    return tuple(tuple((apos[tuple(m[i] for i in sel)],
+                        bpos[tuple(m[i] for i in range(r) if i not in sel)])
+                       for sel in combinations(range(r), ra))
+                 for m in multi_indices(dim, r))
 
 
 def apply_linear_map(t: SymTensor, matrix: Sequence[Sequence[int]]) -> SymTensor:

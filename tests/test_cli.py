@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import ehrtensor as et
+from ehrtensor import polytopes
 from ehrtensor.cli import main
 from ehrtensor.tensors import tensor_to_json
 
@@ -154,6 +155,24 @@ def test_verify_square_passes(capsys):
     data = json.loads(out)
     assert data["all_pass"] is True
     assert any(c["name"] == "pick_h2_agrees" for c in data["checks"])
+
+
+@pytest.mark.parametrize("dim, bound", [(2, 6), (3, 2)])
+def test_verify_builds_one_placing_triangulation(dim, bound, capsys, monkeypatch):
+    # moment_tensor and second_coefficient_facets share the polytope's cached
+    # triangulation; convex_hull's own build of the input points (not in 2D)
+    # is counted apart by loading the request alone
+    request = json.dumps(et.polytope_to_json(et.random_lattice_polytope(dim, bound, 8, 1)))
+    builds = []
+    build = polytopes.placing_triangulation
+    monkeypatch.setattr(polytopes, "placing_triangulation",
+                        lambda points: builds.append(points) or build(points))
+    polytopes.polytope_from_json(json.loads(request))
+    hull_builds = len(builds)
+    assert hull_builds == (dim != 2)
+    code, _, _ = run_cli(["verify", request, "--json"], capsys)
+    assert code == 0
+    assert len(builds) == 2 * hull_builds + 1
 
 
 def test_verify_table_mode(capsys):

@@ -8,7 +8,8 @@ import pytest
 
 import ehrtensor as et
 from ehrtensor import linalg
-from ehrtensor.halfopen import UniPoly, halfopen_from_json, halfopen_to_json
+from ehrtensor.halfopen import (ONE_MINUS_T, UniPoly, _compositions, _slice_data,
+                                halfopen_from_json, halfopen_to_json)
 from ehrtensor.polytopes import EQ, LE, LT, placing_triangulation, scan_points, scan_rows
 from ehrtensor.tensors import dot, vneg
 from ehrtensor.triangulation import INSERTION_ORDERS
@@ -62,6 +63,12 @@ def test_unipoly_arithmetic():
     assert (p * p).coeffs == (1, -2, 1)
     assert (p + UniPoly((0, 1))).coeffs == (1,)
     assert (p ** 3)(2) == -1
+    assert (p ** 0).coeffs == (1,)
+
+
+def test_unipoly_refuses_negative_exponents():
+    with pytest.raises(ValueError):
+        UniPoly((1, -1)) ** -1
 
 
 def test_box_slices_closed_unit_simplex():
@@ -227,6 +234,48 @@ def test_box_slices_match_brute_force_oracle():
                         [j != i for j in range(d + 1)]
                     assert dot(normal, s.vertices[i]) < rhs
     assert unimodular >= 14
+
+
+def per_composition_hr(s, r):
+    """h-tensor vector with one symmetric product per (composition, slice).
+
+    For each composition ``r = k_0 + ... + k_(d+1)``, the product of the
+    vertex powers with slice moment ``(k_0, i)`` is scaled by every
+    coefficient of ``(1-t)^(k_0) A_(k_1)(t) ... A_(k_(d+1))(t)`` and added
+    at t^(i + deg).
+    """
+    d = s.dim
+    slice_moments = _slice_data(et.box_slices(s), r, d)
+    out = [et.SymTensor.zero(r, d) for _ in range(d + r + 1)]
+    for comp in _compositions(r, d + 2):
+        poly = ONE_MINUS_T ** comp[0]
+        vertex_part = et.SymTensor.scalar(d, 1)
+        for v, kj in zip(s.vertices, comp[1:]):
+            poly = poly * et.eulerian_polynomial(kj)
+            vertex_part = et.sym_product(vertex_part, et.outer_power(v, kj, d))
+        for i, base in enumerate(slice_moments[comp[0]]):
+            tensor = et.sym_product(vertex_part, base)
+            for deg, c in enumerate(poly.coeffs):
+                if c:
+                    out[i + deg] = out[i + deg] + tensor * c
+    return et.HrVector(tuple(out))
+
+
+def test_hr_halfopen_matches_per_composition_oracle():
+    rng = random.Random(1212)
+    for d in range(1, 5):
+        for k in range(d + 1):
+            found = 0
+            while found < 2:
+                verts = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d + 1)]
+                if not leibniz_det([v + [1] for v in verts]):
+                    continue
+                s = et.HalfOpenSimplex.make(verts, rng.sample(range(d + 1), k))
+                for r in range(4):
+                    h = et.hr_halfopen(s, r)
+                    assert h == per_composition_hr(s, r), (verts, s.removed, r)
+                    assert all(type(x) is int for e in h.entries for x in e.entries)
+                found += 1
 
 
 def test_hr_halfopen_monotonicity_counterexample_vertices():

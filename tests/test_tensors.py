@@ -1,14 +1,15 @@
 """Symmetric tensor algebra: exactness, symmetry, diagonal evaluation."""
 import math
+import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehrtensor as et
-from ehrtensor.tensors import (SymTensor, moment_of_points, multi_indices,
+from ehrtensor.tensors import (SymTensor, _index_position, moment_of_points, multi_indices,
                                rational_to_str, tensor_to_json)
 
 small_ints = st.integers(min_value=-9, max_value=9)
@@ -252,3 +253,39 @@ def test_chain_of_vertex_powers_carries_the_multinomial(dim, r, data):
     words = [x for x, k in zip(points, ks) for _ in range(k)]
     assert chain == normalized_product(words, dim) * multinomial
     assert all_int(chain)
+
+
+def split_loop_sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
+    """Unnormalized symmetric product by looping over the C(r, r_a) slot splits
+    of every output index and looking each factor entry up by its key."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    d, ra, rb = a.dim, a.rank, b.rank
+    r = ra + rb
+    apos, bpos = _index_position(d, ra), _index_position(d, rb)
+    splits = [(sel, [i for i in range(r) if i not in sel])
+              for sel in combinations(range(r), ra)]
+    return SymTensor(r, d, tuple(
+        sum(a.entries[apos[tuple(m[i] for i in left)]]
+            * b.entries[bpos[tuple(m[i] for i in right)]] for left, right in splits)
+        for m in multi_indices(d, r)))
+
+
+def test_sym_product_matches_split_loop_oracle():
+    rng = random.Random(12)
+    for dim in range(1, 6):
+        for ra in range(5):
+            for rb in range(5):
+                for entry in (lambda: rng.randint(-9, 9),
+                              lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))):
+                    a, b = (SymTensor(k, dim, tuple(entry() for _ in multi_indices(dim, k)))
+                            for k in (ra, rb))
+                    got = et.sym_product(a, b)
+                    assert got == split_loop_sym_product(a, b), (dim, ra, rb)
+                    assert got == et.sym_product(b, a)
+
+
+def test_sym_product_refuses_mixed_dimensions():
+    for ra, rb in ((0, 0), (0, 2), (1, 0), (2, 1)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            et.sym_product(SymTensor.zero(ra, 2), SymTensor.zero(rb, 3))
