@@ -7,11 +7,11 @@ machinery -- everything in exact rational arithmetic.
 """
 
 from .tensors import (HrVector, IntPoint, SymTensor, TensorPolynomial,
-                      apply_linear_map, outer_power, sym_product)
+                      outer_power, sym_product)
 from .polytopes import (DegenerateInputError, FacetIneq, Polytope, convex_hull,
                         interior_lattice_points, is_reflexive, lattice_points,
                         polytope_from_json, polytope_to_json,
-                        project_to_plane, random_lattice_polytope)
+                        random_lattice_polytope)
 from .ehrhart import (discrete_moment, discrete_moment_interior,
                       ehrhart_tensor_polynomial, hr_vector_to_polynomial,
                       moment_tensor, reciprocity_check,

@@ -27,7 +27,7 @@ from operator import mul
 from . import linalg
 from .polytopes import Polytope, dilate_rows
 from .tensors import (HrVector, SymTensor, TensorPolynomial, moment_of_points,
-                      multi_indices, outer_power, sym_product, vsub)
+                      multi_indices, sym_product, vsub)
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +336,3 @@ def second_coefficient_facets(p: Polytope, r: int) -> SymTensor:
         volume = linalg.gcd_vector(linalg.generalized_cross(edges, p.dim))
         acc = acc + _simplex_moment(vs, r, p.dim, volume)
     return acc * Fraction(1, 2)
-
-
-def translation_covariance_rhs(p: Polytope, r: int, n: int, t) -> SymTensor:
-    """Binomial expansion of the moment of a translated polytope.
-
-    ``sum_j sym_product(L^(r-j)(nP), (n t)^j)``, the binomial coefficients
-    carried by the unnormalized product: the exact value the moment of the
-    translate must equal (dilation scales the translation).
-    """
-    acc = SymTensor.zero(r, p.dim)
-    nt = tuple(n * c for c in t)
-    for j in range(r + 1):
-        acc = acc + sym_product(discrete_moment(p, r - j, n), outer_power(nt, j, p.dim))
-    return acc

@@ -65,12 +65,6 @@ class UniPoly:
             result = result * self
         return result
 
-    def __call__(self, x: int):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
 
 ONE_MINUS_T = UniPoly((1, -1))
 

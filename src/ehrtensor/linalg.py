@@ -1,10 +1,10 @@
 """Exact linear algebra helpers over Z (and Q) for small matrices.
 
 Plain list-of-lists matrices.  One fraction-free Gauss-Jordan elimination
-(Bareiss) on integer rows serves determinants, solving, inversion,
-integer normals and affine bases; rational input is scaled to integer rows
-first.  Pivoting is "first nonzero": matrices here are tiny (d <= 5 or so)
-and exactness is the only requirement.
+(Bareiss) on integer rows serves determinants, inversion, integer normals
+and affine bases; rational input is scaled to integer rows first.
+Pivoting is "first nonzero": matrices here are tiny (d <= 5 or so) and
+exactness is the only requirement.
 """
 from __future__ import annotations
 
@@ -57,31 +57,18 @@ def _integer_rows(a: Sequence[Sequence]) -> list[list[int]]:
     return [[int(x * k) for x in row] for row, k in zip(a, scales)]
 
 
-def _divide(a: Sequence[Sequence], rhs: Sequence[Sequence],
-            message: str) -> tuple[list[list[int]], int]:
-    """``(x, D)`` with ``D > 0`` and ``a^-1 rhs = x / D``, reducing ``[a | rhs]``.
+def int_inverse(a: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """``(m, D)`` with integer m, ``D > 0`` and ``a^-1 = m / D``; ``D = |det a|`` for integer a.
 
-    Raises :class:`SingularMatrixError` with ``message`` when a is singular.
+    Reduces ``[a | I]``; raises :class:`SingularMatrixError` when a is singular.
     """
     n = len(a)
-    rows, pivots, _ = _reduce(_integer_rows([list(row) + list(b)
-                                             for row, b in zip(a, rhs, strict=True)]))
+    rows, pivots, _ = _reduce(_integer_rows([list(row) + [int(i == j) for j in range(n)]
+                                             for i, row in enumerate(a)]))
     if pivots[:n] != list(range(n)):
-        raise SingularMatrixError(message)
+        raise SingularMatrixError("singular matrix")
     sign = -1 if rows and rows[0][0] < 0 else 1
     return [[sign * x for x in row[n:]] for row in rows], sign * rows[0][0] if rows else 1
-
-
-def solve(a: Sequence[Sequence], b: Sequence) -> list[Fraction]:
-    """Solve the square system a x = b exactly; raises if singular."""
-    x, dabs = _divide(a, [[y] for y in b], "singular system")
-    return [Fraction(y, dabs) for y, in x]
-
-
-def int_inverse(a: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """``(m, D)`` with integer m, ``D > 0`` and ``a^-1 = m / D``; ``D = |det a|`` for integer a."""
-    n = len(a)
-    return _divide(a, [[int(i == j) for j in range(n)] for i in range(n)], "singular matrix")
 
 
 def invert(a: Sequence[Sequence]) -> list[list[Fraction]]:
@@ -147,74 +134,3 @@ def affine_basis(points: Sequence[Sequence[int]]) -> tuple[int, ...]:
 def affine_rank(points: Sequence[Sequence[int]]) -> int:
     """Dimension of the affine hull of a point set."""
     return max(len(affine_basis(points)) - 1, 0)
-
-
-def smith_unimodular_left(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Left transform of the Smith decomposition ``m = u @ s @ v``.
-
-    Returns ``(u, s)`` with ``u`` unimodular and ``s`` diagonal up to rank;
-    the right transform is not tracked.  The first ``rank`` columns of ``u``
-    are a lattice basis of the saturation
-    ``span_Q(columns of m) cap Z^rows``.
-    """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    s = [list(map(int, row)) for row in m]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-
-    def row_op(i, j, c):  # row_i += c * row_j, tracked inversely in u
-        for k in range(cols):
-            s[i][k] += c * s[j][k]
-        # maintaining m = u @ s: compensate with column op on u
-        for k in range(rows):
-            u[k][j] -= c * u[k][i]
-
-    def row_swap(i, j):
-        s[i], s[j] = s[j], s[i]
-        for k in range(rows):
-            u[k][i], u[k][j] = u[k][j], u[k][i]
-
-    def col_op(i, j, c):  # col_i += c * col_j (right transform, untracked)
-        for k in range(rows):
-            s[k][i] += c * s[k][j]
-
-    def col_swap(i, j):
-        for k in range(rows):
-            s[k][i], s[k][j] = s[k][j], s[k][i]
-
-    t = 0
-    while t < min(rows, cols):
-        # find a pivot
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if s[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
-        # clear row and column t by gcd reduction
-        while True:
-            for i in range(t + 1, rows):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    row_op(i, t, -q)
-                    if s[i][t] != 0:
-                        row_swap(t, i)
-            if all(s[i][t] == 0 for i in range(t + 1, rows)):
-                for j in range(t + 1, cols):
-                    if s[t][j] != 0:
-                        q = s[t][j] // s[t][t]
-                        col_op(j, t, -q)
-                        if s[t][j] != 0:
-                            col_swap(t, j)
-                if all(s[t][j] == 0 for j in range(t + 1, cols)) \
-                        and all(s[i][t] == 0 for i in range(t + 1, rows)):
-                    break
-            # otherwise loop again
-        t += 1
-    return u, s

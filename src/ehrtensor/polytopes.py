@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import (affine_basis, affine_rank, cross2, generalized_cross,
-                     primitive, smith_unimodular_left, solve)
+from .linalg import affine_basis, cross2, generalized_cross, primitive
 from .tensors import IntPoint, dot, vadd, vneg, vsub
 
 # constraint modes for the point scanner
@@ -294,23 +293,6 @@ def scan_rows(bounds: Sequence[tuple[int, int]],
     return rows(0, rhs, ())
 
 
-def scan_points(bounds: Sequence[tuple[int, int]],
-                constraints: Sequence[tuple[IntPoint, int, int]]) -> Iterator[IntPoint]:
-    """All integer points in a box satisfying linear constraints.
-
-    Same constraint format as :func:`scan_rows`; points come out in
-    lexicographic order, expanded from its rows.
-    """
-    if not bounds:
-        if all((c >= 0 if mode == LE else c > 0 if mode == LT else c == 0)
-               for _, c, mode in constraints):
-            yield ()
-        return
-    for prefix, lo, hi, _, _ in scan_rows(bounds, constraints):
-        for t in range(lo, hi + 1):
-            yield prefix + (t,)
-
-
 def dilate_bounds(p: Polytope, n: int) -> list[tuple[int, int]]:
     lo = [min(v[i] for v in p.vertices) * n for i in range(p.dim)]
     hi = [max(v[i] for v in p.vertices) * n for i in range(p.dim)]
@@ -346,8 +328,6 @@ def is_reflexive(p: Polytope) -> bool:
 
     Polytopes without the origin strictly inside are simply not reflexive.
     """
-    if any(f.rhs < 1 for f in p.facets):
-        return False
     return all(f.rhs == 1 for f in p.facets)
 
 
@@ -373,46 +353,6 @@ def random_lattice_polytope(d: int, coord_bound: int, num_gens: int,
         except DegenerateInputError:
             continue
     raise RuntimeError(f"no full-dimensional polytope after {max_retries} draws")
-
-
-def polygon_vertex_cycle(p: Polytope) -> list[IntPoint]:
-    """Vertices of a polygon in counterclockwise cyclic order."""
-    if p.dim != 2:
-        raise ValueError("vertex cycle is a polygon operation")
-    return _hull_2d(list(p.vertices))
-
-
-# ---------------------------------------------------------------------------
-# polygons embedded in a higher-dimensional ambient lattice
-
-def project_to_plane(points: Sequence[Sequence[int]]) -> tuple[list[IntPoint], IntPoint, tuple[IntPoint, ...]]:
-    """Lattice-preserving coordinates for a polygon embedded in Z^D.
-
-    For points whose affine hull has rank 2, returns ``(coords, origin,
-    basis)`` with ``basis`` two columns spanning the saturated lattice of the
-    hull, so every input point is ``origin + basis @ y`` for the integer pair
-    ``y`` in ``coords``.  The basis is recorded so rank-r tensors computed in
-    the plane can be pushed back to the ambient space.
-    """
-    pts = [tuple(map(checked_int, q)) for q in points]
-    origin = min(pts)
-    diffs = [vsub(q, origin) for q in pts]
-    ar = affine_rank(pts)
-    if ar != 2:
-        raise DegenerateInputError(ar, len(origin))
-    ncols = len(diffs)
-    matrix = [[diffs[j][i] for j in range(ncols)] for i in range(len(origin))]
-    u, s = smith_unimodular_left(matrix)
-    basis = tuple(tuple(u[i][k] for i in range(len(origin))) for k in range(2))
-    gram = [[dot(basis[a], basis[b]) for b in range(2)] for a in range(2)]
-    coords = []
-    for q in diffs:
-        rhs = [dot(basis[a], q) for a in range(2)]
-        y = solve(gram, rhs)
-        if any(c.denominator != 1 for c in y):
-            raise ValueError("projection basis is not lattice-spanning")
-        coords.append((int(y[0]), int(y[1])))
-    return coords, origin, basis
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
 IntPoint = tuple[int, ...]
@@ -135,11 +135,6 @@ class SymTensor:
         if self.rank != 0:
             raise ValueError("not a rank-0 tensor")
         return self.entries[0]
-
-    def to_vector(self) -> tuple[Scalar, ...]:
-        if self.rank != 1:
-            raise ValueError("not a rank-1 tensor")
-        return self.entries
 
     def to_matrix(self) -> tuple[tuple[Scalar, ...], ...]:
         if self.rank != 2:
@@ -257,30 +252,6 @@ def _product_plan(dim: int, ra: int, rb: int) -> tuple[tuple[tuple[int, int], ..
                         bpos[tuple(m[i] for i in range(r) if i not in sel)])
                        for sel in combinations(range(r), ra))
                  for m in multi_indices(dim, r))
-
-
-def apply_linear_map(t: SymTensor, matrix: Sequence[Sequence[int]]) -> SymTensor:
-    """Push a tensor forward along the linear map ``x -> M x``.
-
-    ``(M_* T)_{i_1..i_r} = sum_j M_{i_1 j_1} ... M_{i_r j_r} T_{j_1..j_r}``;
-    for ``T = outer_power(x, r)`` this is ``outer_power(M x, r)``.  M may be
-    rectangular (rows x t.dim); the result lives in the row dimension.
-    """
-    d = t.dim
-    dout = len(matrix)
-    if any(len(row) != d for row in matrix):
-        raise ValueError("matrix column count must match tensor dimension")
-    vals = []
-    for m in multi_indices(dout, t.rank):
-        acc = 0
-        for js in product(range(d), repeat=t.rank):
-            coeff = 1
-            for i, j in zip(m, js):
-                coeff *= matrix[i][j]
-            if coeff:
-                acc += coeff * t.get(js)
-        vals.append(acc)
-    return SymTensor(t.rank, dout, tuple(vals))
 
 
 @dataclass(frozen=True)

@@ -250,55 +250,25 @@ def ehrhart_matrix_pick(t: Triangulation) -> TensorPolynomial:
 # ---------------------------------------------------------------------------
 # sparse decomposition: pieces with 3-4 lattice points meeting only at vertices
 
-def _clip_polygon(cycle, facets) -> list[tuple[Fraction, Fraction]]:
-    poly = [(Fraction(x), Fraction(y)) for x, y in cycle]
-    for normal, rhs in facets:
-        if not poly:
-            return []
-        out = []
-        m = len(poly)
-        for i in range(m):
-            cur, nxt = poly[i], poly[(i + 1) % m]
-            vc = normal[0] * cur[0] + normal[1] * cur[1]
-            vn = normal[0] * nxt[0] + normal[1] * nxt[1]
-            cin, nin = vc <= rhs, vn <= rhs
-            if cin:
-                out.append(cur)
-            if cin != nin:
-                tpar = Fraction(rhs - vc, vn - vc)
-                out.append((cur[0] + tpar * (nxt[0] - cur[0]),
-                            cur[1] + tpar * (nxt[1] - cur[1])))
-        poly = []
-        for pt in out:  # drop exact duplicates
-            if pt not in poly:
-                poly.append(pt)
-    return poly
-
-
-def _intersection_points(a: Polytope, b: Polytope) -> list[tuple[Fraction, Fraction]]:
-    from .polytopes import polygon_vertex_cycle
-    cycle = polygon_vertex_cycle(a)
-    return _clip_polygon(cycle, [(f.normal, f.rhs) for f in b.facets])
-
-
 def _pieces_compatible(a: Polytope, b: Polytope) -> bool:
-    """Condition for decomposition pieces: disjoint or one common vertex."""
-    pts = _intersection_points(a, b)
-    if not pts:
-        return True
-    if len(pts) > 1:
-        uniq = []
-        for pt in pts:
-            if pt not in uniq:
-                uniq.append(pt)
-        pts = uniq
-    if len(pts) != 1:
-        return False
-    v = pts[0]
-    if v[0].denominator != 1 or v[1].denominator != 1:
-        return False
-    vi = (int(v[0]), int(v[1]))
-    return vi in a.vertices and vi in b.vertices
+    """Condition for decomposition pieces: disjoint or one common vertex.
+
+    Convex polygons with disjoint interiors lie on the two sides of the line
+    of some facet of one of them; with no such facet the interiors overlap.
+    Otherwise they meet only on that line, where each spans the segment
+    between its vertices on it, compared by integer position along the line.
+    """
+    for p, q in ((a, b), (b, a)):
+        for f in p.facets:
+            if all(dot(f.normal, v) >= f.rhs for v in q.vertices):
+                along = (-f.normal[1], f.normal[0])
+                sp, sq = ([dot(along, v) for v in piece.vertices if dot(f.normal, v) == f.rhs]
+                          for piece in (p, q))
+                if not sq:
+                    return True
+                lo, hi = max(min(sp), min(sq)), min(max(sp), max(sq))
+                return lo > hi or (lo == hi and lo in sp and lo in sq)
+    return False
 
 
 def _piece(points) -> Polytope | None:

@@ -5,18 +5,22 @@ membership goes through exact barycentric sign tests over vertex triples
 (Caratheodory) and interior membership through supporting-line strictness,
 so enumeration results are cross-checked by a genuinely different route.
 The linear-algebra oracles (Leibniz determinants, Fraction Gauss-Jordan)
-likewise share nothing with the library's integer elimination.
+likewise share nothing with the library's integer elimination.  The point
+expansion of row scans, the tensor pushforward and the binomial translation
+expansion are the right-hand sides of identities the library must satisfy.
 """
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import prod
 
 import pytest
 
 import ehrtensor as et
+from ehrtensor.polytopes import LE, LT, scan_rows
+from ehrtensor.tensors import multi_indices
 
 
 def _cross(o, a, b):
@@ -86,6 +90,60 @@ def oracle_moment(points, r: int, dim: int = 2) -> et.SymTensor:
     acc = et.SymTensor.zero(r, dim)
     for p in points:
         acc = acc + et.outer_power(p, r, dim)
+    return acc
+
+
+def scan_points(bounds, constraints):
+    """All integer points in a box satisfying linear constraints.
+
+    Same constraint format as ``scan_rows``; points come out in
+    lexicographic order, expanded from its rows.
+    """
+    if not bounds:
+        if all((c >= 0 if mode == LE else c > 0 if mode == LT else c == 0)
+               for _, c, mode in constraints):
+            yield ()
+        return
+    for prefix, lo, hi, _, _ in scan_rows(bounds, constraints):
+        for t in range(lo, hi + 1):
+            yield prefix + (t,)
+
+
+def apply_linear_map(t: et.SymTensor, matrix) -> et.SymTensor:
+    """Push a tensor forward along the linear map ``x -> M x``.
+
+    ``(M_* T)_{i_1..i_r} = sum_j M_{i_1 j_1} ... M_{i_r j_r} T_{j_1..j_r}``;
+    for ``T = outer_power(x, r)`` this is ``outer_power(M x, r)``.  M may be
+    rectangular (rows x t.dim); the result lives in the row dimension.
+    """
+    d = t.dim
+    dout = len(matrix)
+    if any(len(row) != d for row in matrix):
+        raise ValueError("matrix column count must match tensor dimension")
+    vals = []
+    for m in multi_indices(dout, t.rank):
+        acc = 0
+        for js in product(range(d), repeat=t.rank):
+            coeff = 1
+            for i, j in zip(m, js):
+                coeff *= matrix[i][j]
+            if coeff:
+                acc += coeff * t.get(js)
+        vals.append(acc)
+    return et.SymTensor(t.rank, dout, tuple(vals))
+
+
+def translation_covariance_rhs(p: et.Polytope, r: int, n: int, t) -> et.SymTensor:
+    """Binomial expansion of the moment of a translated polytope.
+
+    ``sum_j sym_product(L^(r-j)(nP), (n t)^j)``, the binomial coefficients
+    carried by the unnormalized product: the exact value the moment of the
+    translate must equal (dilation scales the translation).
+    """
+    acc = et.SymTensor.zero(r, p.dim)
+    nt = tuple(n * c for c in t)
+    for j in range(r + 1):
+        acc = acc + et.sym_product(et.discrete_moment(p, r - j, n), et.outer_power(nt, j, p.dim))
     return acc
 
 

@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehrtensor as et
-from ehrtensor.ehrhart import translation_covariance_rhs
 from ehrtensor.tensors import dot
 
-from conftest import clear_library_caches
+from conftest import apply_linear_map, clear_library_caches, translation_covariance_rhs
 
 
 def unimodular_matrix(d: int, steps) -> list[list[int]]:
@@ -55,9 +54,9 @@ def test_moments_and_h_vectors_push_forward_under_unimodular_maps(case):
                  [et.discrete_moment(q, r, n) for n in (1, 2)]) for r in range(3)}
     clear_library_caches()
     for r, (h_image, moments_image) in image.items():
-        assert [et.apply_linear_map(h, m) for h in et.to_hr_vector(p, r).entries] \
+        assert [apply_linear_map(h, m) for h in et.to_hr_vector(p, r).entries] \
             == list(h_image), (m, r)
-        assert [et.apply_linear_map(et.discrete_moment(p, r, n), m) for n in (1, 2)] \
+        assert [apply_linear_map(et.discrete_moment(p, r, n), m) for n in (1, 2)] \
             == moments_image, (m, r)
 
 

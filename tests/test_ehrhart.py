@@ -5,11 +5,12 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import ehrtensor as et
-from ehrtensor.ehrhart import _simplex_moment, translation_covariance_rhs
+from ehrtensor.ehrhart import _simplex_moment
 from ehrtensor.linalg import gcd_vector, generalized_cross, int_det
 from ehrtensor.tensors import vsub
 
-from conftest import NAMED_POLYGONS, oracle_moment, oracle_polygon_points
+from conftest import (NAMED_POLYGONS, apply_linear_map, oracle_moment, oracle_polygon_points,
+                      translation_covariance_rhs)
 
 
 def mat(rows):
@@ -245,7 +246,7 @@ def test_h_vector_unimodular_equivariance():
         hp = et.to_hr_vector(p, r)
         hq = et.to_hr_vector(q, r)
         for a, b in zip(hp.entries, hq.entries):
-            assert et.apply_linear_map(a, phi) == b
+            assert apply_linear_map(a, phi) == b
 
 
 def test_segment_matrix_coefficients_are_psd():

@@ -4,6 +4,8 @@ Each case is recorded as the sha256 of its exit code, a newline and its
 stdout, so any changed byte or exit code fails it.  CLI cases run in-process
 through :func:`ehrtensor.cli.main`; demos run as scripts.  To print the table
 for the current code, run ``PYTHONPATH=src python tests/test_golden.py``.
+The sorted ``ehrtensor.__all__`` is pinned too, so public names change only
+on purpose.
 """
 import contextlib
 import hashlib
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import ehrtensor
 from ehrtensor.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -179,6 +182,30 @@ def test_demo_output_is_golden(name):
 
 def test_golden_table_covers_every_case():
     assert sorted(GOLDEN) == sorted(list(CLI_CASES) + DEMOS)
+
+
+PUBLIC_NAMES = [
+    "BoxSlices", "DefinitenessReport", "DegenerateInputError", "EdgeStats", "FacetIneq",
+    "HalfOpenSimplex", "HrVector", "IntPoint", "NotPositiveSemidefiniteError", "Polytope",
+    "ScanReport", "SosCertificate", "SymTensor", "TensorPolynomial", "Triangulation", "UniPoly",
+    "box_slices", "check_ehrhart_psd", "check_h2_psd", "classify_definiteness",
+    "conjecture_scan", "convex_hull", "discrete_moment", "discrete_moment_interior",
+    "edge_stats", "ehrhart", "ehrhart_matrix_pick", "ehrhart_tensor_polynomial",
+    "ehrhart_vector_pick", "eulerian_polynomial", "h1_halfopen_2d", "h1_pick",
+    "h2_halfopen_2d", "h2_pick", "half_open_decomposition", "halfopen", "halfopen_from_json",
+    "halfopen_to_json", "hr_halfopen", "hr_vector_to_polynomial", "interior_lattice_points",
+    "is_reflexive", "lattice_points", "linalg", "moment_halfopen", "moment_tensor",
+    "outer_power", "palindromic", "polytope_from_json", "polytope_to_json", "polytopes",
+    "positivity", "random_lattice_polytope", "reciprocity_check",
+    "reflexivity_palindromicity_check", "second_coefficient_facets", "sos_certificate",
+    "sparse_decomposition", "sym_product", "tensors", "to_hr_vector", "triangulation",
+    "unimodular_triangulation",
+]
+
+
+def test_public_names_are_pinned():
+    # adding or removing a public name is a deliberate change to this list
+    assert sorted(ehrtensor.__all__) == PUBLIC_NAMES
 
 
 if __name__ == "__main__":

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import ehrtensor as et
 from ehrtensor.ehrhart import _all_dilates_oracle, row_moments
-from ehrtensor.polytopes import EQ, LE, LT, dilate_rows, scan_points, scan_rows
+from ehrtensor.polytopes import EQ, LE, LT, dilate_rows, scan_rows
 from ehrtensor.tensors import dot
 
-from conftest import oracle_moment
+from conftest import oracle_moment, scan_points
 
 
 def _holds(value: int, rhs: int, mode: int, strict: bool) -> bool:

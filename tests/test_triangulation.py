@@ -1,14 +1,16 @@
 """Unimodular triangulations, edge sums, closed polygon formulas."""
 import dataclasses
+import random
 from fractions import Fraction
 
 import ehrtensor as et
 from ehrtensor import triangulation
-from ehrtensor.polytopes import placing_triangulation, scan_points
+from ehrtensor.linalg import affine_rank
+from ehrtensor.polytopes import _hull_2d, placing_triangulation
 from ehrtensor.tensors import dot, vadd, vsub
 from ehrtensor.triangulation import INSERTION_ORDERS, EdgeStats
 
-from conftest import NAMED_POLYGONS, oracle_moment, oracle_polygon_points
+from conftest import NAMED_POLYGONS, oracle_moment, oracle_polygon_points, scan_points
 
 F = Fraction
 
@@ -25,8 +27,12 @@ def triangle_area2(a, b, c):
     return abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
 
 
+def polygon_vertex_cycle(p: et.Polytope) -> list[tuple[int, int]]:
+    """Vertices of a polygon in counterclockwise cyclic order."""
+    return _hull_2d(list(p.vertices))
+
+
 def polygon_area2(p: et.Polytope) -> int:
-    from ehrtensor.polytopes import polygon_vertex_cycle
     cyc = polygon_vertex_cycle(p)
     s = 0
     for i in range(len(cyc)):
@@ -358,7 +364,6 @@ def piece_pair_ok(a: et.Polytope, b: et.Polytope) -> bool:
     for v in b.vertices:
         if a.contains(v):
             pts.add((F(v[0]), F(v[1])))
-    from ehrtensor.polytopes import polygon_vertex_cycle
     ca, cb = polygon_vertex_cycle(a), polygon_vertex_cycle(b)
     for i in range(len(ca)):
         for j in range(len(cb)):
@@ -413,6 +418,54 @@ def test_sparse_decomposition_collinear_heavy_shapes():
                   [(-4, 0), (4, 0), (0, 1), (1, -1)], [(0, 0), (8, 0), (8, 1), (0, 1)]):
         p = et.convex_hull(verts)
         check_sparse_conditions(p, et.sparse_decomposition(p))
+
+
+def test_sparse_decomposition_seeded_polygons():
+    # coordinate bounds 2-6 and 3-8 generators, four seeds each
+    for bound in range(2, 7):
+        for gens in range(3, 9):
+            for seed in range(4):
+                p = et.random_lattice_polytope(2, bound, gens, seed=seed)
+                check_sparse_conditions(p, et.sparse_decomposition(p))
+
+
+def assert_contact_agrees(a_pts, b_pts):
+    a, b = et.convex_hull(a_pts), et.convex_hull(b_pts)
+    expected = piece_pair_ok(a, b)
+    assert triangulation._pieces_compatible(a, b) == expected, (a_pts, b_pts)
+    assert triangulation._pieces_compatible(b, a) == expected, (a_pts, b_pts)
+    return expected
+
+
+def test_pieces_compatible_contact_kinds():
+    tri = [(0, 0), (1, 0), (0, 1)]
+    big = [(0, 0), (2, 0), (0, 2)]
+    cases = [
+        (tri, [(3, 3), (4, 3), (3, 4)], True),              # disjoint
+        (tri, [(1, 0), (2, 0), (2, 1)], True),              # one shared vertex
+        (tri, [(1, 0), (2, 0), (1, -1)], True),             # collinear edges, shared end
+        (tri, [(2, 0), (3, 0), (2, -1)], True),             # collinear edges, apart
+        (big, [(1, 1), (3, 1), (2, 2)], False),             # vertex inside an edge
+        (tri, [(1, 0), (0, 1), (1, 1)], False),             # shared edge
+        ([(0, 0), (2, 0), (0, 1)], [(1, 0), (3, 0), (2, -1)], False),  # collinear overlap
+        (big, [(1, 0), (3, 0), (1, 2)], False),             # overlapping interiors
+        (tri, tri, False),                                  # identical pieces
+    ]
+    for a_pts, b_pts, expected in cases:
+        assert assert_contact_agrees(a_pts, b_pts) == expected, (a_pts, b_pts)
+
+
+def test_pieces_compatible_matches_segment_oracle():
+    rng = random.Random(2024)
+
+    def piece_points():
+        while True:
+            pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.choice((3, 4)))]
+            if affine_rank(pts) == 2:
+                return pts
+
+    verdicts = [assert_contact_agrees(piece_points(), piece_points()) for _ in range(5000)]
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_half_open_sums_independent_of_reference_point():
