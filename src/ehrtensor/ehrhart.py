@@ -13,9 +13,15 @@ fixed by the nodes n = -ceil(m/2)..floor(m/2) and needs the scans of nP for
 n = 0..ceil(m/2) only.  Coefficients and h-tensor entries are exact linear
 maps of the node values with weights that depend on m alone.
 
-The route through closed moments at every node 0..m, a Vandermonde solve and
-alternating binomial sums survives only as :func:`_all_dilates_oracle`, the
-independent side of :func:`reciprocity_check` and of ``ehrtensor verify``.
+The rows of nP do not depend on the rank: each (polytope, n) is scanned once
+and kept in the bounded cache of :func:`~ehrtensor.polytopes.dilate_rows`,
+which every rank, the point lists and the oracle read.  A single large dilate
+(``moments --n`` big) therefore holds all of its rows in memory.
+
+The route through closed moments at every node 0..m, an integer Vandermonde
+inverse and alternating binomial sums survives only as
+:func:`_all_dilates_oracle`, the independent side of
+:func:`reciprocity_check` and of ``ehrtensor verify``.
 """
 from __future__ import annotations
 
@@ -166,6 +172,20 @@ def _node_weights(m: int) -> tuple[tuple[tuple[int, ...], ...], int, tuple[tuple
     return coef, common, h
 
 
+def _polynomial(p: Polytope, r: int, weights, den: int, columns) -> TensorPolynomial:
+    """Coefficient k has entries ``sum_j weights[k][j] * column_j / den``."""
+    return TensorPolynomial(tuple(
+        SymTensor(r, p.dim, tuple(Fraction(sum(map(mul, row, col)), den) for col in columns))
+        for row in weights))
+
+
+def _hvector(p: Polytope, r: int, weights, columns) -> HrVector:
+    """h-entry i has entries ``sum_j weights[i][j] * column_j``, in integers."""
+    return HrVector(tuple(
+        SymTensor.from_entries(r, p.dim, [sum(map(mul, row, col)) for col in columns])
+        for row in weights))
+
+
 def _node_values(p: Polytope, r: int) -> list[tuple[int, ...]]:
     """Entries of L^r at the nodes n = -ceil(m/2)..floor(m/2), m = dim + r.
 
@@ -187,11 +207,8 @@ def ehrhart_tensor_polynomial(p: Polytope, r: int) -> TensorPolynomial:
     Interpolated on the reciprocity-halved nodes -ceil(m/2)..floor(m/2);
     the constant term is automatically zero for r >= 1.
     """
-    columns = _node_values(p, r)
     coef, den, _ = _node_weights(p.dim + r)
-    return TensorPolynomial(tuple(
-        SymTensor(r, p.dim, tuple(Fraction(sum(map(mul, row, col)), den) for col in columns))
-        for row in coef))
+    return _polynomial(p, r, coef, den, _node_values(p, r))
 
 
 def to_hr_vector(p: Polytope, r: int) -> HrVector:
@@ -202,11 +219,7 @@ def to_hr_vector(p: Polytope, r: int) -> HrVector:
     The top entry equals the interior moment L^r(P°) and, for r >= 1, entry
     0 vanishes and entry 1 is L^r(P).
     """
-    columns = _node_values(p, r)
-    _, _, h = _node_weights(p.dim + r)
-    return HrVector(tuple(
-        SymTensor.from_entries(r, p.dim, [sum(map(mul, row, col)) for col in columns])
-        for row in h))
+    return _hvector(p, r, _node_weights(p.dim + r)[2], _node_values(p, r))
 
 
 @lru_cache(maxsize=None)
@@ -244,26 +257,14 @@ def _all_dilates_oracle(p: Polytope, r: int) -> tuple[TensorPolynomial, HrVector
     """Moment polynomial and h-vector from the closed moments of nP, n = 0..dim+r.
 
     The cross-check route: no interior moment and no reciprocity enters it,
-    only a Vandermonde solve on the nodes 0..m and alternating binomial sums.
-    :func:`reciprocity_check` and ``ehrtensor verify`` compare against it.
+    only the integer Vandermonde inverse on the nodes 0..m and alternating
+    binomial sums.  :func:`reciprocity_check` and ``ehrtensor verify`` use it.
     """
     m = p.dim + r
-    values = [discrete_moment(p, r, n) for n in range(m + 1)]
-    inv = linalg.invert([[Fraction(n) ** k for k in range(m + 1)] for n in range(m + 1)])
-    coeffs = []
-    for k in range(m + 1):
-        acc = SymTensor.zero(r, p.dim)
-        for j in range(m + 1):
-            if inv[k][j] != 0:
-                acc = acc + values[j] * inv[k][j]
-        coeffs.append(acc)
-    entries = []
-    for i in range(m + 1):
-        acc = SymTensor.zero(r, p.dim)
-        for j in range(i + 1):
-            acc = acc + values[j] * ((-1) ** (i - j) * math.comb(m + 1, i - j))
-        entries.append(acc)
-    return TensorPolynomial(tuple(coeffs)), HrVector(tuple(entries))
+    columns = list(zip(*(_dilate_moments(p, r, n)[0] for n in range(m + 1))))
+    inv, den = linalg.int_inverse([[n ** k for k in range(m + 1)] for n in range(m + 1)])
+    binom = [[(-1) ** (i - n) * math.comb(m + 1, i - n) for n in range(i + 1)] for i in range(m + 1)]
+    return _polynomial(p, r, inv, den, columns), _hvector(p, r, binom, columns)
 
 
 def reciprocity_check(p: Polytope, r: int, n: int) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import affine_basis, cross2, generalized_cross, primitive
@@ -301,12 +301,19 @@ def dilate_bounds(p: Polytope, n: int) -> list[tuple[int, int]]:
     return list(zip(lo, hi))
 
 
-def dilate_rows(p: Polytope, n: int) -> Iterator[tuple[IntPoint, int, int, int, int]]:
-    """:func:`scan_rows` of n*P: closed rows of nP, strict rows of nP°."""
+@lru_cache(maxsize=32)
+def dilate_rows(p: Polytope, n: int) -> tuple[tuple[IntPoint, int, int, int, int], ...]:
+    """:func:`scan_rows` of n*P: closed rows of nP, strict rows of nP°.
+
+    Scanned once per (polytope, n), so every rank's moments and the point
+    lists read one scan.  The cache holds the d+3 dilates of a ``verify``
+    request, yet is bounded so a long scan cannot pin every polytope's rows;
+    a single large dilate holds all of its rows in memory while cached.
+    """
     if n < 0:
         raise ValueError("dilation factor must be nonnegative")
     cons = [(f.normal, n * f.rhs, LE) for f in p.facets]
-    return scan_rows(dilate_bounds(p, n), cons)
+    return tuple(scan_rows(dilate_bounds(p, n), cons))
 
 
 def lattice_points(p: Polytope, n: int) -> list[IntPoint]:

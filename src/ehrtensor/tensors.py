@@ -287,9 +287,6 @@ class TensorPolynomial:
             power *= n
         return acc
 
-    def __call__(self, n: Scalar) -> SymTensor:
-        return self.evaluate(n)
-
 
 @dataclass(frozen=True)
 class HrVector:

@@ -81,31 +81,21 @@ def unimodular_triangulation(p: Polytope, order: str = "lex") -> Triangulation:
         cycle = chain + [k]
     else:
         cycle = list(reversed(chain)) + [k]
-    k += 1
-
-    while k < n:
+    nxt, prv = [0] * n, [0] * n         # the hull as a counterclockwise linked cycle
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        nxt[a], prv[b] = b, a
+    # Point k is lexicographically largest so far, so point k-1 is a hull vertex
+    # and [k-1, k] meets the hull only there: the arc that k sees touches k-1.
+    for k in range(k + 1, n):
         q = pts[k]
-        m = len(cycle)
-        vis = [cross2(pts[cycle[i]], pts[cycle[(i + 1) % m]], q) < 0 for i in range(m)]
-        start = next(i for i in range(m) if vis[i] and not vis[(i - 1) % m])
-        arc = []
-        i = start
-        while vis[i]:
-            arc.append(i)
-            i = (i + 1) % m
-        for i in arc:
-            triangles.append(_oriented(pts, cycle[i], cycle[(i + 1) % m], k))
-        end = (arc[-1] + 1) % m
-        new_cycle = []
-        i = end
-        while True:
-            new_cycle.append(cycle[i])
-            if i == start:
-                break
-            i = (i + 1) % m
-        new_cycle.append(k)
-        cycle = new_cycle
-        k += 1
+        a = b = k - 1
+        while cross2(pts[b], pts[nxt[b]], q) < 0:
+            triangles.append(_oriented(pts, b, nxt[b], k))
+            b = nxt[b]
+        while cross2(pts[prv[a]], pts[a], q) < 0:
+            triangles.append(_oriented(pts, prv[a], a, k))
+            a = prv[a]
+        nxt[a], prv[k], nxt[k], prv[b] = k, a, b, k
 
     return Triangulation(p, pts, tuple(sorted(triangles)))
 

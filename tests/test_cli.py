@@ -8,7 +8,10 @@ import pytest
 import ehrtensor as et
 from ehrtensor import polytopes
 from ehrtensor.cli import main
+from ehrtensor.positivity import trial_seed
 from ehrtensor.tensors import tensor_to_json
+
+from conftest import clear_library_caches
 
 SQUARE = '{"vertices": [[0,0],[1,0],[0,1],[1,1]]}'
 TRIANGLE_51 = '{"dim": 2, "vertices": [[0,1],[-1,-7],[1,-4]]}'
@@ -173,6 +176,22 @@ def test_verify_builds_one_placing_triangulation(dim, bound, capsys, monkeypatch
     code, _, _ = run_cli(["verify", request, "--json"], capsys)
     assert code == 0
     assert len(builds) == 2 * hull_builds + 1
+
+
+@pytest.mark.parametrize("dim, bound, seed", [(2, 6, 1), (3, 2, 1), (4, 2, trial_seed(42, 95))])
+def test_verify_scans_each_dilate_once(dim, bound, seed, capsys, monkeypatch):
+    # every rank, the oracle, the interior moments and the triangulation's
+    # point list read one scan of each dilate n = 0..dim+2
+    request = json.dumps(et.polytope_to_json(et.random_lattice_polytope(dim, bound, 8, seed)))
+    clear_library_caches()
+    scans = []
+    scan_rows = polytopes.scan_rows
+    monkeypatch.setattr(polytopes, "scan_rows",
+                        lambda bounds, cons: scans.append(bounds) or scan_rows(bounds, cons))
+    code, out, _ = run_cli(["verify", "--json", request], capsys)
+    assert code == 0 and json.loads(out)["all_pass"] is True
+    assert len(scans) == dim + 3
+    assert polytopes.dilate_rows.cache_info().maxsize is not None
 
 
 def test_verify_table_mode(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import ehrtensor as et
+from ehrtensor import ehrhart, linalg
 from ehrtensor.ehrhart import _simplex_moment
 from ehrtensor.linalg import gcd_vector, generalized_cross, int_det
 from ehrtensor.tensors import vsub
@@ -139,6 +140,37 @@ def test_reciprocity_corpus(corpus_polygons, random_3polytopes):
         for r in (0, 1, 2):
             for n in (1, 2, 3):
                 assert et.reciprocity_check(p, r, n)
+
+
+def fraction_vandermonde_oracle(p, r: int):
+    """The all-dilates route in ``Fraction`` tensor arithmetic: closed moments
+    of nP for n = 0..m, a ``Fraction`` Vandermonde inverse, binomial sums."""
+    m = p.dim + r
+    values = [et.discrete_moment(p, r, n) for n in range(m + 1)]
+    inv = linalg.invert([[Fraction(n) ** k for k in range(m + 1)] for n in range(m + 1)])
+    coeffs, entries = [], []
+    for k in range(m + 1):
+        acc = et.SymTensor.zero(r, p.dim)
+        for j in range(m + 1):
+            acc = acc + values[j] * inv[k][j]
+        coeffs.append(acc)
+    for i in range(m + 1):
+        acc = et.SymTensor.zero(r, p.dim)
+        for j in range(i + 1):
+            acc = acc + values[j] * ((-1) ** (i - j) * math.comb(m + 1, i - j))
+        entries.append(acc)
+    return et.TensorPolynomial(tuple(coeffs)), et.HrVector(tuple(entries))
+
+
+def test_integer_oracle_matches_fraction_oracle_and_main_route():
+    for d, bound in ((1, 4), (2, 3), (3, 2), (4, 1)):
+        for seed in range(3):
+            p = et.random_lattice_polytope(d, bound, d + 3, seed=700 + seed)
+            for r in range(4):
+                poly, h = ehrhart._all_dilates_oracle(p, r)
+                assert (poly, h) == fraction_vandermonde_oracle(p, r), (d, seed, r)
+                assert poly == et.ehrhart_tensor_polynomial(p, r), (d, seed, r)
+                assert h == et.to_hr_vector(p, r), (d, seed, r)
 
 
 def test_moment_tensor_examples():

@@ -158,6 +158,50 @@ def test_lattice_cycle_is_the_placing_triangulation():
                     (seed, gens, order)
 
 
+def full_scan_triangulation(p: et.Polytope, order: str) -> et.Triangulation:
+    """The insertion triangulation that tests every hull-cycle edge for
+    visibility from each new point and rebuilds the cycle list."""
+    cross2 = triangulation.cross2
+    pts = tuple(sorted(et.lattice_points(p, 1), key=INSERTION_ORDERS[order]))
+    n = len(pts)
+    triangles = []
+    chain = [0, 1]
+    k = 2
+    while k < n and cross2(pts[chain[0]], pts[chain[-1]], pts[k]) == 0:
+        chain.append(k)
+        k += 1
+    for i in range(len(chain) - 1):
+        triangles.append(triangulation._oriented(pts, chain[i], chain[i + 1], k))
+    if cross2(pts[chain[0]], pts[chain[-1]], pts[k]) > 0:
+        cycle = chain + [k]
+    else:
+        cycle = list(reversed(chain)) + [k]
+    for k in range(k + 1, n):
+        m = len(cycle)
+        vis = [cross2(pts[cycle[i]], pts[cycle[(i + 1) % m]], pts[k]) < 0 for i in range(m)]
+        start = next(i for i in range(m) if vis[i] and not vis[(i - 1) % m])
+        i = start
+        while vis[i]:
+            triangles.append(triangulation._oriented(pts, cycle[i], cycle[(i + 1) % m], k))
+            i = (i + 1) % m
+        # keep cycle[i..start] (the hull edges k does not see), then k
+        new_cycle = [cycle[i]]
+        while i != start:
+            i = (i + 1) % m
+            new_cycle.append(cycle[i])
+        cycle = new_cycle + [k]
+    return et.Triangulation(p, pts, tuple(sorted(triangles)))
+
+
+def test_hull_walk_matches_full_scan_triangulation():
+    for seed in range(120):
+        p = et.random_lattice_polytope(2, (2, 3, 5, 8)[seed % 4], (3, 5, 8)[seed % 3],
+                                       seed=5000 + seed)
+        for order in INSERTION_ORDERS:
+            assert et.unimodular_triangulation(p, order) == full_scan_triangulation(p, order), \
+                (seed, order)
+
+
 def test_edge_sums_built_once_per_triangulation(monkeypatch):
     builds = []
     build = triangulation._build_edge_stats
