@@ -280,7 +280,7 @@ def _cmd_verify(args) -> int:
             checks.append((f"h_sum_is_normalized_volume_moment_r{r}",
                            total == volume_moment * math.factorial(p.dim + r)))
         # to_hr_vector's top entry is L(P°) by construction; test the oracle's
-        h_oracle = ehrhart._all_dilates_oracle(p, r)[1]
+        h_oracle = ehrhart._all_dilates_oracle(p, r)
         checks.append((f"h_top_is_interior_moment_r{r}",
                        h_oracle[len(h_oracle) - 1] == ehrhart.discrete_moment_interior(p, r, 1)))
 
@@ -378,9 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

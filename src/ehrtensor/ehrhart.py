@@ -8,20 +8,21 @@ One row scan of nP gives both the closed moment L(nP) and the interior
 moment L(nP°): every row of the scan contributes its prefix monomials times
 the power sums of the last coordinate over its closed and strict intervals.
 Ehrhart-Macdonald reciprocity for moment tensors, L(-n) = (-1)^m L(nP°),
-turns interior moments into values at negative nodes, so the polynomial is
-fixed by the nodes n = -ceil(m/2)..floor(m/2) and needs the scans of nP for
-n = 0..ceil(m/2) only.  Coefficients and h-tensor entries are exact linear
-maps of the node values with weights that depend on m alone.
+turns interior moments into values at negative nodes, so the h-tensor vector
+is fixed by the nodes n = -ceil(m/2)..floor(m/2) and needs the scans of nP
+for n = 0..ceil(m/2) only: its entries are integer linear maps of the node
+values with weights that depend on m alone.  The polynomial is the binomial
+expansion of h, ``L(n) = sum_i h_i C(n+m-i, m)``.
 
 The rows of nP do not depend on the rank: each (polytope, n) is scanned once
 and kept in the bounded cache of :func:`~ehrtensor.polytopes.dilate_rows`,
 which every rank, the point lists and the oracle read.  A single large dilate
 (``moments --n`` big) therefore holds all of its rows in memory.
 
-The route through closed moments at every node 0..m, an integer Vandermonde
-inverse and alternating binomial sums survives only as
-:func:`_all_dilates_oracle`, the independent side of
-:func:`reciprocity_check` and of ``ehrtensor verify``.
+The closed moments at every node 0..m survive only as the cross-check of
+``ehrtensor verify``, in integers: :func:`_all_dilates_oracle` takes their
+alternating binomial sums, and :func:`reciprocity_check` extrapolates them to
+-n with Lagrange weights.
 """
 from __future__ import annotations
 
@@ -140,43 +141,30 @@ def discrete_moment_interior(p: Polytope, r: int, n: int) -> SymTensor:
 
 
 # ---------------------------------------------------------------------------
-# the moment polynomial from reciprocity-halved nodes
+# h-vectors from reciprocity-halved nodes, polynomials from h-vectors
+
+def _lagrange(nodes: range, x: int) -> list[int]:
+    """Lagrange weights ``l_j(x) = prod_{k != j} (x - x_k) / (x_j - x_k)`` at an integer x.
+
+    On consecutive integer nodes a..a+m each weight is an integer,
+    ``(-1)^(m-j) C(x-a, j) C(x-a-j-1, m-j)``, so the division is exact.
+    """
+    return [math.prod(x - xk for xk in nodes if xk != xj)
+            // math.prod(xj - xk for xk in nodes if xk != xj) for xj in nodes]
+
 
 @lru_cache(maxsize=None)
-def _node_weights(m: int) -> tuple[tuple[tuple[int, ...], ...], int, tuple[tuple[int, ...], ...]]:
-    """Weights from the values at nodes -ceil(m/2)..floor(m/2) to the outputs.
+def _node_weights(m: int) -> tuple[tuple[int, ...], ...]:
+    """Integer weights from the values at nodes -ceil(m/2)..floor(m/2) to the h-entries.
 
-    Returns ``(coef, den, h)``: coefficient k of the polynomial is
-    ``sum_j coef[k][j] * value_j / den`` and h-entry i is
-    ``sum_j h[i][j] * value_j``.  Both come from the Lagrange basis
-    ``l_j(x) = prod_{k != j} (x - x_k) / (x_j - x_k)`` in integer arithmetic:
-    ``coef`` holds its coefficients over a common denominator, and ``h``
-    composes ``h_i = sum_{n<=i} (-1)^(i-n) C(m+1, i-n) L(n)`` with the
-    values ``l_j(n)``, which are integers on consecutive integer nodes.
+    h-entry i is ``sum_j weights[i][j] * value_j``: the alternating sum
+    ``h_i = sum_{n<=i} (-1)^(i-n) C(m+1, i-n) L(n)`` composed with the
+    Lagrange weights ``l_j(n)`` of the nodes.
     """
-    nodes = range(-((m + 1) // 2), m // 2 + 1)
-    bases = []          # (numerator coefficients, low degree first; denominator)
-    for xj in nodes:
-        num, den = [1], 1
-        for xk in nodes:
-            if xk != xj:
-                num = [a - xk * b for a, b in zip([0] + num, num + [0])]
-                den *= xj - xk
-        bases.append((num, den))
-    common = math.lcm(*(abs(den) for _, den in bases))
-    coef = tuple(tuple(num[k] * (common // den) for num, den in bases) for k in range(m + 1))
-    at = [[math.prod(n - xk for xk in nodes if xk != xj) // den
-           for xj, (_, den) in zip(nodes, bases)] for n in range(m + 1)]
-    h = tuple(tuple(sum((-1) ** (i - n) * math.comb(m + 1, i - n) * at[n][j] for n in range(i + 1))
-                    for j in range(m + 1)) for i in range(m + 1))
-    return coef, common, h
-
-
-def _polynomial(p: Polytope, r: int, weights, den: int, columns) -> TensorPolynomial:
-    """Coefficient k has entries ``sum_j weights[k][j] * column_j / den``."""
-    return TensorPolynomial(tuple(
-        SymTensor(r, p.dim, tuple(Fraction(sum(map(mul, row, col)), den) for col in columns))
-        for row in weights))
+    at = [_lagrange(range(-((m + 1) // 2), m // 2 + 1), n) for n in range(m + 1)]
+    return tuple(tuple(sum((-1) ** (i - n) * math.comb(m + 1, i - n) * at[n][j]
+                           for n in range(i + 1))
+                       for j in range(m + 1)) for i in range(m + 1))
 
 
 def _hvector(p: Polytope, r: int, weights, columns) -> HrVector:
@@ -201,16 +189,6 @@ def _node_values(p: Polytope, r: int) -> list[tuple[int, ...]]:
     return list(zip(*values))
 
 
-def ehrhart_tensor_polynomial(p: Polytope, r: int) -> TensorPolynomial:
-    """The unique degree <= dim+r polynomial with L(n) = L^r(nP) for n >= 0.
-
-    Interpolated on the reciprocity-halved nodes -ceil(m/2)..floor(m/2);
-    the constant term is automatically zero for r >= 1.
-    """
-    coef, den, _ = _node_weights(p.dim + r)
-    return _polynomial(p, r, coef, den, _node_values(p, r))
-
-
 def to_hr_vector(p: Polytope, r: int) -> HrVector:
     """h-tensor vector of P: numerator coefficients of the moment series.
 
@@ -219,66 +197,76 @@ def to_hr_vector(p: Polytope, r: int) -> HrVector:
     The top entry equals the interior moment L^r(P°) and, for r >= 1, entry
     0 vanishes and entry 1 is L^r(P).
     """
-    return _hvector(p, r, _node_weights(p.dim + r)[2], _node_values(p, r))
+    if r < 0:
+        raise ValueError("rank and dilation must be nonnegative")
+    return _hvector(p, r, _node_weights(p.dim + r), _node_values(p, r))
 
 
 @lru_cache(maxsize=None)
-def _binomial_basis_poly(m: int, i: int) -> tuple[Fraction, ...]:
-    """Coefficients (in n) of C(n + m - i, m) as an exact polynomial."""
-    # product (n + m - i - k) for k = 0..m-1, divided by m!
-    coeffs = [Fraction(1)]
-    for k in range(m):
-        shift = m - i - k
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for deg, c in enumerate(coeffs):
-            new[deg] += c * shift
-            new[deg + 1] += c
-        coeffs = new
-    fact = math.factorial(m)
-    return tuple(c / fact for c in coeffs)
+def _binomial_expansion(m: int) -> tuple[tuple[int, ...], ...]:
+    """Row k, column i: the coefficient of n^k in ``m! C(n+m-i, m) = prod_{j<m} (n+m-i-j)``."""
+    columns = []
+    for i in range(m + 1):
+        coeffs = [1]
+        for j in range(m):
+            coeffs = [(m - i - j) * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        columns.append(coeffs)
+    return tuple(zip(*columns))
 
 
 def hr_vector_to_polynomial(h: HrVector) -> TensorPolynomial:
-    """Expand an h-tensor vector in the shifted binomial basis to powers of n."""
+    """Expand an h-tensor vector in the shifted binomial basis to powers of n.
+
+    ``L(n) = sum_i h_i C(n+m-i, m)``: one integer matrix applied to the
+    entries, then one division by m!.
+    """
     m = len(h) - 1
-    coeffs = [SymTensor.zero(h.rank, h.dim) for _ in range(m + 1)]
-    for i, hi in enumerate(h.entries):
-        if hi.is_zero:
-            continue
-        basis = _binomial_basis_poly(m, i)
-        for deg, c in enumerate(basis):
-            if c:
-                coeffs[deg] = coeffs[deg] + hi * c
-    return TensorPolynomial(tuple(coeffs))
+    fact = math.factorial(m)
+    columns = list(zip(*(e.entries for e in h.entries)))
+    return TensorPolynomial(tuple(
+        SymTensor(h.rank, h.dim, tuple(Fraction(sum(map(mul, row, col)), fact) for col in columns))
+        for row in _binomial_expansion(m)))
 
 
-@lru_cache(maxsize=65536)
-def _all_dilates_oracle(p: Polytope, r: int) -> tuple[TensorPolynomial, HrVector]:
-    """Moment polynomial and h-vector from the closed moments of nP, n = 0..dim+r.
+def ehrhart_tensor_polynomial(p: Polytope, r: int) -> TensorPolynomial:
+    """The unique degree <= dim+r polynomial with L(n) = L^r(nP) for n >= 0.
 
-    The cross-check route: no interior moment and no reciprocity enters it,
-    only the integer Vandermonde inverse on the nodes 0..m and alternating
-    binomial sums.  :func:`reciprocity_check` and ``ehrtensor verify`` use it.
+    The binomial expansion of :func:`to_hr_vector`; the constant term is
+    automatically zero for r >= 1.
+    """
+    return hr_vector_to_polynomial(to_hr_vector(p, r))
+
+
+def _closed_values(p: Polytope, r: int) -> list[tuple[int, ...]]:
+    """Entries of L^r(nP) for n = 0..dim+r, transposed: one tuple of values per entry."""
+    return list(zip(*(_dilate_moments(p, r, n)[0] for n in range(p.dim + r + 1))))
+
+
+def _all_dilates_oracle(p: Polytope, r: int) -> HrVector:
+    """h-vector from the closed moments of nP, n = 0..dim+r.
+
+    The cross-check route of ``ehrtensor verify``: no interior moment and no
+    reciprocity enters it, only alternating binomial sums of closed moments.
     """
     m = p.dim + r
-    columns = list(zip(*(_dilate_moments(p, r, n)[0] for n in range(m + 1))))
-    inv, den = linalg.int_inverse([[n ** k for k in range(m + 1)] for n in range(m + 1)])
     binom = [[(-1) ** (i - n) * math.comb(m + 1, i - n) for n in range(i + 1)] for i in range(m + 1)]
-    return _polynomial(p, r, inv, den, columns), _hvector(p, r, binom, columns)
+    return _hvector(p, r, binom, _closed_values(p, r))
 
 
 def reciprocity_check(p: Polytope, r: int, n: int) -> bool:
     """Exact check that the moment polynomial at -n matches the interior sum.
 
-    Compares L^r_P(-n) against (-1)^(dim+r) L^r(nP°), both sides computed
-    independently: the polynomial comes from :func:`_all_dilates_oracle`
-    (closed moments only), the right side from strict enumeration.
+    Compares L^r_P(-n) against (-1)^(dim+r) L^r(nP°).  The left side
+    extrapolates the closed moments of nP, n = 0..dim+r, to -n with the
+    integer Lagrange weights of those nodes; the right side is strict
+    enumeration.
     """
     if n < 1:
         raise ValueError("reciprocity check needs n >= 1")
-    lhs = _all_dilates_oracle(p, r)[0].evaluate(-n)
-    rhs = discrete_moment_interior(p, r, n) * ((-1) ** (p.dim + r))
-    return lhs == rhs
+    weights = _lagrange(range(p.dim + r + 1), -n)
+    lhs = SymTensor.from_entries(r, p.dim, [sum(map(mul, weights, col))
+                                            for col in _closed_values(p, r)])
+    return lhs == discrete_moment_interior(p, r, n) * ((-1) ** (p.dim + r))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from operator import mul
 
 from . import linalg
 from .ehrhart import row_moments
-from .polytopes import LE, LT, checked_int, scan_rows
+from .polytopes import checked_int, scan_rows
 from .tensors import (HrVector, IntPoint, SymTensor, dot, moment_of_points,
                       outer_power, sym_product)
 
@@ -151,8 +151,10 @@ class HalfOpenSimplex:
             out.append((tuple(-x // g for x in a[:d]), a[d] // g))
         return out
 
-    def constraints(self, n: int) -> list[tuple[IntPoint, int, int]]:
-        return [(normal, n * rhs, LT if i in self.removed else LE)
+    def constraints(self, n: int) -> list[tuple[IntPoint, int]]:
+        """``(normal, rhs)`` pairs of n*S for :func:`~ehrtensor.polytopes.scan_rows`;
+        a removed facet is strict, ``normal . x <= n*rhs - 1``."""
+        return [(normal, n * rhs - 1 if i in self.removed else n * rhs)
                 for i, (normal, rhs) in enumerate(self.facets())]
 
     def bounds(self, n: int) -> list[tuple[int, int]]:

@@ -15,9 +15,6 @@ from typing import Iterable, Iterator, Sequence
 from .linalg import affine_basis, cross2, generalized_cross, primitive
 from .tensors import IntPoint, dot, vadd, vneg, vsub
 
-# constraint modes for the point scanner
-LE, LT, EQ = 0, 1, 2
-
 
 def checked_int(x) -> int:
     """x itself when it is an int; bools, floats and other types raise ValueError."""
@@ -194,17 +191,18 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
 # exact lattice point scanning
 
 def scan_rows(bounds: Sequence[tuple[int, int]],
-              constraints: Sequence[tuple[IntPoint, int, int]]
+              constraints: Sequence[tuple[IntPoint, int]]
               ) -> Iterator[tuple[IntPoint, int, int, int, int]]:
     """Integer points in a box satisfying linear constraints, row by row.
 
-    ``constraints`` are ``(normal, rhs, mode)`` with mode LE (<=), LT (<) or
-    EQ (=).  For every prefix of the first d-1 coordinates that admits a
-    point, in lexicographic order, yields ``(prefix, lo, hi, slo, shi)``: the
-    last coordinate runs over ``[lo, hi]`` under the constraints as given and
-    over ``[slo, shi]`` with every constraint strict.  The strict interval is
-    empty (``slo > shi``) when the prefix lies on a constraint hyperplane
-    parallel to the last axis, and always when an EQ constraint is present.
+    ``constraints`` are ``(normal, rhs)`` pairs meaning ``normal . x <= rhs``;
+    over the integers a strict ``<`` is ``<= rhs - 1`` and an equality a pair
+    of opposite inequalities.  For every prefix of the first d-1 coordinates
+    that admits a point, in lexicographic order, yields
+    ``(prefix, lo, hi, slo, shi)``: the last coordinate runs over ``[lo, hi]``
+    under the constraints and over ``[slo, shi]`` with every one strict
+    (``normal . x <= rhs - 1``).  The strict interval is empty (``slo > shi``)
+    when the prefix lies on a constraint hyperplane parallel to the last axis.
     Prefix levels are clipped by suffix bounds over the box, so the cost
     tracks the feasible region, not the box.
     """
@@ -212,20 +210,10 @@ def scan_rows(bounds: Sequence[tuple[int, int]],
     if d == 0:
         raise ValueError("row scan needs at least one coordinate")
     last = d - 1
-    # Over the integers a.x < c is a.x <= c - 1, and a.x = c is the pair
-    # a.x <= c, -a.x <= -c.  Each inequality keeps its closed rhs and the gap
-    # (0 or 1) down to its strict rhs.
-    ineqs = []
-    for a, c, mode in constraints:
-        a, c = tuple(a), int(c)
-        if mode == EQ:
-            ineqs += [(a, c, 1), (vneg(a), -c, 1)]
-        else:
-            ineqs.append((a, c - 1, 0) if mode == LT else (a, c, 1))
+    ineqs = [(tuple(a), int(c)) for a, c in constraints]
     # positive, then negative, then zero coefficient of the last coordinate
     ineqs.sort(key=lambda q: (q[0][last] <= 0) + (q[0][last] == 0))
-    cols = [[a[k] for a, _, _ in ineqs] for k in range(d)]
-    gaps = [g for _, _, g in ineqs]
+    cols = [[a[k] for a, _ in ineqs] for k in range(d)]
     npos = sum(a > 0 for a in cols[last])
     nneg = sum(a < 0 for a in cols[last])
     pos = cols[last][:npos]
@@ -254,15 +242,15 @@ def scan_rows(bounds: Sequence[tuple[int, int]],
         if lo > hi or any(t < 0 for t in rest[nneg:]):
             return None
         slo, shi = lo, hi
-        for a, t, g in zip(pos, rem, gaps):
-            q = (t - g) // a
+        for a, t in zip(pos, rem):
+            q = (t - 1) // a
             if q < shi:
                 shi = q
-        for b, t, g in zip(neg, rest, gaps[npos:]):
-            q = -((t - g) // b)
+        for b, t in zip(neg, rest):
+            q = -((t - 1) // b)
             if q > slo:
                 slo = q
-        if any(t < g for t, g in zip(rest[nneg:], gaps[npos + nneg:])):
+        if any(t <= 0 for t in rest[nneg:]):
             slo, shi = 1, 0
         return prefix, lo, hi, slo, shi
 
@@ -286,7 +274,7 @@ def scan_rows(bounds: Sequence[tuple[int, int]],
             else:
                 yield from rows(level + 1, nrem, prefix + (x,))
 
-    rhs = [c for _, c, _ in ineqs]
+    rhs = [c for _, c in ineqs]
     if last == 0:
         found = row(rhs, ())
         return iter(() if found is None else (found,))
@@ -296,8 +284,6 @@ def scan_rows(bounds: Sequence[tuple[int, int]],
 def dilate_bounds(p: Polytope, n: int) -> list[tuple[int, int]]:
     lo = [min(v[i] for v in p.vertices) * n for i in range(p.dim)]
     hi = [max(v[i] for v in p.vertices) * n for i in range(p.dim)]
-    if n < 0:
-        lo, hi = hi, lo
     return list(zip(lo, hi))
 
 
@@ -312,7 +298,7 @@ def dilate_rows(p: Polytope, n: int) -> tuple[tuple[IntPoint, int, int, int, int
     """
     if n < 0:
         raise ValueError("dilation factor must be nonnegative")
-    cons = [(f.normal, n * f.rhs, LE) for f in p.facets]
+    cons = [(f.normal, n * f.rhs) for f in p.facets]
     return tuple(scan_rows(dilate_bounds(p, n), cons))
 
 

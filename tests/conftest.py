@@ -5,7 +5,8 @@ membership goes through exact barycentric sign tests over vertex triples
 (Caratheodory) and interior membership through supporting-line strictness,
 so enumeration results are cross-checked by a genuinely different route.
 The linear-algebra oracles (Leibniz determinants, Fraction Gauss-Jordan)
-likewise share nothing with the library's integer elimination.  The point
+likewise share nothing with the library's integer elimination, and the
+moment polynomial's oracle solves a Vandermonde system with them.  The point
 expansion of row scans, the tensor pushforward and the binomial translation
 expansion are the right-hand sides of identities the library must satisfy.
 """
@@ -14,12 +15,12 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import prod
+from math import comb, prod
 
 import pytest
 
 import ehrtensor as et
-from ehrtensor.polytopes import LE, LT, scan_rows
+from ehrtensor.polytopes import scan_rows
 from ehrtensor.tensors import multi_indices
 
 
@@ -100,8 +101,7 @@ def scan_points(bounds, constraints):
     lexicographic order, expanded from its rows.
     """
     if not bounds:
-        if all((c >= 0 if mode == LE else c > 0 if mode == LT else c == 0)
-               for _, c, mode in constraints):
+        if all(c >= 0 for _, c in constraints):
             yield ()
         return
     for prefix, lo, hi, _, _ in scan_rows(bounds, constraints):
@@ -201,6 +201,31 @@ def fraction_inverse(a):
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in rows]
+
+
+def fraction_vandermonde_oracle(p: et.Polytope, r: int):
+    """``(polynomial, h-vector)`` of L^r from closed moments of nP, n = 0..dim+r.
+
+    In ``Fraction`` tensor arithmetic, sharing nothing with the library's
+    interpolation: the coefficients come from :func:`fraction_inverse` of the
+    Vandermonde matrix of the nodes, the h-entries from alternating binomial
+    sums.  No interior moment and no reciprocity enters either.
+    """
+    m = p.dim + r
+    values = [et.discrete_moment(p, r, n) for n in range(m + 1)]
+    inv = fraction_inverse([[n ** k for k in range(m + 1)] for n in range(m + 1)])
+    coeffs, entries = [], []
+    for k in range(m + 1):
+        acc = et.SymTensor.zero(r, p.dim)
+        for j in range(m + 1):
+            acc = acc + values[j] * inv[k][j]
+        coeffs.append(acc)
+    for i in range(m + 1):
+        acc = et.SymTensor.zero(r, p.dim)
+        for j in range(i + 1):
+            acc = acc + values[j] * ((-1) ** (i - j) * comb(m + 1, i - j))
+        entries.append(acc)
+    return et.TensorPolynomial(tuple(coeffs)), et.HrVector(tuple(entries))
 
 
 # ---------------------------------------------------------------------------

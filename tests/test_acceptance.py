@@ -12,9 +12,8 @@ from fractions import Fraction
 import pytest
 
 import ehrtensor as et
-from ehrtensor.ehrhart import _all_dilates_oracle
 
-from conftest import clear_library_caches
+from conftest import clear_library_caches, fraction_vandermonde_oracle
 from test_triangulation import check_sparse_conditions
 
 F = Fraction
@@ -118,7 +117,7 @@ def test_criterion_06_reciprocity_suite(corpus_polygons):
                     et.discrete_moment_interior(p, r, n) * sign
             # the halved nodes build reciprocity in, so the independent
             # all-dilates route must agree and satisfy it on its own
-            oracle = _all_dilates_oracle(p, r)[0]
+            oracle = fraction_vandermonde_oracle(p, r)[0]
             assert poly == oracle
             for n in (1, 2, 3):
                 assert oracle.evaluate(-n) == \

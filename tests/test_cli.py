@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import ehrtensor as et
-from ehrtensor import polytopes
+from ehrtensor import cli, polytopes
 from ehrtensor.cli import main
 from ehrtensor.positivity import trial_seed
 from ehrtensor.tensors import tensor_to_json
@@ -70,9 +70,23 @@ def test_rank_flags_take_any_nonnegative_rank(capsys):
     assert json.loads(out)["moment"] == tensor_to_json(moment)
     for command, data in [("moments", triangle), ("ehrhart", triangle),
                           ("hvec", triangle), ("halfopen", halfopen)]:
-        code, out, _ = run_cli([command, data, "--r", "-1"], capsys)
-        assert code == 2
-        assert json.loads(out)["error"]["kind"] == "invalid_arguments"
+        for r in ("-1", "-3"):
+            code, out, _ = run_cli([command, data, "--r", r], capsys)
+            assert code == 2
+            error = json.loads(out)["error"]
+            assert error["kind"] == "invalid_arguments"
+            assert "rank" in error["message"], (command, r, error)
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for _ in range(2):
+        code, out, _ = run_cli(["hvec", SQUARE], capsys)
+        assert code == 0
+        assert json.loads(out)["h"] == ["1", "1", "0"]
 
 
 def test_pick_agreement_flag(capsys):

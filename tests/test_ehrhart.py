@@ -5,13 +5,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import ehrtensor as et
-from ehrtensor import ehrhart, linalg
+from ehrtensor import ehrhart
 from ehrtensor.ehrhart import _simplex_moment
 from ehrtensor.linalg import gcd_vector, generalized_cross, int_det
 from ehrtensor.tensors import vsub
 
-from conftest import (NAMED_POLYGONS, apply_linear_map, oracle_moment, oracle_polygon_points,
-                      translation_covariance_rhs)
+from conftest import (NAMED_POLYGONS, apply_linear_map, fraction_vandermonde_oracle, oracle_moment,
+                      oracle_polygon_points, translation_covariance_rhs)
 
 
 def mat(rows):
@@ -122,8 +122,9 @@ def test_hr_vector_top_entry_is_interior_moment(corpus_polygons):
 def test_hr_vector_binomial_expansion_round_trip(corpus_polygons):
     for p in corpus_polygons.values():
         for r in (0, 1, 2):
-            h = et.to_hr_vector(p, r)
-            assert et.hr_vector_to_polynomial(h) == et.ehrhart_tensor_polynomial(p, r)
+            poly, h = fraction_vandermonde_oracle(p, r)
+            assert et.to_hr_vector(p, r) == h
+            assert et.hr_vector_to_polynomial(h) == poly
 
 
 def test_reciprocity_examples():
@@ -142,35 +143,49 @@ def test_reciprocity_corpus(corpus_polygons, random_3polytopes):
                 assert et.reciprocity_check(p, r, n)
 
 
-def fraction_vandermonde_oracle(p, r: int):
-    """The all-dilates route in ``Fraction`` tensor arithmetic: closed moments
-    of nP for n = 0..m, a ``Fraction`` Vandermonde inverse, binomial sums."""
-    m = p.dim + r
-    values = [et.discrete_moment(p, r, n) for n in range(m + 1)]
-    inv = linalg.invert([[Fraction(n) ** k for k in range(m + 1)] for n in range(m + 1)])
-    coeffs, entries = [], []
-    for k in range(m + 1):
-        acc = et.SymTensor.zero(r, p.dim)
-        for j in range(m + 1):
-            acc = acc + values[j] * inv[k][j]
-        coeffs.append(acc)
-    for i in range(m + 1):
-        acc = et.SymTensor.zero(r, p.dim)
-        for j in range(i + 1):
-            acc = acc + values[j] * ((-1) ** (i - j) * math.comb(m + 1, i - j))
-        entries.append(acc)
-    return et.TensorPolynomial(tuple(coeffs)), et.HrVector(tuple(entries))
-
-
 def test_integer_oracle_matches_fraction_oracle_and_main_route():
     for d, bound in ((1, 4), (2, 3), (3, 2), (4, 1)):
         for seed in range(3):
             p = et.random_lattice_polytope(d, bound, d + 3, seed=700 + seed)
             for r in range(4):
-                poly, h = ehrhart._all_dilates_oracle(p, r)
-                assert (poly, h) == fraction_vandermonde_oracle(p, r), (d, seed, r)
-                assert poly == et.ehrhart_tensor_polynomial(p, r), (d, seed, r)
-                assert h == et.to_hr_vector(p, r), (d, seed, r)
+                poly, h = fraction_vandermonde_oracle(p, r)
+                assert ehrhart._all_dilates_oracle(p, r) == h, (d, seed, r)
+                assert et.ehrhart_tensor_polynomial(p, r) == poly, (d, seed, r)
+                assert et.to_hr_vector(p, r) == h, (d, seed, r)
+
+
+def reciprocity_corpus():
+    return [et.random_lattice_polytope(d, bound, d + 3, seed=750 + d)
+            for d, bound in ((1, 4), (2, 3), (3, 2), (4, 1))]
+
+
+def test_reciprocity_extrapolation_is_the_fraction_polynomial_at_minus_n(monkeypatch):
+    oracle = {(p, r): fraction_vandermonde_oracle(p, r)[0]
+              for p in reciprocity_corpus() for r in range(4)}
+    for p, r in oracle:
+        for n in (1, 2, 3):
+            assert et.reciprocity_check(p, r, n), (p.dim, r, n)
+    # with (-1)^m times the oracle polynomial at -n as the interior side, the
+    # check holds exactly when its extrapolation equals that polynomial at -n
+    monkeypatch.setattr(ehrhart, "discrete_moment_interior",
+                        lambda p, r, n: oracle[p, r].evaluate(-n) * (-1) ** (p.dim + r))
+    for p, r in oracle:
+        for n in (1, 2, 3):
+            assert et.reciprocity_check(p, r, n), (p.dim, r, n)
+
+
+def test_reciprocity_check_fails_on_a_perturbed_interior_moment(monkeypatch):
+    interior = ehrhart.discrete_moment_interior
+
+    def perturbed(p, r, n):
+        t = interior(p, r, n)
+        return et.SymTensor(t.rank, t.dim, (t.entries[0] + 1,) + t.entries[1:])
+
+    monkeypatch.setattr(ehrhart, "discrete_moment_interior", perturbed)
+    for p in reciprocity_corpus():
+        for r in range(4):
+            for n in (1, 2, 3):
+                assert not et.reciprocity_check(p, r, n), (p.dim, r, n)
 
 
 def test_moment_tensor_examples():

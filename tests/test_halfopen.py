@@ -10,7 +10,7 @@ import ehrtensor as et
 from ehrtensor import linalg
 from ehrtensor.halfopen import (ONE_MINUS_T, UniPoly, _compositions, _slice_data,
                                 halfopen_from_json, halfopen_to_json)
-from ehrtensor.polytopes import EQ, LE, LT, placing_triangulation, scan_rows
+from ehrtensor.polytopes import placing_triangulation, scan_rows
 from ehrtensor.tensors import dot, vneg
 from ehrtensor.triangulation import INSERTION_ORDERS
 
@@ -156,7 +156,7 @@ def scan_box_slices(s):
     cons = []
     for i, a in enumerate(rows):
         kept = i not in s.removed
-        cons += [(vneg(a), 0, LE if kept else LT), (a, dabs, LT if kept else LE)]
+        cons += [(vneg(a), 0 if kept else -1), (a, dabs - 1 if kept else dabs)]
     bounds = [(sum(min(0, v[j]) for v in lifted), sum(max(0, v[j]) for v in lifted))
               for j in range(d + 1)]
     slices = [[] for _ in range(d + 1)]
@@ -352,15 +352,15 @@ def moment_halfopen_inclusion_exclusion(s, r, n):
 
     Subtracts the moment of the union of removed facets from the closed
     moment; the face cut out by a subset J of removed facets is enumerated
-    with equality constraints.
+    with each facet of J held at equality by the opposite inequality.
     """
     closed = et.HalfOpenSimplex(s.vertices, frozenset()).constraints(n)
     acc = oracle_moment(scan_points(s.bounds(n), closed), r, s.dim)
     removed = sorted(s.removed)
     for mask in range(1, 1 << len(removed)):
         subset = [removed[k] for k in range(len(removed)) if mask >> k & 1]
-        cons = [(normal, n * rhs, EQ if i in subset else LE)
-                for i, (normal, rhs) in enumerate(s.facets())]
+        cons = closed + [(vneg(normal), -n * rhs)
+                         for i, (normal, rhs) in enumerate(s.facets()) if i in subset]
         face = oracle_moment(scan_points(s.bounds(n), cons), r, s.dim)
         acc = acc + face * (-1) ** len(subset)
     return acc

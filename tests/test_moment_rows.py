@@ -2,8 +2,8 @@
 
 The references here avoid the scanner: points come from testing every point
 of the box against every constraint, moments from summing outer powers, and
-the moment polynomial from the all-dilates oracle (closed moments at every
-node 0..dim+r).
+the moment polynomial and h-vector from the ``Fraction`` Vandermonde oracle
+(closed moments at every node 0..dim+r).
 """
 import random
 from itertools import product
@@ -13,23 +13,16 @@ from hypothesis import strategies as st
 
 import ehrtensor as et
 from ehrtensor.ehrhart import _all_dilates_oracle, row_moments
-from ehrtensor.polytopes import EQ, LE, LT, dilate_rows, scan_rows
-from ehrtensor.tensors import dot
+from ehrtensor.polytopes import dilate_rows, scan_rows
+from ehrtensor.tensors import dot, vneg
 
-from conftest import oracle_moment, scan_points
-
-
-def _holds(value: int, rhs: int, mode: int, strict: bool) -> bool:
-    if strict:
-        return mode != EQ and value < rhs
-    return value <= rhs if mode == LE else value < rhs if mode == LT else value == rhs
+from conftest import fraction_vandermonde_oracle, oracle_moment, scan_points
 
 
 def box_points(bounds, constraints, strict=False):
-    """Box points meeting every constraint (strict: every one strictly,
-    which no equality does)."""
+    """Box points with ``a.x <= c`` for every constraint (strict: ``a.x < c``)."""
     return [x for x in product(*(range(lo, hi + 1) for lo, hi in bounds))
-            if all(_holds(dot(a, x), c, mode, strict) for a, c, mode in constraints)]
+            if all(dot(a, x) < c if strict else dot(a, x) <= c for a, c in constraints)]
 
 
 def expand(rows, strict=False):
@@ -43,11 +36,21 @@ def polytopes(max_dim: int, bound: int):
                      st.integers(1, max_dim), st.integers(0, 10**6))
 
 
+def _with_equalities(constraints):
+    """Each ``(a, c, equal)`` as ``a.x <= c``, plus ``-a.x <= -c`` when equal."""
+    out = []
+    for a, c, equal in constraints:
+        out.append((a, c))
+        if equal:
+            out.append((vneg(a), -c))
+    return out
+
+
 constraint_mixes = st.integers(1, 3).flatmap(lambda d: st.tuples(
     st.just([(-2, 2)] * d),
     st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
-                       st.integers(-4, 6), st.sampled_from((LE, LT, EQ))),
-             min_size=0, max_size=5)))
+                       st.integers(-4, 6), st.booleans()),
+             min_size=0, max_size=5).map(_with_equalities)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -94,7 +97,8 @@ def test_fused_kernel_matches_point_sums(p, r, n):
 @settings(max_examples=40, deadline=None)
 @given(polytopes(3, 2), st.integers(0, 3))
 def test_halved_nodes_match_all_dilates_oracle(p, r):
-    poly, h = _all_dilates_oracle(p, r)
+    poly, h = fraction_vandermonde_oracle(p, r)
+    assert _all_dilates_oracle(p, r) == h
     assert et.ehrhart_tensor_polynomial(p, r) == poly
     assert et.to_hr_vector(p, r) == h
 
@@ -103,6 +107,7 @@ def test_halved_nodes_match_all_dilates_oracle(p, r):
 @given(st.integers(0, 10**6), st.integers(0, 3))
 def test_halved_nodes_match_oracle_in_dimension_four(seed, r):
     p = et.random_lattice_polytope(4, 1, 7, seed)
-    poly, h = _all_dilates_oracle(p, r)
+    poly, h = fraction_vandermonde_oracle(p, r)
+    assert _all_dilates_oracle(p, r) == h
     assert et.ehrhart_tensor_polynomial(p, r) == poly
     assert et.to_hr_vector(p, r) == h
