@@ -134,10 +134,10 @@ def _cmd_pick(args) -> int:
     h2 = triangulation.h2_pick(tri)
     l1 = triangulation.ehrhart_vector_pick(tri)
     l2 = triangulation.ehrhart_matrix_pick(tri)
-    agree = (h1 == ehrhart.to_hr_vector(p, 1)
-             and h2 == ehrhart.to_hr_vector(p, 2)
-             and l1 == ehrhart.ehrhart_tensor_polynomial(p, 1)
-             and l2 == ehrhart.ehrhart_tensor_polynomial(p, 2))
+    i1, i2 = ehrhart.to_hr_vector(p, 1), ehrhart.to_hr_vector(p, 2)
+    agree = (h1 == i1 and h2 == i2
+             and l1 == ehrhart.hr_vector_to_polynomial(i1)
+             and l2 == ehrhart.hr_vector_to_polynomial(i2))
     out = {
         "h1": [tensor_to_json(c) for c in h1.entries],
         "h2": [tensor_to_json(c) for c in h2.entries],
@@ -226,7 +226,7 @@ def _cmd_reflexive(args) -> int:
     }
     if origin_interior:
         out["biconditional_r0"] = reflexive == out["hstar_palindromic"]
-        out["biconditional_r2"] = positivity.reflexivity_palindromicity_check(p, 2)
+        out["biconditional_r2"] = reflexive == out["h2_palindromic"]
     if args.table:
         for k, v in sorted(out.items()):
             if k != "facets":
@@ -262,8 +262,10 @@ def _cmd_verify(args) -> int:
         ok = all(ehrhart.reciprocity_check(p, r, n) for n in (1, 2, 3))
         checks.append((f"reciprocity_r{r}", ok))
 
-    for r in (0, 1, 2):
-        poly = ehrhart.ehrhart_tensor_polynomial(p, r)
+    # each rank's h is derived once and met by routes that do not read it
+    hs = [ehrhart.to_hr_vector(p, r) for r in (0, 1, 2)]
+    polys = [ehrhart.hr_vector_to_polynomial(h) for h in hs]
+    for r, (h, poly) in enumerate(zip(hs, polys)):
         if p.dim <= 3:
             volume_moment = ehrhart.moment_tensor(p, r)
             checks.append((f"leading_coefficient_is_volume_moment_r{r}",
@@ -272,10 +274,7 @@ def _cmd_verify(args) -> int:
             checks.append((f"second_coefficient_facet_sum_r{r}",
                            poly.coeffs[p.dim + r - 1]
                            == ehrhart.second_coefficient_facets(p, r)))
-        h = ehrhart.to_hr_vector(p, r)
-        total = SymTensor.zero(r, p.dim)
-        for entry in h.entries:
-            total = total + entry
+        total = sum(h.entries, SymTensor.zero(r, p.dim))
         if p.dim <= 3:
             checks.append((f"h_sum_is_normalized_volume_moment_r{r}",
                            total == volume_moment * math.factorial(p.dim + r)))
@@ -286,18 +285,14 @@ def _cmd_verify(args) -> int:
 
     if p.dim == 2:
         tri = triangulation.unimodular_triangulation(p)
-        checks.append(("pick_h1_agrees", triangulation.h1_pick(tri)
-                       == ehrhart.to_hr_vector(p, 1)))
-        checks.append(("pick_h2_agrees", triangulation.h2_pick(tri)
-                       == ehrhart.to_hr_vector(p, 2)))
+        checks.append(("pick_h1_agrees", triangulation.h1_pick(tri) == hs[1]))
+        checks.append(("pick_h2_agrees", triangulation.h2_pick(tri) == hs[2]))
         checks.append(("pick_vector_polynomial_agrees",
-                       triangulation.ehrhart_vector_pick(tri)
-                       == ehrhart.ehrhart_tensor_polynomial(p, 1)))
+                       triangulation.ehrhart_vector_pick(tri) == polys[1]))
         checks.append(("pick_matrix_polynomial_agrees",
-                       triangulation.ehrhart_matrix_pick(tri)
-                       == ehrhart.ehrhart_tensor_polynomial(p, 2)))
+                       triangulation.ehrhart_matrix_pick(tri) == polys[2]))
         checks.append(("h2_entries_psd",
-                       all(r.is_psd for r in positivity.check_h2_psd(p))))
+                       all(positivity.classify_definiteness(e).is_psd for e in hs[2].entries)))
 
     all_pass = all(ok for _, ok in checks)
     if args.as_json:

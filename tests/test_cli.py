@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import ehrtensor as et
-from ehrtensor import cli, polytopes
+from ehrtensor import cli, ehrhart, polytopes, positivity, triangulation
 from ehrtensor.cli import main
 from ehrtensor.positivity import trial_seed
 from ehrtensor.tensors import tensor_to_json
@@ -21,6 +21,10 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def random_request(dim: int, bound: int, seed: int) -> str:
+    return json.dumps(et.polytope_to_json(et.random_lattice_polytope(dim, bound, 8, seed)))
 
 
 def test_moments_inline_json(capsys):
@@ -179,7 +183,7 @@ def test_verify_builds_one_placing_triangulation(dim, bound, capsys, monkeypatch
     # moment_tensor and second_coefficient_facets share the polytope's cached
     # triangulation; convex_hull's own build of the input points (not in 2D)
     # is counted apart by loading the request alone
-    request = json.dumps(et.polytope_to_json(et.random_lattice_polytope(dim, bound, 8, 1)))
+    request = random_request(dim, bound, 1)
     builds = []
     build = polytopes.placing_triangulation
     monkeypatch.setattr(polytopes, "placing_triangulation",
@@ -195,8 +199,9 @@ def test_verify_builds_one_placing_triangulation(dim, bound, capsys, monkeypatch
 @pytest.mark.parametrize("dim, bound, seed", [(2, 6, 1), (3, 2, 1), (4, 2, trial_seed(42, 95))])
 def test_verify_scans_each_dilate_once(dim, bound, seed, capsys, monkeypatch):
     # every rank, the oracle, the interior moments and the triangulation's
-    # point list read one scan of each dilate n = 0..dim+2
-    request = json.dumps(et.polytope_to_json(et.random_lattice_polytope(dim, bound, 8, seed)))
+    # point list read one scan of each dilate n = 0..dim+2; the two caches
+    # keyed by a polytope are bounded, and the moment views carry none
+    request = random_request(dim, bound, seed)
     clear_library_caches()
     scans = []
     scan_rows = polytopes.scan_rows
@@ -206,6 +211,80 @@ def test_verify_scans_each_dilate_once(dim, bound, seed, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["all_pass"] is True
     assert len(scans) == dim + 3
     assert polytopes.dilate_rows.cache_info().maxsize is not None
+    moments_bound = ehrhart._dilate_moments.cache_info().maxsize
+    assert moments_bound is not None and moments_bound <= 96
+    assert not hasattr(ehrhart.discrete_moment, "cache_info")
+    assert not hasattr(ehrhart.discrete_moment_interior, "cache_info")
+
+
+@pytest.mark.parametrize("args, ranks", [
+    (["verify", "--json", random_request(2, 6, 1)], [0, 1, 2]),
+    (["verify", "--json", random_request(3, 2, 1)], [0, 1, 2]),
+    (["verify", "--json", random_request(4, 2, trial_seed(42, 95))], [0, 1, 2]),
+    (["pick", SQUARE], [1, 2]),
+    (["reflexive", '{"vertices": [[1,0],[0,1],[-1,-1]]}'], [0, 2]),
+], ids=["verify-2d", "verify-3d", "verify-d4", "pick", "reflexive"])
+def test_each_command_derives_each_rank_once(args, ranks, capsys, monkeypatch):
+    # the checks share one h per rank instead of deriving it again, and no
+    # polynomial is built from the polytope behind that h
+    calls = []
+    derive = ehrhart.to_hr_vector
+
+    def counted(p, r):
+        calls.append(r)
+        return derive(p, r)
+
+    def refuse(p, r):
+        raise AssertionError("polynomial derived from the polytope again")
+
+    for module in (ehrhart, positivity):
+        monkeypatch.setattr(module, "to_hr_vector", counted)
+        monkeypatch.setattr(module, "ehrhart_tensor_polynomial", refuse)
+    code, _, _ = run_cli(args, capsys)
+    assert code == 0
+    assert sorted(calls) == ranks
+
+
+# Each check of `verify` on a polygon, with a function on its side that does
+# not read the shared h.  Checks that share a route flip together.
+SECOND_ROUTES = [
+    *[(f"reciprocity_r{r}", ehrhart, "discrete_moment_interior") for r in (0, 1, 2)],
+    *[(f"leading_coefficient_is_volume_moment_r{r}", ehrhart, "moment_tensor") for r in (0, 1, 2)],
+    *[(f"second_coefficient_facet_sum_r{r}", ehrhart, "second_coefficient_facets")
+      for r in (0, 1, 2)],
+    *[(f"h_sum_is_normalized_volume_moment_r{r}", ehrhart, "moment_tensor") for r in (0, 1, 2)],
+    *[(f"h_top_is_interior_moment_r{r}", ehrhart, side)
+      for r in (0, 1, 2) for side in ("_all_dilates_oracle", "discrete_moment_interior")],
+    ("pick_h1_agrees", triangulation, "h1_pick"),
+    ("pick_h2_agrees", triangulation, "h2_pick"),
+    ("pick_vector_polynomial_agrees", triangulation, "ehrhart_vector_pick"),
+    ("pick_matrix_polynomial_agrees", triangulation, "ehrhart_matrix_pick"),
+    ("h2_entries_psd", positivity, "classify_definiteness"),
+]
+
+
+def _perturbed(value):
+    if isinstance(value, et.SymTensor):
+        return et.SymTensor(value.rank, value.dim, (value.entries[0] + 1,) + value.entries[1:])
+    if isinstance(value, et.HrVector):
+        return et.HrVector(tuple(_perturbed(e) for e in value.entries))
+    if isinstance(value, et.TensorPolynomial):
+        return et.TensorPolynomial(tuple(_perturbed(c) for c in value.coeffs))
+    assert isinstance(value, et.DefinitenessReport)
+    return et.DefinitenessReport("indefinite")
+
+
+@pytest.mark.parametrize("name, module, side", SECOND_ROUTES,
+                         ids=[f"{name}-{side}" for name, _, side in SECOND_ROUTES])
+def test_verify_check_meets_a_second_route(name, module, side, capsys, monkeypatch):
+    route = getattr(module, side)
+    monkeypatch.setattr(module, side, lambda *a: _perturbed(route(*a)))
+    code, out, _ = run_cli(["verify", SQUARE], capsys)
+    status = dict(line.split() for line in out.splitlines())
+    assert code == 1
+    assert status.pop("overall") == "FAIL"
+    assert status[name] == "FAIL"
+    assert set(status) == {n for n, _, _ in SECOND_ROUTES}
 
 
 def test_verify_table_mode(capsys):
