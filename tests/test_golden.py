@@ -58,6 +58,10 @@ def _cli_cases() -> dict[str, list[str]]:
         "reflexive_triangle": ["reflexive", TRIANGLE],
         "scan_d3_psd_20": ["scan", "--dim", "3", "--trials", "20", "--bound", "3",
                            "--seed", "42", "--which", "psd"],
+        "scan_d4_hibi_96": ["scan", "--dim", "4", "--trials", "96", "--bound", "2",
+                            "--seed", "42", "--which", "hibi"],
+        "scan_d4_psd_20": ["scan", "--dim", "4", "--trials", "20", "--bound", "2",
+                           "--seed", "42", "--which", "psd"],
         "hvec_negative_rank": ["hvec", TRIANGLE, "--r", "-1"],
         "moments_degenerate": ["moments", '{"vertices": [[0,0],[1,1],[2,2]]}'],
     })
@@ -153,6 +157,8 @@ GOLDEN = {
     "reflexive_square": "dde368f0c3dee6d308b7e30f2ca08342187aaa5493e46062c17839336776952b",
     "reflexive_triangle": "550400bb3f33a4d4b40a4da1d9dd1c37a305962ed5f4eecd213ab8432a8a275d",
     "scan_d3_psd_20": "693d20a79ea2ccfdaab6703eb5fab9cb4eabbe0eade4d03120782190a0370c14",
+    "scan_d4_hibi_96": "ffb2cd895b58cbf12e1d681eb5f14576162602d38f4278ef477c5bdc4c7c9740",
+    "scan_d4_psd_20": "04c92b2a9a132081ef5c1cd334205dbd9c2fd20f28688fab386faccec4ec4f2d",
     "verify_d1": "4c344e17473ee1526cb7bdbe1fe78ff753a4b6e3fdd07701499f6e2bacb80a20",
     "verify_d2": "77ad8f2d37ee529dcbbbc9e75d6c628066720d093c037970a72fac8f0e06ca03",
     "verify_d3": "4c344e17473ee1526cb7bdbe1fe78ff753a4b6e3fdd07701499f6e2bacb80a20",
