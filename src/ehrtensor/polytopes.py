@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .linalg import affine_basis, cross2, generalized_cross, primitive
 from .tensors import IntPoint, dot, vadd, vneg, vsub
@@ -192,32 +192,35 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
 
 def scan_rows(bounds: Sequence[tuple[int, int]],
               constraints: Sequence[tuple[IntPoint, int]]
-              ) -> Iterator[tuple[IntPoint, int, int, int, int]]:
-    """Integer points in a box satisfying linear constraints, row by row.
+              ) -> list[tuple[IntPoint, int, int, int, int]]:
+    """Integer points in a box satisfying linear constraints, as a list of rows.
 
     ``constraints`` are ``(normal, rhs)`` pairs meaning ``normal . x <= rhs``;
     over the integers a strict ``<`` is ``<= rhs - 1`` and an equality a pair
     of opposite inequalities.  For every prefix of the first d-1 coordinates
-    that admits a point, in lexicographic order, yields
+    that admits a point, in lexicographic order, the list holds
     ``(prefix, lo, hi, slo, shi)``: the last coordinate runs over ``[lo, hi]``
-    under the constraints and over ``[slo, shi]`` with every one strict
-    (``normal . x <= rhs - 1``).  The strict interval is empty (``slo > shi``)
-    when the prefix lies on a constraint hyperplane parallel to the last axis.
-    Prefix levels are clipped by suffix bounds over the box, so the cost
-    tracks the feasible region, not the box.
+    under the constraints and over ``[slo, shi]`` with every one strict, an
+    empty interval when the prefix lies on a constraint parallel to the last
+    axis.  Prefix levels are clipped by suffix bounds over the box.  Each 2D
+    slice (fixed first d-2 coordinates) is one loop over coordinate d-2 with
+    one division per inequality and row: ``(t-1)//a == t//a - 1`` exactly
+    when a divides t, so ``shi = hi - 1`` iff ``a*hi == t`` for a remainder t
+    with positive last coefficient a, and likewise ``slo = lo + 1``.
     """
     d = len(bounds)
     if d == 0:
         raise ValueError("row scan needs at least one coordinate")
+    if d == 1:      # one slice, under a dummy first coordinate fixed at 0
+        rows = scan_rows([(0, 0), *bounds], [((0, *a), c) for a, c in constraints])
+        return [((), *row[1:]) for row in rows]
     last = d - 1
     ineqs = [(tuple(a), int(c)) for a, c in constraints]
     # positive, then negative, then zero coefficient of the last coordinate
     ineqs.sort(key=lambda q: (q[0][last] <= 0) + (q[0][last] == 0))
     cols = [[a[k] for a, _ in ineqs] for k in range(d)]
     npos = sum(a > 0 for a in cols[last])
-    nneg = sum(a < 0 for a in cols[last])
-    pos = cols[last][:npos]
-    neg = [-a for a in cols[last][npos:npos + nneg]]
+    nneg = npos + sum(a < 0 for a in cols[last])
     # least[k][i]: least value coordinates k+1..d-1 can add to inequality i
     # over the box
     least = [[0] * len(ineqs)]
@@ -226,59 +229,64 @@ def scan_rows(bounds: Sequence[tuple[int, int]],
         least.append([m + min(a * lo, a * hi) for m, a in zip(least[-1], cols[k])])
     least.reverse()
     blo, bhi = bounds[last]
+    out = []
 
-    def row(rem: list[int], prefix: IntPoint):
-        # rem[i]: closed rhs of inequality i minus the prefix's contribution
-        lo, hi = blo, bhi
-        for a, t in zip(pos, rem):
-            q = t // a
-            if q < hi:
-                hi = q
-        rest = rem[npos:]
-        for b, t in zip(neg, rest):
-            q = -(t // b)
-            if q > lo:
-                lo = q
-        if lo > hi or any(t < 0 for t in rest[nneg:]):
-            return None
-        slo, shi = lo, hi
-        for a, t in zip(pos, rem):
-            q = (t - 1) // a
-            if q < shi:
-                shi = q
-        for b, t in zip(neg, rest):
-            q = -((t - 1) // b)
-            if q > slo:
-                slo = q
-        if any(t <= 0 for t in rest[nneg:]):
-            slo, shi = 1, 0
-        return prefix, lo, hi, slo, shi
-
-    def rows(level: int, rem: list[int], prefix: IntPoint):
+    def level_range(level: int, rem: list[int]):
         lo, hi = bounds[level]
-        col = cols[level]
-        for a, t, m in zip(col, rem, least[level]):
+        for a, t, m in zip(cols[level], rem, least[level]):
             t -= m
             if a > 0:
-                hi = min(hi, t // a)
+                q = t // a
+                if q < hi:
+                    hi = q
             elif a < 0:
-                lo = max(lo, -(t // -a))
+                q = -(t // -a)
+                if q > lo:
+                    lo = q
             elif t < 0:
-                return
-        for x in range(lo, hi + 1):
-            nrem = [t - a * x for t, a in zip(rem, col)]
-            if level + 1 == last:
-                found = row(nrem, prefix + (x,))
-                if found is not None:
-                    yield found
-            else:
-                yield from rows(level + 1, nrem, prefix + (x,))
+                return range(0)
+        return range(lo, hi + 1)
 
-    rhs = [c for _, c in ineqs]
-    if last == 0:
-        found = row(rhs, ())
-        return iter(() if found is None else (found,))
-    return rows(0, rhs, ())
+    def scan_slice(rem: list[int], prefix: IntPoint):
+        # rem[i]: rhs of inequality i minus the prefix's contribution; the
+        # range keeps every remainder r - c x of a zero last coefficient >= 0
+        col = cols[last - 1]
+        up = list(zip(cols[last][:npos], rem, col))
+        down = list(zip(cols[last][npos:nneg], rem[npos:], col[npos:]))
+        flat = list(zip(rem[nneg:], col[nneg:]))
+        for x in level_range(last - 1, rem):
+            hi, top = bhi, False
+            for a, r, c in up:
+                t = r - c * x
+                q = t // a
+                if q < hi:
+                    hi, top = q, q * a == t
+                elif q == hi:
+                    top = top or q * a == t
+            lo, bot = blo, False
+            for a, r, c in down:
+                t = r - c * x
+                q = -(-t // a)      # a < 0: the least y with a y <= t
+                if q > lo:
+                    lo, bot = q, q * a == t
+                elif q == lo:
+                    bot = bot or q * a == t
+            if lo > hi:
+                continue
+            if flat and any(r == c * x for r, c in flat):
+                out.append((prefix + (x,), lo, hi, 1, 0))
+            else:
+                out.append((prefix + (x,), lo, hi, lo + bot, hi - top))
+
+    def scan_level(level: int, rem: list[int], prefix: IntPoint):
+        if level == last - 1:
+            return scan_slice(rem, prefix)
+        col = cols[level]
+        for x in level_range(level, rem):
+            scan_level(level + 1, [t - a * x for t, a in zip(rem, col)], prefix + (x,))
+
+    scan_level(0, [c for _, c in ineqs], ())
+    return out
 
 
 def dilate_bounds(p: Polytope, n: int) -> list[tuple[int, int]]:

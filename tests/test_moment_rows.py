@@ -8,6 +8,7 @@ the moment polynomial and h-vector from the ``Fraction`` Vandermonde oracle
 import random
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +47,7 @@ def _with_equalities(constraints):
     return out
 
 
-constraint_mixes = st.integers(1, 3).flatmap(lambda d: st.tuples(
+constraint_mixes = st.integers(1, 4).flatmap(lambda d: st.tuples(
     st.just([(-2, 2)] * d),
     st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
                        st.integers(-4, 6), st.booleans()),
@@ -62,6 +63,53 @@ def test_rows_expand_to_box_scan(case):
     assert list(scan_points(bounds, constraints)) == box_points(bounds, constraints)
     assert expand(rows, strict=True) == box_points(bounds, constraints, strict=True)
     assert all(lo <= hi for _, lo, hi, _, _ in rows)
+
+
+EDGE_CASES = {
+    # a*hi == t with a = 2 above and b*lo == -t with b = 3 below, inside the box
+    "tight_coefficients_2_and_3": ([(-3, 3), (-5, 5)],
+                                   [((1, 2), 4), ((1, -3), 3), ((-1, 0), 2)]),
+    # the box bound binds where a facet is tight too
+    "box_binds_at_tight_facet": ([(-2, 2), (-2, 2)],
+                                 [((0, 2), 4), ((0, -3), 6), ((1, 1), 3)]),
+    # x_0 = 1 lies on a facet parallel to the last axis: empty strict rows
+    "flat_constraint_tight": ([(-2, 3), (-2, 2)], [((1, 0), 1), ((0, 1), 1), ((-1, -1), 2)]),
+    "only_positive_last": ([(-2, 2), (-3, 3), (-4, 4)], [((1, 1, 2), 3), ((0, -1, 3), 2)]),
+    "only_negative_last": ([(-2, 2), (-3, 3), (-4, 4)], [((1, 1, -2), 3), ((-1, 0, -3), 2)]),
+    "dimension_one": ([(-4, 4)], [((2,), 5), ((-3,), 6)]),
+    "dimension_one_tight": ([(-4, 4)], [((2,), 6), ((-3,), 6)]),
+    "dimension_one_infeasible": ([(-4, 4)], [((1,), -5)]),
+    "dimension_one_flat": ([(-4, 4)], [((0,), 0), ((1,), 2)]),
+    "dimension_one_flat_infeasible": ([(-4, 4)], [((0,), -1), ((1,), 2)]),
+    "first_level_infeasible": ([(-2, 2), (-2, 2), (-2, 2)], [((1, 0, 0), -3), ((0, 1, 1), 1)]),
+    "four_dimensions": ([(-2, 2)] * 4, [((1, 2, -1, 2), 4), ((-1, 1, 1, -3), 3),
+                                        ((0, -1, 2, 0), 2), ((1, 1, 1, 1), 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_rows_on_edge_cases(name):
+    bounds, constraints = EDGE_CASES[name]
+    rows = scan_rows(bounds, constraints)
+    assert isinstance(rows, list)
+    assert expand(rows) == box_points(bounds, constraints)
+    assert expand(rows, strict=True) == box_points(bounds, constraints, strict=True)
+    assert all(len(prefix) == len(bounds) - 1 and lo <= hi for prefix, lo, hi, _, _ in rows)
+
+
+def test_rows_read_strict_bounds_off_tightness():
+    # y <= 2 from 2y <= 4 (tight), y >= -1 from -3y <= 3 (tight), box [-5, 5]
+    assert scan_rows([(-5, 5)], [((2,), 4), ((-3,), 3)]) == [((), -1, 2, 0, 1)]
+    # same bounds without divisibility: the strict interval is the closed one
+    assert scan_rows([(-5, 5)], [((2,), 5), ((-3,), 5)]) == [((), -1, 2, -1, 2)]
+    # the box binds at both ends where both facets are tight
+    assert scan_rows([(-1, 2)], [((2,), 4), ((-3,), 3)]) == [((), -1, 2, 0, 1)]
+    # a later inequality ties the bound and is the tight one
+    assert scan_rows([(-5, 5)], [((2,), 5), ((1,), 2), ((-2,), 5), ((-1,), 2)]) == \
+        [((), -2, 2, -1, 1)]
+    # a flat constraint tight at the prefix empties the strict interval
+    assert scan_rows([(0, 1), (0, 1)], [((1, 0), 1)]) == [((0,), 0, 1, 0, 1),
+                                                          ((1,), 0, 1, 1, 0)]
 
 
 @settings(max_examples=60, deadline=None)
