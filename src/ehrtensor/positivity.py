@@ -4,7 +4,8 @@ A rank-2 tensor is classified by its inertia: an exact congruence
 diagonalization C^t M C = D with C invertible keeps the numbers of positive,
 negative and zero eigenvalues (Sylvester's law of inertia), so the signs of
 the diagonal of D fix the class, and the columns of C give the witness and
-kernel directions.  No eigenvalue is ever computed; everything stays in Q.
+kernel directions.  No eigenvalue is ever computed; the elimination runs on
+integer columns, each with one integer scale, and reads D and C back in Q.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .ehrhart import ehrhart_tensor_polynomial, to_hr_vector
@@ -57,48 +59,52 @@ class SosCertificate:
 
 
 def congruence_diagonalization(matrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Exact symmetric diagonalization C^t M C = D with C invertible.
+    """Exact symmetric diagonalization C^t M C = D with C invertible, in integers.
 
-    Returns (diag, C).  Columns of C are directions realizing the diagonal
-    form values; for the zero-diagonal pivot case a column addition makes
-    the pivot nonzero first.  Purely rational: no eigenvalues anywhere.
+    Returns (diag, C) for a matrix of ints and Fractions.  The elimination
+    runs on A = L M (L > 0 the lcm of the denominators keeps the inertia) and
+    a basis X whose column j is s_j C_j, one integer scale per column.  A
+    pivot step ``X_j <- p X_j - f X_t`` (p = A_tt, f = A_tj) clears A_tj; a
+    zero pivot swaps in a later nonzero diagonal entry, else takes
+    ``X_t <- s_j X_t + s_t X_j`` for the first later j with A_tj != 0.  Then
+    D_kk = A_kk / (s_k^2 L) and C = X / s.
     """
     d = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    c = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    scale = lcm(*(v.denominator for row in matrix for v in row))
+    a = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
+    x = [[int(i == j) for j in range(d)] for i in range(d)]
+    s = [1] * d
 
-    def col_add(dst, src, f):
-        # column op x_dst += f * x_src on both the form and the basis
+    def combine(dst, u, src, v):
+        # X_dst <- u X_dst + v X_src on the form and the basis; scale s_dst * u
         for i in range(d):
-            a[i][dst] += f * a[i][src]
-        for i in range(d):
-            a[dst][i] += f * a[src][i]
-        for i in range(d):
-            c[i][dst] += f * c[i][src]
+            a[i][dst] = u * a[i][dst] + v * a[i][src]
+            x[i][dst] = u * x[i][dst] + v * x[i][src]
+        a[dst] = [u * p + v * q for p, q in zip(a[dst], a[src])]
+        s[dst] *= u
 
-    def col_swap(i, j):
+    def swap(i, j):
         for r in range(d):
             a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(d):
-            a[i][r], a[j][r] = a[j][r], a[i][r]
-        for r in range(d):
-            c[r][i], c[r][j] = c[r][j], c[r][i]
+            x[r][i], x[r][j] = x[r][j], x[r][i]
+        a[i], a[j], s[i], s[j] = a[j], a[i], s[j], s[i]
 
     for t in range(d):
         if a[t][t] == 0:
             j = next((j for j in range(t + 1, d) if a[j][j] != 0), None)
             if j is not None:
-                col_swap(t, j)
+                swap(t, j)
             else:
                 j = next((j for j in range(t + 1, d) if a[t][j] != 0), None)
                 if j is None:
                     continue  # row already clear
-                col_add(t, j, Fraction(1))
-        piv = a[t][t]
+                combine(t, s[j], j, s[t])
+        p = a[t][t]
         for j in range(t + 1, d):
             if a[t][j] != 0:
-                col_add(j, t, -a[t][j] / piv)
-    return [a[i][i] for i in range(d)], c
+                combine(j, p, t, -a[t][j])
+    return ([Fraction(a[k][k], s[k] * s[k] * scale) for k in range(d)],
+            [[Fraction(v, sk) for v, sk in zip(row, s)] for row in x])
 
 
 def classify_definiteness(t: SymTensor) -> DefinitenessReport:
@@ -106,8 +112,7 @@ def classify_definiteness(t: SymTensor) -> DefinitenessReport:
     if t.rank != 2:
         raise ValueError("definiteness is a rank-2 notion")
     if t.is_zero:
-        d = t.dim
-        e0 = tuple(Fraction(int(i == 0)) for i in range(d))
+        e0 = tuple(Fraction(int(i == 0)) for i in range(t.dim))
         return DefinitenessReport("zero", kernel=e0)
     diag, c = congruence_diagonalization(t.to_matrix())
     witness = witness_value = kernel = None
@@ -276,24 +281,15 @@ def conjecture_scan(d: int, trials: int, coord_bound: int, num_gens: int,
             continue
         h = to_hr_vector(p, 2)
         if which == "psd":
-            checks = [(i, h[i]) for i in range(len(h))]
-            extra = []
+            checks = [(i, h[i], violations) for i in range(len(h))]
         else:
-            base = h[1]
-            checks = [(i, h[i] - base) for i in range(1, d + 2)]
-            extra = [(d + 2, h[d + 2] - base)]
-        for i, tensor in checks:
+            checks = [(i, h[i] - h[1], violations if i < d + 2 else last_index)
+                      for i in range(1, d + 3)]
+        for i, tensor, found in checks:
             rep = classify_definiteness(tensor)
             if not rep.is_psd:
-                violations.append(ScanViolation(trial, p.vertices, i,
-                                                rep.classification, rep.witness,
-                                                rep.witness_value))
-        for i, tensor in extra:
-            rep = classify_definiteness(tensor)
-            if not rep.is_psd:
-                last_index.append(ScanViolation(trial, p.vertices, i,
-                                                rep.classification, rep.witness,
-                                                rep.witness_value))
+                found.append(ScanViolation(trial, p.vertices, i, rep.classification,
+                                           rep.witness, rep.witness_value))
         completed += 1
     return ScanReport(which=which, dimension=d, trials=trials,
                       coord_bound=coord_bound, num_gens=num_gens, seed=seed,

@@ -4,9 +4,10 @@ The oracles here deliberately avoid the library's facet/scan machinery:
 membership goes through exact barycentric sign tests over vertex triples
 (Caratheodory) and interior membership through supporting-line strictness,
 so enumeration results are cross-checked by a genuinely different route.
-The linear-algebra oracles (Leibniz determinants, Fraction Gauss-Jordan)
-likewise share nothing with the library's integer elimination, and the
-moment polynomial's oracle solves a Vandermonde system with them.  The point
+The linear-algebra oracles (Leibniz determinants, Fraction Gauss-Jordan,
+Fraction congruence elimination) likewise share nothing with the library's
+integer eliminations, and the moment polynomial's oracle solves a
+Vandermonde system with them.  The point
 expansion of row scans, the tensor pushforward and the binomial translation
 expansion are the right-hand sides of identities the library must satisfy.
 """
@@ -191,6 +192,52 @@ def fraction_rref(a):
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rk])]
         pivots.append(col)
     return rows, pivots
+
+
+def fraction_congruence(matrix):
+    """``(diag, C)`` with C^t M C = diag(diag), by symmetric elimination in Fractions.
+
+    Each pivot clears its row with the column operation
+    ``C_j -= (M_tj / M_tt) C_t``.  A zero pivot swaps in the first later
+    nonzero diagonal entry; failing that, it adds the first later column j
+    with ``M_tj != 0`` to column t.  The integer kernel
+    ``positivity.congruence_diagonalization`` must return the same values.
+    """
+    d = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
+    c = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+
+    def col_add(dst, src, f):
+        for i in range(d):
+            a[i][dst] += f * a[i][src]
+        for i in range(d):
+            a[dst][i] += f * a[src][i]
+        for i in range(d):
+            c[i][dst] += f * c[i][src]
+
+    def col_swap(i, j):
+        for r in range(d):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(d):
+            a[i][r], a[j][r] = a[j][r], a[i][r]
+        for r in range(d):
+            c[r][i], c[r][j] = c[r][j], c[r][i]
+
+    for t in range(d):
+        if a[t][t] == 0:
+            j = next((j for j in range(t + 1, d) if a[j][j] != 0), None)
+            if j is not None:
+                col_swap(t, j)
+            else:
+                j = next((j for j in range(t + 1, d) if a[t][j] != 0), None)
+                if j is None:
+                    continue
+                col_add(t, j, Fraction(1))
+        piv = a[t][t]
+        for j in range(t + 1, d):
+            if a[t][j] != 0:
+                col_add(j, t, -a[t][j] / piv)
+    return [a[i][i] for i in range(d)], c
 
 
 def fraction_inverse(a):

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import ehrtensor as et
 from ehrtensor import linalg
-from ehrtensor.positivity import NotPositiveSemidefiniteError, trial_seed
+from ehrtensor.positivity import (NotPositiveSemidefiniteError, congruence_diagonalization,
+                                  trial_seed)
 
-from conftest import NAMED_POLYGONS
+from conftest import NAMED_POLYGONS, fraction_congruence
 
 F = Fraction
 
@@ -106,6 +107,55 @@ def test_inertia_class_matches_principal_minor_signs(m):
     if rep.kernel is not None:
         assert t.apply(rep.kernel) == 0
         assert all(sum(row[j] * rep.kernel[j] for j in range(t.dim)) == 0 for row in m)
+
+
+def _seeded_symmetric_matrices(seed: int, count: int):
+    """Symmetric matrices with d = 1..6 and integer or Fraction entries, many
+    with zero diagonals or an all-zero row."""
+    rng = random.Random(seed)
+    for k in range(count):
+        d = 1 + k % 6
+        m = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                v = rng.choice((0, rng.randint(-5, 5), F(rng.randint(-9, 9), rng.randint(1, 7))))
+                m[i][j] = m[j][i] = 0 if i == j and k % 3 == 0 else v
+        if k % 5 == 0:
+            z = rng.randrange(d)
+            for i in range(d):
+                m[z][i] = m[i][z] = 0
+        yield m
+
+
+def _hibi_differences(seed: int, trials: int):
+    """Every h_i - h_1 the d=4 hibi scan classifies, top index included."""
+    for trial in range(trials):
+        p = et.random_lattice_polytope(4, 2, 8, trial_seed(seed, trial))
+        if et.interior_lattice_points(p, 1):
+            h = et.to_hr_vector(p, 2)
+            yield from (h[i] - h[1] for i in range(1, 7))
+
+
+def _assert_congruence_matches_oracle(m):
+    diag, c = congruence_diagonalization(m)
+    assert (diag, c) == fraction_congruence(m)
+    assert all(type(v) is F for v in diag) and all(type(v) is F for row in c for v in row)
+    t = mat(m)
+    if all(v >= 0 for v in diag):
+        cert = et.sos_certificate(t)
+        assert cert.reconstruct(t.dim) == t
+
+
+def test_congruence_matches_fraction_oracle_on_seeded_matrices():
+    for m in _seeded_symmetric_matrices(17, 600):
+        _assert_congruence_matches_oracle(m)
+
+
+def test_congruence_matches_fraction_oracle_on_the_d4_scan():
+    tensors = list(_hibi_differences(42, 96))
+    assert len(tensors) == 6 * 93
+    for t in tensors:
+        _assert_congruence_matches_oracle(t.to_matrix())
 
 
 def _brute_force_sign_scan(t: et.SymTensor, bound: int = 10):
