@@ -127,15 +127,6 @@ def _seeded_symmetric_matrices(seed: int, count: int):
         yield m
 
 
-def _hibi_differences(seed: int, trials: int):
-    """Every h_i - h_1 the d=4 hibi scan classifies, top index included."""
-    for trial in range(trials):
-        p = et.random_lattice_polytope(4, 2, 8, trial_seed(seed, trial))
-        if et.interior_lattice_points(p, 1):
-            h = et.to_hr_vector(p, 2)
-            yield from (h[i] - h[1] for i in range(1, 7))
-
-
 def _assert_congruence_matches_oracle(m):
     diag, c = congruence_diagonalization(m)
     assert (diag, c) == fraction_congruence(m)
@@ -152,10 +143,14 @@ def test_congruence_matches_fraction_oracle_on_seeded_matrices():
 
 
 def test_congruence_matches_fraction_oracle_on_the_d4_scan():
-    tensors = list(_hibi_differences(42, 96))
-    assert len(tensors) == 6 * 93
-    for t in tensors:
-        _assert_congruence_matches_oracle(t.to_matrix())
+    # every h_i - h_1 the seed-42 d=4 hibi scan classifies, top index included
+    polytopes = [et.random_lattice_polytope(4, 2, 8, trial_seed(42, trial))
+                 for trial in range(96)]
+    hs = [et.to_hr_vector(p, 2) for p in polytopes if et.interior_lattice_points(p, 1)]
+    assert len(hs) == 93
+    for h in hs:
+        for i in range(1, 7):
+            _assert_congruence_matches_oracle((h[i] - h[1]).to_matrix())
 
 
 def _brute_force_sign_scan(t: et.SymTensor, bound: int = 10):
