@@ -29,9 +29,13 @@ SKEW_QUAD = '{"vertices": [[0,0],[4,1],[3,4],[-1,2]]}'
 POLY3 = '{"vertices": [[0,0,0],[2,0,0],[0,1,0],[0,0,1],[1,1,1]]}'
 FINDING = ('{"vertices": [[-2,0,-2,-2],[-2,0,0,0],[-2,0,1,0],[-1,0,0,2],'
            '[0,0,-1,-1],[0,1,-1,-2],[0,1,1,1],[1,2,0,-1]]}')
+HALF1 = '{"vertices": [[-1],[2]], "removed": [0]}'
 HALF2 = '{"vertices": [[2,-2],[3,-2],[2,-1]], "removed": [0]}'
+HALF3 = '{"vertices": [[0,0,0],[2,0,0],[0,3,0],[1,1,2]], "removed": [0,2]}'
 HALF4 = ('{"vertices": [[0,0,0,0],[2,0,0,1],[0,3,0,0],[1,1,2,0],[0,1,1,3]], '
          '"removed": [1,3]}')
+HALF5 = ('{"vertices": [[0,0,0,0,0],[2,0,0,0,1],[0,2,0,1,0],[0,0,2,0,0],'
+         '[1,0,1,2,0],[0,1,0,0,2]], "removed": [0,2,4]}')
 
 
 def _cli_cases() -> dict[str, list[str]]:
@@ -45,7 +49,8 @@ def _cli_cases() -> dict[str, list[str]]:
             cases[f"{command}_d2_table_r{r}"] = [command, TRIANGLE, "--r", str(r), "--table"]
             cases[f"{command}_d3_r{r}"] = [command, POLY3, "--r", str(r)]
         cases[f"moments_d3_n2_r{r}"] = ["moments", POLY3, "--r", str(r), "--n", "2"]
-        for name, simplex in [("d2", HALF2), ("d4", HALF4)]:
+        for name, simplex in [("d1", HALF1), ("d2", HALF2), ("d3", HALF3), ("d4", HALF4),
+                              ("d5", HALF5)]:
             cases[f"halfopen_{name}_r{r}"] = ["halfopen", simplex, "--r", str(r)]
             cases[f"halfopen_{name}_table_r{r}"] = ["halfopen", simplex, "--r", str(r), "--table"]
     cases.update({
@@ -103,6 +108,14 @@ GOLDEN = {
     "ehrhart_d3_r1": "4638345a144c35eb4869da10c9545b01149c0c80fde672b9b3f618c8bc083bbf",
     "ehrhart_d3_r2": "72e1ee42359a464ef25d82afb7dc918ad6df0cb12f41e889b00574df50ebba7b",
     "ehrhart_d3_r3": "abe83570c1a256429856ba51a3a662c0e5685a0bc3d57f4881ca58a2a4241342",
+    "halfopen_d1_r0": "9659027b2d8d76dbe97552ca13a59507475e222ce42d45230859c575fe9e37a5",
+    "halfopen_d1_r1": "818e55db2eaa105ee7775995b620291e6316bffe90862e56f79e95c0b1a0406f",
+    "halfopen_d1_r2": "94e0cb63b78a0da14637f483ad95b0b716b1bf5fb60446f89a7db0c35854e2b0",
+    "halfopen_d1_r3": "f0fab7d29d4d7d2b5269e799cf1b90a0851bd7454183bd3785dd2fe821a93ca1",
+    "halfopen_d1_table_r0": "2b397a330a90b547d9258bc9217336cb739209d0dab176515069cc44992b639d",
+    "halfopen_d1_table_r1": "83ee75eafb3a4692712df0e160fa48b45f4e27ada6758c015de1e3ccd9c003b5",
+    "halfopen_d1_table_r2": "8a577014ddd8a548b5703f9e473dd921ed39172a8ea9a42d7b64d8721d984d3a",
+    "halfopen_d1_table_r3": "f9803f8d387b9ae3c46cf4bbfd9bd119d54a89b301a01c688689d10a43fd9a67",
     "halfopen_d2_r0": "856cddc9ad54487c48c961bb2bb018692d8030168beafdd9c45e6d6ae4c1792d",
     "halfopen_d2_r1": "e41818d7ad3791d6a360bc7ed6c5bda8552da39ccfe2a116fb33aeb4d1828806",
     "halfopen_d2_r2": "e2c7745f22076bc3d7d0e19f89f5e67ad78f3eb3468309655e0f866287b89015",
@@ -111,6 +124,14 @@ GOLDEN = {
     "halfopen_d2_table_r1": "ff6e12c52dde41f3df0a099cbb4d3348d3e1d7a0ad07004edf6b4d5ff4070e9a",
     "halfopen_d2_table_r2": "12e21d734ac583481ef36825863f19cca6aa2bb366e747c076b5b7b361203eb7",
     "halfopen_d2_table_r3": "0b27d9770bf21fe29fa8d4aa2629c4d49b477d386d443a8f5d2317ef20595f57",
+    "halfopen_d3_r0": "0b44b411f660367bc2648255febd6455977bb95c3523c4d0e0a4699b4cdb3f91",
+    "halfopen_d3_r1": "becb79ee44c1b998303addda6b68e097f512516ad144b7fdb513253f9659483a",
+    "halfopen_d3_r2": "63a332309dda16f288b462640dd6cc20def45a56474ddd4e87b8ab9226d2f6b4",
+    "halfopen_d3_r3": "609d3c7c5a78d3c39e73abd0628c7fa2c9b1df850f1b988ac1c9c56f0ebe4327",
+    "halfopen_d3_table_r0": "6727189f8af0e48f281c01372cf97515948944d0f94df3f1abeea99392552a3d",
+    "halfopen_d3_table_r1": "c281396b770ef5aa588a88f0e075521f84272c1524c557c5da5101fa114b5410",
+    "halfopen_d3_table_r2": "9328c2a050dedb5d31a61445722807ff7f79c82642d42b3bb17ec37f3980b247",
+    "halfopen_d3_table_r3": "9c7fa1b6259523e2c97901b45fb78964488273c68cc53789320f86d0bfc157a2",
     "halfopen_d4_r0": "4fac9cb99ac15083e51e1012492abd9b9a6fe36b4680756ddec46d32f573c3fc",
     "halfopen_d4_r1": "3bf8a7ece0b4e84c5822027f0fa075ff738ff553a3f27d9b0a53e32d50459016",
     "halfopen_d4_r2": "61b9ff58b12df1ff267ac2cda67f602709fa55c438fe76466ada979f4c9b8ecf",
@@ -119,6 +140,14 @@ GOLDEN = {
     "halfopen_d4_table_r1": "6661c36d14da7b3c1e827ff2b907d37f198c59c9ce5e07c7d093a90b34e7d02f",
     "halfopen_d4_table_r2": "855a07c34e2a0dfcc9d0e98b0a82d6bcdeade36c6c4aba9d60393729dfd4c343",
     "halfopen_d4_table_r3": "ef28e4decc03281d8f961f19f63676015e8182b380ce2614680cde435bec61a7",
+    "halfopen_d5_r0": "b0832a74f5372eba19410d9335cab647dbec2a1d1d0e3ef7eefa6c876336dd98",
+    "halfopen_d5_r1": "50021a8b6a98ad991e7a34ff5216c649c11b0b602efde91a6abcd47f04443e0c",
+    "halfopen_d5_r2": "631527b601d270368cd88eff4f7b1828451e9f8bc1fc20814dfa839504fdfab9",
+    "halfopen_d5_r3": "fb3348d01770ee6a8669134ad142b823a7a494ebcab3235ac9741dfc0659be9d",
+    "halfopen_d5_table_r0": "1a5f4c586fda06aeb05b2ae2f28bb3e712536c53f13bfe95fbaf6352ee315c91",
+    "halfopen_d5_table_r1": "411df378c33c5146d3a043139fd4a5e3ff7582eb662191ee6492fb64c33a2bfa",
+    "halfopen_d5_table_r2": "87159f6fd508c89c396e059c1d458327a6d33d3bb0e5eaad3798eb3a025bc8ef",
+    "halfopen_d5_table_r3": "33111a0e3953c0f6a6e59c8285d998b552b4c36f8c65143efd505cdad6eea0c2",
     "hvec_d2_r0": "431c1a348e01a1bc123912baa62ffd48840ada440b1a2734236c2cf37224b841",
     "hvec_d2_r1": "8e0840b84480981708e99e13581c01802611193ae01a944f419162fcf92cfef8",
     "hvec_d2_r2": "1bd3ceca243c32e344a53665498efbf3849c85b20d69bf32b8978fc6a077681c",
