@@ -6,7 +6,11 @@ height 1 tiles the cone over the simplex by translates of a half-open
 parallelepiped; its integer points, graded by height, are the box points.
 The h-tensor vector of the half-open simplex then comes out of an explicit
 numerator formula whose polynomial ingredients are Eulerian polynomials, the
-generating numerators of ``sum_n n^j t^n``.
+generating numerators of ``sum_n n^j t^n``.  It is assembled on plain
+integer entry lists: each vertex power is built once, the vertex parts of
+every rank come from one convolution over the vertices, each box slice's
+moments of every rank from one pass over its columns, and only the d+r+1
+output entries become :class:`~ehrtensor.tensors.SymTensor` values.
 
 Any triangulation of a polytope, in any dimension, splits into half-open
 cells that partition it (:func:`half_open_decomposition`), so the moments
@@ -18,14 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
-from operator import mul
+from itertools import repeat, zip_longest
+from operator import add, mul
 
 from . import linalg
 from .ehrhart import row_moments
 from .polytopes import checked_int, scan_rows
-from .tensors import (HrVector, IntPoint, SymTensor, dot, moment_of_points,
-                      outer_power, sym_product)
+from .tensors import (HrVector, IntPoint, SymTensor, _moment_entries, _product_entries,
+                      dot, moment_of_points, multi_indices, outer_power, sym_product)
 
 
 # ---------------------------------------------------------------------------
@@ -214,30 +218,44 @@ def box_slices(s: HalfOpenSimplex) -> BoxSlices:
     Barvinok, 2008) and Normaliz (Bruns-Ichim-Soeger, 2016).  With rows a_i
     of ``s.barycentric_rows()`` and D = |det|, the numerators ``a.z mod D``
     of z in Z^(d+1) form the group generated by the columns of the rows; it
-    has D elements, found by closing {0} under each generator.  Residue a
-    maps to ``z = sum_j a_j (v_j, 1) / D``, with a_j = D instead of 0 on
-    removed facets; z[:d] goes to slice z[d], each slice sorted.
+    has D elements, found by closing {0} under each generator.  The group is
+    kept as one residue column per coordinate, and each generator adds its
+    cosets in one comprehension per column.  Residue a maps to
+    ``z = sum_j a_j (v_j, 1) / D``, with a_j = D instead of 0 on removed
+    facets, one coordinate column at a time; z[:d] goes to slice z[d], each
+    slice sorted.
     """
     d = s.dim
     rows, dabs = s.barycentric_rows()
-    group = [(0,) * (d + 1)]
+    # the group so far as one column of residues per barycentric coordinate
+    cols = [[0] for _ in range(d + 1)]
+    members = {(0,) * (d + 1)}
     for gen in zip(*rows):
-        # cosets H + k*gen of the subgroup H so far, until k*gen lies in H
-        subgroup, members = list(group), set(group)
-        shift = tuple(x % dabs for x in gen)
-        while shift not in members:
-            group += [tuple((x + y) % dabs for x, y in zip(a, shift)) for a in subgroup]
-            shift = tuple((x + y) % dabs for x, y in zip(shift, gen))
-    if len(group) != dabs:
-        raise AssertionError(f"{len(group)} box residues for normalized volume {dabs}")
-    coords = _lifted(s.vertices)
+        # the cosets H + k*gen, 0 < k < m, of the subgroup H so far; the least
+        # m > 0 with m*gen in H divides the order of gen, so only divisors are tried
+        order = dabs // math.gcd(dabs, *gen)
+        m = next(k for k in range(1, order + 1)
+                 if order % k == 0 and tuple(k * x % dabs for x in gen) in members)
+        if m > 1:
+            cosets = [[(x + k * y) % dabs for k in range(1, m) for x in col]
+                      for col, y in zip(cols, gen)]
+            members.update(zip(*cosets))
+            for col, new in zip(cols, cosets):
+                col += new
+    if len(members) != dabs or len(cols[0]) != dabs:
+        raise AssertionError(f"{len(members)} box residues for normalized volume {dabs}")
+    for j in s.removed:
+        cols[j] = [x or dabs for x in cols[j]]
+    # coordinate c of the points is sum_j a_j (v_j, 1)[c] / D, column by column
+    z = []
+    for c in _lifted(s.vertices):
+        numer = list(map(sum, zip(*(map(mul, col, repeat(x)) for col, x in zip(cols, c)))))
+        if any(map(dabs.__rmod__, numer)):
+            raise AssertionError("a box residue is not a lattice point")
+        z.append(map(dabs.__rfloordiv__, numer))
     slices: list[list[IntPoint]] = [[] for _ in range(d + 1)]
-    for a in group:
-        a = [dabs if x == 0 and j in s.removed else x for j, x in enumerate(a)]
-        z = [divmod(sum(map(mul, c, a)), dabs) for c in coords]
-        if any(rem for _, rem in z):
-            raise AssertionError(f"box residue {a} is not a lattice point")
-        slices[z[d][0]].append(tuple(q for q, _ in z[:d]))
+    for point, height in zip(zip(*z[:d]), z[d]):
+        slices[height].append(point)
     return BoxSlices(tuple(tuple(sorted(sl)) for sl in slices))
 
 
@@ -249,68 +267,77 @@ def moment_halfopen(s: HalfOpenSimplex, r: int, n: int) -> SymTensor:
     return SymTensor.from_entries(r, s.dim, closed)
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def hr_halfopen(s: HalfOpenSimplex, r: int) -> HrVector:
     """h-tensor vector of a half-open simplex from its box points.
 
-    Assembles the numerator of ``sum_n L^r(nS*) t^n`` over
-    ``(1-t)^(d+r+1)`` as a sum over compositions ``r = k_0 + ... + k_(d+1)``
-    of unnormalized symmetric products of vertex powers with slice moments
-    (the chain carries the multinomial ``r!/(k_0! ... k_(d+1)!)``), times
+    The numerator of ``sum_n L^r(nS*) t^n`` over ``(1-t)^(d+r+1)`` is a sum
+    over compositions ``r = k_0 + ... + k_(d+1)`` of unnormalized symmetric
+    products of vertex powers ``v_j^(k_j)`` with rank-k_0 slice moments (the
+    chain carries the multinomial ``r!/(k_0! ... k_(d+1)!)``), times
     ``(1-t)^(k_0) A_(k_1)(t) ... A_(k_(d+1))(t)`` and the slice height
-    marker t^i.  The product is bilinear, so the vertex parts are summed per
-    (k_0, t-degree) first.  Works in any dimension and rank.
+    marker t^i.  The product is bilinear, so the sum factors through the
+    vertex parts of each rank (see :func:`_hr_from_box`).  Works in any
+    dimension and rank.
     """
     return _hr_from_box(s, r, box_slices(s))
 
 
 def _hr_from_box(s: HalfOpenSimplex, r: int, box: BoxSlices) -> HrVector:
-    """Assembly of ``hr_halfopen``: one product per (k_0, t-degree, slice)."""
+    """Assembly of ``hr_halfopen`` on integer entry lists.
+
+    ``parts[k][deg]`` is the rank-k vertex part: the sum over compositions
+    ``k = k_1 + ... + k_(d+1)`` of the products of the ``v_j^(k_j)``,
+    weighted by the t^deg coefficient of ``A_(k_1)(t) ... A_(k_(d+1))(t)``.
+    It is one convolution over the vertices, each step multiplying by
+    ``A_c(t) v_j^c``, with the powers v^0..v^r of each vertex built once.
+    The numerator is then ``sum_(k_0) parts[r-k_0](t) (1-t)^(k_0) S_(k_0)(t)``,
+    where ``S_k(t) = sum_i t^i (rank-k moment of slice i)`` and each slice's
+    moments of every rank come from one pass over its columns.
+    """
     if r < 0:
         raise ValueError("rank must be nonnegative")
     d = s.dim
-    weights = [{} for _ in range(r + 1)]    # [k_0][t-degree] -> sum of c * vertex part
-    for comp in _compositions(r, d + 2):
-        poly = ONE_MINUS_T ** comp[0]
-        vertex_part = SymTensor.scalar(d, 1)
-        for v, kj in zip(s.vertices, comp[1:]):
-            if kj:
-                poly = poly * eulerian_polynomial(kj)
-                vertex_part = sym_product(vertex_part, outer_power(v, kj, d))
-        w = weights[comp[0]]
-        for deg, c in enumerate(poly.coeffs):
-            if c:
-                w[deg] = w[deg] + vertex_part * c if deg in w else vertex_part * c
-    out = [SymTensor.zero(r, d) for _ in range(d + r + 1)]
-    for moments, w in zip(_slice_data(box, r, d), weights):
-        for i, base in enumerate(moments):
-            if base.is_zero:
-                continue
-            for deg, tensor in w.items():
-                if i + deg >= len(out):
+    parts: list[dict[int, list[int]]] = [{0: [1]}] + [{} for _ in range(r)]
+    for v in s.vertices:
+        powers = _moment_entries((v,), r, d)
+        for k in range(r, 0, -1):       # descending: parts[k - c] lacks v yet
+            for c in range(1, k + 1):
+                for deg, x in parts[k - c].items():
+                    prod = _product_entries(x, powers[c], d, k - c, c)
+                    for e, coef in enumerate(eulerian_polynomial(c).coeffs):
+                        _add_scaled(parts[k], deg + e, prod, coef)
+    moments = {i: _moment_entries(pts, r, d) for i, pts in enumerate(box.slices) if pts}
+    out = [[0] * len(multi_indices(d, r)) for _ in range(d + r + 1)]
+    for k0 in range(r + 1):
+        series: dict[int, list[int]] = {}      # (1-t)^(k_0) S_(k_0)(t)
+        binomials = (ONE_MINUS_T ** k0).coeffs
+        for i, m in moments.items():
+            for e, coef in enumerate(binomials):
+                _add_scaled(series, i + e, m[k0], coef)
+        for deg, x in parts[r - k0].items():
+            for i, y in series.items():
+                if deg + i >= len(out):
                     raise AssertionError("numerator degree exceeded d+r")
-                out[i + deg] = out[i + deg] + sym_product(tensor, base)
-    return HrVector(tuple(out))
+                out[deg + i] = list(map(add, out[deg + i], _product_entries(x, y, d, r - k0, k0)))
+    return HrVector(tuple(SymTensor(r, d, tuple(e)) for e in out))
 
 
-def _slice_data(box: BoxSlices, max_rank: int, dim: int):
-    return [[moment_of_points(pts, k, dim) for pts in box.slices]
-            for k in range(max_rank + 1)]
+def _add_scaled(poly: dict[int, list[int]], deg: int, x: list[int], c: int) -> None:
+    """``poly[deg] += c * x`` on entry lists, creating the coefficient if absent."""
+    if not c:
+        return
+    if deg in poly:
+        poly[deg] = [a + c * b for a, b in zip(poly[deg], x)]
+    else:
+        poly[deg] = [c * b for b in x]
 
 
 def _slice_lookup(s: HalfOpenSimplex, max_rank: int):
     """``l(k, i)``: rank-k moment of box slice i of a triangle, zero off 0..2."""
     if s.dim != 2:
         raise ValueError("closed form is two-dimensional")
-    lk = _slice_data(box_slices(s), max_rank, 2)
+    lk = [[moment_of_points(pts, k, 2) for pts in box_slices(s).slices]
+          for k in range(max_rank + 1)]
     return lambda k, i: lk[k][i] if 0 <= i <= 2 else SymTensor.zero(k, 2)
 
 

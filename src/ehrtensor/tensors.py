@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 IntPoint = tuple[int, ...]
@@ -202,18 +203,32 @@ class SymTensor:
 
 
 def moment_of_points(points: Sequence[Sequence[int]], r: int, dim: int) -> SymTensor:
-    """Sum of outer powers x^r over an explicit list of points.
-
-    Column-wise: entry m is ``sum_x prod_(i in m) x_i``, the products taken
-    over the coordinate columns that m picks plus a column of ones, so that
-    rank 0 counts the points and no points give the zero tensor.
-    """
+    """Sum of outer powers x^r over an explicit list of points."""
     if r < 0:
         raise ValueError("rank must be nonnegative")
+    return SymTensor(r, dim, tuple(_moment_entries(points, r, dim)[r]))
+
+
+def _moment_entries(points: Sequence[Sequence[int]], r: int, dim: int) -> list[list[int]]:
+    """Integer entries of the moments of ranks 0..r of a point list, in one pass.
+
+    Column-wise: entry m is ``sum_x prod_(i in m) x_i``.  The product column
+    of a rank-k index is that of its first k-1 indices times one coordinate
+    column, the split that ``_product_plan(dim, k-1, 1)`` lists first, so
+    each rank costs one multiplication per point and stored index.  Rank 0
+    counts the points; no points give zero entries.
+    """
     columns = list(zip(*points)) or [()] * dim
-    ones = (1,) * len(points)
-    return SymTensor(r, dim, tuple(sum(map(math.prod, zip(ones, *(columns[i] for i in m))))
-                                   for m in multi_indices(dim, r)))
+    prods = [(1,) * len(points)]
+    out = [[len(points)]]
+    for k in range(1, r + 1):
+        steps = [pairs[0] for pairs in _product_plan(dim, k - 1, 1)]
+        if k < r:
+            prods = [list(map(mul, prods[a], columns[i])) for a, i in steps]
+            out.append(list(map(sum, prods)))
+        else:
+            out.append([sum(map(mul, prods[a], columns[i])) for a, i in steps])
+    return out
 
 
 def outer_power(x: Sequence[int], r: int, dim: int | None = None) -> SymTensor:
@@ -233,14 +248,23 @@ def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    d, ra, rb = a.dim, a.rank, b.rank
+    return SymTensor(a.rank + b.rank, a.dim,
+                     tuple(_product_entries(a.entries, b.entries, a.dim, a.rank, b.rank)))
+
+
+def _product_entries(x: Sequence, y: Sequence, dim: int, ra: int, rb: int) -> list:
+    """Entries of :func:`sym_product` for the entries x of rank ra and y of rank rb."""
     if ra == 0:
-        return b * a.as_scalar()
+        return [x[0] * b for b in y]
     if rb == 0:
-        return a * b.as_scalar()
-    x, y = a.entries, b.entries
-    return SymTensor(ra + rb, d, tuple(sum(x[i] * y[j] for i, j in pairs)
-                                       for pairs in _product_plan(d, ra, rb)))
+        return [a * y[0] for a in x]
+    out = []
+    for pairs in _product_plan(dim, ra, rb):
+        total = 0
+        for i, j in pairs:
+            total += x[i] * y[j]
+        out.append(total)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -8,10 +8,10 @@ import pytest
 
 import ehrtensor as et
 from ehrtensor import linalg
-from ehrtensor.halfopen import (ONE_MINUS_T, UniPoly, _compositions, _slice_data,
-                                halfopen_from_json, halfopen_to_json)
+from ehrtensor import halfopen, tensors
+from ehrtensor.halfopen import ONE_MINUS_T, UniPoly, halfopen_from_json, halfopen_to_json
 from ehrtensor.polytopes import placing_triangulation, scan_rows
-from ehrtensor.tensors import dot, vneg
+from ehrtensor.tensors import dot, moment_of_points, vneg
 from ehrtensor.triangulation import INSERTION_ORDERS
 
 from conftest import fraction_inverse, leibniz_det, oracle_moment, scan_points
@@ -236,6 +236,15 @@ def test_box_slices_match_brute_force_oracle():
     assert unimodular >= 14
 
 
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def per_composition_hr(s, r):
     """h-tensor vector with one symmetric product per (composition, slice).
 
@@ -245,7 +254,9 @@ def per_composition_hr(s, r):
     at t^(i + deg).
     """
     d = s.dim
-    slice_moments = _slice_data(et.box_slices(s), r, d)
+    slices = et.box_slices(s).slices
+    slice_moments = [[moment_of_points(pts, k, d) for pts in slices]
+                     for k in range(r + 1)]
     out = [et.SymTensor.zero(r, d) for _ in range(d + r + 1)]
     for comp in _compositions(r, d + 2):
         poly = ONE_MINUS_T ** comp[0]
@@ -263,19 +274,46 @@ def per_composition_hr(s, r):
 
 def test_hr_halfopen_matches_per_composition_oracle():
     rng = random.Random(1212)
-    for d in range(1, 5):
+    for d in range(1, 6):
+        span = 3 if d < 5 else 2
         for k in range(d + 1):
             found = 0
             while found < 2:
-                verts = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d + 1)]
+                verts = [[rng.randint(-span, span) for _ in range(d)] for _ in range(d + 1)]
                 if not leibniz_det([v + [1] for v in verts]):
                     continue
                 s = et.HalfOpenSimplex.make(verts, rng.sample(range(d + 1), k))
-                for r in range(4):
+                for r in range(5):
                     h = et.hr_halfopen(s, r)
                     assert h == per_composition_hr(s, r), (verts, s.removed, r)
                     assert all(type(x) is int for e in h.entries for x in e.entries)
                 found += 1
+
+
+def test_hr_halfopen_builds_each_vertex_power_once(monkeypatch):
+    # one call builds no outer powers and constructs only the d+r+1 output
+    # entries as SymTensors
+    s = et.HalfOpenSimplex.make([(0, 0, 0, 0), (2, 0, 0, 1), (0, 3, 0, 0), (1, 1, 2, 0),
+                                 (0, 1, 1, 3)], [1, 3])
+    expected = per_composition_hr(s, 2)
+    calls = {"outer_power": 0, "SymTensor": 0}
+    outer, post_init = tensors.outer_power, et.SymTensor.__post_init__
+
+    def counting_outer(*args):
+        calls["outer_power"] += 1
+        return outer(*args)
+
+    def counting_post_init(self):
+        calls["SymTensor"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(tensors, "outer_power", counting_outer)
+    monkeypatch.setattr(halfopen, "outer_power", counting_outer)
+    monkeypatch.setattr(et.SymTensor, "__post_init__", counting_post_init)
+    h = et.hr_halfopen(s, 2)
+    monkeypatch.undo()
+    assert calls == {"outer_power": 0, "SymTensor": s.dim + 2 + 1}
+    assert h == expected
 
 
 def test_hr_halfopen_monotonicity_counterexample_vertices():

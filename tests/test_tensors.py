@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehrtensor as et
-from ehrtensor.tensors import (SymTensor, _index_position, moment_of_points, multi_indices,
-                               rational_to_str, tensor_to_json)
+from ehrtensor.tensors import (SymTensor, _index_position, _moment_entries, moment_of_points,
+                               multi_indices, rational_to_str, tensor_to_json)
 
 from conftest import apply_linear_map
 
@@ -183,6 +183,18 @@ def test_moment_of_points_edge_cases():
         et.outer_power((1, 2), 2) + et.outer_power((3, 4), 2)
     with pytest.raises(ValueError):
         et.outer_power((1, 2), -1)
+
+
+def test_moment_entries_of_every_rank_match_direct_products():
+    rng = random.Random(21)
+    for dim in range(1, 6):
+        for count in (0, 1, 7):
+            points = [tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(count)]
+            ranks = _moment_entries(points, 4, dim)
+            assert len(ranks) == 5
+            for k, entries in enumerate(ranks):
+                assert entries == [sum(math.prod(x[i] for i in m) for x in points)
+                                   for m in multi_indices(dim, k)], (dim, count, k)
 
 
 def test_inexact_entries_are_refused():
