@@ -44,11 +44,21 @@ class FacetIneq:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Full-dimensional lattice polytope: irredundant vertices plus facets."""
+    """Full-dimensional lattice polytope: irredundant vertices plus facets.
+
+    Equality is field-wise; the hash of the fields is computed once, since
+    the moment and row caches look polytopes up by it.
+    """
 
     dim: int
     vertices: tuple[IntPoint, ...]
     facets: tuple[FacetIneq, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.dim, self.vertices, self.facets)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def contains(self, x: Sequence[int], n: int = 1, strict: bool = False) -> bool:
         """Membership of x in the dilate n*P (strict: relative interior)."""
@@ -62,7 +72,11 @@ class Polytope:
 
     @cached_property
     def placing_triangulation(self):
-        """:func:`placing_triangulation` of the vertices as tuples, built once per polytope."""
+        """:func:`placing_triangulation` of the vertices as tuples, built once per polytope.
+
+        :func:`convex_hull` fills it in with the hull's own triangulation when
+        every input point is a vertex.
+        """
         return tuple(map(tuple, placing_triangulation(self.vertices)))
 
     def translate(self, t: Sequence[int]) -> "Polytope":
@@ -160,8 +174,13 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
 
     Facets are the distinct boundary planes of :func:`placing_triangulation`;
     a point is a vertex iff no other point lies on every facet it lies on.
-    Raises :class:`DegenerateInputError` when the points are not
-    full-dimensional in their ambient space.
+    When every input point is a vertex, the sorted points are the vertices
+    in order, and the polytope keeps this triangulation as its
+    :attr:`Polytope.placing_triangulation`.  Otherwise it cannot: its
+    simplices index the input points, and a non-vertex point placed among
+    the first d+1 can be a corner of them.  Raises
+    :class:`DegenerateInputError` when the points are not full-dimensional in
+    their ambient space.
     """
     pts = sorted(set(tuple(map(checked_int, p)) for p in points))
     if not pts:
@@ -178,13 +197,17 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
         facets = tuple(sorted(_facets_from_cycle(cycle), key=lambda f: (f.normal, f.rhs)))
         return Polytope(2, tuple(sorted(cycle)), facets)
 
-    planes = sorted({plane for _, plane in placing_triangulation(pts)[1]})
+    triangulation = placing_triangulation(pts)
+    planes = sorted({plane for _, plane in triangulation[1]})
     # bit i of masks[k] is set when point k lies on facet i
     masks = [sum(1 << i for i, (normal, rhs) in enumerate(planes) if dot(normal, p) == rhs)
              for p in pts]
     vertices = tuple(p for k, (p, m) in enumerate(zip(pts, masks))
                      if not any(o & m == m for j, o in enumerate(masks) if j != k))
-    return Polytope(d, vertices, tuple(FacetIneq(n, r) for n, r in planes))
+    p = Polytope(d, vertices, tuple(FacetIneq(n, r) for n, r in planes))
+    if len(vertices) == len(pts):
+        object.__setattr__(p, "placing_triangulation", tuple(map(tuple, triangulation)))
+    return p
 
 
 # ---------------------------------------------------------------------------

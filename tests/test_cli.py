@@ -181,19 +181,32 @@ def test_verify_square_passes(capsys):
 @pytest.mark.parametrize("dim, bound", [(2, 6), (3, 2)])
 def test_verify_builds_one_placing_triangulation(dim, bound, capsys, monkeypatch):
     # moment_tensor and second_coefficient_facets share the polytope's cached
-    # triangulation; convex_hull's own build of the input points (not in 2D)
-    # is counted apart by loading the request alone
+    # triangulation, which for a request listing only vertices is the one
+    # convex_hull built on the input points (there is none in 2D)
     request = random_request(dim, bound, 1)
     builds = []
     build = polytopes.placing_triangulation
     monkeypatch.setattr(polytopes, "placing_triangulation",
                         lambda points: builds.append(points) or build(points))
     polytopes.polytope_from_json(json.loads(request))
-    hull_builds = len(builds)
-    assert hull_builds == (dim != 2)
+    assert len(builds) == (dim != 2)
+    builds.clear()
     code, _, _ = run_cli(["verify", request, "--json"], capsys)
     assert code == 0
-    assert len(builds) == 2 * hull_builds + 1
+    assert len(builds) == 1
+
+
+def test_verify_with_a_non_vertex_point_triangulates_the_vertices_again(capsys, monkeypatch):
+    # the hull's triangulation indexes the input points and here uses the
+    # edge midpoint (1, 0, 0), so the polytope builds its own
+    request = '{"vertices": [[0,0,0],[1,0,0],[2,0,0],[0,1,0],[0,0,1],[1,1,1]]}'
+    builds = []
+    build = polytopes.placing_triangulation
+    monkeypatch.setattr(polytopes, "placing_triangulation",
+                        lambda points: builds.append(points) or build(points))
+    code, _, _ = run_cli(["verify", request, "--json"], capsys)
+    assert code == 0
+    assert len(builds) == 2 and (1, 0, 0) in builds[0] and (1, 0, 0) not in builds[1]
 
 
 @pytest.mark.parametrize("dim, bound, seed", [(2, 6, 1), (3, 2, 1), (4, 2, trial_seed(42, 95))])

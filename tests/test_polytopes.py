@@ -7,8 +7,9 @@ import pytest
 
 import ehrtensor as et
 from ehrtensor.linalg import gcd_vector, int_det, primitive
-from ehrtensor.polytopes import (DegenerateInputError, FacetIneq, placing_triangulation,
-                                 polytope_from_json, polytope_to_json)
+from ehrtensor import polytopes
+from ehrtensor.polytopes import (DegenerateInputError, FacetIneq, dilate_rows,
+                                 placing_triangulation, polytope_from_json, polytope_to_json)
 from ehrtensor.positivity import trial_seed
 from ehrtensor.tensors import dot, vneg, vsub
 
@@ -118,6 +119,41 @@ def test_placing_simplices_sum_to_normalized_volume():
             assert volume == math.factorial(d) * lead, pts
             planes = {plane for _, plane in boundary}
             assert sorted(planes) == [(f.normal, f.rhs) for f in p.facets], pts
+
+
+def test_hull_keeps_its_triangulation_only_when_every_point_is_a_vertex():
+    for d in (1, 3, 4):
+        rng = random.Random(8100 + d)
+        kept = fresh = 0
+        while kept < 3 or fresh < 3:
+            pts = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d + 3)]
+            try:
+                p = et.convex_hull(pts)
+            except DegenerateInputError:
+                continue
+            reused = "placing_triangulation" in vars(p)
+            assert reused == (len(p.vertices) == len(set(pts))), pts
+            assert p.placing_triangulation == tuple(map(tuple, placing_triangulation(p.vertices)))
+            kept += reused
+            fresh += not reused
+
+
+def test_equal_polytopes_hash_alike_from_one_stored_hash(monkeypatch):
+    pts = [(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    a = et.convex_hull(pts)
+    b = et.convex_hull(pts[::-1] + [(1, 0, 0)])
+    c = et.Polytope(a.dim, a.vertices, a.facets)
+    assert a == b == c and a is not b
+    assert hash(a) == hash(b) == hash(c) == hash((a.dim, a.vertices, a.facets))
+    facet_hashes = []
+    facet_hash = FacetIneq.__hash__
+    monkeypatch.setattr(FacetIneq, "__hash__",
+                        lambda f: facet_hashes.append(f) or facet_hash(f))
+    dilate_rows.cache_clear()
+    assert dilate_rows(a, 2) == dilate_rows(b, 2) == dilate_rows(c, 2)
+    assert dilate_rows.cache_info()[:2] == (2, 1)      # (hits, misses)
+    assert facet_hashes == []
+    assert a != et.Polytope(a.dim, a.vertices, a.facets[1:])
 
 
 def test_unit_square_dilate_counts():
