@@ -227,9 +227,27 @@ def box_slices(s: HalfOpenSimplex) -> BoxSlices:
     """
     d = s.dim
     rows, dabs = s.barycentric_rows()
-    # the group so far as one column of residues per barycentric coordinate
-    cols = [[0] for _ in range(d + 1)]
-    members = {(0,) * (d + 1)}
+    cols = _residue_columns(rows, dabs)
+    for j in s.removed:
+        cols[j] = [x or dabs for x in cols[j]]
+    # coordinate c of the points is sum_j a_j (v_j, 1)[c] / D, column by column
+    z = []
+    for c in _lifted(s.vertices):
+        numer = list(map(sum, zip(*(map(mul, col, repeat(x)) for col, x in zip(cols, c)))))
+        if any(map(dabs.__rmod__, numer)):
+            raise AssertionError("a box residue is not a lattice point")
+        z.append(list(map(dabs.__rfloordiv__, numer)))
+    slices: list[list[IntPoint]] = [[] for _ in range(d + 1)]
+    for point, height in zip(zip(*z[:d]), z[d]):
+        slices[height].append(point)
+    return BoxSlices(tuple(tuple(sorted(sl)) for sl in slices))
+
+
+def _residue_columns(rows: list[list[int]], dabs: int) -> list[list[int]]:
+    """The group generated mod D by the columns of ``rows``, one residue column
+    per row; raises when it does not have D elements."""
+    cols = [[0] for _ in rows]
+    members = {(0,) * len(rows)}
     for gen in zip(*rows):
         # the cosets H + k*gen, 0 < k < m, of the subgroup H so far; the least
         # m > 0 with m*gen in H divides the order of gen, so only divisors are tried
@@ -244,19 +262,7 @@ def box_slices(s: HalfOpenSimplex) -> BoxSlices:
                 col += new
     if len(members) != dabs or len(cols[0]) != dabs:
         raise AssertionError(f"{len(members)} box residues for normalized volume {dabs}")
-    for j in s.removed:
-        cols[j] = [x or dabs for x in cols[j]]
-    # coordinate c of the points is sum_j a_j (v_j, 1)[c] / D, column by column
-    z = []
-    for c in _lifted(s.vertices):
-        numer = list(map(sum, zip(*(map(mul, col, repeat(x)) for col, x in zip(cols, c)))))
-        if any(map(dabs.__rmod__, numer)):
-            raise AssertionError("a box residue is not a lattice point")
-        z.append(map(dabs.__rfloordiv__, numer))
-    slices: list[list[IntPoint]] = [[] for _ in range(d + 1)]
-    for point, height in zip(zip(*z[:d]), z[d]):
-        slices[height].append(point)
-    return BoxSlices(tuple(tuple(sorted(sl)) for sl in slices))
+    return cols
 
 
 def moment_halfopen(s: HalfOpenSimplex, r: int, n: int) -> SymTensor:
