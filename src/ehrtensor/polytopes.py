@@ -309,6 +309,7 @@ def scan_rows(bounds: Sequence[tuple[int, int]],
             scan_level(level + 1, [t - a * x for t, a in zip(rem, col)], prefix + (x,))
 
     scan_level(0, [c for _, c in ineqs], ())
+    del scan_level      # its self-reference would hold every table until a gc pass
     return out
 
 

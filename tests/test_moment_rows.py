@@ -5,6 +5,7 @@ of the box against every constraint, moments from summing outer powers, and
 the moment polynomial and h-vector from the ``Fraction`` Vandermonde oracle
 (closed moments at every node 0..dim+r).
 """
+import gc
 import random
 from itertools import product
 
@@ -110,6 +111,21 @@ def test_rows_read_strict_bounds_off_tightness():
     # a flat constraint tight at the prefix empties the strict interval
     assert scan_rows([(0, 1), (0, 1)], [((1, 0), 1)]) == [((0,), 0, 1, 0, 1),
                                                           ((1,), 0, 1, 1, 0)]
+
+
+def test_rows_scan_leaves_no_reference_cycle():
+    # the rows and the per-level tables are freed when the scan returns,
+    # not held by the recursive closure until a gc pass
+    p = et.random_lattice_polytope(4, 2, 8, 4)
+    cons = [(f.normal, 2 * f.rhs) for f in p.facets]
+    gc.collect()
+    gc.disable()
+    try:
+        for bounds, constraints in (([(-4, 4)] * 4, cons), ([(-5, 5)], [((2,), 4)])):
+            assert scan_rows(bounds, constraints)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=60, deadline=None)
