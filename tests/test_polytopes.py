@@ -7,7 +7,6 @@ import pytest
 
 import ehrtensor as et
 from ehrtensor.linalg import gcd_vector, int_det, primitive
-from ehrtensor import polytopes
 from ehrtensor.polytopes import (DegenerateInputError, FacetIneq, dilate_rows,
                                  placing_triangulation, polytope_from_json, polytope_to_json)
 from ehrtensor.positivity import trial_seed
