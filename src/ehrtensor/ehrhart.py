@@ -6,7 +6,8 @@ dilation factor n it is a polynomial L(n) of degree at most m = dim + r.
 
 One row scan of nP gives both the closed moment L(nP) and the interior
 moment L(nP°): every row of the scan contributes its prefix monomials times
-the power sums of the last coordinate over its closed and strict intervals.
+the power sums of the last coordinate over its closed and strict intervals,
+summed for every rank in one column pass.
 Ehrhart-Macdonald reciprocity for moment tensors, L(-n) = (-1)^m L(nP°),
 turns interior moments into values at negative nodes, so the h-tensor vector
 is fixed by the nodes n = -ceil(m/2)..floor(m/2) and needs the scans of nP
@@ -15,10 +16,11 @@ values with weights that depend on m alone.  The polynomial is the binomial
 expansion of h, ``L(n) = sum_i h_i C(n+m-i, m)``.
 
 The rows of nP do not depend on the rank: each (polytope, n) is scanned once
-into the cache of :func:`~ehrtensor.polytopes.dilate_rows` (32 dilates) and
-each rank's moment entries go into that of :func:`_dilate_moments` (96
-entries).  Both are bounded, yet one large dilate (``moments --n`` big) holds
-all of its rows in memory while cached.  A CLI request derives each rank's h once.
+into the cache of :func:`~ehrtensor.polytopes.dilate_rows` (32 dilates), and
+one pass over them gives the moments of ranks 0..max(r, 2), cached by
+:func:`_dilate_moments` (32 passes).  Both are bounded, yet one large dilate
+(``moments --n`` big) holds all of its rows in memory while cached.  A CLI
+request derives each rank's h once.
 
 The closed moments at every node 0..m survive only as the cross-check of
 ``ehrtensor verify``, in integers: :func:`_all_dilates_oracle` takes their
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import mul, sub
 
 from . import linalg
 from .polytopes import Polytope, dilate_rows
@@ -60,87 +62,84 @@ def _power_sum_poly(k: int) -> tuple[tuple[int, ...], int]:
     return tuple(int(c * den) for c in coeffs), den
 
 
-def _power_sums(lo: int, hi: int, polys) -> list[int]:
-    """``[sum_{t=lo..hi} t^k for k = 0..r]`` from the polynomials of k = 1..r."""
-    out = [hi - lo + 1]
-    below = lo - 1
-    for num, den in polys:
-        a = b = 0
-        for c in reversed(num):
-            a = a * hi + c
-            b = b * below + c
-        out.append((a - b) // den)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _row_plan(dim: int, r: int):
     """Split each stored multi-index into a prefix monomial and a last-axis power.
 
     The prefix monomials (over coordinates 0..dim-2, ranks 0..r) are built
     from 1 by ``steps``: monomial s+1 is monomial ``j`` times coordinate
-    ``i``.  ``plan`` gives, per stored entry, the position of its prefix
-    monomial and the power k of coordinate dim-1.
+    ``i``.  ``plans[q]`` gives, per stored entry of rank q, the position j of its
+    prefix monomial and the power k of coordinate dim-1; ``need`` holds every
+    pair (j, i), i = 1..k+1, that the power sums ``F_k`` read.
     """
     last = dim - 1
     prefixes = [pm for j in range(r + 1) for pm in multi_indices(last, j)]
     pos = {pm: s for s, pm in enumerate(prefixes)}
     steps = tuple((pos[pm[:-1]], pm[-1]) for pm in prefixes[1:])
-    plan = tuple((pos[m[:len(m) - m.count(last)]], m.count(last))
-                 for m in multi_indices(dim, r))
-    return steps, plan
+    plans = tuple(tuple((pos[m[:len(m) - m.count(last)]], m.count(last))
+                        for m in multi_indices(dim, q)) for q in range(r + 1))
+    need = {(j, i) for plan in plans for j, k in plan for i in range(1, k + 2)}
+    return steps, plans, need
 
 
-def row_moments(rows, r: int, dim: int) -> tuple[list[int], list[int]]:
-    """Closed and strict rank-r moments of :func:`~ehrtensor.polytopes.scan_rows` rows.
+def row_moments(rows, r: int, dim: int) -> list[tuple[list[int], list[int]]]:
+    """Closed and strict moments of every rank 0..r of :func:`~ehrtensor.polytopes.scan_rows` rows.
 
     A row ``(prefix, lo, hi, slo, shi)`` adds, for each stored multi-index,
     its prefix monomial times ``sum t^k`` over ``[lo, hi]`` to the closed
     moment and over ``[slo, shi]`` to the strict one, k being the power of
-    the last coordinate.  Entries are integers in storage order.
+    the last coordinate.  That sum is ``F_k(hi) - F_k(lo-1)``, an integer
+    combination of ``hi^i - (lo-1)^i`` over one denominator, so one column
+    pass serves every rank: one ``sum(map(mul, ...))`` per (monomial, power).
+    An empty strict interval has shi raised to slo - 1, so it adds nothing.
+    Returns ``(closed, strict)`` entry lists in storage order, per rank.
     """
-    steps, plan = _row_plan(dim, r)
-    polys = [_power_sum_poly(k) for k in range(1, r + 1)]
-    closed = [0] * len(plan)
-    inner = [0] * len(plan)
-    for prefix, lo, hi, slo, shi in rows:
-        mono = [1]
-        for j, i in steps:
-            mono.append(mono[j] * prefix[i])
-        sums = _power_sums(lo, hi, polys)
-        for e, (j, k) in enumerate(plan):
-            closed[e] += mono[j] * sums[k]
-        if slo <= shi:
-            if slo != lo or shi != hi:
-                sums = _power_sums(slo, shi, polys)
-            for e, (j, k) in enumerate(plan):
-                inner[e] += mono[j] * sums[k]
-    return closed, inner
+    steps, plans, need = _row_plan(dim, r)
+    prefixes, lo, hi, slo, shi = list(zip(*rows)) or [()] * 5
+    coords = list(zip(*prefixes)) or [()] * (dim - 1)
+    monos = [None]      # the monomial 1 sums a column as it is
+    for j, i in steps:
+        monos.append(coords[i] if j == 0 else list(map(mul, monos[j], coords[i])))
+    polys = [_power_sum_poly(k) for k in range(r + 1)]
+    out = []
+    for top, low in ((hi, lo), (shi, slo)):
+        below = [x - 1 for x in low]
+        top = list(map(max, top, below))
+        diffs, a, b = [None], top, below
+        for _ in range(r + 1):      # diffs[i] = top^i - below^i
+            diffs.append(list(map(sub, a, b)))
+            a, b = list(map(mul, a, top)), list(map(mul, b, below))
+        table = {(j, i): sum(map(mul, monos[j], diffs[i])) if j else sum(diffs[i])
+                 for j, i in need}
+        out.append([[sum(c * table[j, i] for i, c in enumerate(polys[k][0]) if c)
+                     // polys[k][1] for j, k in plan] for plan in plans])
+    return list(zip(*out))
 
 
-@lru_cache(maxsize=96)
-def _dilate_moments(p: Polytope, r: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Entries of L^r(nP) and L^r(nP°), from one row scan of nP.
+@lru_cache(maxsize=32)
+def _dilate_moments(p: Polytope, top: int, n: int) -> tuple:
+    """``(closed, interior)`` entries of ranks 0..top of nP, one pass over its rows; bounded
+    like ``dilate_rows``, and ranks 0..2 share the pass with ``top = max(r, 2)``."""
+    return tuple((tuple(c), tuple(i)) for c, i in row_moments(dilate_rows(p, n), top, p.dim))
 
-    Bounded at ranks 0..2 over the 32 dilates ``dilate_rows`` keeps: ``verify``
-    reads 3d+6 entries for d >= 3 (13 in 2D), and a long scan cannot pin them all.
-    """
+
+def _moments(p: Polytope, r: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Entries of L^r(nP) and L^r(nP°)."""
     if r < 0 or n < 0:
         raise ValueError("rank and dilation must be nonnegative")
-    closed, inner = row_moments(dilate_rows(p, n), r, p.dim)
-    return tuple(closed), tuple(inner)
+    return _dilate_moments(p, max(r, 2), n)[r]
 
 
 def discrete_moment(p: Polytope, r: int, n: int) -> SymTensor:
     """Sum of outer powers x^r over the lattice points of n*P."""
-    return SymTensor.from_entries(r, p.dim, _dilate_moments(p, r, n)[0])
+    return SymTensor.from_entries(r, p.dim, _moments(p, r, n)[0])
 
 
 def discrete_moment_interior(p: Polytope, r: int, n: int) -> SymTensor:
     """Sum of outer powers over lattice points strictly inside n*P (n >= 1)."""
     if n < 1:
         raise ValueError("interior enumeration needs n >= 1")
-    return SymTensor.from_entries(r, p.dim, _dilate_moments(p, r, n)[1])
+    return SymTensor.from_entries(r, p.dim, _moments(p, r, n)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +185,9 @@ def _node_values(p: Polytope, r: int) -> list[tuple[int, ...]]:
     """
     m = p.dim + r
     sign = -1 if m % 2 else 1
-    values = [tuple(sign * v for v in _dilate_moments(p, r, n)[1])
+    values = [tuple(sign * v for v in _moments(p, r, n)[1])
               for n in range((m + 1) // 2, 0, -1)]
-    values += [_dilate_moments(p, r, n)[0] for n in range(m // 2 + 1)]
+    values += [_moments(p, r, n)[0] for n in range(m // 2 + 1)]
     return list(zip(*values))
 
 
@@ -242,7 +241,7 @@ def ehrhart_tensor_polynomial(p: Polytope, r: int) -> TensorPolynomial:
 
 def _closed_values(p: Polytope, r: int) -> list[tuple[int, ...]]:
     """Entries of L^r(nP) for n = 0..dim+r, transposed: one tuple of values per entry."""
-    return list(zip(*(_dilate_moments(p, r, n)[0] for n in range(p.dim + r + 1))))
+    return list(zip(*(_moments(p, r, n)[0] for n in range(p.dim + r + 1))))
 
 
 def _all_dilates_oracle(p: Polytope, r: int) -> HrVector:

@@ -20,14 +20,14 @@ inclusion-exclusion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import InitVar, dataclass
+from functools import cached_property, lru_cache
 from itertools import repeat, zip_longest
 from operator import add, mul
 
 from . import linalg
 from .ehrhart import row_moments
-from .polytopes import checked_int, scan_rows
+from .polytopes import checked_int, scan_rows, shadow_levels
 from .tensors import (HrVector, IntPoint, SymTensor, _moment_entries, _product_entries,
                       dot, moment_of_points, multi_indices, outer_power, sym_product)
 
@@ -101,8 +101,9 @@ class HalfOpenSimplex:
 
     vertices: tuple[IntPoint, ...]
     removed: frozenset[int]
+    inverse: InitVar[tuple | None] = None   # int_inverse of _lifted(vertices), if made
 
-    def __post_init__(self):
+    def __post_init__(self, inverse):
         if not self.vertices or not self.vertices[0]:
             raise ValueError("a simplex needs vertices with at least one coordinate")
         d = len(self.vertices[0])
@@ -110,8 +111,10 @@ class HalfOpenSimplex:
             raise ValueError("vertices have mixed dimensions")
         if len(self.vertices) != d + 1:
             raise ValueError(f"a {d}-simplex needs {d + 1} vertices")
-        if self.lifted_det() == 0:
+        if inverse is None and linalg.int_det(_lifted(self.vertices)) == 0:
             raise ValueError("vertices are affinely dependent")
+        if inverse is not None:
+            object.__setattr__(self, "_inverse", inverse)
         if not all(0 <= i <= d for i in self.removed):
             raise ValueError("removed facet indices out of range")
         if len(self.removed) > d:
@@ -128,11 +131,12 @@ class HalfOpenSimplex:
     def dim(self) -> int:
         return len(self.vertices[0])
 
-    def lifted_det(self) -> int:
-        return linalg.int_det(_lifted(self.vertices))
+    @cached_property
+    def _inverse(self) -> tuple[list[list[int]], int]:
+        return linalg.int_inverse(_lifted(self.vertices))
 
     def normalized_volume(self) -> int:
-        return abs(self.lifted_det())
+        return self._inverse[1]
 
     def barycentric_rows(self) -> tuple[list[list[int]], int]:
         """``(rows, D)``: D = |det| and rows a_i of D times the inverse of the
@@ -140,7 +144,7 @@ class HalfOpenSimplex:
 
         A point z of Z^(d+1) has barycentric coordinate ``a_i.z / D`` for vertex i.
         """
-        return linalg.int_inverse(_lifted(self.vertices))
+        return self._inverse
 
     def facets(self) -> list[tuple[IntPoint, int]]:
         """Facet i as (normal, rhs), polytope side normal.x <= rhs, for i = 0..d.
@@ -188,10 +192,10 @@ def half_open_decomposition(points, simplices) -> list[HalfOpenSimplex]:
     cells = []
     for simplex in simplices:
         vertices = tuple(tuple(map(checked_int, points[i])) for i in simplex)
-        removed = frozenset(
-            i for i, a in enumerate(linalg.int_inverse(_lifted(vertices))[0])
-            if next(x for x in (dot(a, lifted_sum),) + tuple(a[:d]) if x) < 0)
-        cells.append(HalfOpenSimplex(vertices, removed))
+        inverse = linalg.int_inverse(_lifted(vertices))
+        removed = frozenset(i for i, a in enumerate(inverse[0])
+                            if next(x for x in (dot(a, lifted_sum),) + tuple(a[:d]) if x) < 0)
+        cells.append(HalfOpenSimplex(vertices, removed, inverse))
     return cells
 
 
@@ -269,7 +273,8 @@ def moment_halfopen(s: HalfOpenSimplex, r: int, n: int) -> SymTensor:
     """Rank-r moment of the dilate n*S*, by direct strict/weak enumeration."""
     if n < 0 or r < 0:
         raise ValueError("rank and dilation must be nonnegative")
-    closed, _ = row_moments(scan_rows(s.bounds(n), s.constraints(n)), r, s.dim)
+    shadows = [[(a, n * c) for a, c in level] for level in shadow_levels(s.facets(), s.vertices)]
+    closed, _ = row_moments(scan_rows(s.bounds(n), s.constraints(n), shadows), r, s.dim)[r]
     return SymTensor.from_entries(r, s.dim, closed)
 
 

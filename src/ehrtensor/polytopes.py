@@ -2,17 +2,19 @@
 
 V-representation in, facets derived from the boundary of one integer
 beneath-beyond placing triangulation (a monotone chain for polygons).
-Lattice point enumeration scans the bounding box with exact per-coordinate
-interval clipping, so no epsilon appears anywhere.
+Lattice point enumeration clips each prefix level exactly by the facets of
+a projection (Fourier-Motzkin shadows), so no epsilon appears anywhere.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate, chain, product
+from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import affine_basis, cross2, generalized_cross, primitive
+from .linalg import affine_basis, cross2, gcd_vector, generalized_cross, primitive
 from .tensors import IntPoint, dot, vadd, vneg, vsub
 
 
@@ -78,6 +80,11 @@ class Polytope:
         every input point is a vertex.
         """
         return tuple(map(tuple, placing_triangulation(self.vertices)))
+
+    @cached_property
+    def shadows(self):
+        """:func:`shadow_levels` of the facets, built once per polytope."""
+        return shadow_levels([(f.normal, f.rhs) for f in self.facets], self.vertices)
 
     def translate(self, t: Sequence[int]) -> "Polytope":
         verts = tuple(sorted(vadd(v, t) for v in self.vertices))
@@ -213,8 +220,33 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
 # ---------------------------------------------------------------------------
 # exact lattice point scanning
 
+def shadow_levels(facets: Sequence[tuple[IntPoint, int]], points: Sequence[IntPoint]
+                  ) -> tuple[tuple[tuple[IntPoint, int], ...], ...]:
+    """Level k = 0..d-2: pairs over coordinates 0..k valid on conv(points), among them
+    every facet of its projection ("shadow"), by Fourier-Motzkin elimination from
+    ``facets``.  Eliminating coordinate k keeps the pairs with a zero coefficient k
+    and adds, divided by their gcd, the combination of each opposite pair tight on k
+    common projected points: a facet of the projection is the image of a ridge with
+    k vertices (Ziegler, *Lectures on Polytopes*, Lecture 1).  Level 0 is an interval."""
+    level, out = sorted({(tuple(a), c) for a, c in facets}), []
+    for k in range(len(points[0]) - 1, 1, -1):
+        pts = {p[:k + 1] for p in points}
+        tight = {(a, c): sum(1 << i for i, q in enumerate(pts) if sum(map(mul, a, q)) == c)
+                 for a, c in level}
+        nxt = {(a[:k], c) for a, c in level if not a[k]}
+        for (a, c), (b, e) in product(level, repeat=2):
+            if a[k] > 0 > b[k] and bin(tight[a, c] & tight[b, e]).count("1") >= k:
+                normal = [a[k] * y - b[k] * x for x, y in zip(a[:k], b)]
+                g = gcd_vector(normal + [a[k] * e - b[k] * c])
+                nxt.add((tuple(x // g for x in normal), (a[k] * e - b[k] * c) // g))
+        out.append(level := tuple(sorted(nxt)))
+    lo, hi = min(p[0] for p in points), max(p[0] for p in points)
+    return ((((-1,), -lo), ((1,), hi)), *reversed(out))[:len(points[0]) - 1]
+
+
 def scan_rows(bounds: Sequence[tuple[int, int]],
-              constraints: Sequence[tuple[IntPoint, int]]
+              constraints: Sequence[tuple[IntPoint, int]],
+              shadows: Sequence[Sequence[tuple[IntPoint, int]]]
               ) -> list[tuple[IntPoint, int, int, int, int]]:
     """Integer points in a box satisfying linear constraints, as a list of rows.
 
@@ -225,39 +257,40 @@ def scan_rows(bounds: Sequence[tuple[int, int]],
     ``(prefix, lo, hi, slo, shi)``: the last coordinate runs over ``[lo, hi]``
     under the constraints and over ``[slo, shi]`` with every one strict, an
     empty interval when the prefix lies on a constraint parallel to the last
-    axis.  Prefix levels are clipped by suffix bounds over the box.  Each 2D
-    slice (fixed first d-2 coordinates) is one loop over coordinate d-2 with
-    one division per inequality and row: ``(t-1)//a == t//a - 1`` exactly
-    when a divides t, so ``shi = hi - 1`` iff ``a*hi == t`` for a remainder t
-    with positive last coefficient a, and likewise ``slo = lo + 1``.
+    axis.  Prefix level k is clipped by the box and the pairs of ``shadows[k]``
+    with a nonzero coefficient k (:func:`shadow_levels`).  Each 2D slice (fixed
+    first d-2 coordinates) is one loop over coordinate d-2 with one division per
+    inequality and row: ``(t-1)//a == t//a - 1`` exactly when a divides t, so
+    ``shi = hi - 1`` iff ``a*hi == t`` for a remainder t with positive last
+    coefficient a, and likewise ``slo = lo + 1``.
     """
     d = len(bounds)
     if d == 0:
         raise ValueError("row scan needs at least one coordinate")
     if d == 1:      # one slice, under a dummy first coordinate fixed at 0
-        rows = scan_rows([(0, 0), *bounds], [((0, *a), c) for a, c in constraints])
+        rows = scan_rows([(0, 0), *bounds], [((0, *a), c) for a, c in constraints], [()])
         return [((), *row[1:]) for row in rows]
     last = d - 1
     ineqs = [(tuple(a), int(c)) for a, c in constraints]
     # positive, then negative, then zero coefficient of the last coordinate
     ineqs.sort(key=lambda q: (q[0][last] <= 0) + (q[0][last] == 0))
-    cols = [[a[k] for a, _ in ineqs] for k in range(d)]
-    npos = sum(a > 0 for a in cols[last])
-    nneg = npos + sum(a < 0 for a in cols[last])
-    # least[k][i]: least value coordinates k+1..d-1 can add to inequality i
-    # over the box
-    least = [[0] * len(ineqs)]
-    for k in range(last, 0, -1):
-        lo, hi = bounds[k]
-        least.append([m + min(a * lo, a * hi) for m, a in zip(least[-1], cols[k])])
-    least.reverse()
+    npos = sum(a[last] > 0 for a, _ in ineqs)
+    nneg = npos + sum(a[last] < 0 for a, _ in ineqs)
+    # one remainder per inequality: each level's shadows, then the constraints
+    levels = [[(a, c) for a, c in shadows[k] if a[k]] for k in range(last)]
+    starts = list(accumulate(map(len, levels), initial=0))
+    allq = [(tuple(a) + (0,) * (d - len(a)), c) for level in levels for a, c in level] + ineqs
+    cols = [[a[k] for a, _ in allq] for k in range(d)]
+    own = [cols[k][starts[k]:starts[k + 1]] for k in range(last)]
+    rest = [cols[k][starts[k + 1]:] for k in range(last)]
+    ycol, xcol, nown = cols[last][starts[last]:], rest[last - 1], len(own[last - 1])
+    yup, ydown, xup, xdown, xflat = ycol[:npos], ycol[npos:nneg], xcol, xcol[npos:], xcol[nneg:]
     blo, bhi = bounds[last]
     out = []
 
-    def level_range(level: int, rem: list[int]):
+    def level_range(level: int, pairs):
         lo, hi = bounds[level]
-        for a, t, m in zip(cols[level], rem, least[level]):
-            t -= m
+        for a, t in pairs:
             if a > 0:
                 q = t // a
                 if q < hi:
@@ -271,13 +304,15 @@ def scan_rows(bounds: Sequence[tuple[int, int]],
         return range(lo, hi + 1)
 
     def scan_slice(rem: list[int], prefix: IntPoint):
-        # rem[i]: rhs of inequality i minus the prefix's contribution; the
-        # range keeps every remainder r - c x of a zero last coefficient >= 0
-        col = cols[last - 1]
-        up = list(zip(cols[last][:npos], rem, col))
-        down = list(zip(cols[last][npos:nneg], rem[npos:], col[npos:]))
-        flat = list(zip(rem[nneg:], col[nneg:]))
-        for x in level_range(last - 1, rem):
+        # the x range keeps each remainder r - c x of a zero last coefficient
+        # >= 0; the x where one is 0 are found once per slice
+        shadow, rem = zip(own[last - 1], rem), rem[nown:]
+        up = list(zip(yup, rem, xup))
+        down = list(zip(ydown, rem[npos:], xdown))
+        flat = list(zip(xflat, rem[nneg:]))
+        xs = level_range(last - 1, chain(shadow, flat))
+        tight = xs if (0, 0) in flat else {r // c for c, r in flat if c and not r % c}
+        for x in xs:
             hi, top = bhi, False
             for a, r, c in up:
                 t = r - c * x
@@ -296,7 +331,7 @@ def scan_rows(bounds: Sequence[tuple[int, int]],
                     bot = bot or q * a == t
             if lo > hi:
                 continue
-            if flat and any(r == c * x for r, c in flat):
+            if x in tight:
                 out.append((prefix + (x,), lo, hi, 1, 0))
             else:
                 out.append((prefix + (x,), lo, hi, lo + bot, hi - top))
@@ -304,11 +339,11 @@ def scan_rows(bounds: Sequence[tuple[int, int]],
     def scan_level(level: int, rem: list[int], prefix: IntPoint):
         if level == last - 1:
             return scan_slice(rem, prefix)
-        col = cols[level]
-        for x in level_range(level, rem):
-            scan_level(level + 1, [t - a * x for t, a in zip(rem, col)], prefix + (x,))
+        below, col = rem[len(own[level]):], rest[level]
+        for x in level_range(level, zip(own[level], rem)):
+            scan_level(level + 1, [t - a * x for t, a in zip(below, col)], prefix + (x,))
 
-    scan_level(0, [c for _, c in ineqs], ())
+    scan_level(0, [c for _, c in allq], ())
     del scan_level      # its self-reference would hold every table until a gc pass
     return out
 
@@ -331,7 +366,8 @@ def dilate_rows(p: Polytope, n: int) -> tuple[tuple[IntPoint, int, int, int, int
     if n < 0:
         raise ValueError("dilation factor must be nonnegative")
     cons = [(f.normal, n * f.rhs) for f in p.facets]
-    return tuple(scan_rows(dilate_bounds(p, n), cons))
+    shadows = [[(a, n * c) for a, c in level] for level in p.shadows]
+    return tuple(scan_rows(dilate_bounds(p, n), cons, shadows))
 
 
 def lattice_points(p: Polytope, n: int) -> list[IntPoint]:

@@ -95,6 +95,11 @@ def oracle_moment(points, r: int, dim: int = 2) -> et.SymTensor:
     return acc
 
 
+def box_rows(bounds, constraints):
+    """``scan_rows`` of a box and constraints, with no shadow besides the box."""
+    return scan_rows(bounds, constraints, [()] * (len(bounds) - 1))
+
+
 def scan_points(bounds, constraints):
     """All integer points in a box satisfying linear constraints.
 
@@ -105,9 +110,39 @@ def scan_points(bounds, constraints):
         if all(c >= 0 for _, c in constraints):
             yield ()
         return
-    for prefix, lo, hi, _, _ in scan_rows(bounds, constraints):
+    for prefix, lo, hi, _, _ in box_rows(bounds, constraints):
         for t in range(lo, hi + 1):
             yield prefix + (t,)
+
+
+def box_filter_rows(bounds, constraints):
+    """Rows of a box under linear constraints, by testing every box point.
+
+    One ``(prefix, closed, strict)`` per prefix of the first d-1 coordinates
+    that admits a point, in lexicographic order: the last coordinates with
+    every ``normal . x <= rhs``, and those with every one strict.
+    """
+    def meets(x, strict):
+        return all(sum(a * b for a, b in zip(normal, x)) < rhs if strict else
+                   sum(a * b for a, b in zip(normal, x)) <= rhs for normal, rhs in constraints)
+
+    lo, hi = bounds[-1]
+    rows = []
+    for prefix in product(*(range(a, b + 1) for a, b in bounds[:-1])):
+        closed = [t for t in range(lo, hi + 1) if meets(prefix + (t,), False)]
+        if closed:
+            rows.append((prefix, closed, [t for t in closed if meets(prefix + (t,), True)]))
+    return rows
+
+
+NAMED_SOLIDS = {
+    # a Reeve tetrahedron: no interior point, yet its dilates have them
+    "reeve_tetrahedron": [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)],
+    # a prism over a tetrahedron with a slanted top: its side facets are
+    # parallel to the last axis
+    "slanted_prism": [(0, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                      (0, 0, 0, 1), (2, 0, 0, 3), (0, 1, 0, 1), (0, 0, 1, 2)],
+}
 
 
 def apply_linear_map(t: et.SymTensor, matrix) -> et.SymTensor:

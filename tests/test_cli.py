@@ -212,20 +212,24 @@ def test_verify_with_a_non_vertex_point_triangulates_the_vertices_again(capsys, 
 @pytest.mark.parametrize("dim, bound, seed", [(2, 6, 1), (3, 2, 1), (4, 2, trial_seed(42, 95))])
 def test_verify_scans_each_dilate_once(dim, bound, seed, capsys, monkeypatch):
     # every rank, the oracle, the interior moments and the triangulation's
-    # point list read one scan of each dilate n = 0..dim+2; the two caches
-    # keyed by a polytope are bounded, and the moment views carry none
+    # point list read one scan of each dilate n = 0..dim+2, and ranks 0..2
+    # one moment pass over its rows; the two caches keyed by a polytope are
+    # bounded, and the moment views carry none
     request = random_request(dim, bound, seed)
     clear_library_caches()
-    scans = []
-    scan_rows = polytopes.scan_rows
+    scans, passes = [], []
+    scan_rows, row_moments = polytopes.scan_rows, ehrhart.row_moments
     monkeypatch.setattr(polytopes, "scan_rows",
-                        lambda bounds, cons: scans.append(bounds) or scan_rows(bounds, cons))
+                        lambda bounds, *cons: scans.append(bounds) or scan_rows(bounds, *cons))
+    monkeypatch.setattr(ehrhart, "row_moments",
+                        lambda rows, r, d: passes.append(r) or row_moments(rows, r, d))
     code, out, _ = run_cli(["verify", "--json", request], capsys)
     assert code == 0 and json.loads(out)["all_pass"] is True
     assert len(scans) == dim + 3
-    assert polytopes.dilate_rows.cache_info().maxsize is not None
+    assert passes == [2] * (dim + 3)
+    rows_bound = polytopes.dilate_rows.cache_info().maxsize
     moments_bound = ehrhart._dilate_moments.cache_info().maxsize
-    assert moments_bound is not None and moments_bound <= 96
+    assert rows_bound is not None and moments_bound is not None and moments_bound <= rows_bound
     assert not hasattr(ehrhart.discrete_moment, "cache_info")
     assert not hasattr(ehrhart.discrete_moment_interior, "cache_info")
 

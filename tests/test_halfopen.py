@@ -10,11 +10,12 @@ import ehrtensor as et
 from ehrtensor import linalg
 from ehrtensor import halfopen, tensors
 from ehrtensor.halfopen import ONE_MINUS_T, UniPoly, halfopen_from_json, halfopen_to_json
-from ehrtensor.polytopes import placing_triangulation, scan_rows
+from ehrtensor.polytopes import placing_triangulation
 from ehrtensor.tensors import dot, moment_of_points, vneg
 from ehrtensor.triangulation import INSERTION_ORDERS
 
-from conftest import fraction_inverse, leibniz_det, oracle_moment, scan_points
+from conftest import (box_rows, clear_library_caches, fraction_inverse, leibniz_det,
+                      oracle_moment, scan_points)
 
 F = Fraction
 
@@ -160,7 +161,7 @@ def scan_box_slices(s):
     bounds = [(sum(min(0, v[j]) for v in lifted), sum(max(0, v[j]) for v in lifted))
               for j in range(d + 1)]
     slices = [[] for _ in range(d + 1)]
-    for prefix, lo, hi, _, _ in scan_rows(bounds, cons):
+    for prefix, lo, hi, _, _ in box_rows(bounds, cons):
         for height in range(lo, hi + 1):
             slices[height].append(prefix)
     return tuple(map(tuple, slices))
@@ -609,6 +610,25 @@ def test_half_open_decomposition_reduces_each_cell_at_most_twice(monkeypatch):
     assert [s.vertices for s in cells] == [tuple(points[i] for i in sx) for sx in simplices]
     assert [s.removed for s in cells] == cells_seen_from_point(points, simplices)[0]
     assert [s.removed for s in cells] == [frozenset(), frozenset({3})]
+
+
+def test_each_cell_reduces_its_lifted_matrix_once(monkeypatch):
+    # the decomposition's inverse serves the cell's volume, box points,
+    # facets and constraints, so no later step reduces the matrix again
+    p = et.random_lattice_polytope(4, 2, 8, 11)
+    simplices = p.placing_triangulation[0]
+    clear_library_caches()
+    calls = []
+    reduce = linalg._reduce
+    monkeypatch.setattr(linalg, "_reduce", lambda rows: calls.append(rows) or reduce(rows))
+    cells = et.half_open_decomposition(p.vertices, simplices)
+    for s in cells:
+        et.hr_halfopen(s, 2)
+        s.facets(), s.constraints(2), s.normalized_volume()
+    assert len(calls) == len(cells) == len(simplices) > 1
+    monkeypatch.undo()
+    assert sum(s.normalized_volume() for s in cells) == sum(
+        abs(leibniz_det([list(v) + [1] for v in s.vertices])) for s in cells)
 
 
 @pytest.mark.parametrize("d, bound, gens, seed", [(3, 2, 8, 6), (3, 2, 8, 19), (4, 2, 8, 11)])

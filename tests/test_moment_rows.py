@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 import ehrtensor as et
 from ehrtensor.ehrhart import _all_dilates_oracle, row_moments
-from ehrtensor.polytopes import dilate_rows, scan_rows
+from ehrtensor.polytopes import dilate_rows, scan_rows, shadow_levels
 from ehrtensor.tensors import dot, vneg
 
-from conftest import fraction_vandermonde_oracle, oracle_moment, scan_points
+from conftest import (NAMED_SOLIDS, box_filter_rows, box_rows, fraction_vandermonde_oracle,
+                      oracle_moment, scan_points)
 
 
 def box_points(bounds, constraints, strict=False):
@@ -59,7 +60,7 @@ constraint_mixes = st.integers(1, 4).flatmap(lambda d: st.tuples(
 @given(constraint_mixes)
 def test_rows_expand_to_box_scan(case):
     bounds, constraints = case
-    rows = list(scan_rows(bounds, constraints))
+    rows = list(box_rows(bounds, constraints))
     assert expand(rows) == box_points(bounds, constraints)
     assert list(scan_points(bounds, constraints)) == box_points(bounds, constraints)
     assert expand(rows, strict=True) == box_points(bounds, constraints, strict=True)
@@ -91,7 +92,7 @@ EDGE_CASES = {
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_rows_on_edge_cases(name):
     bounds, constraints = EDGE_CASES[name]
-    rows = scan_rows(bounds, constraints)
+    rows = box_rows(bounds, constraints)
     assert isinstance(rows, list)
     assert expand(rows) == box_points(bounds, constraints)
     assert expand(rows, strict=True) == box_points(bounds, constraints, strict=True)
@@ -100,16 +101,16 @@ def test_rows_on_edge_cases(name):
 
 def test_rows_read_strict_bounds_off_tightness():
     # y <= 2 from 2y <= 4 (tight), y >= -1 from -3y <= 3 (tight), box [-5, 5]
-    assert scan_rows([(-5, 5)], [((2,), 4), ((-3,), 3)]) == [((), -1, 2, 0, 1)]
+    assert box_rows([(-5, 5)], [((2,), 4), ((-3,), 3)]) == [((), -1, 2, 0, 1)]
     # same bounds without divisibility: the strict interval is the closed one
-    assert scan_rows([(-5, 5)], [((2,), 5), ((-3,), 5)]) == [((), -1, 2, -1, 2)]
+    assert box_rows([(-5, 5)], [((2,), 5), ((-3,), 5)]) == [((), -1, 2, -1, 2)]
     # the box binds at both ends where both facets are tight
-    assert scan_rows([(-1, 2)], [((2,), 4), ((-3,), 3)]) == [((), -1, 2, 0, 1)]
+    assert box_rows([(-1, 2)], [((2,), 4), ((-3,), 3)]) == [((), -1, 2, 0, 1)]
     # a later inequality ties the bound and is the tight one
-    assert scan_rows([(-5, 5)], [((2,), 5), ((1,), 2), ((-2,), 5), ((-1,), 2)]) == \
+    assert box_rows([(-5, 5)], [((2,), 5), ((1,), 2), ((-2,), 5), ((-1,), 2)]) == \
         [((), -2, 2, -1, 1)]
     # a flat constraint tight at the prefix empties the strict interval
-    assert scan_rows([(0, 1), (0, 1)], [((1, 0), 1)]) == [((0,), 0, 1, 0, 1),
+    assert box_rows([(0, 1), (0, 1)], [((1, 0), 1)]) == [((0,), 0, 1, 0, 1),
                                                           ((1,), 0, 1, 1, 0)]
 
 
@@ -120,9 +121,11 @@ def test_rows_scan_leaves_no_reference_cycle():
     cons = [(f.normal, 2 * f.rhs) for f in p.facets]
     gc.collect()
     gc.disable()
+    shadows = [[(a, 2 * c) for a, c in level] for level in p.shadows]
     try:
-        for bounds, constraints in (([(-4, 4)] * 4, cons), ([(-5, 5)], [((2,), 4)])):
-            assert scan_rows(bounds, constraints)
+        for bounds, constraints, levels in (([(-4, 4)] * 4, cons, shadows),
+                                            ([(-5, 5)], [((2,), 4)], [])):
+            assert scan_rows(bounds, constraints, levels)
             assert gc.collect() == 0
     finally:
         gc.enable()
@@ -140,7 +143,43 @@ def test_rows_of_halfopen_constraints(d, seed, n):
         except ValueError:
             continue
     cons = s.constraints(n)
-    assert expand(scan_rows(s.bounds(n), cons)) == box_points(s.bounds(n), cons)
+    shadows = [[(a, n * c) for a, c in level] for level in shadow_levels(s.facets(), s.vertices)]
+    assert expand(scan_rows(s.bounds(n), cons, shadows)) == box_points(s.bounds(n), cons)
+
+
+def _row_corpus(d):
+    """Seeded polytopes and half-open simplices of dimension d, small enough
+    for a box filter of their dilates n <= 3."""
+    bound = 1 if d == 5 else 2
+    solids = [et.random_lattice_polytope(d, bound, d + 2 + k, 700 * d + k) for k in range(2)]
+    solids += [et.convex_hull(v) for v in NAMED_SOLIDS.values() if len(v[0]) == d]
+    rng, cells = random.Random(d), []
+    while len(cells) < 3:
+        vertices = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d + 1)]
+        try:
+            cells.append(et.HalfOpenSimplex.make(vertices, rng.sample(range(d + 1), len(cells) % d)))
+        except ValueError:
+            continue
+    return solids, cells
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_shadowed_rows_match_box_filter(d):
+    # the rows of every dilate are those of the box with no shadow: the same
+    # prefixes, closed and strict intervals, and the same half-open moments
+    solids, cells = _row_corpus(d)
+    for p in solids:
+        for n in range(4):
+            cons = [(f.normal, n * f.rhs) for f in p.facets]
+            got = [(prefix, list(range(lo, hi + 1)), list(range(slo, shi + 1)))
+                   for prefix, lo, hi, slo, shi in dilate_rows(p, n)]
+            assert got == box_filter_rows(et.polytopes.dilate_bounds(p, n), cons), (p, n)
+    for s in cells:
+        for n in range(4):
+            points = [prefix + (t,) for prefix, closed, _ in
+                      box_filter_rows(s.bounds(n), s.constraints(n)) for t in closed]
+            for r in range(3):
+                assert et.moment_halfopen(s, r, n) == oracle_moment(points, r, d), (s, n, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,7 +189,7 @@ def test_fused_kernel_matches_point_sums(p, r, n):
     closed = [x for x in product(*(range(lo, hi + 1) for lo, hi in bounds))
               if p.contains(x, n)]
     inner = [x for x in closed if p.contains(x, n, strict=True)]
-    got_closed, got_inner = row_moments(dilate_rows(p, n), r, p.dim)
+    got_closed, got_inner = row_moments(dilate_rows(p, n), r, p.dim)[r]
     assert et.SymTensor.from_entries(r, p.dim, got_closed) == oracle_moment(closed, r, p.dim)
     assert et.SymTensor.from_entries(r, p.dim, got_inner) == oracle_moment(inner, r, p.dim)
     assert et.discrete_moment(p, r, n) == oracle_moment(closed, r, p.dim)

@@ -1,6 +1,7 @@
 """Hulls, facets, exact enumeration, reflexivity, seeded generation."""
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -12,7 +13,7 @@ from ehrtensor.polytopes import (DegenerateInputError, FacetIneq, dilate_rows,
 from ehrtensor.positivity import trial_seed
 from ehrtensor.tensors import dot, vneg, vsub
 
-from conftest import (NAMED_POLYGONS, cofactor_cross, fraction_rref,
+from conftest import (NAMED_POLYGONS, NAMED_SOLIDS, cofactor_cross, fraction_rref,
                       oracle_polygon_interior_points, oracle_polygon_points)
 
 
@@ -153,6 +154,32 @@ def test_equal_polytopes_hash_alike_from_one_stored_hash(monkeypatch):
     assert dilate_rows.cache_info()[:2] == (2, 1)      # (hits, misses)
     assert facet_hashes == []
     assert a != et.Polytope(a.dim, a.vertices, a.facets[1:])
+
+
+SHADOW_CORPUS = {name: et.convex_hull(v) for name, v in NAMED_SOLIDS.items()} | {
+    f"random_d{d}_{k}": et.random_lattice_polytope(d, 2, d + 2 + k, 300 * d + k)
+    for d in (3, 4, 5) for k in range(4)}
+
+
+def test_slanted_prism_has_a_facet_parallel_to_the_last_axis():
+    assert any(f.normal[-1] == 0 for f in SHADOW_CORPUS["slanted_prism"].facets)
+
+
+@pytest.mark.parametrize("name", SHADOW_CORPUS)
+def test_shadows_are_the_facets_of_each_projection(name):
+    # every shadow holds on the projected vertices, and each facet of their
+    # hull is among the shadows exactly once, up to a positive factor
+    p = SHADOW_CORPUS[name]
+    assert len(p.shadows) == p.dim - 1
+    for k, level in enumerate(p.shadows):
+        points = [v[:k + 1] for v in p.vertices]
+        assert all(len(a) == k + 1 and all(dot(a, q) <= c for q in points) for a, c in level)
+        normalized = []
+        for a, c in level:
+            g = gcd_vector(a)
+            normalized.append((tuple(x // g for x in a), Fraction(c, g)))
+        for f in et.convex_hull(points).facets:
+            assert normalized.count((f.normal, f.rhs)) == 1, (k, f)
 
 
 def test_unit_square_dilate_counts():
