@@ -192,8 +192,10 @@ def _report_json(rep: positivity.DefinitenessReport) -> dict:
 
 def _cmd_psd(args) -> int:
     p = _load_polytope(args.input)
-    h_reports = positivity.check_h2_psd(p)
-    l_reports = positivity.check_ehrhart_psd(p)
+    h = ehrhart.to_hr_vector(p, 2)
+    h_reports = [positivity.classify_definiteness(e) for e in h.entries]
+    l_reports = [positivity.classify_definiteness(c)
+                 for c in ehrhart.hr_vector_to_polynomial(h).coeffs[1:]]
     out = {"h2": [_report_json(r) for r in h_reports],
            "ehrhart2": [_report_json(r) for r in l_reports]}
     if args.table:

@@ -8,12 +8,14 @@ One row scan of nP gives both the closed moment L(nP) and the interior
 moment L(nP°): every row of the scan contributes its prefix monomials times
 the power sums of the last coordinate over its closed and strict intervals,
 summed for every rank in one column pass.
-Ehrhart-Macdonald reciprocity for moment tensors, L(-n) = (-1)^m L(nP°),
-turns interior moments into values at negative nodes, so the h-tensor vector
-is fixed by the nodes n = -ceil(m/2)..floor(m/2) and needs the scans of nP
-for n = 0..ceil(m/2) only: its entries are integer linear maps of the node
-values with weights that depend on m alone.  The polynomial is the binomial
-expansion of h, ``L(n) = sum_i h_i C(n+m-i, m)``.
+The h-tensor vector is the numerator of the moment series,
+``sum_n L(nP) t^n = sum_i h_i t^i / (1-t)^(m+1)``, and Ehrhart-Macdonald
+reciprocity for moment tensors gives the interior series the reversed
+numerator, ``sum_{n>=1} L(nP°) t^n = sum_i h_i t^(m+1-i) / (1-t)^(m+1)``.
+So alternating binomial sums of the closed moments give the lower half of h
+and those of the interior moments the upper half, from the scans of nP for
+n = 0..ceil(m/2) only.  The polynomial is the binomial expansion of h,
+``L(n) = sum_i h_i C(n+m-i, m)``.
 
 The rows of nP do not depend on the rank: each (polytope, n) is scanned once
 into the cache of :func:`~ehrtensor.polytopes.dilate_rows` (32 dilates), and
@@ -22,10 +24,10 @@ one pass over them gives the moments of ranks 0..max(r, 2), cached by
 (``moments --n`` big) holds all of its rows in memory while cached.  A CLI
 request derives each rank's h once.
 
-The closed moments at every node 0..m survive only as the cross-check of
-``ehrtensor verify``, in integers: :func:`_all_dilates_oracle` takes their
-alternating binomial sums, and :func:`reciprocity_check` extrapolates them to
--n with Lagrange weights.
+The closed moments at every n = 0..m survive only as the cross-check of
+``ehrtensor verify``: :func:`_all_dilates_oracle` maps them to h by the same
+alternating binomial sums, and :func:`reciprocity_check` reads that h at -n
+in the binomial basis.
 """
 from __future__ import annotations
 
@@ -143,65 +145,40 @@ def discrete_moment_interior(p: Polytope, r: int, n: int) -> SymTensor:
 
 
 # ---------------------------------------------------------------------------
-# h-vectors from reciprocity-halved nodes, polynomials from h-vectors
+# h-vectors from the moment series, polynomials from h-vectors
 
-def _lagrange(nodes: range, x: int) -> list[int]:
-    """Lagrange weights ``l_j(x) = prod_{k != j} (x - x_k) / (x_j - x_k)`` at an integer x.
+def _numerator(values: list[tuple[int, ...]], m: int) -> list[list[int]]:
+    """Coefficients 0..len(values)-1 of ``(1-t)^(m+1) sum_n values[n] t^n``, entry by entry.
 
-    On consecutive integer nodes a..a+m each weight is an integer,
-    ``(-1)^(m-j) C(x-a, j) C(x-a-j-1, m-j)``, so the division is exact.
+    Coefficient i is ``sum_{n<=i} (-1)^(i-n) C(m+1, i-n) values[n]``, so it
+    reads the values at n = 0..i only.
     """
-    return [math.prod(x - xk for xk in nodes if xk != xj)
-            // math.prod(xj - xk for xk in nodes if xk != xj) for xj in nodes]
+    signs = [(-1) ** j * math.comb(m + 1, j) for j in range(len(values))]
+    columns = list(zip(*values))
+    return [[sum(map(mul, row, col)) for col in columns]
+            for row in (signs[i::-1] for i in range(len(values)))]
 
 
-@lru_cache(maxsize=None)
-def _node_weights(m: int) -> tuple[tuple[int, ...], ...]:
-    """Integer weights from the values at nodes -ceil(m/2)..floor(m/2) to the h-entries.
-
-    h-entry i is ``sum_j weights[i][j] * value_j``: the alternating sum
-    ``h_i = sum_{n<=i} (-1)^(i-n) C(m+1, i-n) L(n)`` composed with the
-    Lagrange weights ``l_j(n)`` of the nodes.
-    """
-    at = [_lagrange(range(-((m + 1) // 2), m // 2 + 1), n) for n in range(m + 1)]
-    return tuple(tuple(sum((-1) ** (i - n) * math.comb(m + 1, i - n) * at[n][j]
-                           for n in range(i + 1))
-                       for j in range(m + 1)) for i in range(m + 1))
-
-
-def _hvector(p: Polytope, r: int, weights, columns) -> HrVector:
-    """h-entry i has entries ``sum_j weights[i][j] * column_j``, in integers."""
-    return HrVector(tuple(
-        SymTensor.from_entries(r, p.dim, [sum(map(mul, row, col)) for col in columns])
-        for row in weights))
-
-
-def _node_values(p: Polytope, r: int) -> list[tuple[int, ...]]:
-    """Entries of L^r at the nodes n = -ceil(m/2)..floor(m/2), m = dim + r.
-
-    Negative nodes come from interior moments by reciprocity,
-    ``L(-n) = (-1)^m L(nP°)``, so the scans of nP for n = 0..ceil(m/2) fix
-    every value.  Returned transposed: one tuple of node values per entry.
-    """
-    m = p.dim + r
-    sign = -1 if m % 2 else 1
-    values = [tuple(sign * v for v in _moments(p, r, n)[1])
-              for n in range((m + 1) // 2, 0, -1)]
-    values += [_moments(p, r, n)[0] for n in range(m // 2 + 1)]
-    return list(zip(*values))
+def _hr(p: Polytope, r: int, entries) -> HrVector:
+    """The h-tensor vector with these entry lists."""
+    return HrVector(tuple(SymTensor.from_entries(r, p.dim, e) for e in entries))
 
 
 def to_hr_vector(p: Polytope, r: int) -> HrVector:
-    """h-tensor vector of P: numerator coefficients of the moment series.
+    """h-tensor vector of P, ``sum_n L^r(nP) t^n = sum_i h_i t^i / (1-t)^(m+1)``, m = dim + r.
 
-    ``h_i = sum_{j<=i} (-1)^(i-j) C(d+r+1, i-j) L^r(jP)`` for i = 0..d+r,
-    evaluated as integer weights on the reciprocity-halved node values.
-    The top entry equals the interior moment L^r(P°) and, for r >= 1, entry
-    0 vanishes and entry 1 is L^r(P).
+    The closed moments of nP, n = 0..floor(m/2), give h_0..h_floor(m/2).
+    By reciprocity ``sum_{n>=1} L^r(nP°) t^n = sum_i h_i t^(m+1-i) / (1-t)^(m+1)``,
+    so the interior moments, n = 1..ceil(m/2), give h_m, h_(m-1), ... as
+    numerator coefficients 1..ceil(m/2).  The top entry is L^r(P°) and, for
+    r >= 1, entry 0 vanishes and entry 1 is L^r(P).
     """
     if r < 0:
         raise ValueError("rank and dilation must be nonnegative")
-    return _hvector(p, r, _node_weights(p.dim + r), _node_values(p, r))
+    m = p.dim + r
+    closed = [_moments(p, r, n)[0] for n in range(m // 2 + 1)]
+    interior = [_moments(p, r, n)[1] for n in range((m + 1) // 2 + 1)]    # 0P° is empty
+    return _hr(p, r, _numerator(closed, m) + _numerator(interior, m)[:0:-1])
 
 
 @lru_cache(maxsize=None)
@@ -239,36 +216,31 @@ def ehrhart_tensor_polynomial(p: Polytope, r: int) -> TensorPolynomial:
     return hr_vector_to_polynomial(to_hr_vector(p, r))
 
 
-def _closed_values(p: Polytope, r: int) -> list[tuple[int, ...]]:
-    """Entries of L^r(nP) for n = 0..dim+r, transposed: one tuple of values per entry."""
-    return list(zip(*(_moments(p, r, n)[0] for n in range(p.dim + r + 1))))
-
-
 def _all_dilates_oracle(p: Polytope, r: int) -> HrVector:
     """h-vector from the closed moments of nP, n = 0..dim+r.
 
-    The cross-check route of ``ehrtensor verify``: no interior moment and no
-    reciprocity enters it, only alternating binomial sums of closed moments.
+    The cross-check route of ``ehrtensor verify``: the same numerator map on
+    closed moments only, with no interior moment and no reciprocity.
     """
     m = p.dim + r
-    binom = [[(-1) ** (i - n) * math.comb(m + 1, i - n) for n in range(i + 1)] for i in range(m + 1)]
-    return _hvector(p, r, binom, _closed_values(p, r))
+    return _hr(p, r, _numerator([_moments(p, r, n)[0] for n in range(m + 1)], m))
 
 
 def reciprocity_check(p: Polytope, r: int, n: int) -> bool:
     """Exact check that the moment polynomial at -n matches the interior sum.
 
-    Compares L^r_P(-n) against (-1)^(dim+r) L^r(nP°).  The left side
-    extrapolates the closed moments of nP, n = 0..dim+r, to -n with the
-    integer Lagrange weights of those nodes; the right side is strict
-    enumeration.
+    ``L^r(-n) = sum_i h_i C(-n+m-i, m) = (-1)^m sum_i h_i C(n+i-1, m)``, so
+    reciprocity ``L^r(-n) = (-1)^m L^r(nP°)`` reads ``sum_i h_i C(n+i-1, m)
+    = L^r(nP°)``.  The left side reads the h of :func:`_all_dilates_oracle`,
+    closed moments only; the right side is strict enumeration.
     """
     if n < 1:
         raise ValueError("reciprocity check needs n >= 1")
-    weights = _lagrange(range(p.dim + r + 1), -n)
-    lhs = SymTensor.from_entries(r, p.dim, [sum(map(mul, weights, col))
-                                            for col in _closed_values(p, r)])
-    return lhs == discrete_moment_interior(p, r, n) * ((-1) ** (p.dim + r))
+    m = p.dim + r
+    weights = [math.comb(n + i - 1, m) for i in range(m + 1)]
+    columns = zip(*(e.entries for e in _all_dilates_oracle(p, r).entries))
+    lhs = SymTensor.from_entries(r, p.dim, [sum(map(mul, weights, col)) for col in columns])
+    return lhs == discrete_moment_interior(p, r, n)
 
 
 # ---------------------------------------------------------------------------

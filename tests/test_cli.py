@@ -240,7 +240,8 @@ def test_verify_scans_each_dilate_once(dim, bound, seed, capsys, monkeypatch):
     (["verify", "--json", random_request(4, 2, trial_seed(42, 95))], [0, 1, 2]),
     (["pick", SQUARE], [1, 2]),
     (["reflexive", '{"vertices": [[1,0],[0,1],[-1,-1]]}'], [0, 2]),
-], ids=["verify-2d", "verify-3d", "verify-d4", "pick", "reflexive"])
+    (["psd", SQUARE], [2]),
+], ids=["verify-2d", "verify-3d", "verify-d4", "pick", "reflexive", "psd"])
 def test_each_command_derives_each_rank_once(args, ranks, capsys, monkeypatch):
     # the checks share one h per rank instead of deriving it again, and no
     # polynomial is built from the polytope behind that h

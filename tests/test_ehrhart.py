@@ -10,8 +10,9 @@ from ehrtensor.ehrhart import _simplex_moment
 from ehrtensor.linalg import gcd_vector, generalized_cross, int_det
 from ehrtensor.tensors import vsub
 
-from conftest import (NAMED_POLYGONS, apply_linear_map, fraction_vandermonde_oracle, oracle_moment,
-                      oracle_polygon_points, translation_covariance_rhs)
+from conftest import (NAMED_POLYGONS, apply_linear_map, clear_library_caches,
+                      fraction_vandermonde_oracle, oracle_moment, oracle_polygon_points,
+                      translation_covariance_rhs)
 
 
 def mat(rows):
@@ -144,14 +145,32 @@ def test_reciprocity_corpus(corpus_polygons, random_3polytopes):
 
 
 def test_integer_oracle_matches_fraction_oracle_and_main_route():
-    for d, bound in ((1, 4), (2, 3), (3, 2), (4, 1)):
+    # both parities of m = d + r: the closed half of h reads n = 0..floor(m/2),
+    # the interior half n = 1..ceil(m/2)
+    ranks = {(1, 4): range(5), (2, 3): range(5), (3, 2): range(5), (4, 1): range(5),
+             (5, 1): range(3)}
+    for (d, bound), rs in ranks.items():
         for seed in range(3):
             p = et.random_lattice_polytope(d, bound, d + 3, seed=700 + seed)
-            for r in range(4):
+            for r in rs:
                 poly, h = fraction_vandermonde_oracle(p, r)
                 assert ehrhart._all_dilates_oracle(p, r) == h, (d, seed, r)
                 assert et.ehrhart_tensor_polynomial(p, r) == poly, (d, seed, r)
                 assert et.to_hr_vector(p, r) == h, (d, seed, r)
+
+
+def test_hr_vector_scans_dilates_up_to_half_the_degree(monkeypatch):
+    # reciprocity halves the dilates: h of rank r reads the scans of nP for
+    # n = 0..ceil(m/2), m = d + r, each once
+    rows = ehrhart.dilate_rows
+    for d, bound in ((1, 4), (2, 3), (3, 2), (4, 1)):
+        p = et.random_lattice_polytope(d, bound, d + 3, seed=710 + d)
+        for r in range(4):
+            clear_library_caches()
+            scanned = []
+            monkeypatch.setattr(ehrhart, "dilate_rows", lambda q, n: scanned.append(n) or rows(q, n))
+            et.to_hr_vector(p, r)
+            assert sorted(scanned) == list(range((d + r + 1) // 2 + 1)), (d, r)
 
 
 def reciprocity_corpus():
