@@ -26,8 +26,10 @@ request derives each rank's h once.
 
 The closed moments at every n = 0..m survive only as the cross-check of
 ``ehrtensor verify``: :func:`_all_dilates_oracle` maps them to h by the same
-alternating binomial sums, and :func:`reciprocity_check` reads that h at -n
-in the binomial basis.
+alternating binomial sums.  ``verify`` builds that h once per rank and reads
+it twice: its top entry against L(P°), and at -n in the binomial basis
+against L(nP°), n = 1, 2, 3 (:func:`_reciprocity_holds`).  The volume and
+facet moments are one integer pass each, one division per entry.
 """
 from __future__ import annotations
 
@@ -36,10 +38,9 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul, sub
 
-from . import linalg
 from .polytopes import Polytope, dilate_rows
-from .tensors import (HrVector, SymTensor, TensorPolynomial, moment_of_points,
-                      multi_indices, sym_product, vsub)
+from .tensors import (HrVector, SymTensor, TensorPolynomial, _moment_entries,
+                      _product_entries, multi_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -236,50 +237,60 @@ def reciprocity_check(p: Polytope, r: int, n: int) -> bool:
     """
     if n < 1:
         raise ValueError("reciprocity check needs n >= 1")
-    m = p.dim + r
+    return _reciprocity_holds(p, _all_dilates_oracle(p, r), n)
+
+
+def _reciprocity_holds(p: Polytope, h: HrVector, n: int) -> bool:
+    """:func:`reciprocity_check` at n >= 1 on an oracle h already built, so
+    ``verify`` builds one per rank."""
+    m = len(h) - 1
     weights = [math.comb(n + i - 1, m) for i in range(m + 1)]
-    columns = zip(*(e.entries for e in _all_dilates_oracle(p, r).entries))
-    lhs = SymTensor.from_entries(r, p.dim, [sum(map(mul, weights, col)) for col in columns])
-    return lhs == discrete_moment_interior(p, r, n)
+    columns = zip(*(e.entries for e in h.entries))
+    lhs = SymTensor.from_entries(h.rank, p.dim, [sum(map(mul, weights, col)) for col in columns])
+    return lhs == discrete_moment_interior(p, h.rank, n)
 
 
 # ---------------------------------------------------------------------------
 # exact volume and facet moments
 
-def _simplex_moment(verts: list, r: int, dim: int, volume: int) -> SymTensor:
-    """Integral of x^r over a k-simplex of normalized volume ``volume`` (k! vol).
+def _simplex_entries(verts: list, r: int, dim: int) -> list[int]:
+    """Entries of ``H_r = r! h_r``, h_r the complete homogeneous tensor of the vertices.
 
-    ``volume * r!/(k+r)! * h_r`` with h_r the complete homogeneous tensor of
-    the vertices (Baldoni et al., "How to integrate a polynomial over a
-    simplex", 2011).  The integer tensors ``H_j = j! h_j`` come from the
-    vertex power sums p_i by Newton's identity, which with the unnormalized
+    The integral of x^r over a k-simplex of normalized volume ``volume``
+    (k! vol) is ``volume * H_r / (k+r)!`` (Baldoni et al., "How to integrate
+    a polynomial over a simplex", 2011).  H_r comes from the vertex power
+    sums p_i of one :func:`~ehrtensor.tensors._moment_entries` pass by
+    Newton's identity, which with the unnormalized
     :func:`~ehrtensor.tensors.sym_product` reads
-    ``j H_j = sum_{i=1..j} i! sym_product(p_i, H_(j-i))``; the one division
-    is ``volume / (k+r)!`` at the end.
+    ``j H_j = sum_{i=1..j} i! sym_product(p_i, H_(j-i))``, exactly.
     """
-    powers = [moment_of_points(verts, j, dim) for j in range(1, r + 1)]
-    hs = [SymTensor.scalar(dim, 1)]
+    powers, hs = _moment_entries(verts, r, dim), [[1]]
     for j in range(1, r + 1):
-        acc = SymTensor.zero(j, dim)
-        for i in range(1, j + 1):
-            acc = acc + sym_product(powers[i - 1], hs[j - i]) * math.factorial(i)
-        hs.append(SymTensor(j, dim, tuple(e // j for e in acc.entries)))
-    return hs[r] * Fraction(volume, math.factorial(len(verts) - 1 + r))
+        weights = [math.factorial(i) for i in range(1, j + 1)]
+        terms = [_product_entries(powers[i], hs[j - i], dim, i, j - i) for i in range(1, j + 1)]
+        hs.append([sum(map(mul, weights, col)) // j for col in zip(*terms)])
+    return hs[r]
+
+
+def _simplex_sum(p: Polytope, r: int, faces, volumes, den: int) -> SymTensor:
+    """``sum volume * H_r`` over k-simplices of the vertices, each entry divided once,
+    by ``den (k+r)!``."""
+    acc = [0] * len(multi_indices(p.dim, r))
+    for face, volume in zip(faces, volumes):
+        h = _simplex_entries([p.vertices[i] for i in face], r, p.dim)
+        acc = [a + volume * b for a, b in zip(acc, h)]
+    den *= math.factorial(len(faces[0]) - 1 + r)
+    return SymTensor(r, p.dim, tuple(Fraction(a, den) for a in acc))
 
 
 def moment_tensor(p: Polytope, r: int) -> SymTensor:
     """Exact integral of x^r over P, in any dimension and rank.
 
-    Sums :func:`_simplex_moment` over the simplices of the placing
-    triangulation of the vertices, each with normalized volume ``|det|``.
+    One integer pass over the simplices of the placing triangulation of the
+    vertices: each adds its stored ``|det|`` times :func:`_simplex_entries`,
+    and each entry is divided once, by (dim+r)!.
     """
-    verts = p.vertices
-    acc = SymTensor.zero(r, p.dim)
-    for simplex in p.placing_triangulation[0]:
-        vs = [verts[i] for i in simplex]
-        volume = abs(linalg.int_det([vsub(v, vs[0]) for v in vs[1:]]))
-        acc = acc + _simplex_moment(vs, r, p.dim, volume)
-    return acc
+    return _simplex_sum(p, r, p.placing_triangulation[0], p.simplex_volumes, 1)
 
 
 def second_coefficient_facets(p: Polytope, r: int) -> SymTensor:
@@ -287,15 +298,9 @@ def second_coefficient_facets(p: Polytope, r: int) -> SymTensor:
 
     ``1/2 * sum_F integral_F x^r`` in the lattice measure of each facet's
     hyperplane (Brion-Vergne, "Lattice points in simple polytopes", 1997):
-    :func:`_simplex_moment` over the boundary simplices of the placing
-    triangulation, each with its facet-lattice normalized volume, the gcd of
-    the cofactor normal of its edges.
+    one integer pass over the boundary simplices of the placing
+    triangulation, each adding its stored facet-lattice volume times
+    :func:`_simplex_entries`, and one division per entry, by 2 (dim-1+r)!.
     """
-    verts = p.vertices
-    acc = SymTensor.zero(r, p.dim)
-    for face, _ in p.placing_triangulation[1]:
-        vs = [verts[i] for i in face]
-        edges = [vsub(v, vs[0]) for v in vs[1:]]
-        volume = linalg.gcd_vector(linalg.generalized_cross(edges, p.dim))
-        acc = acc + _simplex_moment(vs, r, p.dim, volume)
-    return acc * Fraction(1, 2)
+    faces = [face for face, _ in p.placing_triangulation[1]]
+    return _simplex_sum(p, r, faces, p.facet_volumes, 2)

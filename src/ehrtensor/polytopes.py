@@ -14,7 +14,7 @@ from itertools import accumulate, chain, product
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import affine_basis, cross2, gcd_vector, generalized_cross, primitive
+from .linalg import affine_basis, cross2, gcd_vector, generalized_cross, int_det, primitive
 from .tensors import IntPoint, dot, vadd, vneg, vsub
 
 
@@ -80,6 +80,21 @@ class Polytope:
         every input point is a vertex.
         """
         return tuple(map(tuple, placing_triangulation(self.vertices)))
+
+    def _edges(self, face):
+        return [vsub(self.vertices[i], self.vertices[face[0]]) for i in face[1:]]
+
+    @cached_property
+    def simplex_volumes(self) -> tuple[int, ...]:
+        """|det| of each simplex of :attr:`placing_triangulation`, computed once per polytope."""
+        return tuple(abs(int_det(self._edges(s))) for s in self.placing_triangulation[0])
+
+    @cached_property
+    def facet_volumes(self) -> tuple[int, ...]:
+        """Each boundary face's volume in the lattice of its hyperplane, in the order of
+        :attr:`placing_triangulation`: the gcd of the cofactor normal of its edges."""
+        return tuple(gcd_vector(generalized_cross(self._edges(f), self.dim))
+                     for f, _ in self.placing_triangulation[1])
 
     @cached_property
     def shadows(self):

@@ -7,7 +7,8 @@ so enumeration results are cross-checked by a genuinely different route.
 The linear-algebra oracles (Leibniz determinants, Fraction Gauss-Jordan,
 Fraction congruence elimination) likewise share nothing with the library's
 integer eliminations, and the moment polynomial's oracle solves a
-Vandermonde system with them.  The point
+Vandermonde system with them; the volume and facet moments' oracle sums one
+``Fraction`` tensor per simplex, each volume a Leibniz determinant.  The point
 expansion of row scans, the tensor pushforward and the binomial translation
 expansion are the right-hand sides of identities the library must satisfy.
 """
@@ -16,13 +17,13 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 
 import ehrtensor as et
 from ehrtensor.polytopes import scan_rows
-from ehrtensor.tensors import multi_indices
+from ehrtensor.tensors import moment_of_points, multi_indices, vsub
 
 
 def _cross(o, a, b):
@@ -308,6 +309,46 @@ def fraction_vandermonde_oracle(p: et.Polytope, r: int):
             acc = acc + values[j] * ((-1) ** (i - j) * comb(m + 1, i - j))
         entries.append(acc)
     return et.TensorPolynomial(tuple(coeffs)), et.HrVector(tuple(entries))
+
+
+def fraction_simplex_moment(verts, r: int, dim: int, volume: int) -> et.SymTensor:
+    """Integral of x^r over a k-simplex of normalized volume ``volume`` (k! vol).
+
+    ``volume * r!/(k+r)! * h_r`` with h_r the complete homogeneous tensor of
+    the vertices (Baldoni et al. 2011), in ``SymTensor`` arithmetic: the
+    tensors ``H_j = j! h_j`` come from the vertex power sums p_i by Newton's
+    identity ``j H_j = sum_{i=1..j} i! sym_product(p_i, H_(j-i))``, and the
+    result is scaled by the ``Fraction`` ``volume / (k+r)!``.
+    """
+    powers = [moment_of_points(verts, j, dim) for j in range(1, r + 1)]
+    hs = [et.SymTensor.scalar(dim, 1)]
+    for j in range(1, r + 1):
+        acc = et.SymTensor.zero(j, dim)
+        for i in range(1, j + 1):
+            acc = acc + et.sym_product(powers[i - 1], hs[j - i]) * factorial(i)
+        hs.append(et.SymTensor(j, dim, tuple(e // j for e in acc.entries)))
+    return hs[r] * Fraction(volume, factorial(len(verts) - 1 + r))
+
+
+def fraction_volume_and_facet_moments(p: et.Polytope, r: int):
+    """``(moment_tensor, second_coefficient_facets)`` of p, one ``SymTensor`` per simplex.
+
+    Sums :func:`fraction_simplex_moment` over the placing triangulation's
+    simplices and, halved, over its boundary faces, each volume taken by
+    :func:`leibniz_det` or as the gcd of :func:`cofactor_cross`: the library's
+    integer entry lists and stored volumes are met by tensor arithmetic.
+    """
+    simplices, boundary = p.placing_triangulation
+    volume = facets = et.SymTensor.zero(r, p.dim)
+    for simplex in simplices:
+        vs = [p.vertices[i] for i in simplex]
+        det = abs(leibniz_det([vsub(v, vs[0]) for v in vs[1:]]))
+        volume = volume + fraction_simplex_moment(vs, r, p.dim, det)
+    for face, _ in boundary:
+        vs = [p.vertices[i] for i in face]
+        g = gcd(*cofactor_cross([vsub(v, vs[0]) for v in vs[1:]], p.dim))
+        facets = facets + fraction_simplex_moment(vs, r, p.dim, g)
+    return volume, facets * Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------

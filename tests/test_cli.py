@@ -180,9 +180,10 @@ def test_verify_square_passes(capsys):
 
 @pytest.mark.parametrize("dim, bound", [(2, 6), (3, 2)])
 def test_verify_builds_one_placing_triangulation(dim, bound, capsys, monkeypatch):
-    # moment_tensor and second_coefficient_facets share the polytope's cached
+    # moment_tensor and second_coefficient_facets read the polytope's cached
     # triangulation, which for a request listing only vertices is the one
-    # convex_hull built on the input points (there is none in 2D)
+    # convex_hull built on the input points (there is none in 2D), and its
+    # stored volumes, each one integer pass with one division per entry
     request = random_request(dim, bound, 1)
     builds = []
     build = polytopes.placing_triangulation
@@ -261,6 +262,36 @@ def test_each_command_derives_each_rank_once(args, ranks, capsys, monkeypatch):
     code, _, _ = run_cli(args, capsys)
     assert code == 0
     assert sorted(calls) == ranks
+
+
+@pytest.mark.parametrize("dim, bound, seed", [(2, 6, 1), (3, 2, 1), (4, 2, trial_seed(42, 95))],
+                         ids=["verify-2d", "verify-3d", "verify-d4"])
+def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, monkeypatch):
+    # one closed-moments-only oracle h per rank serves reciprocity at n = 1, 2, 3
+    # and h-top; the volume and facet moments of every rank read one determinant
+    # per placing simplex and one facet volume per boundary face, stored on the
+    # polytope (verify reads volumes for dim <= 3 and facets for dim == 2)
+    p = polytopes.polytope_from_json(json.loads(random_request(dim, bound, seed)))
+    simplices, boundary = p.placing_triangulation
+    monkeypatch.setattr(cli, "polytope_from_json", lambda data: p)
+
+    def counted(module, name):      # records the last argument of each call
+        calls, route = [], getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(a[-1]) or route(*a))
+        return calls
+
+    oracles = counted(ehrhart, "_all_dilates_oracle")
+    dets = counted(polytopes, "int_det")
+    crosses = counted(polytopes, "generalized_cross")
+    code, out, _ = run_cli(["verify", "--json", "{}"], capsys)
+    assert code == 0 and json.loads(out)["all_pass"] is True
+    assert oracles == [0, 1, 2]
+    assert len(dets) == (len(simplices) if dim <= 3 else 0)
+    assert len(crosses) == (len(boundary) if dim == 2 else 0)
+    for r in range(4):
+        ehrhart.moment_tensor(p, r)
+        ehrhart.second_coefficient_facets(p, r)
+    assert (len(dets), len(crosses)) == (len(simplices), len(boundary))
 
 
 # Each check of `verify` on a polygon, with a function on its side that does

@@ -6,13 +6,14 @@ from itertools import combinations_with_replacement
 
 import ehrtensor as et
 from ehrtensor import ehrhart
-from ehrtensor.ehrhart import _simplex_moment
+from ehrtensor.ehrhart import _simplex_entries
 from ehrtensor.linalg import gcd_vector, generalized_cross, int_det
 from ehrtensor.tensors import vsub
 
 from conftest import (NAMED_POLYGONS, apply_linear_map, clear_library_caches,
-                      fraction_vandermonde_oracle, oracle_moment, oracle_polygon_points,
-                      translation_covariance_rhs)
+                      fraction_simplex_moment, fraction_vandermonde_oracle,
+                      fraction_volume_and_facet_moments, oracle_moment,
+                      oracle_polygon_points, translation_covariance_rhs)
 
 
 def mat(rows):
@@ -230,6 +231,12 @@ def barycentric_simplex_moment(verts, r: int, dim: int, volume: int) -> et.SymTe
 
 
 def test_simplex_moment_matches_barycentric_oracle():
+    # the library's integer H_r entries over (k+r)!, and the Fraction tensor
+    # oracle that tests meet moment_tensor with
+    def integer_simplex_moment(verts, r, d, volume):
+        return et.SymTensor(r, d, tuple(_simplex_entries(verts, r, d))) * \
+            Fraction(volume, math.factorial(len(verts) - 1 + r))
+
     rng = random.Random(1400)
     for d in range(1, 6):
         done = 0
@@ -243,10 +250,28 @@ def test_simplex_moment_matches_barycentric_oracle():
             facet = verts[1:]
             facet_volume = gcd_vector(generalized_cross([vsub(v, facet[0]) for v in facet[1:]], d))
             for r in range(5):
-                assert _simplex_moment(verts, r, d, volume) == \
-                    barycentric_simplex_moment(verts, r, d, volume), (verts, r)
-                assert _simplex_moment(facet, r, d, facet_volume) == \
-                    barycentric_simplex_moment(facet, r, d, facet_volume), (facet, r)
+                for vs, vol in ((verts, volume), (facet, facet_volume)):
+                    expected = barycentric_simplex_moment(vs, r, d, vol)
+                    assert integer_simplex_moment(vs, r, d, vol) == expected, (vs, r)
+                    assert fraction_simplex_moment(vs, r, d, vol) == expected, (vs, r)
+
+
+def test_volume_and_facet_moments_match_fraction_oracle(corpus_polygons, random_3polytopes):
+    # one integer pass with one division per entry against one Fraction tensor
+    # per simplex, on the seeded corpora of d = 1..5 and on a 3-polytope whose
+    # input has a non-vertex point, so its triangulation indexes p.vertices
+    bounds = {1: 4, 2: 3, 3: 2, 4: 1, 5: 1}
+    seeded = [et.random_lattice_polytope(d, bound, d + 3, seed=700 + seed)
+              for d, bound in bounds.items() for seed in range(2)]
+    non_vertex = et.convex_hull([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    assert len(non_vertex.vertices) == 5
+    polytopes = list(corpus_polygons.values()) + random_3polytopes + seeded + [non_vertex]
+    assert {p.dim for p in polytopes} == {1, 2, 3, 4, 5}
+    for p in polytopes:
+        for r in range(4):
+            volume, facets = fraction_volume_and_facet_moments(p, r)
+            assert et.moment_tensor(p, r).entries == volume.entries, (p.vertices, r)
+            assert et.second_coefficient_facets(p, r).entries == facets.entries, (p.vertices, r)
 
 
 def test_moment_tensor_is_leading_coefficient_in_every_dim_and_rank():
