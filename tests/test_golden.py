@@ -26,6 +26,10 @@ SEGMENT = '{"vertices": [[-1],[2]]}'
 TRIANGLE = '{"vertices": [[0,1],[-1,-7],[1,-4]]}'
 SQUARE = '{"vertices": [[-1,-1],[1,-1],[-1,1],[1,1]]}'
 SKEW_QUAD = '{"vertices": [[0,0],[4,1],[3,4],[-1,2]]}'
+# four collinear lex-first points: the triangulation starts with a chain and fan
+CHAIN_TRIANGLE = '{"vertices": [[0,0],[0,3],[2,0]]}'
+# the vertices of random_lattice_polytope(2, 8, 8, 23), a pick-2d-sized polygon
+PICK_POLYGON = '{"vertices": [[-8,-1],[-8,1],[0,6],[1,-6],[6,-8],[8,3]]}'
 POLY3 = '{"vertices": [[0,0,0],[2,0,0],[0,1,0],[0,0,1],[1,1,1]]}'
 FINDING = ('{"vertices": [[-2,0,-2,-2],[-2,0,0,0],[-2,0,1,0],[-1,0,0,2],'
            '[0,0,-1,-1],[0,1,-1,-2],[0,1,1,1],[1,2,0,-1]]}')
@@ -55,6 +59,8 @@ def _cli_cases() -> dict[str, list[str]]:
             cases[f"halfopen_{name}_table_r{r}"] = ["halfopen", simplex, "--r", str(r), "--table"]
     cases.update({
         "pick_triangulate": ["pick", SKEW_QUAD, "--triangulate"],
+        "pick_triangulate_chain": ["pick", CHAIN_TRIANGLE, "--triangulate"],
+        "pick_triangulate_seeded": ["pick", PICK_POLYGON, "--triangulate"],
         "pick_table": ["pick", TRIANGLE, "--table"],
         "psd_d2": ["psd", TRIANGLE],
         "psd_d2_table": ["psd", SKEW_QUAD, "--table"],
@@ -180,6 +186,8 @@ GOLDEN = {
     "moments_degenerate": "f1d04a399e64880cabc9de90f5bbea6cb0feba989b43d82964d2cbe1ed78d7d1",
     "pick_table": "5ba31ee2ce4ec340341eb20695161216dcce1ed4064381acaf7b3a1667871d68",
     "pick_triangulate": "2e833edc13719a6f003afba4f591f29bf577acc60a223d8eb5a43f749466bca6",
+    "pick_triangulate_chain": "796fd43bebe16358d2d3fd83e7337477fbeaf6fa1549cc05177f8e10c17b7a1c",
+    "pick_triangulate_seeded": "184139564afced7bbbf8540177b32d72e8e7fb4d5d9de16d7748d43ec377b566",
     "psd_d2": "a9dbc5b7e395e83d6ffd606ebf155a7762d627719e0d3a26fe7efc61678bdaf1",
     "psd_d2_table": "97486fb18555a8760215bb7a2e4c45c1b9f20bd836a508dceb084ab643b73ba5",
     "psd_d4_finding": "bbbe6026450f9a103878a5b3cc51d2c8a75cea2767f37af48e7585b4b02ab38c",
