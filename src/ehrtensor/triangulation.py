@@ -4,7 +4,10 @@ The triangulation is incremental: lattice points are inserted in a fixed
 monotone (lexicographic-style) order, each new point joined to the hull
 edges it sees.  Every point inserted is extreme among those seen so far, so
 every created triangle has exactly its three corners as lattice points,
-which makes unimodularity structural rather than repaired.
+which makes unimodularity structural rather than repaired.  The insertion
+also records what the edge sums need: each triangle counterclockwise from
+its smallest index, each edge once as the new point joins the arc it sees,
+and the final hull cycle, which holds exactly the boundary lattice points.
 
 On top of the triangulation sit the edge-graph sums, the closed vector and
 matrix formulas for h-vectors and dilation polynomials of polygons, and
@@ -21,8 +24,8 @@ from typing import Callable, Sequence
 
 from .linalg import affine_rank, cross2
 from .polytopes import DegenerateInputError, Polytope, convex_hull, lattice_points
-from .tensors import (HrVector, IntPoint, SymTensor, TensorPolynomial, dot,
-                      moment_of_points)
+from .tensors import (HrVector, IntPoint, SymTensor, TensorPolynomial, _moment_entries,
+                      dot, moment_of_points)
 
 INSERTION_ORDERS: dict[str, Callable[[IntPoint], tuple]] = {
     "lex": lambda p: (p[0], p[1]),
@@ -34,11 +37,19 @@ INSERTION_ORDERS: dict[str, Callable[[IntPoint], tuple]] = {
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Unimodular triangulation on all lattice points of a polygon."""
+    """Unimodular triangulation on all lattice points of a polygon.
+
+    ``triangles`` are counterclockwise and start at their smallest index;
+    ``edges`` are the distinct triangle edges as sorted index pairs; ``cycle``
+    is the boundary, every boundary lattice point once, counterclockwise
+    from point 0.
+    """
 
     polygon: Polytope
     points: tuple[IntPoint, ...]
     triangles: tuple[tuple[int, int, int], ...]
+    edges: tuple[tuple[int, int], ...]
+    cycle: tuple[int, ...]
 
     def triangle_points(self, tri: tuple[int, int, int]) -> tuple[IntPoint, IntPoint, IntPoint]:
         return self.points[tri[0]], self.points[tri[1]], self.points[tri[2]]
@@ -46,12 +57,6 @@ class Triangulation:
     @cached_property
     def _edge_stats(self) -> "EdgeStats":
         return _build_edge_stats(self)
-
-
-def _oriented(pts: Sequence[IntPoint], a: int, b: int, c: int) -> tuple[int, int, int]:
-    tri = (a, b, c) if cross2(pts[a], pts[b], pts[c]) > 0 else (a, c, b)
-    k = tri.index(min(tri))
-    return tri[k:] + tri[:k]
 
 
 def unimodular_triangulation(p: Polytope, order: str = "lex") -> Triangulation:
@@ -66,7 +71,6 @@ def unimodular_triangulation(p: Polytope, order: str = "lex") -> Triangulation:
     key = INSERTION_ORDERS[order]
     pts = tuple(sorted(lattice_points(p, 1), key=key))
     n = len(pts)
-    triangles: list[tuple[int, int, int]] = []
 
     chain = [0, 1]
     k = 2
@@ -75,29 +79,40 @@ def unimodular_triangulation(p: Polytope, order: str = "lex") -> Triangulation:
         k += 1
     if k == n:
         raise AssertionError("polygon lattice points collinear")
-    for i in range(len(chain) - 1):
-        triangles.append(_oriented(pts, chain[i], chain[i + 1], k))
+    links = list(zip(chain, chain[1:]))
+    edges = links + [(a, k) for a in chain]
     if cross2(pts[chain[0]], pts[chain[-1]], pts[k]) > 0:
+        triangles = [(a, b, k) for a, b in links]
         cycle = chain + [k]
     else:
+        triangles = [(a, k, b) for a, b in links]
         cycle = list(reversed(chain)) + [k]
     nxt, prv = [0] * n, [0] * n         # the hull as a counterclockwise linked cycle
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         nxt[a], prv[b] = b, a
     # Point k is lexicographically largest so far, so point k-1 is a hull vertex
     # and [k-1, k] meets the hull only there: the arc that k sees touches k-1.
+    # k sees each arc edge b -> c strictly from outside, so (b, k, c) is
+    # counterclockwise, and k is the largest index of the triangle.
     for k in range(k + 1, n):
         q = pts[k]
         a = b = k - 1
-        while cross2(pts[b], pts[nxt[b]], q) < 0:
-            triangles.append(_oriented(pts, b, nxt[b], k))
-            b = nxt[b]
-        while cross2(pts[prv[a]], pts[a], q) < 0:
-            triangles.append(_oriented(pts, prv[a], a, k))
-            a = prv[a]
+        edges.append((b, k))
+        while cross2(pts[b], pts[c := nxt[b]], q) < 0:
+            triangles.append((b, k, c) if b < c else (c, b, k))
+            edges.append((c, k))
+            b = c
+        while cross2(pts[c := prv[a]], pts[a], q) < 0:
+            triangles.append((c, k, a) if c < a else (a, c, k))
+            edges.append((c, k))
+            a = c
         nxt[a], prv[k], nxt[k], prv[b] = k, a, b, k
 
-    return Triangulation(p, pts, tuple(sorted(triangles)))
+    boundary = [0]
+    while (b := nxt[boundary[-1]]) != 0:
+        boundary.append(b)
+    return Triangulation(p, pts, tuple(sorted(triangles)), tuple(sorted(edges)),
+                         tuple(boundary))
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +122,10 @@ def unimodular_triangulation(p: Polytope, order: str = "lex") -> Triangulation:
 class EdgeStats:
     """Vertex/edge classification of a triangulation plus its exact sums.
 
-    V splits into interior and boundary lattice points; an edge is a
-    boundary edge when its segment lies inside the polygon boundary
-    (equivalently both endpoints share a polygon facet) and interior
-    otherwise.
+    The boundary points are those of the triangulation's hull cycle and the
+    boundary edges join consecutive ones; the rest are interior.  The test
+    oracle defines the same split by facets: a point is on the boundary when
+    it lies on a polygon facet, an edge when both endpoints share one.
     """
 
     points: tuple[IntPoint, ...]
@@ -141,43 +156,34 @@ def edge_stats(t: Triangulation) -> EdgeStats:
     return t._edge_stats
 
 
+def _sums(points: Sequence[IntPoint]) -> tuple[SymTensor, SymTensor]:
+    """Rank-1 and rank-2 moments of a planar point list, from one pass."""
+    entries = _moment_entries(points, 2, 2)
+    return SymTensor(1, 2, tuple(entries[1])), SymTensor(2, 2, tuple(entries[2]))
+
+
 def _build_edge_stats(t: Triangulation) -> EdgeStats:
-    pts = t.points
-    facets = [(f.normal[0], f.normal[1], f.rhs) for f in t.polygon.facets]
-    # bit i of on_facet[k] is set when point k lies on facet i
-    on_facet = [sum(1 << i for i, (a, b, c) in enumerate(facets) if a * x + b * y == c)
-                for x, y in pts]
-    edges = sorted({(a, b) if a < b else (b, a) for tri in t.triangles
-                    for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2]))})
+    pts, cycle = t.points, t.cycle
+    boundary_edges = sorted((a, b) if a < b else (b, a)
+                            for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    on_cycle = set(boundary_edges)
+    interior_edges = [e for e in t.edges if e not in on_cycle]
+    boundary = frozenset(cycle)
+    inner = [x for i, x in enumerate(pts) if i not in boundary]
 
-    interior_edges = []
-    boundary_edges = []
-    e_all = []
-    e_int = []
-    e_bd = []
-    e_bd_diff = []
-    for e in edges:
-        (x0, y0), (x1, y1) = pts[e[0]], pts[e[1]]
-        ends = (x0 + x1, y0 + y1)
-        e_all.append(ends)
-        if on_facet[e[0]] & on_facet[e[1]]:
-            boundary_edges.append(e)
-            e_bd.append(ends)
-            e_bd_diff.append((x0 - x1, y0 - y1))
-        else:
-            interior_edges.append(e)
-            e_int.append(ends)
-
-    inner = [x for x, mask in zip(pts, on_facet) if not mask]
-    sum_v = moment_of_points(pts, 1, 2)
-    sum_v_int = moment_of_points(inner, 1, 2)
-    sum_v_sq = moment_of_points(pts, 2, 2)
-    sum_v_int_sq = moment_of_points(inner, 2, 2)
+    xs, ys = zip(*pts)
+    e_int = [(xs[a] + xs[b], ys[a] + ys[b]) for a, b in interior_edges]
+    e_bd = [(xs[a] + xs[b], ys[a] + ys[b]) for a, b in boundary_edges]
+    e_bd_diff = [(xs[a] - xs[b], ys[a] - ys[b]) for a, b in boundary_edges]
+    sum_v, sum_v_sq = _sums(pts)
+    sum_v_int, sum_v_int_sq = _sums(inner)
+    sum_e_int, sum_e_int_sq = _sums(e_int)
+    sum_e_bd_sq = moment_of_points(e_bd, 2, 2)
     return EdgeStats(
         points=pts,
-        edges=tuple(edges),
-        interior_points=frozenset(i for i, mask in enumerate(on_facet) if not mask),
-        boundary_points=frozenset(i for i, mask in enumerate(on_facet) if mask),
+        edges=t.edges,
+        interior_points=frozenset(range(len(pts))) - boundary,
+        boundary_points=boundary,
         interior_edges=tuple(interior_edges),
         boundary_edges=tuple(boundary_edges),
         sum_v=sum_v,
@@ -186,10 +192,10 @@ def _build_edge_stats(t: Triangulation) -> EdgeStats:
         sum_v_sq=sum_v_sq,
         sum_v_int_sq=sum_v_int_sq,
         sum_v_bd_sq=sum_v_sq - sum_v_int_sq,
-        sum_e_sq=moment_of_points(e_all, 2, 2),
-        sum_e_int=moment_of_points(e_int, 1, 2),
-        sum_e_int_sq=moment_of_points(e_int, 2, 2),
-        sum_e_bd_sq=moment_of_points(e_bd, 2, 2),
+        sum_e_sq=sum_e_int_sq + sum_e_bd_sq,
+        sum_e_int=sum_e_int,
+        sum_e_int_sq=sum_e_int_sq,
+        sum_e_bd_sq=sum_e_bd_sq,
         sum_e_bd_diff_sq=moment_of_points(e_bd_diff, 2, 2),
     )
 

@@ -1,5 +1,7 @@
 """Unimodular triangulations, edge sums, closed polygon formulas."""
 import dataclasses
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -39,6 +41,27 @@ def polygon_area2(p: et.Polytope) -> int:
         a, b = cyc[i], cyc[(i + 1) % len(cyc)]
         s += a[0] * b[1] - a[1] * b[0]
     return abs(s)
+
+
+def oriented(pts, a, b, c):
+    """Normalization oracle: the triangle counterclockwise by ``cross2``,
+    rotated to start at its smallest index."""
+    tri = (a, b, c) if triangulation.cross2(pts[a], pts[b], pts[c]) > 0 else (a, c, b)
+    k = tri.index(min(tri))
+    return tri[k:] + tri[:k]
+
+
+def placing_corpus():
+    """The 150-seed polygon corpus: bound 5 with 4, 6 and 8 generators."""
+    for seed in range(150):
+        for gens in (4, 6, 8):
+            yield (seed, gens), et.random_lattice_polytope(2, 5, gens, seed=seed)
+
+
+def wide_polygons():
+    """20 pick-2d-sized polygons: bound 8 with 8 generators."""
+    for seed in range(20):
+        yield ("wide", seed), et.random_lattice_polytope(2, 8, 8, seed=7000 + seed)
 
 
 def test_unit_square_two_triangles():
@@ -131,8 +154,9 @@ def brute_force_edge_stats(t: et.Triangulation) -> EdgeStats:
 
 
 def test_edge_stats_match_brute_force_oracle():
-    for seed in range(60):
-        p = et.random_lattice_polytope(2, 4, 6, seed=3000 + seed)
+    seeded = (((seed,), et.random_lattice_polytope(2, 4, 6, seed=3000 + seed))
+              for seed in range(60))
+    for seed, p in [*seeded, *wide_polygons()]:
         expected = (et.to_hr_vector(p, 1), et.to_hr_vector(p, 2),
                     et.ehrhart_tensor_polynomial(p, 1), et.ehrhart_tensor_polynomial(p, 2))
         for order in INSERTION_ORDERS:
@@ -147,20 +171,43 @@ def test_edge_stats_match_brute_force_oracle():
 
 def test_lattice_cycle_is_the_placing_triangulation():
     # the 2D cycle is the d=2 case of the general routine, kept for speed
-    for seed in range(150):
-        for gens in (4, 6, 8):
-            p = et.random_lattice_polytope(2, 5, gens, seed=seed)
-            for order, key in INSERTION_ORDERS.items():
-                pts = sorted(et.lattice_points(p, 1), key=key)
-                simplices, _ = placing_triangulation(pts)
-                placed = sorted(triangulation._oriented(pts, *s) for s in simplices)
-                assert tuple(placed) == et.unimodular_triangulation(p, order).triangles, \
-                    (seed, gens, order)
+    for case, p in placing_corpus():
+        for order, key in INSERTION_ORDERS.items():
+            pts = sorted(et.lattice_points(p, 1), key=key)
+            simplices, _ = placing_triangulation(pts)
+            placed = sorted(oriented(pts, *s) for s in simplices)
+            assert tuple(placed) == et.unimodular_triangulation(p, order).triangles, \
+                (case, order)
+
+
+def test_stored_edges_and_cycle_match_oracles():
+    # edges are recorded once at insertion, the boundary is the final hull cycle
+    for case, p in [*placing_corpus(), *wide_polygons()]:
+        for order in INSERTION_ORDERS:
+            t = et.unimodular_triangulation(p, order)
+            pts = t.points
+            assert t.triangles == tuple(sorted(oriented(pts, *tri) for tri in t.triangles))
+            edges = {tuple(sorted(pair)) for tri in t.triangles
+                     for pair in itertools.combinations(tri, 2)}
+            assert t.edges == tuple(sorted(edges)), (case, order)
+            on_facet = [any(dot(f.normal, x) == f.rhs for f in p.facets) for x in pts]
+            cyc = t.cycle
+            assert cyc[0] == 0 and len(set(cyc)) == len(cyc), (case, order)
+            assert set(cyc) == {i for i, on in enumerate(on_facet) if on}, (case, order)
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                # a primitive step along one facet
+                assert math.gcd(*vsub(pts[b], pts[a])) == 1, (case, order)
+                assert any(dot(f.normal, pts[a]) == dot(f.normal, pts[b]) == f.rhs
+                           for f in p.facets), (case, order)
+            area2 = sum(pts[a][0] * pts[b][1] - pts[a][1] * pts[b][0]
+                        for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+            assert area2 == len(t.triangles), (case, order)
 
 
 def full_scan_triangulation(p: et.Polytope, order: str) -> et.Triangulation:
     """The insertion triangulation that tests every hull-cycle edge for
-    visibility from each new point and rebuilds the cycle list."""
+    visibility from each new point and rebuilds the cycle list; its edges
+    join each new point to the arc it sees, its cycle is the last list."""
     cross2 = triangulation.cross2
     pts = tuple(sorted(et.lattice_points(p, 1), key=INSERTION_ORDERS[order]))
     n = len(pts)
@@ -170,8 +217,10 @@ def full_scan_triangulation(p: et.Polytope, order: str) -> et.Triangulation:
     while k < n and cross2(pts[chain[0]], pts[chain[-1]], pts[k]) == 0:
         chain.append(k)
         k += 1
+    edges = [(a, k) for a in chain]
     for i in range(len(chain) - 1):
-        triangles.append(triangulation._oriented(pts, chain[i], chain[i + 1], k))
+        triangles.append(oriented(pts, chain[i], chain[i + 1], k))
+        edges.append((chain[i], chain[i + 1]))
     if cross2(pts[chain[0]], pts[chain[-1]], pts[k]) > 0:
         cycle = chain + [k]
     else:
@@ -181,16 +230,20 @@ def full_scan_triangulation(p: et.Polytope, order: str) -> et.Triangulation:
         vis = [cross2(pts[cycle[i]], pts[cycle[(i + 1) % m]], pts[k]) < 0 for i in range(m)]
         start = next(i for i in range(m) if vis[i] and not vis[(i - 1) % m])
         i = start
+        edges.append((cycle[i], k))
         while vis[i]:
-            triangles.append(triangulation._oriented(pts, cycle[i], cycle[(i + 1) % m], k))
+            triangles.append(oriented(pts, cycle[i], cycle[(i + 1) % m], k))
             i = (i + 1) % m
+            edges.append((cycle[i], k))
         # keep cycle[i..start] (the hull edges k does not see), then k
         new_cycle = [cycle[i]]
         while i != start:
             i = (i + 1) % m
             new_cycle.append(cycle[i])
         cycle = new_cycle + [k]
-    return et.Triangulation(p, pts, tuple(sorted(triangles)))
+    first = cycle.index(0)
+    return et.Triangulation(p, pts, tuple(sorted(triangles)), tuple(sorted(edges)),
+                            tuple(cycle[first:] + cycle[:first]))
 
 
 def test_hull_walk_matches_full_scan_triangulation():
