@@ -302,5 +302,5 @@ def second_coefficient_facets(p: Polytope, r: int) -> SymTensor:
     triangulation, each adding its stored facet-lattice volume times
     :func:`_simplex_entries`, and one division per entry, by 2 (dim-1+r)!.
     """
-    faces = [face for face, _ in p.placing_triangulation[1]]
+    faces = [face for face, _, _ in p.placing_triangulation[1]]
     return _simplex_sum(p, r, faces, p.facet_volumes, 2)

@@ -89,12 +89,11 @@ class Polytope:
         """|det| of each simplex of :attr:`placing_triangulation`, computed once per polytope."""
         return tuple(abs(int_det(self._edges(s))) for s in self.placing_triangulation[0])
 
-    @cached_property
+    @property
     def facet_volumes(self) -> tuple[int, ...]:
         """Each boundary face's volume in the lattice of its hyperplane, in the order of
-        :attr:`placing_triangulation`: the gcd of the cofactor normal of its edges."""
-        return tuple(gcd_vector(generalized_cross(self._edges(f), self.dim))
-                     for f, _ in self.placing_triangulation[1])
+        :attr:`placing_triangulation`, as the triangulation stored it."""
+        return tuple(g for _, _, g in self.placing_triangulation[1])
 
     @cached_property
     def shadows(self):
@@ -145,26 +144,30 @@ def _affine_basis(pts: Sequence[IntPoint]) -> tuple[int, ...]:
 
 
 def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[
-        list[tuple[int, ...]], list[tuple[tuple[int, ...], tuple[IntPoint, int]]]]:
+        list[tuple[int, ...]], list[tuple[tuple[int, ...], tuple[IntPoint, int], int]]]:
     """Beneath-beyond placing triangulation of integer points, in the order given.
 
     Starts from the first d+1 affinely independent points; every later point
     q is coned over the boundary simplices it sees strictly
     (``normal . q > rhs``), and is skipped when it sees none.  Returns
     ``(simplices, boundary)``: the simplices as tuples of d+1 indices into
-    ``points``, and the boundary as ``(face, (normal, rhs))`` pairs, one per
-    boundary simplex: its d sorted indices and its primitive plane,
-    ``normal . x <= rhs`` on the hull.  Raises :class:`DegenerateInputError`
-    when the points do not span Z^d.
+    ``points``, and the boundary as ``(face, (normal, rhs), volume)`` triples,
+    one per boundary simplex: its d sorted indices, its primitive plane,
+    ``normal . x <= rhs`` on the hull, and its volume in the lattice of that
+    plane, the gcd of the cofactor normal of its edges.  Raises
+    :class:`DegenerateInputError` when the points do not span Z^d.
     """
     pts = [tuple(p) for p in points]
     d = len(pts[0])
     first = _affine_basis(pts)
     boundary = {}       # boundary simplex (sorted indices) -> (normal, rhs)
+    volumes = {}        # boundary simplex -> gcd of its cofactor normal
 
     def add(face, inside):
         base = pts[face[0]]
-        normal = primitive(generalized_cross([vsub(pts[i], base) for i in face[1:]], d))
+        cross = generalized_cross([vsub(pts[i], base) for i in face[1:]], d)
+        volumes[face] = g = gcd_vector(cross)
+        normal = tuple(x // g for x in cross)
         rhs = dot(normal, base)
         boundary[face] = (vneg(normal), -rhs) if dot(normal, pts[inside]) > rhs else (normal, rhs)
 
@@ -188,7 +191,7 @@ def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[
                     horizon[ridge] = face[j]
         for ridge, v in horizon.items():
             add(tuple(sorted(ridge + (k,))), v)
-    return simplices, list(boundary.items())
+    return simplices, [(face, plane, volumes[face]) for face, plane in boundary.items()]
 
 
 def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
@@ -220,7 +223,7 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
         return Polytope(2, tuple(sorted(cycle)), facets)
 
     triangulation = placing_triangulation(pts)
-    planes = sorted({plane for _, plane in triangulation[1]})
+    planes = sorted({plane for _, plane, _ in triangulation[1]})
     # bit i of masks[k] is set when point k lies on facet i
     masks = [sum(1 << i for i, (normal, rhs) in enumerate(planes) if dot(normal, p) == rhs)
              for p in pts]

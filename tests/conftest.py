@@ -344,7 +344,7 @@ def fraction_volume_and_facet_moments(p: et.Polytope, r: int):
         vs = [p.vertices[i] for i in simplex]
         det = abs(leibniz_det([vsub(v, vs[0]) for v in vs[1:]]))
         volume = volume + fraction_simplex_moment(vs, r, p.dim, det)
-    for face, _ in boundary:
+    for face, _, _ in boundary:
         vs = [p.vertices[i] for i in face]
         g = gcd(*cofactor_cross([vsub(v, vs[0]) for v in vs[1:]], p.dim))
         facets = facets + fraction_simplex_moment(vs, r, p.dim, g)

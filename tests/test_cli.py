@@ -268,9 +268,10 @@ def test_each_command_derives_each_rank_once(args, ranks, capsys, monkeypatch):
                          ids=["verify-2d", "verify-3d", "verify-d4"])
 def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, monkeypatch):
     # one closed-moments-only oracle h per rank serves reciprocity at n = 1, 2, 3
-    # and h-top; the volume and facet moments of every rank read one determinant
-    # per placing simplex and one facet volume per boundary face, stored on the
-    # polytope (verify reads volumes for dim <= 3 and facets for dim == 2)
+    # and h-top; the volume moments of every rank read one determinant per
+    # placing simplex, stored on the polytope (verify reads them for dim <= 3),
+    # and the facet moments read the facet volumes the placing triangulation
+    # kept beside its planes, so they take no cross product of their own
     p = polytopes.polytope_from_json(json.loads(random_request(dim, bound, seed)))
     simplices, boundary = p.placing_triangulation
     monkeypatch.setattr(cli, "polytope_from_json", lambda data: p)
@@ -287,11 +288,11 @@ def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, mon
     assert code == 0 and json.loads(out)["all_pass"] is True
     assert oracles == [0, 1, 2]
     assert len(dets) == (len(simplices) if dim <= 3 else 0)
-    assert len(crosses) == (len(boundary) if dim == 2 else 0)
+    assert crosses == []
     for r in range(4):
         ehrhart.moment_tensor(p, r)
         ehrhart.second_coefficient_facets(p, r)
-    assert (len(dets), len(crosses)) == (len(simplices), len(boundary))
+    assert (len(dets), len(crosses)) == (len(simplices), 0)
 
 
 # Each check of `verify` on a polygon, with a function on its side that does

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 import ehrtensor as et
+from ehrtensor import polytopes
 from ehrtensor.linalg import gcd_vector, int_det, primitive
 from ehrtensor.polytopes import (DegenerateInputError, FacetIneq, dilate_rows,
                                  placing_triangulation, polytope_from_json, polytope_to_json)
@@ -117,8 +118,37 @@ def test_placing_simplices_sum_to_normalized_volume():
                          for s in simplices)
             lead = et.ehrhart_tensor_polynomial(p, 0).coeffs[-1].as_scalar()
             assert volume == math.factorial(d) * lead, pts
-            planes = {plane for _, plane in boundary}
+            planes = {plane for _, plane, _ in boundary}
             assert sorted(planes) == [(f.normal, f.rhs) for f in p.facets], pts
+
+
+def test_placing_boundary_keeps_facet_lattice_volumes():
+    # beside each plane: the gcd of the face's cofactor normal, its volume in
+    # the lattice of the hyperplane, which the facet moments weight it by
+    for d in range(2, 6):
+        for seed in range(6):
+            p = et.random_lattice_polytope(d, 2, d + 4, seed=8200 + 10 * d + seed)
+            _, boundary = p.placing_triangulation
+            for face, (normal, _), volume in boundary:
+                vs = [p.vertices[i] for i in face]
+                cross = cofactor_cross([vsub(v, vs[0]) for v in vs[1:]], d)
+                assert volume == math.gcd(*cross), (d, seed, face)
+                assert tuple(abs(x) for x in normal) == tuple(abs(x) // volume for x in cross)
+            assert p.facet_volumes == tuple(volume for _, _, volume in boundary)
+
+
+def test_facet_volumes_add_no_cross_product(monkeypatch):
+    crosses = []
+    cross = polytopes.generalized_cross
+    monkeypatch.setattr(polytopes, "generalized_cross",
+                        lambda *a: crosses.append(a) or cross(*a))
+    for d in (2, 3, 4, 5):
+        p = et.random_lattice_polytope(d, 2, d + 4, seed=8300 + d)
+        _, boundary = p.placing_triangulation
+        built = len(crosses)
+        assert built >= len(boundary) > 0
+        assert len(p.facet_volumes) == len(boundary)
+        assert len(crosses) == built, d
 
 
 def test_hull_keeps_its_triangulation_only_when_every_point_is_a_vertex():
