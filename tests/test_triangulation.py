@@ -186,7 +186,8 @@ def test_stored_edges_and_cycle_match_oracles():
         for order in INSERTION_ORDERS:
             t = et.unimodular_triangulation(p, order)
             pts = t.points
-            assert t.triangles == tuple(sorted(oriented(pts, *tri) for tri in t.triangles))
+            assert t.triangles == tuple(sorted(oriented(pts, *tri) for tri in t.triangles)), \
+                (case, order)
             edges = {tuple(sorted(pair)) for tri in t.triangles
                      for pair in itertools.combinations(tri, 2)}
             assert t.edges == tuple(sorted(edges)), (case, order)
