@@ -17,12 +17,12 @@ and those of the interior moments the upper half, from the scans of nP for
 n = 0..ceil(m/2) only.  The polynomial is the binomial expansion of h,
 ``L(n) = sum_i h_i C(n+m-i, m)``.
 
-The rows of nP do not depend on the rank: each (polytope, n) is scanned once
-into the cache of :func:`~ehrtensor.polytopes.dilate_rows` (32 dilates), and
-one pass over them gives the moments of ranks 0..max(r, 2), cached by
-:func:`_dilate_moments` (32 passes).  Both are bounded, yet one large dilate
-(``moments --n`` big) holds all of its rows in memory while cached.  A CLI
-request derives each rank's h once.
+The rows of nP do not depend on the rank: :func:`~ehrtensor.polytopes.dilate_rows`
+scans each dilate once, and one pass over its rows gives the moments of ranks
+0..max(r, 2).  Both are kept on the polytope, in
+:attr:`~ehrtensor.polytopes.Polytope.dilates`, and freed with it, so a large
+dilate (``moments --n`` big) is held until its request ends.  A CLI request
+derives each rank's h once.
 
 The closed moments at every n = 0..m survive only as the cross-check of
 ``ehrtensor verify``: :func:`_all_dilates_oracle` maps them to h by the same
@@ -119,18 +119,16 @@ def row_moments(rows, r: int, dim: int) -> list[tuple[list[int], list[int]]]:
     return list(zip(*out))
 
 
-@lru_cache(maxsize=32)
-def _dilate_moments(p: Polytope, top: int, n: int) -> tuple:
-    """``(closed, interior)`` entries of ranks 0..top of nP, one pass over its rows; bounded
-    like ``dilate_rows``, and ranks 0..2 share the pass with ``top = max(r, 2)``."""
-    return tuple((tuple(c), tuple(i)) for c, i in row_moments(dilate_rows(p, n), top, p.dim))
-
-
 def _moments(p: Polytope, r: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Entries of L^r(nP) and L^r(nP°)."""
+    """Entries of L^r(nP) and L^r(nP°), from one pass over the rows of nP kept in
+    ``p.dilates``; ranks 0..2 share the pass of ``top = max(r, 2)``."""
     if r < 0 or n < 0:
         raise ValueError("rank and dilation must be nonnegative")
-    return _dilate_moments(p, max(r, 2), n)[r]
+    top = max(r, 2)
+    if (top, n) not in p.dilates:
+        p.dilates[top, n] = tuple((tuple(c), tuple(i))
+                                  for c, i in row_moments(dilate_rows(p, n), top, p.dim))
+    return p.dilates[top, n][r]
 
 
 def discrete_moment(p: Polytope, r: int, n: int) -> SymTensor:

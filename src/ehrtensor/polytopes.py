@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, chain, product
 from operator import mul
 from typing import Iterable, Sequence
@@ -48,19 +48,14 @@ class FacetIneq:
 class Polytope:
     """Full-dimensional lattice polytope: irredundant vertices plus facets.
 
-    Equality is field-wise; the hash of the fields is computed once, since
-    the moment and row caches look polytopes up by it.
+    Equality and hash are field-wise.  Work derived from the fields (the
+    triangulation, the shadows, the scans of the dilates) is kept on the
+    polytope itself, filled on demand and freed with it.
     """
 
     dim: int
     vertices: tuple[IntPoint, ...]
     facets: tuple[FacetIneq, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.dim, self.vertices, self.facets)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def contains(self, x: Sequence[int], n: int = 1, strict: bool = False) -> bool:
         """Membership of x in the dilate n*P (strict: relative interior)."""
@@ -99,6 +94,12 @@ class Polytope:
     def shadows(self):
         """:func:`shadow_levels` of the facets, built once per polytope."""
         return shadow_levels([(f.normal, f.rhs) for f in self.facets], self.vertices)
+
+    @cached_property
+    def dilates(self) -> dict:
+        """Work on the dilates nP, kept as long as the polytope: n -> the rows of
+        :func:`dilate_rows`, (top, n) -> the moments of ranks 0..top read off them."""
+        return {}
 
     def translate(self, t: Sequence[int]) -> "Polytope":
         verts = tuple(sorted(vadd(v, t) for v in self.vertices))
@@ -372,20 +373,21 @@ def dilate_bounds(p: Polytope, n: int) -> list[tuple[int, int]]:
     return list(zip(lo, hi))
 
 
-@lru_cache(maxsize=32)
 def dilate_rows(p: Polytope, n: int) -> tuple[tuple[IntPoint, int, int, int, int], ...]:
     """:func:`scan_rows` of n*P: closed rows of nP, strict rows of nP°.
 
-    Scanned once per (polytope, n), so every rank's moments and the point
-    lists read one scan.  The cache holds the d+3 dilates of a ``verify``
-    request, yet is bounded so a long scan cannot pin every polytope's rows;
-    a single large dilate holds all of its rows in memory while cached.
+    Scanned once per (polytope, n) into :attr:`Polytope.dilates`, so every
+    rank's moments and the point lists read one scan.  The rows live as long
+    as the polytope: a large dilate (``moments --n`` big) holds all of its
+    rows in memory until its polytope is dropped.
     """
     if n < 0:
         raise ValueError("dilation factor must be nonnegative")
-    cons = [(f.normal, n * f.rhs) for f in p.facets]
-    shadows = [[(a, n * c) for a, c in level] for level in p.shadows]
-    return tuple(scan_rows(dilate_bounds(p, n), cons, shadows))
+    if n not in p.dilates:
+        cons = [(f.normal, n * f.rhs) for f in p.facets]
+        shadows = [[(a, n * c) for a, c in level] for level in p.shadows]
+        p.dilates[n] = tuple(scan_rows(dilate_bounds(p, n), cons, shadows))
+    return p.dilates[n]
 
 
 def lattice_points(p: Polytope, n: int) -> list[IntPoint]:

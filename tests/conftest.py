@@ -80,12 +80,25 @@ def oracle_polygon_interior_points(vertices, n: int) -> list[tuple[int, int]]:
 
 
 def clear_library_caches():
-    """Empty every module-level ``lru_cache`` of the ehrtensor package."""
+    """Empty every module-level ``lru_cache`` of the ehrtensor package.
+
+    These hold only plans and coefficient tables keyed by dimension and rank.
+    The work on a polytope (its triangulation, shadows and the rows and
+    moments of its dilates) is kept on the polytope and freed with it, so
+    this leaves it alone: a test that counts that work builds a fresh polytope.
+    """
     for name, module in list(sys.modules.items()):
         if name == "ehrtensor" or name.startswith("ehrtensor."):
             for obj in vars(module).values():
                 if callable(getattr(obj, "cache_clear", None)):
                     obj.cache_clear()
+
+
+def record_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` so that every call appends its arguments to the list returned."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
 
 
 def oracle_moment(points, r: int, dim: int = 2) -> et.SymTensor:

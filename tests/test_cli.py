@@ -11,7 +11,7 @@ from ehrtensor.cli import main
 from ehrtensor.positivity import trial_seed
 from ehrtensor.tensors import tensor_to_json
 
-from conftest import clear_library_caches
+from conftest import record_calls
 
 SQUARE = '{"vertices": [[0,0],[1,0],[0,1],[1,1]]}'
 TRIANGLE_51 = '{"dim": 2, "vertices": [[0,1],[-1,-7],[1,-4]]}'
@@ -214,25 +214,18 @@ def test_verify_with_a_non_vertex_point_triangulates_the_vertices_again(capsys, 
 def test_verify_scans_each_dilate_once(dim, bound, seed, capsys, monkeypatch):
     # every rank, the oracle, the interior moments and the triangulation's
     # point list read one scan of each dilate n = 0..dim+2, and ranks 0..2
-    # one moment pass over its rows; the two caches keyed by a polytope are
-    # bounded, and the moment views carry none
+    # one moment pass over its rows; the scans live on the request's
+    # polytope, so a second request of the same JSON scans them again
     request = random_request(dim, bound, seed)
-    clear_library_caches()
-    scans, passes = [], []
-    scan_rows, row_moments = polytopes.scan_rows, ehrhart.row_moments
-    monkeypatch.setattr(polytopes, "scan_rows",
-                        lambda bounds, *cons: scans.append(bounds) or scan_rows(bounds, *cons))
-    monkeypatch.setattr(ehrhart, "row_moments",
-                        lambda rows, r, d: passes.append(r) or row_moments(rows, r, d))
-    code, out, _ = run_cli(["verify", "--json", request], capsys)
-    assert code == 0 and json.loads(out)["all_pass"] is True
-    assert len(scans) == dim + 3
-    assert passes == [2] * (dim + 3)
-    rows_bound = polytopes.dilate_rows.cache_info().maxsize
-    moments_bound = ehrhart._dilate_moments.cache_info().maxsize
-    assert rows_bound is not None and moments_bound is not None and moments_bound <= rows_bound
-    assert not hasattr(ehrhart.discrete_moment, "cache_info")
-    assert not hasattr(ehrhart.discrete_moment_interior, "cache_info")
+    scans = record_calls(monkeypatch, polytopes, "scan_rows")
+    passes = record_calls(monkeypatch, ehrhart, "row_moments")
+    for _ in range(2):
+        scans.clear()
+        passes.clear()
+        code, out, _ = run_cli(["verify", "--json", request], capsys)
+        assert code == 0 and json.loads(out)["all_pass"] is True
+        assert len(scans) == dim + 3
+        assert [r for _, r, _ in passes] == [2] * (dim + 3)
 
 
 @pytest.mark.parametrize("args, ranks", [

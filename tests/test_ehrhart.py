@@ -5,15 +5,15 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import ehrtensor as et
-from ehrtensor import ehrhart
+from ehrtensor import ehrhart, polytopes
 from ehrtensor.ehrhart import _simplex_entries
 from ehrtensor.linalg import gcd_vector, generalized_cross, int_det
 from ehrtensor.tensors import vsub
 
-from conftest import (NAMED_POLYGONS, apply_linear_map, clear_library_caches,
-                      fraction_simplex_moment, fraction_vandermonde_oracle,
-                      fraction_volume_and_facet_moments, oracle_moment,
-                      oracle_polygon_points, translation_covariance_rhs)
+from conftest import (NAMED_POLYGONS, apply_linear_map, fraction_simplex_moment,
+                      fraction_vandermonde_oracle, fraction_volume_and_facet_moments,
+                      oracle_moment, oracle_polygon_points, record_calls,
+                      translation_covariance_rhs)
 
 
 def mat(rows):
@@ -162,16 +162,31 @@ def test_integer_oracle_matches_fraction_oracle_and_main_route():
 
 def test_hr_vector_scans_dilates_up_to_half_the_degree(monkeypatch):
     # reciprocity halves the dilates: h of rank r reads the scans of nP for
-    # n = 0..ceil(m/2), m = d + r, each once
-    rows = ehrhart.dilate_rows
+    # n = 0..ceil(m/2), m = d + r, each once; a fresh polytope per rank, since
+    # the scans and moment passes stay on the polytope
+    scanned = record_calls(monkeypatch, ehrhart, "dilate_rows")
     for d, bound in ((1, 4), (2, 3), (3, 2), (4, 1)):
-        p = et.random_lattice_polytope(d, bound, d + 3, seed=710 + d)
         for r in range(4):
-            clear_library_caches()
-            scanned = []
-            monkeypatch.setattr(ehrhart, "dilate_rows", lambda q, n: scanned.append(n) or rows(q, n))
+            p = et.random_lattice_polytope(d, bound, d + 3, seed=710 + d)
+            scanned.clear()
             et.to_hr_vector(p, r)
-            assert sorted(scanned) == list(range((d + r + 1) // 2 + 1)), (d, r)
+            assert sorted(n for _, n in scanned) == list(range((d + r + 1) // 2 + 1)), (d, r)
+
+
+def test_hr_vectors_of_many_polytopes_scan_each_dilate_once(monkeypatch):
+    # 9 polytopes at ranks 0..2 read 33 (polytope, n) dilates, more than any
+    # bounded cache of 32 holds: each is scanned and passed over once, and a
+    # second round reads them all off the polytopes
+    corpus = [et.random_lattice_polytope(d, 2, d + 3, seed=730 + 3 * d + k)
+              for d in (2, 3, 4) for k in range(3)]
+    scans = record_calls(monkeypatch, polytopes, "scan_rows")
+    passes = record_calls(monkeypatch, ehrhart, "row_moments")
+    first = [et.to_hr_vector(p, r) for p in corpus for r in range(3)]
+    assert len(scans) == len(passes) == 33
+    scans.clear()
+    passes.clear()
+    assert [et.to_hr_vector(p, r) for p in corpus for r in range(3)] == first
+    assert scans == passes == []
 
 
 def reciprocity_corpus():

@@ -1,6 +1,8 @@
 """Hulls, facets, exact enumeration, reflexivity, seeded generation."""
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,7 +17,7 @@ from ehrtensor.positivity import trial_seed
 from ehrtensor.tensors import dot, vneg, vsub
 
 from conftest import (NAMED_POLYGONS, NAMED_SOLIDS, cofactor_cross, fraction_rref,
-                      oracle_polygon_interior_points, oracle_polygon_points)
+                      oracle_polygon_interior_points, oracle_polygon_points, record_calls)
 
 
 def test_square_hull_removes_duplicates_and_interior():
@@ -168,22 +170,46 @@ def test_hull_keeps_its_triangulation_only_when_every_point_is_a_vertex():
             fresh += not reused
 
 
-def test_equal_polytopes_hash_alike_from_one_stored_hash(monkeypatch):
+def test_equal_polytopes_hash_alike_and_keep_their_own_dilates(monkeypatch):
     pts = [(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
     a = et.convex_hull(pts)
     b = et.convex_hull(pts[::-1] + [(1, 0, 0)])
     c = et.Polytope(a.dim, a.vertices, a.facets)
     assert a == b == c and a is not b
     assert hash(a) == hash(b) == hash(c) == hash((a.dim, a.vertices, a.facets))
-    facet_hashes = []
-    facet_hash = FacetIneq.__hash__
-    monkeypatch.setattr(FacetIneq, "__hash__",
-                        lambda f: facet_hashes.append(f) or facet_hash(f))
-    dilate_rows.cache_clear()
-    assert dilate_rows(a, 2) == dilate_rows(b, 2) == dilate_rows(c, 2)
-    assert dilate_rows.cache_info()[:2] == (2, 1)      # (hits, misses)
-    assert facet_hashes == []
     assert a != et.Polytope(a.dim, a.vertices, a.facets[1:])
+    # equal polytopes scan the same rows, each into its own store
+    scans = record_calls(monkeypatch, polytopes, "scan_rows")
+    assert dilate_rows(a, 2) == dilate_rows(b, 2) == dilate_rows(c, 2)
+    assert len(scans) == 3
+    et.to_hr_vector(a, 1)
+    assert set(a.dilates) == {0, 1, 2, (2, 0), (2, 1), (2, 2)}
+    assert list(b.dilates) == list(c.dilates) == [2]
+    assert dilate_rows(b, 2) is b.dilates[2] is not a.dilates[2]
+    assert len(scans) == 5
+
+
+@pytest.mark.parametrize("build", [
+    lambda: et.convex_hull([(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]),
+    lambda: et.random_lattice_polytope(4, 2, 8, trial_seed(42, 95)),
+    lambda: polytope_from_json({"vertices": [[0, 0], [4, 1], [3, 4], [-1, 2]]}),
+], ids=["convex_hull", "random_lattice_polytope", "polytope_from_json"])
+def test_building_a_polytope_scans_no_dilate(build, monkeypatch):
+    # a polytope built ahead of its work (a bench item's set-up) starts with
+    # an empty store, so its first request scans every dilate it reads
+    scans = record_calls(monkeypatch, polytopes, "scan_rows")
+    p = build()
+    assert scans == [] and p.dilates == {}
+
+
+def test_dropped_polytope_frees_its_dilates():
+    p = et.random_lattice_polytope(3, 2, 8, seed=5)
+    ref = weakref.ref(p)
+    et.to_hr_vector(p, 2)
+    assert ref() is p
+    del p
+    gc.collect()
+    assert ref() is None
 
 
 SHADOW_CORPUS = {name: et.convex_hull(v) for name, v in NAMED_SOLIDS.items()} | {
