@@ -4,10 +4,10 @@ The rank-r discrete moment of a lattice polytope is the sum of r-fold
 symmetric outer powers over its lattice points.  As a function of the
 dilation factor n it is a polynomial L(n) of degree at most m = dim + r.
 
-One row scan of nP gives both the closed moment L(nP) and the interior
-moment L(nP°): every row of the scan contributes its prefix monomials times
-the power sums of the last coordinate over its closed and strict intervals,
-summed for every rank in one column pass.
+One row scan of nP gives the closed moment L(nP) and the interior moment
+L(nP°): every row of the scan contributes its prefix monomials times the
+power sums of the last coordinate over its closed and strict intervals,
+summed for every rank in one column pass, for only the sides a caller reads.
 The h-tensor vector is the numerator of the moment series,
 ``sum_n L(nP) t^n = sum_i h_i t^i / (1-t)^(m+1)``, and Ehrhart-Macdonald
 reciprocity for moment tensors gives the interior series the reversed
@@ -19,17 +19,19 @@ n = 0..ceil(m/2) only.  The polynomial is the binomial expansion of h,
 
 The rows of nP do not depend on the rank: :func:`~ehrtensor.polytopes.dilate_rows`
 scans each dilate once, and one pass over its rows gives the moments of ranks
-0..max(r, 2).  Both are kept on the polytope, in
-:attr:`~ehrtensor.polytopes.Polytope.dilates`, and freed with it, so a large
-dilate (``moments --n`` big) is held until its request ends.  A CLI request
-derives each rank's h once.
+0..max(r, 2).  Both are kept on the polytope, each side of a pass under its
+own key of :attr:`~ehrtensor.polytopes.Polytope.dilates`, and freed with it,
+so a large dilate (``moments --n`` big) is held until its request ends.  A
+CLI request derives each rank's h once.
 
 The closed moments at every n = 0..m survive only as the cross-check of
 ``ehrtensor verify``: :func:`_all_dilates_oracle` maps them to h by the same
-alternating binomial sums.  ``verify`` builds that h once per rank and reads
-it twice: its top entry against L(P°), and at -n in the binomial basis
-against L(nP°), n = 1, 2, 3 (:func:`_reciprocity_holds`).  The volume and
-facet moments are one integer pass each, one division per entry.
+alternating binomial sums, asking for the closed side only above
+n = ceil((dim + max(r, 2))/2), where the h route reads neither side.
+``verify`` builds that h once per rank and reads it twice: its top entry
+against L(P°), and at -n in the binomial basis against L(nP°), n = 1, 2, 3
+(:func:`_reciprocity_holds`).  The volume and facet moments are one integer
+pass each, one division per entry.
 """
 from __future__ import annotations
 
@@ -45,6 +47,9 @@ from .tensors import (HrVector, SymTensor, TensorPolynomial, _moment_entries,
 
 # ---------------------------------------------------------------------------
 # moment kernel: scan rows
+
+BOTH, CLOSED, INTERIOR = ("closed", "interior"), ("closed",), ("interior",)
+
 
 @lru_cache(maxsize=None)
 def _power_sum_poly(k: int) -> tuple[tuple[int, ...], int]:
@@ -85,17 +90,19 @@ def _row_plan(dim: int, r: int):
     return steps, plans, need
 
 
-def row_moments(rows, r: int, dim: int) -> list[tuple[list[int], list[int]]]:
-    """Closed and strict moments of every rank 0..r of :func:`~ehrtensor.polytopes.scan_rows` rows.
+def row_moments(rows, r: int, dim: int, sides=BOTH) -> list[tuple[list[int], ...]]:
+    """Moments of ranks 0..r of :func:`~ehrtensor.polytopes.scan_rows` rows, per side asked for.
 
     A row ``(prefix, lo, hi, slo, shi)`` adds, for each stored multi-index,
     its prefix monomial times ``sum t^k`` over ``[lo, hi]`` to the closed
-    moment and over ``[slo, shi]`` to the strict one, k being the power of
-    the last coordinate.  That sum is ``F_k(hi) - F_k(lo-1)``, an integer
-    combination of ``hi^i - (lo-1)^i`` over one denominator, so one column
-    pass serves every rank: one ``sum(map(mul, ...))`` per (monomial, power).
-    An empty strict interval has shi raised to slo - 1, so it adds nothing.
-    Returns ``(closed, strict)`` entry lists in storage order, per rank.
+    moment and over ``[slo, shi]`` to the interior (strict) one, k being the
+    power of the last coordinate.  That sum is ``F_k(hi) - F_k(lo-1)``, an
+    integer combination of ``hi^i - (lo-1)^i`` over one denominator, so one
+    column pass serves every rank: one ``sum(map(mul, ...))`` per (monomial,
+    power).  Only the ``sides`` asked for are read and computed, sharing the
+    prefix monomials.  Scan rows have lo <= hi; an empty strict interval has
+    shi raised to slo - 1, so it adds nothing.  Returns, per rank, the entry
+    lists of the sides in the order asked, in storage order.
     """
     steps, plans, need = _row_plan(dim, r)
     prefixes, lo, hi, slo, shi = list(zip(*rows)) or [()] * 5
@@ -105,13 +112,15 @@ def row_moments(rows, r: int, dim: int) -> list[tuple[list[int], list[int]]]:
         monos.append(coords[i] if j == 0 else list(map(mul, monos[j], coords[i])))
     polys = [_power_sum_poly(k) for k in range(r + 1)]
     out = []
-    for top, low in ((hi, lo), (shi, slo)):
+    for side in sides:
+        low, top = (lo, hi) if side == "closed" else (slo, shi)
         below = [x - 1 for x in low]
-        top = list(map(max, top, below))
-        diffs, a, b = [None], top, below
-        for _ in range(r + 1):      # diffs[i] = top^i - below^i
-            diffs.append(list(map(sub, a, b)))
+        if side == "interior":
+            top = list(map(max, top, below))
+        diffs, a, b = [None, list(map(sub, top, below))], top, below
+        for _ in range(r):      # diffs[i] = top^i - below^i
             a, b = list(map(mul, a, top)), list(map(mul, b, below))
+            diffs.append(list(map(sub, a, b)))
         table = {(j, i): sum(map(mul, monos[j], diffs[i])) if j else sum(diffs[i])
                  for j, i in need}
         out.append([[sum(c * table[j, i] for i, c in enumerate(polys[k][0]) if c)
@@ -119,28 +128,31 @@ def row_moments(rows, r: int, dim: int) -> list[tuple[list[int], list[int]]]:
     return list(zip(*out))
 
 
-def _moments(p: Polytope, r: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Entries of L^r(nP) and L^r(nP°), from one pass over the rows of nP kept in
-    ``p.dilates``; ranks 0..2 share the pass of ``top = max(r, 2)``."""
+def _moments(p: Polytope, r: int, n: int, sides=BOTH) -> list[tuple[int, ...]]:
+    """Entries of L^r(nP) and/or L^r(nP°), per side asked for: one pass over the rows
+    of nP computes the sides ``p.dilates`` lacks, kept under ``(top, n, side)``;
+    ranks 0..2 share the pass of ``top = max(r, 2)``."""
     if r < 0 or n < 0:
         raise ValueError("rank and dilation must be nonnegative")
-    top = max(r, 2)
-    if (top, n) not in p.dilates:
-        p.dilates[top, n] = tuple((tuple(c), tuple(i))
-                                  for c, i in row_moments(dilate_rows(p, n), top, p.dim))
-    return p.dilates[top, n][r]
+    top, store = max(r, 2), p.dilates
+    missing = [side for side in sides if (top, n, side) not in store]
+    if missing:
+        passes = row_moments(dilate_rows(p, n), top, p.dim, missing)
+        for side, ranks in zip(missing, zip(*passes)):
+            store[top, n, side] = tuple(map(tuple, ranks))
+    return [store[top, n, side][r] for side in sides]
 
 
 def discrete_moment(p: Polytope, r: int, n: int) -> SymTensor:
     """Sum of outer powers x^r over the lattice points of n*P."""
-    return SymTensor.from_entries(r, p.dim, _moments(p, r, n)[0])
+    return SymTensor.from_entries(r, p.dim, _moments(p, r, n, CLOSED)[0])
 
 
 def discrete_moment_interior(p: Polytope, r: int, n: int) -> SymTensor:
     """Sum of outer powers over lattice points strictly inside n*P (n >= 1)."""
     if n < 1:
         raise ValueError("interior enumeration needs n >= 1")
-    return SymTensor.from_entries(r, p.dim, _moments(p, r, n)[1])
+    return SymTensor.from_entries(r, p.dim, _moments(p, r, n, INTERIOR)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +187,8 @@ def to_hr_vector(p: Polytope, r: int) -> HrVector:
     if r < 0:
         raise ValueError("rank and dilation must be nonnegative")
     m = p.dim + r
-    closed = [_moments(p, r, n)[0] for n in range(m // 2 + 1)]
-    interior = [_moments(p, r, n)[1] for n in range((m + 1) // 2 + 1)]    # 0P° is empty
+    both = [_moments(p, r, n) for n in range((m + 1) // 2 + 1)]    # 0P° is empty
+    closed, interior = [c for c, _ in both[:m // 2 + 1]], [i for _, i in both]
     return _hr(p, r, _numerator(closed, m) + _numerator(interior, m)[:0:-1])
 
 
@@ -221,8 +233,9 @@ def _all_dilates_oracle(p: Polytope, r: int) -> HrVector:
     The cross-check route of ``ehrtensor verify``: the same numerator map on
     closed moments only, with no interior moment and no reciprocity.
     """
-    m = p.dim + r
-    return _hr(p, r, _numerator([_moments(p, r, n)[0] for n in range(m + 1)], m))
+    m, half = p.dim + r, (p.dim + max(r, 2) + 1) // 2    # the h route reads both sides to half
+    closed = [_moments(p, r, n, BOTH if n <= half else CLOSED)[0] for n in range(m + 1)]
+    return _hr(p, r, _numerator(closed, m))
 
 
 def reciprocity_check(p: Polytope, r: int, n: int) -> bool:

@@ -26,7 +26,7 @@ from itertools import repeat, zip_longest
 from operator import add, mul
 
 from . import linalg
-from .ehrhart import row_moments
+from .ehrhart import CLOSED, row_moments
 from .polytopes import checked_int, scan_rows, shadow_levels
 from .tensors import (HrVector, IntPoint, SymTensor, _moment_entries, _product_entries,
                       dot, moment_of_points, multi_indices, outer_power, sym_product)
@@ -274,7 +274,8 @@ def moment_halfopen(s: HalfOpenSimplex, r: int, n: int) -> SymTensor:
     if n < 0 or r < 0:
         raise ValueError("rank and dilation must be nonnegative")
     shadows = [[(a, n * c) for a, c in level] for level in shadow_levels(s.facets(), s.vertices)]
-    closed, _ = row_moments(scan_rows(s.bounds(n), s.constraints(n), shadows), r, s.dim)[r]
+    rows = scan_rows(s.bounds(n), s.constraints(n), shadows)
+    (closed,) = row_moments(rows, r, s.dim, CLOSED)[r]
     return SymTensor.from_entries(r, s.dim, closed)
 
 

@@ -98,7 +98,8 @@ class Polytope:
     @cached_property
     def dilates(self) -> dict:
         """Work on the dilates nP, kept as long as the polytope: n -> the rows of
-        :func:`dilate_rows`, (top, n) -> the moments of ranks 0..top read off them."""
+        :func:`dilate_rows`; ``(top, n, side)`` -> the moments of ranks 0..top
+        read off them, of nP (side ``"closed"``) or nP° (``"interior"``)."""
         return {}
 
     def translate(self, t: Sequence[int]) -> "Polytope":

@@ -32,8 +32,11 @@ Scalar = int | Fraction
 # small integer-vector helpers
 
 def dot(x: Sequence, y: Sequence):
-    """Scalar product; exact for int/Fraction inputs."""
-    return sum(a * b for a, b in zip(x, y, strict=True))
+    """Scalar product, exact for int/Fraction; unequal lengths raise as ``zip(strict=True)``."""
+    if len(x) != len(y):
+        side = "shorter" if len(y) < len(x) else "longer"
+        raise ValueError(f"zip() argument 2 is {side} than argument 1")
+    return sum(map(mul, x, y))
 
 
 def vadd(x: Sequence, y: Sequence) -> tuple:

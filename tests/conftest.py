@@ -14,7 +14,7 @@ expansion are the right-hand sides of identities the library must satisfy.
 """
 from __future__ import annotations
 
-import sys
+import inspect
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial, gcd, prod
@@ -79,25 +79,22 @@ def oracle_polygon_interior_points(vertices, n: int) -> list[tuple[int, int]]:
     return out
 
 
-def clear_library_caches():
-    """Empty every module-level ``lru_cache`` of the ehrtensor package.
-
-    These hold only plans and coefficient tables keyed by dimension and rank.
-    The work on a polytope (its triangulation, shadows and the rows and
-    moments of its dilates) is kept on the polytope and freed with it, so
-    this leaves it alone: a test that counts that work builds a fresh polytope.
-    """
-    for name, module in list(sys.modules.items()):
-        if name == "ehrtensor" or name.startswith("ehrtensor."):
-            for obj in vars(module).values():
-                if callable(getattr(obj, "cache_clear", None)):
-                    obj.cache_clear()
-
-
 def record_calls(monkeypatch, module, name: str) -> list:
-    """Wrap ``module.name`` so that every call appends its arguments to the list returned."""
+    """Wrap ``module.name`` so that every call appends its arguments to the list returned.
+
+    A record maps each parameter name to its value, whether it was passed by
+    position or by keyword, with the defaults filled in.
+    """
     calls, fn = [], getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
+    signature = inspect.signature(fn)
+
+    def wrapper(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 

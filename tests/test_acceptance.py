@@ -12,8 +12,9 @@ from fractions import Fraction
 import pytest
 
 import ehrtensor as et
+from ehrtensor import positivity
 
-from conftest import clear_library_caches, fraction_vandermonde_oracle
+from conftest import fraction_vandermonde_oracle
 from test_triangulation import check_sparse_conditions
 
 F = Fraction
@@ -216,14 +217,25 @@ FINDING_VERTICES = ((-2, 0, -2, -2), (-2, 0, 0, 0), (-2, 0, 1, 0), (-1, 0, 0, 2)
                     (0, 0, -1, -1), (0, 1, -1, -2), (0, 1, 1, 1), (1, 2, 0, -1))
 
 
-def test_criterion_12_conjecture_scans():
+def test_criterion_12_conjecture_scans(monkeypatch):
+    # every polytope a scan builds starts with an empty dilate store, so the
+    # rerun recomputes, it does not replay
+    fresh, build = [], positivity.random_lattice_polytope
+
+    def built(*args):
+        p = build(*args)
+        fresh.append(p.dilates == {})
+        return p
+
+    monkeypatch.setattr(positivity, "random_lattice_polytope", built)
     start = time.monotonic()
     reports = {}
     for d, bound, gens in ((3, 3, 8), (4, 2, 8)):
         for which in ("psd", "hibi"):
             rep = et.conjecture_scan(d, 100, bound, gens, seed=42, which=which)
-            clear_library_caches()      # the rerun recomputes, it does not replay
+            fresh.clear()
             rep2 = et.conjecture_scan(d, 100, bound, gens, seed=42, which=which)
+            assert fresh == [True] * 100
             assert json.dumps(rep.to_json(), sort_keys=True) == \
                 json.dumps(rep2.to_json(), sort_keys=True)
             assert rep.completed + rep.skipped_no_interior == 100
@@ -238,8 +250,9 @@ def test_criterion_12_conjecture_scans():
     assert [(v.trial, v.index, v.classification) for v in finding] == \
         [(95, 5, "indefinite")]
     assert finding[0].vertices == FINDING_VERTICES
-    clear_library_caches()
-    h = et.to_hr_vector(et.convex_hull(FINDING_VERTICES), 2)
+    p = et.convex_hull(FINDING_VERTICES)
+    assert p.dilates == {}
+    h = et.to_hr_vector(p, 2)
     assert (h[5] - h[1]).apply((-8, -7, 0, 0)) == -5
     # the criterion is completion + reproducibility; violations are findings,
     # so they are reported rather than asserted away

@@ -8,6 +8,7 @@ import pytest
 import ehrtensor as et
 from ehrtensor import cli, ehrhart, polytopes, positivity, triangulation
 from ehrtensor.cli import main
+from ehrtensor.ehrhart import BOTH, CLOSED, INTERIOR
 from ehrtensor.positivity import trial_seed
 from ehrtensor.tensors import tensor_to_json
 
@@ -210,22 +211,36 @@ def test_verify_with_a_non_vertex_point_triangulates_the_vertices_again(capsys, 
     assert len(builds) == 2 and (1, 0, 0) in builds[0] and (1, 0, 0) not in builds[1]
 
 
+# (n, sides) of each moment pass of a verify request, by dimension
+VERIFY_PASSES = {
+    2: [*((n, BOTH) for n in range(3)), (3, CLOSED), (4, CLOSED), (3, INTERIOR)],
+    3: [*((n, BOTH) for n in range(4)), (4, CLOSED), (5, CLOSED)],
+    4: [*((n, BOTH) for n in range(4)), *((n, CLOSED) for n in (4, 5, 6))],
+}
+
+
 @pytest.mark.parametrize("dim, bound, seed", [(2, 6, 1), (3, 2, 1), (4, 2, trial_seed(42, 95))])
 def test_verify_scans_each_dilate_once(dim, bound, seed, capsys, monkeypatch):
     # every rank, the oracle, the interior moments and the triangulation's
-    # point list read one scan of each dilate n = 0..dim+2, and ranks 0..2
-    # one moment pass over its rows; the scans live on the request's
-    # polytope, so a second request of the same JSON scans them again
+    # point list read one scan of each dilate n = 0..dim+2.  Ranks 0..2 share
+    # one moment pass per dilate, over both sides up to n = ceil((dim+2)/2),
+    # where the h route reads both, and over the closed side only above,
+    # where only the oracle reads; reciprocity's late read of the interior of
+    # 3P in 2D is one interior-only pass.  The scans live on the request's
+    # polytope, so a second request of the same JSON scans them again.
     request = random_request(dim, bound, seed)
     scans = record_calls(monkeypatch, polytopes, "scan_rows")
+    reads = record_calls(monkeypatch, ehrhart, "dilate_rows")
     passes = record_calls(monkeypatch, ehrhart, "row_moments")
     for _ in range(2):
-        scans.clear()
-        passes.clear()
+        for calls in (scans, reads, passes):
+            calls.clear()
         code, out, _ = run_cli(["verify", "--json", request], capsys)
         assert code == 0 and json.loads(out)["all_pass"] is True
         assert len(scans) == dim + 3
-        assert [r for _, r, _ in passes] == [2] * (dim + 3)
+        assert len(reads) == len(passes) and {c["r"] for c in passes} == {2}
+        assert [(read["n"], tuple(c["sides"])) for read, c in zip(reads, passes)] \
+            == VERIFY_PASSES[dim]
 
 
 @pytest.mark.parametrize("args, ranks", [

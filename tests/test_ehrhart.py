@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import pytest
+
 import ehrtensor as et
 from ehrtensor import ehrhart, polytopes
-from ehrtensor.ehrhart import _simplex_entries
+from ehrtensor.ehrhart import BOTH, CLOSED, _simplex_entries
 from ehrtensor.linalg import gcd_vector, generalized_cross, int_det
+from ehrtensor.positivity import trial_seed
 from ehrtensor.tensors import vsub
 
 from conftest import (NAMED_POLYGONS, apply_linear_map, fraction_simplex_moment,
@@ -170,7 +173,7 @@ def test_hr_vector_scans_dilates_up_to_half_the_degree(monkeypatch):
             p = et.random_lattice_polytope(d, bound, d + 3, seed=710 + d)
             scanned.clear()
             et.to_hr_vector(p, r)
-            assert sorted(n for _, n in scanned) == list(range((d + r + 1) // 2 + 1)), (d, r)
+            assert sorted(c["n"] for c in scanned) == list(range((d + r + 1) // 2 + 1)), (d, r)
 
 
 def test_hr_vectors_of_many_polytopes_scan_each_dilate_once(monkeypatch):
@@ -187,6 +190,32 @@ def test_hr_vectors_of_many_polytopes_scan_each_dilate_once(monkeypatch):
     passes.clear()
     assert [et.to_hr_vector(p, r) for p in corpus for r in range(3)] == first
     assert scans == passes == []
+
+
+@pytest.mark.parametrize("build, ranks", [
+    (lambda: et.random_lattice_polytope(4, 2, 8, trial_seed(0, 3)), [2]),
+    (lambda: et.random_lattice_polytope(2, 8, 8, 5), [1, 2]),
+], ids=["scan-d4-trial", "pick-2d-polygon"])
+def test_h_route_makes_one_two_sided_pass_per_dilate(build, ranks, monkeypatch):
+    # the conjecture scan reads h of rank 2, the Pick checks h of ranks 1 and
+    # 2: both sides of nP, n = 0..ceil((dim+2)/2), in one pass per dilate
+    p = build()
+    reads = record_calls(monkeypatch, ehrhart, "dilate_rows")
+    passes = record_calls(monkeypatch, ehrhart, "row_moments")
+    for r in ranks:
+        et.to_hr_vector(p, r)
+    dilates = list(range((p.dim + 3) // 2 + 1))
+    assert [c["n"] for c in reads] == dilates
+    assert [(c["r"], tuple(c["sides"])) for c in passes] == [(2, BOTH)] * len(dilates)
+
+
+def test_record_calls_forwards_and_records_keywords(monkeypatch):
+    rows = polytopes.dilate_rows(et.convex_hull(NAMED_POLYGONS["skew_quad"]), 2)
+    want = ehrhart.row_moments(rows, 1, 2, CLOSED)
+    passes = record_calls(monkeypatch, ehrhart, "row_moments")
+    assert ehrhart.row_moments(rows, 1, dim=2, sides=CLOSED) == want
+    assert ehrhart.row_moments(rows, 1, 2) != want
+    assert [(c["r"], c["dim"], c["sides"]) for c in passes] == [(1, 2, CLOSED), (1, 2, BOTH)]
 
 
 def reciprocity_corpus():

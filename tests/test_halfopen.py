@@ -14,8 +14,7 @@ from ehrtensor.polytopes import placing_triangulation
 from ehrtensor.tensors import dot, moment_of_points, vneg
 from ehrtensor.triangulation import INSERTION_ORDERS
 
-from conftest import (box_rows, clear_library_caches, fraction_inverse, leibniz_det,
-                      oracle_moment, scan_points)
+from conftest import box_rows, fraction_inverse, leibniz_det, oracle_moment, scan_points
 
 F = Fraction
 
@@ -617,7 +616,7 @@ def test_each_cell_reduces_its_lifted_matrix_once(monkeypatch):
     # facets and constraints, so no later step reduces the matrix again
     p = et.random_lattice_polytope(4, 2, 8, 11)
     simplices = p.placing_triangulation[0]
-    clear_library_caches()
+    assert p.dilates == {}
     calls = []
     reduce = linalg._reduce
     monkeypatch.setattr(linalg, "_reduce", lambda rows: calls.append(rows) or reduce(rows))

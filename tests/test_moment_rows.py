@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehrtensor as et
-from ehrtensor.ehrhart import _all_dilates_oracle, row_moments
+from ehrtensor.ehrhart import CLOSED, INTERIOR, _all_dilates_oracle, row_moments
 from ehrtensor.polytopes import dilate_rows, scan_rows, shadow_levels
 from ehrtensor.tensors import dot, vneg
 
@@ -180,6 +180,27 @@ def test_shadowed_rows_match_box_filter(d):
                       box_filter_rows(s.bounds(n), s.constraints(n)) for t in closed]
             for r in range(3):
                 assert et.moment_halfopen(s, r, n) == oracle_moment(points, r, d), (s, n, r)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_one_sided_passes_are_halves_of_the_two_sided_pass(d):
+    # a closed-only pass gives the closed entries of the two-sided pass and an
+    # interior-only pass the interior ones; the rows handed to each carry None
+    # for the other side's interval, so a pass never reads a side not asked for
+    solids, cells = _row_corpus(d)
+    row_sets = [dilate_rows(p, n) for p in solids for n in range(5)]
+    for s in cells:
+        levels = shadow_levels(s.facets(), s.vertices)
+        row_sets += [scan_rows(s.bounds(n), s.constraints(n),
+                               [[(a, n * c) for a, c in level] for level in levels])
+                     for n in range(5)]
+    for rows in row_sets:
+        closed_rows = [(prefix, lo, hi, None, None) for prefix, lo, hi, _, _ in rows]
+        strict_rows = [(prefix, None, None, slo, shi) for prefix, _, _, slo, shi in rows]
+        for r in range(5):
+            both = row_moments(rows, r, d)
+            assert row_moments(closed_rows, r, d, CLOSED) == [(c,) for c, _ in both]
+            assert row_moments(strict_rows, r, d, INTERIOR) == [(i,) for _, i in both]
 
 
 @settings(max_examples=60, deadline=None)

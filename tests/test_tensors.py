@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehrtensor as et
-from ehrtensor.tensors import (SymTensor, _index_position, _moment_entries, moment_of_points,
+from ehrtensor.tensors import (SymTensor, _index_position, _moment_entries, dot, moment_of_points,
                                multi_indices, rational_to_str, tensor_to_json)
 
 from conftest import apply_linear_map
@@ -67,6 +67,17 @@ def test_rank_dim_mismatch_raises():
         a + c
     with pytest.raises(ValueError):
         a.apply((1, 2, 3))
+
+
+def test_dot_of_unequal_lengths_raises_as_a_strict_zip():
+    for x, y in (((1, 2, 3), (4, 5)), ((1, 2), (3, 4, 5)), ((), (1,)), ((Fraction(1, 2),), ())):
+        with pytest.raises(ValueError) as want:
+            list(zip(x, y, strict=True))
+        with pytest.raises(ValueError) as got:
+            dot(x, y)
+        assert str(got.value) == str(want.value)
+    assert dot((1, 2, 3), (4, 5, 6)) == 32 and dot((), ()) == 0
+    assert dot((Fraction(1, 2), 3), (4, Fraction(1, 3))) == 3
 
 
 def test_entry_access_any_permutation():
