@@ -33,6 +33,9 @@ PICK_POLYGON = '{"vertices": [[-8,-1],[-8,1],[0,6],[1,-6],[6,-8],[8,3]]}'
 POLY3 = '{"vertices": [[0,0,0],[2,0,0],[0,1,0],[0,0,1],[1,1,1]]}'
 FINDING = ('{"vertices": [[-2,0,-2,-2],[-2,0,0,0],[-2,0,1,0],[-1,0,0,2],'
            '[0,0,-1,-1],[0,1,-1,-2],[0,1,1,1],[1,2,0,-1]]}')
+# the vertices of random_lattice_polytope(5, 1, 8, 1)
+POLY5 = ('{"vertices": [[-1,0,1,1,-1],[-1,1,-1,0,0],[-1,1,1,0,-1],[0,0,1,-1,0],'
+         '[0,1,0,1,0],[0,1,1,-1,0],[1,-1,0,-1,1],[1,0,1,1,1]]}')
 HALF1 = '{"vertices": [[-1],[2]], "removed": [0]}'
 HALF2 = '{"vertices": [[2,-2],[3,-2],[2,-1]], "removed": [0]}'
 HALF3 = '{"vertices": [[0,0,0],[2,0,0],[0,3,0],[1,1,2]], "removed": [0,2]}'
@@ -52,6 +55,9 @@ def _cli_cases() -> dict[str, list[str]]:
             cases[f"{command}_d2_r{r}"] = [command, TRIANGLE, "--r", str(r)]
             cases[f"{command}_d2_table_r{r}"] = [command, TRIANGLE, "--r", str(r), "--table"]
             cases[f"{command}_d3_r{r}"] = [command, POLY3, "--r", str(r)]
+        for command in ("hvec", "ehrhart"):
+            cases[f"{command}_d4_finding_r{r}"] = [command, FINDING, "--r", str(r)]
+            cases[f"{command}_d5_r{r}"] = [command, POLY5, "--r", str(r)]
         cases[f"moments_d3_n2_r{r}"] = ["moments", POLY3, "--r", str(r), "--n", "2"]
         for name, simplex in [("d1", HALF1), ("d2", HALF2), ("d3", HALF3), ("d4", HALF4),
                               ("d5", HALF5)]:
@@ -114,6 +120,14 @@ GOLDEN = {
     "ehrhart_d3_r1": "4638345a144c35eb4869da10c9545b01149c0c80fde672b9b3f618c8bc083bbf",
     "ehrhart_d3_r2": "72e1ee42359a464ef25d82afb7dc918ad6df0cb12f41e889b00574df50ebba7b",
     "ehrhart_d3_r3": "abe83570c1a256429856ba51a3a662c0e5685a0bc3d57f4881ca58a2a4241342",
+    "ehrhart_d4_finding_r0": "633421a9ae5185e900cdc115380dcbf3f8c7ad1858d8ad23ad156b3b3b6f6f74",
+    "ehrhart_d4_finding_r1": "57c052bc8c9af58ae231688fbd672b17174d4c1f86b33f56b10b095c3b0c3429",
+    "ehrhart_d4_finding_r2": "e408cf10bb61f718191a0a1f2e5141e4f0048325277ba331bcb6473eceae7fe4",
+    "ehrhart_d4_finding_r3": "48d42ce77a606772d4185d6d7f87be5369d3afd845da6354ac7ac6c801c3917b",
+    "ehrhart_d5_r0": "690c7d625eeffac719e7e89cdef5224f559d7dfeb612b260d38104ffb348a04c",
+    "ehrhart_d5_r1": "9e280bdd774f002c61d8ab014b635ca634704b214e977099f14c3a4897a5eabc",
+    "ehrhart_d5_r2": "bf83e38fa80bf2b374d32c6951f23766b65bd10cffbc2515eb6dec1935fc3090",
+    "ehrhart_d5_r3": "1c18f6ae8a7de1719337be1599a116f307cae382f9879f0ae5707acd37f8af0a",
     "halfopen_d1_r0": "9659027b2d8d76dbe97552ca13a59507475e222ce42d45230859c575fe9e37a5",
     "halfopen_d1_r1": "818e55db2eaa105ee7775995b620291e6316bffe90862e56f79e95c0b1a0406f",
     "halfopen_d1_r2": "94e0cb63b78a0da14637f483ad95b0b716b1bf5fb60446f89a7db0c35854e2b0",
@@ -166,6 +180,14 @@ GOLDEN = {
     "hvec_d3_r1": "e5f5603b8ff7c500adc86078bd8642f9c85fa163b59c3e33077ba9de90556a2d",
     "hvec_d3_r2": "ce21eefb7352c7ec224913908a5a3cf2e5b808a7b273bf0ee048c85e7f243b33",
     "hvec_d3_r3": "d9d79748bbce4f6a3e0a8c9dbb11f0597dd1c62b7bb191aecb006836efbebabe",
+    "hvec_d4_finding_r0": "2cb50ee30a0d27023a13b5bd5e71a23484cd0c290b2c629e32d4c47168aa071c",
+    "hvec_d4_finding_r1": "13b40ad859636cd9a2d39908edfee63188dab592852776bef141481fbb070360",
+    "hvec_d4_finding_r2": "09e876953255ce04519b3c62f9660d1717f68cd9a359e4d0d70dc244f35e9cae",
+    "hvec_d4_finding_r3": "a0bfdf50753459034d1a40b17e851fd75512a1ed7b5bd4a8c753299a9eb11eff",
+    "hvec_d5_r0": "0c76bdc7b0eba8397cae4c68a6631879b9f85e43a3070acad60abd5c5e3c5605",
+    "hvec_d5_r1": "9cb2071dfa124c4023b2bb8386dcb89bc5a8c2ca8874c572dda9ec014534c682",
+    "hvec_d5_r2": "d664d4ee20dd043c71c9bc66681cf48b08a4f23889cc720b60275616e1fcf70c",
+    "hvec_d5_r3": "b176ea988fe6b191ce8f98975250f6bb27fe0dbad98c984bb6758c54973b5f3e",
     "hvec_negative_rank": "3d49c74b317c79dbc8d939bc2a789b614bb8560f1682c3d40dc0069410131564",
     "moments_d2_r0": "1cd39716c656da02f53d7a81f22952e7176de49d1c40549e06e5622c60a15c8d",
     "moments_d2_r1": "925569c7039668c7c249bfcebc0c6a3103b1ce57fb220b6f7429d386ec3367d6",
