@@ -14,8 +14,12 @@ reciprocity for moment tensors gives the interior series the reversed
 numerator, ``sum_{n>=1} L(nP°) t^n = sum_i h_i t^(m+1-i) / (1-t)^(m+1)``.
 So alternating binomial sums of the closed moments give the lower half of h
 and those of the interior moments the upper half, from the scans of nP for
-n = 0..ceil(m/2) only.  The polynomial is the binomial expansion of h,
-``L(n) = sum_i h_i C(n+m-i, m)``.
+n = 0..ceil(m/2) only.  From dim 4 on one dilate fewer is scanned: the
+volume moment is the leading coefficient of L(n) and half the facet-moment
+sum the second, so with the volume moment (odd m) or both (even m) known,
+the scans of n = 0..ceil((m - known)/2) fix L, and a cached integer plan
+per (dim, r) fills in the values at the next dilate (:func:`_fill_plan`).
+The polynomial is the binomial expansion of h, ``L(n) = sum_i h_i C(n+m-i, m)``.
 
 The rows of nP do not depend on the rank: :func:`~ehrtensor.polytopes.dilate_rows`
 scans each dilate once, and one pass over its rows gives the moments of ranks
@@ -31,7 +35,9 @@ n = ceil((dim + max(r, 2))/2), where the h route reads neither side.
 ``verify`` builds that h once per rank and reads it twice: its top entry
 against L(P°), and at -n in the binomial basis against L(nP°), n = 1, 2, 3
 (:func:`_reciprocity_holds`).  The volume and facet moments are one integer
-pass each, one division per entry.
+pass each per polytope, for ranks 0..max(r, 2), kept on the polytope beside
+the dilates; the h route reads their integer sums, the public functions
+divide each entry once.
 """
 from __future__ import annotations
 
@@ -41,8 +47,7 @@ from functools import lru_cache
 from operator import mul, sub
 
 from .polytopes import Polytope, dilate_rows
-from .tensors import (HrVector, SymTensor, TensorPolynomial, _moment_entries,
-                      _product_entries, multi_indices)
+from .tensors import HrVector, SymTensor, TensorPolynomial, _product_plan, multi_indices
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +180,76 @@ def _hr(p: Polytope, r: int, entries) -> HrVector:
     return HrVector(tuple(SymTensor.from_entries(r, p.dim, e) for e in entries))
 
 
+@lru_cache(maxsize=None)
+def _fill_plan(dim: int, r: int):
+    """How far the h route scans, and the integer weights that fill in the rest.
+
+    Returns ``(k, kinds, fills)``.  With m = dim + r, the scans of nP for
+    n = 0..k give L(x) = L^r(xP) at the 2k+1 nodes x = -k..k, since
+    L(-n) = (-1)^m L(nP°).  Below dim 4, k = ceil(m/2) and nothing is
+    missing.  From dim 4 on the top ``known = 2 - m % 2`` coefficients are
+    known (``kinds``): the volume moment ``c_m = V/m!`` and, at even m, half
+    the facet-moment sum ``c_(m-1) = F/(2 (m-1)!)``, V and F the integer sums
+    of :func:`_simplex_sums`.  Then k = ceil((m - known)/2), so L minus its
+    known terms has degree at most 2k, and extrapolating it from -k..k,
+    ``L(k+1) = sum_x (-1)^(k-x) C(2k+1, k+x) L(x) + sum_e c_e R_e`` with
+    ``R_e = (k+1)^e - sum_x (-1)^(k-x) C(2k+1, k+x) x^e``, and its mirror
+    image for L(-(k+1)), give the values :func:`_numerator` reads beyond the
+    scans: the closed side at n = k+1 when m is even, and the interior side
+    at n = k+1.  ``fills`` holds, per value, its side, its weights over the
+    closed values n = 0..k, the interior values n = 1..k and the sums of
+    ``kinds``, all times a common denominator, and that denominator.
+    """
+    m = dim + r
+    known = 0 if dim < 4 else 2 - m % 2
+    k = (m - known + 1) // 2
+    if not known:
+        return k, (), ()
+    nodes = range(-k, k + 1)
+    ahead = [(-1) ** (k - x) * math.comb(2 * k + 1, k + x) for x in nodes]
+    fills = []
+    # L(k+1) is a closed value only at even m; L(-(k+1)) is always an interior one
+    for side, t in (("closed", k + 1), ("interior", -k - 1))[m % 2:]:
+        w = ahead if t > 0 else ahead[::-1]         # L(-(k+1)) by the mirror x -> -x
+        sign = 1 if t > 0 else (-1) ** m            # the interior side is (-1)^m L(-n)
+        parts = [(sign * w[k + n], 1) for n in range(k + 1)]
+        parts += [(sign * (-1) ** m * w[k - n], 1) for n in range(1, k + 1)]
+        for e, scale in ((m, math.factorial(m)), (m - 1, 2 * math.factorial(m - 1)))[:known]:
+            rest = sign * (t ** e - sum(c * x ** e for c, x in zip(w, nodes)))
+            g = math.gcd(rest, scale)
+            parts.append((rest // g, scale // g))
+        den = math.lcm(*(d for _, d in parts))
+        fills.append((side, tuple(c * (den // d) for c, d in parts), den))
+    return k, ("volume", "facets")[:known], tuple(fills)
+
+
 def to_hr_vector(p: Polytope, r: int) -> HrVector:
     """h-tensor vector of P, ``sum_n L^r(nP) t^n = sum_i h_i t^i / (1-t)^(m+1)``, m = dim + r.
 
     The closed moments of nP, n = 0..floor(m/2), give h_0..h_floor(m/2).
     By reciprocity ``sum_{n>=1} L^r(nP°) t^n = sum_i h_i t^(m+1-i) / (1-t)^(m+1)``,
     so the interior moments, n = 1..ceil(m/2), give h_m, h_(m-1), ... as
-    numerator coefficients 1..ceil(m/2).  The top entry is L^r(P°) and, for
-    r >= 1, entry 0 vanishes and entry 1 is L^r(P).
+    numerator coefficients 1..ceil(m/2).  Below dim 4 both sides of nP are
+    scanned for n = 0..ceil(m/2).  From dim 4 on the volume moment and, at
+    even m, the facet moments fix the top coefficients of L^r(nP), so the
+    scans stop one dilate earlier, at n = ceil((m - known)/2), and
+    :func:`_fill_plan` fills in that dilate's values, with one exact
+    division per entry.  The top entry is L^r(P°) and, for r >= 1, entry 0
+    vanishes and entry 1 is L^r(P).
     """
     if r < 0:
         raise ValueError("rank and dilation must be nonnegative")
     m = p.dim + r
-    both = [_moments(p, r, n) for n in range((m + 1) // 2 + 1)]    # 0P° is empty
-    closed, interior = [c for c, _ in both[:m // 2 + 1]], [i for _, i in both]
-    return _hr(p, r, _numerator(closed, m) + _numerator(interior, m)[:0:-1])
+    k, kinds, fills = _fill_plan(p.dim, r)
+    both = [_moments(p, r, n) for n in range(k + 1)]    # 0P° is empty
+    closed, interior = [c for c, _ in both], [i for _, i in both]
+    values = closed + interior[1:] + [_simplex_sums(p, max(r, 2), kind)[r] for kind in kinds]
+    for side, weights, den in fills:
+        nums = [sum(map(mul, weights, col)) for col in zip(*values)]
+        if any(x % den for x in nums):
+            raise ArithmeticError("the volume and facet moments do not fit the scanned moments")
+        (closed if side == "closed" else interior).append([x // den for x in nums])
+    return _hr(p, r, _numerator(closed[:m // 2 + 1], m) + _numerator(interior, m)[:0:-1])
 
 
 @lru_cache(maxsize=None)
@@ -231,9 +291,10 @@ def _all_dilates_oracle(p: Polytope, r: int) -> HrVector:
     """h-vector from the closed moments of nP, n = 0..dim+r.
 
     The cross-check route of ``ehrtensor verify``: the same numerator map on
-    closed moments only, with no interior moment and no reciprocity.
+    closed moments only, with no interior moment, no reciprocity and no
+    volume or facet moment.
     """
-    m, half = p.dim + r, (p.dim + max(r, 2) + 1) // 2    # the h route reads both sides to half
+    m, half = p.dim + r, (p.dim + max(r, 2) + 1) // 2    # the h route reads neither side above half
     closed = [_moments(p, r, n, BOTH if n <= half else CLOSED)[0] for n in range(m + 1)]
     return _hr(p, r, _numerator(closed, m))
 
@@ -264,44 +325,89 @@ def _reciprocity_holds(p: Polytope, h: HrVector, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # exact volume and facet moments
 
-def _simplex_entries(verts: list, r: int, dim: int) -> list[int]:
-    """Entries of ``H_r = r! h_r``, h_r the complete homogeneous tensor of the vertices.
+def _simplex_entries(vertices: list, faces: list, weights: list[int], r: int, dim: int
+                     ) -> list[list[int]]:
+    """Entries of ``sum_s weights[s] H_q(s)``, q = 0..r, over the simplices ``faces``
+    (tuples of indices into ``vertices``), with ``H_q = q! h_q`` and h_q the
+    complete homogeneous tensor of the simplex's vertices.
 
-    The integral of x^r over a k-simplex of normalized volume ``volume``
-    (k! vol) is ``volume * H_r / (k+r)!`` (Baldoni et al., "How to integrate
-    a polynomial over a simplex", 2011).  H_r comes from the vertex power
-    sums p_i of one :func:`~ehrtensor.tensors._moment_entries` pass by
-    Newton's identity, which with the unnormalized
+    The integral of x^q over a k-simplex of normalized volume ``volume``
+    (k! vol) is ``volume * H_q / (k+q)!`` (Baldoni et al., "How to integrate
+    a polynomial over a simplex", 2011).  H_q comes from the vertex power
+    sums p_i by Newton's identity, which with the unnormalized
     :func:`~ehrtensor.tensors.sym_product` reads
-    ``j H_j = sum_{i=1..j} i! sym_product(p_i, H_(j-i))``, exactly.
+    ``j H_j = sum_{i=1..j} i! sym_product(p_i, H_(j-i))``, exactly.  It is
+    evaluated column-wise, one list over the simplices per stored entry and
+    one ``map`` per (entry, slot split), for the ranks below r.  Rank r is
+    only summed: its products are summed against the weighted power sums at
+    once, and its own power sum term is ``sum_v spread_v v^r``, each
+    vertex weighted by the sum of the weights of the simplices it lies on.
     """
-    powers, hs = _moment_entries(verts, r, dim), [[1]]
+    ones = [1] * len(faces)
+    slots = [list(zip(*map(vertices.__getitem__, corner))) for corner in zip(*faces)]
+    prods, powers = [[ones] for _ in slots], [[ones]]
+    for i in range(1, r):       # powers[i][a]: column of entry a of p_i
+        steps = [pairs[0] for pairs in _product_plan(dim, i - 1, 1)]
+        prods = [[list(map(mul, mono[a], axes[c])) for a, c in steps]
+                 for mono, axes in zip(prods, slots)]
+        powers.append([list(map(sum, zip(*columns))) for columns in zip(*prods)])
+    spread = [0] * len(vertices)
+    for face, w in zip(faces, weights):
+        for i in face:
+            spread[i] += w
+    axes, spread_powers = list(zip(*vertices)), [spread]
+    for i in range(1, r + 1):   # spread_powers[a]: entry a of spread_v v^i, per vertex
+        spread_powers = [list(map(mul, spread_powers[a], axes[c])) for a, c in
+                         (pairs[0] for pairs in _product_plan(dim, i - 1, 1))]
+    weighted = [[list(map(mul, weights, column)) for column in power] for power in powers]
+    hs, out = [[ones]], [[sum(weights)]]
     for j in range(1, r + 1):
-        weights = [math.factorial(i) for i in range(1, j + 1)]
-        terms = [_product_entries(powers[i], hs[j - i], dim, i, j - i) for i in range(1, j + 1)]
-        hs.append([sum(map(mul, weights, col)) // j for col in zip(*terms)])
-    return hs[r]
+        terms = [(math.factorial(i), i, _product_plan(dim, i, j - i)) for i in range(1, j)]
+        if j == r:
+            out.append([(sum(f * sum(map(mul, weighted[i][a], hs[j - i][b]))
+                             for f, i, plan in terms for a, b in plan[e])
+                         + math.factorial(j) * sum(spread_powers[e])) // j
+                        for e in range(len(multi_indices(dim, j)))])
+        else:
+            h_j = []        # one column over the simplices per entry of H_j
+            for e, power in enumerate(powers[j]):
+                acc = [math.factorial(j) * x for x in power]
+                for f, i, plan in terms:
+                    for a, b in plan[e]:
+                        acc = [t + f * x * y for t, x, y in zip(acc, powers[i][a], hs[j - i][b])]
+                h_j.append([t // j for t in acc])
+            hs.append(h_j)
+            out.append([sum(map(mul, weights, column)) for column in h_j])
+    return out
 
 
-def _simplex_sum(p: Polytope, r: int, faces, volumes, den: int) -> SymTensor:
-    """``sum volume * H_r`` over k-simplices of the vertices, each entry divided once,
-    by ``den (k+r)!``."""
-    acc = [0] * len(multi_indices(p.dim, r))
-    for face, volume in zip(faces, volumes):
-        h = _simplex_entries([p.vertices[i] for i in face], r, p.dim)
-        acc = [a + volume * b for a, b in zip(acc, h)]
-    den *= math.factorial(len(faces[0]) - 1 + r)
-    return SymTensor(r, p.dim, tuple(Fraction(a, den) for a in acc))
+def _simplex_sums(p: Polytope, top: int, kind: str) -> tuple[tuple[int, ...], ...]:
+    """Per rank q = 0..top, the entries of ``sum volume * H_q`` (:func:`_simplex_entries`)
+    over the simplices of the placing triangulation with their ``|det|`` (``kind``
+    "volume"), or over its boundary faces with their facet-lattice volumes ("facets").
+
+    One integer pass per polytope, kept under ``(top, kind)`` in
+    :attr:`~ehrtensor.polytopes.Polytope.dilates`; ranks 0..2 share the pass
+    of ``top = 2``.
+    """
+    store = p.dilates
+    if (top, kind) not in store:
+        simplices, boundary, _ = p.placing_triangulation
+        faces, volumes = (simplices, p.simplex_volumes) if kind == "volume" else (
+            [face for face, _, _ in boundary], p.facet_volumes)
+        store[top, kind] = tuple(map(tuple, _simplex_entries(p.vertices, faces, volumes, top, p.dim)))
+    return store[top, kind]
 
 
 def moment_tensor(p: Polytope, r: int) -> SymTensor:
     """Exact integral of x^r over P, in any dimension and rank.
 
-    One integer pass over the simplices of the placing triangulation of the
-    vertices: each adds its stored ``|det|`` times :func:`_simplex_entries`,
-    and each entry is divided once, by (dim+r)!.
+    The volume sum of :func:`_simplex_sums`, each simplex's stored ``|det|``
+    times its H_r, with each entry divided once, by (dim+r)!.
     """
-    return _simplex_sum(p, r, p.placing_triangulation[0], p.simplex_volumes, 1)
+    den = math.factorial(p.dim + r)
+    return SymTensor(r, p.dim, tuple(Fraction(a, den)
+                                     for a in _simplex_sums(p, max(r, 2), "volume")[r]))
 
 
 def second_coefficient_facets(p: Polytope, r: int) -> SymTensor:
@@ -309,9 +415,10 @@ def second_coefficient_facets(p: Polytope, r: int) -> SymTensor:
 
     ``1/2 * sum_F integral_F x^r`` in the lattice measure of each facet's
     hyperplane (Brion-Vergne, "Lattice points in simple polytopes", 1997):
-    one integer pass over the boundary simplices of the placing
-    triangulation, each adding its stored facet-lattice volume times
-    :func:`_simplex_entries`, and one division per entry, by 2 (dim-1+r)!.
+    the facet sum of :func:`_simplex_sums`, each boundary simplex's stored
+    facet-lattice volume times its H_r, with one division per entry, by
+    2 (dim-1+r)!.
     """
-    faces = [face for face, _, _ in p.placing_triangulation[1]]
-    return _simplex_sum(p, r, faces, p.facet_volumes, 2)
+    den = 2 * math.factorial(p.dim - 1 + r)
+    return SymTensor(r, p.dim, tuple(Fraction(a, den)
+                                     for a in _simplex_sums(p, max(r, 2), "facets")[r]))

@@ -14,7 +14,7 @@ from itertools import accumulate, chain, product
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import affine_basis, cross2, gcd_vector, generalized_cross, int_det, primitive
+from .linalg import affine_basis, cross2, gcd_vector, generalized_cross, primitive
 from .tensors import IntPoint, dot, vadd, vneg, vsub
 
 
@@ -76,13 +76,11 @@ class Polytope:
         """
         return tuple(map(tuple, placing_triangulation(self.vertices)))
 
-    def _edges(self, face):
-        return [vsub(self.vertices[i], self.vertices[face[0]]) for i in face[1:]]
-
-    @cached_property
+    @property
     def simplex_volumes(self) -> tuple[int, ...]:
-        """|det| of each simplex of :attr:`placing_triangulation`, computed once per polytope."""
-        return tuple(abs(int_det(self._edges(s))) for s in self.placing_triangulation[0])
+        """|det| of each simplex of :attr:`placing_triangulation`, as the triangulation
+        recorded it while coning."""
+        return self.placing_triangulation[2]
 
     @property
     def facet_volumes(self) -> tuple[int, ...]:
@@ -99,7 +97,10 @@ class Polytope:
     def dilates(self) -> dict:
         """Work on the dilates nP, kept as long as the polytope: n -> the rows of
         :func:`dilate_rows`; ``(top, n, side)`` -> the moments of ranks 0..top
-        read off them, of nP (side ``"closed"``) or nP° (``"interior"``)."""
+        read off them, of nP (side ``"closed"``) or nP° (``"interior"``);
+        ``(top, kind)`` -> the integer sums behind the volume (``kind``
+        ``"volume"``) and facet (``"facets"``) moments of ranks 0..top, the top
+        two coefficients of the moment polynomial in n."""
         return {}
 
     def translate(self, t: Sequence[int]) -> "Polytope":
@@ -146,18 +147,20 @@ def _affine_basis(pts: Sequence[IntPoint]) -> tuple[int, ...]:
 
 
 def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[
-        list[tuple[int, ...]], list[tuple[tuple[int, ...], tuple[IntPoint, int], int]]]:
+        list[tuple[int, ...]], list[tuple[tuple[int, ...], tuple[IntPoint, int], int]], list[int]]:
     """Beneath-beyond placing triangulation of integer points, in the order given.
 
     Starts from the first d+1 affinely independent points; every later point
     q is coned over the boundary simplices it sees strictly
     (``normal . q > rhs``), and is skipped when it sees none.  Returns
-    ``(simplices, boundary)``: the simplices as tuples of d+1 indices into
-    ``points``, and the boundary as ``(face, (normal, rhs), volume)`` triples,
+    ``(simplices, boundary, volumes)``: the simplices as tuples of d+1 indices
+    into ``points``; the boundary as ``(face, (normal, rhs), volume)`` triples,
     one per boundary simplex: its d sorted indices, its primitive plane,
     ``normal . x <= rhs`` on the hull, and its volume in the lattice of that
-    plane, the gcd of the cofactor normal of its edges.  Raises
-    :class:`DegenerateInputError` when the points do not span Z^d.
+    plane, the gcd of the cofactor normal of its edges; and each simplex's
+    ``|det|``, its height over the face it cones times that face's volume,
+    ``(normal . q - rhs) * volume``.  Raises :class:`DegenerateInputError`
+    when the points do not span Z^d.
     """
     pts = [tuple(p) for p in points]
     d = len(pts[0])
@@ -175,25 +178,28 @@ def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[
 
     for j, v in enumerate(first):
         add(first[:j] + first[j + 1:], v)
-    simplices = [first]
+    normal, rhs = boundary[first[1:]]
+    simplices, dets = [first], [volumes[first[1:]] * (rhs - dot(normal, pts[first[0]]))]
     for k, q in enumerate(pts):
         if k in first:
             continue
-        visible = [face for face, (normal, rhs) in boundary.items() if dot(normal, q) > rhs]
+        visible = [(face, height) for face, (normal, rhs) in boundary.items()
+                   if (height := dot(normal, q) - rhs) > 0]
         # A ridge lies on two boundary simplices.  It is on the horizon when
         # only one of them is visible; the new face ridge + q then points
         # away from that simplex's vertex off the ridge.
         horizon = {}
-        for face in visible:
+        for face, height in visible:
             del boundary[face]
             simplices.append(face + (k,))
+            dets.append(volumes[face] * height)
             for j in range(d):
                 ridge = face[:j] + face[j + 1:]
                 if horizon.pop(ridge, None) is None:
                     horizon[ridge] = face[j]
         for ridge, v in horizon.items():
             add(tuple(sorted(ridge + (k,))), v)
-    return simplices, [(face, plane, volumes[face]) for face, plane in boundary.items()]
+    return simplices, [(face, plane, volumes[face]) for face, plane in boundary.items()], dets
 
 
 def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:

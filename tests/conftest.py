@@ -348,7 +348,7 @@ def fraction_volume_and_facet_moments(p: et.Polytope, r: int):
     :func:`leibniz_det` or as the gcd of :func:`cofactor_cross`: the library's
     integer entry lists and stored volumes are met by tensor arithmetic.
     """
-    simplices, boundary = p.placing_triangulation
+    simplices, boundary, _ = p.placing_triangulation
     volume = facets = et.SymTensor.zero(r, p.dim)
     for simplex in simplices:
         vs = [p.vertices[i] for i in simplex]

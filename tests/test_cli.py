@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import ehrtensor as et
-from ehrtensor import cli, ehrhart, polytopes, positivity, triangulation
+from ehrtensor import cli, ehrhart, linalg, polytopes, positivity, triangulation
 from ehrtensor.cli import main
 from ehrtensor.ehrhart import BOTH, CLOSED, INTERIOR
 from ehrtensor.positivity import trial_seed
@@ -276,12 +276,14 @@ def test_each_command_derives_each_rank_once(args, ranks, capsys, monkeypatch):
                          ids=["verify-2d", "verify-3d", "verify-d4"])
 def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, monkeypatch):
     # one closed-moments-only oracle h per rank serves reciprocity at n = 1, 2, 3
-    # and h-top; the volume moments of every rank read one determinant per
-    # placing simplex, stored on the polytope (verify reads them for dim <= 3),
-    # and the facet moments read the facet volumes the placing triangulation
-    # kept beside its planes, so they take no cross product of their own
+    # and h-top.  The volume and facet moments of ranks 0..2 are one integer
+    # pass each over the placing triangulation, which recorded each simplex's
+    # |det| and each boundary face's lattice volume, so they take no
+    # determinant and no cross product of their own.  verify reads the volume
+    # pass for dim <= 3 and the facet pass in 2D; the h route reads both from
+    # dim 4 on.  Rank 3 makes a pass of each kind of its own.
     p = polytopes.polytope_from_json(json.loads(random_request(dim, bound, seed)))
-    simplices, boundary = p.placing_triangulation
+    simplices, boundary, _ = p.placing_triangulation
     monkeypatch.setattr(cli, "polytope_from_json", lambda data: p)
 
     def counted(module, name):      # records the last argument of each call
@@ -290,17 +292,20 @@ def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, mon
         return calls
 
     oracles = counted(ehrhart, "_all_dilates_oracle")
-    dets = counted(polytopes, "int_det")
+    dets = counted(linalg, "int_det")
     crosses = counted(polytopes, "generalized_cross")
+    passes = record_calls(monkeypatch, ehrhart, "_simplex_entries")
     code, out, _ = run_cli(["verify", "--json", "{}"], capsys)
     assert code == 0 and json.loads(out)["all_pass"] is True
     assert oracles == [0, 1, 2]
-    assert len(dets) == (len(simplices) if dim <= 3 else 0)
-    assert crosses == []
+    volume, facets = (2, len(simplices)), (2, len(boundary))
+    assert [(c["r"], len(c["faces"])) for c in passes] == [volume] + [facets] * (dim != 3)
     for r in range(4):
         ehrhart.moment_tensor(p, r)
         ehrhart.second_coefficient_facets(p, r)
-    assert (len(dets), len(crosses)) == (len(simplices), 0)
+    assert sorted((c["r"], len(c["faces"])) for c in passes) == \
+        sorted([volume, facets, (3, len(simplices)), (3, len(boundary))])
+    assert dets == crosses == []
 
 
 # Each check of `verify` on a polygon, with a function on its side that does

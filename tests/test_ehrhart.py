@@ -163,48 +163,103 @@ def test_integer_oracle_matches_fraction_oracle_and_main_route():
                 assert et.to_hr_vector(p, r) == h, (d, seed, r)
 
 
+def known_coefficient_corpus():
+    return [et.random_lattice_polytope(d, bound, d + 3, seed=760 + seed)
+            for d, bound, seeds in ((4, 1, 2), (4, 2, 2), (5, 1, 1)) for seed in range(seeds)]
+
+
+def test_hr_vector_from_known_coefficients_matches_all_dilates_oracle():
+    # from d = 4 on the h route scans one dilate fewer and fills in its
+    # values from the volume and facet moments; the oracle, on a freshly
+    # built copy that shares no stored pass, reads the closed moments of
+    # every dilate and neither moment
+    for p in known_coefficient_corpus():
+        for r in range(5):
+            fresh = et.convex_hull(p.vertices)
+            assert et.to_hr_vector(p, r) == ehrhart._all_dilates_oracle(fresh, r), (p.dim, r)
+
+
+@pytest.mark.parametrize("kind", ["volume", "facets"])
+def test_a_wrong_known_coefficient_breaks_the_hr_vector(kind, monkeypatch):
+    # adding 1 to one entry of the volume sum V shifts the filled-in value by
+    # 1 at odd m and by 1/2 at even m, which the exact division refuses; the
+    # facet sum F is read at even m only, where adding 1 is refused the same
+    # way.  Adding 2 shifts every value it enters by 1, so h disagrees.
+    corpus = known_coefficient_corpus()
+    oracle = {(p, r): ehrhart._all_dilates_oracle(et.convex_hull(p.vertices), r)
+              for p in corpus for r in range(5)}
+    sums = ehrhart._simplex_sums
+    shift = 0
+
+    def perturbed(p, top, which):
+        out = sums(p, top, which)
+        if which != kind:
+            return out
+        return tuple((ranks[0] + shift,) + ranks[1:] for ranks in out)
+
+    monkeypatch.setattr(ehrhart, "_simplex_sums", perturbed)
+    for (p, r), h in oracle.items():
+        even = (p.dim + r) % 2 == 0
+        shift = 1
+        if even:
+            with pytest.raises(ArithmeticError):
+                et.to_hr_vector(p, r)
+        else:
+            assert (et.to_hr_vector(p, r) == h) == (kind == "facets"), (p.dim, r)
+        shift = 2
+        assert (et.to_hr_vector(p, r) == h) == (kind == "facets" and not even), (p.dim, r)
+        shift = 0
+        assert et.to_hr_vector(p, r) == h, (p.dim, r)
+
+
 def test_hr_vector_scans_dilates_up_to_half_the_degree(monkeypatch):
     # reciprocity halves the dilates: h of rank r reads the scans of nP for
-    # n = 0..ceil(m/2), m = d + r, each once; a fresh polytope per rank, since
-    # the scans and moment passes stay on the polytope
+    # n = 0..ceil((m - known)/2), m = d + r, each once, where from d = 4 on
+    # the volume moment and, at even m, the facet moments are the known top
+    # coefficients; a fresh polytope per rank, since the scans and moment
+    # passes stay on the polytope
     scanned = record_calls(monkeypatch, ehrhart, "dilate_rows")
-    for d, bound in ((1, 4), (2, 3), (3, 2), (4, 1)):
+    for d, bound in ((1, 4), (2, 3), (3, 2), (4, 1), (5, 1)):
         for r in range(4):
             p = et.random_lattice_polytope(d, bound, d + 3, seed=710 + d)
             scanned.clear()
             et.to_hr_vector(p, r)
-            assert sorted(c["n"] for c in scanned) == list(range((d + r + 1) // 2 + 1)), (d, r)
+            known = 2 - (d + r) % 2 if d >= 4 else 0
+            assert sorted(c["n"] for c in scanned) == list(range((d + r - known + 1) // 2 + 1)), \
+                (d, r)
 
 
 def test_hr_vectors_of_many_polytopes_scan_each_dilate_once(monkeypatch):
-    # 9 polytopes at ranks 0..2 read 33 (polytope, n) dilates, more than any
-    # bounded cache of 32 holds: each is scanned and passed over once, and a
+    # 9 polytopes at ranks 0..2 read 30 (polytope, n) dilates, n <= 2 at d = 2
+    # and d = 4, n <= 3 at d = 3: each is scanned and passed over once, and a
     # second round reads them all off the polytopes
     corpus = [et.random_lattice_polytope(d, 2, d + 3, seed=730 + 3 * d + k)
               for d in (2, 3, 4) for k in range(3)]
     scans = record_calls(monkeypatch, polytopes, "scan_rows")
     passes = record_calls(monkeypatch, ehrhart, "row_moments")
     first = [et.to_hr_vector(p, r) for p in corpus for r in range(3)]
-    assert len(scans) == len(passes) == 33
+    assert len(scans) == len(passes) == 30
     scans.clear()
     passes.clear()
     assert [et.to_hr_vector(p, r) for p in corpus for r in range(3)] == first
     assert scans == passes == []
 
 
-@pytest.mark.parametrize("build, ranks", [
-    (lambda: et.random_lattice_polytope(4, 2, 8, trial_seed(0, 3)), [2]),
-    (lambda: et.random_lattice_polytope(2, 8, 8, 5), [1, 2]),
+@pytest.mark.parametrize("build, ranks, last", [
+    (lambda: et.random_lattice_polytope(4, 2, 8, trial_seed(0, 3)), [2], 2),
+    (lambda: et.random_lattice_polytope(2, 8, 8, 5), [1, 2], 2),
 ], ids=["scan-d4-trial", "pick-2d-polygon"])
-def test_h_route_makes_one_two_sided_pass_per_dilate(build, ranks, monkeypatch):
+def test_h_route_makes_one_two_sided_pass_per_dilate(build, ranks, last, monkeypatch):
     # the conjecture scan reads h of rank 2, the Pick checks h of ranks 1 and
-    # 2: both sides of nP, n = 0..ceil((dim+2)/2), in one pass per dilate
+    # 2: both sides of nP in one pass per dilate, n = 0..ceil((dim+2)/2) in
+    # 2D and n = 0..2 at d = 4, where the volume and facet moments stand in
+    # for dilate 3
     p = build()
     reads = record_calls(monkeypatch, ehrhart, "dilate_rows")
     passes = record_calls(monkeypatch, ehrhart, "row_moments")
     for r in ranks:
         et.to_hr_vector(p, r)
-    dilates = list(range((p.dim + 3) // 2 + 1))
+    dilates = list(range(last + 1))
     assert [c["n"] for c in reads] == dilates
     assert [(c["r"], tuple(c["sides"])) for c in passes] == [(2, BOTH)] * len(dilates)
 
@@ -275,11 +330,11 @@ def barycentric_simplex_moment(verts, r: int, dim: int, volume: int) -> et.SymTe
 
 
 def test_simplex_moment_matches_barycentric_oracle():
-    # the library's integer H_r entries over (k+r)!, and the Fraction tensor
-    # oracle that tests meet moment_tensor with
+    # the library's integer H_r entries, weighted by the volume, over (k+r)!,
+    # and the Fraction tensor oracle that tests meet moment_tensor with
     def integer_simplex_moment(verts, r, d, volume):
-        return et.SymTensor(r, d, tuple(_simplex_entries(verts, r, d))) * \
-            Fraction(volume, math.factorial(len(verts) - 1 + r))
+        entries = _simplex_entries(verts, [range(len(verts))], [volume], r, d)[r]
+        return et.SymTensor(r, d, tuple(entries)) * Fraction(1, math.factorial(len(verts) - 1 + r))
 
     rng = random.Random(1400)
     for d in range(1, 6):

@@ -115,9 +115,11 @@ def test_placing_simplices_sum_to_normalized_volume():
                 p = et.convex_hull(pts)
             except DegenerateInputError:
                 continue
-            simplices, boundary = placing_triangulation(pts)
-            volume = sum(abs(int_det([vsub(pts[i], pts[s[0]]) for i in s[1:]]))
-                         for s in simplices)
+            simplices, boundary, dets = placing_triangulation(pts)
+            # each simplex's |det|, recorded while coning, is its Bareiss determinant
+            assert dets == [abs(int_det([vsub(pts[i], pts[s[0]]) for i in s[1:]]))
+                            for s in simplices], pts
+            volume = sum(dets)
             lead = et.ehrhart_tensor_polynomial(p, 0).coeffs[-1].as_scalar()
             assert volume == math.factorial(d) * lead, pts
             planes = {plane for _, plane, _ in boundary}
@@ -130,7 +132,7 @@ def test_placing_boundary_keeps_facet_lattice_volumes():
     for d in range(2, 6):
         for seed in range(6):
             p = et.random_lattice_polytope(d, 2, d + 4, seed=8200 + 10 * d + seed)
-            _, boundary = p.placing_triangulation
+            _, boundary, _ = p.placing_triangulation
             for face, (normal, _), volume in boundary:
                 vs = [p.vertices[i] for i in face]
                 cross = cofactor_cross([vsub(v, vs[0]) for v in vs[1:]], d)
@@ -146,7 +148,7 @@ def test_facet_volumes_add_no_cross_product(monkeypatch):
                         lambda *a: crosses.append(a) or cross(*a))
     for d in (2, 3, 4, 5):
         p = et.random_lattice_polytope(d, 2, d + 4, seed=8300 + d)
-        _, boundary = p.placing_triangulation
+        _, boundary, _ = p.placing_triangulation
         built = len(crosses)
         assert built >= len(boundary) > 0
         assert len(p.facet_volumes) == len(boundary)
