@@ -30,14 +30,16 @@ CLI request derives each rank's h once.
 
 The closed moments at every n = 0..m survive only as the cross-check of
 ``ehrtensor verify``: :func:`_all_dilates_oracle` maps them to h by the same
-alternating binomial sums, asking for the closed side only above
-n = ceil((dim + max(r, 2))/2), where the h route reads neither side.
-``verify`` builds that h once per rank and reads it twice: its top entry
-against L(P°), and at -n in the binomial basis against L(nP°), n = 1, 2, 3
-(:func:`_reciprocity_holds`).  The volume and facet moments are one integer
-pass each per polytope, for ranks 0..max(r, 2), kept on the polytope beside
-the dilates; the h route reads their integer sums, the public functions
-divide each entry once.
+alternating binomial sums, asking for the interior side too only where the
+h route or reciprocity reads it.  ``verify`` builds that h once per rank and
+reads it twice: its top entry against L(P°), and at -n in the binomial basis
+against L(nP°), n = 1, 2, 3 (:func:`_reciprocity_holds`).  The volume and
+facet moments are one integer pass per polytope over the faces of its
+boundary, for ranks 0..max(r, 2), kept on the polytope beside the dilates:
+by Euler's identity for homogeneous integrands the volume sum is the facet
+sum with each face weighted by its plane's right-hand side (Lasserre, 1998).
+The h route reads their integer sums, the public functions divide each
+entry once.
 """
 from __future__ import annotations
 
@@ -184,21 +186,21 @@ def _hr(p: Polytope, r: int, entries) -> HrVector:
 def _fill_plan(dim: int, r: int):
     """How far the h route scans, and the integer weights that fill in the rest.
 
-    Returns ``(k, kinds, fills)``.  With m = dim + r, the scans of nP for
+    Returns ``(k, known, fills)``.  With m = dim + r, the scans of nP for
     n = 0..k give L(x) = L^r(xP) at the 2k+1 nodes x = -k..k, since
     L(-n) = (-1)^m L(nP°).  Below dim 4, k = ceil(m/2) and nothing is
     missing.  From dim 4 on the top ``known = 2 - m % 2`` coefficients are
-    known (``kinds``): the volume moment ``c_m = V/m!`` and, at even m, half
-    the facet-moment sum ``c_(m-1) = F/(2 (m-1)!)``, V and F the integer sums
-    of :func:`_simplex_sums`.  Then k = ceil((m - known)/2), so L minus its
+    known: the volume moment ``c_m = V/m!`` and, at even m, half the
+    facet-moment sum ``c_(m-1) = F/(2 (m-1)!)``, V and F the integer sums of
+    :func:`_simplex_sums`.  Then k = ceil((m - known)/2), so L minus its
     known terms has degree at most 2k, and extrapolating it from -k..k,
     ``L(k+1) = sum_x (-1)^(k-x) C(2k+1, k+x) L(x) + sum_e c_e R_e`` with
     ``R_e = (k+1)^e - sum_x (-1)^(k-x) C(2k+1, k+x) x^e``, and its mirror
     image for L(-(k+1)), give the values :func:`_numerator` reads beyond the
     scans: the closed side at n = k+1 when m is even, and the interior side
     at n = k+1.  ``fills`` holds, per value, its side, its weights over the
-    closed values n = 0..k, the interior values n = 1..k and the sums of
-    ``kinds``, all times a common denominator, and that denominator.
+    closed values n = 0..k, the interior values n = 1..k and the first
+    ``known`` of (V, F), all times a common denominator, and that denominator.
     """
     m = dim + r
     known = 0 if dim < 4 else 2 - m % 2
@@ -220,7 +222,7 @@ def _fill_plan(dim: int, r: int):
             parts.append((rest // g, scale // g))
         den = math.lcm(*(d for _, d in parts))
         fills.append((side, tuple(c * (den // d) for c, d in parts), den))
-    return k, ("volume", "facets")[:known], tuple(fills)
+    return k, known, tuple(fills)
 
 
 def to_hr_vector(p: Polytope, r: int) -> HrVector:
@@ -240,10 +242,12 @@ def to_hr_vector(p: Polytope, r: int) -> HrVector:
     if r < 0:
         raise ValueError("rank and dilation must be nonnegative")
     m = p.dim + r
-    k, kinds, fills = _fill_plan(p.dim, r)
+    k, known, fills = _fill_plan(p.dim, r)
     both = [_moments(p, r, n) for n in range(k + 1)]    # 0P° is empty
     closed, interior = [c for c, _ in both], [i for _, i in both]
-    values = closed + interior[1:] + [_simplex_sums(p, max(r, 2), kind)[r] for kind in kinds]
+    values = closed + interior[1:]
+    if known:
+        values += [sums[r] for sums in _simplex_sums(p, max(r, 2))[:known]]
     for side, weights, den in fills:
         nums = [sum(map(mul, weights, col)) for col in zip(*values)]
         if any(x % den for x in nums):
@@ -292,9 +296,12 @@ def _all_dilates_oracle(p: Polytope, r: int) -> HrVector:
 
     The cross-check route of ``ehrtensor verify``: the same numerator map on
     closed moments only, with no interior moment, no reciprocity and no
-    volume or facet moment.
+    volume or facet moment.  Its passes add the interior side up to n =
+    ceil((dim + max(r, 2))/2), the h route's last dilate below dim 4, but not
+    past both n = 3 (reciprocity) and the h route's last dilate: none reads it.
     """
-    m, half = p.dim + r, (p.dim + max(r, 2) + 1) // 2    # the h route reads neither side above half
+    m, top = p.dim + r, max(r, 2)
+    half = min((p.dim + top + 1) // 2, max(_fill_plan(p.dim, top)[0], 3))
     closed = [_moments(p, r, n, BOTH if n <= half else CLOSED)[0] for n in range(m + 1)]
     return _hr(p, r, _numerator(closed, m))
 
@@ -325,11 +332,11 @@ def _reciprocity_holds(p: Polytope, h: HrVector, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # exact volume and facet moments
 
-def _simplex_entries(vertices: list, faces: list, weights: list[int], r: int, dim: int
-                     ) -> list[list[int]]:
-    """Entries of ``sum_s weights[s] H_q(s)``, q = 0..r, over the simplices ``faces``
-    (tuples of indices into ``vertices``), with ``H_q = q! h_q`` and h_q the
-    complete homogeneous tensor of the simplex's vertices.
+def _simplex_entries(vertices: list, faces: list, weightings: list[list[int]], r: int, dim: int
+                     ) -> list[list[list[int]]]:
+    """Per weighting w, the entries of ``sum_s w[s] H_q(s)``, q = 0..r, over the
+    simplices ``faces`` (tuples of indices into ``vertices``), with ``H_q = q! h_q``
+    and h_q the complete homogeneous tensor of the simplex's vertices.
 
     The integral of x^q over a k-simplex of normalized volume ``volume``
     (k! vol) is ``volume * H_q / (k+q)!`` (Baldoni et al., "How to integrate
@@ -338,10 +345,11 @@ def _simplex_entries(vertices: list, faces: list, weights: list[int], r: int, di
     :func:`~ehrtensor.tensors.sym_product` reads
     ``j H_j = sum_{i=1..j} i! sym_product(p_i, H_(j-i))``, exactly.  It is
     evaluated column-wise, one list over the simplices per stored entry and
-    one ``map`` per (entry, slot split), for the ranks below r.  Rank r is
-    only summed: its products are summed against the weighted power sums at
-    once, and its own power sum term is ``sum_v spread_v v^r``, each
-    vertex weighted by the sum of the weights of the simplices it lies on.
+    one ``map`` per (entry, slot split), for the ranks below r, and these
+    columns serve every weighting.  Rank r is only summed: its products are
+    summed against the weighted power sums at once, and its own power sum
+    term is ``sum_v spread_v v^r``, each vertex weighted by the sum of the
+    weights of the simplices it lies on.
     """
     ones = [1] * len(faces)
     slots = [list(zip(*map(vertices.__getitem__, corner))) for corner in zip(*faces)]
@@ -351,63 +359,69 @@ def _simplex_entries(vertices: list, faces: list, weights: list[int], r: int, di
         prods = [[list(map(mul, mono[a], axes[c])) for a, c in steps]
                  for mono, axes in zip(prods, slots)]
         powers.append([list(map(sum, zip(*columns))) for columns in zip(*prods)])
-    spread = [0] * len(vertices)
-    for face, w in zip(faces, weights):
-        for i in face:
-            spread[i] += w
-    axes, spread_powers = list(zip(*vertices)), [spread]
-    for i in range(1, r + 1):   # spread_powers[a]: entry a of spread_v v^i, per vertex
-        spread_powers = [list(map(mul, spread_powers[a], axes[c])) for a, c in
+    axes, vertex_powers = list(zip(*vertices)), [[1] * len(vertices)]
+    for i in range(1, r + 1):   # vertex_powers[a]: entry a of v^i, per vertex
+        vertex_powers = [list(map(mul, vertex_powers[a], axes[c])) for a, c in
                          (pairs[0] for pairs in _product_plan(dim, i - 1, 1))]
-    weighted = [[list(map(mul, weights, column)) for column in power] for power in powers]
-    hs, out = [[ones]], [[sum(weights)]]
-    for j in range(1, r + 1):
+    hs = [[ones]]
+    for j in range(1, r):       # hs[j]: one column over the simplices per entry of H_j
         terms = [(math.factorial(i), i, _product_plan(dim, i, j - i)) for i in range(1, j)]
-        if j == r:
-            out.append([(sum(f * sum(map(mul, weighted[i][a], hs[j - i][b]))
-                             for f, i, plan in terms for a, b in plan[e])
-                         + math.factorial(j) * sum(spread_powers[e])) // j
-                        for e in range(len(multi_indices(dim, j)))])
-        else:
-            h_j = []        # one column over the simplices per entry of H_j
-            for e, power in enumerate(powers[j]):
-                acc = [math.factorial(j) * x for x in power]
-                for f, i, plan in terms:
-                    for a, b in plan[e]:
-                        acc = [t + f * x * y for t, x, y in zip(acc, powers[i][a], hs[j - i][b])]
-                h_j.append([t // j for t in acc])
-            hs.append(h_j)
-            out.append([sum(map(mul, weights, column)) for column in h_j])
+        h_j = []
+        for e, power in enumerate(powers[j]):
+            acc = [math.factorial(j) * x for x in power]
+            for f, i, plan in terms:
+                for a, b in plan[e]:
+                    acc = [t + f * x * y for t, x, y in zip(acc, powers[i][a], hs[j - i][b])]
+            h_j.append([t // j for t in acc])
+        hs.append(h_j)
+    terms = [(math.factorial(i), i, _product_plan(dim, i, r - i)) for i in range(1, r)]
+    out = []
+    for weights in weightings:
+        sums = [[sum(map(mul, weights, column)) for column in h] for h in hs]
+        if r:
+            spread = [0] * len(vertices)
+            for face, w in zip(faces, weights):
+                for i in face:
+                    spread[i] += w
+            weighted = [[list(map(mul, weights, column)) for column in power] for power in powers]
+            sums.append([(sum(f * sum(map(mul, weighted[i][a], hs[r - i][b]))
+                              for f, i, plan in terms for a, b in plan[e])
+                          + math.factorial(r) * sum(map(mul, spread, vertex_powers[e]))) // r
+                         for e in range(len(multi_indices(dim, r)))])
+        out.append(sums)
     return out
 
 
-def _simplex_sums(p: Polytope, top: int, kind: str) -> tuple[tuple[int, ...], ...]:
-    """Per rank q = 0..top, the entries of ``sum volume * H_q`` (:func:`_simplex_entries`)
-    over the simplices of the placing triangulation with their ``|det|`` (``kind``
-    "volume"), or over its boundary faces with their facet-lattice volumes ("facets").
-
-    One integer pass per polytope, kept under ``(top, kind)`` in
-    :attr:`~ehrtensor.polytopes.Polytope.dilates`; ranks 0..2 share the pass
-    of ``top = 2``.
+def _simplex_sums(p: Polytope, top: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """``(V, F)``, per rank q = 0..top the entries of ``F_q = sum_F g_F H_q(F)``
+    over the faces of :attr:`~ehrtensor.polytopes.Polytope.boundary`, g_F the
+    face's lattice volume (:func:`_simplex_entries`), and of ``V_q = (dim+q)!
+    integral_P x^q``, the same sum weighted by ``rhs_F g_F``: x^q is homogeneous,
+    so ``(dim+q) integral_P x^q = sum_F rhs_F integral_F x^q`` with the signed
+    ``rhs_F`` of each face's plane (Euler's identity; Lasserre, "Integration on
+    a convex polytope", 1998).  One pass per polytope, kept under
+    ``(top, "boundary")`` in :attr:`~ehrtensor.polytopes.Polytope.dilates`;
+    ranks 0..2 share the pass of ``top = 2``.
     """
     store = p.dilates
-    if (top, kind) not in store:
-        simplices, boundary, _ = p.placing_triangulation
-        faces, volumes = (simplices, p.simplex_volumes) if kind == "volume" else (
-            [face for face, _, _ in boundary], p.facet_volumes)
-        store[top, kind] = tuple(map(tuple, _simplex_entries(p.vertices, faces, volumes, top, p.dim)))
-    return store[top, kind]
+    if (top, "boundary") not in store:
+        points, boundary = p.boundary
+        faces = [face for face, _, _ in boundary]
+        weightings = [[rhs * g for _, (_, rhs), g in boundary], [g for _, _, g in boundary]]
+        store[top, "boundary"] = tuple(tuple(map(tuple, sums)) for sums in
+                                       _simplex_entries(points, faces, weightings, top, p.dim))
+    return store[top, "boundary"]
 
 
 def moment_tensor(p: Polytope, r: int) -> SymTensor:
     """Exact integral of x^r over P, in any dimension and rank.
 
-    The volume sum of :func:`_simplex_sums`, each simplex's stored ``|det|``
-    times its H_r, with each entry divided once, by (dim+r)!.
+    The volume sum of :func:`_simplex_sums`, each boundary face's ``rhs * g``
+    times its H_r (Euler's identity; Lasserre 1998), with each entry divided
+    once, by (dim+r)!.
     """
     den = math.factorial(p.dim + r)
-    return SymTensor(r, p.dim, tuple(Fraction(a, den)
-                                     for a in _simplex_sums(p, max(r, 2), "volume")[r]))
+    return SymTensor(r, p.dim, tuple(Fraction(a, den) for a in _simplex_sums(p, max(r, 2))[0][r]))
 
 
 def second_coefficient_facets(p: Polytope, r: int) -> SymTensor:
@@ -415,10 +429,9 @@ def second_coefficient_facets(p: Polytope, r: int) -> SymTensor:
 
     ``1/2 * sum_F integral_F x^r`` in the lattice measure of each facet's
     hyperplane (Brion-Vergne, "Lattice points in simple polytopes", 1997):
-    the facet sum of :func:`_simplex_sums`, each boundary simplex's stored
-    facet-lattice volume times its H_r, with one division per entry, by
-    2 (dim-1+r)!.
+    the facet sum of :func:`_simplex_sums`, each boundary face's lattice
+    volume g times its H_r, from the pass that gives the volume sum
+    (Lasserre 1998), with one division per entry, by 2 (dim-1+r)!.
     """
     den = 2 * math.factorial(p.dim - 1 + r)
-    return SymTensor(r, p.dim, tuple(Fraction(a, den)
-                                     for a in _simplex_sums(p, max(r, 2), "facets")[r]))
+    return SymTensor(r, p.dim, tuple(Fraction(a, den) for a in _simplex_sums(p, max(r, 2))[1][r]))

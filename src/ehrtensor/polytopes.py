@@ -49,7 +49,7 @@ class Polytope:
     """Full-dimensional lattice polytope: irredundant vertices plus facets.
 
     Equality and hash are field-wise.  Work derived from the fields (the
-    triangulation, the shadows, the scans of the dilates) is kept on the
+    boundary, the shadows, the scans of the dilates) is kept on the
     polytope itself, filled on demand and freed with it.
     """
 
@@ -68,25 +68,13 @@ class Polytope:
         return True
 
     @cached_property
-    def placing_triangulation(self):
-        """:func:`placing_triangulation` of the vertices as tuples, built once per polytope.
-
-        :func:`convex_hull` fills it in with the hull's own triangulation when
-        every input point is a vertex.
-        """
-        return tuple(map(tuple, placing_triangulation(self.vertices)))
-
-    @property
-    def simplex_volumes(self) -> tuple[int, ...]:
-        """|det| of each simplex of :attr:`placing_triangulation`, as the triangulation
-        recorded it while coning."""
-        return self.placing_triangulation[2]
-
-    @property
-    def facet_volumes(self) -> tuple[int, ...]:
-        """Each boundary face's volume in the lattice of its hyperplane, in the order of
-        :attr:`placing_triangulation`, as the triangulation stored it."""
-        return tuple(g for _, _, g in self.placing_triangulation[1])
+    def boundary(self):
+        """``(points, faces)``: a triangulation of the boundary by the
+        :func:`placing_triangulation` boundary triples ``(face, (normal, rhs),
+        volume)``, each face indexing ``points``.  :func:`convex_hull` keeps the
+        one it built on its input points, whose non-vertex points may be
+        corners; otherwise the vertices are triangulated once, on first use."""
+        return self.vertices, tuple(placing_triangulation(self.vertices)[1])
 
     @cached_property
     def shadows(self):
@@ -98,9 +86,9 @@ class Polytope:
         """Work on the dilates nP, kept as long as the polytope: n -> the rows of
         :func:`dilate_rows`; ``(top, n, side)`` -> the moments of ranks 0..top
         read off them, of nP (side ``"closed"``) or nP° (``"interior"``);
-        ``(top, kind)`` -> the integer sums behind the volume (``kind``
-        ``"volume"``) and facet (``"facets"``) moments of ranks 0..top, the top
-        two coefficients of the moment polynomial in n."""
+        ``(top, "boundary")`` -> the integer sums behind the volume and facet
+        moments of ranks 0..top, the top two coefficients of the moment
+        polynomial in n, from one pass over :attr:`boundary`."""
         return {}
 
     def translate(self, t: Sequence[int]) -> "Polytope":
@@ -147,20 +135,18 @@ def _affine_basis(pts: Sequence[IntPoint]) -> tuple[int, ...]:
 
 
 def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[
-        list[tuple[int, ...]], list[tuple[tuple[int, ...], tuple[IntPoint, int], int]], list[int]]:
+        list[tuple[int, ...]], list[tuple[tuple[int, ...], tuple[IntPoint, int], int]]]:
     """Beneath-beyond placing triangulation of integer points, in the order given.
 
     Starts from the first d+1 affinely independent points; every later point
     q is coned over the boundary simplices it sees strictly
     (``normal . q > rhs``), and is skipped when it sees none.  Returns
-    ``(simplices, boundary, volumes)``: the simplices as tuples of d+1 indices
-    into ``points``; the boundary as ``(face, (normal, rhs), volume)`` triples,
-    one per boundary simplex: its d sorted indices, its primitive plane,
+    ``(simplices, boundary)``: the simplices as tuples of d+1 indices into
+    ``points``; the boundary as ``(face, (normal, rhs), volume)`` triples, one
+    per boundary simplex: its d sorted indices, its primitive plane,
     ``normal . x <= rhs`` on the hull, and its volume in the lattice of that
-    plane, the gcd of the cofactor normal of its edges; and each simplex's
-    ``|det|``, its height over the face it cones times that face's volume,
-    ``(normal . q - rhs) * volume``.  Raises :class:`DegenerateInputError`
-    when the points do not span Z^d.
+    plane, the gcd of the cofactor normal of its edges.  Raises
+    :class:`DegenerateInputError` when the points do not span Z^d.
     """
     pts = [tuple(p) for p in points]
     d = len(pts[0])
@@ -178,28 +164,25 @@ def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[
 
     for j, v in enumerate(first):
         add(first[:j] + first[j + 1:], v)
-    normal, rhs = boundary[first[1:]]
-    simplices, dets = [first], [volumes[first[1:]] * (rhs - dot(normal, pts[first[0]]))]
+    simplices = [first]
     for k, q in enumerate(pts):
         if k in first:
             continue
-        visible = [(face, height) for face, (normal, rhs) in boundary.items()
-                   if (height := dot(normal, q) - rhs) > 0]
+        visible = [face for face, (normal, rhs) in boundary.items() if dot(normal, q) > rhs]
         # A ridge lies on two boundary simplices.  It is on the horizon when
         # only one of them is visible; the new face ridge + q then points
         # away from that simplex's vertex off the ridge.
         horizon = {}
-        for face, height in visible:
+        for face in visible:
             del boundary[face]
             simplices.append(face + (k,))
-            dets.append(volumes[face] * height)
             for j in range(d):
                 ridge = face[:j] + face[j + 1:]
                 if horizon.pop(ridge, None) is None:
                     horizon[ridge] = face[j]
         for ridge, v in horizon.items():
             add(tuple(sorted(ridge + (k,))), v)
-    return simplices, [(face, plane, volumes[face]) for face, plane in boundary.items()], dets
+    return simplices, [(face, plane, volumes[face]) for face, plane in boundary.items()]
 
 
 def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
@@ -207,11 +190,8 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
 
     Facets are the distinct boundary planes of :func:`placing_triangulation`;
     a point is a vertex iff no other point lies on every facet it lies on.
-    When every input point is a vertex, the sorted points are the vertices
-    in order, and the polytope keeps this triangulation as its
-    :attr:`Polytope.placing_triangulation`.  Otherwise it cannot: its
-    simplices index the input points, and a non-vertex point placed among
-    the first d+1 can be a corner of them.  Raises
+    The polytope keeps the triangulation's boundary, on the sorted input
+    points, as its :attr:`Polytope.boundary`.  Raises
     :class:`DegenerateInputError` when the points are not full-dimensional in
     their ambient space.
     """
@@ -230,16 +210,15 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
         facets = tuple(sorted(_facets_from_cycle(cycle), key=lambda f: (f.normal, f.rhs)))
         return Polytope(2, tuple(sorted(cycle)), facets)
 
-    triangulation = placing_triangulation(pts)
-    planes = sorted({plane for _, plane, _ in triangulation[1]})
+    _, boundary = placing_triangulation(pts)
+    planes = sorted({plane for _, plane, _ in boundary})
     # bit i of masks[k] is set when point k lies on facet i
     masks = [sum(1 << i for i, (normal, rhs) in enumerate(planes) if dot(normal, p) == rhs)
              for p in pts]
     vertices = tuple(p for k, (p, m) in enumerate(zip(pts, masks))
                      if not any(o & m == m for j, o in enumerate(masks) if j != k))
     p = Polytope(d, vertices, tuple(FacetIneq(n, r) for n, r in planes))
-    if len(vertices) == len(pts):
-        object.__setattr__(p, "placing_triangulation", tuple(map(tuple, triangulation)))
+    object.__setattr__(p, "boundary", (tuple(pts), tuple(boundary)))
     return p
 
 

@@ -22,7 +22,7 @@ from math import comb, factorial, gcd, prod
 import pytest
 
 import ehrtensor as et
-from ehrtensor.polytopes import scan_rows
+from ehrtensor.polytopes import placing_triangulation, scan_rows
 from ehrtensor.tensors import moment_of_points, multi_indices, vsub
 
 
@@ -343,12 +343,13 @@ def fraction_simplex_moment(verts, r: int, dim: int, volume: int) -> et.SymTenso
 def fraction_volume_and_facet_moments(p: et.Polytope, r: int):
     """``(moment_tensor, second_coefficient_facets)`` of p, one ``SymTensor`` per simplex.
 
-    Sums :func:`fraction_simplex_moment` over the placing triangulation's
-    simplices and, halved, over its boundary faces, each volume taken by
-    :func:`leibniz_det` or as the gcd of :func:`cofactor_cross`: the library's
-    integer entry lists and stored volumes are met by tensor arithmetic.
+    Sums :func:`fraction_simplex_moment` over the simplices of the placing
+    triangulation of ``p.vertices`` and, halved, over its boundary faces, each
+    volume taken by :func:`leibniz_det` or as the gcd of :func:`cofactor_cross`:
+    the library's one boundary pass, its Euler weights and its stored volumes
+    are met by tensor arithmetic over the solid simplices.
     """
-    simplices, boundary, _ = p.placing_triangulation
+    simplices, boundary = placing_triangulation(p.vertices)
     volume = facets = et.SymTensor.zero(r, p.dim)
     for simplex in simplices:
         vs = [p.vertices[i] for i in simplex]

@@ -181,10 +181,10 @@ def test_verify_square_passes(capsys):
 
 @pytest.mark.parametrize("dim, bound", [(2, 6), (3, 2)])
 def test_verify_builds_one_placing_triangulation(dim, bound, capsys, monkeypatch):
-    # moment_tensor and second_coefficient_facets read the polytope's cached
-    # triangulation, which for a request listing only vertices is the one
-    # convex_hull built on the input points (there is none in 2D), and its
-    # stored volumes, each one integer pass with one division per entry
+    # moment_tensor and second_coefficient_facets read the boundary the
+    # polytope keeps, the one convex_hull built on the input points (in 2D
+    # the vertices' own, on first read), and its stored volumes, in one
+    # integer pass with one division per entry
     request = random_request(dim, bound, 1)
     builds = []
     build = polytopes.placing_triangulation
@@ -198,17 +198,18 @@ def test_verify_builds_one_placing_triangulation(dim, bound, capsys, monkeypatch
     assert len(builds) == 1
 
 
-def test_verify_with_a_non_vertex_point_triangulates_the_vertices_again(capsys, monkeypatch):
-    # the hull's triangulation indexes the input points and here uses the
-    # edge midpoint (1, 0, 0), so the polytope builds its own
+def test_verify_with_a_non_vertex_point_builds_one_triangulation(capsys, monkeypatch):
+    # the hull's boundary indexes the input points and may use the edge
+    # midpoint (1, 0, 0) as a corner: any triangulation of the boundary gives
+    # the same exact sums, so the polytope keeps it
     request = '{"vertices": [[0,0,0],[1,0,0],[2,0,0],[0,1,0],[0,0,1],[1,1,1]]}'
     builds = []
     build = polytopes.placing_triangulation
     monkeypatch.setattr(polytopes, "placing_triangulation",
                         lambda points: builds.append(points) or build(points))
-    code, _, _ = run_cli(["verify", request, "--json"], capsys)
-    assert code == 0
-    assert len(builds) == 2 and (1, 0, 0) in builds[0] and (1, 0, 0) not in builds[1]
+    code, out, _ = run_cli(["verify", request, "--json"], capsys)
+    assert code == 0 and json.loads(out)["all_pass"] is True
+    assert len(builds) == 1 and (1, 0, 0) in builds[0]
 
 
 # (n, sides) of each moment pass of a verify request, by dimension
@@ -216,17 +217,21 @@ VERIFY_PASSES = {
     2: [*((n, BOTH) for n in range(3)), (3, CLOSED), (4, CLOSED), (3, INTERIOR)],
     3: [*((n, BOTH) for n in range(4)), (4, CLOSED), (5, CLOSED)],
     4: [*((n, BOTH) for n in range(4)), *((n, CLOSED) for n in (4, 5, 6))],
+    5: [*((n, BOTH) for n in range(4)), *((n, CLOSED) for n in (4, 5, 6, 7))],
 }
 
 
-@pytest.mark.parametrize("dim, bound, seed", [(2, 6, 1), (3, 2, 1), (4, 2, trial_seed(42, 95))])
+@pytest.mark.parametrize("dim, bound, seed",
+                         [(2, 6, 1), (3, 2, 1), (4, 2, trial_seed(42, 95)), (5, 1, 1)])
 def test_verify_scans_each_dilate_once(dim, bound, seed, capsys, monkeypatch):
     # every rank, the oracle, the interior moments and the triangulation's
     # point list read one scan of each dilate n = 0..dim+2.  Ranks 0..2 share
     # one moment pass per dilate, over both sides up to n = ceil((dim+2)/2),
-    # where the h route reads both, and over the closed side only above,
-    # where only the oracle reads; reciprocity's late read of the interior of
-    # 3P in 2D is one interior-only pass.  The scans live on the request's
+    # where the h route reads both below d = 4, but not past n = 3 from d = 5
+    # on, where neither the h route nor reciprocity reads the interior, and
+    # over the closed side only above, where only the oracle reads;
+    # reciprocity's late read of the interior of 3P in 2D is one interior-only
+    # pass.  The scans live on the request's
     # polytope, so a second request of the same JSON scans them again.
     request = random_request(dim, bound, seed)
     scans = record_calls(monkeypatch, polytopes, "scan_rows")
@@ -277,13 +282,12 @@ def test_each_command_derives_each_rank_once(args, ranks, capsys, monkeypatch):
 def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, monkeypatch):
     # one closed-moments-only oracle h per rank serves reciprocity at n = 1, 2, 3
     # and h-top.  The volume and facet moments of ranks 0..2 are one integer
-    # pass each over the placing triangulation, which recorded each simplex's
-    # |det| and each boundary face's lattice volume, so they take no
-    # determinant and no cross product of their own.  verify reads the volume
-    # pass for dim <= 3 and the facet pass in 2D; the h route reads both from
-    # dim 4 on.  Rank 3 makes a pass of each kind of its own.
+    # pass over the boundary faces, which keep their lattice volumes and
+    # planes, so they take no determinant and no cross product of their own.
+    # verify reads the volume sum for dim <= 3 and the facet sum in 2D; the h
+    # route reads both from dim 4 on.  Rank 3 makes one pass of its own.
     p = polytopes.polytope_from_json(json.loads(random_request(dim, bound, seed)))
-    simplices, boundary, _ = p.placing_triangulation
+    _, boundary = p.boundary
     monkeypatch.setattr(cli, "polytope_from_json", lambda data: p)
 
     def counted(module, name):      # records the last argument of each call
@@ -298,13 +302,11 @@ def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, mon
     code, out, _ = run_cli(["verify", "--json", "{}"], capsys)
     assert code == 0 and json.loads(out)["all_pass"] is True
     assert oracles == [0, 1, 2]
-    volume, facets = (2, len(simplices)), (2, len(boundary))
-    assert [(c["r"], len(c["faces"])) for c in passes] == [volume] + [facets] * (dim != 3)
+    assert [(c["r"], len(c["faces"])) for c in passes] == [(2, len(boundary))]
     for r in range(4):
         ehrhart.moment_tensor(p, r)
         ehrhart.second_coefficient_facets(p, r)
-    assert sorted((c["r"], len(c["faces"])) for c in passes) == \
-        sorted([volume, facets, (3, len(simplices)), (3, len(boundary))])
+    assert [(c["r"], len(c["faces"])) for c in passes] == [(2, len(boundary)), (3, len(boundary))]
     assert dets == crosses == []
 
 

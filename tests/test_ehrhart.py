@@ -11,7 +11,7 @@ from ehrtensor import ehrhart, polytopes
 from ehrtensor.ehrhart import BOTH, CLOSED, _simplex_entries
 from ehrtensor.linalg import gcd_vector, generalized_cross, int_det
 from ehrtensor.positivity import trial_seed
-from ehrtensor.tensors import vsub
+from ehrtensor.tensors import vneg, vsub
 
 from conftest import (NAMED_POLYGONS, apply_linear_map, fraction_simplex_moment,
                       fraction_vandermonde_oracle, fraction_volume_and_facet_moments,
@@ -188,14 +188,13 @@ def test_a_wrong_known_coefficient_breaks_the_hr_vector(kind, monkeypatch):
     corpus = known_coefficient_corpus()
     oracle = {(p, r): ehrhart._all_dilates_oracle(et.convex_hull(p.vertices), r)
               for p in corpus for r in range(5)}
-    sums = ehrhart._simplex_sums
+    sums, which = ehrhart._simplex_sums, ("volume", "facets").index(kind)
     shift = 0
 
-    def perturbed(p, top, which):
-        out = sums(p, top, which)
-        if which != kind:
-            return out
-        return tuple((ranks[0] + shift,) + ranks[1:] for ranks in out)
+    def perturbed(p, top):
+        out = list(sums(p, top))
+        out[which] = tuple((ranks[0] + shift,) + ranks[1:] for ranks in out[which])
+        return tuple(out)
 
     monkeypatch.setattr(ehrhart, "_simplex_sums", perturbed)
     for (p, r), h in oracle.items():
@@ -333,7 +332,7 @@ def test_simplex_moment_matches_barycentric_oracle():
     # the library's integer H_r entries, weighted by the volume, over (k+r)!,
     # and the Fraction tensor oracle that tests meet moment_tensor with
     def integer_simplex_moment(verts, r, d, volume):
-        entries = _simplex_entries(verts, [range(len(verts))], [volume], r, d)[r]
+        entries = _simplex_entries(verts, [range(len(verts))], [[volume]], r, d)[0][r]
         return et.SymTensor(r, d, tuple(entries)) * Fraction(1, math.factorial(len(verts) - 1 + r))
 
     rng = random.Random(1400)
@@ -356,17 +355,26 @@ def test_simplex_moment_matches_barycentric_oracle():
 
 
 def test_volume_and_facet_moments_match_fraction_oracle(corpus_polygons, random_3polytopes):
-    # one integer pass with one division per entry against one Fraction tensor
-    # per simplex, on the seeded corpora of d = 1..5 and on a 3-polytope whose
-    # input has a non-vertex point, so its triangulation indexes p.vertices
+    # one integer pass over the boundary with one division per entry against
+    # one Fraction tensor per simplex of the vertices' own triangulation, on
+    # the seeded corpora of d = 1..5, on a 3-polytope whose boundary has the
+    # non-vertex corner (1, 0, 0), and on translates of each: with the origin
+    # strictly outside P, where the volume weights rhs * g take both signs,
+    # and at a vertex, where the faces through it have rhs = 0
     bounds = {1: 4, 2: 3, 3: 2, 4: 1, 5: 1}
     seeded = [et.random_lattice_polytope(d, bound, d + 3, seed=700 + seed)
               for d, bound in bounds.items() for seed in range(2)]
     non_vertex = et.convex_hull([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    points, boundary = non_vertex.boundary
     assert len(non_vertex.vertices) == 5
+    assert any(points[i] == (1, 0, 0) for face, _, _ in boundary for i in face)
     polytopes = list(corpus_polygons.values()) + random_3polytopes + seeded + [non_vertex]
     assert {p.dim for p in polytopes} == {1, 2, 3, 4, 5}
-    for p in polytopes:
+    outside = [p.translate([1 - min(c) for c in zip(*p.vertices)]) for p in polytopes]
+    at_vertex = [p.translate(vneg(p.vertices[-1])) for p in polytopes]
+    assert all(min(f.rhs for f in p.facets) < 0 < max(f.rhs for f in p.facets) for p in outside)
+    assert all(any(f.rhs == 0 for f in p.facets) for p in at_vertex)
+    for p in polytopes + outside + at_vertex:
         for r in range(4):
             volume, facets = fraction_volume_and_facet_moments(p, r)
             assert et.moment_tensor(p, r).entries == volume.entries, (p.vertices, r)

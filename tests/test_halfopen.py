@@ -615,7 +615,7 @@ def test_each_cell_reduces_its_lifted_matrix_once(monkeypatch):
     # the decomposition's inverse serves the cell's volume, box points,
     # facets and constraints, so no later step reduces the matrix again
     p = et.random_lattice_polytope(4, 2, 8, 11)
-    simplices = p.placing_triangulation[0]
+    simplices = placing_triangulation(p.vertices)[0]
     assert p.dilates == {}
     calls = []
     reduce = linalg._reduce

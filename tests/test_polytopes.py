@@ -115,11 +115,8 @@ def test_placing_simplices_sum_to_normalized_volume():
                 p = et.convex_hull(pts)
             except DegenerateInputError:
                 continue
-            simplices, boundary, dets = placing_triangulation(pts)
-            # each simplex's |det|, recorded while coning, is its Bareiss determinant
-            assert dets == [abs(int_det([vsub(pts[i], pts[s[0]]) for i in s[1:]]))
-                            for s in simplices], pts
-            volume = sum(dets)
+            simplices, boundary = placing_triangulation(pts)
+            volume = sum(abs(int_det([vsub(pts[i], pts[s[0]]) for i in s[1:]])) for s in simplices)
             lead = et.ehrhart_tensor_polynomial(p, 0).coeffs[-1].as_scalar()
             assert volume == math.factorial(d) * lead, pts
             planes = {plane for _, plane, _ in boundary}
@@ -132,44 +129,64 @@ def test_placing_boundary_keeps_facet_lattice_volumes():
     for d in range(2, 6):
         for seed in range(6):
             p = et.random_lattice_polytope(d, 2, d + 4, seed=8200 + 10 * d + seed)
-            _, boundary, _ = p.placing_triangulation
+            points, boundary = p.boundary
             for face, (normal, _), volume in boundary:
-                vs = [p.vertices[i] for i in face]
+                vs = [points[i] for i in face]
                 cross = cofactor_cross([vsub(v, vs[0]) for v in vs[1:]], d)
                 assert volume == math.gcd(*cross), (d, seed, face)
                 assert tuple(abs(x) for x in normal) == tuple(abs(x) // volume for x in cross)
-            assert p.facet_volumes == tuple(volume for _, _, volume in boundary)
 
 
 def test_facet_volumes_add_no_cross_product(monkeypatch):
+    # the volume and facet moments read the lattice volumes the boundary keeps
     crosses = []
     cross = polytopes.generalized_cross
     monkeypatch.setattr(polytopes, "generalized_cross",
                         lambda *a: crosses.append(a) or cross(*a))
     for d in (2, 3, 4, 5):
         p = et.random_lattice_polytope(d, 2, d + 4, seed=8300 + d)
-        _, boundary, _ = p.placing_triangulation
+        _, boundary = p.boundary
         built = len(crosses)
         assert built >= len(boundary) > 0
-        assert len(p.facet_volumes) == len(boundary)
+        et.moment_tensor(p, 3), et.second_coefficient_facets(p, 3)
         assert len(crosses) == built, d
 
 
-def test_hull_keeps_its_triangulation_only_when_every_point_is_a_vertex():
+def test_every_hull_keeps_the_boundary_it_built(monkeypatch):
+    # the boundary indexes the sorted input points, so a non-vertex point may
+    # be a corner and nothing is triangulated again; a polygon and a
+    # translate triangulate their vertices once, on the first read
+    builds = record_calls(monkeypatch, polytopes, "placing_triangulation")
     for d in (1, 3, 4):
         rng = random.Random(8100 + d)
-        kept = fresh = 0
-        while kept < 3 or fresh < 3:
+        kept = non_vertex = 0
+        while kept < 3 or non_vertex < 3:
             pts = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d + 3)]
+            builds.clear()
             try:
                 p = et.convex_hull(pts)
             except DegenerateInputError:
                 continue
-            reused = "placing_triangulation" in vars(p)
-            assert reused == (len(p.vertices) == len(set(pts))), pts
-            assert p.placing_triangulation == tuple(map(tuple, placing_triangulation(p.vertices)))
-            kept += reused
-            fresh += not reused
+            points, boundary = p.boundary
+            assert len(builds) == 1 and points == tuple(sorted(set(pts))), pts
+            assert sorted({plane for _, plane, _ in boundary}) == \
+                [(f.normal, f.rhs) for f in p.facets], pts
+            kept += 1
+            non_vertex += len(p.vertices) < len(points)
+    polygon = et.convex_hull(NAMED_POLYGONS["skew_quad"])
+    moved = et.convex_hull(NAMED_SOLIDS["reeve_tetrahedron"]).translate((3, -2, 5))
+    builds.clear()
+    for p in (polygon, moved, polygon, moved):
+        assert p.boundary[0] == p.vertices
+    assert [c["points"] for c in builds] == [polygon.vertices, moved.vertices]
+
+
+def test_a_hibi_scan_triangulates_each_hull_once(monkeypatch):
+    # the h route's volume and facet sums read the boundary each hull kept
+    builds = record_calls(monkeypatch, polytopes, "placing_triangulation")
+    report = et.conjecture_scan(4, 60, 2, 8, 1, "hibi")
+    assert report.completed + report.skipped_no_interior == 60
+    assert len(builds) == 60
 
 
 def test_equal_polytopes_hash_alike_and_keep_their_own_dilates(monkeypatch):

@@ -174,7 +174,7 @@ def test_lattice_cycle_is_the_placing_triangulation():
     for case, p in placing_corpus():
         for order, key in INSERTION_ORDERS.items():
             pts = sorted(et.lattice_points(p, 1), key=key)
-            simplices, _, _ = placing_triangulation(pts)
+            simplices, _ = placing_triangulation(pts)
             placed = sorted(oriented(pts, *s) for s in simplices)
             assert tuple(placed) == et.unimodular_triangulation(p, order).triangles, \
                 (case, order)
