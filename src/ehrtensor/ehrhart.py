@@ -296,12 +296,12 @@ def _all_dilates_oracle(p: Polytope, r: int) -> HrVector:
 
     The cross-check route of ``ehrtensor verify``: the same numerator map on
     closed moments only, with no interior moment, no reciprocity and no
-    volume or facet moment.  Its passes add the interior side up to n =
-    ceil((dim + max(r, 2))/2), the h route's last dilate below dim 4, but not
-    past both n = 3 (reciprocity) and the h route's last dilate: none reads it.
+    volume or facet moment.  Its passes add the interior side up to the
+    later of n = 3 (reciprocity) and the h route's last dilate, so that each
+    dilate either reads is one pass over both sides.
     """
     m, top = p.dim + r, max(r, 2)
-    half = min((p.dim + top + 1) // 2, max(_fill_plan(p.dim, top)[0], 3))
+    half = max(_fill_plan(p.dim, top)[0], 3)
     closed = [_moments(p, r, n, BOTH if n <= half else CLOSED)[0] for n in range(m + 1)]
     return _hr(p, r, _numerator(closed, m))
 

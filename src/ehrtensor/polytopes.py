@@ -1,7 +1,9 @@
 """Lattice polytopes in small dimension with exact facet and point machinery.
 
 V-representation in, facets derived from the boundary of one integer
-beneath-beyond placing triangulation (a monotone chain for polygons).
+beneath-beyond placing triangulation (a monotone chain for polygons), whose
+faces after the starting simplex take their planes and lattice volumes from
+the two known planes at their horizon ridge, without a cross product.
 Lattice point enumeration clips each prefix level exactly by the facets of
 a projection (Fourier-Motzkin shadows), so no epsilon appears anywhere.
 """
@@ -147,42 +149,74 @@ def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[
     ``normal . x <= rhs`` on the hull, and its volume in the lattice of that
     plane, the gcd of the cofactor normal of its edges.  Raises
     :class:`DegenerateInputError` when the points do not span Z^d.
+
+    Only the d+1 faces of the starting simplex take a cross product.  A new
+    face R + q lies in the pencil of planes through its horizon ridge R
+    (Joswig, "Beneath-and-beyond revisited", 2003): with F = R + f the
+    visible face on R, G the face across R and ``a = normal . q - rhs``
+    their heights (``a_F > 0 >= a_G``), its plane is
+    ``a_F (n_G . x - r_G) - a_G (n_F . x - r_F) <= 0``, divided by the gcd
+    of its normal, and its volume is ``g_F a_F / (rhs - normal . f)``, since
+    ``g_F a_F`` and that volume times ``rhs - normal . f`` are both |det| of
+    the simplex R + f + q.
     """
     pts = [tuple(p) for p in points]
     d = len(pts[0])
     first = _affine_basis(pts)
-    boundary = {}       # boundary simplex (sorted indices) -> (normal, rhs)
-    volumes = {}        # boundary simplex -> gcd of its cofactor normal
+    boundary = {}       # boundary simplex (sorted indices) -> ((normal, rhs), volume)
+    ridges = {}         # ridge (d-1 sorted indices) -> the two boundary simplices on it
 
-    def add(face, inside):
-        base = pts[face[0]]
-        cross = generalized_cross([vsub(pts[i], base) for i in face[1:]], d)
-        volumes[face] = g = gcd_vector(cross)
-        normal = tuple(x // g for x in cross)
-        rhs = dot(normal, base)
-        boundary[face] = (vneg(normal), -rhs) if dot(normal, pts[inside]) > rhs else (normal, rhs)
+    def link(face, skip=None):
+        for j in range(d):
+            if face[j] != skip:
+                ridges.setdefault(face[:j] + face[j + 1:], []).append(face)
 
     for j, v in enumerate(first):
-        add(first[:j] + first[j + 1:], v)
+        face = first[:j] + first[j + 1:]
+        base = pts[face[0]]
+        cross = generalized_cross([vsub(pts[i], base) for i in face[1:]], d)
+        g = gcd_vector(cross)
+        normal = tuple(x // g for x in cross)
+        rhs = dot(normal, base)
+        boundary[face] = ((vneg(normal), -rhs) if dot(normal, pts[v]) > rhs else (normal, rhs), g)
+        link(face)
     simplices = [first]
     for k, q in enumerate(pts):
         if k in first:
             continue
-        visible = [face for face, (normal, rhs) in boundary.items() if dot(normal, q) > rhs]
+        heights = {face: a for face, ((normal, rhs), _) in boundary.items()
+                   if (a := sum(map(mul, normal, q)) - rhs) > 0}
         # A ridge lies on two boundary simplices.  It is on the horizon when
-        # only one of them is visible; the new face ridge + q then points
-        # away from that simplex's vertex off the ridge.
+        # only one of them, F, is visible; the new face ridge + q then takes
+        # F's place on it, and points away from F's vertex off the ridge.
         horizon = {}
-        for face in visible:
-            del boundary[face]
+        for face in heights:
             simplices.append(face + (k,))
             for j in range(d):
                 ridge = face[:j] + face[j + 1:]
                 if horizon.pop(ridge, None) is None:
-                    horizon[ridge] = face[j]
-        for ridge, v in horizon.items():
-            add(tuple(sorted(ridge + (k,))), v)
-    return simplices, [(face, plane, volumes[face]) for face, plane in boundary.items()]
+                    horizon[ridge] = face, face[j]
+                else:
+                    del ridges[ridge]
+        added = []
+        for ridge, (visible, f) in horizon.items():
+            on = ridges[ridge]
+            i = on.index(visible)
+            (nf, rf), gf = boundary[visible]
+            (ng, rg), _ = boundary[on[1 - i]]
+            af, ag = heights[visible], sum(map(mul, ng, q)) - rg
+            normal = [af * y - ag * x for x, y in zip(nf, ng)]
+            c = gcd_vector(normal)
+            normal = tuple(x // c for x in normal)
+            rhs = (af * rg - ag * rf) // c
+            on[i] = face = tuple(sorted(ridge + (k,)))
+            added.append((face, ((normal, rhs), gf * af // (rhs - sum(map(mul, normal, pts[f]))))))
+        for face in heights:
+            del boundary[face]
+        for face, entry in added:
+            boundary[face] = entry
+            link(face, k)
+    return simplices, [(face, plane, g) for face, (plane, g) in boundary.items()]
 
 
 def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
@@ -213,8 +247,8 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
     _, boundary = placing_triangulation(pts)
     planes = sorted({plane for _, plane, _ in boundary})
     # bit i of masks[k] is set when point k lies on facet i
-    masks = [sum(1 << i for i, (normal, rhs) in enumerate(planes) if dot(normal, p) == rhs)
-             for p in pts]
+    masks = [sum(1 << i for i, (normal, rhs) in enumerate(planes)
+                 if sum(map(mul, normal, p)) == rhs) for p in pts]
     vertices = tuple(p for k, (p, m) in enumerate(zip(pts, masks))
                      if not any(o & m == m for j, o in enumerate(masks) if j != k))
     p = Polytope(d, vertices, tuple(FacetIneq(n, r) for n, r in planes))

@@ -5,7 +5,9 @@ diagonalization C^t M C = D with C invertible keeps the numbers of positive,
 negative and zero eigenvalues (Sylvester's law of inertia), so the signs of
 the diagonal of D fix the class, and the columns of C give the witness and
 kernel directions.  No eigenvalue is ever computed; the elimination runs on
-integer columns, each with one integer scale, and reads D and C back in Q.
+integer columns, each with one integer scale.  The class is read from the
+signs of the integer diagonal, in Z; only the witness and kernel columns, and
+D and C for a square certificate, are read back in Q.
 """
 from __future__ import annotations
 
@@ -58,16 +60,16 @@ class SosCertificate:
         return acc
 
 
-def congruence_diagonalization(matrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Exact symmetric diagonalization C^t M C = D with C invertible, in integers.
+def _congruence(matrix) -> tuple[list[list[int]], list[list[int]], list[int], int]:
+    """The integer core of :func:`congruence_diagonalization`: ``(A, X, s, L)``.
 
-    Returns (diag, C) for a matrix of ints and Fractions.  The elimination
-    runs on A = L M (L > 0 the lcm of the denominators keeps the inertia) and
-    a basis X whose column j is s_j C_j, one integer scale per column.  A
-    pivot step ``X_j <- p X_j - f X_t`` (p = A_tt, f = A_tj) clears A_tj; a
-    zero pivot swaps in a later nonzero diagonal entry, else takes
-    ``X_t <- s_j X_t + s_t X_j`` for the first later j with A_tj != 0.  Then
-    D_kk = A_kk / (s_k^2 L) and C = X / s.
+    The elimination runs on A = L M (L > 0 the lcm of the denominators keeps
+    the inertia) and a basis X whose column j is s_j C_j, one integer scale
+    per column.  A pivot step ``X_j <- p X_j - f X_t`` (p = A_tt, f = A_tj)
+    clears A_tj; a zero pivot swaps in a later nonzero diagonal entry, else
+    takes ``X_t <- s_j X_t + s_t X_j`` for the first later j with A_tj != 0.
+    On return A is diagonal, ``D_kk = A_kk / (s_k^2 L)`` and ``C = X / s``,
+    so D_kk has the sign of the integer A_kk.
     """
     d = len(matrix)
     scale = lcm(*(v.denominator for row in matrix for v in row))
@@ -103,36 +105,50 @@ def congruence_diagonalization(matrix) -> tuple[list[Fraction], list[list[Fracti
         for j in range(t + 1, d):
             if a[t][j] != 0:
                 combine(j, p, t, -a[t][j])
-    return ([Fraction(a[k][k], s[k] * s[k] * scale) for k in range(d)],
+    return a, x, s, scale
+
+
+def congruence_diagonalization(matrix) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Exact symmetric diagonalization C^t M C = D with C invertible.
+
+    Returns (diag, C) for a matrix of ints and Fractions: :func:`_congruence`
+    read back in Q.
+    """
+    a, x, s, scale = _congruence(matrix)
+    return ([Fraction(a[k][k], s[k] * s[k] * scale) for k in range(len(a))],
             [[Fraction(v, sk) for v, sk in zip(row, s)] for row in x])
 
 
 def classify_definiteness(t: SymTensor) -> DefinitenessReport:
-    """Exact definiteness class of a rank-2 tensor, with rational witnesses."""
+    """Exact definiteness class of a rank-2 tensor, with rational witnesses.
+
+    The class is read from the signs of the integer diagonal of
+    :func:`_congruence`; only the witness (the first negative column of C)
+    and the kernel direction (the first zero one) are built in Q.
+    """
     if t.rank != 2:
         raise ValueError("definiteness is a rank-2 notion")
     if t.is_zero:
         e0 = tuple(Fraction(int(i == 0)) for i in range(t.dim))
         return DefinitenessReport("zero", kernel=e0)
-    diag, c = congruence_diagonalization(t.to_matrix())
-    witness = witness_value = kernel = None
-    for k, dv in enumerate(diag):
-        if dv < 0 and witness is None:
-            witness = tuple(c[i][k] for i in range(t.dim))
-            witness_value = dv
-        if dv == 0 and kernel is None:
-            kernel = tuple(c[i][k] for i in range(t.dim))
+    a, x, s, scale = _congruence(t.to_matrix())
+    diag = [a[k][k] for k in range(t.dim)]
+    neg = next((k for k, v in enumerate(diag) if v < 0), None)
+    null = next((k for k, v in enumerate(diag) if v == 0), None)
+    kernel = None if null is None else tuple(Fraction(row[null], s[null]) for row in x)
 
     # by inertia: a negative diagonal entry refutes positivity, a zero one
     # definiteness
-    if witness is None:
-        cls = "positive_definite" if kernel is None else "positive_semidefinite"
-    elif all(dv <= 0 for dv in diag):
-        cls = "negative_definite" if kernel is None else "negative_semidefinite"
+    if neg is None:
+        cls = "positive_definite" if null is None else "positive_semidefinite"
+        return DefinitenessReport(cls, kernel=kernel)
+    if all(v <= 0 for v in diag):
+        cls = "negative_definite" if null is None else "negative_semidefinite"
     else:
         cls = "indefinite"
-
-    if witness is not None and t.apply(witness) != witness_value:
+    witness = tuple(Fraction(row[neg], s[neg]) for row in x)
+    witness_value = Fraction(diag[neg], s[neg] * s[neg] * scale)
+    if t.apply(witness) != witness_value:
         raise AssertionError("witness value mismatch")
     return DefinitenessReport(cls, witness=witness, witness_value=witness_value,
                               kernel=kernel)

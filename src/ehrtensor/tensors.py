@@ -143,8 +143,10 @@ class SymTensor:
     def to_matrix(self) -> tuple[tuple[Scalar, ...], ...]:
         if self.rank != 2:
             raise ValueError("not a rank-2 tensor")
-        return tuple(tuple(self.get((i, j)) for j in range(self.dim))
-                     for i in range(self.dim))
+        rows = [[0] * self.dim for _ in range(self.dim)]
+        for (i, j), e in zip(multi_indices(self.dim, 2), self.entries):
+            rows[i][j] = rows[j][i] = e
+        return tuple(map(tuple, rows))
 
     @property
     def is_zero(self) -> bool:

@@ -214,7 +214,7 @@ def test_verify_with_a_non_vertex_point_builds_one_triangulation(capsys, monkeyp
 
 # (n, sides) of each moment pass of a verify request, by dimension
 VERIFY_PASSES = {
-    2: [*((n, BOTH) for n in range(3)), (3, CLOSED), (4, CLOSED), (3, INTERIOR)],
+    2: [*((n, BOTH) for n in range(4)), (4, CLOSED)],
     3: [*((n, BOTH) for n in range(4)), (4, CLOSED), (5, CLOSED)],
     4: [*((n, BOTH) for n in range(4)), *((n, CLOSED) for n in (4, 5, 6))],
     5: [*((n, BOTH) for n in range(4)), *((n, CLOSED) for n in (4, 5, 6, 7))],
@@ -226,13 +226,11 @@ VERIFY_PASSES = {
 def test_verify_scans_each_dilate_once(dim, bound, seed, capsys, monkeypatch):
     # every rank, the oracle, the interior moments and the triangulation's
     # point list read one scan of each dilate n = 0..dim+2.  Ranks 0..2 share
-    # one moment pass per dilate, over both sides up to n = ceil((dim+2)/2),
-    # where the h route reads both below d = 4, but not past n = 3 from d = 5
-    # on, where neither the h route nor reciprocity reads the interior, and
-    # over the closed side only above, where only the oracle reads;
-    # reciprocity's late read of the interior of 3P in 2D is one interior-only
-    # pass.  The scans live on the request's
-    # polytope, so a second request of the same JSON scans them again.
+    # one moment pass per dilate, over both sides up to the later of n = 3,
+    # where reciprocity reads the interior, and the h route's last dilate, and
+    # over the closed side only above, where only the oracle reads.  The scans
+    # live on the request's polytope, so a second request of the same JSON
+    # scans them again.
     request = random_request(dim, bound, seed)
     scans = record_calls(monkeypatch, polytopes, "scan_rows")
     reads = record_calls(monkeypatch, ehrhart, "dilate_rows")

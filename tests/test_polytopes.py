@@ -4,13 +4,13 @@ import math
 import random
 import weakref
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 import ehrtensor as et
 from ehrtensor import polytopes
-from ehrtensor.linalg import gcd_vector, int_det, primitive
+from ehrtensor.linalg import affine_basis, gcd_vector, int_det, primitive
 from ehrtensor.polytopes import (DegenerateInputError, FacetIneq, dilate_rows,
                                  placing_triangulation, polytope_from_json, polytope_to_json)
 from ehrtensor.positivity import trial_seed
@@ -138,18 +138,65 @@ def test_placing_boundary_keeps_facet_lattice_volumes():
 
 
 def test_facet_volumes_add_no_cross_product(monkeypatch):
+    # the hull takes one cross product per face of its starting simplex, and
     # the volume and facet moments read the lattice volumes the boundary keeps
-    crosses = []
-    cross = polytopes.generalized_cross
-    monkeypatch.setattr(polytopes, "generalized_cross",
-                        lambda *a: crosses.append(a) or cross(*a))
+    crosses = record_calls(monkeypatch, polytopes, "generalized_cross")
     for d in (2, 3, 4, 5):
+        crosses.clear()
         p = et.random_lattice_polytope(d, 2, d + 4, seed=8300 + d)
         _, boundary = p.boundary
-        built = len(crosses)
-        assert built >= len(boundary) > 0
+        assert len(crosses) == d + 1 <= len(boundary), d
         et.moment_tensor(p, 3), et.second_coefficient_facets(p, 3)
-        assert len(crosses) == built, d
+        assert len(crosses) == d + 1, d
+
+
+def coplanar_placements(points) -> int:
+    """Horizon ridges whose face across lies in a plane through the placed point
+    (height a_G = 0), counted by replaying the placing order: the boundary of
+    each prefix that holds the starting simplex is the state before the next
+    point is placed."""
+    d, count = len(points[0]), 0
+    for m in range(max(affine_basis(points)) + 1, len(points)):
+        _, boundary = placing_triangulation(points[:m])
+        heights = {face: dot(normal, points[m]) - rhs for face, (normal, rhs), _ in boundary}
+        for f, g in combinations(heights, 2):
+            low, high = sorted((heights[f], heights[g]))
+            count += len(set(f) & set(g)) == d - 1 and low == 0 < high
+    return count
+
+
+def _pencil_inputs():
+    rng = random.Random(8400)
+    simplex = [tuple(2 * int(i == j) for i in range(4)) for j in range(-1, 4)]
+    midpoints = [tuple((a + b) // 2 for a, b in zip(u, v)) for u, v in combinations(simplex, 2)]
+    yield "2simplex4-midpoints", midpoints + simplex
+    for d in (2, 3, 4, 5):
+        yield f"box{d}", list(product(range(3), repeat=d))
+    for d, bound, count in ((3, 2, 60), (4, 1, 50), (4, 2, 40), (5, 1, 40)):
+        yield f"dense{d}-{bound}", [tuple(rng.randint(-bound, bound) for _ in range(d))
+                                    for _ in range(count)]
+
+
+PENCIL_INPUTS = dict(_pencil_inputs())
+
+
+@pytest.mark.parametrize("name", PENCIL_INPUTS)
+def test_pencil_planes_and_volumes_match_cofactor_cross(name):
+    # every face after the starting simplex takes its plane from the two
+    # planes on its horizon ridge and its volume from the visible face's:
+    # both must equal what the face's own cofactor normal gives, on inputs
+    # whose boundary points are coplanar
+    points = PENCIL_INPUTS[name]
+    d = len(points[0])
+    _, boundary = placing_triangulation(points)
+    for face, (normal, rhs), volume in boundary:
+        vs = [points[i] for i in face]
+        cross = cofactor_cross([vsub(v, vs[0]) for v in vs[1:]], d)
+        assert volume == math.gcd(*cross), face
+        assert normal in (primitive(cross), vneg(primitive(cross))), face
+        assert rhs == dot(normal, vs[0]) >= max(dot(normal, q) for q in points), face
+    if len(points) <= 30:
+        assert coplanar_placements(points) > 0
 
 
 def test_every_hull_keeps_the_boundary_it_built(monkeypatch):
@@ -182,11 +229,13 @@ def test_every_hull_keeps_the_boundary_it_built(monkeypatch):
 
 
 def test_a_hibi_scan_triangulates_each_hull_once(monkeypatch):
-    # the h route's volume and facet sums read the boundary each hull kept
+    # the h route's volume and facet sums read the boundary each hull kept,
+    # and each hull takes one cross product per face of its starting simplex
     builds = record_calls(monkeypatch, polytopes, "placing_triangulation")
+    crosses = record_calls(monkeypatch, polytopes, "generalized_cross")
     report = et.conjecture_scan(4, 60, 2, 8, 1, "hibi")
     assert report.completed + report.skipped_no_interior == 60
-    assert len(builds) == 60
+    assert len(builds) == 60 and len(crosses) == 5 * 60
 
 
 def test_equal_polytopes_hash_alike_and_keep_their_own_dilates(monkeypatch):

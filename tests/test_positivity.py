@@ -127,11 +127,36 @@ def _seeded_symmetric_matrices(seed: int, count: int):
         yield m
 
 
+def fraction_report(m) -> et.DefinitenessReport:
+    """The definiteness report read off :func:`fraction_congruence`: the class
+    from the signs of its diagonal, the witness from its first negative column
+    and the kernel from its first zero one."""
+    if not any(any(row) for row in m):
+        return et.DefinitenessReport("zero", kernel=tuple(F(int(i == 0)) for i in range(len(m))))
+    diag, c = fraction_congruence(m)
+    neg = next((k for k, v in enumerate(diag) if v < 0), None)
+    null = next((k for k, v in enumerate(diag) if v == 0), None)
+    if neg is None:
+        cls = "positive_definite" if null is None else "positive_semidefinite"
+    elif max(diag) <= 0:
+        cls = "negative_definite" if null is None else "negative_semidefinite"
+    else:
+        cls = "indefinite"
+    return et.DefinitenessReport(
+        cls, witness=None if neg is None else tuple(row[neg] for row in c),
+        witness_value=None if neg is None else diag[neg],
+        kernel=None if null is None else tuple(row[null] for row in c))
+
+
 def _assert_congruence_matches_oracle(m):
     diag, c = congruence_diagonalization(m)
     assert (diag, c) == fraction_congruence(m)
     assert all(type(v) is F for v in diag) and all(type(v) is F for row in c for v in row)
     t = mat(m)
+    # the class read in integers, field by field, with Fraction directions
+    rep = et.classify_definiteness(t)
+    assert rep == fraction_report(m)
+    assert all(type(v) is F for v in (rep.witness or ()) + (rep.kernel or ()))
     if all(v >= 0 for v in diag):
         cert = et.sos_certificate(t)
         assert cert.reconstruct(t.dim) == t
