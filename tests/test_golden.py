@@ -36,6 +36,10 @@ FINDING = ('{"vertices": [[-2,0,-2,-2],[-2,0,0,0],[-2,0,1,0],[-1,0,0,2],'
 # the vertices of random_lattice_polytope(5, 1, 8, 1)
 POLY5 = ('{"vertices": [[-1,0,1,1,-1],[-1,1,-1,0,0],[-1,1,1,0,-1],[0,0,1,-1,0],'
          '[0,1,0,1,0],[0,1,1,-1,0],[1,-1,0,-1,1],[1,0,1,1,1]]}')
+# stretched along axis 0, so their lattice scans run in a non-identity axis order
+STRETCHED3 = '{"vertices": [[0,0,0],[6,0,0],[0,2,0],[0,0,1],[5,1,1]]}'
+STRETCHED4 = ('{"vertices": [[0,0,0,0],[5,0,0,0],[0,2,0,0],[0,0,1,0],[0,0,0,1],'
+              '[4,1,1,1]]}')
 HALF1 = '{"vertices": [[-1],[2]], "removed": [0]}'
 HALF2 = '{"vertices": [[2,-2],[3,-2],[2,-1]], "removed": [0]}'
 HALF3 = '{"vertices": [[0,0,0],[2,0,0],[0,3,0],[1,1,2]], "removed": [0,2]}'
@@ -63,6 +67,10 @@ def _cli_cases() -> dict[str, list[str]]:
                               ("d5", HALF5)]:
             cases[f"halfopen_{name}_r{r}"] = ["halfopen", simplex, "--r", str(r)]
             cases[f"halfopen_{name}_table_r{r}"] = ["halfopen", simplex, "--r", str(r), "--table"]
+    for name, poly in [("d3_stretched", STRETCHED3), ("d4_stretched", STRETCHED4)]:
+        cases[f"moments_{name}_n3_r2"] = ["moments", poly, "--r", "2", "--n", "3"]
+        cases[f"hvec_{name}_r2"] = ["hvec", poly, "--r", "2"]
+        cases[f"verify_{name}"] = ["verify", poly]
     cases.update({
         "pick_triangulate": ["pick", SKEW_QUAD, "--triangulate"],
         "pick_triangulate_chain": ["pick", CHAIN_TRIANGLE, "--triangulate"],
@@ -180,10 +188,12 @@ GOLDEN = {
     "hvec_d3_r1": "e5f5603b8ff7c500adc86078bd8642f9c85fa163b59c3e33077ba9de90556a2d",
     "hvec_d3_r2": "ce21eefb7352c7ec224913908a5a3cf2e5b808a7b273bf0ee048c85e7f243b33",
     "hvec_d3_r3": "d9d79748bbce4f6a3e0a8c9dbb11f0597dd1c62b7bb191aecb006836efbebabe",
+    "hvec_d3_stretched_r2": "853f9b0f07232a378139921b8f0ee254c7173852fc916e5da847eddf5fa2b2ef",
     "hvec_d4_finding_r0": "2cb50ee30a0d27023a13b5bd5e71a23484cd0c290b2c629e32d4c47168aa071c",
     "hvec_d4_finding_r1": "13b40ad859636cd9a2d39908edfee63188dab592852776bef141481fbb070360",
     "hvec_d4_finding_r2": "09e876953255ce04519b3c62f9660d1717f68cd9a359e4d0d70dc244f35e9cae",
     "hvec_d4_finding_r3": "a0bfdf50753459034d1a40b17e851fd75512a1ed7b5bd4a8c753299a9eb11eff",
+    "hvec_d4_stretched_r2": "559d0e747aaf1cee818c4464a0d6d15133d37652b3c44fb3b8e0206a8b4f0db6",
     "hvec_d5_r0": "0c76bdc7b0eba8397cae4c68a6631879b9f85e43a3070acad60abd5c5e3c5605",
     "hvec_d5_r1": "9cb2071dfa124c4023b2bb8386dcb89bc5a8c2ca8874c572dda9ec014534c682",
     "hvec_d5_r2": "d664d4ee20dd043c71c9bc66681cf48b08a4f23889cc720b60275616e1fcf70c",
@@ -205,6 +215,8 @@ GOLDEN = {
     "moments_d3_r1": "b05c24d263fbd1d03836b9399f871a8d7714a83536ea1b5f9c2f078422a5ea3c",
     "moments_d3_r2": "bccd8fec2696fd34c50b614745b5ae1d64d61f868f974def952218593cfb0e19",
     "moments_d3_r3": "c9e170e3ebbb3e60a2545f99004429fe15838c6bbde81ecda5c25132d0c27222",
+    "moments_d3_stretched_n3_r2": "5462ff32e0f547b60db6fc392e8dbe1df9e3038f15d0af348f10ab9d9a976bdc",
+    "moments_d4_stretched_n3_r2": "f054f52b45c0790d0367884919e0f5d4317933a1ff30d4316a886b04be72692e",
     "moments_degenerate": "f1d04a399e64880cabc9de90f5bbea6cb0feba989b43d82964d2cbe1ed78d7d1",
     "pick_table": "5ba31ee2ce4ec340341eb20695161216dcce1ed4064381acaf7b3a1667871d68",
     "pick_triangulate": "2e833edc13719a6f003afba4f591f29bf577acc60a223d8eb5a43f749466bca6",
@@ -221,7 +233,9 @@ GOLDEN = {
     "verify_d1": "4c344e17473ee1526cb7bdbe1fe78ff753a4b6e3fdd07701499f6e2bacb80a20",
     "verify_d2": "77ad8f2d37ee529dcbbbc9e75d6c628066720d093c037970a72fac8f0e06ca03",
     "verify_d3": "4c344e17473ee1526cb7bdbe1fe78ff753a4b6e3fdd07701499f6e2bacb80a20",
+    "verify_d3_stretched": "4c344e17473ee1526cb7bdbe1fe78ff753a4b6e3fdd07701499f6e2bacb80a20",
     "verify_d4_finding": "6118e4d7d704177fcd5bd5df9db2597cc0f648ad2daf5bb5d138017c8c452d13",
+    "verify_d4_stretched": "6118e4d7d704177fcd5bd5df9db2597cc0f648ad2daf5bb5d138017c8c452d13",
     "verify_json_d1": "da5b5b95ef488a8da8088b1e21ad62b5d717f436c583326c2f2906d63b76109d",
     "verify_json_d2": "35ecbb982ae0301cc814fea29dc945da28a6464a429f342d18ddb114dfc773c0",
     "verify_json_d3": "da5b5b95ef488a8da8088b1e21ad62b5d717f436c583326c2f2906d63b76109d",
