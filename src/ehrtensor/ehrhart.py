@@ -8,16 +8,19 @@ One row scan of nP gives the closed moment L(nP) and the interior moment
 L(nP°): every row of the scan contributes its prefix monomials times the
 power sums of the last coordinate over its closed and strict intervals,
 summed for every rank in one column pass, for only the sides a caller reads.
+The scan runs in the polytope's own axis order, and a cached plan per
+(dim, rank, order) reads the entries straight into the original frame.
+0P = {0} needs neither: L(0P) is 1 at rank 0 and 0 above, and 0P° is empty.
 The h-tensor vector is the numerator of the moment series,
 ``sum_n L(nP) t^n = sum_i h_i t^i / (1-t)^(m+1)``, and Ehrhart-Macdonald
 reciprocity for moment tensors gives the interior series the reversed
 numerator, ``sum_{n>=1} L(nP°) t^n = sum_i h_i t^(m+1-i) / (1-t)^(m+1)``.
 So alternating binomial sums of the closed moments give the lower half of h
 and those of the interior moments the upper half, from the scans of nP for
-n = 0..ceil(m/2) only.  From dim 4 on one dilate fewer is scanned: the
+n = 1..ceil(m/2) only.  From dim 4 on one dilate fewer is scanned: the
 volume moment is the leading coefficient of L(n) and half the facet-moment
 sum the second, so with the volume moment (odd m) or both (even m) known,
-the scans of n = 0..ceil((m - known)/2) fix L, and a cached integer plan
+the scans of n = 1..ceil((m - known)/2) fix L, and a cached integer plan
 per (dim, r) fills in the values at the next dilate (:func:`_fill_plan`).
 The polynomial is the binomial expansion of h, ``L(n) = sum_i h_i C(n+m-i, m)``.
 
@@ -49,7 +52,8 @@ from functools import lru_cache
 from operator import mul, sub
 
 from .polytopes import Polytope, dilate_rows
-from .tensors import HrVector, SymTensor, TensorPolynomial, _product_plan, multi_indices
+from .tensors import (HrVector, SymTensor, TensorPolynomial, _index_position, _product_plan,
+                      multi_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -60,44 +64,82 @@ BOTH, CLOSED, INTERIOR = ("closed", "interior"), ("closed",), ("interior",)
 
 @lru_cache(maxsize=None)
 def _power_sum_poly(k: int) -> tuple[tuple[int, ...], int]:
-    """``F_k(n) = sum_{t=1..n} t^k`` as integer coefficients over one denominator.
+    """``F_k(n) = sum_{t=1..n} t^k`` as integer coefficients over their least denominator.
 
-    Built from ``(n+1)^(k+1) - 1 = sum_{j<=k} C(k+1, j) F_j(n)``.  Since
+    Built from ``(n+1)^(k+1) - 1 = sum_{j<=k} C(k+1, j) F_j(n)``, in
+    integers over the lcm of the lower denominators.  Since
     ``F_k(n) - F_k(n-1) = n^k`` is a polynomial identity, the power sum over
     any integer interval is ``F_k(hi) - F_k(lo - 1)``.
     """
     lower = [_power_sum_poly(j) for j in range(k)]
-    coeffs = [Fraction(math.comb(k + 1, i)) for i in range(k + 2)]
-    coeffs[0] -= 1
-    for j, (num, den) in enumerate(lower):
+    den = math.lcm(*(d for _, d in lower))
+    coeffs = [den * math.comb(k + 1, i) for i in range(k + 2)]
+    coeffs[0] -= den
+    for j, (num, d) in enumerate(lower):
+        scale = math.comb(k + 1, j) * (den // d)
         for i, c in enumerate(num):
-            coeffs[i] -= Fraction(math.comb(k + 1, j) * c, den)
-    coeffs = [c / (k + 1) for c in coeffs]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return tuple(int(c * den) for c in coeffs), den
+            coeffs[i] -= scale * c
+    den *= k + 1
+    g = math.gcd(den, *coeffs)
+    return tuple(c // g for c in coeffs), den // g
 
 
 @lru_cache(maxsize=None)
-def _row_plan(dim: int, r: int):
-    """Split each stored multi-index into a prefix monomial and a last-axis power.
+def _scan_plan(dim: int, r: int):
+    """:func:`_row_plan` for entries stored in the scan frame itself.
 
-    The prefix monomials (over coordinates 0..dim-2, ranks 0..r) are built
-    from 1 by ``steps``: monomial s+1 is monomial ``j`` times coordinate
-    ``i``.  ``plans[q]`` gives, per stored entry of rank q, the position j of its
-    prefix monomial and the power k of coordinate dim-1; ``need`` holds every
-    pair (j, i), i = 1..k+1, that the power sums ``F_k`` read.
+    A stored multi-index of rank q splits into the prefix monomial of its
+    first q - k axes and the last axis to the power k.  The table holds, per
+    prefix monomial j of degree e, the pairs (j, i) for i = 1..r-e+1: every
+    power the entries on j read, since ``F_k`` has degree k+1.
     """
     last = dim - 1
     prefixes = [pm for j in range(r + 1) for pm in multi_indices(last, j)]
     pos = {pm: s for s, pm in enumerate(prefixes)}
     steps = tuple((pos[pm[:-1]], pm[-1]) for pm in prefixes[1:])
-    plans = tuple(tuple((pos[m[:len(m) - m.count(last)]], m.count(last))
-                        for m in multi_indices(dim, q)) for q in range(r + 1))
-    need = {(j, i) for plan in plans for j, k in plan for i in range(1, k + 2)}
-    return steps, plans, need
+    need = tuple((j, i) for j, pm in enumerate(prefixes) for i in range(1, r - len(pm) + 2))
+    at = {pair: t for t, pair in enumerate(need)}
+    polys = [_power_sum_poly(k) for k in range(r + 1)]
+    powers = [[i for i, c in enumerate(num) if c] for num, _ in polys]
+    terms = [(tuple(num[i] for i in power), den) for (num, den), power in zip(polys, powers)]
+    plans = []
+    for q in range(r + 1):
+        plan = []
+        for m in multi_indices(dim, q):
+            k = m.count(last)
+            j = pos[m[:q - k]]
+            plan.append((terms[k][0], tuple(at[j, i] for i in powers[k]), terms[k][1]))
+        plans.append(tuple(plan))
+    return steps, need, tuple(plans)
 
 
-def row_moments(rows, r: int, dim: int, sides=BOTH) -> list[tuple[list[int], ...]]:
+@lru_cache(maxsize=None)
+def _row_plan(dim: int, r: int, order: tuple[int, ...]):
+    """How one column pass turns scan-frame rows into original-frame entries.
+
+    Scan axis k is axis ``order[k]`` (:attr:`~ehrtensor.polytopes.Polytope.scan_order`).
+    The prefix monomials (over scan axes 0..dim-2, ranks 0..r) are built
+    from 1 by ``steps``: monomial s+1 is monomial ``j`` times scan axis
+    ``i``.  ``need`` lists the pairs (j, i) whose column sums the pass
+    tabulates, monomial j times ``hi^i - (lo-1)^i``.  ``plans[q]`` holds, per
+    stored entry of rank q in the original frame, with prefix monomial j and
+    the last scan axis to the power k in its multi-index moved to the scan
+    frame: the nonzero coefficients of ``F_k``, the positions in ``need`` of
+    the pairs (j, i) they weigh, and the denominator of ``F_k``.
+    """
+    steps, need, plans = _scan_plan(dim, r)
+    if order == tuple(range(dim)):
+        return steps, need, plans
+    scan_axis = sorted(range(dim), key=order.__getitem__)     # axis -> its scan axis
+    moved = []
+    for q, plan in enumerate(plans):
+        at = _index_position(dim, q)
+        moved.append(tuple(plan[at[tuple(sorted(map(scan_axis.__getitem__, m)))]]
+                           for m in multi_indices(dim, q)))
+    return steps, need, tuple(moved)
+
+
+def row_moments(rows, r: int, dim: int, sides=BOTH, order=None) -> list[tuple[list[int], ...]]:
     """Moments of ranks 0..r of :func:`~ehrtensor.polytopes.scan_rows` rows, per side asked for.
 
     A row ``(prefix, lo, hi, slo, shi)`` adds, for each stored multi-index,
@@ -106,18 +148,20 @@ def row_moments(rows, r: int, dim: int, sides=BOTH) -> list[tuple[list[int], ...
     power of the last coordinate.  That sum is ``F_k(hi) - F_k(lo-1)``, an
     integer combination of ``hi^i - (lo-1)^i`` over one denominator, so one
     column pass serves every rank: one ``sum(map(mul, ...))`` per (monomial,
-    power).  Only the ``sides`` asked for are read and computed, sharing the
-    prefix monomials.  Scan rows have lo <= hi; an empty strict interval has
-    shi raised to slo - 1, so it adds nothing.  Returns, per rank, the entry
-    lists of the sides in the order asked, in storage order.
+    power), and one per entry over those (:func:`_row_plan`).  Only the
+    ``sides`` asked for are read and computed, sharing the prefix monomials.
+    Scan rows have lo <= hi; an empty strict interval has shi raised to
+    slo - 1, so it adds nothing.  The rows are in the frame whose axis k is
+    axis ``order[k]`` (the identity when None), the entries in the original
+    frame.  Returns, per rank, the entry lists of the sides in the order
+    asked, in storage order.
     """
-    steps, plans, need = _row_plan(dim, r)
+    steps, need, plans = _row_plan(dim, r, tuple(range(dim)) if order is None else order)
     prefixes, lo, hi, slo, shi = list(zip(*rows)) or [()] * 5
     coords = list(zip(*prefixes)) or [()] * (dim - 1)
     monos = [None]      # the monomial 1 sums a column as it is
     for j, i in steps:
         monos.append(coords[i] if j == 0 else list(map(mul, monos[j], coords[i])))
-    polys = [_power_sum_poly(k) for k in range(r + 1)]
     out = []
     for side in sides:
         low, top = (lo, hi) if side == "closed" else (slo, shi)
@@ -128,23 +172,27 @@ def row_moments(rows, r: int, dim: int, sides=BOTH) -> list[tuple[list[int], ...
         for _ in range(r):      # diffs[i] = top^i - below^i
             a, b = list(map(mul, a, top)), list(map(mul, b, below))
             diffs.append(list(map(sub, a, b)))
-        table = {(j, i): sum(map(mul, monos[j], diffs[i])) if j else sum(diffs[i])
-                 for j, i in need}
-        out.append([[sum(c * table[j, i] for i, c in enumerate(polys[k][0]) if c)
-                     // polys[k][1] for j, k in plan] for plan in plans])
+        table = [sum(map(mul, monos[j], diffs[i])) if j else sum(diffs[i]) for j, i in need]
+        at = table.__getitem__
+        out.append([[sum(map(mul, coeffs, map(at, places))) // den for coeffs, places, den in plan]
+                    for plan in plans])
     return list(zip(*out))
 
 
 def _moments(p: Polytope, r: int, n: int, sides=BOTH) -> list[tuple[int, ...]]:
     """Entries of L^r(nP) and/or L^r(nP°), per side asked for: one pass over the rows
     of nP computes the sides ``p.dilates`` lacks, kept under ``(top, n, side)``;
-    ranks 0..2 share the pass of ``top = max(r, 2)``."""
+    ranks 0..2 share the pass of ``top = max(r, 2)``.  At n = 0 no scan and no
+    pass: 0P = {0}, so L^r(0P) is 1 at r = 0 and 0 above, and 0P° is empty."""
     if r < 0 or n < 0:
         raise ValueError("rank and dilation must be nonnegative")
+    if n == 0:
+        zero = (0,) * len(multi_indices(p.dim, r))
+        return [(1,) if side == "closed" and r == 0 else zero for side in sides]
     top, store = max(r, 2), p.dilates
     missing = [side for side in sides if (top, n, side) not in store]
     if missing:
-        passes = row_moments(dilate_rows(p, n), top, p.dim, missing)
+        passes = row_moments(dilate_rows(p, n), top, p.dim, missing, p.scan_order)
         for side, ranks in zip(missing, zip(*passes)):
             store[top, n, side] = tuple(map(tuple, ranks))
     return [store[top, n, side][r] for side in sides]
@@ -232,9 +280,10 @@ def to_hr_vector(p: Polytope, r: int) -> HrVector:
     By reciprocity ``sum_{n>=1} L^r(nP°) t^n = sum_i h_i t^(m+1-i) / (1-t)^(m+1)``,
     so the interior moments, n = 1..ceil(m/2), give h_m, h_(m-1), ... as
     numerator coefficients 1..ceil(m/2).  Below dim 4 both sides of nP are
-    scanned for n = 0..ceil(m/2).  From dim 4 on the volume moment and, at
-    even m, the facet moments fix the top coefficients of L^r(nP), so the
-    scans stop one dilate earlier, at n = ceil((m - known)/2), and
+    scanned for n = 1..ceil(m/2); 0P is known without a scan.  From dim 4
+    on the volume moment and, at even m, the facet moments fix the top
+    coefficients of L^r(nP), so the scans stop one dilate earlier, at
+    n = ceil((m - known)/2), and
     :func:`_fill_plan` fills in that dilate's values, with one exact
     division per entry.  The top entry is L^r(P°) and, for r >= 1, entry 0
     vanishes and entry 1 is L^r(P).

@@ -4,15 +4,17 @@ V-representation in, facets derived from the boundary of one integer
 beneath-beyond placing triangulation (a monotone chain for polygons), whose
 faces after the starting simplex take their planes and lattice volumes from
 the two known planes at their horizon ridge, without a cross product.
-Lattice point enumeration clips each prefix level exactly by the facets of
-a projection (Fourier-Motzkin shadows), so no epsilon appears anywhere.
+Lattice point enumeration runs in one axis order per polytope, the cheapest
+by the projected volumes of its boundary, and clips each prefix level exactly
+by the facets of a projection (Fourier-Motzkin shadows), so no epsilon
+appears anywhere.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -79,18 +81,40 @@ class Polytope:
         return self.vertices, tuple(placing_triangulation(self.vertices)[1])
 
     @cached_property
+    def scan_order(self) -> tuple[int, ...]:
+        """The axes in the order the lattice scans run them: scan axis k is axis
+        ``scan_order[k]``, and each row runs along the last one.
+
+        From dim 3 on, the axes by decreasing ``sum_F g_F |n_F[i]|`` over the
+        faces of :attr:`boundary`, ties in index order.  That weight is twice
+        the volume of the projection along axis i (Cauchy's projection
+        formula), and a dilate has about as many rows as lattice points in its
+        projection along the last scan axis.  Below dim 3 the identity, so a
+        polygon builds no boundary for it."""
+        if self.dim < 3:
+            return tuple(range(self.dim))
+        weights = [0] * self.dim
+        for _, (normal, _), g in self.boundary[1]:
+            for i, a in enumerate(normal):
+                weights[i] += g * abs(a)
+        return tuple(sorted(range(self.dim), key=lambda i: -weights[i]))
+
+    @cached_property
     def shadows(self):
-        """:func:`shadow_levels` of the facets, built once per polytope."""
-        return shadow_levels([(f.normal, f.rhs) for f in self.facets], self.vertices)
+        """:func:`shadow_levels` of the facets in the scan frame, coordinate k
+        being axis ``scan_order[k]``, built once per polytope."""
+        order = self.scan_order
+        return shadow_levels([(_in_frame(f.normal, order), f.rhs) for f in self.facets],
+                             [_in_frame(v, order) for v in self.vertices])
 
     @cached_property
     def dilates(self) -> dict:
         """Work on the dilates nP, kept as long as the polytope: n -> the rows of
-        :func:`dilate_rows`; ``(top, n, side)`` -> the moments of ranks 0..top
-        read off them, of nP (side ``"closed"``) or nP° (``"interior"``);
-        ``(top, "boundary")`` -> the integer sums behind the volume and facet
-        moments of ranks 0..top, the top two coefficients of the moment
-        polynomial in n, from one pass over :attr:`boundary`."""
+        :func:`dilate_rows`, in the scan frame; ``(top, n, side)`` -> the
+        moments of ranks 0..top read off them, of nP (side ``"closed"``) or
+        nP° (``"interior"``); ``(top, "boundary")`` -> the integer sums behind
+        the volume and facet moments of ranks 0..top, the top two coefficients
+        of the moment polynomial in n, from one pass over :attr:`boundary`."""
         return {}
 
     def translate(self, t: Sequence[int]) -> "Polytope":
@@ -134,6 +158,11 @@ def _affine_basis(pts: Sequence[IntPoint]) -> tuple[int, ...]:
     if len(basis) <= len(pts[0]):
         raise DegenerateInputError(len(basis) - 1, len(pts[0]))
     return basis
+
+
+def _in_frame(x: Sequence[int], order: Sequence[int]) -> IntPoint:
+    """The coordinates of x in the frame whose axis k is axis ``order[k]``."""
+    return tuple(map(x.__getitem__, order))
 
 
 def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[
@@ -269,15 +298,20 @@ def shadow_levels(facets: Sequence[tuple[IntPoint, int]], points: Sequence[IntPo
     k vertices (Ziegler, *Lectures on Polytopes*, Lecture 1).  Level 0 is an interval."""
     level, out = sorted({(tuple(a), c) for a, c in facets}), []
     for k in range(len(points[0]) - 1, 1, -1):
-        pts = {p[:k + 1] for p in points}
-        tight = {(a, c): sum(1 << i for i, q in enumerate(pts) if sum(map(mul, a, q)) == c)
-                 for a, c in level}
+        pts = list({p[:k + 1] for p in points})
+
+        def tight(pairs):   # per pair, bit i set when projected point i lies on it
+            return [(a, c, sum(1 << i for i, q in enumerate(pts) if sum(map(mul, a, q)) == c))
+                    for a, c in pairs]
+
         nxt = {(a[:k], c) for a, c in level if not a[k]}
-        for (a, c), (b, e) in product(level, repeat=2):
-            if a[k] > 0 > b[k] and bin(tight[a, c] & tight[b, e]).count("1") >= k:
-                normal = [a[k] * y - b[k] * x for x, y in zip(a[:k], b)]
-                g = gcd_vector(normal + [a[k] * e - b[k] * c])
-                nxt.add((tuple(x // g for x in normal), (a[k] * e - b[k] * c) // g))
+        ups = tight((a, c) for a, c in level if a[k] > 0)
+        for b, e, down in tight((b, e) for b, e in level if b[k] < 0):
+            for a, c, up in ups:
+                if (up & down).bit_count() >= k:
+                    normal = [a[k] * y - b[k] * x for x, y in zip(a[:k], b)]
+                    g = gcd_vector(normal + [a[k] * e - b[k] * c])
+                    nxt.add((tuple(x // g for x in normal), (a[k] * e - b[k] * c) // g))
         out.append(level := tuple(sorted(nxt)))
     lo, hi = min(p[0] for p in points), max(p[0] for p in points)
     return ((((-1,), -lo), ((1,), hi)), *reversed(out))[:len(points[0]) - 1]
@@ -394,7 +428,9 @@ def dilate_bounds(p: Polytope, n: int) -> list[tuple[int, int]]:
 
 
 def dilate_rows(p: Polytope, n: int) -> tuple[tuple[IntPoint, int, int, int, int], ...]:
-    """:func:`scan_rows` of n*P: closed rows of nP, strict rows of nP°.
+    """:func:`scan_rows` of n*P: closed rows of nP, strict rows of nP°, in the
+    frame of :attr:`Polytope.scan_order` (prefix coordinate k is axis
+    ``scan_order[k]``, and each row runs along axis ``scan_order[-1]``).
 
     Scanned once per (polytope, n) into :attr:`Polytope.dilates`, so every
     rank's moments and the point lists read one scan.  The rows live as long
@@ -404,24 +440,33 @@ def dilate_rows(p: Polytope, n: int) -> tuple[tuple[IntPoint, int, int, int, int
     if n < 0:
         raise ValueError("dilation factor must be nonnegative")
     if n not in p.dilates:
-        cons = [(f.normal, n * f.rhs) for f in p.facets]
+        order = p.scan_order
+        cons = [(_in_frame(f.normal, order), n * f.rhs) for f in p.facets]
         shadows = [[(a, n * c) for a, c in level] for level in p.shadows]
-        p.dilates[n] = tuple(scan_rows(dilate_bounds(p, n), cons, shadows))
+        p.dilates[n] = tuple(scan_rows(_in_frame(dilate_bounds(p, n), order), cons, shadows))
     return p.dilates[n]
+
+
+def _from_frame(points: list[IntPoint], order: tuple[int, ...]) -> list[IntPoint]:
+    """Scan-frame points (:func:`dilate_rows`) in the original frame, in lexicographic order."""
+    if order == tuple(range(len(order))):
+        return points
+    back = tuple(map(order.index, range(len(order))))
+    return sorted(_in_frame(x, back) for x in points)
 
 
 def lattice_points(p: Polytope, n: int) -> list[IntPoint]:
     """All lattice points of the dilate n*P, in lexicographic order."""
-    return [prefix + (t,) for prefix, lo, hi, _, _ in dilate_rows(p, n)
-            for t in range(lo, hi + 1)]
+    return _from_frame([prefix + (t,) for prefix, lo, hi, _, _ in dilate_rows(p, n)
+                        for t in range(lo, hi + 1)], p.scan_order)
 
 
 def interior_lattice_points(p: Polytope, n: int) -> list[IntPoint]:
     """Lattice points strictly inside n*P (n >= 1), in lexicographic order."""
     if n < 1:
         raise ValueError("interior enumeration needs n >= 1")
-    return [prefix + (t,) for prefix, _, _, slo, shi in dilate_rows(p, n)
-            for t in range(slo, shi + 1)]
+    return _from_frame([prefix + (t,) for prefix, _, _, slo, shi in dilate_rows(p, n)
+                        for t in range(slo, shi + 1)], p.scan_order)
 
 
 def is_reflexive(p: Polytope) -> bool:

@@ -212,12 +212,13 @@ def test_verify_with_a_non_vertex_point_builds_one_triangulation(capsys, monkeyp
     assert len(builds) == 1 and (1, 0, 0) in builds[0]
 
 
-# (n, sides) of each moment pass of a verify request, by dimension
+# (n, sides) of each moment pass of a verify request, by dimension; 0P's
+# moments are read in closed form, with no pass
 VERIFY_PASSES = {
-    2: [*((n, BOTH) for n in range(4)), (4, CLOSED)],
-    3: [*((n, BOTH) for n in range(4)), (4, CLOSED), (5, CLOSED)],
-    4: [*((n, BOTH) for n in range(4)), *((n, CLOSED) for n in (4, 5, 6))],
-    5: [*((n, BOTH) for n in range(4)), *((n, CLOSED) for n in (4, 5, 6, 7))],
+    2: [*((n, BOTH) for n in range(1, 4)), (4, CLOSED)],
+    3: [*((n, BOTH) for n in range(1, 4)), (4, CLOSED), (5, CLOSED)],
+    4: [*((n, BOTH) for n in range(1, 4)), *((n, CLOSED) for n in (4, 5, 6))],
+    5: [*((n, BOTH) for n in range(1, 4)), *((n, CLOSED) for n in (4, 5, 6, 7))],
 }
 
 
@@ -225,7 +226,8 @@ VERIFY_PASSES = {
                          [(2, 6, 1), (3, 2, 1), (4, 2, trial_seed(42, 95)), (5, 1, 1)])
 def test_verify_scans_each_dilate_once(dim, bound, seed, capsys, monkeypatch):
     # every rank, the oracle, the interior moments and the triangulation's
-    # point list read one scan of each dilate n = 0..dim+2.  Ranks 0..2 share
+    # point list read one scan of each dilate n = 1..dim+2, and none of 0P,
+    # whose moments are known in closed form.  Ranks 0..2 share
     # one moment pass per dilate, over both sides up to the later of n = 3,
     # where reciprocity reads the interior, and the h route's last dilate, and
     # over the closed side only above, where only the oracle reads.  The scans
@@ -240,7 +242,7 @@ def test_verify_scans_each_dilate_once(dim, bound, seed, capsys, monkeypatch):
             calls.clear()
         code, out, _ = run_cli(["verify", "--json", request], capsys)
         assert code == 0 and json.loads(out)["all_pass"] is True
-        assert len(scans) == dim + 3
+        assert len(scans) == dim + 2
         assert len(reads) == len(passes) and {c["r"] for c in passes} == {2}
         assert [(read["n"], tuple(c["sides"])) for read, c in zip(reads, passes)] \
             == VERIFY_PASSES[dim]

@@ -213,10 +213,10 @@ def test_a_wrong_known_coefficient_breaks_the_hr_vector(kind, monkeypatch):
 
 def test_hr_vector_scans_dilates_up_to_half_the_degree(monkeypatch):
     # reciprocity halves the dilates: h of rank r reads the scans of nP for
-    # n = 0..ceil((m - known)/2), m = d + r, each once, where from d = 4 on
+    # n = 1..ceil((m - known)/2), m = d + r, each once, where from d = 4 on
     # the volume moment and, at even m, the facet moments are the known top
-    # coefficients; a fresh polytope per rank, since the scans and moment
-    # passes stay on the polytope
+    # coefficients, and 0P's moments are known in closed form; a fresh
+    # polytope per rank, since the scans and moment passes stay on the polytope
     scanned = record_calls(monkeypatch, ehrhart, "dilate_rows")
     for d, bound in ((1, 4), (2, 3), (3, 2), (4, 1), (5, 1)):
         for r in range(4):
@@ -224,20 +224,20 @@ def test_hr_vector_scans_dilates_up_to_half_the_degree(monkeypatch):
             scanned.clear()
             et.to_hr_vector(p, r)
             known = 2 - (d + r) % 2 if d >= 4 else 0
-            assert sorted(c["n"] for c in scanned) == list(range((d + r - known + 1) // 2 + 1)), \
-                (d, r)
+            last = (d + r - known + 1) // 2
+            assert sorted(c["n"] for c in scanned) == list(range(1, last + 1)), (d, r)
 
 
 def test_hr_vectors_of_many_polytopes_scan_each_dilate_once(monkeypatch):
-    # 9 polytopes at ranks 0..2 read 30 (polytope, n) dilates, n <= 2 at d = 2
-    # and d = 4, n <= 3 at d = 3: each is scanned and passed over once, and a
-    # second round reads them all off the polytopes
+    # 9 polytopes at ranks 0..2 read 21 (polytope, n) dilates, 1 <= n <= 2 at
+    # d = 2 and d = 4, 1 <= n <= 3 at d = 3: each is scanned and passed over
+    # once, and a second round reads them all off the polytopes
     corpus = [et.random_lattice_polytope(d, 2, d + 3, seed=730 + 3 * d + k)
               for d in (2, 3, 4) for k in range(3)]
     scans = record_calls(monkeypatch, polytopes, "scan_rows")
     passes = record_calls(monkeypatch, ehrhart, "row_moments")
     first = [et.to_hr_vector(p, r) for p in corpus for r in range(3)]
-    assert len(scans) == len(passes) == 30
+    assert len(scans) == len(passes) == 21
     scans.clear()
     passes.clear()
     assert [et.to_hr_vector(p, r) for p in corpus for r in range(3)] == first
@@ -250,15 +250,15 @@ def test_hr_vectors_of_many_polytopes_scan_each_dilate_once(monkeypatch):
 ], ids=["scan-d4-trial", "pick-2d-polygon"])
 def test_h_route_makes_one_two_sided_pass_per_dilate(build, ranks, last, monkeypatch):
     # the conjecture scan reads h of rank 2, the Pick checks h of ranks 1 and
-    # 2: both sides of nP in one pass per dilate, n = 0..ceil((dim+2)/2) in
-    # 2D and n = 0..2 at d = 4, where the volume and facet moments stand in
-    # for dilate 3
+    # 2: both sides of nP in one pass per dilate, n = 1..ceil((dim+2)/2) in
+    # 2D and n = 1..2 at d = 4, where the volume and facet moments stand in
+    # for dilate 3; 0P's moments are known in closed form
     p = build()
     reads = record_calls(monkeypatch, ehrhart, "dilate_rows")
     passes = record_calls(monkeypatch, ehrhart, "row_moments")
     for r in ranks:
         et.to_hr_vector(p, r)
-    dilates = list(range(last + 1))
+    dilates = list(range(1, last + 1))
     assert [c["n"] for c in reads] == dilates
     assert [(c["r"], tuple(c["sides"])) for c in passes] == [(2, BOTH)] * len(dilates)
 

@@ -165,15 +165,18 @@ def _row_corpus(d):
 
 @pytest.mark.parametrize("d", range(1, 6))
 def test_shadowed_rows_match_box_filter(d):
-    # the rows of every dilate are those of the box with no shadow: the same
-    # prefixes, closed and strict intervals, and the same half-open moments
+    # the rows of every dilate are those of the box with no shadow, both in
+    # the scan frame: the same prefixes, closed and strict intervals, and the
+    # same half-open moments
     solids, cells = _row_corpus(d)
     for p in solids:
+        frame = p.scan_order
         for n in range(4):
-            cons = [(f.normal, n * f.rhs) for f in p.facets]
+            cons = [(tuple(f.normal[i] for i in frame), n * f.rhs) for f in p.facets]
+            bounds = et.polytopes.dilate_bounds(p, n)
             got = [(prefix, list(range(lo, hi + 1)), list(range(slo, shi + 1)))
                    for prefix, lo, hi, slo, shi in dilate_rows(p, n)]
-            assert got == box_filter_rows(et.polytopes.dilate_bounds(p, n), cons), (p, n)
+            assert got == box_filter_rows([bounds[i] for i in frame], cons), (p, n)
     for s in cells:
         for n in range(4):
             points = [prefix + (t,) for prefix, closed, _ in
@@ -210,7 +213,7 @@ def test_fused_kernel_matches_point_sums(p, r, n):
     closed = [x for x in product(*(range(lo, hi + 1) for lo, hi in bounds))
               if p.contains(x, n)]
     inner = [x for x in closed if p.contains(x, n, strict=True)]
-    got_closed, got_inner = row_moments(dilate_rows(p, n), r, p.dim)[r]
+    got_closed, got_inner = row_moments(dilate_rows(p, n), r, p.dim, order=p.scan_order)[r]
     assert et.SymTensor.from_entries(r, p.dim, got_closed) == oracle_moment(closed, r, p.dim)
     assert et.SymTensor.from_entries(r, p.dim, got_inner) == oracle_moment(inner, r, p.dim)
     assert et.discrete_moment(p, r, n) == oracle_moment(closed, r, p.dim)
