@@ -447,26 +447,35 @@ def dilate_rows(p: Polytope, n: int) -> tuple[tuple[IntPoint, int, int, int, int
     return p.dilates[n]
 
 
-def _from_frame(points: list[IntPoint], order: tuple[int, ...]) -> list[IntPoint]:
-    """Scan-frame points (:func:`dilate_rows`) in the original frame, in lexicographic order."""
-    if order == tuple(range(len(order))):
-        return points
-    back = tuple(map(order.index, range(len(order))))
-    return sorted(_in_frame(x, back) for x in points)
+def _points(p: Polytope, n: int, strict: bool) -> list[IntPoint]:
+    """The points of nP (strict: of nP°) off its rows, in the original frame and
+    lexicographic order: each row's points are built in the original frame,
+    with the row's coordinate at axis ``scan_order[-1]``, then sorted."""
+    order = p.scan_order
+    spans = ((prefix, slo, shi) if strict else (prefix, lo, hi)
+             for prefix, lo, hi, slo, shi in dilate_rows(p, n))
+    if order == tuple(range(p.dim)):
+        return [prefix + (t,) for prefix, lo, hi in spans for t in range(lo, hi + 1)]
+    back, a = tuple(map(order.index, range(p.dim))), order[-1]
+    points = []
+    for prefix, lo, hi in spans:
+        x = _in_frame(prefix + (0,), back)
+        head, tail = x[:a], x[a + 1:]
+        points += [(*head, t, *tail) for t in range(lo, hi + 1)]
+    points.sort()
+    return points
 
 
 def lattice_points(p: Polytope, n: int) -> list[IntPoint]:
     """All lattice points of the dilate n*P, in lexicographic order."""
-    return _from_frame([prefix + (t,) for prefix, lo, hi, _, _ in dilate_rows(p, n)
-                        for t in range(lo, hi + 1)], p.scan_order)
+    return _points(p, n, strict=False)
 
 
 def interior_lattice_points(p: Polytope, n: int) -> list[IntPoint]:
     """Lattice points strictly inside n*P (n >= 1), in lexicographic order."""
     if n < 1:
         raise ValueError("interior enumeration needs n >= 1")
-    return _from_frame([prefix + (t,) for prefix, _, _, slo, shi in dilate_rows(p, n)
-                        for t in range(slo, shi + 1)], p.scan_order)
+    return _points(p, n, strict=True)
 
 
 def is_reflexive(p: Polytope) -> bool:
