@@ -64,7 +64,7 @@ BOTH, CLOSED, INTERIOR = ("closed", "interior"), ("closed",), ("interior",)
 
 @lru_cache(maxsize=None)
 def _power_sum_poly(k: int) -> tuple[tuple[int, ...], int]:
-    """``F_k(n) = sum_{t=1..n} t^k`` as integer coefficients over their least denominator.
+    """``F_k(n) = sum_{t=1..n} t^k`` as integer coefficients over one least denominator.
 
     Built from ``(n+1)^(k+1) - 1 = sum_{j<=k} C(k+1, j) F_j(n)``, in
     integers over the lcm of the lower denominators.  Since

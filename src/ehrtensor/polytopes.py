@@ -448,9 +448,9 @@ def dilate_rows(p: Polytope, n: int) -> tuple[tuple[IntPoint, int, int, int, int
 
 
 def _points(p: Polytope, n: int, strict: bool) -> list[IntPoint]:
-    """The points of nP (strict: of nP°) off its rows, in the original frame and
-    lexicographic order: each row's points are built in the original frame,
-    with the row's coordinate at axis ``scan_order[-1]``, then sorted."""
+    """The points of nP (strict: of nP°) read off its rows, in the original
+    frame and lexicographic order: each row's points are built in the original
+    frame, with the row's coordinate at axis ``scan_order[-1]``, then sorted."""
     order = p.scan_order
     spans = ((prefix, slo, shi) if strict else (prefix, lo, hi)
              for prefix, lo, hi, slo, shi in dilate_rows(p, n))
