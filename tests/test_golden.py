@@ -47,6 +47,9 @@ HALF4 = ('{"vertices": [[0,0,0,0],[2,0,0,1],[0,3,0,0],[1,1,2,0],[0,1,1,3]], '
          '"removed": [1,3]}')
 HALF5 = ('{"vertices": [[0,0,0,0,0],[2,0,0,0,1],[0,2,0,1,0],[0,0,2,0,0],'
          '[1,0,1,2,0],[0,1,0,0,2]], "removed": [0,2,4]}')
+# the seed-1 halfopen-d4 bench simplex with the largest box: 720 points
+HALF4_LARGE = ('{"vertices": [[-3,3,-3,-3],[-3,0,3,3],[0,1,1,2],[3,0,3,-3],[3,-3,-1,-3]], '
+               '"removed": [3]}')
 
 
 def _cli_cases() -> dict[str, list[str]]:
@@ -67,6 +70,9 @@ def _cli_cases() -> dict[str, list[str]]:
                               ("d5", HALF5)]:
             cases[f"halfopen_{name}_r{r}"] = ["halfopen", simplex, "--r", str(r)]
             cases[f"halfopen_{name}_table_r{r}"] = ["halfopen", simplex, "--r", str(r), "--table"]
+    for name, simplex, r in [("d4_large", HALF4_LARGE, 2), ("d4", HALF4, 4)]:
+        cases[f"halfopen_{name}_r{r}"] = ["halfopen", simplex, "--r", str(r)]
+        cases[f"halfopen_{name}_table_r{r}"] = ["halfopen", simplex, "--r", str(r), "--table"]
     for name, poly in [("d3_stretched", STRETCHED3), ("d4_stretched", STRETCHED4)]:
         cases[f"moments_{name}_n3_r2"] = ["moments", poly, "--r", "2", "--n", "3"]
         cases[f"hvec_{name}_r2"] = ["hvec", poly, "--r", "2"]
@@ -164,10 +170,14 @@ GOLDEN = {
     "halfopen_d4_r1": "3bf8a7ece0b4e84c5822027f0fa075ff738ff553a3f27d9b0a53e32d50459016",
     "halfopen_d4_r2": "61b9ff58b12df1ff267ac2cda67f602709fa55c438fe76466ada979f4c9b8ecf",
     "halfopen_d4_r3": "5e7aaa2f5c7af77eb7a467aeb2a482cac5517c34035f0d91420923e730440756",
+    "halfopen_d4_r4": "5100d81792af201372d74327752bdbf75236d593986a89be9743db5f65b3ae4c",
     "halfopen_d4_table_r0": "dd30a0ca07dc83f9867876ddd677b4b394ccf054132da17d8e91c07ae288b9d9",
     "halfopen_d4_table_r1": "6661c36d14da7b3c1e827ff2b907d37f198c59c9ce5e07c7d093a90b34e7d02f",
     "halfopen_d4_table_r2": "855a07c34e2a0dfcc9d0e98b0a82d6bcdeade36c6c4aba9d60393729dfd4c343",
     "halfopen_d4_table_r3": "ef28e4decc03281d8f961f19f63676015e8182b380ce2614680cde435bec61a7",
+    "halfopen_d4_table_r4": "6d99457bdc438695112a1be5d3261acc0ece405261254f31a2277bf6b91323ed",
+    "halfopen_d4_large_r2": "423acf3daea05109cfc6deb60bda4a2e9f33eafecb9aaa0f4ca18e06eb21c5cd",
+    "halfopen_d4_large_table_r2": "593d6cf8d01a9c9ece400c484355a6e5b60caa929222332c921e6d8268c5c75c",
     "halfopen_d5_r0": "b0832a74f5372eba19410d9335cab647dbec2a1d1d0e3ef7eefa6c876336dd98",
     "halfopen_d5_r1": "50021a8b6a98ad991e7a34ff5216c649c11b0b602efde91a6abcd47f04443e0c",
     "halfopen_d5_r2": "631527b601d270368cd88eff4f7b1828451e9f8bc1fc20814dfa839504fdfab9",
