@@ -161,8 +161,9 @@ def _cmd_pick(args) -> int:
 
 def _cmd_halfopen(args) -> int:
     s = _load_halfopen(args.input)
-    slices = halfopen.box_slices(s)
-    h = halfopen._hr_from_box(s, args.r, slices)
+    box = halfopen._box_columns(s)
+    h = halfopen._hr_from_box(s, args.r, box)
+    slices = box.slices()
     out = {
         "r": args.r,
         "dim": s.dim,

@@ -7,9 +7,10 @@ parallelepiped; its integer points, graded by height, are the box points.
 The h-tensor vector of the half-open simplex then comes out of an explicit
 numerator formula whose polynomial ingredients are Eulerian polynomials, the
 generating numerators of ``sum_n n^j t^n``.  It is assembled on plain
-integer entry lists: each vertex power is built once, the vertex parts of
-every rank come from one convolution over the vertices, each box slice's
-moments of every rank from one pass over its columns, and only the d+r+1
+integer entry lists: the vertex parts of every rank come from the vertex
+power sums (one moment pass over the vertices) by Newton's recurrence, the
+box is enumerated once into coordinate columns grouped by height, each box
+slice's moments of every rank come from those columns, and only the d+r+1
 output entries become :class:`~ehrtensor.tensors.SymTensor` values.
 
 Any triangulation of a polytope, in any dimension, splits into half-open
@@ -22,14 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat, zip_longest
-from operator import add, mul
+from itertools import accumulate, repeat, zip_longest
+from operator import add, floordiv, mod, mul, sub
 
 from . import linalg
 from .ehrhart import CLOSED, row_moments
 from .polytopes import checked_int, scan_rows, shadow_levels
 from .tensors import (HrVector, IntPoint, SymTensor, _moment_entries, _product_entries,
-                      dot, moment_of_points, multi_indices, outer_power, sym_product)
+                      _product_plan, dot, moment_of_points, multi_indices, outer_power,
+                      sym_product)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +216,50 @@ class BoxSlices:
         return sum(len(s) for s in self.slices)
 
 
+@dataclass(frozen=True)
+class _BoxColumns:
+    """The box points as coordinate columns, grouped by height: slice i is
+    positions ``bounds[i]:bounds[i+1]`` of every column, i = 0..d."""
+
+    columns: tuple[list[int], ...]
+    bounds: tuple[int, ...]
+
+    def slices(self) -> BoxSlices:
+        """Each slice as sorted point tuples."""
+        return BoxSlices(tuple(tuple(sorted(zip(*(col[a:b] for col in self.columns))))
+                               for a, b in zip(self.bounds, self.bounds[1:])))
+
+    def moments(self, r: int) -> list[list[list[int]]]:
+        """``moments[k][i]``: the entries of the rank-k moment of slice i, k = 0..r.
+
+        Per slice, as in :func:`~ehrtensor.tensors._moment_entries`: the
+        product column of a rank-k index is that of its first k-1 indices
+        times one coordinate column, and rank r is only summed."""
+        d = len(self.columns)
+        out: list[list[list[int]]] = [[] for _ in range(r + 1)]
+        for a, b in zip(self.bounds, self.bounds[1:]):
+            prods = cols = [col[a:b] for col in self.columns]
+            out[0].append([b - a])
+            if r:
+                out[1].append(list(map(sum, cols)))
+            for k in range(2, r + 1):
+                steps = [pairs[0] for pairs in _product_plan(d, k - 1, 1)]
+                if k < r:
+                    prods = [list(map(mul, prods[x], cols[i])) for x, i in steps]
+                    out[k].append(list(map(sum, prods)))
+                else:
+                    out[k].append([sum(map(mul, prods[x], cols[i])) for x, i in steps])
+        return out
+
+
 def box_slices(s: HalfOpenSimplex) -> BoxSlices:
-    """Enumerate the box points of the lifted half-open parallelepiped.
+    """Enumerate the box points of the lifted half-open parallelepiped, each
+    slice sorted (a view of :func:`_box_columns`)."""
+    return _box_columns(s).slices()
+
+
+def _box_columns(s: HalfOpenSimplex) -> _BoxColumns:
+    """The box points, enumerated once, as coordinate columns grouped by height.
 
     They are one representative per coset of the lattice spanned by the
     lifted vertices ``(v_j, 1)``, listed as in Koeppe-Verdoolaege (primal
@@ -226,30 +270,41 @@ def box_slices(s: HalfOpenSimplex) -> BoxSlices:
     kept as one residue column per coordinate, and each generator adds its
     cosets in one comprehension per column.  Residue a maps to
     ``z = sum_j a_j (v_j, 1) / D``, with a_j = D instead of 0 on removed
-    facets, one coordinate column at a time; z[:d] goes to slice z[d], each
-    slice sorted.
+    facets, one coordinate column at a time as a chain of ``map`` over the
+    residue columns of nonzero weight (a weight of 1 or -1 adds or subtracts
+    the column itself), and every point is checked to be integral.  One sort
+    of the point indices by height z[d] groups the columns z[:d] into slices.
     """
     d = s.dim
     rows, dabs = s.barycentric_rows()
     cols = _residue_columns(rows, dabs)
     for j in s.removed:
         cols[j] = [x or dabs for x in cols[j]]
-    # coordinate c of the points is sum_j a_j (v_j, 1)[c] / D, column by column
     z = []
     for c in _lifted(s.vertices):
-        numer = list(map(sum, zip(*(map(mul, col, repeat(x)) for col, x in zip(cols, c)))))
-        if any(map(dabs.__rmod__, numer)):
+        numer = repeat(0)
+        for col, x in zip(cols, c):
+            if x == 1:
+                numer = map(add, numer, col)
+            elif x == -1:
+                numer = map(sub, numer, col)
+            elif x:
+                numer = map(add, numer, map(mul, col, repeat(x)))
+        numer = list(numer)
+        if any(map(mod, numer, repeat(dabs))):
             raise AssertionError("a box residue is not a lattice point")
-        z.append(list(map(dabs.__rfloordiv__, numer)))
-    slices: list[list[IntPoint]] = [[] for _ in range(d + 1)]
-    for point, height in zip(zip(*z[:d]), z[d]):
-        slices[height].append(point)
-    return BoxSlices(tuple(tuple(sorted(sl)) for sl in slices))
+        z.append(list(map(floordiv, numer, repeat(dabs))))
+    heights = z.pop()
+    order = sorted(range(dabs), key=heights.__getitem__)
+    bounds = tuple(accumulate((heights.count(i) for i in range(d + 1)), initial=0))
+    return _BoxColumns(tuple(list(map(col.__getitem__, order)) for col in z), bounds)
 
 
 def _residue_columns(rows: list[list[int]], dabs: int) -> list[list[int]]:
     """The group generated mod D by the columns of ``rows``, one residue column
-    per row; raises when it does not have D elements."""
+    per row; raises when it does not have D elements.  The closure stops at
+    the generator that completes the group, so its cosets never enter the set
+    that the membership tests read."""
     cols = [[0] for _ in rows]
     members = {(0,) * len(rows)}
     for gen in zip(*rows):
@@ -261,11 +316,13 @@ def _residue_columns(rows: list[list[int]], dabs: int) -> list[list[int]]:
         if m > 1:
             cosets = [[(x + k * y) % dabs for k in range(1, m) for x in col]
                       for col, y in zip(cols, gen)]
-            members.update(zip(*cosets))
             for col, new in zip(cols, cosets):
                 col += new
-    if len(members) != dabs or len(cols[0]) != dabs:
-        raise AssertionError(f"{len(members)} box residues for normalized volume {dabs}")
+            if len(cols[0]) == dabs:    # the whole group: no later generator adds to it
+                break
+            members.update(zip(*cosets))
+    if len(cols[0]) != dabs:
+        raise AssertionError(f"{len(cols[0])} box residues for normalized volume {dabs}")
     return cols
 
 
@@ -291,65 +348,97 @@ def hr_halfopen(s: HalfOpenSimplex, r: int) -> HrVector:
     vertex parts of each rank (see :func:`_hr_from_box`).  Works in any
     dimension and rank.
     """
-    return _hr_from_box(s, r, box_slices(s))
+    return _hr_from_box(s, r, _box_columns(s))
 
 
-def _hr_from_box(s: HalfOpenSimplex, r: int, box: BoxSlices) -> HrVector:
+def _hr_from_box(s: HalfOpenSimplex, r: int, box: _BoxColumns) -> HrVector:
     """Assembly of ``hr_halfopen`` on integer entry lists.
 
-    ``parts[k][deg]`` is the rank-k vertex part: the sum over compositions
-    ``k = k_1 + ... + k_(d+1)`` of the products of the ``v_j^(k_j)``,
-    weighted by the t^deg coefficient of ``A_(k_1)(t) ... A_(k_(d+1))(t)``.
-    It is one convolution over the vertices, each step multiplying by
-    ``A_c(t) v_j^c``, with the powers v^0..v^r of each vertex built once.
-    The numerator is then ``sum_(k_0) parts[r-k_0](t) (1-t)^(k_0) S_(k_0)(t)``,
-    where ``S_k(t) = sum_i t^i (rank-k moment of slice i)`` and each slice's
-    moments of every rank come from one pass over its columns.
+    ``parts[k](t)`` is the rank-k vertex part of :func:`_vertex_parts`.  The
+    numerator is ``sum_(k_0) parts[r-k_0](t) (1-t)^(k_0) S_(k_0)(t)``, where
+    ``S_k(t) = sum_i t^i (rank-k moment of slice i)``; the slice moments of
+    every rank come from the box columns at once (:meth:`_BoxColumns.moments`).
     """
     if r < 0:
         raise ValueError("rank must be nonnegative")
     d = s.dim
-    parts: list[dict[int, list[int]]] = [{0: [1]}] + [{} for _ in range(r)]
-    for v in s.vertices:
-        powers = _moment_entries((v,), r, d)
-        for k in range(r, 0, -1):       # descending: parts[k - c] lacks v yet
-            for c in range(1, k + 1):
-                for deg, x in parts[k - c].items():
-                    prod = _product_entries(x, powers[c], d, k - c, c)
-                    for e, coef in enumerate(eulerian_polynomial(c).coeffs):
-                        _add_scaled(parts[k], deg + e, prod, coef)
-    moments = {i: _moment_entries(pts, r, d) for i, pts in enumerate(box.slices) if pts}
-    out = [[0] * len(multi_indices(d, r)) for _ in range(d + r + 1)]
+    parts = _vertex_parts(s.vertices, r, d)
+    moments = box.moments(r)
+    nonempty = [i for i, (count,) in enumerate(moments[0]) if count]
+    out: dict[int, list[int]] = {}
     for k0 in range(r + 1):
         series: dict[int, list[int]] = {}      # (1-t)^(k_0) S_(k_0)(t)
         binomials = (ONE_MINUS_T ** k0).coeffs
-        for i, m in moments.items():
+        for i in nonempty:
             for e, coef in enumerate(binomials):
-                _add_scaled(series, i + e, m[k0], coef)
+                _add_scaled(series, i + e, moments[k0][i], coef)
         for deg, x in parts[r - k0].items():
             for i, y in series.items():
-                if deg + i >= len(out):
-                    raise AssertionError("numerator degree exceeded d+r")
-                out[deg + i] = list(map(add, out[deg + i], _product_entries(x, y, d, r - k0, k0)))
-    return HrVector(tuple(SymTensor(r, d, tuple(e)) for e in out))
+                if k0 == 0:        # a rank-0 factor only scales the other
+                    _add_scaled(out, deg + i, x, y[0])
+                elif k0 == r:
+                    _add_scaled(out, deg + i, y, x[0])
+                else:
+                    _add_scaled(out, deg + i, _product_entries(x, y, d, r - k0, k0), 1)
+    if max(out) > d + r:
+        raise AssertionError("numerator degree exceeded d+r")
+    zero = (0,) * len(multi_indices(d, r))
+    return HrVector(tuple(SymTensor(r, d, tuple(out.get(n, zero))) for n in range(d + r + 1)))
+
+
+def _vertex_parts(vertices, r: int, d: int) -> list[dict[int, list[int]]]:
+    """``parts[k][deg]``, k = 0..r: the rank-k vertex part of a simplex.
+
+    It is the sum over compositions ``k = k_1 + ... + k_(d+1)`` of the
+    products of the ``v_j^(k_j)``, weighted by the t^deg coefficient of
+    ``A_(k_1)(t) ... A_(k_(d+1))(t)``.  As a power series in z, one vertex
+    contributes ``F(v z)`` with ``log F(z) = log sum_c A_c(t) z^c/c! =
+    log(1-t) - log(1 - t e^((1-t)z)) = sum_(c>=1) B_c(t) z^c/c!``, where
+    ``B_c = A_(max(c-1, 1))``, so the parts of all vertices together come
+    from the power sums ``P_c = sum_j v_j^c`` (one moment pass over the
+    vertices) by Newton's recurrence, which with the unnormalized
+    :func:`~ehrtensor.tensors.sym_product` reads
+    ``k parts[k] = sum_(c=1..k) c B_c(t) sym_product(parts[k-c], P_c)``.
+    The division by k is exact, and a remainder raises ``ArithmeticError``.
+    """
+    power_sums = _moment_entries(vertices, r, d)
+    parts: list[dict[int, list[int]]] = [{0: [1]}]
+    for k in range(1, r + 1):
+        acc: dict[int, list[int]] = {}
+        for c in range(1, k + 1):
+            weights = [c * a for a in eulerian_polynomial(max(c - 1, 1)).coeffs]
+            for deg, x in parts[k - c].items():
+                prod = _product_entries(x, power_sums[c], d, k - c, c)
+                for e, w in enumerate(weights):
+                    _add_scaled(acc, deg + e, prod, w)
+        if any(a % k for x in acc.values() for a in x):
+            raise ArithmeticError(f"Newton's recurrence left a remainder at rank {k}")
+        parts.append({deg: [a // k for a in x] for deg, x in acc.items()})
+    return parts
 
 
 def _add_scaled(poly: dict[int, list[int]], deg: int, x: list[int], c: int) -> None:
-    """``poly[deg] += c * x`` on entry lists, creating the coefficient if absent."""
+    """``poly[deg] += c * x`` on entry lists, creating the coefficient if absent.
+
+    The lists are never changed in place, so ``poly[deg]`` may be x itself."""
     if not c:
         return
-    if deg in poly:
-        poly[deg] = [a + c * b for a, b in zip(poly[deg], x)]
+    if deg not in poly:
+        poly[deg] = x if c == 1 else [c * b for b in x]
+    elif c == 1:
+        poly[deg] = list(map(add, poly[deg], x))
+    elif c == -1:
+        poly[deg] = list(map(sub, poly[deg], x))
     else:
-        poly[deg] = [c * b for b in x]
+        poly[deg] = [a + c * b for a, b in zip(poly[deg], x)]
 
 
 def _slice_lookup(s: HalfOpenSimplex, max_rank: int):
     """``l(k, i)``: rank-k moment of box slice i of a triangle, zero off 0..2."""
     if s.dim != 2:
         raise ValueError("closed form is two-dimensional")
-    lk = [[moment_of_points(pts, k, 2) for pts in box_slices(s).slices]
-          for k in range(max_rank + 1)]
+    lk = [[SymTensor(k, 2, tuple(m)) for m in ms]
+          for k, ms in enumerate(_box_columns(s).moments(max_rank))]
     return lambda k, i: lk[k][i] if 0 <= i <= 2 else SymTensor.zero(k, 2)
 
 

@@ -19,8 +19,7 @@ from math import lcm
 
 from . import linalg
 from .ehrhart import ehrhart_tensor_polynomial, to_hr_vector
-from .polytopes import (Polytope, interior_lattice_points, is_reflexive,
-                        random_lattice_polytope)
+from .polytopes import Polytope, dilate_rows, is_reflexive, random_lattice_polytope
 from .tensors import HrVector, SymTensor, rational_to_str
 
 PSD_CLASSES = ("zero", "positive_semidefinite", "positive_definite")
@@ -292,7 +291,8 @@ def conjecture_scan(d: int, trials: int, coord_bound: int, num_gens: int,
     skipped = 0
     for trial in range(trials):
         p = random_lattice_polytope(d, coord_bound, num_gens, trial_seed(seed, trial))
-        if which == "hibi" and not interior_lattice_points(p, 1):
+        # P has an interior lattice point iff a row of 1P has a strict span
+        if which == "hibi" and not any(slo <= shi for *_, slo, shi in dilate_rows(p, 1)):
             skipped += 1
             continue
         h = to_hr_vector(p, 2)

@@ -115,15 +115,27 @@ def test_halfopen_subcommand(capsys):
 
 
 def test_halfopen_enumerates_box_once(capsys, monkeypatch):
+    # h and the printed slices come from one box enumeration and one pass
+    # over the vertex power sums
     from ehrtensor import halfopen
-    calls = []
-    box_slices = halfopen.box_slices
-    monkeypatch.setattr(halfopen, "box_slices", lambda s: calls.append(s) or box_slices(s))
+    calls = {"box": 0, "power_sums": 0}
+    box_columns, moment_entries = halfopen._box_columns, halfopen._moment_entries
+
+    def counting_box(s):
+        calls["box"] += 1
+        return box_columns(s)
+
+    def counting_moments(points, r, dim):
+        calls["power_sums"] += 1
+        return moment_entries(points, r, dim)
+
+    monkeypatch.setattr(halfopen, "_box_columns", counting_box)
+    monkeypatch.setattr(halfopen, "_moment_entries", counting_moments)
     code, out, _ = run_cli(
         ["halfopen", '{"vertices": [[2,-2],[3,-2],[2,-1]], "removed": [0]}', "--r", "2"],
         capsys)
     assert code == 0
-    assert len(calls) == 1
+    assert calls == {"box": 1, "power_sums": 1}
     assert json.loads(out)["box_slices"] == [[], [[2, -2]], []]
 
 

@@ -316,6 +316,84 @@ def test_hr_halfopen_builds_each_vertex_power_once(monkeypatch):
     assert h == expected
 
 
+def per_vertex_parts(vertices, r, d):
+    """The vertex parts by one convolution over the vertices: each step
+    multiplies by ``A_c(t) v_j^c`` for c = 1..k, with the powers of each
+    vertex built once."""
+    parts = [{0: [1]}] + [{} for _ in range(r)]
+    for v in vertices:
+        powers = tensors._moment_entries((v,), r, d)
+        for k in range(r, 0, -1):       # descending: parts[k - c] lacks v yet
+            for c in range(1, k + 1):
+                for deg, x in parts[k - c].items():
+                    prod = tensors._product_entries(x, powers[c], d, k - c, c)
+                    for e, coef in enumerate(et.eulerian_polynomial(c).coeffs):
+                        if coef:
+                            old = parts[k].get(deg + e, [0] * len(prod))
+                            parts[k][deg + e] = [a + coef * b for a, b in zip(old, prod)]
+    return parts
+
+
+def test_newton_vertex_parts_match_per_vertex_convolution():
+    rng = random.Random(3030)
+    for d in range(1, 7):
+        for r in range(6):
+            for _ in range(2):
+                verts = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(d + 1)]
+                assert halfopen._vertex_parts(verts, r, d) == per_vertex_parts(verts, r, d), \
+                    (verts, r)
+
+
+def test_a_corrupted_residue_column_is_not_a_lattice_point(monkeypatch):
+    s = et.HalfOpenSimplex.make([(0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 2)], [0, 2])
+    assert s.normalized_volume() > 1
+    residue_columns = halfopen._residue_columns
+
+    def corrupted(rows, dabs):
+        cols = residue_columns(rows, dabs)
+        cols[0][1] = (cols[0][1] + 1) % dabs
+        return cols
+
+    monkeypatch.setattr(halfopen, "_residue_columns", corrupted)
+    with pytest.raises(AssertionError, match="not a lattice point"):
+        et.hr_halfopen(s, 2)
+    with pytest.raises(AssertionError, match="not a lattice point"):
+        et.box_slices(s)
+
+
+def test_hr_halfopen_enumerates_the_box_once(monkeypatch):
+    # one box enumeration and one pass over the vertex power sums per call,
+    # and the 2D closed forms read the same column moments
+    calls = {"box": 0, "power_sums": 0}
+    box_columns, moment_entries = halfopen._box_columns, halfopen._moment_entries
+
+    def counting_box(s):
+        calls["box"] += 1
+        return box_columns(s)
+
+    def counting_moments(points, r, dim):
+        calls["power_sums"] += 1
+        assert tuple(points) == s.vertices
+        return moment_entries(points, r, dim)
+
+    def refuse(s):
+        raise AssertionError("box_slices called")
+
+    s = et.HalfOpenSimplex.make([(0, 0, 0, 0), (2, 0, 0, 1), (0, 3, 0, 0), (1, 1, 2, 0),
+                                 (0, 1, 1, 3)], [1, 3])
+    expected = per_composition_hr(s, 3)
+    monkeypatch.setattr(halfopen, "_box_columns", counting_box)
+    monkeypatch.setattr(halfopen, "_moment_entries", counting_moments)
+    monkeypatch.setattr(halfopen, "box_slices", refuse)
+    assert et.hr_halfopen(s, 3) == expected
+    assert calls == {"box": 1, "power_sums": 1}
+    triangle = et.HalfOpenSimplex.make([(0, 0), (3, 1), (1, 4)], [1])
+    for closed_form in (et.h1_halfopen_2d, et.h2_halfopen_2d):
+        calls["box"] = 0
+        closed_form(triangle)
+        assert calls["box"] == 1
+
+
 def test_hr_halfopen_monotonicity_counterexample_vertices():
     s = et.HalfOpenSimplex.make([(2, -2), (3, -2), (2, -1)], [0])
     h = et.hr_halfopen(s, 2)

@@ -397,6 +397,24 @@ def test_scan_hibi_skips_and_last_index():
     assert rep.violations_last_index or rep.completed == 0
 
 
+def test_hibi_scan_reads_interior_emptiness_off_the_rows(monkeypatch):
+    # the hibi scan tests the interior of 1P for emptiness on the rows of
+    # dilate 1 and builds no point list; the skips are those polytopes whose
+    # interior point list is empty
+    from ehrtensor import polytopes
+    expected = sum(not et.interior_lattice_points(
+        et.random_lattice_polytope(4, 2, 8, trial_seed(3, k)), 1) for k in range(20))
+    assert 0 < expected < 20
+
+    def refuse(*args):
+        raise AssertionError("the scan built a point list")
+
+    monkeypatch.setattr(polytopes, "_points", refuse)
+    rep = et.conjecture_scan(4, 20, 2, 8, seed=3, which="hibi")
+    assert rep.skipped_no_interior == expected
+    assert rep.completed == 20 - expected
+
+
 def test_trial_seed_stable():
     assert trial_seed(42, 0) == trial_seed(42, 0)
     assert trial_seed(42, 0) != trial_seed(42, 1)
