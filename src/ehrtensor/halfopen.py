@@ -354,10 +354,14 @@ def hr_halfopen(s: HalfOpenSimplex, r: int) -> HrVector:
 def _hr_from_box(s: HalfOpenSimplex, r: int, box: _BoxColumns) -> HrVector:
     """Assembly of ``hr_halfopen`` on integer entry lists.
 
-    ``parts[k](t)`` is the rank-k vertex part of :func:`_vertex_parts`.  The
-    numerator is ``sum_(k_0) parts[r-k_0](t) (1-t)^(k_0) S_(k_0)(t)``, where
+    ``parts[k](t)`` is the rank-k vertex part, built from the vertex power
+    sums P_c by Newton's recurrence ``k parts[k] = sum_(c=1..k) c B_c(t)
+    sym_product(parts[k-c], P_c)`` with ``B_c = A_(max(c-1, 1))``
+    (:func:`_vertex_parts`).  The numerator is
+    ``sum_(k_0) parts[r-k_0](t) (1-t)^(k_0) S_(k_0)(t)``, where
     ``S_k(t) = sum_i t^i (rank-k moment of slice i)``; the slice moments of
-    every rank come from the box columns at once (:meth:`_BoxColumns.moments`).
+    every rank come from the box's coordinate columns, enumerated once and
+    grouped by height (:meth:`_BoxColumns.moments`).
     """
     if r < 0:
         raise ValueError("rank must be nonnegative")
