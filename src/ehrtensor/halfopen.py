@@ -29,8 +29,8 @@ from operator import add, floordiv, mod, mul, sub
 from . import linalg
 from .ehrhart import CLOSED, row_moments
 from .polytopes import checked_int, scan_rows, shadow_levels
-from .tensors import (HrVector, IntPoint, SymTensor, _moment_entries, _product_entries,
-                      _product_plan, dot, moment_of_points, multi_indices, outer_power,
+from .tensors import (HrVector, IntPoint, SymTensor, _column_moments, _moment_entries,
+                      _product_entries, dot, moment_of_points, multi_indices, outer_power,
                       sym_product)
 
 
@@ -230,26 +230,11 @@ class _BoxColumns:
                                for a, b in zip(self.bounds, self.bounds[1:])))
 
     def moments(self, r: int) -> list[list[list[int]]]:
-        """``moments[k][i]``: the entries of the rank-k moment of slice i, k = 0..r.
-
-        Per slice, as in :func:`~ehrtensor.tensors._moment_entries`: the
-        product column of a rank-k index is that of its first k-1 indices
-        times one coordinate column, and rank r is only summed."""
+        """``moments[k][i]``: the entries of the rank-k moment of slice i, k = 0..r."""
         d = len(self.columns)
-        out: list[list[list[int]]] = [[] for _ in range(r + 1)]
-        for a, b in zip(self.bounds, self.bounds[1:]):
-            prods = cols = [col[a:b] for col in self.columns]
-            out[0].append([b - a])
-            if r:
-                out[1].append(list(map(sum, cols)))
-            for k in range(2, r + 1):
-                steps = [pairs[0] for pairs in _product_plan(d, k - 1, 1)]
-                if k < r:
-                    prods = [list(map(mul, prods[x], cols[i])) for x, i in steps]
-                    out[k].append(list(map(sum, prods)))
-                else:
-                    out[k].append([sum(map(mul, prods[x], cols[i])) for x, i in steps])
-        return out
+        per_slice = [_column_moments([col[a:b] for col in self.columns], b - a, r, d)
+                     for a, b in zip(self.bounds, self.bounds[1:])]
+        return [list(ranks) for ranks in zip(*per_slice)]
 
 
 def box_slices(s: HalfOpenSimplex) -> BoxSlices:
@@ -302,9 +287,8 @@ def _box_columns(s: HalfOpenSimplex) -> _BoxColumns:
 
 def _residue_columns(rows: list[list[int]], dabs: int) -> list[list[int]]:
     """The group generated mod D by the columns of ``rows``, one residue column
-    per row; raises when it does not have D elements.  The closure stops at
-    the generator that completes the group, so its cosets never enter the set
-    that the membership tests read."""
+    per row; raises when it does not have D distinct elements.  The closure
+    stops at the generator that completes the group."""
     cols = [[0] for _ in rows]
     members = {(0,) * len(rows)}
     for gen in zip(*rows):
@@ -316,13 +300,13 @@ def _residue_columns(rows: list[list[int]], dabs: int) -> list[list[int]]:
         if m > 1:
             cosets = [[(x + k * y) % dabs for k in range(1, m) for x in col]
                       for col, y in zip(cols, gen)]
+            members.update(zip(*cosets))
             for col, new in zip(cols, cosets):
                 col += new
             if len(cols[0]) == dabs:    # the whole group: no later generator adds to it
                 break
-            members.update(zip(*cosets))
-    if len(cols[0]) != dabs:
-        raise AssertionError(f"{len(cols[0])} box residues for normalized volume {dabs}")
+    if len(members) != dabs or len(cols[0]) != dabs:
+        raise AssertionError(f"{len(members)} box residues for normalized volume {dabs}")
     return cols
 
 

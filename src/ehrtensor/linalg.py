@@ -1,8 +1,9 @@
 """Exact linear algebra helpers over Z (and Q) for small matrices.
 
 Plain list-of-lists matrices.  One fraction-free Gauss-Jordan elimination
-(Bareiss) on integer rows serves determinants, inversion, integer normals
-and affine bases; rational input is scaled to integer rows first.
+(Bareiss) on integer rows serves inversion, integer normals and affine
+bases; rational input is scaled to integer rows first.  Determinants take
+only its forward half.
 Pivoting is "first nonzero": matrices here are tiny (d <= 5 or so) and
 exactness is the only requirement.
 """
@@ -78,8 +79,28 @@ def invert(a: Sequence[Sequence]) -> list[list[Fraction]]:
 
 
 def int_det(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix."""
-    return _reduce(a)[2]
+    """Determinant of a square integer matrix.
+
+    The forward half of :func:`_reduce`'s elimination: each step clears the
+    pivot column below the pivot only, ``(p * row - f * top) // prev`` on the
+    columns right of it, so the rows shrink by one entry per step and the
+    last pivot, signed by the row swaps, is the determinant.
+    """
+    m = list(a)
+    sign, prev = 1, 1
+    while m:
+        for piv, row in enumerate(m):
+            if row[0]:
+                break
+        else:
+            return 0
+        if piv:
+            m[0], m[piv] = m[piv], m[0]
+            sign = -sign
+        p, *top = m[0]
+        m = [[(p * x - f * y) // prev for x, y in zip(rest, top)] for f, *rest in m[1:]]
+        prev = p
+    return sign * prev
 
 
 def gcd_vector(v: Sequence[int]) -> int:

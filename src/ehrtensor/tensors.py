@@ -215,18 +215,28 @@ def moment_of_points(points: Sequence[Sequence[int]], r: int, dim: int) -> SymTe
 
 
 def _moment_entries(points: Sequence[Sequence[int]], r: int, dim: int) -> list[list[int]]:
-    """Integer entries of the moments of ranks 0..r of a point list, in one pass.
+    """Integer entries of the moments of ranks 0..r of a point list, in one pass
+    over its coordinate columns (:func:`_column_moments`)."""
+    return _column_moments(list(zip(*points)) or [()] * dim, len(points), r, dim)
 
-    Column-wise: entry m is ``sum_x prod_(i in m) x_i``.  The product column
-    of a rank-k index is that of its first k-1 indices times one coordinate
-    column, the split that ``_product_plan(dim, k-1, 1)`` lists first, so
-    each rank costs one multiplication per point and stored index.  Rank 0
-    counts the points; no points give zero entries.
+
+def _column_moments(columns: Sequence[Sequence[int]], count: int, r: int,
+                    dim: int) -> list[list[int]]:
+    """Integer entries of the moments of ranks 0..r of ``count`` points given
+    as ``dim`` coordinate columns.
+
+    Entry m is ``sum_x prod_(i in m) x_i``.  The product column of a rank-k
+    index is that of its first k-1 indices times one coordinate column, the
+    split that ``_product_plan(dim, k-1, 1)`` lists first, so each rank costs
+    one multiplication per point and stored index; rank 1 sums the columns
+    themselves, and rank r is only summed.  Rank 0 is the count; no points
+    give zero entries.
     """
-    columns = list(zip(*points)) or [()] * dim
-    prods = [(1,) * len(points)]
-    out = [[len(points)]]
-    for k in range(1, r + 1):
+    out = [[count]]
+    if r:
+        out.append(list(map(sum, columns)))
+    prods = columns
+    for k in range(2, r + 1):
         steps = [pairs[0] for pairs in _product_plan(dim, k - 1, 1)]
         if k < r:
             prods = [list(map(mul, prods[a], columns[i])) for a, i in steps]
