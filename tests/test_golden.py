@@ -54,7 +54,8 @@ HALF4_LARGE = ('{"vertices": [[-3,3,-3,-3],[-3,0,3,3],[0,1,1,2],[3,0,3,-3],[3,-3
 
 def _cli_cases() -> dict[str, list[str]]:
     cases = {}
-    for name, poly in [("d1", SEGMENT), ("d2", TRIANGLE), ("d3", POLY3), ("d4_finding", FINDING)]:
+    for name, poly in [("d1", SEGMENT), ("d2", TRIANGLE), ("d3", POLY3), ("d4_finding", FINDING),
+                       ("d5", POLY5)]:
         cases[f"verify_{name}"] = ["verify", poly]
         cases[f"verify_json_{name}"] = ["verify", poly, "--json"]
     for r in range(4):
@@ -77,6 +78,7 @@ def _cli_cases() -> dict[str, list[str]]:
         cases[f"moments_{name}_n3_r2"] = ["moments", poly, "--r", "2", "--n", "3"]
         cases[f"hvec_{name}_r2"] = ["hvec", poly, "--r", "2"]
         cases[f"verify_{name}"] = ["verify", poly]
+    cases["verify_json_d4_stretched"] = ["verify", STRETCHED4, "--json"]
     cases.update({
         "pick_triangulate": ["pick", SKEW_QUAD, "--triangulate"],
         "pick_triangulate_chain": ["pick", CHAIN_TRIANGLE, "--triangulate"],
@@ -246,10 +248,13 @@ GOLDEN = {
     "verify_d3_stretched": "4c344e17473ee1526cb7bdbe1fe78ff753a4b6e3fdd07701499f6e2bacb80a20",
     "verify_d4_finding": "6118e4d7d704177fcd5bd5df9db2597cc0f648ad2daf5bb5d138017c8c452d13",
     "verify_d4_stretched": "6118e4d7d704177fcd5bd5df9db2597cc0f648ad2daf5bb5d138017c8c452d13",
+    "verify_d5": "6118e4d7d704177fcd5bd5df9db2597cc0f648ad2daf5bb5d138017c8c452d13",
     "verify_json_d1": "da5b5b95ef488a8da8088b1e21ad62b5d717f436c583326c2f2906d63b76109d",
     "verify_json_d2": "35ecbb982ae0301cc814fea29dc945da28a6464a429f342d18ddb114dfc773c0",
     "verify_json_d3": "da5b5b95ef488a8da8088b1e21ad62b5d717f436c583326c2f2906d63b76109d",
     "verify_json_d4_finding": "ff988741af91f0e7085cf3de7cf22a79ea5009f64167e9d6ea2018735d26f677",
+    "verify_json_d4_stretched": "ff988741af91f0e7085cf3de7cf22a79ea5009f64167e9d6ea2018735d26f677",
+    "verify_json_d5": "ff988741af91f0e7085cf3de7cf22a79ea5009f64167e9d6ea2018735d26f677",
     "01_moment_tensors.py": "0d22a7ba460650a57b6d1de48122919895ba815fbeb8e3fa549ccf8260f8c880",
     "02_h_vectors_and_reciprocity.py": "79373ca5e65138ff47a53ce55ef111abefdfdcb5fee358313fa328fcca46c407",
     "03_polygon_triangulation_formulas.py": "faab93e6b2b8bbcf95003f0ae8d921dfd21e1805acff6011aa63373806475399",
