@@ -162,7 +162,7 @@ def _cmd_pick(args) -> int:
 def _cmd_halfopen(args) -> int:
     s = _load_halfopen(args.input)
     box = halfopen._box_columns(s)
-    h = halfopen._hr_from_box(s, args.r, box)
+    (h,) = halfopen._hr_sums([(s, box)], (args.r,))
     slices = box.slices()
     out = {
         "r": args.r,
@@ -261,16 +261,19 @@ def _cmd_verify(args) -> int:
     p = _load_polytope(args.input)
     checks: list[tuple[str, bool]] = []
 
-    # the closed-moments-only oracle h, one per rank, serves reciprocity and h-top
-    oracles = [ehrhart._all_dilates_oracle(p, r) for r in (0, 1, 2)]
-    for r, h_oracle in enumerate(oracles):
-        ok = all(ehrhart._reciprocity_holds(p, h_oracle, n) for n in (1, 2, 3))
-        checks.append((f"reciprocity_r{r}", ok))
-
     # each rank's h is derived once and met by routes that do not read it;
     # only the checks that run for dim <= 3 read its polynomial and its sum
     hs = [ehrhart.to_hr_vector(p, r) for r in (0, 1, 2)]
     polys = [ehrhart.hr_vector_to_polynomial(h) for h in hs] if p.dim <= 3 else []
+
+    # the oracle h of ranks 0..2, from one call: the half-open cells where the
+    # h route reads the volume and facet moments (dim >= 4), else the closed
+    # moments of every dilate; it serves reciprocity and h-top
+    oracles = ehrhart._oracle(p, (0, 1, 2))
+    for r, h_oracle in enumerate(oracles):
+        ok = all(ehrhart._reciprocity_holds(p, h_oracle, n) for n in (1, 2, 3))
+        checks.append((f"reciprocity_r{r}", ok))
+
     for r, (h, h_oracle) in enumerate(zip(hs, oracles)):
         if p.dim <= 3:
             volume_moment = ehrhart.moment_tensor(p, r)

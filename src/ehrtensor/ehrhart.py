@@ -7,7 +7,8 @@ dilation factor n it is a polynomial L(n) of degree at most m = dim + r.
 One row scan of nP gives the closed moment L(nP) and the interior moment
 L(nP°): every row of the scan contributes its prefix monomials times the
 power sums of the last coordinate over its closed and strict intervals,
-summed for every rank in one column pass, for only the sides a caller reads.
+summed for every rank in one column pass, for only the sides a caller reads
+(:func:`~ehrtensor.tensors.row_moments`).
 The scan runs in the polytope's own axis order, and a cached plan per
 (dim, rank, order) reads the entries straight into the original frame.
 0P = {0} needs neither: L(0P) is 1 at rank 0 and 0 above, and 0P° is empty.
@@ -31,12 +32,19 @@ own key of :attr:`~ehrtensor.polytopes.Polytope.dilates`, and freed with it,
 so a large dilate (``moments --n`` big) is held until its request ends.  A
 CLI request derives each rank's h once.
 
-The closed moments at every n = 0..m survive only as the cross-check of
-``ehrtensor verify``: :func:`_all_dilates_oracle` maps them to h by the same
-alternating binomial sums, asking for the interior side too only where the
-h route or reciprocity reads it.  ``verify`` builds that h once per rank and
-reads it twice: its top entry against L(P°), and at -n in the binomial basis
-against L(nP°), n = 1, 2, 3 (:func:`_reciprocity_holds`).  The volume and
+``ehrtensor verify`` and :func:`reciprocity_check` meet the h route with an
+oracle h that does not read it (:func:`_oracle`).  From dim 4 on, where the
+h route reads the volume and facet moments, the oracle is the sum over the
+half-open cells of one pulling triangulation of the stored boundary
+(Koeppe-Verdoolaege, 2008): one box and one vertex-part pass per cell serve
+every rank, and the entries are summed before any tensor is built.  It
+shares no enumeration, moment pass or numerator map with the h route.
+Below dim 4 the oracle is :func:`_all_dilates_oracle`: the closed moments
+at every n = 0..m, mapped to h by the same alternating binomial sums,
+asking for the interior side too only where the h route or reciprocity
+reads it.  ``verify`` builds the oracle h of ranks 0..2 in one call and
+reads each twice: its top entry against L(P°), and at -n in the binomial
+basis against L(nP°), n = 1, 2, 3 (:func:`_reciprocity_holds`).  The volume and
 facet moments are one integer pass per polytope over the faces of its
 boundary, for ranks 0..max(r, 2), kept on the polytope beside the dilates:
 by Euler's identity for homogeneous integrands the volume sum is the facet
@@ -47,136 +55,17 @@ entry once.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul, sub
+from operator import mul
 
+from .halfopen import HalfOpenSimplex, _box_columns, _hr_sums, half_open_decomposition
 from .polytopes import Polytope, dilate_rows
-from .tensors import (HrVector, SymTensor, TensorPolynomial, _index_position, _product_plan,
-                      multi_indices)
-
-
-# ---------------------------------------------------------------------------
-# moment kernel: scan rows
-
-BOTH, CLOSED, INTERIOR = ("closed", "interior"), ("closed",), ("interior",)
-
-
-@lru_cache(maxsize=None)
-def _power_sum_poly(k: int) -> tuple[tuple[int, ...], int]:
-    """``F_k(n) = sum_{t=1..n} t^k`` as integer coefficients over one least denominator.
-
-    Built from ``(n+1)^(k+1) - 1 = sum_{j<=k} C(k+1, j) F_j(n)``, in
-    integers over the lcm of the lower denominators.  Since
-    ``F_k(n) - F_k(n-1) = n^k`` is a polynomial identity, the power sum over
-    any integer interval is ``F_k(hi) - F_k(lo - 1)``.
-    """
-    lower = [_power_sum_poly(j) for j in range(k)]
-    den = math.lcm(*(d for _, d in lower))
-    coeffs = [den * math.comb(k + 1, i) for i in range(k + 2)]
-    coeffs[0] -= den
-    for j, (num, d) in enumerate(lower):
-        scale = math.comb(k + 1, j) * (den // d)
-        for i, c in enumerate(num):
-            coeffs[i] -= scale * c
-    den *= k + 1
-    g = math.gcd(den, *coeffs)
-    return tuple(c // g for c in coeffs), den // g
-
-
-@lru_cache(maxsize=None)
-def _scan_plan(dim: int, r: int):
-    """:func:`_row_plan` for entries stored in the scan frame itself.
-
-    A stored multi-index of rank q splits into the prefix monomial of its
-    first q - k axes and the last axis to the power k.  The table holds, per
-    prefix monomial j of degree e, the pairs (j, i) for i = 1..r-e+1: every
-    power the entries on j read, since ``F_k`` has degree k+1.
-    """
-    last = dim - 1
-    prefixes = [pm for j in range(r + 1) for pm in multi_indices(last, j)]
-    pos = {pm: s for s, pm in enumerate(prefixes)}
-    steps = tuple((pos[pm[:-1]], pm[-1]) for pm in prefixes[1:])
-    need = tuple((j, i) for j, pm in enumerate(prefixes) for i in range(1, r - len(pm) + 2))
-    at = {pair: t for t, pair in enumerate(need)}
-    polys = [_power_sum_poly(k) for k in range(r + 1)]
-    powers = [[i for i, c in enumerate(num) if c] for num, _ in polys]
-    terms = [(tuple(num[i] for i in power), den) for (num, den), power in zip(polys, powers)]
-    plans = []
-    for q in range(r + 1):
-        plan = []
-        for m in multi_indices(dim, q):
-            k = m.count(last)
-            j = pos[m[:q - k]]
-            plan.append((terms[k][0], tuple(at[j, i] for i in powers[k]), terms[k][1]))
-        plans.append(tuple(plan))
-    return steps, need, tuple(plans)
-
-
-@lru_cache(maxsize=None)
-def _row_plan(dim: int, r: int, order: tuple[int, ...]):
-    """How one column pass turns scan-frame rows into original-frame entries.
-
-    Scan axis k is axis ``order[k]`` (:attr:`~ehrtensor.polytopes.Polytope.scan_order`).
-    The prefix monomials (over scan axes 0..dim-2, ranks 0..r) are built
-    from 1 by ``steps``: monomial s+1 is monomial ``j`` times scan axis
-    ``i``.  ``need`` lists the pairs (j, i) whose column sums the pass
-    tabulates, monomial j times ``hi^i - (lo-1)^i``.  ``plans[q]`` holds, per
-    stored entry of rank q in the original frame, with prefix monomial j and
-    the last scan axis to the power k in its multi-index moved to the scan
-    frame: the nonzero coefficients of ``F_k``, the positions in ``need`` of
-    the pairs (j, i) they weigh, and the denominator of ``F_k``.
-    """
-    steps, need, plans = _scan_plan(dim, r)
-    if order == tuple(range(dim)):
-        return steps, need, plans
-    scan_axis = sorted(range(dim), key=order.__getitem__)     # axis -> its scan axis
-    moved = []
-    for q, plan in enumerate(plans):
-        at = _index_position(dim, q)
-        moved.append(tuple(plan[at[tuple(sorted(map(scan_axis.__getitem__, m)))]]
-                           for m in multi_indices(dim, q)))
-    return steps, need, tuple(moved)
-
-
-def row_moments(rows, r: int, dim: int, sides=BOTH, order=None) -> list[tuple[list[int], ...]]:
-    """Moments of ranks 0..r of :func:`~ehrtensor.polytopes.scan_rows` rows, per side asked for.
-
-    A row ``(prefix, lo, hi, slo, shi)`` adds, for each stored multi-index,
-    its prefix monomial times ``sum t^k`` over ``[lo, hi]`` to the closed
-    moment and over ``[slo, shi]`` to the interior (strict) one, k being the
-    power of the last coordinate.  That sum is ``F_k(hi) - F_k(lo-1)``, an
-    integer combination of ``hi^i - (lo-1)^i`` over one denominator, so one
-    column pass serves every rank: one ``sum(map(mul, ...))`` per (monomial,
-    power), and one per entry over those (:func:`_row_plan`).  Only the
-    ``sides`` asked for are read and computed, sharing the prefix monomials.
-    Scan rows have lo <= hi; an empty strict interval has shi raised to
-    slo - 1, so it adds nothing.  The rows are in the frame whose axis k is
-    axis ``order[k]`` (the identity when None), the entries in the original
-    frame.  Returns, per rank, the entry lists of the sides in the order
-    asked, in storage order.
-    """
-    steps, need, plans = _row_plan(dim, r, tuple(range(dim)) if order is None else order)
-    prefixes, lo, hi, slo, shi = list(zip(*rows)) or [()] * 5
-    coords = list(zip(*prefixes)) or [()] * (dim - 1)
-    monos = [None]      # the monomial 1 sums a column as it is
-    for j, i in steps:
-        monos.append(coords[i] if j == 0 else list(map(mul, monos[j], coords[i])))
-    out = []
-    for side in sides:
-        low, top = (lo, hi) if side == "closed" else (slo, shi)
-        below = [x - 1 for x in low]
-        if side == "interior":
-            top = list(map(max, top, below))
-        diffs, a, b = [None, list(map(sub, top, below))], top, below
-        for _ in range(r):      # diffs[i] = top^i - below^i
-            a, b = list(map(mul, a, top)), list(map(mul, b, below))
-            diffs.append(list(map(sub, a, b)))
-        table = [sum(map(mul, monos[j], diffs[i])) if j else sum(diffs[i]) for j, i in need]
-        at = table.__getitem__
-        out.append([[sum(map(mul, coeffs, map(at, places))) // den for coeffs, places, den in plan]
-                    for plan in plans])
-    return list(zip(*out))
+# the scan-row moment kernel lives in tensors and stays importable from here
+from .tensors import (BOTH, CLOSED, INTERIOR, HrVector, SymTensor, TensorPolynomial,
+                      _power_sum_poly, _product_plan, _row_plan, _scan_plan, multi_indices,
+                      row_moments)
 
 
 def _moments(p: Polytope, r: int, n: int, sides=BOTH) -> list[tuple[int, ...]]:
@@ -343,11 +232,11 @@ def ehrhart_tensor_polynomial(p: Polytope, r: int) -> TensorPolynomial:
 def _all_dilates_oracle(p: Polytope, r: int) -> HrVector:
     """h-vector from the closed moments of nP, n = 0..dim+r.
 
-    The cross-check route of ``ehrtensor verify``: the same numerator map on
-    closed moments only, with no interior moment, no reciprocity and no
-    volume or facet moment.  Its passes add the interior side up to the
-    later of n = 3 (reciprocity) and the h route's last dilate, so that each
-    dilate either reads is one pass over both sides.
+    The oracle of ``ehrtensor verify`` below dim 4 (:func:`_oracle`): the
+    same numerator map on closed moments only, with no interior moment, no
+    reciprocity and no volume or facet moment.  Its passes add the interior
+    side up to the later of n = 3 (reciprocity) and the h route's last
+    dilate, so that each dilate either reads is one pass over both sides.
     """
     m, top = p.dim + r, max(r, 2)
     half = max(_fill_plan(p.dim, top)[0], 3)
@@ -355,17 +244,51 @@ def _all_dilates_oracle(p: Polytope, r: int) -> HrVector:
     return _hr(p, r, _numerator(closed, m))
 
 
+def _halfopen_cells(p: Polytope) -> list[HalfOpenSimplex]:
+    """Half-open cells that partition P: the point of
+    :attr:`~ehrtensor.polytopes.Polytope.boundary` that is a corner of the
+    most boundary faces (the first of them), coned over the boundary faces
+    whose plane misses it (a pulling triangulation, built on the stored
+    boundary with no hull and no cross product of its own), split by
+    :func:`~ehrtensor.halfopen.half_open_decomposition`.  Each cell costs
+    about the same whatever its volume, and the faces through the apex
+    make none."""
+    points, boundary = p.boundary
+    corners = Counter(i for face, _, _ in boundary for i in face)
+    k = max(range(len(points)), key=corners.__getitem__)
+    return half_open_decomposition(points, [(k, *face) for face, (normal, rhs), _ in boundary
+                                            if sum(map(mul, normal, points[k])) != rhs])
+
+
+def _oracle(p: Polytope, ranks) -> list[HrVector]:
+    """The h-vector of each rank in ``ranks`` by a route that :func:`to_hr_vector` does
+    not take: the oracle of ``ehrtensor verify`` and :func:`reciprocity_check`.
+
+    Where the h route reads the volume and facet moments (from dim 4 on, see
+    :func:`_fill_plan`), the sum over the half-open cells of
+    :func:`_halfopen_cells`: one box enumeration and one vertex-part pass per
+    cell serve every rank, and the entries are summed across the cells
+    before any tensor is built (:func:`~ehrtensor.halfopen._hr_sums`).  It
+    shares no enumeration, moment pass or numerator map with the h route.
+    Below dim 4, :func:`_all_dilates_oracle`, whose scans of the dilates the
+    h route reads too.
+    """
+    if _fill_plan(p.dim, max(ranks))[1]:
+        return _hr_sums([(s, _box_columns(s)) for s in _halfopen_cells(p)], ranks)
+    return [_all_dilates_oracle(p, r) for r in ranks]
+
+
 def reciprocity_check(p: Polytope, r: int, n: int) -> bool:
     """Exact check that the moment polynomial at -n matches the interior sum.
 
     ``L^r(-n) = sum_i h_i C(-n+m-i, m) = (-1)^m sum_i h_i C(n+i-1, m)``, so
     reciprocity ``L^r(-n) = (-1)^m L^r(nP°)`` reads ``sum_i h_i C(n+i-1, m)
-    = L^r(nP°)``.  The left side reads the h of :func:`_all_dilates_oracle`,
-    closed moments only; the right side is strict enumeration.
+    = L^r(nP°)``.  The left side reads the h of :func:`_oracle`, which reads
+    no interior moment; the right side is strict enumeration.
     """
     if n < 1:
         raise ValueError("reciprocity check needs n >= 1")
-    return _reciprocity_holds(p, _all_dilates_oracle(p, r), n)
+    return _reciprocity_holds(p, _oracle(p, (r,))[0], n)
 
 
 def _reciprocity_holds(p: Polytope, h: HrVector, n: int) -> bool:

@@ -16,7 +16,9 @@ output entries become :class:`~ehrtensor.tensors.SymTensor` values.
 Any triangulation of a polytope, in any dimension, splits into half-open
 cells that partition it (:func:`half_open_decomposition`), so the moments
 and h-vectors of the cells add up to the polytope's with no
-inclusion-exclusion.
+inclusion-exclusion.  One assembly (:func:`_hr_sums`) adds the cells'
+numerators of every rank asked for on entry lists and builds the tensors
+once; a single simplex (:func:`hr_halfopen`) is its one-cell, one-rank case.
 """
 from __future__ import annotations
 
@@ -27,11 +29,10 @@ from itertools import accumulate, repeat, zip_longest
 from operator import add, floordiv, mod, mul, sub
 
 from . import linalg
-from .ehrhart import CLOSED, row_moments
 from .polytopes import checked_int, scan_rows, shadow_levels
-from .tensors import (HrVector, IntPoint, SymTensor, _column_moments, _moment_entries,
+from .tensors import (CLOSED, HrVector, IntPoint, SymTensor, _column_moments, _moment_entries,
                       _product_entries, dot, moment_of_points, multi_indices, outer_power,
-                      sym_product)
+                      row_moments, sym_product)
 
 
 # ---------------------------------------------------------------------------
@@ -329,49 +330,65 @@ def hr_halfopen(s: HalfOpenSimplex, r: int) -> HrVector:
     chain carries the multinomial ``r!/(k_0! ... k_(d+1)!)``), times
     ``(1-t)^(k_0) A_(k_1)(t) ... A_(k_(d+1))(t)`` and the slice height
     marker t^i.  The product is bilinear, so the sum factors through the
-    vertex parts of each rank (see :func:`_hr_from_box`).  Works in any
-    dimension and rank.
+    vertex parts of each rank (see :func:`_hr_sums`, whose one-cell, one-rank
+    case this is).  Works in any dimension and rank.
     """
-    return _hr_from_box(s, r, _box_columns(s))
+    return _hr_sums([(s, _box_columns(s))], (r,))[0]
 
 
-def _hr_from_box(s: HalfOpenSimplex, r: int, box: _BoxColumns) -> HrVector:
-    """Assembly of ``hr_halfopen`` on integer entry lists.
+def _hr_sums(cells, ranks) -> list[HrVector]:
+    """The h-tensor vectors, one per rank in ``ranks``, of the union of the
+    half-open ``cells``, given as ``(simplex, box)`` pairs with box its
+    :func:`_box_columns`; cells that partition a polytope give the polytope's.
 
-    ``parts[k](t)`` is the rank-k vertex part, built from the vertex power
-    sums P_c by Newton's recurrence ``k parts[k] = sum_(c=1..k) c B_c(t)
-    sym_product(parts[k-c], P_c)`` with ``B_c = A_(max(c-1, 1))``
-    (:func:`_vertex_parts`).  The numerator is
-    ``sum_(k_0) parts[r-k_0](t) (1-t)^(k_0) S_(k_0)(t)``, where
+    Per cell, ``parts[k](t)`` is the rank-k vertex part, built from the
+    vertex power sums P_c by Newton's recurrence ``k parts[k] = sum_(c=1..k)
+    c B_c(t) sym_product(parts[k-c], P_c)`` with ``B_c = A_(max(c-1, 1))``
+    (:func:`_vertex_parts`), and the rank-q numerator is
+    ``sum_(k_0) (1-t)^(k_0) parts[q-k_0](t) S_(k_0)(t)``, where
     ``S_k(t) = sum_i t^i (rank-k moment of slice i)``; the slice moments of
     every rank come from the box's coordinate columns, enumerated once and
-    grouped by height (:meth:`_BoxColumns.moments`).
+    grouped by height (:meth:`_BoxColumns.moments`).  One call to each per
+    cell serves every rank up to the largest asked for.  The products
+    ``parts[q-k_0](t) S_(k_0)(t)`` are added up on integer entry lists
+    across the cells, each sum is multiplied by ``(1-t)^(k_0)`` once, and
+    only the numerators become :class:`~ehrtensor.tensors.SymTensor` values.
     """
-    if r < 0:
+    if min(ranks) < 0:
         raise ValueError("rank must be nonnegative")
-    d = s.dim
-    parts = _vertex_parts(s.vertices, r, d)
-    moments = box.moments(r)
-    nonempty = [i for i, (count,) in enumerate(moments[0]) if count]
-    out: dict[int, list[int]] = {}
-    for k0 in range(r + 1):
-        series: dict[int, list[int]] = {}      # (1-t)^(k_0) S_(k_0)(t)
-        binomials = (ONE_MINUS_T ** k0).coeffs
-        for i in nonempty:
-            for e, coef in enumerate(binomials):
-                _add_scaled(series, i + e, moments[k0][i], coef)
-        for deg, x in parts[r - k0].items():
-            for i, y in series.items():
-                if k0 == 0:        # a rank-0 factor only scales the other
-                    _add_scaled(out, deg + i, x, y[0])
-                elif k0 == r:
-                    _add_scaled(out, deg + i, y, x[0])
-                else:
-                    _add_scaled(out, deg + i, _product_entries(x, y, d, r - k0, k0), 1)
-    if max(out) > d + r:
-        raise AssertionError("numerator degree exceeded d+r")
-    zero = (0,) * len(multi_indices(d, r))
-    return HrVector(tuple(SymTensor(r, d, tuple(out.get(n, zero))) for n in range(d + r + 1)))
+    top = max(ranks)
+    d = cells[0][0].dim
+    # sums[j][k_0][deg]: the t^deg entries of parts[r-k_0](t) S_(k_0)(t), r = ranks[j]
+    sums: list[list[dict[int, list[int]]]] = [[{} for _ in range(r + 1)] for r in ranks]
+    for s, box in cells:
+        parts = _vertex_parts(s.vertices, top, d)
+        moments = box.moments(top)
+        nonempty = [i for i, (count,) in enumerate(moments[0]) if count]
+        for by_k0, r in zip(sums, ranks):
+            for k0, products in enumerate(by_k0):
+                for deg, x in parts[r - k0].items():
+                    for i in nonempty:
+                        y = moments[k0][i]
+                        if k0 == 0:        # a rank-0 factor only scales the other
+                            _add_scaled(products, deg + i, x, y[0])
+                        elif k0 == r:
+                            _add_scaled(products, deg + i, y, x[0])
+                        else:
+                            _add_scaled(products, deg + i,
+                                        _product_entries(x, y, d, r - k0, k0), 1)
+    hs = []
+    for by_k0, r in zip(sums, ranks):
+        out: dict[int, list[int]] = {}      # sum_(k_0) (1-t)^(k_0) sums[j][k_0]
+        for k0, products in enumerate(by_k0):
+            for e, coef in enumerate((ONE_MINUS_T ** k0).coeffs):
+                for deg, x in products.items():
+                    _add_scaled(out, deg + e, x, coef)
+        if max(out) > d + r:
+            raise AssertionError("numerator degree exceeded d+r")
+        zero = (0,) * len(multi_indices(d, r))
+        hs.append(HrVector(tuple(SymTensor(r, d, tuple(out.get(n, zero)))
+                                 for n in range(d + r + 1))))
+    return hs
 
 
 def _vertex_parts(vertices, r: int, d: int) -> list[dict[int, list[int]]]:

@@ -23,9 +23,10 @@ def _reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], 
 
     Pivots on the first nonzero entry of each column until every row has one;
     each step sets every other row to ``(p * row - f * top) // prev``, which is
-    exact and keeps every entry a minor of the input.  Every pivot entry ends
-    equal to the last one; ``det`` is the minor on the pivot columns, signed by
-    the row swaps, or 0 when some row has no pivot.
+    exact and keeps every entry a minor of the input.  A row with f = 0 is only
+    rescaled by p / prev, and kept as it is when p = prev.  Every pivot entry
+    ends equal to the last one; ``det`` is the minor on the pivot columns,
+    signed by the row swaps, or 0 when some row has no pivot.
     """
     m = [list(row) for row in rows]
     ncols = len(m[0]) if m else 0
@@ -35,8 +36,10 @@ def _reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], 
         k = len(pivots)
         if k == len(m):
             break
-        piv = next((r for r in range(k, len(m)) if m[r][col]), None)
-        if piv is None:
+        for piv in range(k, len(m)):
+            if m[piv][col]:
+                break
+        else:
             continue
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
@@ -44,18 +47,28 @@ def _reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], 
         top = m[k]
         p = top[col]
         for r, row in enumerate(m):
-            if r != k:
-                f = row[col]
+            if r == k:
+                continue
+            f = row[col]
+            if f:
                 m[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                m[r] = [p * x // prev for x in row]
         prev = p
         pivots.append(col)
     return m, pivots, sign * prev if len(pivots) == len(m) else 0
 
 
-def _integer_rows(a: Sequence[Sequence]) -> list[list[int]]:
-    """Each row of a rational matrix times the lcm of its denominators."""
-    scales = [math.lcm(*(x.denominator for x in row)) for row in a]
-    return [[int(x * k) for x in row] for row, k in zip(a, scales)]
+def _integer_rows(a: Sequence[Sequence]) -> list[Sequence[int]]:
+    """Each row of a rational matrix times the lcm of its denominators; a row of
+    ints is kept as it is."""
+    out = []
+    for row in a:
+        if set(map(type, row)) != {int}:
+            k = math.lcm(*(x.denominator for x in row))
+            row = [int(x * k) for x in row]
+        out.append(row)
+    return out
 
 
 def int_inverse(a: Sequence[Sequence]) -> tuple[list[list[int]], int]:

@@ -12,6 +12,11 @@ tensor is a single scalar, a rank-2 tensor round-trips to a symmetric d x d
 matrix.
 
 All values are immutable after construction and safe to share.
+
+The integer moment kernels live here too: :func:`_column_moments` sums the
+outer powers of points given as coordinate columns, and :func:`row_moments`
+those of lattice scan rows, each row a prefix point and an interval of the
+last coordinate, from the interval power sums.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Mapping, Sequence
 
 IntPoint = tuple[int, ...]
@@ -244,6 +249,126 @@ def _column_moments(columns: Sequence[Sequence[int]], count: int, r: int,
         else:
             out.append([sum(map(mul, prods[a], columns[i])) for a, i in steps])
     return out
+
+
+BOTH, CLOSED, INTERIOR = ("closed", "interior"), ("closed",), ("interior",)
+
+
+@lru_cache(maxsize=None)
+def _power_sum_poly(k: int) -> tuple[tuple[int, ...], int]:
+    """``F_k(n) = sum_{t=1..n} t^k`` as integer coefficients over one least denominator.
+
+    Built from ``(n+1)^(k+1) - 1 = sum_{j<=k} C(k+1, j) F_j(n)``, in
+    integers over the lcm of the lower denominators.  Since
+    ``F_k(n) - F_k(n-1) = n^k`` is a polynomial identity, the power sum over
+    any integer interval is ``F_k(hi) - F_k(lo - 1)``.
+    """
+    lower = [_power_sum_poly(j) for j in range(k)]
+    den = math.lcm(*(d for _, d in lower))
+    coeffs = [den * math.comb(k + 1, i) for i in range(k + 2)]
+    coeffs[0] -= den
+    for j, (num, d) in enumerate(lower):
+        scale = math.comb(k + 1, j) * (den // d)
+        for i, c in enumerate(num):
+            coeffs[i] -= scale * c
+    den *= k + 1
+    g = math.gcd(den, *coeffs)
+    return tuple(c // g for c in coeffs), den // g
+
+
+@lru_cache(maxsize=None)
+def _scan_plan(dim: int, r: int):
+    """:func:`_row_plan` for entries stored in the scan frame itself.
+
+    A stored multi-index of rank q splits into the prefix monomial of its
+    first q - k axes and the last axis to the power k.  The table holds, per
+    prefix monomial j of degree e, the pairs (j, i) for i = 1..r-e+1: every
+    power the entries on j read, since ``F_k`` has degree k+1.
+    """
+    last = dim - 1
+    prefixes = [pm for j in range(r + 1) for pm in multi_indices(last, j)]
+    pos = {pm: s for s, pm in enumerate(prefixes)}
+    steps = tuple((pos[pm[:-1]], pm[-1]) for pm in prefixes[1:])
+    need = tuple((j, i) for j, pm in enumerate(prefixes) for i in range(1, r - len(pm) + 2))
+    at = {pair: t for t, pair in enumerate(need)}
+    polys = [_power_sum_poly(k) for k in range(r + 1)]
+    powers = [[i for i, c in enumerate(num) if c] for num, _ in polys]
+    terms = [(tuple(num[i] for i in power), den) for (num, den), power in zip(polys, powers)]
+    plans = []
+    for q in range(r + 1):
+        plan = []
+        for m in multi_indices(dim, q):
+            k = m.count(last)
+            j = pos[m[:q - k]]
+            plan.append((terms[k][0], tuple(at[j, i] for i in powers[k]), terms[k][1]))
+        plans.append(tuple(plan))
+    return steps, need, tuple(plans)
+
+
+@lru_cache(maxsize=None)
+def _row_plan(dim: int, r: int, order: tuple[int, ...]):
+    """How one column pass turns scan-frame rows into original-frame entries.
+
+    Scan axis k is axis ``order[k]`` (:attr:`~ehrtensor.polytopes.Polytope.scan_order`).
+    The prefix monomials (over scan axes 0..dim-2, ranks 0..r) are built
+    from 1 by ``steps``: monomial s+1 is monomial ``j`` times scan axis
+    ``i``.  ``need`` lists the pairs (j, i) whose column sums the pass
+    tabulates, monomial j times ``hi^i - (lo-1)^i``.  ``plans[q]`` holds, per
+    stored entry of rank q in the original frame, with prefix monomial j and
+    the last scan axis to the power k in its multi-index moved to the scan
+    frame: the nonzero coefficients of ``F_k``, the positions in ``need`` of
+    the pairs (j, i) they weigh, and the denominator of ``F_k``.
+    """
+    steps, need, plans = _scan_plan(dim, r)
+    if order == tuple(range(dim)):
+        return steps, need, plans
+    scan_axis = sorted(range(dim), key=order.__getitem__)     # axis -> its scan axis
+    moved = []
+    for q, plan in enumerate(plans):
+        at = _index_position(dim, q)
+        moved.append(tuple(plan[at[tuple(sorted(map(scan_axis.__getitem__, m)))]]
+                           for m in multi_indices(dim, q)))
+    return steps, need, tuple(moved)
+
+
+def row_moments(rows, r: int, dim: int, sides=BOTH, order=None) -> list[tuple[list[int], ...]]:
+    """Moments of ranks 0..r of :func:`~ehrtensor.polytopes.scan_rows` rows, per side asked for.
+
+    A row ``(prefix, lo, hi, slo, shi)`` adds, for each stored multi-index,
+    its prefix monomial times ``sum t^k`` over ``[lo, hi]`` to the closed
+    moment and over ``[slo, shi]`` to the interior (strict) one, k being the
+    power of the last coordinate.  That sum is ``F_k(hi) - F_k(lo-1)``, an
+    integer combination of ``hi^i - (lo-1)^i`` over one denominator, so one
+    column pass serves every rank: one ``sum(map(mul, ...))`` per (monomial,
+    power), and one per entry over those (:func:`_row_plan`).  Only the
+    ``sides`` asked for are read and computed, sharing the prefix monomials.
+    Scan rows have lo <= hi; an empty strict interval has shi raised to
+    slo - 1, so it adds nothing.  The rows are in the frame whose axis k is
+    axis ``order[k]`` (the identity when None), the entries in the original
+    frame.  Returns, per rank, the entry lists of the sides in the order
+    asked, in storage order.
+    """
+    steps, need, plans = _row_plan(dim, r, tuple(range(dim)) if order is None else order)
+    prefixes, lo, hi, slo, shi = list(zip(*rows)) or [()] * 5
+    coords = list(zip(*prefixes)) or [()] * (dim - 1)
+    monos = [None]      # the monomial 1 sums a column as it is
+    for j, i in steps:
+        monos.append(coords[i] if j == 0 else list(map(mul, monos[j], coords[i])))
+    out = []
+    for side in sides:
+        low, top = (lo, hi) if side == "closed" else (slo, shi)
+        below = [x - 1 for x in low]
+        if side == "interior":
+            top = list(map(max, top, below))
+        diffs, a, b = [None, list(map(sub, top, below))], top, below
+        for _ in range(r):      # diffs[i] = top^i - below^i
+            a, b = list(map(mul, a, top)), list(map(mul, b, below))
+            diffs.append(list(map(sub, a, b)))
+        table = [sum(map(mul, monos[j], diffs[i])) if j else sum(diffs[i]) for j, i in need]
+        at = table.__getitem__
+        out.append([[sum(map(mul, coeffs, map(at, places))) // den for coeffs, places, den in plan]
+                    for plan in plans])
+    return list(zip(*out))
 
 
 def outer_power(x: Sequence[int], r: int, dim: int | None = None) -> SymTensor:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import ehrtensor as et
-from ehrtensor import cli, ehrhart, linalg, polytopes, positivity, triangulation
+from ehrtensor import cli, ehrhart, halfopen, linalg, polytopes, positivity, triangulation
 from ehrtensor.cli import main
 from ehrtensor.ehrhart import BOTH, CLOSED, INTERIOR
 from ehrtensor.positivity import trial_seed
@@ -225,12 +225,16 @@ def test_verify_with_a_non_vertex_point_builds_one_triangulation(capsys, monkeyp
 
 
 # (n, sides) of each moment pass of a verify request, by dimension; 0P's
-# moments are read in closed form, with no pass
+# moments are read in closed form, with no pass.  Below dim 4 the oracle
+# reads the closed side of every dilate up to dim + 2.  From dim 4 on the
+# oracle is the half-open cells of one decomposition, which scan no dilate,
+# so only the h route (both sides up to its last dilate) and reciprocity
+# (the interior side for n <= 3) make passes.
 VERIFY_PASSES = {
     2: [*((n, BOTH) for n in range(1, 4)), (4, CLOSED)],
     3: [*((n, BOTH) for n in range(1, 4)), (4, CLOSED), (5, CLOSED)],
-    4: [*((n, BOTH) for n in range(1, 4)), *((n, CLOSED) for n in (4, 5, 6))],
-    5: [*((n, BOTH) for n in range(1, 4)), *((n, CLOSED) for n in (4, 5, 6, 7))],
+    4: [(1, BOTH), (2, BOTH), (3, INTERIOR)],
+    5: [(n, BOTH) for n in range(1, 4)],
 }
 
 
@@ -238,26 +242,29 @@ VERIFY_PASSES = {
                          [(2, 6, 1), (3, 2, 1), (4, 2, trial_seed(42, 95)), (5, 1, 1)])
 def test_verify_scans_each_dilate_once(dim, bound, seed, capsys, monkeypatch):
     # every rank, the oracle, the interior moments and the triangulation's
-    # point list read one scan of each dilate n = 1..dim+2, and none of 0P,
-    # whose moments are known in closed form.  Ranks 0..2 share
-    # one moment pass per dilate, over both sides up to the later of n = 3,
-    # where reciprocity reads the interior, and the h route's last dilate, and
-    # over the closed side only above, where only the oracle reads.  The scans
-    # live on the request's polytope, so a second request of the same JSON
-    # scans them again.
+    # point list read one scan of each dilate in VERIFY_PASSES, and none of
+    # 0P, whose moments are known in closed form.  Ranks 0..2 share one
+    # moment pass per dilate, over the sides that some reader asks for: both
+    # sides where the h route reads, the interior where only reciprocity
+    # (n <= 3) reads, the closed side where only the all-dilates oracle
+    # (dim <= 3) reads.  From dim 4 on the oracle takes one half-open
+    # decomposition instead.  The scans live on the request's polytope, so a
+    # second request of the same JSON scans them again.
     request = random_request(dim, bound, seed)
     scans = record_calls(monkeypatch, polytopes, "scan_rows")
     reads = record_calls(monkeypatch, ehrhart, "dilate_rows")
     passes = record_calls(monkeypatch, ehrhart, "row_moments")
+    decompositions = record_calls(monkeypatch, ehrhart, "half_open_decomposition")
     for _ in range(2):
-        for calls in (scans, reads, passes):
+        for calls in (scans, reads, passes, decompositions):
             calls.clear()
         code, out, _ = run_cli(["verify", "--json", request], capsys)
         assert code == 0 and json.loads(out)["all_pass"] is True
-        assert len(scans) == dim + 2
+        assert len(scans) == len(VERIFY_PASSES[dim])
         assert len(reads) == len(passes) and {c["r"] for c in passes} == {2}
         assert [(read["n"], tuple(c["sides"])) for read, c in zip(reads, passes)] \
             == VERIFY_PASSES[dim]
+        assert len(decompositions) == (dim >= 4)
 
 
 @pytest.mark.parametrize("args, ranks", [
@@ -292,14 +299,20 @@ def test_each_command_derives_each_rank_once(args, ranks, capsys, monkeypatch):
 @pytest.mark.parametrize("dim, bound, seed", [(2, 6, 1), (3, 2, 1), (4, 2, trial_seed(42, 95))],
                          ids=["verify-2d", "verify-3d", "verify-d4"])
 def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, monkeypatch):
-    # one closed-moments-only oracle h per rank serves reciprocity at n = 1, 2, 3
-    # and h-top.  The volume and facet moments of ranks 0..2 are one integer
-    # pass over the boundary faces, which keep their lattice volumes and
-    # planes, so they take no determinant and no cross product of their own.
-    # verify reads the volume sum for dim <= 3 and the facet sum in 2D; the h
-    # route reads both from dim 4 on.  Rank 3 makes one pass of its own.
+    # one oracle call serves reciprocity at n = 1, 2, 3 and h-top for ranks
+    # 0..2.  Below dim 4 it is one closed-moments-only h per rank.  From dim 4
+    # on it is one half-open decomposition of the boundary point on the most
+    # faces coned over the boundary faces whose plane misses it (5 cells on
+    # the finding, against 7 from its first point), and each cell takes one
+    # box, one vertex-part pass and one box moment pass, of rank 2.  The
+    # volume and facet moments of ranks 0..2 are one integer pass over the
+    # boundary faces, which keep their lattice volumes and planes, so they
+    # take no determinant and no cross product of their own; nor do the
+    # cells, whose barycentric rows come from one inverse each.  verify reads
+    # the volume sum for dim <= 3 and the facet sum in 2D; the h route reads
+    # both from dim 4 on.  Rank 3 makes one pass of its own.
     p = polytopes.polytope_from_json(json.loads(random_request(dim, bound, seed)))
-    _, boundary = p.boundary
+    points, boundary = p.boundary
     monkeypatch.setattr(cli, "polytope_from_json", lambda data: p)
 
     def counted(module, name):      # records the last argument of each call
@@ -308,12 +321,28 @@ def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, mon
         return calls
 
     oracles = counted(ehrhart, "_all_dilates_oracle")
+    decompositions = counted(ehrhart, "half_open_decomposition")
+    boxes = counted(ehrhart, "_box_columns")
+    parts = record_calls(monkeypatch, halfopen, "_vertex_parts")
+    box_moments = counted(halfopen._BoxColumns, "moments")
     dets = counted(linalg, "int_det")
     crosses = counted(polytopes, "generalized_cross")
     passes = record_calls(monkeypatch, ehrhart, "_simplex_entries")
     code, out, _ = run_cli(["verify", "--json", "{}"], capsys)
     assert code == 0 and json.loads(out)["all_pass"] is True
-    assert oracles == [0, 1, 2]
+    if dim < 4:
+        assert oracles == [0, 1, 2]
+        assert decompositions == boxes == parts == box_moments == []
+    else:
+        apex = max(points, key=lambda x: sum(x in map(points.__getitem__, face)
+                                             for face, _, _ in boundary))
+        coned = [face for face, (normal, rhs), _ in boundary
+                 if sum(a * x for a, x in zip(normal, apex)) != rhs]
+        assert oracles == []
+        assert [[s[1:] for s in d] for d in decompositions] == [coned]
+        assert len(coned) == 5 and all(s[0] == points.index(apex) for s in decompositions[0])
+        assert len(boxes) == len(coned)
+        assert [c["r"] for c in parts] == box_moments == [2] * len(coned)
     assert [(c["r"], len(c["faces"])) for c in passes] == [(2, len(boundary))]
     for r in range(4):
         ehrhart.moment_tensor(p, r)
@@ -362,6 +391,20 @@ def test_verify_check_meets_a_second_route(name, module, side, capsys, monkeypat
     assert status.pop("overall") == "FAIL"
     assert status[name] == "FAIL"
     assert set(status) == {n for n, _, _ in SECOND_ROUTES}
+
+
+def test_verify_d4_reads_the_halfopen_oracle(capsys, monkeypatch):
+    # from dim 4 on reciprocity and h-top read the half-open h: perturbing
+    # its rank-2 vector fails exactly their rank-2 checks on the finding
+    sums = ehrhart._hr_sums
+    monkeypatch.setattr(ehrhart, "_hr_sums", lambda cells, ranks: [
+        _perturbed(h) if h.rank == 2 else h for h in sums(cells, ranks)])
+    code, out, _ = run_cli(["verify", random_request(4, 2, trial_seed(42, 95))], capsys)
+    status = dict(line.split() for line in out.splitlines())
+    assert code == 1
+    assert {name for name, ok in status.items() if ok == "FAIL"} \
+        == {"reciprocity_r2", "h_top_is_interior_moment_r2", "overall"}
+    assert len(status) == 7
 
 
 def test_verify_table_mode(capsys):

@@ -7,8 +7,7 @@ from itertools import product
 import pytest
 
 import ehrtensor as et
-from ehrtensor import linalg
-from ehrtensor import halfopen, tensors
+from ehrtensor import ehrhart, halfopen, linalg, tensors
 from ehrtensor.halfopen import ONE_MINUS_T, UniPoly, halfopen_from_json, halfopen_to_json
 from ehrtensor.polytopes import placing_triangulation
 from ehrtensor.tensors import dot, moment_of_points, vneg
@@ -720,3 +719,33 @@ def test_half_open_sums_independent_of_triangulation(d, bound, gens, seed):
             order = [simplices[k]] + simplices[:k] + simplices[k + 1:]
             assert_cells_partition(p, et.half_open_decomposition(points, order))
     assert len(triangulations) == 2
+
+
+def coned_corpus():
+    """Seeded polytopes in d = 1..5, their translates, and hulls whose input
+    holds non-vertex boundary points, which their stored boundary may use."""
+    out = []
+    for d, bound in ((1, 4), (2, 3), (3, 2), (4, 1), (5, 1)):
+        for seed in range(2):
+            p = et.random_lattice_polytope(d, bound, d + 3, seed=780 + seed)
+            out += [p, p.translate((3, -2, 1, -1, 2)[:d])]
+    out.append(et.convex_hull([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))
+    out.append(et.convex_hull([(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0),
+                               (0, 0, 0, 2), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]))
+    return out
+
+
+@pytest.mark.parametrize("p", coned_corpus(), ids=lambda p: f"d{p.dim}-{p.vertices[0]}")
+def test_coned_halfopen_h_matches_both_routes(p):
+    # the boundary point on the most faces coned over the faces whose plane
+    # misses it, split into half-open cells and assembled once for ranks
+    # 0..3, against the scan's h and the closed moments of every dilate, on a
+    # fresh copy that shares no stored pass
+    cells = ehrhart._halfopen_cells(p)
+    hs = halfopen._hr_sums([(s, halfopen._box_columns(s)) for s in cells], range(4))
+    assert [h.rank for h in hs] == [0, 1, 2, 3]
+    for r, h in enumerate(hs):
+        assert h == et.to_hr_vector(p, r), r
+        assert h == ehrhart._all_dilates_oracle(et.convex_hull(p.vertices), r), r
+    if p.dim >= 4:
+        assert ehrhart._oracle(p, range(4)) == hs

@@ -1,6 +1,8 @@
 """Exact linear algebra helpers: determinants, inverses, rank, normals, affine bases."""
+import random
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,45 @@ def test_affine_basis_matches_forward_elimination(case):
         with pytest.raises(DegenerateInputError) as err:
             _affine_basis(pts)
         assert (err.value.affine_dim, err.value.ambient_dim) == (affine_dim, d)
+
+
+def _independent(vectors):
+    # integer vectors are independent iff their Gram determinant is nonzero
+    return not vectors or linalg.int_det([[sum(map(mul, u, v)) for v in vectors]
+                                          for u in vectors]) != 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reductions_on_seeded_matrices(seed):
+    # every _reduce caller against Fraction inverses and int_det, on the sizes
+    # the half-open cells (lifted simplices) and the hull normals use
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        a = [[rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(n)] for _ in range(n)]
+        det = linalg.int_det(a)
+        expected = fraction_inverse(a)
+        if det == 0:
+            assert expected is None
+            with pytest.raises(linalg.SingularMatrixError):
+                linalg.int_inverse(a)
+        else:
+            m, dabs = linalg.int_inverse(a)
+            assert dabs == abs(det)
+            assert [[Fraction(x, dabs) for x in row] for row in m] == expected
+        vectors = a[1:]
+        assert linalg.generalized_cross(vectors, n) == tuple(
+            (-1) ** j * linalg.int_det([row[:j] + row[j + 1:] for row in vectors])
+            for j in range(n))
+        points = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 8))]
+        basis = linalg.affine_basis(points)
+        diffs = [[x - y for x, y in zip(q, points[0])] for q in points]
+        # greedy: a point joins the basis iff its difference is independent of the earlier ones
+        chosen = []
+        for i, v in enumerate(diffs[1:], start=1):
+            if _independent([diffs[j] for j in chosen] + [v]):
+                chosen.append(i)
+        assert basis == (0, *chosen)
 
 
 def test_bareiss_determinant_values():
