@@ -74,6 +74,12 @@ def _cli_cases() -> dict[str, list[str]]:
     for name, simplex, r in [("d4_large", HALF4_LARGE, 2), ("d4", HALF4, 4)]:
         cases[f"halfopen_{name}_r{r}"] = ["halfopen", simplex, "--r", str(r)]
         cases[f"halfopen_{name}_table_r{r}"] = ["halfopen", simplex, "--r", str(r), "--table"]
+    # above rank 3 both Newton recurrences run past the ranks that verify reads:
+    # the boundary pass behind hvec from d = 4 on, and the half-open vertex parts
+    for name, poly, r in [("d4_finding", FINDING, 4), ("d4_finding", FINDING, 5), ("d5", POLY5, 4)]:
+        cases[f"hvec_{name}_r{r}"] = ["hvec", poly, "--r", str(r)]
+    for name, simplex, r in [("d5", HALF5, 4), ("d5", HALF5, 5), ("d4_large", HALF4_LARGE, 4)]:
+        cases[f"halfopen_{name}_r{r}"] = ["halfopen", simplex, "--r", str(r)]
     for name, poly in [("d3_stretched", STRETCHED3), ("d4_stretched", STRETCHED4)]:
         cases[f"moments_{name}_n3_r2"] = ["moments", poly, "--r", "2", "--n", "3"]
         cases[f"hvec_{name}_r2"] = ["hvec", poly, "--r", "2"]
@@ -168,6 +174,9 @@ GOLDEN = {
     "halfopen_d3_table_r1": "c281396b770ef5aa588a88f0e075521f84272c1524c557c5da5101fa114b5410",
     "halfopen_d3_table_r2": "9328c2a050dedb5d31a61445722807ff7f79c82642d42b3bb17ec37f3980b247",
     "halfopen_d3_table_r3": "9c7fa1b6259523e2c97901b45fb78964488273c68cc53789320f86d0bfc157a2",
+    "halfopen_d4_large_r2": "423acf3daea05109cfc6deb60bda4a2e9f33eafecb9aaa0f4ca18e06eb21c5cd",
+    "halfopen_d4_large_r4": "c2799498a9777e007796c0b132615681b7d02a0bdfc5433514aaac12164edb12",
+    "halfopen_d4_large_table_r2": "593d6cf8d01a9c9ece400c484355a6e5b60caa929222332c921e6d8268c5c75c",
     "halfopen_d4_r0": "4fac9cb99ac15083e51e1012492abd9b9a6fe36b4680756ddec46d32f573c3fc",
     "halfopen_d4_r1": "3bf8a7ece0b4e84c5822027f0fa075ff738ff553a3f27d9b0a53e32d50459016",
     "halfopen_d4_r2": "61b9ff58b12df1ff267ac2cda67f602709fa55c438fe76466ada979f4c9b8ecf",
@@ -178,12 +187,12 @@ GOLDEN = {
     "halfopen_d4_table_r2": "855a07c34e2a0dfcc9d0e98b0a82d6bcdeade36c6c4aba9d60393729dfd4c343",
     "halfopen_d4_table_r3": "ef28e4decc03281d8f961f19f63676015e8182b380ce2614680cde435bec61a7",
     "halfopen_d4_table_r4": "6d99457bdc438695112a1be5d3261acc0ece405261254f31a2277bf6b91323ed",
-    "halfopen_d4_large_r2": "423acf3daea05109cfc6deb60bda4a2e9f33eafecb9aaa0f4ca18e06eb21c5cd",
-    "halfopen_d4_large_table_r2": "593d6cf8d01a9c9ece400c484355a6e5b60caa929222332c921e6d8268c5c75c",
     "halfopen_d5_r0": "b0832a74f5372eba19410d9335cab647dbec2a1d1d0e3ef7eefa6c876336dd98",
     "halfopen_d5_r1": "50021a8b6a98ad991e7a34ff5216c649c11b0b602efde91a6abcd47f04443e0c",
     "halfopen_d5_r2": "631527b601d270368cd88eff4f7b1828451e9f8bc1fc20814dfa839504fdfab9",
     "halfopen_d5_r3": "fb3348d01770ee6a8669134ad142b823a7a494ebcab3235ac9741dfc0659be9d",
+    "halfopen_d5_r4": "48e18961f96aaa6e2998f456ede7c4df5a32e6fa48dc5efe00d278fb64757e63",
+    "halfopen_d5_r5": "372ad882941ef1d9610d6a4503354a1e96bf674bd36fd946a0aabc2a1574ce16",
     "halfopen_d5_table_r0": "1a5f4c586fda06aeb05b2ae2f28bb3e712536c53f13bfe95fbaf6352ee315c91",
     "halfopen_d5_table_r1": "411df378c33c5146d3a043139fd4a5e3ff7582eb662191ee6492fb64c33a2bfa",
     "halfopen_d5_table_r2": "87159f6fd508c89c396e059c1d458327a6d33d3bb0e5eaad3798eb3a025bc8ef",
@@ -205,11 +214,14 @@ GOLDEN = {
     "hvec_d4_finding_r1": "13b40ad859636cd9a2d39908edfee63188dab592852776bef141481fbb070360",
     "hvec_d4_finding_r2": "09e876953255ce04519b3c62f9660d1717f68cd9a359e4d0d70dc244f35e9cae",
     "hvec_d4_finding_r3": "a0bfdf50753459034d1a40b17e851fd75512a1ed7b5bd4a8c753299a9eb11eff",
+    "hvec_d4_finding_r4": "70424a113a8e020e0aa7db4da66d3e0d6222afcd885f1ccfe6dab6ab78cc4e41",
+    "hvec_d4_finding_r5": "05a335b5ba279da0f8db7e08ed923625675f34d97ba6c3e57696990e7dff7c19",
     "hvec_d4_stretched_r2": "559d0e747aaf1cee818c4464a0d6d15133d37652b3c44fb3b8e0206a8b4f0db6",
     "hvec_d5_r0": "0c76bdc7b0eba8397cae4c68a6631879b9f85e43a3070acad60abd5c5e3c5605",
     "hvec_d5_r1": "9cb2071dfa124c4023b2bb8386dcb89bc5a8c2ca8874c572dda9ec014534c682",
     "hvec_d5_r2": "d664d4ee20dd043c71c9bc66681cf48b08a4f23889cc720b60275616e1fcf70c",
     "hvec_d5_r3": "b176ea988fe6b191ce8f98975250f6bb27fe0dbad98c984bb6758c54973b5f3e",
+    "hvec_d5_r4": "4a368bb8dfa7b96f7febaff3e64f94f43304a40c321bf72c0e4af7b342a7d47a",
     "hvec_negative_rank": "3d49c74b317c79dbc8d939bc2a789b614bb8560f1682c3d40dc0069410131564",
     "moments_d2_r0": "1cd39716c656da02f53d7a81f22952e7176de49d1c40549e06e5622c60a15c8d",
     "moments_d2_r1": "925569c7039668c7c249bfcebc0c6a3103b1ce57fb220b6f7429d386ec3367d6",
