@@ -14,7 +14,7 @@ from ehrtensor import (HalfOpenSimplex, box_slices, classify_definiteness,
 
 print("Eulerian polynomials (numerators of sum n^j t^n):")
 for j in range(5):
-    print(f"  A_{j}:", eulerian_polynomial(j).coeffs)
+    print(f"  A_{j}:", eulerian_polynomial(j))
 
 print("\nbox points of the three half-open unit triangles:")
 unit = [(0, 0), (1, 0), (0, 1)]

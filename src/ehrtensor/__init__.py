@@ -16,7 +16,7 @@ from .ehrhart import (discrete_moment, discrete_moment_interior,
                       ehrhart_tensor_polynomial, hr_vector_to_polynomial,
                       moment_tensor, reciprocity_check,
                       second_coefficient_facets, to_hr_vector)
-from .halfopen import (BoxSlices, HalfOpenSimplex, UniPoly, box_slices,
+from .halfopen import (BoxSlices, HalfOpenSimplex, box_slices,
                        eulerian_polynomial, h1_halfopen_2d, h2_halfopen_2d,
                        half_open_decomposition, halfopen_from_json,
                        halfopen_to_json, hr_halfopen, moment_halfopen)

@@ -36,19 +36,23 @@ CLI request derives each rank's h once.
 oracle h that does not read it (:func:`_oracle`).  From dim 4 on, where the
 h route reads the volume and facet moments, the oracle is the sum over the
 half-open cells of one pulling triangulation of the stored boundary
-(Koeppe-Verdoolaege, 2008): one box and one vertex-part pass per cell serve
-every rank, and the entries are summed before any tensor is built.  It
-shares no enumeration, moment pass or numerator map with the h route.
-Below dim 4 the oracle is :func:`_all_dilates_oracle`: the closed moments
-at every n = 0..m, mapped to h by the same alternating binomial sums,
-asking for the interior side too only where the h route or reciprocity
-reads it.  ``verify`` builds the oracle h of ranks 0..2 in one call and
-reads each twice: its top entry against L(P°), and at -n in the binomial
-basis against L(nP°), n = 1, 2, 3 (:func:`_reciprocity_holds`).  The volume and
-facet moments are one integer pass per polytope over the faces of its
-boundary, for ranks 0..max(r, 2), kept on the polytope beside the dilates:
-by Euler's identity for homogeneous integrands the volume sum is the facet
-sum with each face weighted by its plane's right-hand side (Lasserre, 1998).
+(Koeppe-Verdoolaege, 2008): one box per cell and one vertex-part pass for
+all the cells serve every rank, and the entries are summed before any
+tensor is built.  It shares no enumeration, moment pass or numerator map
+with the h route; the two run the code of one Newton kernel, on other
+simplices with other weights.  Below dim 4 the oracle is
+:func:`_all_dilates_oracle`: the closed moments at every n = 0..m, mapped to
+h by the same alternating binomial sums, asking for the interior side too
+only where the h route or reciprocity reads it.  ``verify`` builds the
+oracle h of ranks 0..2 in one call and reads each twice: its top entry
+against L(P°), and at -n in the binomial basis against L(nP°), n = 1, 2, 3
+(:func:`_reciprocity_holds`).  The volume and facet moments are one integer
+pass per polytope over the faces of its boundary, for ranks 0..max(r, 2),
+kept on the polytope beside the dilates.
+The pass is the Newton kernel of the vertex parts,
+:func:`~ehrtensor.tensors._newton_columns`, with weights c!, and by Euler's
+identity for homogeneous integrands the volume sum is the facet sum with
+each face weighted by its plane's right-hand side (Lasserre, 1998).
 The h route reads their integer sums, the public functions divide each
 entry once.
 """
@@ -64,8 +68,7 @@ from .halfopen import HalfOpenSimplex, _box_columns, _hr_sums, half_open_decompo
 from .polytopes import Polytope, dilate_rows
 # the scan-row moment kernel lives in tensors and stays importable from here
 from .tensors import (BOTH, CLOSED, INTERIOR, HrVector, SymTensor, TensorPolynomial,
-                      _power_sum_poly, _product_plan, _row_plan, _scan_plan, multi_indices,
-                      row_moments)
+                      _newton_columns, multi_indices, row_moments)
 
 
 def _moments(p: Polytope, r: int, n: int, sides=BOTH) -> list[tuple[int, ...]]:
@@ -266,10 +269,11 @@ def _oracle(p: Polytope, ranks) -> list[HrVector]:
 
     Where the h route reads the volume and facet moments (from dim 4 on, see
     :func:`_fill_plan`), the sum over the half-open cells of
-    :func:`_halfopen_cells`: one box enumeration and one vertex-part pass per
-    cell serve every rank, and the entries are summed across the cells
-    before any tensor is built (:func:`~ehrtensor.halfopen._hr_sums`).  It
-    shares no enumeration, moment pass or numerator map with the h route.
+    :func:`_halfopen_cells`: one box enumeration per cell and one vertex-part
+    pass for all the cells serve every rank, and the entries are summed
+    across the cells before any tensor is built
+    (:func:`~ehrtensor.halfopen._hr_sums`).  It shares no enumeration, moment
+    pass or numerator map with the h route.
     Below dim 4, :func:`_all_dilates_oracle`, whose scans of the dilates the
     h route reads too.
     """
@@ -304,84 +308,29 @@ def _reciprocity_holds(p: Polytope, h: HrVector, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # exact volume and facet moments
 
-def _simplex_entries(vertices: list, faces: list, weightings: list[list[int]], r: int, dim: int
-                     ) -> list[list[list[int]]]:
-    """Per weighting w, the entries of ``sum_s w[s] H_q(s)``, q = 0..r, over the
-    simplices ``faces`` (tuples of indices into ``vertices``), with ``H_q = q! h_q``
-    and h_q the complete homogeneous tensor of the simplex's vertices.
-
-    The integral of x^q over a k-simplex of normalized volume ``volume``
-    (k! vol) is ``volume * H_q / (k+q)!`` (Baldoni et al., "How to integrate
-    a polynomial over a simplex", 2011).  H_q comes from the vertex power
-    sums p_i by Newton's identity, which with the unnormalized
-    :func:`~ehrtensor.tensors.sym_product` reads
-    ``j H_j = sum_{i=1..j} i! sym_product(p_i, H_(j-i))``, exactly.  It is
-    evaluated column-wise, one list over the simplices per stored entry and
-    one ``map`` per (entry, slot split), for the ranks below r, and these
-    columns serve every weighting.  Rank r is only summed: its products are
-    summed against the weighted power sums at once, and its own power sum
-    term is ``sum_v spread_v v^r``, each vertex weighted by the sum of the
-    weights of the simplices it lies on.
-    """
-    ones = [1] * len(faces)
-    slots = [list(zip(*map(vertices.__getitem__, corner))) for corner in zip(*faces)]
-    prods, powers = [[ones] for _ in slots], [[ones]]
-    for i in range(1, r):       # powers[i][a]: column of entry a of p_i
-        steps = [pairs[0] for pairs in _product_plan(dim, i - 1, 1)]
-        prods = [[list(map(mul, mono[a], axes[c])) for a, c in steps]
-                 for mono, axes in zip(prods, slots)]
-        powers.append([list(map(sum, zip(*columns))) for columns in zip(*prods)])
-    axes, vertex_powers = list(zip(*vertices)), [[1] * len(vertices)]
-    for i in range(1, r + 1):   # vertex_powers[a]: entry a of v^i, per vertex
-        vertex_powers = [list(map(mul, vertex_powers[a], axes[c])) for a, c in
-                         (pairs[0] for pairs in _product_plan(dim, i - 1, 1))]
-    hs = [[ones]]
-    for j in range(1, r):       # hs[j]: one column over the simplices per entry of H_j
-        terms = [(math.factorial(i), i, _product_plan(dim, i, j - i)) for i in range(1, j)]
-        h_j = []
-        for e, power in enumerate(powers[j]):
-            acc = [math.factorial(j) * x for x in power]
-            for f, i, plan in terms:
-                for a, b in plan[e]:
-                    acc = [t + f * x * y for t, x, y in zip(acc, powers[i][a], hs[j - i][b])]
-            h_j.append([t // j for t in acc])
-        hs.append(h_j)
-    terms = [(math.factorial(i), i, _product_plan(dim, i, r - i)) for i in range(1, r)]
-    out = []
-    for weights in weightings:
-        sums = [[sum(map(mul, weights, column)) for column in h] for h in hs]
-        if r:
-            spread = [0] * len(vertices)
-            for face, w in zip(faces, weights):
-                for i in face:
-                    spread[i] += w
-            weighted = [[list(map(mul, weights, column)) for column in power] for power in powers]
-            sums.append([(sum(f * sum(map(mul, weighted[i][a], hs[r - i][b]))
-                              for f, i, plan in terms for a, b in plan[e])
-                          + math.factorial(r) * sum(map(mul, spread, vertex_powers[e]))) // r
-                         for e in range(len(multi_indices(dim, r)))])
-        out.append(sums)
-    return out
-
-
 def _simplex_sums(p: Polytope, top: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """``(V, F)``, per rank q = 0..top the entries of ``F_q = sum_F g_F H_q(F)``
     over the faces of :attr:`~ehrtensor.polytopes.Polytope.boundary`, g_F the
-    face's lattice volume (:func:`_simplex_entries`), and of ``V_q = (dim+q)!
-    integral_P x^q``, the same sum weighted by ``rhs_F g_F``: x^q is homogeneous,
-    so ``(dim+q) integral_P x^q = sum_F rhs_F integral_F x^q`` with the signed
-    ``rhs_F`` of each face's plane (Euler's identity; Lasserre, "Integration on
-    a convex polytope", 1998).  One pass per polytope, kept under
+    face's lattice volume, and of ``V_q = (dim+q)! integral_P x^q``, the same
+    sum weighted by ``rhs_F g_F``: x^q is homogeneous, so ``(dim+q)
+    integral_P x^q = sum_F rhs_F integral_F x^q`` with the signed ``rhs_F`` of
+    each face's plane (Euler's identity; Lasserre, "Integration on a convex
+    polytope", 1998).  A k-simplex of normalized volume g has ``integral x^q
+    = g H_q / (k+q)!``, ``H_q = q! h_q`` with h_q the complete homogeneous
+    tensor of its vertices (Baldoni et al., "How to integrate a polynomial
+    over a simplex", 2011): :func:`~ehrtensor.tensors._newton_columns` with
+    weights c!, one column per face.  One pass per polytope, kept under
     ``(top, "boundary")`` in :attr:`~ehrtensor.polytopes.Polytope.dilates`;
     ranks 0..2 share the pass of ``top = 2``.
     """
     store = p.dilates
     if (top, "boundary") not in store:
         points, boundary = p.boundary
-        faces = [face for face, _, _ in boundary]
-        weightings = [[rhs * g for _, (_, rhs), g in boundary], [g for _, _, g in boundary]]
-        store[top, "boundary"] = tuple(tuple(map(tuple, sums)) for sums in
-                                       _simplex_entries(points, faces, weightings, top, p.dim))
+        hs = _newton_columns(points, [face for face, _, _ in boundary], top, p.dim,
+                             [(math.factorial(c),) for c in range(top + 1)])
+        store[top, "boundary"] = tuple(
+            tuple(tuple(sum(map(mul, weights, column)) for column in h[0]) for h in hs)
+            for weights in ([rhs * g for _, (_, rhs), g in boundary], [g for _, _, g in boundary]))
     return store[top, "boundary"]
 
 

@@ -8,86 +8,49 @@ The h-tensor vector of the half-open simplex then comes out of an explicit
 numerator formula whose polynomial ingredients are Eulerian polynomials, the
 generating numerators of ``sum_n n^j t^n``.  It is assembled on plain
 integer entry lists: the vertex parts of every rank come from the vertex
-power sums (one moment pass over the vertices) by Newton's recurrence, the
-box is enumerated once into coordinate columns grouped by height, each box
-slice's moments of every rank come from those columns, and only the d+r+1
-output entries become :class:`~ehrtensor.tensors.SymTensor` values.
+power sums by Newton's recurrence (:func:`~ehrtensor.tensors._newton_columns`),
+the box is enumerated once into coordinate columns grouped by height, each
+box slice's moments of every rank come from those columns, and only the
+d+r+1 output entries become :class:`~ehrtensor.tensors.SymTensor` values.
 
 Any triangulation of a polytope, in any dimension, splits into half-open
 cells that partition it (:func:`half_open_decomposition`), so the moments
 and h-vectors of the cells add up to the polytope's with no
-inclusion-exclusion.  One assembly (:func:`_hr_sums`) adds the cells'
-numerators of every rank asked for on entry lists and builds the tensors
-once; a single simplex (:func:`hr_halfopen`) is its one-cell, one-rank case.
+inclusion-exclusion.  One assembly (:func:`_hr_sums`) takes the vertex parts
+of all its cells from one kernel call, adds the cells' numerators of every
+rank asked for on entry lists and builds the tensors once; a single simplex
+(:func:`hr_halfopen`) is its one-cell, one-rank case.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, repeat, zip_longest
+from itertools import accumulate, repeat
 from operator import add, floordiv, mod, mul, sub
 
 from . import linalg
 from .polytopes import checked_int, scan_rows, shadow_levels
-from .tensors import (CLOSED, HrVector, IntPoint, SymTensor, _column_moments, _moment_entries,
+from .tensors import (CLOSED, HrVector, IntPoint, SymTensor, _column_moments, _newton_columns,
                       _product_entries, dot, moment_of_points, multi_indices, outer_power,
                       row_moments, sym_product)
 
 
 # ---------------------------------------------------------------------------
-# integer univariate polynomials
-
-@dataclass(frozen=True)
-class UniPoly:
-    """Univariate polynomial with exact integer coefficients, low degree first."""
-
-    coeffs: tuple[int, ...]
-
-    @staticmethod
-    def _trim(cs) -> tuple[int, ...]:
-        cs = list(cs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return tuple(cs)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        return UniPoly(self._trim(map(sum, zip_longest(self.coeffs, other.coeffs, fillvalue=0))))
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if not self.coeffs or not other.coeffs:
-            return UniPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(self._trim(out))
-
-    def __pow__(self, k: int) -> "UniPoly":
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = UniPoly((1,))
-        for _ in range(k):
-            result = result * self
-        return result
-
-
-ONE_MINUS_T = UniPoly((1, -1))
-
+# Eulerian polynomials
 
 @lru_cache(maxsize=None)
-def eulerian_polynomial(j: int) -> UniPoly:
-    """Numerator of sum_{n>=0} n^j t^n over (1-t)^(j+1), with 0^0 = 1.
+def eulerian_polynomial(j: int) -> tuple[int, ...]:
+    """Numerator of sum_{n>=0} n^j t^n over (1-t)^(j+1), with 0^0 = 1, as its
+    integer coefficients, low degree first.
 
     ``A_j(t) = sum_{n=0..j} sum_{i=0..n} (-1)^i C(j+1, i) (n-i)^j t^n``;
     the coefficients are positive and add up to j!.
     """
     if j < 0:
         raise ValueError("index must be nonnegative")
-    return UniPoly(UniPoly._trim(
-        sum((-1) ** i * math.comb(j + 1, i) * (n - i) ** j for i in range(n + 1))
-        for n in range(j + 1)))
+    return tuple(sum((-1) ** i * math.comb(j + 1, i) * (n - i) ** j for i in range(n + 1))
+                 for n in range(j + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -341,32 +304,43 @@ def _hr_sums(cells, ranks) -> list[HrVector]:
     half-open ``cells``, given as ``(simplex, box)`` pairs with box its
     :func:`_box_columns`; cells that partition a polytope give the polytope's.
 
-    Per cell, ``parts[k](t)`` is the rank-k vertex part, built from the
-    vertex power sums P_c by Newton's recurrence ``k parts[k] = sum_(c=1..k)
-    c B_c(t) sym_product(parts[k-c], P_c)`` with ``B_c = A_(max(c-1, 1))``
-    (:func:`_vertex_parts`), and the rank-q numerator is
-    ``sum_(k_0) (1-t)^(k_0) parts[q-k_0](t) S_(k_0)(t)``, where
-    ``S_k(t) = sum_i t^i (rank-k moment of slice i)``; the slice moments of
-    every rank come from the box's coordinate columns, enumerated once and
-    grouped by height (:meth:`_BoxColumns.moments`).  One call to each per
-    cell serves every rank up to the largest asked for.  The products
+    ``parts[k](t)`` is the rank-k vertex part of a cell: the sum over
+    compositions ``k = k_1 + ... + k_(d+1)`` of the products of the
+    ``v_j^(k_j)``, weighted by ``A_(k_1)(t) ... A_(k_(d+1))(t)``.  As a power
+    series in z, one vertex contributes ``F(v z)`` with ``log F(z) = log sum_c
+    A_c(t) z^c/c! = log(1-t) - log(1 - t e^((1-t)z)) = sum_(c>=1) B_c(t)
+    z^c/c!``, where ``B_c = A_(max(c-1, 1))``, so the parts come from the
+    vertex power sums by Newton's recurrence with weights ``c B_c(t)``: one
+    call of :func:`~ehrtensor.tensors._newton_columns` for all the cells, one
+    column per cell, serves every rank up to the largest asked for.  The
+    rank-q numerator is ``sum_(k_0) (1-t)^(k_0) parts[q-k_0](t) S_(k_0)(t)``,
+    where ``S_k(t) = sum_i t^i (rank-k moment of slice i)``; the slice
+    moments of every rank come from the box's coordinate columns, enumerated
+    once and grouped by height (:meth:`_BoxColumns.moments`).  The products
     ``parts[q-k_0](t) S_(k_0)(t)`` are added up on integer entry lists
-    across the cells, each sum is multiplied by ``(1-t)^(k_0)`` once, and
-    only the numerators become :class:`~ehrtensor.tensors.SymTensor` values.
+    across the cells, each sum is multiplied by ``(1-t)^(k_0)``, signed
+    binomials, once, and only the numerators become
+    :class:`~ehrtensor.tensors.SymTensor` values.
     """
     if min(ranks) < 0:
         raise ValueError("rank must be nonnegative")
     top = max(ranks)
     d = cells[0][0].dim
+    vertices = [v for s, _ in cells for v in s.vertices]
+    faces = [range(j, j + d + 1) for j in range(0, len(vertices), d + 1)]
+    weights = [[c * a for a in eulerian_polynomial(max(c - 1, 1))] for c in range(top + 1)]
+    # parts[k][deg][j]: the entries of the t^deg coefficient of the rank-k vertex part of cell j
+    parts = [{deg: list(zip(*cols)) for deg, cols in by_deg.items()}
+             for by_deg in _newton_columns(vertices, faces, top, d, weights)]
     # sums[j][k_0][deg]: the t^deg entries of parts[r-k_0](t) S_(k_0)(t), r = ranks[j]
     sums: list[list[dict[int, list[int]]]] = [[{} for _ in range(r + 1)] for r in ranks]
-    for s, box in cells:
-        parts = _vertex_parts(s.vertices, top, d)
+    for j, (_, box) in enumerate(cells):
         moments = box.moments(top)
         nonempty = [i for i, (count,) in enumerate(moments[0]) if count]
         for by_k0, r in zip(sums, ranks):
             for k0, products in enumerate(by_k0):
-                for deg, x in parts[r - k0].items():
+                for deg, xs in parts[r - k0].items():
+                    x = xs[j]
                     for i in nonempty:
                         y = moments[k0][i]
                         if k0 == 0:        # a rank-0 factor only scales the other
@@ -380,46 +354,15 @@ def _hr_sums(cells, ranks) -> list[HrVector]:
     for by_k0, r in zip(sums, ranks):
         out: dict[int, list[int]] = {}      # sum_(k_0) (1-t)^(k_0) sums[j][k_0]
         for k0, products in enumerate(by_k0):
-            for e, coef in enumerate((ONE_MINUS_T ** k0).coeffs):
+            for e in range(k0 + 1):
                 for deg, x in products.items():
-                    _add_scaled(out, deg + e, x, coef)
+                    _add_scaled(out, deg + e, x, (-1) ** e * math.comb(k0, e))
         if max(out) > d + r:
             raise AssertionError("numerator degree exceeded d+r")
         zero = (0,) * len(multi_indices(d, r))
         hs.append(HrVector(tuple(SymTensor(r, d, tuple(out.get(n, zero)))
                                  for n in range(d + r + 1))))
     return hs
-
-
-def _vertex_parts(vertices, r: int, d: int) -> list[dict[int, list[int]]]:
-    """``parts[k][deg]``, k = 0..r: the rank-k vertex part of a simplex.
-
-    It is the sum over compositions ``k = k_1 + ... + k_(d+1)`` of the
-    products of the ``v_j^(k_j)``, weighted by the t^deg coefficient of
-    ``A_(k_1)(t) ... A_(k_(d+1))(t)``.  As a power series in z, one vertex
-    contributes ``F(v z)`` with ``log F(z) = log sum_c A_c(t) z^c/c! =
-    log(1-t) - log(1 - t e^((1-t)z)) = sum_(c>=1) B_c(t) z^c/c!``, where
-    ``B_c = A_(max(c-1, 1))``, so the parts of all vertices together come
-    from the power sums ``P_c = sum_j v_j^c`` (one moment pass over the
-    vertices) by Newton's recurrence, which with the unnormalized
-    :func:`~ehrtensor.tensors.sym_product` reads
-    ``k parts[k] = sum_(c=1..k) c B_c(t) sym_product(parts[k-c], P_c)``.
-    The division by k is exact, and a remainder raises ``ArithmeticError``.
-    """
-    power_sums = _moment_entries(vertices, r, d)
-    parts: list[dict[int, list[int]]] = [{0: [1]}]
-    for k in range(1, r + 1):
-        acc: dict[int, list[int]] = {}
-        for c in range(1, k + 1):
-            weights = [c * a for a in eulerian_polynomial(max(c - 1, 1)).coeffs]
-            for deg, x in parts[k - c].items():
-                prod = _product_entries(x, power_sums[c], d, k - c, c)
-                for e, w in enumerate(weights):
-                    _add_scaled(acc, deg + e, prod, w)
-        if any(a % k for x in acc.values() for a in x):
-            raise ArithmeticError(f"Newton's recurrence left a remainder at rank {k}")
-        parts.append({deg: [a // k for a in x] for deg, x in acc.items()})
-    return parts
 
 
 def _add_scaled(poly: dict[int, list[int]], deg: int, x: list[int], c: int) -> None:

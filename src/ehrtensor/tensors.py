@@ -14,9 +14,11 @@ matrix.
 All values are immutable after construction and safe to share.
 
 The integer moment kernels live here too: :func:`_column_moments` sums the
-outer powers of points given as coordinate columns, and :func:`row_moments`
+outer powers of points given as coordinate columns, :func:`row_moments`
 those of lattice scan rows, each row a prefix point and an interval of the
-last coordinate, from the interval power sums.
+last coordinate, from the interval power sums, and :func:`_newton_columns`
+turns the vertex power sums of many simplices, one column each, into the
+terms of every rank of Newton's recurrence.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 IntPoint = tuple[int, ...]
@@ -249,6 +251,61 @@ def _column_moments(columns: Sequence[Sequence[int]], count: int, r: int,
         else:
             out.append([sum(map(mul, prods[a], columns[i])) for a, i in steps])
     return out
+
+
+def _newton_columns(vertices: Sequence[Sequence[int]], faces: Sequence[Sequence[int]], r: int,
+                    dim: int, weights: Sequence[Sequence[int]]
+                    ) -> list[dict[int, list[list[int]]]]:
+    """``H[k][deg]``, k = 0..r: one column over ``faces`` per stored entry of rank k.
+
+    Each face is a tuple of indices into ``vertices``, and P_c, its vertex
+    power sum ``sum_v v^c``, is one column per entry, added up from each
+    vertex's powers.  The columns of H_k are the t^deg coefficients of
+    Newton's recurrence with polynomial weights
+    ``k H_k = sum_(c=1..k) w_c(t) sym_product(H_(k-c), P_c)``, H_0 = 1, where
+    ``weights[c][deg]`` is the t^deg coefficient of w_c, with the unnormalized
+    :func:`sym_product`.  Weights c! make H_k = k! h_k, h_k the complete
+    homogeneous tensor of the face's vertices; weights c B_c(t) make H_k the
+    rank-k vertex part of a half-open simplex.  Every division by k is exact,
+    and a remainder raises ``ArithmeticError``.
+    """
+    axes = [list(axis) for axis in zip(*vertices)]
+    powers, sums = axes, [None]
+    for c in range(1, r + 1):       # powers[a]: entry a of v^c, per vertex
+        if c > 1:
+            powers = [list(map(mul, powers[a], axes[i]))
+                      for a, i in (pairs[0] for pairs in _product_plan(dim, c - 1, 1))]
+        sums.append([[sum(map(col.__getitem__, face)) for face in faces] for col in powers])
+    columns: list[dict[int, list[list[int]]]] = [{0: [[1] * len(faces)]}]
+    for k in range(1, r + 1):
+        acc: dict[int, list[list[int]]] = {}
+        for c in range(1, k + 1):
+            y = sums[c]
+            for deg, x in columns[k - c].items():
+                # a product with H_0 = 1 is P_c itself
+                prod = y if k == c else [
+                    list(map(sum, zip(*[map(mul, x[a], y[b]) for a, b in pairs])))
+                    for pairs in _product_plan(dim, k - c, c)]
+                for e, w in enumerate(weights[c]):
+                    if w:
+                        _add_columns(acc, deg + e, prod, w)
+        if k > 1:
+            if any(v % k for cols in acc.values() for col in cols for v in col):
+                raise ArithmeticError(f"Newton's recurrence left a remainder at rank {k}")
+            acc = {deg: [[v // k for v in col] for col in cols] for deg, cols in acc.items()}
+        columns.append(acc)
+    return columns
+
+
+def _add_columns(acc: dict[int, list[list[int]]], deg: int, cols: list[list[int]], w: int) -> None:
+    """``acc[deg] += w * cols`` column by column; the columns are never changed in
+    place, so ``acc[deg]`` may be ``cols`` itself."""
+    if deg not in acc:
+        acc[deg] = cols if w == 1 else [[w * v for v in col] for col in cols]
+    elif w == 1:
+        acc[deg] = [list(map(add, a, b)) for a, b in zip(acc[deg], cols)]
+    else:
+        acc[deg] = [[u + w * v for u, v in zip(a, b)] for a, b in zip(acc[deg], cols)]
 
 
 BOTH, CLOSED, INTERIOR = ("closed", "interior"), ("closed",), ("interior",)

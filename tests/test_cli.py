@@ -115,27 +115,27 @@ def test_halfopen_subcommand(capsys):
 
 
 def test_halfopen_enumerates_box_once(capsys, monkeypatch):
-    # h and the printed slices come from one box enumeration and one pass
-    # over the vertex power sums
+    # h and the printed slices come from one box enumeration and one Newton
+    # kernel call
     from ehrtensor import halfopen
-    calls = {"box": 0, "power_sums": 0}
-    box_columns, moment_entries = halfopen._box_columns, halfopen._moment_entries
+    calls = {"box": 0, "newton": 0}
+    box_columns, newton_columns = halfopen._box_columns, halfopen._newton_columns
 
     def counting_box(s):
         calls["box"] += 1
         return box_columns(s)
 
-    def counting_moments(points, r, dim):
-        calls["power_sums"] += 1
-        return moment_entries(points, r, dim)
+    def counting_newton(*args):
+        calls["newton"] += 1
+        return newton_columns(*args)
 
     monkeypatch.setattr(halfopen, "_box_columns", counting_box)
-    monkeypatch.setattr(halfopen, "_moment_entries", counting_moments)
+    monkeypatch.setattr(halfopen, "_newton_columns", counting_newton)
     code, out, _ = run_cli(
         ["halfopen", '{"vertices": [[2,-2],[3,-2],[2,-1]], "removed": [0]}', "--r", "2"],
         capsys)
     assert code == 0
-    assert calls == {"box": 1, "power_sums": 1}
+    assert calls == {"box": 1, "newton": 1}
     assert json.loads(out)["box_slices"] == [[], [[2, -2]], []]
 
 
@@ -303,14 +303,15 @@ def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, mon
     # 0..2.  Below dim 4 it is one closed-moments-only h per rank.  From dim 4
     # on it is one half-open decomposition of the boundary point on the most
     # faces coned over the boundary faces whose plane misses it (5 cells on
-    # the finding, against 7 from its first point), and each cell takes one
-    # box, one vertex-part pass and one box moment pass, of rank 2.  The
-    # volume and facet moments of ranks 0..2 are one integer pass over the
-    # boundary faces, which keep their lattice volumes and planes, so they
-    # take no determinant and no cross product of their own; nor do the
-    # cells, whose barycentric rows come from one inverse each.  verify reads
-    # the volume sum for dim <= 3 and the facet sum in 2D; the h route reads
-    # both from dim 4 on.  Rank 3 makes one pass of its own.
+    # the finding, against 7 from its first point): one Newton kernel call of
+    # rank 2 with one column per cell, and per cell one box and one box moment
+    # pass, of rank 2.  The volume and facet moments of ranks 0..2 are one
+    # Newton kernel call over the boundary faces, which keep their lattice
+    # volumes and planes, so they take no determinant and no cross product of
+    # their own; nor do the cells, whose barycentric rows come from one
+    # inverse each.  verify reads the volume sum for dim <= 3 and the facet
+    # sum in 2D; the h route reads both from dim 4 on.  Rank 3 makes one pass
+    # of its own.
     p = polytopes.polytope_from_json(json.loads(random_request(dim, bound, seed)))
     points, boundary = p.boundary
     monkeypatch.setattr(cli, "polytope_from_json", lambda data: p)
@@ -323,11 +324,11 @@ def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, mon
     oracles = counted(ehrhart, "_all_dilates_oracle")
     decompositions = counted(ehrhart, "half_open_decomposition")
     boxes = counted(ehrhart, "_box_columns")
-    parts = record_calls(monkeypatch, halfopen, "_vertex_parts")
+    parts = record_calls(monkeypatch, halfopen, "_newton_columns")
     box_moments = counted(halfopen._BoxColumns, "moments")
     dets = counted(linalg, "int_det")
     crosses = counted(polytopes, "generalized_cross")
-    passes = record_calls(monkeypatch, ehrhart, "_simplex_entries")
+    passes = record_calls(monkeypatch, ehrhart, "_newton_columns")
     code, out, _ = run_cli(["verify", "--json", "{}"], capsys)
     assert code == 0 and json.loads(out)["all_pass"] is True
     if dim < 4:
@@ -342,7 +343,8 @@ def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, mon
         assert [[s[1:] for s in d] for d in decompositions] == [coned]
         assert len(coned) == 5 and all(s[0] == points.index(apex) for s in decompositions[0])
         assert len(boxes) == len(coned)
-        assert [c["r"] for c in parts] == box_moments == [2] * len(coned)
+        assert [(c["r"], len(c["faces"])) for c in parts] == [(2, len(coned))]
+        assert box_moments == [2] * len(coned)
     assert [(c["r"], len(c["faces"])) for c in passes] == [(2, len(boundary))]
     for r in range(4):
         ehrhart.moment_tensor(p, r)

@@ -8,10 +8,10 @@ import pytest
 
 import ehrtensor as et
 from ehrtensor import ehrhart, polytopes
-from ehrtensor.ehrhart import BOTH, CLOSED, _simplex_entries
+from ehrtensor.ehrhart import BOTH, CLOSED
 from ehrtensor.linalg import gcd_vector, generalized_cross, int_det
 from ehrtensor.positivity import trial_seed
-from ehrtensor.tensors import vneg, vsub
+from ehrtensor.tensors import _newton_columns, vneg, vsub
 
 from conftest import (NAMED_POLYGONS, apply_linear_map, fraction_simplex_moment,
                       fraction_vandermonde_oracle, fraction_volume_and_facet_moments,
@@ -329,10 +329,13 @@ def barycentric_simplex_moment(verts, r: int, dim: int, volume: int) -> et.SymTe
 
 
 def test_simplex_moment_matches_barycentric_oracle():
-    # the library's integer H_r entries, weighted by the volume, over (k+r)!,
-    # and the Fraction tensor oracle that tests meet moment_tensor with
+    # the library's integer H_r entries (the Newton kernel with weights c!),
+    # weighted by the volume, over (k+r)!, and the Fraction tensor oracle that
+    # tests meet moment_tensor with
     def integer_simplex_moment(verts, r, d, volume):
-        entries = _simplex_entries(verts, [range(len(verts))], [[volume]], r, d)[0][r]
+        columns = _newton_columns(verts, [range(len(verts))], r, d,
+                                  [(math.factorial(c),) for c in range(r + 1)])
+        entries = [volume * col[0] for col in columns[r][0]]
         return et.SymTensor(r, d, tuple(entries)) * Fraction(1, math.factorial(len(verts) - 1 + r))
 
     rng = random.Random(1400)
@@ -352,6 +355,18 @@ def test_simplex_moment_matches_barycentric_oracle():
                     expected = barycentric_simplex_moment(vs, r, d, vol)
                     assert integer_simplex_moment(vs, r, d, vol) == expected, (vs, r)
                     assert fraction_simplex_moment(vs, r, d, vol) == expected, (vs, r)
+
+
+def test_boundary_pass_refuses_weights_that_leave_a_remainder(monkeypatch):
+    # all-1 weights through the volume and facet pass: the exact division
+    # raises at every top rank, and rank 2 is the top one at r = 2
+    kernel = ehrhart._newton_columns
+    monkeypatch.setattr(ehrhart, "_newton_columns", lambda vertices, faces, r, dim, weights:
+                        kernel(vertices, faces, r, dim, [(1,) * len(w) for w in weights]))
+    for r in range(2, 6):
+        p = et.convex_hull([(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+        with pytest.raises(ArithmeticError, match="remainder at rank 2$"):
+            et.moment_tensor(p, r)
 
 
 def test_volume_and_facet_moments_match_fraction_oracle(corpus_polygons, random_3polytopes):

@@ -293,7 +293,7 @@ def test_golden_table_covers_every_case():
 PUBLIC_NAMES = [
     "BoxSlices", "DefinitenessReport", "DegenerateInputError", "EdgeStats", "FacetIneq",
     "HalfOpenSimplex", "HrVector", "IntPoint", "NotPositiveSemidefiniteError", "Polytope",
-    "ScanReport", "SosCertificate", "SymTensor", "TensorPolynomial", "Triangulation", "UniPoly",
+    "ScanReport", "SosCertificate", "SymTensor", "TensorPolynomial", "Triangulation",
     "box_slices", "check_ehrhart_psd", "check_h2_psd", "classify_definiteness",
     "conjecture_scan", "convex_hull", "discrete_moment", "discrete_moment_interior",
     "edge_stats", "ehrhart", "ehrhart_matrix_pick", "ehrhart_tensor_polynomial",

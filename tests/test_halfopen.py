@@ -8,7 +8,7 @@ import pytest
 
 import ehrtensor as et
 from ehrtensor import ehrhart, halfopen, linalg, tensors
-from ehrtensor.halfopen import ONE_MINUS_T, UniPoly, halfopen_from_json, halfopen_to_json
+from ehrtensor.halfopen import halfopen_from_json, halfopen_to_json
 from ehrtensor.polytopes import placing_triangulation
 from ehrtensor.tensors import dot, moment_of_points, vneg
 from ehrtensor.triangulation import INSERTION_ORDERS
@@ -30,15 +30,15 @@ UNIT = [(0, 0), (1, 0), (0, 1)]
 
 
 def test_eulerian_small_values():
-    assert et.eulerian_polynomial(0).coeffs == (1,)
-    assert et.eulerian_polynomial(1).coeffs == (0, 1)
-    assert et.eulerian_polynomial(2).coeffs == (0, 1, 1)
-    assert et.eulerian_polynomial(3).coeffs == (0, 1, 4, 1)
+    assert et.eulerian_polynomial(0) == (1,)
+    assert et.eulerian_polynomial(1) == (0, 1)
+    assert et.eulerian_polynomial(2) == (0, 1, 1)
+    assert et.eulerian_polynomial(3) == (0, 1, 4, 1)
 
 
 def test_eulerian_coefficients_sum_to_factorial():
     for j in range(7):
-        assert sum(et.eulerian_polynomial(j).coeffs) == math.factorial(j)
+        assert sum(et.eulerian_polynomial(j)) == math.factorial(j)
 
 
 def test_eulerian_generating_identity():
@@ -49,25 +49,12 @@ def test_eulerian_generating_identity():
         N = 8
         series = [math.comb(n + j, j) for n in range(N + 1)]
         prod = [0] * (N + 1)
-        for i, c in enumerate(a.coeffs):
+        for i, c in enumerate(a):
             for n in range(N + 1 - i):
                 prod[i + n] += c * series[n]
         assert prod == [(n ** j if n or j == 0 else 0) for n in range(N + 1)] or j == 0
         if j == 0:
             assert prod == [1] * (N + 1)
-
-
-def test_unipoly_arithmetic():
-    p = UniPoly((1, -1))
-    assert (p * p).coeffs == (1, -2, 1)
-    assert (p + UniPoly((0, 1))).coeffs == (1,)
-    assert (p ** 3).coeffs == (1, -3, 3, -1)
-    assert (p ** 0).coeffs == (1,)
-
-
-def test_unipoly_refuses_negative_exponents():
-    with pytest.raises(ValueError):
-        UniPoly((1, -1)) ** -1
 
 
 def test_box_slices_closed_unit_simplex():
@@ -244,6 +231,15 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+def poly_product(a, b):
+    """Coefficients of the product of two integer polynomials, low degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def per_composition_hr(s, r):
     """h-tensor vector with one symmetric product per (composition, slice).
 
@@ -258,14 +254,14 @@ def per_composition_hr(s, r):
                      for k in range(r + 1)]
     out = [et.SymTensor.zero(r, d) for _ in range(d + r + 1)]
     for comp in _compositions(r, d + 2):
-        poly = ONE_MINUS_T ** comp[0]
+        poly = [(-1) ** e * math.comb(comp[0], e) for e in range(comp[0] + 1)]
         vertex_part = et.SymTensor.scalar(d, 1)
         for v, kj in zip(s.vertices, comp[1:]):
-            poly = poly * et.eulerian_polynomial(kj)
+            poly = poly_product(poly, et.eulerian_polynomial(kj))
             vertex_part = et.sym_product(vertex_part, et.outer_power(v, kj, d))
         for i, base in enumerate(slice_moments[comp[0]]):
             tensor = et.sym_product(vertex_part, base)
-            for deg, c in enumerate(poly.coeffs):
+            for deg, c in enumerate(poly):
                 if c:
                     out[i + deg] = out[i + deg] + tensor * c
     return et.HrVector(tuple(out))
@@ -326,11 +322,23 @@ def per_vertex_parts(vertices, r, d):
             for c in range(1, k + 1):
                 for deg, x in parts[k - c].items():
                     prod = tensors._product_entries(x, powers[c], d, k - c, c)
-                    for e, coef in enumerate(et.eulerian_polynomial(c).coeffs):
+                    for e, coef in enumerate(et.eulerian_polynomial(c)):
                         if coef:
                             old = parts[k].get(deg + e, [0] * len(prod))
                             parts[k][deg + e] = [a + coef * b for a, b in zip(old, prod)]
     return parts
+
+
+NEWTON_WEIGHTS = {     # c! and c B_c(t), B_c = A_(max(c-1, 1)), for c = 0..r
+    "factorials": lambda r: [(math.factorial(c),) for c in range(r + 1)],
+    "vertex parts": lambda r: [[c * a for a in et.eulerian_polynomial(max(c - 1, 1))]
+                               for c in range(r + 1)],
+}
+
+
+def one_column(columns, j):
+    """Column j of every entry of a Newton kernel result, per rank and degree."""
+    return [{deg: [col[j] for col in cols] for deg, cols in by_deg.items()} for by_deg in columns]
 
 
 def test_newton_vertex_parts_match_per_vertex_convolution():
@@ -339,8 +347,52 @@ def test_newton_vertex_parts_match_per_vertex_convolution():
         for r in range(6):
             for _ in range(2):
                 verts = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(d + 1)]
-                assert halfopen._vertex_parts(verts, r, d) == per_vertex_parts(verts, r, d), \
-                    (verts, r)
+                columns = tensors._newton_columns(verts, [range(d + 1)], r, d,
+                                                  NEWTON_WEIGHTS["vertex parts"](r))
+                assert one_column(columns, 0) == per_vertex_parts(verts, r, d), (verts, r)
+
+
+@pytest.mark.parametrize("family", sorted(NEWTON_WEIGHTS))
+def test_newton_columns_of_many_simplices_are_those_of_each(family):
+    # one call over N simplices that share a vertex pool gives, column by
+    # column, the N calls over one simplex each
+    rng = random.Random(3232)
+    for d in range(1, 7):
+        for r in range(6):
+            weights = NEWTON_WEIGHTS[family](r)
+            pool = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(d + 3)]
+            faces = [tuple(rng.sample(range(len(pool)), d + 1)) for _ in range(3)]
+            columns = tensors._newton_columns(pool, faces, r, d, weights)
+            for j, face in enumerate(faces):
+                alone = tensors._newton_columns([pool[i] for i in face], [range(d + 1)], r, d,
+                                                weights)
+                assert one_column(columns, j) == one_column(alone, 0), (d, r, face)
+
+
+@pytest.mark.parametrize("family", sorted(NEWTON_WEIGHTS))
+def test_newton_columns_refuse_a_remainder_at_every_rank(family):
+    # weights that are right below rank k and 1 at k leave k H_k off a
+    # multiple of k by P_k, which here has an entry that k does not divide
+    verts = [(0, 0, 0), (2, 0, 1), (3, 1, 0), (1, 1, 2)]
+    for r in range(2, 6):
+        for k in range(2, r + 1):
+            weights = [w if c != k else (1,) * len(w)
+                       for c, w in enumerate(NEWTON_WEIGHTS[family](r))]
+            with pytest.raises(ArithmeticError, match=f"at rank {k}$"):
+                tensors._newton_columns(verts, [range(4)], r, 3, weights)
+
+
+def test_hr_halfopen_refuses_weights_that_leave_a_remainder(monkeypatch):
+    # all-1 weights through the assembly: the exact division raises at every
+    # top rank, and rank 2 is the top one at r = 2
+    s = et.HalfOpenSimplex.make([(0, 0, 0, 0), (2, 0, 0, 1), (0, 3, 0, 0), (1, 1, 2, 0),
+                                 (0, 1, 1, 3)], [1, 3])
+    kernel = halfopen._newton_columns
+    monkeypatch.setattr(halfopen, "_newton_columns", lambda vertices, faces, r, dim, weights:
+                        kernel(vertices, faces, r, dim, [(1,) * len(w) for w in weights]))
+    for r in range(2, 6):
+        with pytest.raises(ArithmeticError, match="remainder at rank 2$"):
+            et.hr_halfopen(s, r)
 
 
 def test_a_corrupted_residue_column_is_not_a_lattice_point(monkeypatch):
@@ -361,19 +413,19 @@ def test_a_corrupted_residue_column_is_not_a_lattice_point(monkeypatch):
 
 
 def test_hr_halfopen_enumerates_the_box_once(monkeypatch):
-    # one box enumeration and one pass over the vertex power sums per call,
-    # and the 2D closed forms read the same column moments
-    calls = {"box": 0, "power_sums": 0}
-    box_columns, moment_entries = halfopen._box_columns, halfopen._moment_entries
+    # one box enumeration and one Newton kernel call, over the one cell, per
+    # call, and the 2D closed forms read the same column moments
+    calls = {"box": 0, "newton": 0}
+    box_columns, newton_columns = halfopen._box_columns, halfopen._newton_columns
 
     def counting_box(s):
         calls["box"] += 1
         return box_columns(s)
 
-    def counting_moments(points, r, dim):
-        calls["power_sums"] += 1
-        assert tuple(points) == s.vertices
-        return moment_entries(points, r, dim)
+    def counting_newton(vertices, faces, r, dim, weights):
+        calls["newton"] += 1
+        assert tuple(vertices) == s.vertices and list(map(list, faces)) == [[0, 1, 2, 3, 4]]
+        return newton_columns(vertices, faces, r, dim, weights)
 
     def refuse(s):
         raise AssertionError("box_slices called")
@@ -382,10 +434,10 @@ def test_hr_halfopen_enumerates_the_box_once(monkeypatch):
                                  (0, 1, 1, 3)], [1, 3])
     expected = per_composition_hr(s, 3)
     monkeypatch.setattr(halfopen, "_box_columns", counting_box)
-    monkeypatch.setattr(halfopen, "_moment_entries", counting_moments)
+    monkeypatch.setattr(halfopen, "_newton_columns", counting_newton)
     monkeypatch.setattr(halfopen, "box_slices", refuse)
     assert et.hr_halfopen(s, 3) == expected
-    assert calls == {"box": 1, "power_sums": 1}
+    assert calls == {"box": 1, "newton": 1}
     triangle = et.HalfOpenSimplex.make([(0, 0), (3, 1), (1, 4)], [1])
     for closed_form in (et.h1_halfopen_2d, et.h2_halfopen_2d):
         calls["box"] = 0
