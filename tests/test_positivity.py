@@ -1,4 +1,5 @@
 """Definiteness classification, square certificates, scanners."""
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -226,6 +227,46 @@ def test_sos_refuses_indefinite_with_witness():
         et.sos_certificate(mat([[1, 0], [0, -1]]))
     t = mat([[1, 0], [0, -1]])
     assert t.apply(exc.value.witness) < 0
+
+
+def _sos_pin_matrices(seed: int, count: int):
+    """Symmetric matrices with d = 1..5 and integer or Fraction entries: every
+    third one has independent random entries, so it is mostly indefinite; the
+    others are positive sums of 1..d rank-one squares, PSD and often singular."""
+    rng = random.Random(seed)
+    for k in range(count):
+        d = 1 + k % 5
+
+        def entry(lo, hi):
+            x = rng.randint(lo, hi)
+            return F(x, rng.randint(1, 6)) if k % 2 else x
+
+        if k % 3 == 0:
+            m = [[0] * d for _ in range(d)]
+            for i in range(d):
+                for j in range(i, d):
+                    m[i][j] = m[j][i] = entry(-6, 6)
+        else:
+            vectors = [[entry(-3, 3) for _ in range(d)] for _ in range(rng.randint(1, d))]
+            weights = [entry(1, 4) for _ in vectors]
+            m = [[sum(w * v[i] * v[j] for w, v in zip(weights, vectors)) for j in range(d)]
+                 for i in range(d)]
+        yield m
+
+
+def test_sos_certificate_outputs_are_pinned():
+    # the repr of every certificate's terms, or of every refusal's witness and
+    # value, types included, over 3,000 seeded matrices
+    lines, refused = [], 0
+    for m in _sos_pin_matrices(2017, 3000):
+        try:
+            lines.append(repr(et.sos_certificate(mat(m)).terms))
+        except NotPositiveSemidefiniteError as exc:
+            lines.append(repr(("refused", exc.witness, exc.value)))
+            refused += 1
+    assert refused == 863
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "405aeb3baceac44aabc5c93a863887bb7aef444c49bae69c8dfa436777a90caf"
 
 
 @settings(max_examples=50, deadline=None)
