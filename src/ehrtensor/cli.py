@@ -34,7 +34,14 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
+# Python's int <-> str digit limit, absent before 3.10.7
+_get_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", lambda maxdigits: None)
+
+
 def _load_json(source: str):
+    """The input, parsed under the digit limit, which bounds the parse; an exact
+    answer may have more digits, so the limit is lifted until :func:`main` returns."""
     try:
         if source == "-":
             return json.load(sys.stdin)
@@ -42,8 +49,10 @@ def _load_json(source: str):
             return json.loads(source)
         with open(source) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(EXIT_MALFORMED, "malformed_input", str(exc)) from exc
+    finally:
+        _set_int_max_str_digits(0)
 
 
 def _load_polytope(source: str) -> Polytope:
@@ -161,15 +170,14 @@ def _cmd_pick(args) -> int:
 
 def _cmd_halfopen(args) -> int:
     s = _load_halfopen(args.input)
-    box = halfopen._box_columns(s)
+    box = halfopen.box_slices(s)
     (h,) = halfopen._hr_sums([(s, box)], (args.r,))
-    slices = box.slices()
     out = {
         "r": args.r,
         "dim": s.dim,
         "removed": sorted(s.removed),
         "h": [tensor_to_json(c) for c in h.entries],
-        "box_slices": [[list(q) for q in sl] for sl in slices.slices],
+        "box_slices": [[list(q) for q in sl] for sl in box.slices],
     }
     if args.table:
         for k, c in enumerate(h.entries):
@@ -386,6 +394,7 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    digits = _get_int_max_str_digits()
     try:
         return args.func(args)
     except CliError as exc:
@@ -394,6 +403,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _emit({"error": {"kind": "invalid_arguments", "message": str(exc)}})
         return EXIT_MALFORMED
+    finally:
+        _set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -64,7 +64,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .halfopen import HalfOpenSimplex, _box_columns, _hr_sums, half_open_decomposition
+from .halfopen import HalfOpenSimplex, _hr_sums, box_slices, half_open_decomposition
 from .polytopes import Polytope, dilate_rows
 # the scan-row moment kernel lives in tensors and stays importable from here
 from .tensors import (BOTH, CLOSED, INTERIOR, HrVector, SymTensor, TensorPolynomial,
@@ -278,7 +278,7 @@ def _oracle(p: Polytope, ranks) -> list[HrVector]:
     h route reads too.
     """
     if _fill_plan(p.dim, max(ranks))[1]:
-        return _hr_sums([(s, _box_columns(s)) for s in _halfopen_cells(p)], ranks)
+        return _hr_sums([(s, box_slices(s)) for s in _halfopen_cells(p)], ranks)
     return [_all_dilates_oracle(p, r) for r in ranks]
 
 

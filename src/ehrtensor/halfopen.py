@@ -167,31 +167,24 @@ def half_open_decomposition(points, simplices) -> list[HalfOpenSimplex]:
 
 @dataclass(frozen=True)
 class BoxSlices:
-    """Integer points of the half-open parallelepiped, graded by height.
-
-    ``slices[i]`` holds the points at last (lifted) coordinate i, projected
-    back to Z^d; the total count equals the normalized volume.
+    """Integer points of the half-open parallelepiped as coordinate columns
+    grouped by height: slice i, the points at last (lifted) coordinate i
+    projected back to Z^d, is positions ``bounds[i]:bounds[i+1]`` of every
+    column, i = 0..d.  The total count equals the normalized volume.
     """
 
-    slices: tuple[tuple[IntPoint, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
+    bounds: tuple[int, ...]
+
+    @cached_property
+    def slices(self) -> tuple[tuple[IntPoint, ...], ...]:
+        """``slices[i]``: the points of slice i as sorted tuples."""
+        return tuple(tuple(sorted(zip(*(col[a:b] for col in self.columns))))
+                     for a, b in zip(self.bounds, self.bounds[1:]))
 
     @property
     def total(self) -> int:
-        return sum(len(s) for s in self.slices)
-
-
-@dataclass(frozen=True)
-class _BoxColumns:
-    """The box points as coordinate columns, grouped by height: slice i is
-    positions ``bounds[i]:bounds[i+1]`` of every column, i = 0..d."""
-
-    columns: tuple[list[int], ...]
-    bounds: tuple[int, ...]
-
-    def slices(self) -> BoxSlices:
-        """Each slice as sorted point tuples."""
-        return BoxSlices(tuple(tuple(sorted(zip(*(col[a:b] for col in self.columns))))
-                               for a, b in zip(self.bounds, self.bounds[1:])))
+        return self.bounds[-1]
 
     def moments(self, r: int) -> list[list[list[int]]]:
         """``moments[k][i]``: the entries of the rank-k moment of slice i, k = 0..r."""
@@ -202,12 +195,6 @@ class _BoxColumns:
 
 
 def box_slices(s: HalfOpenSimplex) -> BoxSlices:
-    """Enumerate the box points of the lifted half-open parallelepiped, each
-    slice sorted (a view of :func:`_box_columns`)."""
-    return _box_columns(s).slices()
-
-
-def _box_columns(s: HalfOpenSimplex) -> _BoxColumns:
     """The box points, enumerated once, as coordinate columns grouped by height.
 
     They are one representative per coset of the lattice spanned by the
@@ -246,7 +233,7 @@ def _box_columns(s: HalfOpenSimplex) -> _BoxColumns:
     heights = z.pop()
     order = sorted(range(dabs), key=heights.__getitem__)
     bounds = tuple(accumulate((heights.count(i) for i in range(d + 1)), initial=0))
-    return _BoxColumns(tuple(list(map(col.__getitem__, order)) for col in z), bounds)
+    return BoxSlices(tuple(tuple(map(col.__getitem__, order)) for col in z), bounds)
 
 
 def _residue_columns(rows: list[list[int]], dabs: int) -> list[list[int]]:
@@ -296,13 +283,13 @@ def hr_halfopen(s: HalfOpenSimplex, r: int) -> HrVector:
     vertex parts of each rank (see :func:`_hr_sums`, whose one-cell, one-rank
     case this is).  Works in any dimension and rank.
     """
-    return _hr_sums([(s, _box_columns(s))], (r,))[0]
+    return _hr_sums([(s, box_slices(s))], (r,))[0]
 
 
 def _hr_sums(cells, ranks) -> list[HrVector]:
     """The h-tensor vectors, one per rank in ``ranks``, of the union of the
     half-open ``cells``, given as ``(simplex, box)`` pairs with box its
-    :func:`_box_columns`; cells that partition a polytope give the polytope's.
+    :func:`box_slices`; cells that partition a polytope give the polytope's.
 
     ``parts[k](t)`` is the rank-k vertex part of a cell: the sum over
     compositions ``k = k_1 + ... + k_(d+1)`` of the products of the
@@ -316,7 +303,7 @@ def _hr_sums(cells, ranks) -> list[HrVector]:
     rank-q numerator is ``sum_(k_0) (1-t)^(k_0) parts[q-k_0](t) S_(k_0)(t)``,
     where ``S_k(t) = sum_i t^i (rank-k moment of slice i)``; the slice
     moments of every rank come from the box's coordinate columns, enumerated
-    once and grouped by height (:meth:`_BoxColumns.moments`).  The products
+    once and grouped by height (:meth:`BoxSlices.moments`).  The products
     ``parts[q-k_0](t) S_(k_0)(t)`` are added up on integer entry lists
     across the cells, each sum is multiplied by ``(1-t)^(k_0)``, signed
     binomials, once, and only the numerators become
@@ -342,14 +329,8 @@ def _hr_sums(cells, ranks) -> list[HrVector]:
                 for deg, xs in parts[r - k0].items():
                     x = xs[j]
                     for i in nonempty:
-                        y = moments[k0][i]
-                        if k0 == 0:        # a rank-0 factor only scales the other
-                            _add_scaled(products, deg + i, x, y[0])
-                        elif k0 == r:
-                            _add_scaled(products, deg + i, y, x[0])
-                        else:
-                            _add_scaled(products, deg + i,
-                                        _product_entries(x, y, d, r - k0, k0), 1)
+                        _add_scaled(products, deg + i,
+                                    _product_entries(x, moments[k0][i], d, r - k0, k0), 1)
     hs = []
     for by_k0, r in zip(sums, ranks):
         out: dict[int, list[int]] = {}      # sum_(k_0) (1-t)^(k_0) sums[j][k_0]
@@ -386,7 +367,7 @@ def _slice_lookup(s: HalfOpenSimplex, max_rank: int):
     if s.dim != 2:
         raise ValueError("closed form is two-dimensional")
     lk = [[SymTensor(k, 2, tuple(m)) for m in ms]
-          for k, ms in enumerate(_box_columns(s).moments(max_rank))]
+          for k, ms in enumerate(box_slices(s).moments(max_rank))]
     return lambda k, i: lk[k][i] if 0 <= i <= 2 else SymTensor.zero(k, 2)
 
 

@@ -1,16 +1,15 @@
-"""Exact linear algebra helpers over Z (and Q) for small matrices.
+"""Exact linear algebra helpers over Z for small matrices.
 
-Plain list-of-lists matrices.  One fraction-free Gauss-Jordan elimination
-(Bareiss) on integer rows serves inversion, integer normals and affine
-bases; rational input is scaled to integer rows first.  Determinants take
-only its forward half.
+Plain list-of-lists matrices of ints.  One fraction-free Gauss-Jordan
+elimination (Bareiss) on integer rows serves inversion, integer normals and
+affine bases; an inverse is an integer matrix over one common denominator.
+Determinants take only its forward half.
 Pivoting is "first nonzero": matrices here are tiny (d <= 5 or so) and
 exactness is the only requirement.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -59,36 +58,21 @@ def _reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], 
     return m, pivots, sign * prev if len(pivots) == len(m) else 0
 
 
-def _integer_rows(a: Sequence[Sequence]) -> list[Sequence[int]]:
-    """Each row of a rational matrix times the lcm of its denominators; a row of
-    ints is kept as it is."""
-    out = []
-    for row in a:
-        if set(map(type, row)) != {int}:
-            k = math.lcm(*(x.denominator for x in row))
-            row = [int(x * k) for x in row]
-        out.append(row)
-    return out
+def int_inverse(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """``(m, D)`` with integer m, ``D = |det a| > 0`` and ``a^-1 = m / D``.
 
-
-def int_inverse(a: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """``(m, D)`` with integer m, ``D > 0`` and ``a^-1 = m / D``; ``D = |det a|`` for integer a.
-
-    Reduces ``[a | I]``; raises :class:`SingularMatrixError` when a is singular.
+    Reduces ``[a | I]``; raises :class:`SingularMatrixError` when a is singular
+    and ``TypeError`` on a non-``int`` entry, which :func:`_reduce` would floor.
     """
     n = len(a)
-    rows, pivots, _ = _reduce(_integer_rows([list(row) + [int(i == j) for j in range(n)]
-                                             for i, row in enumerate(a)]))
+    if any(type(x) is not int for row in a for x in row):
+        raise TypeError("int_inverse needs int entries")
+    rows, pivots, _ = _reduce([list(row) + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(a)])
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("singular matrix")
     sign = -1 if rows and rows[0][0] < 0 else 1
     return [[sign * x for x in row[n:]] for row in rows], sign * rows[0][0] if rows else 1
-
-
-def invert(a: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix; raises if singular."""
-    m, dabs = int_inverse(a)
-    return [[Fraction(x, dabs) for x in row] for row in m]
 
 
 def int_det(a: Sequence[Sequence[int]]) -> int:

@@ -7,7 +7,8 @@ the diagonal of D fix the class, and the columns of C give the witness and
 kernel directions.  No eigenvalue is ever computed; the elimination runs on
 integer columns, each with one integer scale.  The class is read from the
 signs of the integer diagonal, in Z; only the witness and kernel columns, and
-D and C for a square certificate, are read back in Q.
+for a square certificate D and the rows of C^-1, from one integer inverse of
+the integer basis, are read back in Q.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ class SosCertificate:
 
 
 def _congruence(matrix) -> tuple[list[list[int]], list[list[int]], list[int], int]:
-    """The integer core of :func:`congruence_diagonalization`: ``(A, X, s, L)``.
+    """Exact symmetric diagonalization C^t M C = D, C invertible, in integers: ``(A, X, s, L)``.
 
     The elimination runs on A = L M (L > 0 the lcm of the denominators keeps
     the inertia) and a basis X whose column j is s_j C_j, one integer scale
@@ -107,17 +108,6 @@ def _congruence(matrix) -> tuple[list[list[int]], list[list[int]], list[int], in
     return a, x, s, scale
 
 
-def congruence_diagonalization(matrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Exact symmetric diagonalization C^t M C = D with C invertible.
-
-    Returns (diag, C) for a matrix of ints and Fractions: :func:`_congruence`
-    read back in Q.
-    """
-    a, x, s, scale = _congruence(matrix)
-    return ([Fraction(a[k][k], s[k] * s[k] * scale) for k in range(len(a))],
-            [[Fraction(v, sk) for v, sk in zip(row, s)] for row in x])
-
-
 def classify_definiteness(t: SymTensor) -> DefinitenessReport:
     """Exact definiteness class of a rank-2 tensor, with rational witnesses.
 
@@ -156,19 +146,21 @@ def classify_definiteness(t: SymTensor) -> DefinitenessReport:
 def sos_certificate(t: SymTensor) -> SosCertificate:
     """Write a PSD rank-2 tensor as an exact nonnegative sum of squares.
 
-    Congruence diagonalization with symmetric pivoting; the functionals are
-    the rows of the inverse basis, so reconstruction is exact.  Refuses
-    non-PSD input and hands back the violating direction.
+    Congruence diagonalization with symmetric pivoting (:func:`_congruence`);
+    the functionals are the rows of ``C^-1 = s X^-1``, with ``X^-1 = m / D``
+    from :func:`~ehrtensor.linalg.int_inverse`, so reconstruction is exact.
+    Refuses non-PSD input and hands back the violating direction.
     """
     if t.rank != 2:
         raise ValueError("square certificates are a rank-2 notion")
-    diag, c = congruence_diagonalization(t.to_matrix())
+    a, x, s, scale = _congruence(t.to_matrix())
+    diag = [Fraction(a[k][k], s[k] * s[k] * scale) for k in range(t.dim)]
     for k, dv in enumerate(diag):
         if dv < 0:
-            witness = tuple(c[i][k] for i in range(t.dim))
-            raise NotPositiveSemidefiniteError(witness, dv)
-    cinv = linalg.invert(c)
-    terms = tuple((diag[k], tuple(cinv[k])) for k in range(t.dim) if diag[k] != 0)
+            raise NotPositiveSemidefiniteError(tuple(Fraction(row[k], s[k]) for row in x), dv)
+    m, dabs = linalg.int_inverse(x)
+    terms = tuple((dv, tuple(Fraction(s[k] * v, dabs) for v in m[k]))
+                  for k, dv in enumerate(diag) if dv)
     cert = SosCertificate(terms)
     if cert.reconstruct(t.dim) != t:
         raise AssertionError("certificate does not reconstruct the tensor")

@@ -334,13 +334,19 @@ def _power_sum_poly(k: int) -> tuple[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def _scan_plan(dim: int, r: int):
-    """:func:`_row_plan` for entries stored in the scan frame itself.
+def _row_plan(dim: int, r: int, order: tuple[int, ...]):
+    """How one column pass turns scan-frame rows into original-frame entries.
 
-    A stored multi-index of rank q splits into the prefix monomial of its
-    first q - k axes and the last axis to the power k.  The table holds, per
-    prefix monomial j of degree e, the pairs (j, i) for i = 1..r-e+1: every
-    power the entries on j read, since ``F_k`` has degree k+1.
+    Scan axis k is axis ``order[k]`` (:attr:`~ehrtensor.polytopes.Polytope.scan_order`).
+    The prefix monomials (over scan axes 0..dim-2, ranks 0..r) are built
+    from 1 by ``steps``: monomial s+1 is monomial ``j`` times scan axis
+    ``i``.  ``need`` lists the pairs (j, i) whose column sums the pass
+    tabulates, monomial j times ``hi^i - (lo-1)^i``, for i = 1..r-e+1 when j
+    has degree e: ``F_k`` has degree k+1.  ``plans[q]`` holds, per stored
+    entry of rank q in the original frame, its multi-index moved to the scan
+    frame and split into prefix monomial j and the last scan axis to the
+    power k: the nonzero coefficients of ``F_k``, the positions in ``need``
+    of the pairs (j, i) they weigh, and the denominator of ``F_k``.
     """
     last = dim - 1
     prefixes = [pm for j in range(r + 1) for pm in multi_indices(last, j)]
@@ -351,41 +357,17 @@ def _scan_plan(dim: int, r: int):
     polys = [_power_sum_poly(k) for k in range(r + 1)]
     powers = [[i for i, c in enumerate(num) if c] for num, _ in polys]
     terms = [(tuple(num[i] for i in power), den) for (num, den), power in zip(polys, powers)]
+    scan_axis = sorted(range(dim), key=order.__getitem__)     # axis -> its scan axis
     plans = []
     for q in range(r + 1):
         plan = []
         for m in multi_indices(dim, q):
+            m = sorted(map(scan_axis.__getitem__, m))
             k = m.count(last)
-            j = pos[m[:q - k]]
+            j = pos[tuple(m[:q - k])]
             plan.append((terms[k][0], tuple(at[j, i] for i in powers[k]), terms[k][1]))
         plans.append(tuple(plan))
     return steps, need, tuple(plans)
-
-
-@lru_cache(maxsize=None)
-def _row_plan(dim: int, r: int, order: tuple[int, ...]):
-    """How one column pass turns scan-frame rows into original-frame entries.
-
-    Scan axis k is axis ``order[k]`` (:attr:`~ehrtensor.polytopes.Polytope.scan_order`).
-    The prefix monomials (over scan axes 0..dim-2, ranks 0..r) are built
-    from 1 by ``steps``: monomial s+1 is monomial ``j`` times scan axis
-    ``i``.  ``need`` lists the pairs (j, i) whose column sums the pass
-    tabulates, monomial j times ``hi^i - (lo-1)^i``.  ``plans[q]`` holds, per
-    stored entry of rank q in the original frame, with prefix monomial j and
-    the last scan axis to the power k in its multi-index moved to the scan
-    frame: the nonzero coefficients of ``F_k``, the positions in ``need`` of
-    the pairs (j, i) they weigh, and the denominator of ``F_k``.
-    """
-    steps, need, plans = _scan_plan(dim, r)
-    if order == tuple(range(dim)):
-        return steps, need, plans
-    scan_axis = sorted(range(dim), key=order.__getitem__)     # axis -> its scan axis
-    moved = []
-    for q, plan in enumerate(plans):
-        at = _index_position(dim, q)
-        moved.append(tuple(plan[at[tuple(sorted(map(scan_axis.__getitem__, m)))]]
-                           for m in multi_indices(dim, q)))
-    return steps, need, tuple(moved)
 
 
 def row_moments(rows, r: int, dim: int, sides=BOTH, order=None) -> list[tuple[list[int], ...]]:

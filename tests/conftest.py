@@ -246,8 +246,9 @@ def fraction_congruence(matrix):
     Each pivot clears its row with the column operation
     ``C_j -= (M_tj / M_tt) C_t``.  A zero pivot swaps in the first later
     nonzero diagonal entry; failing that, it adds the first later column j
-    with ``M_tj != 0`` to column t.  The integer kernel
-    ``positivity.congruence_diagonalization`` must return the same values.
+    with ``M_tj != 0`` to column t.  The integer kernel ``positivity._congruence``,
+    read in Q as ``D_kk = A_kk / (s_k^2 L)`` and ``C = X / s``, must give the
+    same values.
     """
     d = len(matrix)
     a = [[Fraction(x) for x in row] for row in matrix]

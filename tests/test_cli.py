@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -119,17 +120,17 @@ def test_halfopen_enumerates_box_once(capsys, monkeypatch):
     # kernel call
     from ehrtensor import halfopen
     calls = {"box": 0, "newton": 0}
-    box_columns, newton_columns = halfopen._box_columns, halfopen._newton_columns
+    box_slices, newton_columns = halfopen.box_slices, halfopen._newton_columns
 
     def counting_box(s):
         calls["box"] += 1
-        return box_columns(s)
+        return box_slices(s)
 
     def counting_newton(*args):
         calls["newton"] += 1
         return newton_columns(*args)
 
-    monkeypatch.setattr(halfopen, "_box_columns", counting_box)
+    monkeypatch.setattr(halfopen, "box_slices", counting_box)
     monkeypatch.setattr(halfopen, "_newton_columns", counting_newton)
     code, out, _ = run_cli(
         ["halfopen", '{"vertices": [[2,-2],[3,-2],[2,-1]], "removed": [0]}', "--r", "2"],
@@ -323,9 +324,9 @@ def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, mon
 
     oracles = counted(ehrhart, "_all_dilates_oracle")
     decompositions = counted(ehrhart, "half_open_decomposition")
-    boxes = counted(ehrhart, "_box_columns")
+    boxes = counted(ehrhart, "box_slices")
     parts = record_calls(monkeypatch, halfopen, "_newton_columns")
-    box_moments = counted(halfopen._BoxColumns, "moments")
+    box_moments = counted(halfopen.BoxSlices, "moments")
     dets = counted(linalg, "int_det")
     crosses = counted(polytopes, "generalized_cross")
     passes = record_calls(monkeypatch, ehrhart, "_newton_columns")
@@ -436,6 +437,33 @@ def test_non_integer_input_exit_code(command, data, capsys):
     code, out, _ = run_cli([command, data], capsys)
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "malformed_input"
+
+
+def test_deeply_nested_input_is_malformed(capsys, tmp_path):
+    # past the parser's recursion limit: a typed error, not a traceback with
+    # the exit code of failed checks
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, _ = run_cli(["hvec", str(path)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "malformed_input"
+
+
+def test_input_integer_over_the_digit_limit_is_malformed(capsys):
+    code, out, _ = run_cli(["hvec", '{"vertices": [[0], [1%s]]}' % ("0" * 5000)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "malformed_input"
+
+
+def test_answer_over_the_digit_limit_is_exact(capsys):
+    # sum_(t=0..N) t^3 = (N(N+1)/2)^2 has about 4,800 digits for N = 10^1200;
+    # the digit limit holds again once main returns
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    n = 10 ** 1200
+    code, out, _ = run_cli(["moments", '{"vertices": [[0], [%d]]}' % n, "--r", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["moment"] == {"0,0,0": str(Decimal((n * (n + 1) // 2) ** 2))}
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 def test_negative_trial_count_exit_code(capsys):

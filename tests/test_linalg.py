@@ -16,11 +16,12 @@ from conftest import cofactor_cross, fraction_inverse, fraction_rref, leibniz_de
 
 def test_invert_round_trip():
     a = [[2, 1, 0], [1, 3, 1], [0, 1, 1]]
-    inv = linalg.invert(a)
+    m, dabs = linalg.int_inverse(a)
+    assert dabs == 3
     for i in range(3):
         for j in range(3):
-            s = sum(a[i][k] * inv[k][j] for k in range(3))
-            assert s == (1 if i == j else 0)
+            s = sum(a[i][k] * m[k][j] for k in range(3))
+            assert s == (dabs if i == j else 0)
 
 
 def test_det_matches_int_det():
@@ -47,10 +48,11 @@ def test_square_reductions_agree_with_bareiss(a):
     assert leibniz_det(a) == linalg.int_det(a)
     if linalg.int_det(a) == 0:
         with pytest.raises(linalg.SingularMatrixError):
-            linalg.invert(a)
+            linalg.int_inverse(a)
         return
-    inv = linalg.invert(a)
-    assert all(sum(inv[i][k] * a[k][j] for k in range(n)) == (i == j)
+    m, dabs = linalg.int_inverse(a)
+    assert dabs == abs(leibniz_det(a))
+    assert all(sum(a[i][k] * m[k][j] for k in range(n)) == dabs * (i == j)
                for i in range(n) for j in range(n))
 
 
@@ -107,20 +109,12 @@ def test_generalized_cross_matches_cofactor_expansion(case):
         assert normal == (0,) * d
 
 
-def _rational_matrices(n):
-    fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
-    return st.lists(st.lists(fractions, min_size=n, max_size=n), min_size=n, max_size=n)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4).flatmap(_rational_matrices))
-def test_invert_and_solve_rational_input(a):
-    expected = fraction_inverse(a)
-    if expected is None:
-        with pytest.raises(linalg.SingularMatrixError):
-            linalg.invert(a)
-        return
-    assert linalg.invert(a) == expected
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(3), 2.0, True],
+                         ids=["fraction", "integral-fraction", "float", "bool"])
+def test_int_inverse_refuses_non_int_entries(entry):
+    # the floor divisions of _reduce would truncate a Fraction or float silently
+    with pytest.raises(TypeError):
+        linalg.int_inverse([[2, 1], [entry, 3]])
 
 
 def forward_affine_basis(pts):

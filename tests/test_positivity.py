@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 import ehrtensor as et
 from ehrtensor import linalg
-from ehrtensor.positivity import (NotPositiveSemidefiniteError, congruence_diagonalization,
-                                  trial_seed)
+from ehrtensor.positivity import NotPositiveSemidefiniteError, _congruence, trial_seed
 
 from conftest import NAMED_POLYGONS, fraction_congruence
 
@@ -150,9 +149,11 @@ def fraction_report(m) -> et.DefinitenessReport:
 
 
 def _assert_congruence_matches_oracle(m):
-    diag, c = congruence_diagonalization(m)
-    assert (diag, c) == fraction_congruence(m)
-    assert all(type(v) is F for v in diag) and all(type(v) is F for row in c for v in row)
+    # the integer core read in Q: D_kk = A_kk / (s_k^2 L) and C = X / s
+    a, x, s, scale = _congruence(m)
+    assert all(a[i][j] == 0 for i in range(len(m)) for j in range(len(m)) if i != j)
+    diag = [F(a[k][k], s[k] * s[k] * scale) for k in range(len(m))]
+    assert (diag, [[F(v, sk) for v, sk in zip(row, s)] for row in x]) == fraction_congruence(m)
     t = mat(m)
     # the class read in integers, field by field, with Fraction directions
     rep = et.classify_definiteness(t)
