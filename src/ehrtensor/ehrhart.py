@@ -18,12 +18,12 @@ reciprocity for moment tensors gives the interior series the reversed
 numerator, ``sum_{n>=1} L(nP°) t^n = sum_i h_i t^(m+1-i) / (1-t)^(m+1)``.
 So alternating binomial sums of the closed moments give the lower half of h
 and those of the interior moments the upper half, from the scans of nP for
-n = 1..ceil(m/2) only.  From dim 4 on one dilate fewer is scanned: the
-volume moment is the leading coefficient of L(n) and half the facet-moment
-sum the second, so with the volume moment (odd m) or both (even m) known,
-the scans of n = 1..ceil((m - known)/2) fix L, and a cached integer plan
-per (dim, r) fills in the values at the next dilate (:func:`_fill_plan`).
-The polynomial is the binomial expansion of h, ``L(n) = sum_i h_i C(n+m-i, m)``.
+n = 1..ceil(m/2) only.  The polynomial is the binomial expansion of h,
+``L(n) = sum_i h_i C(n+m-i, m)``, so its two top coefficients are two sums
+of h: ``sum_i h_i = V``, the volume moment times m!, and ``sum_i (m+1-2i)
+h_i = F``, the facet-moment sum.  From dim 4 on one dilate fewer is
+scanned, and these two identities give the missing middle entries of h:
+one at odd m from V, two at even m from V and F (:func:`to_hr_vector`).
 
 The rows of nP do not depend on the rank: :func:`~ehrtensor.polytopes.dilate_rows`
 scans each dilate once, and one pass over its rows gives the moments of ranks
@@ -122,79 +122,51 @@ def _hr(p: Polytope, r: int, entries) -> HrVector:
     return HrVector(tuple(SymTensor.from_entries(r, p.dim, e) for e in entries))
 
 
-@lru_cache(maxsize=None)
-def _fill_plan(dim: int, r: int):
-    """How far the h route scans, and the integer weights that fill in the rest.
-
-    Returns ``(k, known, fills)``.  With m = dim + r, the scans of nP for
-    n = 0..k give L(x) = L^r(xP) at the 2k+1 nodes x = -k..k, since
-    L(-n) = (-1)^m L(nP°).  Below dim 4, k = ceil(m/2) and nothing is
-    missing.  From dim 4 on the top ``known = 2 - m % 2`` coefficients are
-    known: the volume moment ``c_m = V/m!`` and, at even m, half the
-    facet-moment sum ``c_(m-1) = F/(2 (m-1)!)``, V and F the integer sums of
-    :func:`_simplex_sums`.  Then k = ceil((m - known)/2), so L minus its
-    known terms has degree at most 2k, and extrapolating it from -k..k,
-    ``L(k+1) = sum_x (-1)^(k-x) C(2k+1, k+x) L(x) + sum_e c_e R_e`` with
-    ``R_e = (k+1)^e - sum_x (-1)^(k-x) C(2k+1, k+x) x^e``, and its mirror
-    image for L(-(k+1)), give the values :func:`_numerator` reads beyond the
-    scans: the closed side at n = k+1 when m is even, and the interior side
-    at n = k+1.  ``fills`` holds, per value, its side, its weights over the
-    closed values n = 0..k, the interior values n = 1..k and the first
-    ``known`` of (V, F), all times a common denominator, and that denominator.
-    """
-    m = dim + r
-    known = 0 if dim < 4 else 2 - m % 2
-    k = (m - known + 1) // 2
-    if not known:
-        return k, (), ()
-    nodes = range(-k, k + 1)
-    ahead = [(-1) ** (k - x) * math.comb(2 * k + 1, k + x) for x in nodes]
-    fills = []
-    # L(k+1) is a closed value only at even m; L(-(k+1)) is always an interior one
-    for side, t in (("closed", k + 1), ("interior", -k - 1))[m % 2:]:
-        w = ahead if t > 0 else ahead[::-1]         # L(-(k+1)) by the mirror x -> -x
-        sign = 1 if t > 0 else (-1) ** m            # the interior side is (-1)^m L(-n)
-        parts = [(sign * w[k + n], 1) for n in range(k + 1)]
-        parts += [(sign * (-1) ** m * w[k - n], 1) for n in range(1, k + 1)]
-        for e, scale in ((m, math.factorial(m)), (m - 1, 2 * math.factorial(m - 1)))[:known]:
-            rest = sign * (t ** e - sum(c * x ** e for c, x in zip(w, nodes)))
-            g = math.gcd(rest, scale)
-            parts.append((rest // g, scale // g))
-        den = math.lcm(*(d for _, d in parts))
-        fills.append((side, tuple(c * (den // d) for c, d in parts), den))
-    return k, known, tuple(fills)
+def _scan_reach(dim: int, r: int) -> tuple[int, int]:
+    """``(k, known)``: the h route scans nP for n = 1..k and reads the top
+    ``known`` coefficients of L^r(nP), m = dim + r, from the volume moment
+    and, at even m, the facet moments, which it does from dim 4 on."""
+    known = 0 if dim < 4 else 2 - (dim + r) % 2
+    return (dim + r - known + 1) // 2, known
 
 
 def to_hr_vector(p: Polytope, r: int) -> HrVector:
     """h-tensor vector of P, ``sum_n L^r(nP) t^n = sum_i h_i t^i / (1-t)^(m+1)``, m = dim + r.
 
-    The closed moments of nP, n = 0..floor(m/2), give h_0..h_floor(m/2).
-    By reciprocity ``sum_{n>=1} L^r(nP°) t^n = sum_i h_i t^(m+1-i) / (1-t)^(m+1)``,
-    so the interior moments, n = 1..ceil(m/2), give h_m, h_(m-1), ... as
-    numerator coefficients 1..ceil(m/2).  Below dim 4 both sides of nP are
-    scanned for n = 1..ceil(m/2); 0P is known without a scan.  From dim 4
-    on the volume moment and, at even m, the facet moments fix the top
-    coefficients of L^r(nP), so the scans stop one dilate earlier, at
-    n = ceil((m - known)/2), and
-    :func:`_fill_plan` fills in that dilate's values, with one exact
-    division per entry.  The top entry is L^r(P°) and, for r >= 1, entry 0
-    vanishes and entry 1 is L^r(P).
+    The closed moments of nP, n = 0..k, give h_0..h_k, and by reciprocity
+    ``sum_{n>=1} L^r(nP°) t^n = sum_i h_i t^(m+1-i) / (1-t)^(m+1)`` the
+    interior moments, n = 1..k, give h_m down to h_(m-k+1).  Below dim 4,
+    k = ceil(m/2) and that is all of h.  From dim 4 on the scans stop one
+    dilate earlier (:func:`_scan_reach`) and the middle entries come from
+    the two top coefficients of ``L(n) = sum_i h_i C(n+m-i, m)``: the
+    volume moment ``V = m! integral_P x^r = sum_i h_i``, which fixes the
+    one missing entry at odd m, and the facet sum ``F = sum_i (m+1-2i) h_i``
+    (Brion-Vergne 1997; Lasserre 1998), in which the two missing entries
+    h_(m/2), h_(m/2+1) at even m weigh +1 and -1, so each is half of an
+    integer sum, divided exactly.  The top entry is L^r(P°) and, for
+    r >= 1, entry 0 vanishes and entry 1 is L^r(P).
     """
     if r < 0:
         raise ValueError("rank and dilation must be nonnegative")
     m = p.dim + r
-    k, known, fills = _fill_plan(p.dim, r)
+    k, known = _scan_reach(p.dim, r)
     both = [_moments(p, r, n) for n in range(k + 1)]    # 0P° is empty
-    closed, interior = [c for c, _ in both], [i for _, i in both]
-    values = closed + interior[1:]
+    h = (_numerator([c for c, _ in both], m)[:m // 2 + 1]
+         + _numerator([i for _, i in both], m)[:0:-1])
     if known:
-        values += [sums[r] for sums in _simplex_sums(p, max(r, 2))[:known]]
-    for side, weights, den in fills:
-        nums = [sum(map(mul, weights, col)) for col in zip(*values)]
-        if any(x % den for x in nums):
-            raise ArithmeticError("the volume and facet moments do not fit the scanned moments")
-        (closed if side == "closed" else interior).append([x // den for x in nums])
-    return _hr(p, r, _numerator(closed[:m // 2 + 1], m) + _numerator(interior, m)[:0:-1])
+        columns = list(zip(*h))
+        volume, facets = (sums[r] for sums in _simplex_sums(p, max(r, 2)))
+        a = [v - sum(col) for v, col in zip(volume, columns)]
+        if m % 2:
+            h.insert(k + 1, a)
+        else:
+            weights = [m + 1 - 2 * i for i in (*range(k + 1), *range(m + 1 - k, m + 1))]
+            b = [f - sum(map(mul, weights, col)) for f, col in zip(facets, columns)]
+            if any((x + y) % 2 for x, y in zip(a, b)):
+                raise ArithmeticError("the volume and facet moments do not fit the scanned moments")
+            h[k + 1:k + 1] = [[(x + y) // 2 for x, y in zip(a, b)],
+                              [(x - y) // 2 for x, y in zip(a, b)]]
+    return _hr(p, r, h)
 
 
 @lru_cache(maxsize=None)
@@ -237,12 +209,13 @@ def _all_dilates_oracle(p: Polytope, r: int) -> HrVector:
 
     The oracle of ``ehrtensor verify`` below dim 4 (:func:`_oracle`): the
     same numerator map on closed moments only, with no interior moment, no
-    reciprocity and no volume or facet moment.  Its passes add the interior
+    reciprocity and no volume or facet moment, so the two h-sum identities
+    of :func:`to_hr_vector` can be checked on it.  Its passes add the interior
     side up to the later of n = 3 (reciprocity) and the h route's last
     dilate, so that each dilate either reads is one pass over both sides.
     """
     m, top = p.dim + r, max(r, 2)
-    half = max(_fill_plan(p.dim, top)[0], 3)
+    half = max(_scan_reach(p.dim, top)[0], 3)
     closed = [_moments(p, r, n, BOTH if n <= half else CLOSED)[0] for n in range(m + 1)]
     return _hr(p, r, _numerator(closed, m))
 
@@ -268,7 +241,7 @@ def _oracle(p: Polytope, ranks) -> list[HrVector]:
     not take: the oracle of ``ehrtensor verify`` and :func:`reciprocity_check`.
 
     Where the h route reads the volume and facet moments (from dim 4 on, see
-    :func:`_fill_plan`), the sum over the half-open cells of
+    :func:`_scan_reach`), the sum over the half-open cells of
     :func:`_halfopen_cells`: one box enumeration per cell and one vertex-part
     pass for all the cells serve every rank, and the entries are summed
     across the cells before any tensor is built
@@ -277,7 +250,7 @@ def _oracle(p: Polytope, ranks) -> list[HrVector]:
     Below dim 4, :func:`_all_dilates_oracle`, whose scans of the dilates the
     h route reads too.
     """
-    if _fill_plan(p.dim, max(ranks))[1]:
+    if _scan_reach(p.dim, max(ranks))[1]:
         return _hr_sums([(s, box_slices(s)) for s in _halfopen_cells(p)], ranks)
     return [_all_dilates_oracle(p, r) for r in ranks]
 

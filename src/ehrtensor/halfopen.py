@@ -299,7 +299,9 @@ def _hr_sums(cells, ranks) -> list[HrVector]:
     z^c/c!``, where ``B_c = A_(max(c-1, 1))``, so the parts come from the
     vertex power sums by Newton's recurrence with weights ``c B_c(t)``: one
     call of :func:`~ehrtensor.tensors._newton_columns` for all the cells, one
-    column per cell, serves every rank up to the largest asked for.  The
+    column per cell, serves every rank up to the largest asked for.  It
+    takes each distinct vertex once and each cell as a tuple of indices, so
+    a vertex that several cells share has its powers built once.  The
     rank-q numerator is ``sum_(k_0) (1-t)^(k_0) parts[q-k_0](t) S_(k_0)(t)``,
     where ``S_k(t) = sum_i t^i (rank-k moment of slice i)``; the slice
     moments of every rank come from the box's coordinate columns, enumerated
@@ -313,12 +315,12 @@ def _hr_sums(cells, ranks) -> list[HrVector]:
         raise ValueError("rank must be nonnegative")
     top = max(ranks)
     d = cells[0][0].dim
-    vertices = [v for s, _ in cells for v in s.vertices]
-    faces = [range(j, j + d + 1) for j in range(0, len(vertices), d + 1)]
+    points: dict[IntPoint, int] = {}       # each distinct vertex once, shared by its cells
+    faces = [tuple(points.setdefault(v, len(points)) for v in s.vertices) for s, _ in cells]
     weights = [[c * a for a in eulerian_polynomial(max(c - 1, 1))] for c in range(top + 1)]
     # parts[k][deg][j]: the entries of the t^deg coefficient of the rank-k vertex part of cell j
     parts = [{deg: list(zip(*cols)) for deg, cols in by_deg.items()}
-             for by_deg in _newton_columns(vertices, faces, top, d, weights)]
+             for by_deg in _newton_columns(list(points), faces, top, d, weights)]
     # sums[j][k_0][deg]: the t^deg entries of parts[r-k_0](t) S_(k_0)(t), r = ranks[j]
     sums: list[list[dict[int, list[int]]]] = [[{} for _ in range(r + 1)] for r in ranks]
     for j, (_, box) in enumerate(cells):

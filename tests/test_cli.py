@@ -305,7 +305,8 @@ def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, mon
     # on it is one half-open decomposition of the boundary point on the most
     # faces coned over the boundary faces whose plane misses it (5 cells on
     # the finding, against 7 from its first point): one Newton kernel call of
-    # rank 2 with one column per cell, and per cell one box and one box moment
+    # rank 2 with one column per cell, over the 8 distinct vertices of the
+    # cells (25 cell corners), and per cell one box and one box moment
     # pass, of rank 2.  The volume and facet moments of ranks 0..2 are one
     # Newton kernel call over the boundary faces, which keep their lattice
     # volumes and planes, so they take no determinant and no cross product of
@@ -345,6 +346,8 @@ def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, mon
         assert len(coned) == 5 and all(s[0] == points.index(apex) for s in decompositions[0])
         assert len(boxes) == len(coned)
         assert [(c["r"], len(c["faces"])) for c in parts] == [(2, len(coned))]
+        distinct = {i for s in decompositions[0] for i in s}
+        assert len(parts[0]["vertices"]) == len(distinct) == 8
         assert box_moments == [2] * len(coned)
     assert [(c["r"], len(c["faces"])) for c in passes] == [(2, len(boundary))]
     for r in range(4):

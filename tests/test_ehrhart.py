@@ -165,18 +165,37 @@ def test_integer_oracle_matches_fraction_oracle_and_main_route():
 
 def known_coefficient_corpus():
     return [et.random_lattice_polytope(d, bound, d + 3, seed=760 + seed)
-            for d, bound, seeds in ((4, 1, 2), (4, 2, 2), (5, 1, 1)) for seed in range(seeds)]
+            for d, bound, seeds in ((4, 1, 2), (4, 2, 2), (5, 1, 1), (6, 1, 1))
+            for seed in range(seeds)]
 
 
 def test_hr_vector_from_known_coefficients_matches_all_dilates_oracle():
-    # from d = 4 on the h route scans one dilate fewer and fills in its
-    # values from the volume and facet moments; the oracle, on a freshly
-    # built copy that shares no stored pass, reads the closed moments of
-    # every dilate and neither moment
+    # from d = 4 on the h route scans one dilate fewer and solves for the
+    # middle entries of h from the volume and facet moments, one entry at
+    # odd m and two at even m, up to m = 10 on the d = 6 polytope; the
+    # oracle, on a freshly built copy that shares no stored pass, reads the
+    # closed moments of every dilate and neither moment
     for p in known_coefficient_corpus():
         for r in range(5):
             fresh = et.convex_hull(p.vertices)
             assert et.to_hr_vector(p, r) == ehrhart._all_dilates_oracle(fresh, r), (p.dim, r)
+
+
+def test_all_dilates_h_meets_the_volume_and_facet_sums():
+    # the two top coefficients of L(n) = sum_i h_i C(n+m-i, m), m = d + r,
+    # are two sums of h: sum_i h_i = V, the volume moment times m!, and
+    # sum_i (m+1-2i) h_i = F, the facet sum.  The all-dilates h reads neither,
+    # and the identities are checked below d = 4 too, where the h route
+    # does not use them
+    for d, bound in ((1, 4), (2, 3), (3, 2), (4, 1), (5, 1)):
+        p = et.random_lattice_polytope(d, bound, d + 3, seed=720 + d)
+        for r in range(5):
+            m = d + r
+            columns = list(zip(*(e.entries for e in ehrhart._all_dilates_oracle(p, r).entries)))
+            volume, facets = (sums[r] for sums in ehrhart._simplex_sums(p, max(r, 2)))
+            assert [sum(col) for col in columns] == list(volume), (d, r)
+            assert [sum((m + 1 - 2 * i) * x for i, x in enumerate(col))
+                    for col in columns] == list(facets), (d, r)
 
 
 @pytest.mark.parametrize("kind", ["volume", "facets"])
