@@ -1,5 +1,6 @@
 """Unimodular triangulations, edge sums, closed polygon formulas."""
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import ehrtensor as et
 from ehrtensor import triangulation
-from ehrtensor.linalg import affine_rank
+from ehrtensor.linalg import affine_rank, cross2
 from ehrtensor.polytopes import _hull_2d, placing_triangulation
 from ehrtensor.tensors import dot, vadd, vsub
 from ehrtensor.triangulation import INSERTION_ORDERS, EdgeStats
@@ -525,6 +526,29 @@ def test_sparse_decomposition_seeded_polygons():
             for seed in range(4):
                 p = et.random_lattice_polytope(2, bound, gens, seed=seed)
                 check_sparse_conditions(p, et.sparse_decomposition(p))
+
+
+def test_sparse_decomposition_outputs_are_pinned(monkeypatch):
+    # the repr of every piece's vertices and facets on 144 polygons: bounds
+    # 2-6, 3-9 generators, seeds 0-3, and the collinear-heavy shapes; the
+    # corpus reaches both branches of the collinear base case
+    polygons = [et.random_lattice_polytope(2, bound, gens, seed=seed)
+                for bound in range(2, 7) for gens in range(3, 10) for seed in range(4)]
+    polygons += [et.convex_hull(v) for v in (
+        [(0, 0), (7, 0), (3, 1)], [(0, 0), (9, 0), (5, 1), (8, -1)],
+        [(-4, 0), (4, 0), (0, 1), (1, -1)], [(0, 0), (8, 0), (8, 1), (0, 1)])]
+    collinear_case, on_line = triangulation._collinear_case, []
+
+    def recording(v1, v2, line_pts, points):
+        on_line.append(cross2(line_pts[0], line_pts[1], v2) == 0)
+        return collinear_case(v1, v2, line_pts, points)
+
+    monkeypatch.setattr(triangulation, "_collinear_case", recording)
+    lines = [repr([(q.vertices, q.facets) for q in et.sparse_decomposition(p)])
+             for p in polygons]
+    assert (on_line.count(True), on_line.count(False)) == (16, 23)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "b582e1db6adb51e328c1ec5dc920adcb2f9ad4a484357005bbca7f6c5c3a7823"
 
 
 def assert_contact_agrees(a_pts, b_pts):
