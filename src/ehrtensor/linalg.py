@@ -148,7 +148,3 @@ def affine_basis(points: Sequence[Sequence[int]]) -> tuple[int, ...]:
     cols = [[p[i] - origin[i] for p in points[1:]] for i in range(len(origin))]
     return (0,) + tuple(c + 1 for c in _reduce(cols)[1])
 
-
-def affine_rank(points: Sequence[Sequence[int]]) -> int:
-    """Dimension of the affine hull of a point set."""
-    return max(len(affine_basis(points)) - 1, 0)

@@ -118,6 +118,7 @@ class Polytope:
         return {}
 
     def translate(self, t: Sequence[int]) -> "Polytope":
+        t = tuple(map(checked_int, t))
         verts = tuple(sorted(vadd(v, t) for v in self.vertices))
         facets = tuple(FacetIneq(f.normal, f.rhs + dot(f.normal, t)) for f in self.facets)
         return Polytope(self.dim, verts, facets)

@@ -22,7 +22,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .linalg import affine_rank, cross2
+from .linalg import cross2
 from .polytopes import DegenerateInputError, Polytope, convex_hull, lattice_points
 from .tensors import (HrVector, IntPoint, SymTensor, TensorPolynomial, _moment_entries,
                       dot, moment_of_points)
@@ -269,33 +269,24 @@ def _pieces_compatible(a: Polytope, b: Polytope) -> bool:
 
 def _piece(points) -> Polytope | None:
     try:
-        hull = convex_hull(points)
+        return convex_hull(points)
     except DegenerateInputError:
         return None
-    return hull
-
-
-def _count_ok(piece: Polytope, budget=(3, 4)) -> bool:
-    return len(lattice_points(piece, 1)) in budget
 
 
 def _pair_chain(apex: IntPoint, chain: list[IntPoint]) -> list[Polytope] | None:
+    """Fan from ``apex`` over consecutive pairs of ``chain``, the last piece
+    over three chain points when their number is odd; None when it fails."""
     if len(chain) == 1:
         return None
-    out = []
-    i = 0
-    n = len(chain)
-    while i < n:
-        rem = n - i
-        if rem == 3:
-            piece = _piece([apex, chain[i], chain[i + 2]])
-            i += 3
-        else:
-            piece = _piece([apex, chain[i], chain[i + 1]])
-            i += 2
+    out, i = [], 0
+    while i < len(chain):
+        step = 3 if len(chain) - i == 3 else 2
+        piece = _piece([apex, chain[i], chain[i + step - 1]])
         if piece is None:
             return None
         out.append(piece)
+        i += step
     return out
 
 
@@ -317,65 +308,60 @@ def _validate(pieces: list[Polytope], points: list[IntPoint]) -> bool:
 
 def _collinear_case(v1: IntPoint, v2: IntPoint, line_pts: list[IntPoint],
                     points: list[IntPoint]) -> list[Polytope] | None:
-    """All remaining points on one line; v1, v2 are the two peeled points."""
-    on_line = len(line_pts) >= 2 and cross2(line_pts[0], line_pts[1], v2) == 0
-    candidates = []
-    if on_line:
+    """All remaining points, at least three, on one line; v1, v2 are the two
+    peeled points.  Returns the first candidate fan that `_validate` accepts."""
+    if cross2(line_pts[0], line_pts[1], v2) == 0:
         # v2 extends the line; the unique off-line point is the only apex
-        chain = [v2] + line_pts
-        candidates.append((None, v1, chain))
+        candidates = [((), v1, [v2] + line_pts)]
     else:
-        for p1_pts in ([v1, v2, line_pts[0]],
-                       [v2, line_pts[0], line_pts[1]] if len(line_pts) >= 2 else None,
-                       [v1, line_pts[0], line_pts[1]] if len(line_pts) >= 2 else None):
-            if p1_pts is None:
-                continue
-            for apex in (v1, v2):
-                rest = [w for w in line_pts if w not in p1_pts]
-                candidates.append((p1_pts, apex, rest))
-    for p1_pts, apex, chain in candidates:
-        pieces = []
-        if p1_pts is not None:
-            first = _piece(p1_pts)
-            if first is None or not _count_ok(first):
-                continue
-            pieces.append(first)
-        tail = _pair_chain(apex, chain) if chain else []
-        if tail is None:
-            continue
-        pieces = pieces + tail
-        if _validate(pieces, points):
-            return pieces
+        candidates = [(first, apex, [w for w in line_pts if w not in first])
+                      for first in ((v1, v2, line_pts[0]), (v2, line_pts[0], line_pts[1]),
+                                    (v1, line_pts[0], line_pts[1]))
+                      for apex in (v1, v2)]
+    for first, apex, chain in candidates:
+        head = [_piece(first)] if first else []
+        tail = _pair_chain(apex, chain)
+        if tail is not None and None not in head and _validate(head + tail, points):
+            return head + tail
     return None
 
 
 def _sparse_points(points: list[IntPoint]) -> list[Polytope] | None:
-    if len(points) <= 4:
-        piece = _piece(points)
-        if piece is None:
-            return None
-        return [piece]
-    # direction (1, N) with N exceeding the x-spread gives distinct products
-    spread = max(x for x, _ in points) - min(x for x, _ in points) + 1
-    a = (1, spread)
-    ordered = sorted(points, key=lambda w: dot(a, w), reverse=True)
-    v1, v2, rest = ordered[0], ordered[1], ordered[2:]
+    """Pieces for a polygon's lattice points, or None when a step finds none.
 
-    if affine_rank(rest) < 2:
-        return _collinear_case(v1, v2, rest, points)
-
-    sub = _sparse_points(rest)
-    if sub is None:
+    Sorts once, by (y, x) descending, and peels the two largest points while
+    more than four are left and the rest is not collinear.  The rest is then
+    the polygon's lattice points below a level of the linear order x + N y
+    (N above the x-spread), so the hull of at most four of them holds exactly
+    those points; a collinear rest goes to `_collinear_case`, which validates
+    its own pieces.  Each peeled pair, the last one first, gets as cap the
+    first triangle on a later point that is empty, by Pick's theorem exactly
+    when its doubled area is 1, and meets every piece below it at most in a
+    common vertex.  So the pieces meet the conditions by construction.
+    """
+    ordered = sorted(points, key=lambda w: (w[1], w[0]), reverse=True)
+    i = 0
+    while len(ordered) - i > 4:
+        rest = ordered[i + 2:]
+        if all(cross2(rest[0], rest[1], w) == 0 for w in rest):
+            pieces = _collinear_case(ordered[i], ordered[i + 1], rest, ordered[i:])
+            break
+        i += 2
+    else:
+        pieces = [convex_hull(ordered[i:])]
+    if pieces is None:
         return None
-    for w in rest:
-        if cross2(v1, v2, w) == 0:
-            continue
-        cap = _piece([v1, v2, w])
-        if cap is None or not _count_ok(cap, budget=(3,)):
-            continue
-        if all(_pieces_compatible(cap, piece) for piece in sub):
-            return sub + [cap]
-    return None
+    for j in range(i - 2, -1, -2):
+        v1, v2 = ordered[j], ordered[j + 1]
+        for w in ordered[j + 2:]:
+            if abs(cross2(v1, v2, w)) == 1:
+                cap = convex_hull([v1, v2, w])
+                if all(_pieces_compatible(cap, piece) for piece in pieces):
+                    pieces.append(cap)
+                    break
+        else:
+            return None
+    return pieces
 
 
 def sparse_decomposition(p: Polytope) -> list[Polytope]:
@@ -383,14 +369,15 @@ def sparse_decomposition(p: Polytope) -> list[Polytope]:
 
     Pieces pairwise intersect in at most a common vertex and their lattice
     points cover the polygon's.  Construction peels the two largest points
-    of a generic linear order and recurses, with a fan construction when the
-    remainder is collinear; the result is verified exactly before returning.
+    of a generic linear order, with a fan construction when the remainder is
+    collinear, and caps each peeled pair by an empty triangle checked against
+    the pieces below it; this guarantees both conditions, which the tests
+    check with an independent segment-intersection oracle.
     """
     if p.dim != 2:
         raise ValueError("sparse decomposition is a polygon operation")
-    points = lattice_points(p, 1)
-    result = _sparse_points(points)
-    if result is None or not _validate(result, points):
+    result = _sparse_points(lattice_points(p, 1))
+    if result is None:
         raise RuntimeError("sparse decomposition construction failed; "
                            f"vertices {p.vertices}")
     return result

@@ -1,4 +1,5 @@
 """Command-line interface: formats, determinism, exit codes."""
+import io
 import json
 import subprocess
 import sys
@@ -104,6 +105,20 @@ def test_pick_agreement_flag(capsys):
     assert len(data["triangulation"]["points"]) == 4
 
 
+def test_pick_refuses_a_3_polytope(capsys):
+    code, out, _ = run_cli(["pick", '{"vertices": [[0,0,0],[1,0,0],[0,1,0],[0,0,1]]}'], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "not_a_polygon"
+
+
+def test_input_dash_reads_stdin(capsys, monkeypatch):
+    _, inline, _ = run_cli(["hvec", "--r", "1", TRIANGLE_51], capsys)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(TRIANGLE_51))
+    code, out, _ = run_cli(["hvec", "--r", "1", "-"], capsys)
+    assert code == 0
+    assert out == inline
+
+
 def test_halfopen_subcommand(capsys):
     code, out, _ = run_cli(
         ["halfopen", '{"vertices":[[2,-2],[3,-2],[2,-1]],"removed":[0]}', "--r", "2"],
@@ -157,6 +172,32 @@ def test_reflexive_subcommand(capsys):
     assert data["reflexive"] is True
     assert data["biconditional_r0"] is True
     assert data["biconditional_r2"] is True
+
+
+def test_reflexive_table_mode(capsys):
+    code, out, _ = run_cli(["reflexive", "--table", '{"vertices": [[1,0],[0,1],[-1,-1]]}'], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert "reflexive: True" in lines and "biconditional_r2: True" in lines
+    assert [line for line in lines if line.startswith("facet: ")] == [
+        "facet: [-2, 1] . x <= 1", "facet: [1, -2] . x <= 1", "facet: [1, 1] . x <= 1"]
+
+
+def test_scan_table_mode(capsys):
+    code, out, err = run_cli(["scan", "--dim", "2", "--trials", "4", "--seed", "42",
+                              "--bound", "3", "--gens", "5", "--table"], capsys)
+    assert code == 0
+    assert out == "scan psd d=2: 4 completed, 0 skipped, 0 violations\n"
+    assert err.startswith("runtime: ")
+
+
+def test_scan_fails_on_the_shipped_finding(capsys):
+    code, out, _ = run_cli(["scan", "--dim", "4", "--trials", "96", "--seed", "42",
+                            "--which", "hibi", "--fail-on-violation"], capsys)
+    assert code == 1
+    (finding,) = json.loads(out)["violations"]
+    assert (finding["trial"], finding["index"], finding["classification"]) == \
+        (95, 5, "indefinite")
 
 
 def test_scan_deterministic_output(capsys):

@@ -394,6 +394,16 @@ def test_random_polytope_rejects_bad_args():
         et.random_lattice_polytope(3, 2, 3, seed=0)
 
 
+def test_translate_refuses_non_integer_offsets():
+    # a float or bool offset used to give vertices like (0.5, 1) and a facet
+    # rhs of -0.5, on which discrete_moment died in range()
+    p = et.convex_hull([(0, 0), (1, 0), (0, 1)])
+    for t in ((0.5, 1), (0, True), (1, "2"), (1.0, 0)):
+        with pytest.raises(ValueError, match="expected an integer"):
+            p.translate(t)
+    assert p.translate((2, -1)).vertices == ((2, -1), (2, 0), (3, -1))
+
+
 def test_polytope_json_round_trip(corpus_polygons):
     for p in corpus_polygons.values():
         q = polytope_from_json(polytope_to_json(p))

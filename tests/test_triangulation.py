@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import ehrtensor as et
 from ehrtensor import triangulation
-from ehrtensor.linalg import affine_rank, cross2
+from ehrtensor.linalg import affine_basis, cross2
 from ehrtensor.polytopes import _hull_2d, placing_triangulation
 from ehrtensor.tensors import dot, vadd, vsub
 from ehrtensor.triangulation import INSERTION_ORDERS, EdgeStats
@@ -583,7 +583,7 @@ def test_pieces_compatible_matches_segment_oracle():
     def piece_points():
         while True:
             pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.choice((3, 4)))]
-            if affine_rank(pts) == 2:
+            if len(affine_basis(pts)) == 3:
                 return pts
 
     verdicts = [assert_contact_agrees(piece_points(), piece_points()) for _ in range(5000)]
