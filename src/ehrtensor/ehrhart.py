@@ -225,7 +225,7 @@ def _halfopen_cells(p: Polytope) -> list[HalfOpenSimplex]:
     :attr:`~ehrtensor.polytopes.Polytope.boundary` that is a corner of the
     most boundary faces (the first of them), coned over the boundary faces
     whose plane misses it (a pulling triangulation, built on the stored
-    boundary with no hull and no cross product of its own), split by
+    boundary and its planes with no hull of its own), split by
     :func:`~ehrtensor.halfopen.half_open_decomposition`.  Each cell costs
     about the same whatever its volume, and the faces through the apex
     make none."""

@@ -30,7 +30,7 @@ from itertools import accumulate, repeat
 from operator import add, floordiv, mod, mul, sub
 
 from . import linalg
-from .polytopes import checked_int, scan_rows, shadow_levels
+from .polytopes import _lifted, barycentric_facets, checked_int, scan_rows, shadow_levels
 from .tensors import (CLOSED, HrVector, IntPoint, SymTensor, _column_moments, _newton_columns,
                       _product_entries, dot, moment_of_points, multi_indices, outer_power,
                       row_moments, sym_product)
@@ -56,11 +56,6 @@ def eulerian_polynomial(j: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # half-open simplices
 
-def _lifted(vertices) -> list[list[int]]:
-    """The matrix with columns (v_j, 1)."""
-    return [list(c) for c in zip(*vertices)] + [[1] * len(vertices)]
-
-
 @dataclass(frozen=True)
 class HalfOpenSimplex:
     """Lattice simplex with the facets opposite ``removed`` vertices deleted."""
@@ -77,7 +72,7 @@ class HalfOpenSimplex:
             raise ValueError("vertices have mixed dimensions")
         if len(self.vertices) != d + 1:
             raise ValueError(f"a {d}-simplex needs {d + 1} vertices")
-        if inverse is None and linalg.int_det(_lifted(self.vertices)) == 0:
+        if inverse is None and len(linalg.affine_basis(self.vertices)) <= d:
             raise ValueError("vertices are affinely dependent")
         if inverse is not None:
             object.__setattr__(self, "_inverse", inverse)
@@ -113,17 +108,10 @@ class HalfOpenSimplex:
         return self._inverse
 
     def facets(self) -> list[tuple[IntPoint, int]]:
-        """Facet i as (normal, rhs), polytope side normal.x <= rhs, for i = 0..d.
-
-        From ``a_i.(x, 1) >= 0`` with the barycentric row a_i and g the gcd of
-        ``a_i[:d]``: normal ``-a_i[:d]/g``, rhs ``a_i[d]/g``.
-        """
-        d = self.dim
-        out = []
-        for a in self.barycentric_rows()[0]:
-            g = linalg.gcd_vector(a[:d])
-            out.append((tuple(-x // g for x in a[:d]), a[d] // g))
-        return out
+        """Facet i as (normal, rhs), polytope side normal.x <= rhs, for i = 0..d:
+        the primitive plane of ``a_i.(x, 1) >= 0`` with a_i the barycentric row
+        (:func:`~ehrtensor.polytopes.barycentric_facets`)."""
+        return [plane for plane, _ in barycentric_facets(self.barycentric_rows()[0])]
 
     def constraints(self, n: int) -> list[tuple[IntPoint, int]]:
         """``(normal, rhs)`` pairs of n*S for :func:`~ehrtensor.polytopes.scan_rows`;

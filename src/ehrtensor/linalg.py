@@ -1,9 +1,10 @@
 """Exact linear algebra helpers over Z for small matrices.
 
 Plain list-of-lists matrices of ints.  One fraction-free Gauss-Jordan
-elimination (Bareiss) on integer rows serves inversion, integer normals and
-affine bases; an inverse is an integer matrix over one common denominator.
-Determinants take only its forward half.
+elimination (Bareiss) on integer rows, :func:`_reduce`, serves inversion and
+affine bases; an inverse is an integer matrix over one common denominator,
+and its rows give a simplex's facet planes
+(:func:`~ehrtensor.polytopes.barycentric_facets`).
 Pivoting is "first nonzero": matrices here are tiny (d <= 5 or so) and
 exactness is the only requirement.
 """
@@ -75,31 +76,6 @@ def int_inverse(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     return [[sign * x for x in row[n:]] for row in rows], sign * rows[0][0] if rows else 1
 
 
-def int_det(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix.
-
-    The forward half of :func:`_reduce`'s elimination: each step clears the
-    pivot column below the pivot only, ``(p * row - f * top) // prev`` on the
-    columns right of it, so the rows shrink by one entry per step and the
-    last pivot, signed by the row swaps, is the determinant.
-    """
-    m = list(a)
-    sign, prev = 1, 1
-    while m:
-        for piv, row in enumerate(m):
-            if row[0]:
-                break
-        else:
-            return 0
-        if piv:
-            m[0], m[piv] = m[piv], m[0]
-            sign = -sign
-        p, *top = m[0]
-        m = [[(p * x - f * y) // prev for x, y in zip(rest, top)] for f, *rest in m[1:]]
-        prev = p
-    return sign * prev
-
-
 def gcd_vector(v: Sequence[int]) -> int:
     g = 0
     for x in v:
@@ -113,25 +89,6 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in v)
-
-
-def generalized_cross(vectors: Sequence[Sequence[int]], dim: int) -> tuple[int, ...]:
-    """Integer normal to d-1 vectors in Z^d: entry j is (-1)^j times the minor without column j.
-
-    It is the null vector of the reduced vectors with ``(-1)^j det`` at their
-    one non-pivot column j; (1,) for d = 1, zero iff the vectors are dependent.
-    """
-    if len(vectors) != dim - 1:
-        raise ValueError(f"need {dim - 1} vectors in dimension {dim}")
-    rows, pivots, det = _reduce(vectors)
-    if det == 0:
-        return (0,) * dim
-    j = next(c for c in range(dim) if c not in pivots)
-    normal = [0] * dim
-    normal[j] = (-1) ** j * det
-    for row, c in zip(rows, pivots):
-        normal[c] = -row[j] * normal[j] // row[c]
-    return tuple(normal)
 
 
 def cross2(o: Sequence[int], a: Sequence[int], b: Sequence[int]) -> int:

@@ -1,9 +1,10 @@
 """Lattice polytopes in small dimension with exact facet and point machinery.
 
 V-representation in, facets derived from the boundary of one integer
-beneath-beyond placing triangulation (a monotone chain for polygons), whose
-faces after the starting simplex take their planes and lattice volumes from
-the two known planes at their horizon ridge, without a cross product.
+beneath-beyond placing triangulation (a monotone chain for polygons).  Its
+starting simplex reads the planes and lattice volumes of its faces off the
+barycentric rows of one integer inverse, and every later face takes them from
+the two known planes at its horizon ridge.
 Lattice point enumeration runs in one axis order per polytope, the cheapest
 by the projected volumes of its boundary, and clips each prefix level exactly
 by the facets of a projection (Fourier-Motzkin shadows), so no epsilon
@@ -18,8 +19,8 @@ from itertools import accumulate, chain
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import affine_basis, cross2, gcd_vector, generalized_cross, primitive
-from .tensors import IntPoint, dot, vadd, vneg, vsub
+from .linalg import affine_basis, cross2, gcd_vector, int_inverse, primitive
+from .tensors import IntPoint, dot, vadd
 
 
 def checked_int(x) -> int:
@@ -166,6 +167,29 @@ def _in_frame(x: Sequence[int], order: Sequence[int]) -> IntPoint:
     return tuple(map(x.__getitem__, order))
 
 
+def _lifted(vertices) -> list[list[int]]:
+    """The matrix with columns (v_j, 1)."""
+    return [list(c) for c in zip(*vertices)] + [[1] * len(vertices)]
+
+
+def barycentric_facets(rows: Sequence[Sequence[int]]) -> list[tuple[tuple[IntPoint, int], int]]:
+    """Facet i of a d-simplex as ``((normal, rhs), g)``, i = 0..d, from the rows
+    a_i of ``int_inverse(_lifted(vertices))[0]``.
+
+    Facet i, opposite vertex i, is ``a_i.(x, 1) >= 0`` on the simplex.  With g
+    the gcd of ``a_i[:d]``, its primitive plane is ``normal . x <= rhs``,
+    normal ``-a_i[:d]/g`` and rhs ``a_i[d]/g``.  The entries of a_i are signed
+    maximal minors of the facet's lifted vertices, so g is the facet's volume
+    in the lattice of its plane.
+    """
+    d = len(rows) - 1
+    out = []
+    for a in rows:
+        g = gcd_vector(a[:d])
+        out.append(((tuple(-x // g for x in a[:d]), a[d] // g), g))
+    return out
+
+
 def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[
         list[tuple[int, ...]], list[tuple[tuple[int, ...], tuple[IntPoint, int], int]]]:
     """Beneath-beyond placing triangulation of integer points, in the order given.
@@ -180,7 +204,8 @@ def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[
     plane, the gcd of the cofactor normal of its edges.  Raises
     :class:`DegenerateInputError` when the points do not span Z^d.
 
-    Only the d+1 faces of the starting simplex take a cross product.  A new
+    The d+1 faces of the starting simplex read their planes and volumes off
+    one integer inverse (:func:`barycentric_facets`).  A new
     face R + q lies in the pencil of planes through its horizon ridge R
     (Joswig, "Beneath-and-beyond revisited", 2003): with F = R + f the
     visible face on R, G the face across R and ``a = normal . q - rhs``
@@ -201,14 +226,10 @@ def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[
             if face[j] != skip:
                 ridges.setdefault(face[:j] + face[j + 1:], []).append(face)
 
-    for j, v in enumerate(first):
+    rows, _ = int_inverse(_lifted([pts[i] for i in first]))
+    for j, entry in enumerate(barycentric_facets(rows)):
         face = first[:j] + first[j + 1:]
-        base = pts[face[0]]
-        cross = generalized_cross([vsub(pts[i], base) for i in face[1:]], d)
-        g = gcd_vector(cross)
-        normal = tuple(x // g for x in cross)
-        rhs = dot(normal, base)
-        boundary[face] = ((vneg(normal), -rhs) if dot(normal, pts[v]) > rhs else (normal, rhs), g)
+        boundary[face] = entry
         link(face)
     simplices = [first]
     for k, q in enumerate(pts):

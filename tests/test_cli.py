@@ -350,9 +350,9 @@ def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, mon
     # cells (25 cell corners), and per cell one box and one box moment
     # pass, of rank 2.  The volume and facet moments of ranks 0..2 are one
     # Newton kernel call over the boundary faces, which keep their lattice
-    # volumes and planes, so they take no determinant and no cross product of
-    # their own; nor do the cells, whose barycentric rows come from one
-    # inverse each.  verify reads the volume sum for dim <= 3 and the facet
+    # volumes and planes, so no hull is built again; the cells take their
+    # barycentric rows from one inverse each and do not check their vertices
+    # again.  verify reads the volume sum for dim <= 3 and the facet
     # sum in 2D; the h route reads both from dim 4 on.  Rank 3 makes one pass
     # of its own.
     p = polytopes.polytope_from_json(json.loads(random_request(dim, bound, seed)))
@@ -369,8 +369,9 @@ def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, mon
     boxes = counted(ehrhart, "box_slices")
     parts = record_calls(monkeypatch, halfopen, "_newton_columns")
     box_moments = counted(halfopen.BoxSlices, "moments")
-    dets = counted(linalg, "int_det")
-    crosses = counted(polytopes, "generalized_cross")
+    hulls = counted(polytopes, "placing_triangulation")
+    hull_inverses = counted(polytopes, "int_inverse")
+    cell_checks = counted(linalg, "affine_basis")
     passes = record_calls(monkeypatch, ehrhart, "_newton_columns")
     code, out, _ = run_cli(["verify", "--json", "{}"], capsys)
     assert code == 0 and json.loads(out)["all_pass"] is True
@@ -395,7 +396,7 @@ def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, mon
         ehrhart.moment_tensor(p, r)
         ehrhart.second_coefficient_facets(p, r)
     assert [(c["r"], len(c["faces"])) for c in passes] == [(2, len(boundary)), (3, len(boundary))]
-    assert dets == crosses == []
+    assert hulls == hull_inverses == cell_checks == []
 
 
 # Each check of `verify` on a polygon, with a function on its side that does
@@ -476,6 +477,7 @@ def test_malformed_input_exit_code(capsys):
     ("hvec", '{"vertices": [[], []]}'),
     ("halfopen", '{"vertices": []}'),
     ("halfopen", '{"vertices": [[0,0],[1,0],[0,1,2]]}'),
+    ("halfopen", '{"vertices": [[0,0,0],[1,0,0],[0,1,0],[1,1,0]]}'),
 ])
 def test_non_integer_input_exit_code(command, data, capsys):
     code, out, _ = run_cli([command, data], capsys)

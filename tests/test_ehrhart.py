@@ -9,12 +9,12 @@ import pytest
 import ehrtensor as et
 from ehrtensor import ehrhart, polytopes
 from ehrtensor.ehrhart import BOTH, CLOSED
-from ehrtensor.linalg import gcd_vector, generalized_cross, int_det
+from ehrtensor.linalg import gcd_vector
 from ehrtensor.positivity import trial_seed
 from ehrtensor.tensors import _newton_columns, vneg, vsub
 
-from conftest import (NAMED_POLYGONS, apply_linear_map, fraction_simplex_moment,
-                      fraction_vandermonde_oracle, fraction_volume_and_facet_moments,
+from conftest import (NAMED_POLYGONS, apply_linear_map, cofactor_cross, fraction_simplex_moment,
+                      fraction_vandermonde_oracle, fraction_volume_and_facet_moments, leibniz_det,
                       oracle_moment, oracle_polygon_points, record_calls,
                       translation_covariance_rhs)
 
@@ -362,13 +362,13 @@ def test_simplex_moment_matches_barycentric_oracle():
         done = 0
         while done < 2:
             verts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d + 1)]
-            volume = abs(int_det([vsub(v, verts[0]) for v in verts[1:]]))
+            volume = abs(leibniz_det([vsub(v, verts[0]) for v in verts[1:]]))
             if volume == 0:
                 continue
             done += 1
             # the simplex and one of its facets, in the facet lattice measure
             facet = verts[1:]
-            facet_volume = gcd_vector(generalized_cross([vsub(v, facet[0]) for v in facet[1:]], d))
+            facet_volume = gcd_vector(cofactor_cross([vsub(v, facet[0]) for v in facet[1:]], d))
             for r in range(5):
                 for vs, vol in ((verts, volume), (facet, facet_volume)):
                     expected = barycentric_simplex_moment(vs, r, d, vol)

@@ -13,7 +13,8 @@ from ehrtensor.polytopes import placing_triangulation
 from ehrtensor.tensors import dot, moment_of_points, vneg
 from ehrtensor.triangulation import INSERTION_ORDERS
 
-from conftest import box_rows, fraction_inverse, leibniz_det, oracle_moment, scan_points
+from conftest import (box_rows, fraction_inverse, leibniz_det, oracle_moment, record_calls,
+                      scan_points)
 
 F = Fraction
 
@@ -613,6 +614,29 @@ def test_halfopen_validation():
     for verts in ([], [()], [(0, 0), (1, 0), (0, 1, 2)]):
         with pytest.raises(ValueError):
             et.HalfOpenSimplex.make(verts, [])
+    # a repeated vertex, and a vertex in the affine span of the others
+    for d in range(1, 6):
+        rng = random.Random(d)
+        others = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d)]
+        dependent = [others + [others[-1]], [others[0]] + others]
+        if d > 1:
+            dependent.append(others + [tuple(2 * a - b for a, b in zip(others[0], others[1]))])
+        for verts in dependent:
+            with pytest.raises(ValueError, match="vertices are affinely dependent"):
+                et.HalfOpenSimplex.make(verts, [0])
+
+
+def test_make_leaves_the_inverse_to_first_use(monkeypatch):
+    # make checks the vertices without inverting; the first box enumeration
+    # takes the one inverse that the facets and the volume then read
+    inverses = record_calls(monkeypatch, linalg, "int_inverse")
+    s = et.HalfOpenSimplex.make(
+        [(0, 0, 0, 0), (2, 0, 0, 1), (0, 3, 0, 0), (1, 1, 2, 0), (0, 1, 1, 3)], [1, 3])
+    assert inverses == []
+    halfopen.box_slices(s)
+    assert len(inverses) == 1
+    s.facets(), s.constraints(2), s.normalized_volume(), halfopen.box_slices(s)
+    assert len(inverses) == 1
 
 
 def test_hr_halfopen_3d_consistency():

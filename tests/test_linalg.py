@@ -1,4 +1,4 @@
-"""Exact linear algebra helpers: determinants, inverses, rank, normals, affine bases."""
+"""Exact linear algebra helpers: determinants, inverses, rank, affine bases."""
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ehrtensor import linalg
 from ehrtensor.polytopes import DegenerateInputError, _affine_basis
 
-from conftest import cofactor_cross, fraction_inverse, fraction_rref, leibniz_det
+from conftest import fraction_inverse, fraction_rref, leibniz_det
 
 
 def test_invert_round_trip():
@@ -24,11 +24,11 @@ def test_invert_round_trip():
             assert s == (dabs if i == j else 0)
 
 
-def test_det_matches_int_det():
+def test_reduce_det_matches_leibniz():
     cases = [[[3]], [[1, 2], [3, 4]], [[2, 0, 1], [1, 1, 1], [0, 3, 1]],
              [[1, 2, 3], [2, 4, 6], [0, 1, 1]]]
     for m in cases:
-        assert leibniz_det(m) == linalg.int_det(m)
+        assert leibniz_det(m) == linalg._reduce(m)[2]
 
 
 def _int_matrices(rows, cols):
@@ -45,13 +45,14 @@ matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
 @given(square_matrices)
 def test_square_reductions_agree_with_bareiss(a):
     n = len(a)
-    assert leibniz_det(a) == linalg.int_det(a)
-    if linalg.int_det(a) == 0:
+    det = linalg._reduce(a)[2]
+    assert det == leibniz_det(a)
+    if det == 0:
         with pytest.raises(linalg.SingularMatrixError):
             linalg.int_inverse(a)
         return
     m, dabs = linalg.int_inverse(a)
-    assert dabs == abs(leibniz_det(a))
+    assert dabs == abs(det)
     assert all(sum(a[i][k] * m[k][j] for k in range(n)) == dabs * (i == j)
                for i in range(n) for j in range(n))
 
@@ -92,21 +93,6 @@ def test_reduce_over_its_pivot_is_the_fraction_rref(a):
     assert [[Fraction(x, pivot) for x in row] for row in rows] == expected
     minor = [[row[c] for c in pivots] for row in a]
     assert det == (leibniz_det(minor) if len(pivots) == len(a) else 0)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
-    st.just(d), _int_matrices(d - 1, d), st.lists(st.integers(-2, 2), min_size=d, max_size=d),
-    st.booleans())))
-def test_generalized_cross_matches_cofactor_expansion(case):
-    d, vectors, coeffs, dependent = case
-    if dependent and vectors:
-        # replace the last vector by a combination of the others
-        vectors[-1] = [sum(c * row[j] for c, row in zip(coeffs, vectors[:-1])) for j in range(d)]
-    normal = linalg.generalized_cross(vectors, d)
-    assert normal == cofactor_cross(vectors, d)
-    if dependent and vectors:
-        assert normal == (0,) * d
 
 
 @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(3), 2.0, True],
@@ -165,19 +151,20 @@ def test_affine_basis_matches_forward_elimination(case):
 
 def _independent(vectors):
     # integer vectors are independent iff their Gram determinant is nonzero
-    return not vectors or linalg.int_det([[sum(map(mul, u, v)) for v in vectors]
-                                          for u in vectors]) != 0
+    return not vectors or leibniz_det([[sum(map(mul, u, v)) for v in vectors]
+                                       for u in vectors]) != 0
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_reductions_on_seeded_matrices(seed):
-    # every _reduce caller against Fraction inverses and int_det, on the sizes
-    # the half-open cells (lifted simplices) and the hull normals use
+    # every _reduce caller against Fraction inverses and Leibniz determinants,
+    # on the sizes the half-open cells and hull starts (lifted simplices) use
     rng = random.Random(seed)
     for _ in range(40):
         n = rng.randint(1, 6)
         a = [[rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(n)] for _ in range(n)]
-        det = linalg.int_det(a)
+        det = linalg._reduce(a)[2]
+        assert det == leibniz_det(a)
         expected = fraction_inverse(a)
         if det == 0:
             assert expected is None
@@ -187,10 +174,6 @@ def test_reductions_on_seeded_matrices(seed):
             m, dabs = linalg.int_inverse(a)
             assert dabs == abs(det)
             assert [[Fraction(x, dabs) for x in row] for row in m] == expected
-        vectors = a[1:]
-        assert linalg.generalized_cross(vectors, n) == tuple(
-            (-1) ** j * linalg.int_det([row[:j] + row[j + 1:] for row in vectors])
-            for j in range(n))
         points = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 8))]
         basis = linalg.affine_basis(points)
         diffs = [[x - y for x, y in zip(q, points[0])] for q in points]
@@ -203,20 +186,13 @@ def test_reductions_on_seeded_matrices(seed):
 
 
 def test_bareiss_determinant_values():
-    assert linalg.int_det([[1, 2], [3, 4]]) == -2
-    assert linalg.int_det([]) == 1
-    assert linalg.int_det([[0, 1], [1, 0]]) == -1
+    assert linalg._reduce([[1, 2], [3, 4]])[2] == -2
+    assert linalg._reduce([])[2] == 1
+    assert linalg._reduce([[0, 1], [1, 0]])[2] == -1
 
 
 def test_rank():
     assert len(linalg._reduce([[1, 2, 3], [2, 4, 6]])[1]) == 1
-
-
-def test_generalized_cross_orthogonal():
-    vecs = [(1, 2, 0), (0, 1, 1)]
-    n = linalg.generalized_cross(vecs, 3)
-    assert all(sum(a * b for a, b in zip(n, v)) == 0 for v in vecs)
-    assert linalg.generalized_cross([], 1) == (1,)
 
 
 def test_primitive():

@@ -10,13 +10,13 @@ import pytest
 
 import ehrtensor as et
 from ehrtensor import polytopes
-from ehrtensor.linalg import affine_basis, gcd_vector, int_det, primitive
+from ehrtensor.linalg import affine_basis, gcd_vector, primitive
 from ehrtensor.polytopes import (DegenerateInputError, FacetIneq, dilate_rows,
                                  placing_triangulation, polytope_from_json, polytope_to_json)
 from ehrtensor.positivity import trial_seed
 from ehrtensor.tensors import dot, vneg, vsub
 
-from conftest import (NAMED_POLYGONS, NAMED_SOLIDS, cofactor_cross, fraction_rref,
+from conftest import (NAMED_POLYGONS, NAMED_SOLIDS, cofactor_cross, fraction_rref, leibniz_det,
                       oracle_polygon_interior_points, oracle_polygon_points, record_calls)
 
 
@@ -116,7 +116,8 @@ def test_placing_simplices_sum_to_normalized_volume():
             except DegenerateInputError:
                 continue
             simplices, boundary = placing_triangulation(pts)
-            volume = sum(abs(int_det([vsub(pts[i], pts[s[0]]) for i in s[1:]])) for s in simplices)
+            volume = sum(abs(leibniz_det([vsub(pts[i], pts[s[0]]) for i in s[1:]]))
+                         for s in simplices)
             lead = et.ehrhart_tensor_polynomial(p, 0).coeffs[-1].as_scalar()
             assert volume == math.factorial(d) * lead, pts
             planes = {plane for _, plane, _ in boundary}
@@ -138,16 +139,17 @@ def test_placing_boundary_keeps_facet_lattice_volumes():
 
 
 def test_facet_volumes_add_no_cross_product(monkeypatch):
-    # the hull takes one cross product per face of its starting simplex, and
-    # the volume and facet moments read the lattice volumes the boundary keeps
-    crosses = record_calls(monkeypatch, polytopes, "generalized_cross")
+    # the hull takes one integer inverse, whose rows give the faces of its
+    # starting simplex, and the volume and facet moments read the lattice
+    # volumes the boundary keeps
+    inverses = record_calls(monkeypatch, polytopes, "int_inverse")
     for d in (2, 3, 4, 5):
-        crosses.clear()
+        inverses.clear()
         p = et.random_lattice_polytope(d, 2, d + 4, seed=8300 + d)
         _, boundary = p.boundary
-        assert len(crosses) == d + 1 <= len(boundary), d
+        assert len(inverses) == 1 and d + 1 <= len(boundary), d
         et.moment_tensor(p, 3), et.second_coefficient_facets(p, 3)
-        assert len(crosses) == d + 1, d
+        assert len(inverses) == 1, d
 
 
 def coplanar_placements(points) -> int:
@@ -230,12 +232,12 @@ def test_every_hull_keeps_the_boundary_it_built(monkeypatch):
 
 def test_a_hibi_scan_triangulates_each_hull_once(monkeypatch):
     # the h route's volume and facet sums read the boundary each hull kept,
-    # and each hull takes one cross product per face of its starting simplex
+    # and each hull takes one integer inverse for its starting simplex
     builds = record_calls(monkeypatch, polytopes, "placing_triangulation")
-    crosses = record_calls(monkeypatch, polytopes, "generalized_cross")
+    inverses = record_calls(monkeypatch, polytopes, "int_inverse")
     report = et.conjecture_scan(4, 60, 2, 8, 1, "hibi")
     assert report.completed + report.skipped_no_interior == 60
-    assert len(builds) == 60 and len(crosses) == 5 * 60
+    assert len(builds) == len(inverses) == 60
 
 
 def test_equal_polytopes_hash_alike_and_keep_their_own_dilates(monkeypatch):

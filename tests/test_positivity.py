@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehrtensor as et
-from ehrtensor import linalg
 from ehrtensor.positivity import NotPositiveSemidefiniteError, _congruence, trial_seed
 
-from conftest import NAMED_POLYGONS, fraction_congruence
+from conftest import NAMED_POLYGONS, fraction_congruence, leibniz_det
 
 F = Fraction
 
@@ -66,7 +65,7 @@ def _principal_minor_class(matrix) -> str:
     d = len(matrix)
     if all(x == 0 for row in matrix for x in row):
         return "zero"
-    es = [sum(linalg.int_det([[matrix[i][j] for j in rows] for i in rows])
+    es = [sum(leibniz_det([[matrix[i][j] for j in rows] for i in rows])
               for rows in combinations(range(d), k))
           for k in range(1, d + 1)]
     if all(e > 0 for e in es):
