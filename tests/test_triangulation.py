@@ -321,6 +321,40 @@ def test_pick_formulas_triangulation_independent(corpus_polygons):
         assert et.h2_pick(t1) == et.h2_pick(t2) == et.h2_pick(t3)
 
 
+def test_pick_route_outputs_are_pinned():
+    # the triangulation, every EdgeStats field and the four formula outputs in
+    # each insertion order on 404 polygons: bounds 2, 3, 5 and 8 with 8
+    # generators, seeds 0-99, and the collinear-heavy shapes.  Each tensor
+    # entry is written with its type, so an int turned Fraction(n, 1) shows
+    def typed(value):
+        if isinstance(value, et.SymTensor):
+            return value.rank, value.dim, [(type(v).__name__, str(v)) for v in value.entries]
+        if isinstance(value, (tuple, list)):
+            return [typed(v) for v in value]
+        if isinstance(value, frozenset):
+            return sorted(value)
+        return value
+
+    polygons = [et.random_lattice_polytope(2, bound, 8, seed=seed)
+                for bound in (2, 3, 5, 8) for seed in range(100)]
+    polygons += [et.convex_hull(v) for v in (
+        [(0, 0), (7, 0), (3, 1)], [(0, 0), (9, 0), (5, 1), (8, -1)],
+        [(-4, 0), (4, 0), (0, 1), (1, -1)], [(0, 0), (8, 0), (8, 1), (0, 1)])]
+    digest = hashlib.sha256()
+    for p in polygons:
+        for order in INSERTION_ORDERS:
+            t = et.unimodular_triangulation(p, order)
+            s = et.edge_stats(t)
+            fields = [getattr(s, f.name) for f in dataclasses.fields(s)]
+            outputs = [et.h1_pick(t).entries, et.h2_pick(t).entries,
+                       et.ehrhart_vector_pick(t).coeffs, et.ehrhart_matrix_pick(t).coeffs]
+            digest.update(repr((t.points, t.triangles, t.edges, t.cycle)).encode())
+            digest.update(repr(typed(fields)).encode())
+            digest.update(repr(typed(outputs)).encode())
+    assert digest.hexdigest() == \
+        "4639fe395e65d5040865c7d225f9e7052d2b71e95c08285d6aa86ec58c63ce8d"
+
+
 def test_vector_polynomial_unit_triangle():
     p = et.convex_hull(NAMED_POLYGONS["unit_triangle"])
     poly = et.ehrhart_vector_pick(et.unimodular_triangulation(p))
