@@ -202,9 +202,8 @@ def _report_json(rep: positivity.DefinitenessReport) -> dict:
 def _cmd_psd(args) -> int:
     p = _load_polytope(args.input)
     h = ehrhart.to_hr_vector(p, 2)
-    h_reports = [positivity.classify_definiteness(e) for e in h.entries]
-    l_reports = [positivity.classify_definiteness(c)
-                 for c in ehrhart.hr_vector_to_polynomial(h).coeffs[1:]]
+    h_reports = positivity._classify_entries(h)
+    l_reports = positivity._classify_coefficients(h)
     out = {"h2": [_report_json(r) for r in h_reports],
            "ehrhart2": [_report_json(r) for r in l_reports]}
     if args.table:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .ehrhart import ehrhart_tensor_polynomial, to_hr_vector
+from .ehrhart import hr_vector_to_polynomial, to_hr_vector
 from .polytopes import Polytope, dilate_rows, is_reflexive, random_lattice_polytope
 from .tensors import HrVector, SymTensor, rational_to_str
 
@@ -167,16 +167,24 @@ def sos_certificate(t: SymTensor) -> SosCertificate:
     return cert
 
 
+def _classify_entries(h: HrVector) -> list[DefinitenessReport]:
+    """Classify every entry of a rank-2 h-vector."""
+    return [classify_definiteness(entry) for entry in h.entries]
+
+
+def _classify_coefficients(h: HrVector) -> list[DefinitenessReport]:
+    """Classify the nonconstant coefficients of a rank-2 h-vector's polynomial."""
+    return [classify_definiteness(c) for c in hr_vector_to_polynomial(h).coeffs[1:]]
+
+
 def check_h2_psd(p: Polytope) -> list[DefinitenessReport]:
     """Classify every rank-2 h-vector entry of P."""
-    h = to_hr_vector(p, 2)
-    return [classify_definiteness(entry) for entry in h.entries]
+    return _classify_entries(to_hr_vector(p, 2))
 
 
 def check_ehrhart_psd(p: Polytope) -> list[DefinitenessReport]:
     """Classify the nonconstant coefficients of the rank-2 moment polynomial."""
-    poly = ehrhart_tensor_polynomial(p, 2)
-    return [classify_definiteness(c) for c in poly.coeffs[1:]]
+    return _classify_coefficients(to_hr_vector(p, 2))
 
 
 def palindromic(h: HrVector) -> bool:

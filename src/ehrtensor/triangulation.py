@@ -5,27 +5,32 @@ monotone (lexicographic-style) order, each new point joined to the hull
 edges it sees.  Every point inserted is extreme among those seen so far, so
 every created triangle has exactly its three corners as lattice points,
 which makes unimodularity structural rather than repaired.  The insertion
-also records what the edge sums need: each triangle counterclockwise from
-its smallest index, each edge once as the new point joins the arc it sees,
-and the final hull cycle, which holds exactly the boundary lattice points.
+runs its orientation tests inline on the points' coordinate lists, and it
+records what the edge sums need: each triangle counterclockwise from its
+smallest index, each edge once as the new point joins the arc it sees (kept
+under its smaller endpoint, so the edges come out sorted with no sort), and
+the final hull cycle, which holds exactly the boundary lattice points.
 
-On top of the triangulation sit the edge-graph sums, the closed vector and
-matrix formulas for h-vectors and dilation polynomials of polygons, and
-sparse decompositions into pieces with three or four lattice points.  Its
-half-open cells come from ``halfopen.half_open_decomposition(t.points,
-t.triangles)``, the same routine that serves every dimension.
+On top of the triangulation sit the edge-graph sums, each built from the two
+coordinate columns of its points or edge sums in one integer moment pass;
+the closed vector and matrix formulas for h-vectors and dilation polynomials
+of polygons, each output entry one integer combination of those sums with at
+most one division; and sparse decompositions into pieces with three or four
+lattice points.  Its half-open cells come from
+``halfopen.half_open_decomposition(t.points, t.triangles)``, the same routine
+that serves every dimension.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Sequence
+from operator import add, sub
+from typing import Callable
 
 from .linalg import cross2
 from .polytopes import DegenerateInputError, Polytope, convex_hull, lattice_points
-from .tensors import (HrVector, IntPoint, SymTensor, TensorPolynomial, _moment_entries,
-                      dot, moment_of_points)
+from .tensors import HrVector, IntPoint, SymTensor, TensorPolynomial, _column_moments, dot
 
 INSERTION_ORDERS: dict[str, Callable[[IntPoint], tuple]] = {
     "lex": lambda p: (p[0], p[1]),
@@ -68,8 +73,9 @@ def unimodular_triangulation(p: Polytope, order: str = "lex") -> Triangulation:
     """
     if p.dim != 2:
         raise ValueError("unimodular triangulation is a polygon operation")
-    key = INSERTION_ORDERS[order]
-    pts = tuple(sorted(lattice_points(p, 1), key=key))
+    points = lattice_points(p, 1)       # lexicographic, the "lex" order
+    pts = tuple(points if order == "lex" else sorted(points, key=INSERTION_ORDERS[order]))
+    xs, ys = zip(*pts)
     n = len(pts)
 
     chain = [0, 1]
@@ -80,7 +86,11 @@ def unimodular_triangulation(p: Polytope, order: str = "lex") -> Triangulation:
     if k == n:
         raise AssertionError("polygon lattice points collinear")
     links = list(zip(chain, chain[1:]))
-    edges = links + [(a, k) for a in chain]
+    joined = [[] for _ in range(n)]     # joined[a]: the later points joined to a, ascending
+    for a, b in links:
+        joined[a].append(b)
+    for a in chain:
+        joined[a].append(k)
     if cross2(pts[chain[0]], pts[chain[-1]], pts[k]) > 0:
         triangles = [(a, b, k) for a, b in links]
         cycle = chain + [k]
@@ -93,26 +103,28 @@ def unimodular_triangulation(p: Polytope, order: str = "lex") -> Triangulation:
     # Point k is lexicographically largest so far, so point k-1 is a hull vertex
     # and [k-1, k] meets the hull only there: the arc that k sees touches k-1.
     # k sees each arc edge b -> c strictly from outside, so (b, k, c) is
-    # counterclockwise, and k is the largest index of the triangle.
+    # counterclockwise, and k is the largest index of the triangle.  The two
+    # orientation tests, cross2(b, c, k) < 0 and cross2(c, a, k) < 0, are
+    # written out on the coordinate lists.
     for k in range(k + 1, n):
-        q = pts[k]
+        qx, qy = xs[k], ys[k]
         a = b = k - 1
-        edges.append((b, k))
-        while cross2(pts[b], pts[c := nxt[b]], q) < 0:
+        joined[b].append(k)
+        while (xs[c := nxt[b]] - xs[b]) * (qy - ys[b]) < (ys[c] - ys[b]) * (qx - xs[b]):
             triangles.append((b, k, c) if b < c else (c, b, k))
-            edges.append((c, k))
+            joined[c].append(k)
             b = c
-        while cross2(pts[c := prv[a]], pts[a], q) < 0:
+        while (xs[a] - xs[c := prv[a]]) * (qy - ys[c]) < (ys[a] - ys[c]) * (qx - xs[c]):
             triangles.append((c, k, a) if c < a else (a, c, k))
-            edges.append((c, k))
+            joined[c].append(k)
             a = c
         nxt[a], prv[k], nxt[k], prv[b] = k, a, b, k
 
     boundary = [0]
     while (b := nxt[boundary[-1]]) != 0:
         boundary.append(b)
-    return Triangulation(p, pts, tuple(sorted(triangles)), tuple(sorted(edges)),
-                         tuple(boundary))
+    edges = tuple([(a, b) for a in range(n) for b in joined[a]])
+    return Triangulation(p, pts, tuple(sorted(triangles)), edges, tuple(boundary))
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +168,6 @@ def edge_stats(t: Triangulation) -> EdgeStats:
     return t._edge_stats
 
 
-def _sums(points: Sequence[IntPoint]) -> tuple[SymTensor, SymTensor]:
-    """Rank-1 and rank-2 moments of a planar point list, from one pass."""
-    entries = _moment_entries(points, 2, 2)
-    return SymTensor(1, 2, tuple(entries[1])), SymTensor(2, 2, tuple(entries[2]))
-
-
 def _build_edge_stats(t: Triangulation) -> EdgeStats:
     pts, cycle = t.points, t.cycle
     boundary_edges = sorted((a, b) if a < b else (b, a)
@@ -169,35 +175,44 @@ def _build_edge_stats(t: Triangulation) -> EdgeStats:
     on_cycle = set(boundary_edges)
     interior_edges = [e for e in t.edges if e not in on_cycle]
     boundary = frozenset(cycle)
-    inner = [x for i, x in enumerate(pts) if i not in boundary]
+    inner = [i for i in range(len(pts)) if i not in boundary]
+
+    def moments(cx, cy):        # ranks 0..2 of the points with these coordinate columns
+        return _column_moments((cx, cy), len(cx), 2, 2)
 
     xs, ys = zip(*pts)
-    e_int = [(xs[a] + xs[b], ys[a] + ys[b]) for a, b in interior_edges]
-    e_bd = [(xs[a] + xs[b], ys[a] + ys[b]) for a, b in boundary_edges]
-    e_bd_diff = [(xs[a] - xs[b], ys[a] - ys[b]) for a, b in boundary_edges]
-    sum_v, sum_v_sq = _sums(pts)
-    sum_v_int, sum_v_int_sq = _sums(inner)
-    sum_e_int, sum_e_int_sq = _sums(e_int)
-    sum_e_bd_sq = moment_of_points(e_bd, 2, 2)
+    v = moments(xs, ys)
+    v_int = moments([xs[i] for i in inner], [ys[i] for i in inner])
+    e_int = moments([xs[a] + xs[b] for a, b in interior_edges],
+                    [ys[a] + ys[b] for a, b in interior_edges])
+    e_bd = moments([xs[a] + xs[b] for a, b in boundary_edges],
+                   [ys[a] + ys[b] for a, b in boundary_edges])
+    e_bd_diff = moments([xs[a] - xs[b] for a, b in boundary_edges],
+                        [ys[a] - ys[b] for a, b in boundary_edges])
     return EdgeStats(
         points=pts,
         edges=t.edges,
-        interior_points=frozenset(range(len(pts))) - boundary,
+        interior_points=frozenset(inner),
         boundary_points=boundary,
         interior_edges=tuple(interior_edges),
         boundary_edges=tuple(boundary_edges),
-        sum_v=sum_v,
-        sum_v_int=sum_v_int,
-        sum_v_bd=sum_v - sum_v_int,
-        sum_v_sq=sum_v_sq,
-        sum_v_int_sq=sum_v_int_sq,
-        sum_v_bd_sq=sum_v_sq - sum_v_int_sq,
-        sum_e_sq=sum_e_int_sq + sum_e_bd_sq,
-        sum_e_int=sum_e_int,
-        sum_e_int_sq=sum_e_int_sq,
-        sum_e_bd_sq=sum_e_bd_sq,
-        sum_e_bd_diff_sq=moment_of_points(e_bd_diff, 2, 2),
+        sum_v=SymTensor(1, 2, tuple(v[1])),
+        sum_v_int=SymTensor(1, 2, tuple(v_int[1])),
+        sum_v_bd=SymTensor(1, 2, tuple(map(sub, v[1], v_int[1]))),
+        sum_v_sq=SymTensor(2, 2, tuple(v[2])),
+        sum_v_int_sq=SymTensor(2, 2, tuple(v_int[2])),
+        sum_v_bd_sq=SymTensor(2, 2, tuple(map(sub, v[2], v_int[2]))),
+        sum_e_sq=SymTensor(2, 2, tuple(map(add, e_int[2], e_bd[2]))),
+        sum_e_int=SymTensor(1, 2, tuple(e_int[1])),
+        sum_e_int_sq=SymTensor(2, 2, tuple(e_int[2])),
+        sum_e_bd_sq=SymTensor(2, 2, tuple(e_bd[2])),
+        sum_e_bd_diff_sq=SymTensor(2, 2, tuple(e_bd_diff[2])),
     )
+
+
+def _combined(f: Callable, *tensors: SymTensor) -> SymTensor:
+    """The tensor whose each entry is ``f`` of the matching entries of ``tensors``."""
+    return SymTensor(tensors[0].rank, 2, tuple(map(f, *(x.entries for x in tensors))))
 
 
 def h1_pick(t: Triangulation) -> HrVector:
@@ -207,7 +222,7 @@ def h1_pick(t: Triangulation) -> HrVector:
     """
     s = edge_stats(t)
     return HrVector((SymTensor.zero(1, 2), s.sum_v,
-                     s.sum_e_int - s.sum_v_int * 2, s.sum_v_int))
+                     _combined(lambda e, v: e - 2 * v, s.sum_e_int, s.sum_v_int), s.sum_v_int))
 
 
 def h2_pick(t: Triangulation) -> HrVector:
@@ -218,29 +233,39 @@ def h2_pick(t: Triangulation) -> HrVector:
     """
     s = edge_stats(t)
     return HrVector((SymTensor.zero(2, 2), s.sum_v_sq,
-                     s.sum_e_sq - s.sum_v_sq,
-                     s.sum_e_int_sq - s.sum_v_int_sq, s.sum_v_int_sq))
+                     _combined(sub, s.sum_e_sq, s.sum_v_sq),
+                     _combined(sub, s.sum_e_int_sq, s.sum_v_int_sq), s.sum_v_int_sq))
 
 
 def ehrhart_vector_pick(t: Triangulation) -> TensorPolynomial:
-    """Dilation polynomial of the rank-1 moment from triangulation sums."""
+    """Dilation polynomial of the rank-1 moment from triangulation sums.
+
+    Each coefficient entry is one integer combination of the sums, divided
+    once, by 6 or 2.
+    """
     s = edge_stats(t)
-    sixth = Fraction(1, 6)
-    c1 = (s.sum_v * 2 + s.sum_v_int * 4 - s.sum_e_int) * sixth
-    c2 = s.sum_v_bd * Fraction(1, 2)
-    c3 = (s.sum_v_bd + s.sum_e_int) * sixth
-    return TensorPolynomial((SymTensor.zero(1, 2), c1, c2, c3))
+    return TensorPolynomial((
+        SymTensor.zero(1, 2),
+        _combined(lambda v, vi, ei: Fraction(2 * v + 4 * vi - ei, 6),
+                  s.sum_v, s.sum_v_int, s.sum_e_int),
+        _combined(lambda vb: Fraction(vb, 2), s.sum_v_bd),
+        _combined(lambda vb, ei: Fraction(vb + ei, 6), s.sum_v_bd, s.sum_e_int)))
 
 
 def ehrhart_matrix_pick(t: Triangulation) -> TensorPolynomial:
-    """Dilation polynomial of the rank-2 moment from triangulation sums."""
+    """Dilation polynomial of the rank-2 moment from triangulation sums.
+
+    Each coefficient entry is one integer combination of the sums, divided
+    once, by 12 or 24.
+    """
     s = edge_stats(t)
-    c1 = s.sum_e_bd_diff_sq * Fraction(1, 12)
-    c2 = (s.sum_v_sq * 12 + s.sum_v_int_sq * 12 - s.sum_e_sq - s.sum_e_int_sq) \
-        * Fraction(1, 24)
-    c3 = (s.sum_v_bd_sq * 2 + s.sum_e_bd_sq) * Fraction(1, 12)
-    c4 = (s.sum_e_sq + s.sum_e_int_sq) * Fraction(1, 24)
-    return TensorPolynomial((SymTensor.zero(2, 2), c1, c2, c3, c4))
+    return TensorPolynomial((
+        SymTensor.zero(2, 2),
+        _combined(lambda d: Fraction(d, 12), s.sum_e_bd_diff_sq),
+        _combined(lambda v, vi, e, ei: Fraction(12 * v + 12 * vi - e - ei, 24),
+                  s.sum_v_sq, s.sum_v_int_sq, s.sum_e_sq, s.sum_e_int_sq),
+        _combined(lambda vb, eb: Fraction(2 * vb + eb, 12), s.sum_v_bd_sq, s.sum_e_bd_sq),
+        _combined(lambda e, ei: Fraction(e + ei, 24), s.sum_e_sq, s.sum_e_int_sq)))
 
 
 # ---------------------------------------------------------------------------
