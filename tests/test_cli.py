@@ -1,4 +1,5 @@
 """Command-line interface: formats, determinism, exit codes."""
+import hashlib
 import io
 import json
 import subprocess
@@ -231,6 +232,30 @@ def test_verify_square_passes(capsys):
     data = json.loads(out)
     assert data["all_pass"] is True
     assert any(c["name"] == "pick_h2_agrees" for c in data["checks"])
+
+
+def verify_pin_corpus() -> list[et.Polytope]:
+    """198 seeded polytopes in d = 1..3: 50 per dimension and 16 far
+    translates of each dimension's first ones."""
+    out = []
+    for d, bound, shift in ((1, 6, (10**6 + 3,)), (2, 4, (-(10**5) - 7, 4099)),
+                            (3, 2, (7919, -(10**6) - 1, 65537))):
+        corpus = [et.random_lattice_polytope(d, bound, 8, seed=900 + seed) for seed in range(50)]
+        out += corpus + [p.translate(shift) for p in corpus[:16]]
+    return out
+
+
+def test_verify_and_oracle_outputs_are_pinned(capsys):
+    # one digest over the stdout and exit code of `verify --json` and the
+    # entries of the oracle h of ranks 0..3 on each polytope of the corpus
+    digest = hashlib.sha256()
+    for p in verify_pin_corpus():
+        code, out, _ = run_cli(["verify", "--json", json.dumps(et.polytope_to_json(p))], capsys)
+        digest.update(repr((code, out)).encode())
+        oracle = ehrhart._oracle(et.convex_hull(p.vertices), (0, 1, 2, 3))
+        digest.update(repr([[e.entries for e in h.entries] for h in oracle]).encode())
+    assert digest.hexdigest() == \
+        "0bdc6199cf8b75b3a7104154e597d6ea6c101401284af8c6afa10028a942a11f"
 
 
 @pytest.mark.parametrize("dim, bound", [(2, 6), (3, 2)])
