@@ -41,14 +41,14 @@ all the cells serve every rank, and the entries are summed before any
 tensor is built.  It shares no enumeration, moment pass or numerator map
 with the h route; the two run the code of one Newton kernel, on other
 simplices with other weights.  Below dim 4 the oracle is
-:func:`_all_dilates_oracle`: the closed moments at every n = 0..m, mapped to
-h by the same alternating binomial sums, asking for the interior side too
-only where the h route or reciprocity reads it.  ``verify`` builds the
-oracle h of ranks 0..2 in one call and reads each twice: its top entry
-against L(P°), and at -n in the binomial basis against L(nP°), n = 1, 2, 3
-(:func:`_reciprocity_holds`).  The volume and facet moments are one integer
-pass per polytope over the faces of its boundary, for ranks 0..max(r, 2),
-kept on the polytope beside the dilates.
+:func:`_closed_moment_oracle`: the closed moments at n = 0..m-2, mapped to
+h by the same alternating binomial sums, and the top two entries from the
+volume and facet sums; at ranks 0..2 it scans no dilate the h route does
+not.  ``verify`` builds the oracle h of ranks 0..2 in one call and reads
+each twice: its top entry against L(P°), and at -n in the binomial basis
+against L(nP°), n = 1, 2, 3 (:func:`_reciprocity_holds`).  The volume and
+facet moments are one integer pass per polytope over the faces of its
+boundary, for ranks 0..max(r, 2), kept on the polytope beside the dilates.
 The pass is the Newton kernel of the vertex parts,
 :func:`~ehrtensor.tensors._newton_columns`, with weights c!, and by Euler's
 identity for homogeneous integrands the volume sum is the facet sum with
@@ -154,19 +154,27 @@ def to_hr_vector(p: Polytope, r: int) -> HrVector:
     h = (_numerator([c for c, _ in both], m)[:m // 2 + 1]
          + _numerator([i for _, i in both], m)[:0:-1])
     if known:
-        columns = list(zip(*h))
-        volume, facets = (sums[r] for sums in _simplex_sums(p, max(r, 2)))
-        a = [v - sum(col) for v, col in zip(volume, columns)]
-        if m % 2:
-            h.insert(k + 1, a)
-        else:
-            weights = [m + 1 - 2 * i for i in (*range(k + 1), *range(m + 1 - k, m + 1))]
-            b = [f - sum(map(mul, weights, col)) for f, col in zip(facets, columns)]
-            if any((x + y) % 2 for x, y in zip(a, b)):
-                raise ArithmeticError("the volume and facet moments do not fit the scanned moments")
-            h[k + 1:k + 1] = [[(x + y) // 2 for x, y in zip(a, b)],
-                              [(x - y) // 2 for x, y in zip(a, b)]]
+        _fill_from_sums(p, r, h, k + 1, known)
     return _hr(p, r, h)
+
+
+def _fill_from_sums(p: Polytope, r: int, h: list, i: int, count: int) -> None:
+    """Insert into ``h`` at i the ``count`` (1 or 2) entries it lacks, m = dim + r: with A, B
+    the sums ``sum_j h_j = V`` and ``sum_j (m+1-2j) h_j = F`` (:func:`_simplex_sums`) less
+    the entries held, one is A; two, weighing w + 2 and w = m-1-2i in F, are
+    ``h_i = (B - w A)/2``, divided exactly, and ``h_(i+1) = A - h_i``."""
+    m = p.dim + r
+    volume, facets = (sums[r] for sums in _simplex_sums(p, max(r, 2)))
+    weights = [m + 1 - 2 * j for j in (*range(i), *range(i + count, m + 1))]
+    a, b = zip(*((v - sum(col), f - sum(map(mul, weights, col)))
+                 for v, f, *col in zip(volume, facets, *h)))
+    if count == 1:
+        h.insert(i, list(a))
+        return
+    twice = [y - (m - 1 - 2 * i) * x for x, y in zip(a, b)]
+    if any(t % 2 for t in twice):
+        raise ArithmeticError("the volume and facet moments do not fit the scanned moments")
+    h[i:i] = [[t // 2 for t in twice], [x - t // 2 for x, t in zip(a, twice)]]
 
 
 @lru_cache(maxsize=None)
@@ -204,20 +212,20 @@ def ehrhart_tensor_polynomial(p: Polytope, r: int) -> TensorPolynomial:
     return hr_vector_to_polynomial(to_hr_vector(p, r))
 
 
-def _all_dilates_oracle(p: Polytope, r: int) -> HrVector:
-    """h-vector from the closed moments of nP, n = 0..dim+r.
+def _closed_moment_oracle(p: Polytope, r: int) -> HrVector:
+    """h-vector from the closed moments of nP, n = 0..m-2, m = dim + r; the
+    volume and facet sums give h_(m-1) and h_m (:func:`_fill_from_sums`).
 
-    The oracle of ``ehrtensor verify`` below dim 4 (:func:`_oracle`): the
-    same numerator map on closed moments only, with no interior moment, no
-    reciprocity and no volume or facet moment, so the two h-sum identities
-    of :func:`to_hr_vector` can be checked on it.  Its passes add the interior
-    side up to the later of n = 3 (reciprocity) and the h route's last
-    dilate, so that each dilate either reads is one pass over both sides.
+    The oracle of ``ehrtensor verify`` below dim 4 (:func:`_oracle`): it reads
+    no interior moment, so reciprocity and h-top meet a route that does not
+    read what they test.  It asks for both sides up to the later of n = 3
+    (reciprocity) and the h route's last dilate, so each dilate is one pass.
     """
     m, top = p.dim + r, max(r, 2)
     half = max(_scan_reach(p.dim, top)[0], 3)
-    closed = [_moments(p, r, n, BOTH if n <= half else CLOSED)[0] for n in range(m + 1)]
-    return _hr(p, r, _numerator(closed, m))
+    h = _numerator([_moments(p, r, n, BOTH if n <= half else CLOSED)[0] for n in range(m - 1)], m)
+    _fill_from_sums(p, r, h, m - 1, 2)
+    return _hr(p, r, h)
 
 
 def _halfopen_cells(p: Polytope) -> list[HalfOpenSimplex]:
@@ -247,12 +255,12 @@ def _oracle(p: Polytope, ranks) -> list[HrVector]:
     across the cells before any tensor is built
     (:func:`~ehrtensor.halfopen._hr_sums`).  It shares no enumeration, moment
     pass or numerator map with the h route.
-    Below dim 4, :func:`_all_dilates_oracle`, whose scans of the dilates the
-    h route reads too.
+    Below dim 4, :func:`_closed_moment_oracle`, which reads the closed side of
+    the dilates the h route scans, and no interior moment.
     """
     if _scan_reach(p.dim, max(ranks))[1]:
         return _hr_sums([(s, box_slices(s)) for s in _halfopen_cells(p)], ranks)
-    return [_all_dilates_oracle(p, r) for r in ranks]
+    return [_closed_moment_oracle(p, r) for r in ranks]
 
 
 def reciprocity_check(p: Polytope, r: int, n: int) -> bool:
@@ -263,8 +271,8 @@ def reciprocity_check(p: Polytope, r: int, n: int) -> bool:
     = L^r(nP°)``.  The left side reads the h of :func:`_oracle`, which reads
     no interior moment; the right side is strict enumeration.
     """
-    if n < 1:
-        raise ValueError("reciprocity check needs n >= 1")
+    if r < 0 or n < 1:
+        raise ValueError("reciprocity check needs r >= 0 and n >= 1")
     return _reciprocity_holds(p, _oracle(p, (r,))[0], n)
 
 

@@ -8,7 +8,10 @@ The linear-algebra oracles (Leibniz determinants, Fraction Gauss-Jordan,
 Fraction congruence elimination) likewise share nothing with the library's
 integer eliminations, and the moment polynomial's oracle solves a
 Vandermonde system with them; the volume and facet moments' oracle sums one
-``Fraction`` tensor per simplex, each volume a Leibniz determinant.  The point
+``Fraction`` tensor per simplex, each volume a Leibniz determinant.  The
+integer all-dilates oracle maps the closed moments of every dilate to h with
+the library's numerator map and reads neither sum that fills in entries of
+production's h or verify's oracle h.  The point
 expansion of row scans, the tensor pushforward and the binomial translation
 expansion are the right-hand sides of identities the library must satisfy.
 """
@@ -22,6 +25,7 @@ from math import comb, factorial, gcd, prod
 import pytest
 
 import ehrtensor as et
+from ehrtensor import ehrhart
 from ehrtensor.polytopes import placing_triangulation, scan_rows
 from ehrtensor.tensors import moment_of_points, multi_indices, vsub
 
@@ -320,6 +324,18 @@ def fraction_vandermonde_oracle(p: et.Polytope, r: int):
             acc = acc + values[j] * ((-1) ** (i - j) * comb(m + 1, i - j))
         entries.append(acc)
     return et.TensorPolynomial(tuple(coeffs)), et.HrVector(tuple(entries))
+
+
+def all_dilates_oracle(p: et.Polytope, r: int) -> et.HrVector:
+    """h-vector from the closed moments of nP, n = 0..dim+r, in integers.
+
+    The library's numerator map on the closed moments of every dilate, with
+    no interior moment, no reciprocity and no volume or facet moment, so the
+    identities that fill in entries of h can be checked on it.
+    """
+    m = p.dim + r
+    closed = [ehrhart._moments(p, r, n, ehrhart.CLOSED)[0] for n in range(m + 1)]
+    return ehrhart._hr(p, r, ehrhart._numerator(closed, m))
 
 
 def fraction_simplex_moment(verts, r: int, dim: int, volume: int) -> et.SymTensor:

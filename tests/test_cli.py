@@ -293,28 +293,30 @@ def test_verify_with_a_non_vertex_point_builds_one_triangulation(capsys, monkeyp
 
 # (n, sides) of each moment pass of a verify request, by dimension; 0P's
 # moments are read in closed form, with no pass.  Below dim 4 the oracle
-# reads the closed side of every dilate up to dim + 2.  From dim 4 on the
-# oracle is the half-open cells of one decomposition, which scan no dilate,
-# so only the h route (both sides up to its last dilate) and reciprocity
+# reads the closed side of the dilates up to dim + r - 2 <= dim, which the h
+# route scans already, and the volume and facet sums.  From dim 4 on the
+# oracle is the half-open cells of one decomposition, which scan no dilate.
+# So only the h route (both sides up to its last dilate) and reciprocity
 # (the interior side for n <= 3) make passes.
 VERIFY_PASSES = {
-    2: [*((n, BOTH) for n in range(1, 4)), (4, CLOSED)],
-    3: [*((n, BOTH) for n in range(1, 4)), (4, CLOSED), (5, CLOSED)],
+    1: [(1, BOTH), (2, BOTH), (3, INTERIOR)],
+    2: [(1, BOTH), (2, BOTH), (3, INTERIOR)],
+    3: [(n, BOTH) for n in range(1, 4)],
     4: [(1, BOTH), (2, BOTH), (3, INTERIOR)],
     5: [(n, BOTH) for n in range(1, 4)],
 }
 
 
 @pytest.mark.parametrize("dim, bound, seed",
-                         [(2, 6, 1), (3, 2, 1), (4, 2, trial_seed(42, 95)), (5, 1, 1)])
+                         [(1, 6, 1), (2, 6, 1), (3, 2, 1), (4, 2, trial_seed(42, 95)), (5, 1, 1)])
 def test_verify_scans_each_dilate_once(dim, bound, seed, capsys, monkeypatch):
     # every rank, the oracle, the interior moments and the triangulation's
     # point list read one scan of each dilate in VERIFY_PASSES, and none of
     # 0P, whose moments are known in closed form.  Ranks 0..2 share one
     # moment pass per dilate, over the sides that some reader asks for: both
     # sides where the h route reads, the interior where only reciprocity
-    # (n <= 3) reads, the closed side where only the all-dilates oracle
-    # (dim <= 3) reads.  From dim 4 on the oracle takes one half-open
+    # (n <= 3) reads; the oracle (dim <= 3) reads closed sides the h route
+    # has scanned.  From dim 4 on the oracle takes one half-open
     # decomposition instead.  The scans live on the request's polytope, so a
     # second request of the same JSON scans them again.
     request = random_request(dim, bound, seed)
@@ -327,7 +329,8 @@ def test_verify_scans_each_dilate_once(dim, bound, seed, capsys, monkeypatch):
             calls.clear()
         code, out, _ = run_cli(["verify", "--json", request], capsys)
         assert code == 0 and json.loads(out)["all_pass"] is True
-        assert len(scans) == len(VERIFY_PASSES[dim])
+        # a 1D scan is one 2D slice under a dummy first coordinate, a nested call
+        assert len(scans) == len(VERIFY_PASSES[dim]) * (1 + (dim == 1))
         assert len(reads) == len(passes) and {c["r"] for c in passes} == {2}
         assert [(read["n"], tuple(c["sides"])) for read, c in zip(reads, passes)] \
             == VERIFY_PASSES[dim]
@@ -369,7 +372,8 @@ def test_each_command_derives_each_rank_once(args, ranks, capsys, monkeypatch):
                          ids=["verify-2d", "verify-3d", "verify-d4"])
 def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, monkeypatch):
     # one oracle call serves reciprocity at n = 1, 2, 3 and h-top for ranks
-    # 0..2.  Below dim 4 it is one closed-moments-only h per rank.  From dim 4
+    # 0..2.  Below dim 4 it is one h per rank from the closed moments and
+    # the volume and facet sums.  From dim 4
     # on it is one half-open decomposition of the boundary point on the most
     # faces coned over the boundary faces whose plane misses it (5 cells on
     # the finding, against 7 from its first point): one Newton kernel call of
@@ -379,9 +383,9 @@ def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, mon
     # Newton kernel call over the boundary faces, which keep their lattice
     # volumes and planes, so no hull is built again; the cells take their
     # barycentric rows from one inverse each and do not check their vertices
-    # again.  verify reads the volume sum for dim <= 3 and the facet
-    # sum in 2D; the h route reads both from dim 4 on.  Rank 3 makes one pass
-    # of its own.
+    # again.  The oracle reads both sums below dim 4, verify's checks the
+    # volume sum for dim <= 3 and the facet sum in 2D, and the h route both
+    # from dim 4 on.  Rank 3 makes one pass of its own.
     p = polytopes.polytope_from_json(json.loads(random_request(dim, bound, seed)))
     points, boundary = p.boundary
     monkeypatch.setattr(cli, "polytope_from_json", lambda data: p)
@@ -391,7 +395,7 @@ def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, mon
         monkeypatch.setattr(module, name, lambda *a: calls.append(a[-1]) or route(*a))
         return calls
 
-    oracles = counted(ehrhart, "_all_dilates_oracle")
+    oracles = counted(ehrhart, "_closed_moment_oracle")
     decompositions = counted(ehrhart, "half_open_decomposition")
     boxes = counted(ehrhart, "box_slices")
     parts = record_calls(monkeypatch, halfopen, "_newton_columns")
@@ -435,7 +439,7 @@ SECOND_ROUTES = [
       for r in (0, 1, 2)],
     *[(f"h_sum_is_normalized_volume_moment_r{r}", ehrhart, "moment_tensor") for r in (0, 1, 2)],
     *[(f"h_top_is_interior_moment_r{r}", ehrhart, side)
-      for r in (0, 1, 2) for side in ("_all_dilates_oracle", "discrete_moment_interior")],
+      for r in (0, 1, 2) for side in ("_closed_moment_oracle", "discrete_moment_interior")],
     ("pick_h1_agrees", triangulation, "h1_pick"),
     ("pick_h2_agrees", triangulation, "h2_pick"),
     ("pick_vector_polynomial_agrees", triangulation, "ehrhart_vector_pick"),
@@ -466,6 +470,37 @@ def test_verify_check_meets_a_second_route(name, module, side, capsys, monkeypat
     assert status.pop("overall") == "FAIL"
     assert status[name] == "FAIL"
     assert set(status) == {n for n, _, _ in SECOND_ROUTES}
+
+
+@pytest.mark.parametrize("kind", ["volume", "facets"])
+@pytest.mark.parametrize("dim, bound", [(1, 6), (2, 6), (3, 2)])
+def test_verify_below_d4_fails_on_a_wrong_volume_or_facet_sum(dim, bound, kind, capsys,
+                                                              monkeypatch):
+    # below dim 4 the oracle's top two entries come from the volume and facet
+    # sums: adding 2 to the first entry of either, at every rank, moves
+    # h_(m-1) and h_m by m - 1 and 3 - m (V) or by 1 and -1 (F).  Reciprocity
+    # fails at every rank and h-top wherever h_m moves; the checks that read
+    # the same sum fail with them, and the Pick checks, which do not, pass
+    sums, which = ehrhart._simplex_sums, ("volume", "facets").index(kind)
+
+    def perturbed(p, top):
+        out = list(sums(p, top))
+        out[which] = tuple((ranks[0] + 2,) + ranks[1:] for ranks in out[which])
+        return tuple(out)
+
+    monkeypatch.setattr(ehrhart, "_simplex_sums", perturbed)
+    code, out, _ = run_cli(["verify", random_request(dim, bound, 1)], capsys)
+    status = dict(line.split() for line in out.splitlines())
+    expected = {"overall", *(f"reciprocity_r{r}" for r in range(3)),
+                *(f"h_top_is_interior_moment_r{r}" for r in range(3)
+                  if kind == "facets" or dim + r != 3)}
+    if kind == "volume":
+        expected |= {f"{name}_r{r}" for r in range(3) for name in (
+            "leading_coefficient_is_volume_moment", "h_sum_is_normalized_volume_moment")}
+    elif dim == 2:
+        expected |= {f"second_coefficient_facet_sum_r{r}" for r in range(3)}
+    assert code == 1
+    assert {name for name, ok in status.items() if ok == "FAIL"} == expected
 
 
 def test_verify_d4_reads_the_halfopen_oracle(capsys, monkeypatch):

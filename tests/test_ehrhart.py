@@ -13,9 +13,10 @@ from ehrtensor.linalg import gcd_vector
 from ehrtensor.positivity import trial_seed
 from ehrtensor.tensors import _newton_columns, vneg, vsub
 
-from conftest import (NAMED_POLYGONS, apply_linear_map, cofactor_cross, fraction_simplex_moment,
-                      fraction_vandermonde_oracle, fraction_volume_and_facet_moments, leibniz_det,
-                      oracle_moment, oracle_polygon_points, record_calls,
+from conftest import (NAMED_POLYGONS, all_dilates_oracle, apply_linear_map, cofactor_cross,
+                      fraction_simplex_moment, fraction_vandermonde_oracle,
+                      fraction_volume_and_facet_moments, leibniz_det, oracle_moment,
+                      oracle_polygon_points, record_calls,
                       translation_covariance_rhs)
 
 
@@ -158,7 +159,7 @@ def test_integer_oracle_matches_fraction_oracle_and_main_route():
             p = et.random_lattice_polytope(d, bound, d + 3, seed=700 + seed)
             for r in rs:
                 poly, h = fraction_vandermonde_oracle(p, r)
-                assert ehrhart._all_dilates_oracle(p, r) == h, (d, seed, r)
+                assert all_dilates_oracle(p, r) == h, (d, seed, r)
                 assert et.ehrhart_tensor_polynomial(p, r) == poly, (d, seed, r)
                 assert et.to_hr_vector(p, r) == h, (d, seed, r)
 
@@ -178,7 +179,7 @@ def test_hr_vector_from_known_coefficients_matches_all_dilates_oracle():
     for p in known_coefficient_corpus():
         for r in range(5):
             fresh = et.convex_hull(p.vertices)
-            assert et.to_hr_vector(p, r) == ehrhart._all_dilates_oracle(fresh, r), (p.dim, r)
+            assert et.to_hr_vector(p, r) == all_dilates_oracle(fresh, r), (p.dim, r)
 
 
 def test_all_dilates_h_meets_the_volume_and_facet_sums():
@@ -191,7 +192,7 @@ def test_all_dilates_h_meets_the_volume_and_facet_sums():
         p = et.random_lattice_polytope(d, bound, d + 3, seed=720 + d)
         for r in range(5):
             m = d + r
-            columns = list(zip(*(e.entries for e in ehrhart._all_dilates_oracle(p, r).entries)))
+            columns = list(zip(*(e.entries for e in all_dilates_oracle(p, r).entries)))
             volume, facets = (sums[r] for sums in ehrhart._simplex_sums(p, max(r, 2)))
             assert [sum(col) for col in columns] == list(volume), (d, r)
             assert [sum((m + 1 - 2 * i) * x for i, x in enumerate(col))
@@ -205,7 +206,7 @@ def test_a_wrong_known_coefficient_breaks_the_hr_vector(kind, monkeypatch):
     # facet sum F is read at even m only, where adding 1 is refused the same
     # way.  Adding 2 shifts every value it enters by 1, so h disagrees.
     corpus = known_coefficient_corpus()
-    oracle = {(p, r): ehrhart._all_dilates_oracle(et.convex_hull(p.vertices), r)
+    oracle = {(p, r): all_dilates_oracle(et.convex_hull(p.vertices), r)
               for p in corpus for r in range(5)}
     sums, which = ehrhart._simplex_sums, ("volume", "facets").index(kind)
     shift = 0
@@ -228,6 +229,81 @@ def test_a_wrong_known_coefficient_breaks_the_hr_vector(kind, monkeypatch):
         assert (et.to_hr_vector(p, r) == h) == (kind == "facets" and not even), (p.dim, r)
         shift = 0
         assert et.to_hr_vector(p, r) == h, (p.dim, r)
+
+
+def closed_oracle_corpus():
+    """Seeded polytopes in d = 1..3 and far translates of them."""
+    out = []
+    for d, bound in ((1, 4), (2, 3), (3, 2)):
+        for seed in range(2):
+            p = et.random_lattice_polytope(d, bound, d + 3, seed=740 + seed)
+            out += [p, p.translate((10**6 + 1, -3, 7)[:d])]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["volume", "facets"])
+def test_a_wrong_volume_or_facet_sum_breaks_the_closed_moment_oracle(kind, monkeypatch):
+    # below d = 4 the oracle takes h_0..h_(m-2) from the closed moments and
+    # solves h_(m-1) = (B + (m-1)A)/2 and h_m = A - h_(m-1), with A and B the
+    # volume and facet sums less the known entries.  Adding 1 to one entry
+    # of F makes that numerator odd, which the exact division refuses; adding
+    # 1 to V adds m - 1 to it, refused at even m and a wrong h at odd m.
+    # Adding 2 moves h_(m-1) + h_m by 2 (V) or h_(m-1) - h_m by 2 (F), so h
+    # disagrees with the all-dilates h, built beforehand on a fresh copy.
+    corpus = closed_oracle_corpus()
+    oracle = {(p, r): all_dilates_oracle(et.convex_hull(p.vertices), r)
+              for p in corpus for r in range(5)}
+    sums, which = ehrhart._simplex_sums, ("volume", "facets").index(kind)
+    shift = 0
+
+    def perturbed(p, top):
+        out = list(sums(p, top))
+        out[which] = tuple((ranks[0] + shift,) + ranks[1:] for ranks in out[which])
+        return tuple(out)
+
+    monkeypatch.setattr(ehrhart, "_simplex_sums", perturbed)
+    for (p, r), h in oracle.items():
+        shift = 1
+        if kind == "facets" or (p.dim + r) % 2 == 0:
+            with pytest.raises(ArithmeticError):
+                ehrhart._closed_moment_oracle(p, r)
+        else:
+            assert ehrhart._closed_moment_oracle(p, r) != h, (p.dim, r)
+        shift = 2
+        assert ehrhart._closed_moment_oracle(p, r) != h, (p.dim, r)
+        shift = 0
+        assert ehrhart._closed_moment_oracle(p, r) == h, (p.dim, r)
+
+
+def test_the_closed_moment_oracle_reads_no_interior_moment(monkeypatch):
+    # adding 1 to every interior moment of every pass moves the top entry of
+    # the h route's h, which reads them, and leaves the oracle's h as it was
+    corpus = closed_oracle_corpus()
+    oracle = {(p, r): all_dilates_oracle(et.convex_hull(p.vertices), r)
+              for p in corpus for r in range(5)}
+    moments = ehrhart.row_moments
+
+    def perturbed(rows, r, dim, sides, order):
+        return [tuple([x + (side == "interior") for x in entries]
+                      for side, entries in zip(sides, ranks))
+                for ranks in moments(rows, r, dim, sides, order)]
+
+    monkeypatch.setattr(ehrhart, "row_moments", perturbed)
+    for (p, r), h in oracle.items():
+        fresh = et.convex_hull(p.vertices)
+        assert ehrhart._closed_moment_oracle(fresh, r) == h, (p.dim, r)
+        assert et.to_hr_vector(fresh, r) != h, (p.dim, r)
+        assert et.discrete_moment_interior(fresh, r, 1) != h[len(h) - 1], (p.dim, r)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_reciprocity_check_refuses_a_negative_rank(d):
+    # below d = 4 the oracle reads rank r of the volume and facet sums, where
+    # r = -1 would read the top rank when no dilate is scanned first
+    p = et.random_lattice_polytope(d, 1 if d > 3 else 2, d + 3, seed=750)
+    for n in (1, 2, 3):
+        with pytest.raises(ValueError):
+            et.reciprocity_check(p, -1, n)
 
 
 def test_hr_vector_scans_dilates_up_to_half_the_degree(monkeypatch):

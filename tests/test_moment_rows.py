@@ -14,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehrtensor as et
-from ehrtensor.ehrhart import CLOSED, INTERIOR, _all_dilates_oracle, row_moments
+from ehrtensor import ehrhart
+from ehrtensor.ehrhart import CLOSED, INTERIOR, row_moments
 from ehrtensor.polytopes import dilate_rows, scan_rows, shadow_levels
 from ehrtensor.tensors import dot, vneg
 
-from conftest import (NAMED_SOLIDS, box_filter_rows, box_rows, fraction_vandermonde_oracle,
-                      oracle_moment, scan_points)
+from conftest import (NAMED_SOLIDS, all_dilates_oracle, box_filter_rows, box_rows,
+                      fraction_vandermonde_oracle, oracle_moment, scan_points)
 
 
 def box_points(bounds, constraints, strict=False):
@@ -225,9 +226,22 @@ def test_fused_kernel_matches_point_sums(p, r, n):
 @given(polytopes(3, 2), st.integers(0, 3))
 def test_halved_nodes_match_all_dilates_oracle(p, r):
     poly, h = fraction_vandermonde_oracle(p, r)
-    assert _all_dilates_oracle(p, r) == h
+    assert all_dilates_oracle(p, r) == h
+    assert ehrhart._closed_moment_oracle(p, r) == h
     assert et.ehrhart_tensor_polynomial(p, r) == poly
     assert et.to_hr_vector(p, r) == h
+
+
+@settings(max_examples=40, deadline=None)
+@given(polytopes(3, 2), st.integers(0, 5),
+       st.sampled_from([(0, 0, 0), (5, -3, 2), (10**6, -7, 10**5)]))
+def test_closed_moment_oracle_matches_fraction_oracle(p, r, shift):
+    # verify's oracle below d = 4, which reads the closed moments of nP for
+    # n <= m - 2 and the volume and facet sums, against the Vandermonde
+    # oracle on a fresh copy, which reads the closed moments of every dilate
+    q = p.translate(shift[:p.dim])
+    assert ehrhart._closed_moment_oracle(q, r) == \
+        fraction_vandermonde_oracle(et.convex_hull(q.vertices), r)[1]
 
 
 @settings(max_examples=8, deadline=None)
@@ -235,6 +249,6 @@ def test_halved_nodes_match_all_dilates_oracle(p, r):
 def test_halved_nodes_match_oracle_in_dimension_four(seed, r):
     p = et.random_lattice_polytope(4, 1, 7, seed)
     poly, h = fraction_vandermonde_oracle(p, r)
-    assert _all_dilates_oracle(p, r) == h
+    assert all_dilates_oracle(p, r) == h
     assert et.ehrhart_tensor_polynomial(p, r) == poly
     assert et.to_hr_vector(p, r) == h
