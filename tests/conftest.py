@@ -10,8 +10,9 @@ integer eliminations, and the moment polynomial's oracle solves a
 Vandermonde system with them; the volume and facet moments' oracle sums one
 ``Fraction`` tensor per simplex, each volume a Leibniz determinant.  The
 integer all-dilates oracle maps the closed moments of every dilate to h with
-the library's numerator map and reads neither sum that fills in entries of
-production's h or verify's oracle h.  The point
+the library's numerator map; it reads neither the volume nor the facet sum,
+from which production's h (d >= 4) and verify's oracle h (d <= 3) fill in
+entries.  The point
 expansion of row scans, the tensor pushforward and the binomial translation
 expansion are the right-hand sides of identities the library must satisfy.
 """
