@@ -306,6 +306,56 @@ def test_reciprocity_check_refuses_a_negative_rank(d):
             et.reciprocity_check(p, -1, n)
 
 
+# The dimension policy, per d: the oracle that meets the h route, and for
+# r = 0..5 the last dilate n the h route scans (it scans n = 1..last) and how
+# many entries of h, after those the scans give, it solves from the volume
+# and facet sums.
+POLICY = {
+    1: ("closed", [(1, 0), (1, 0), (2, 0), (2, 0), (3, 0), (3, 0)]),
+    2: ("closed", [(1, 0), (2, 0), (2, 0), (3, 0), (3, 0), (4, 0)]),
+    3: ("closed", [(2, 0), (2, 0), (3, 0), (3, 0), (4, 0), (4, 0)]),
+    4: ("cells", [(1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]),
+    5: ("cells", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]),
+    6: ("cells", [(2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1)]),
+    7: ("cells", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)]),
+    8: ("cells", [(3, 2), (4, 1), (4, 2), (5, 1), (5, 2), (6, 1)]),
+}
+
+
+@pytest.mark.parametrize("d", sorted(POLICY))
+def test_dimension_policy_is_pinned(d, monkeypatch):
+    # on the unit simplex, the dilates the h route scans; the entries that
+    # move when V gains 2 and F gains 4 in their first entry, which are the
+    # ones solved from the sums; and the oracle _oracle takes, with both
+    # oracles stubbed out
+    oracle, reach = POLICY[d]
+    scanned = record_calls(monkeypatch, ehrhart, "dilate_rows")
+    sums, shift = ehrhart._simplex_sums, [0, 0]
+
+    def perturbed(p, top):
+        return tuple(tuple((ranks[0] + k,) + ranks[1:] for ranks in side)
+                     for k, side in zip(shift, sums(p, top)))
+
+    monkeypatch.setattr(ehrhart, "_simplex_sums", perturbed)
+    taken = []
+    monkeypatch.setattr(ehrhart, "_closed_moment_oracle", lambda p, r: taken.append("closed"))
+    monkeypatch.setattr(ehrhart, "_halfopen_cells", lambda p: [])
+    monkeypatch.setattr(ehrhart, "_hr_sums", lambda cells, ranks: taken.append("cells"))
+    for r, (last, known) in enumerate(reach):
+        p = et.convex_hull([(0,) * d] + [tuple(int(i == j) for j in range(d)) for i in range(d)])
+        scanned.clear()
+        shift[:] = 0, 0
+        h = et.to_hr_vector(p, r)
+        assert [c["n"] for c in scanned] == list(range(1, last + 1)), (d, r)
+        shift[:] = 2, 4
+        moved = et.to_hr_vector(p, r)
+        assert [i for i in range(len(h)) if h[i] != moved[i]] \
+            == list(range(last + 1, last + 1 + known)), (d, r)
+        taken.clear()
+        ehrhart._oracle(p, (r,))
+        assert taken == [oracle], (d, r)
+
+
 def test_hr_vector_scans_dilates_up_to_half_the_degree(monkeypatch):
     # reciprocity halves the dilates: h of rank r reads the scans of nP for
     # n = 1..ceil((m - known)/2), m = d + r, each once, where from d = 4 on
