@@ -14,7 +14,7 @@ from .polytopes import (DegenerateInputError, FacetIneq, Polytope, convex_hull,
                         random_lattice_polytope)
 from .ehrhart import (discrete_moment, discrete_moment_interior,
                       ehrhart_tensor_polynomial, hr_vector_to_polynomial,
-                      moment_tensor, reciprocity_check,
+                      hr_vectors, moment_tensor, reciprocity_check,
                       second_coefficient_facets, to_hr_vector)
 from .halfopen import (BoxSlices, HalfOpenSimplex, box_slices,
                        eulerian_polynomial, h1_halfopen_2d, h2_halfopen_2d,

@@ -143,7 +143,7 @@ def _cmd_pick(args) -> int:
     h2 = triangulation.h2_pick(tri)
     l1 = triangulation.ehrhart_vector_pick(tri)
     l2 = triangulation.ehrhart_matrix_pick(tri)
-    i1, i2 = ehrhart.to_hr_vector(p, 1), ehrhart.to_hr_vector(p, 2)
+    i1, i2 = ehrhart.hr_vectors(p, (1, 2))
     agree = (h1 == i1 and h2 == i2
              and l1 == ehrhart.hr_vector_to_polynomial(i1)
              and l2 == ehrhart.hr_vector_to_polynomial(i2))
@@ -223,8 +223,7 @@ def _cmd_reflexive(args) -> int:
     p = _load_polytope(args.input)
     reflexive = positivity.is_reflexive(p)
     origin_interior = all(f.rhs >= 1 for f in p.facets)
-    hstar = ehrhart.to_hr_vector(p, 0)
-    h2 = ehrhart.to_hr_vector(p, 2)
+    hstar, h2 = ehrhart.hr_vectors(p, (0, 2))
     out = {
         "reflexive": reflexive,
         "origin_interior": origin_interior,
@@ -268,33 +267,33 @@ def _cmd_verify(args) -> int:
     p = _load_polytope(args.input)
     checks: list[tuple[str, bool]] = []
 
-    # each rank's h is derived once and met by routes that do not read it;
-    # only the checks that run for dim <= 3 read its polynomial and its sum
-    hs = [ehrhart.to_hr_vector(p, r) for r in (0, 1, 2)]
-    polys = [ehrhart.hr_vector_to_polynomial(h) for h in hs] if p.dim <= 3 else []
+    # the h of ranks 0..2 from one call, met by routes that do not read it; the
+    # volume checks read its polynomial where it reads no volume sum (_route)
+    hs = ehrhart.hr_vectors(p, (0, 1, 2))
+    polys = [None if ehrhart._route(p.dim, r)[1] else ehrhart.hr_vector_to_polynomial(h)
+             for r, h in enumerate(hs)]
 
-    # the oracle h of ranks 0..2, from one call: the half-open cells where the
-    # h route reads the volume and facet moments (dim >= 4), else the closed
-    # moments of every dilate; it serves reciprocity and h-top
+    # the oracle h of ranks 0..2 from one call, for reciprocity and h-top: the
+    # half-open cells where the h route reads the volume and facet sums, else
+    # the closed moments of nP, n <= m - 2, and those two sums
     oracles = ehrhart._oracle(p, (0, 1, 2))
     for r, h_oracle in enumerate(oracles):
         ok = all(ehrhart._reciprocity_holds(p, h_oracle, n) for n in (1, 2, 3))
         checks.append((f"reciprocity_r{r}", ok))
 
-    for r, (h, h_oracle) in enumerate(zip(hs, oracles)):
-        if p.dim <= 3:
+    for r, (h, h_oracle, poly) in enumerate(zip(hs, oracles, polys)):
+        if poly is not None:
             volume_moment = ehrhart.moment_tensor(p, r)
             checks.append((f"leading_coefficient_is_volume_moment_r{r}",
-                           polys[r].coeffs[-1] == volume_moment))
+                           poly.coeffs[-1] == volume_moment))
         if p.dim == 2:
             checks.append((f"second_coefficient_facet_sum_r{r}",
-                           polys[r].coeffs[p.dim + r - 1]
-                           == ehrhart.second_coefficient_facets(p, r)))
-        if p.dim <= 3:
+                           poly.coeffs[p.dim + r - 1] == ehrhart.second_coefficient_facets(p, r)))
+        if poly is not None:
             total = sum(h.entries, SymTensor.zero(r, p.dim))
             checks.append((f"h_sum_is_normalized_volume_moment_r{r}",
                            total == volume_moment * math.factorial(p.dim + r)))
-        # to_hr_vector's top entry is L(P°) by construction; test the oracle's
+        # the h route's top entry is L(P°) by construction; test the oracle's
         checks.append((f"h_top_is_interior_moment_r{r}",
                        h_oracle[len(h_oracle) - 1] == ehrhart.discrete_moment_interior(p, r, 1)))
 

@@ -23,38 +23,30 @@ n = 1..ceil(m/2) only.  The polynomial is the binomial expansion of h,
 of h: ``sum_i h_i = V``, the volume moment times m!, and ``sum_i (m+1-2i)
 h_i = F``, the facet-moment sum.  From dim 4 on one dilate fewer is
 scanned, and these two identities give the missing middle entries of h:
-one at odd m from V, two at even m from V and F (:func:`to_hr_vector`).
+one at odd m from V, two at even m from V and F (:func:`hr_vectors`);
+:func:`_route` alone decides this, and the oracle, per dimension and rank.
 
 The rows of nP do not depend on the rank: :func:`~ehrtensor.polytopes.dilate_rows`
 scans each dilate once, and one pass over its rows gives the moments of ranks
 0..max(r, 2).  Both are kept on the polytope, each side of a pass under its
 own key of :attr:`~ehrtensor.polytopes.Polytope.dilates`, and freed with it,
 so a large dilate (``moments --n`` big) is held until its request ends.  A
-CLI request derives each rank's h once.
+CLI request asks :func:`hr_vectors` once, for every rank it reads.
 
 ``ehrtensor verify`` and :func:`reciprocity_check` meet the h route with an
-oracle h that does not read it (:func:`_oracle`).  From dim 4 on, where the
-h route reads the volume and facet moments, the oracle is the sum over the
-half-open cells of one pulling triangulation of the stored boundary
-(Koeppe-Verdoolaege, 2008): one box per cell and one vertex-part pass for
-all the cells serve every rank, and the entries are summed before any
-tensor is built.  It shares no enumeration, moment pass or numerator map
-with the h route; the two run the code of one Newton kernel, on other
-simplices with other weights.  Below dim 4 the oracle is
-:func:`_closed_moment_oracle`: the closed moments at n = 0..m-2, mapped to
-h by the same alternating binomial sums, and the top two entries from the
-volume and facet sums; at ranks 0..2 it scans no dilate the h route does
-not.  ``verify`` builds the oracle h of ranks 0..2 in one call and reads
-each twice: its top entry against L(P°), and at -n in the binomial basis
-against L(nP°), n = 1, 2, 3 (:func:`_reciprocity_holds`).  The volume and
-facet moments are one integer pass per polytope over the faces of its
-boundary, for ranks 0..max(r, 2), kept on the polytope beside the dilates.
-The pass is the Newton kernel of the vertex parts,
-:func:`~ehrtensor.tensors._newton_columns`, with weights c!, and by Euler's
+oracle h that does not read it (:func:`_oracle`): where the h route reads
+the volume and facet moments, the half-open cells of one pulling
+triangulation of the stored boundary, else :func:`_closed_moment_oracle`,
+the closed moments at n = 0..m-2 and the top two entries from those sums.
+``verify`` reads each oracle h twice: its top entry against L(P°), and at -n
+in the binomial basis against L(nP°), n = 1, 2, 3 (:func:`_reciprocity_holds`).
+The volume and facet moments are one integer pass per polytope over the
+faces of its boundary, for ranks 0..max(r, 2), kept on the polytope beside
+the dilates: the Newton kernel of the vertex parts,
+:func:`~ehrtensor.tensors._newton_columns`, with weights c!, where by Euler's
 identity for homogeneous integrands the volume sum is the facet sum with
-each face weighted by its plane's right-hand side (Lasserre, 1998).
-The h route reads their integer sums, the public functions divide each
-entry once.
+each face weighted by its plane's right-hand side (Lasserre, 1998).  The h
+route reads their integer sums, the public functions divide each entry once.
 """
 from __future__ import annotations
 
@@ -122,40 +114,50 @@ def _hr(p: Polytope, r: int, entries) -> HrVector:
     return HrVector(tuple(SymTensor.from_entries(r, p.dim, e) for e in entries))
 
 
-def _scan_reach(dim: int, r: int) -> tuple[int, int]:
-    """``(k, known)``: the h route scans nP for n = 1..k and reads the top
-    ``known`` coefficients of L^r(nP), m = dim + r, from the volume moment
-    and, at even m, the facet moments, which it does from dim 4 on."""
+def _route(dim: int, r: int) -> tuple[int, int, bool]:
+    """The dimension policy: ``(k, known, coned)``.  The h route of rank r scans nP
+    for n = 1..k and reads the top ``known`` coefficients of L^r(nP), m = dim + r,
+    from the volume moment and, at even m, the facet moments, which it does
+    from dim 4 on; exactly there :func:`_oracle` takes the half-open cells
+    (``coned``), elsewhere :func:`_closed_moment_oracle`, which reads both sums."""
     known = 0 if dim < 4 else 2 - (dim + r) % 2
-    return (dim + r - known + 1) // 2, known
+    return (dim + r - known + 1) // 2, known, known > 0
 
 
-def to_hr_vector(p: Polytope, r: int) -> HrVector:
-    """h-tensor vector of P, ``sum_n L^r(nP) t^n = sum_i h_i t^i / (1-t)^(m+1)``, m = dim + r.
+def hr_vectors(p: Polytope, ranks) -> list[HrVector]:
+    """The h-tensor vector of P of each rank in ``ranks``, in that order, from one call:
+    ``sum_n L^r(nP) t^n = sum_i h_i t^i / (1-t)^(m+1)``, m = dim + r.
 
     The closed moments of nP, n = 0..k, give h_0..h_k, and by reciprocity
     ``sum_{n>=1} L^r(nP°) t^n = sum_i h_i t^(m+1-i) / (1-t)^(m+1)`` the
     interior moments, n = 1..k, give h_m down to h_(m-k+1).  Below dim 4,
     k = ceil(m/2) and that is all of h.  From dim 4 on the scans stop one
-    dilate earlier (:func:`_scan_reach`) and the middle entries come from
-    the two top coefficients of ``L(n) = sum_i h_i C(n+m-i, m)``: the
-    volume moment ``V = m! integral_P x^r = sum_i h_i``, which fixes the
-    one missing entry at odd m, and the facet sum ``F = sum_i (m+1-2i) h_i``
-    (Brion-Vergne 1997; Lasserre 1998), in which the two missing entries
-    h_(m/2), h_(m/2+1) at even m weigh +1 and -1, so each is half of an
-    integer sum, divided exactly.  The top entry is L^r(P°) and, for
-    r >= 1, entry 0 vanishes and entry 1 is L^r(P).
+    dilate earlier (:func:`_route`) and the volume moment ``V = m!
+    integral_P x^r = sum_i h_i`` fixes the one missing entry at odd m; at
+    even m the facet sum ``F = sum_i (m+1-2i) h_i`` (Brion-Vergne 1997;
+    Lasserre 1998) weighs the two missing ones, h_(m/2) and h_(m/2+1), +1
+    and -1, so each is half of an integer sum, divided exactly.  The top
+    entry is L^r(P°) and, for r >= 1, entry 0 vanishes and entry 1 is L^r(P).
     """
-    if r < 0:
-        raise ValueError("rank and dilation must be nonnegative")
-    m = p.dim + r
-    k, known = _scan_reach(p.dim, r)
-    both = [_moments(p, r, n) for n in range(k + 1)]    # 0P° is empty
-    h = (_numerator([c for c, _ in both], m)[:m // 2 + 1]
-         + _numerator([i for _, i in both], m)[:0:-1])
-    if known:
-        _fill_from_sums(p, r, h, k + 1, known)
-    return _hr(p, r, h)
+    ranks = tuple(ranks)
+    if not ranks or min(ranks) < 0:
+        raise ValueError("rank and dilation must be nonnegative" if ranks else "no rank asked for")
+    out = []
+    for r in ranks:
+        m = p.dim + r
+        k, known, _ = _route(p.dim, r)
+        both = [_moments(p, r, n) for n in range(k + 1)]    # 0P° is empty
+        h = (_numerator([c for c, _ in both], m)[:m // 2 + 1]
+             + _numerator([i for _, i in both], m)[:0:-1])
+        if known:
+            _fill_from_sums(p, r, h, k + 1, known)
+        out.append(_hr(p, r, h))
+    return out
+
+
+def to_hr_vector(p: Polytope, r: int) -> HrVector:
+    """The h-tensor vector of P of rank r: the one-rank case of :func:`hr_vectors`."""
+    return hr_vectors(p, (r,))[0]
 
 
 def _fill_from_sums(p: Polytope, r: int, h: list, i: int, count: int) -> None:
@@ -216,13 +218,12 @@ def _closed_moment_oracle(p: Polytope, r: int) -> HrVector:
     """h-vector from the closed moments of nP, n = 0..m-2, m = dim + r; the
     volume and facet sums give h_(m-1) and h_m (:func:`_fill_from_sums`).
 
-    The oracle of ``ehrtensor verify`` below dim 4 (:func:`_oracle`): it reads
+    The oracle where the h route reads neither sum (:func:`_route`): it reads
     no interior moment, so reciprocity and h-top meet a route that does not
     read what they test.  It asks for both sides up to the later of n = 3
     (reciprocity) and the h route's last dilate, so each dilate is one pass.
     """
-    m, top = p.dim + r, max(r, 2)
-    half = max(_scan_reach(p.dim, top)[0], 3)
+    m, half = p.dim + r, max(_route(p.dim, max(r, 2))[0], 3)
     h = _numerator([_moments(p, r, n, BOTH if n <= half else CLOSED)[0] for n in range(m - 1)], m)
     _fill_from_sums(p, r, h, m - 1, 2)
     return _hr(p, r, h)
@@ -245,20 +246,20 @@ def _halfopen_cells(p: Polytope) -> list[HalfOpenSimplex]:
 
 
 def _oracle(p: Polytope, ranks) -> list[HrVector]:
-    """The h-vector of each rank in ``ranks`` by a route that :func:`to_hr_vector` does
+    """The h-vector of each rank in ``ranks`` by a route that :func:`hr_vectors` does
     not take: the oracle of ``ehrtensor verify`` and :func:`reciprocity_check`.
 
-    Where the h route reads the volume and facet moments (from dim 4 on, see
-    :func:`_scan_reach`), the sum over the half-open cells of
-    :func:`_halfopen_cells`: one box enumeration per cell and one vertex-part
-    pass for all the cells serve every rank, and the entries are summed
-    across the cells before any tensor is built
-    (:func:`~ehrtensor.halfopen._hr_sums`).  It shares no enumeration, moment
-    pass or numerator map with the h route.
-    Below dim 4, :func:`_closed_moment_oracle`, which reads the closed side of
+    Where the h route reads the volume and facet moments (:func:`_route`), the
+    sum over the half-open cells of :func:`_halfopen_cells` (Koeppe-Verdoolaege,
+    2008): one box enumeration per cell and one vertex-part pass for all the
+    cells serve every rank, and the entries are summed across the cells
+    before any tensor is built (:func:`~ehrtensor.halfopen._hr_sums`).  It
+    shares no enumeration, moment pass or numerator map with the h route; the
+    two run one Newton kernel, on other simplices with other weights.
+    Elsewhere, :func:`_closed_moment_oracle`, which reads the closed side of
     the dilates the h route scans, and no interior moment.
     """
-    if _scan_reach(p.dim, max(ranks))[1]:
+    if _route(p.dim, max(ranks))[2]:
         return _hr_sums([(s, box_slices(s)) for s in _halfopen_cells(p)], ranks)
     return [_closed_moment_oracle(p, r) for r in ranks]
 

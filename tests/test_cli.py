@@ -338,34 +338,35 @@ def test_verify_scans_each_dilate_once(dim, bound, seed, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("args, ranks", [
-    (["verify", "--json", random_request(2, 6, 1)], [0, 1, 2]),
-    (["verify", "--json", random_request(3, 2, 1)], [0, 1, 2]),
-    (["verify", "--json", random_request(4, 2, trial_seed(42, 95))], [0, 1, 2]),
-    (["pick", SQUARE], [1, 2]),
-    (["reflexive", '{"vertices": [[1,0],[0,1],[-1,-1]]}'], [0, 2]),
-    (["psd", SQUARE], [2]),
+    (["verify", "--json", random_request(2, 6, 1)], (0, 1, 2)),
+    (["verify", "--json", random_request(3, 2, 1)], (0, 1, 2)),
+    (["verify", "--json", random_request(4, 2, trial_seed(42, 95))], (0, 1, 2)),
+    (["pick", SQUARE], (1, 2)),
+    (["reflexive", '{"vertices": [[1,0],[0,1],[-1,-1]]}'], (0, 2)),
+    (["psd", SQUARE], (2,)),
 ], ids=["verify-2d", "verify-3d", "verify-d4", "pick", "reflexive", "psd"])
 def test_each_command_derives_each_rank_once(args, ranks, capsys, monkeypatch):
-    # the checks share one h per rank instead of deriving it again, and no
-    # polynomial is built from the polytope behind that h
+    # each request asks for its ranks in one h call, and the checks share
+    # those h instead of deriving them again: no polynomial is built from
+    # the polytope behind them
     calls = []
-    derive = ehrhart.to_hr_vector
+    derive = ehrhart.hr_vectors
 
-    def counted(p, r):
-        calls.append(r)
-        return derive(p, r)
+    def counted(p, asked):
+        calls.append(tuple(asked))
+        return derive(p, asked)
 
     def refuse(p, r):
         raise AssertionError("polynomial derived from the polytope again")
 
+    monkeypatch.setattr(ehrhart, "hr_vectors", counted)
     for module in (ehrhart, positivity):
-        monkeypatch.setattr(module, "to_hr_vector", counted)
         # positivity reads its polynomials off an h and does not import the
         # name; it is refused there all the same
         monkeypatch.setattr(module, "ehrhart_tensor_polynomial", refuse, raising=False)
     code, _, _ = run_cli(args, capsys)
     assert code == 0
-    assert sorted(calls) == ranks
+    assert calls == [ranks]
 
 
 @pytest.mark.parametrize("dim, bound, seed", [(2, 6, 1), (3, 2, 1), (4, 2, trial_seed(42, 95))],

@@ -373,6 +373,44 @@ def test_hr_vector_scans_dilates_up_to_half_the_degree(monkeypatch):
             assert sorted(c["n"] for c in scanned) == list(range(1, last + 1)), (d, r)
 
 
+@pytest.mark.parametrize("d", range(1, 6))
+def test_hr_vectors_match_per_rank_calls(d, monkeypatch):
+    # one call gives the h of each rank in the order asked, equal to one
+    # to_hr_vector call per rank, and on a fresh polytope it scans the same
+    # dilates and makes the same moment and boundary passes as those calls
+    p = et.random_lattice_polytope(d, 2 if d < 4 else 1, d + 3, seed=760 + d)
+    reads = record_calls(monkeypatch, ehrhart, "dilate_rows")
+    passes = record_calls(monkeypatch, ehrhart, "row_moments")
+    boundary = record_calls(monkeypatch, ehrhart, "_newton_columns")
+
+    def made():
+        out = ([c["n"] for c in reads], [(c["r"], tuple(c["sides"])) for c in passes],
+               [(c["r"], len(c["faces"])) for c in boundary])
+        for calls in (reads, passes, boundary):
+            calls.clear()
+        return out
+
+    for ranks in [(2, 0), (0, 1, 2), (3,), (4, 1, 3), (1, 1)]:
+        together = et.hr_vectors(et.convex_hull(p.vertices), ranks)
+        made_together = made()
+        fresh = et.convex_hull(p.vertices)
+        assert together == [et.to_hr_vector(fresh, r) for r in ranks], (d, ranks)
+        assert made_together == made(), (d, ranks)
+        assert [h.rank for h in together] == list(ranks)
+
+
+def test_hr_vectors_refuse_no_rank_and_a_negative_rank_before_any_scan(monkeypatch):
+    p = et.random_lattice_polytope(4, 2, 8, seed=770)
+    scans = record_calls(monkeypatch, polytopes, "scan_rows")
+    boundary = record_calls(monkeypatch, ehrhart, "_newton_columns")
+    for ranks in [(), [], range(0), (-1,), (2, -1), (0, 1, -3)]:
+        with pytest.raises(ValueError):
+            et.hr_vectors(p, ranks)
+    with pytest.raises(ValueError, match="nonnegative"):
+        et.to_hr_vector(p, -1)
+    assert scans == boundary == [] and p.dilates == {}
+
+
 def test_hr_vectors_of_many_polytopes_scan_each_dilate_once(monkeypatch):
     # 9 polytopes at ranks 0..2 read 21 (polytope, n) dilates, 1 <= n <= 2 at
     # d = 2 and d = 4, 1 <= n <= 3 at d = 3: each is scanned and passed over

@@ -299,7 +299,8 @@ PUBLIC_NAMES = [
     "edge_stats", "ehrhart", "ehrhart_matrix_pick", "ehrhart_tensor_polynomial",
     "ehrhart_vector_pick", "eulerian_polynomial", "h1_halfopen_2d", "h1_pick",
     "h2_halfopen_2d", "h2_pick", "half_open_decomposition", "halfopen", "halfopen_from_json",
-    "halfopen_to_json", "hr_halfopen", "hr_vector_to_polynomial", "interior_lattice_points",
+    "halfopen_to_json", "hr_halfopen", "hr_vector_to_polynomial", "hr_vectors",
+    "interior_lattice_points",
     "is_reflexive", "lattice_points", "linalg", "moment_halfopen", "moment_tensor",
     "outer_power", "palindromic", "polytope_from_json", "polytope_to_json", "polytopes",
     "positivity", "random_lattice_polytope", "reciprocity_check",

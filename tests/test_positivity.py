@@ -402,6 +402,23 @@ def test_palindromic_examples():
     assert et.palindromic(zero)
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_generalized_hibi_theorem_on_cross_polytopes(d):
+    # conv(+-e_i) has every facet at distance 1 from the origin, so it is
+    # reflexive and its h of ranks 0, 2 and 4 are palindromic; its 2x dilate
+    # keeps the origin inside with every facet at distance 2, and none of
+    # those h is palindromic.  The biconditional holds on both.
+    units = [tuple(s * (i == j) for j in range(d)) for i in range(d) for s in (1, -1)]
+    cross = et.convex_hull(units)
+    double = et.convex_hull([tuple(2 * x for x in u) for u in units])
+    for p, reflexive in ((cross, True), (double, False)):
+        assert all(f.rhs >= 1 for f in p.facets)
+        assert et.is_reflexive(p) is reflexive
+        for r, h in zip((0, 2, 4), et.hr_vectors(p, (0, 2, 4))):
+            assert et.palindromic(h) is reflexive, (d, reflexive, r)
+            assert et.reflexivity_palindromicity_check(p, r), (d, reflexive, r)
+
+
 def test_reflexivity_palindromicity_named_cases():
     assert et.reflexivity_palindromicity_check(
         et.convex_hull(NAMED_POLYGONS["sym_square"]), 2)
