@@ -202,8 +202,9 @@ def _report_json(rep: positivity.DefinitenessReport) -> dict:
 def _cmd_psd(args) -> int:
     p = _load_polytope(args.input)
     h = ehrhart.to_hr_vector(p, 2)
-    h_reports = positivity._classify_entries(h)
-    l_reports = positivity._classify_coefficients(h)
+    h_reports = [positivity.classify_definiteness(e) for e in h.entries]
+    l_reports = [positivity.classify_definiteness(c)
+                 for c in ehrhart.hr_vector_to_polynomial(h).coeffs[1:]]
     out = {"h2": [_report_json(r) for r in h_reports],
            "ehrhart2": [_report_json(r) for r in l_reports]}
     if args.table:
@@ -374,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--bound", type=int, default=2)
     sp.add_argument("--gens", type=int, default=8)
-    sp.add_argument("--which", choices=("psd", "hibi"), default="psd")
+    families = tuple(positivity.SCAN_FAMILIES)
+    sp.add_argument("--which", choices=families, default=families[0])
     sp.add_argument("--fail-on-violation", action="store_true")
     sp.set_defaults(func=_cmd_scan)
 

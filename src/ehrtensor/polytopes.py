@@ -508,28 +508,30 @@ def is_reflexive(p: Polytope) -> bool:
     return all(f.rhs == 1 for f in p.facets)
 
 
-def random_lattice_polytope(d: int, coord_bound: int, num_gens: int,
-                            seed: int, max_retries: int = 200) -> Polytope:
+RANDOM_POLYTOPE_DRAWS = 200
+
+
+def random_lattice_polytope(d: int, coord_bound: int, num_gens: int, seed: int) -> Polytope:
     """Convex hull of seeded uniform draws from the integer box.
 
     Generators are drawn coordinate-wise uniformly from
     ``[-coord_bound, coord_bound]`` with Python's Mersenne Twister
     (``random.Random(seed)``), so identical seeds give identical polytopes.
-    Degenerate draws are retried from the same stream.
+    Degenerate draws are retried from the same stream, RANDOM_POLYTOPE_DRAWS in all.
     """
     if num_gens < d + 1:
         raise ValueError("need at least d+1 generators")
     if coord_bound < 1:
         raise ValueError("coordinate bound must be positive")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(RANDOM_POLYTOPE_DRAWS):
         pts = [tuple(rng.randint(-coord_bound, coord_bound) for _ in range(d))
                for _ in range(num_gens)]
         try:
             return convex_hull(pts)
         except DegenerateInputError:
             continue
-    raise RuntimeError(f"no full-dimensional polytope after {max_retries} draws")
+    raise RuntimeError(f"no full-dimensional polytope after {RANDOM_POLYTOPE_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .ehrhart import hr_vector_to_polynomial, to_hr_vector
+from .ehrhart import ehrhart_tensor_polynomial, to_hr_vector
 from .polytopes import Polytope, dilate_rows, is_reflexive, random_lattice_polytope
 from .tensors import HrVector, SymTensor, rational_to_str
 
@@ -167,24 +167,14 @@ def sos_certificate(t: SymTensor) -> SosCertificate:
     return cert
 
 
-def _classify_entries(h: HrVector) -> list[DefinitenessReport]:
-    """Classify every entry of a rank-2 h-vector."""
-    return [classify_definiteness(entry) for entry in h.entries]
-
-
-def _classify_coefficients(h: HrVector) -> list[DefinitenessReport]:
-    """Classify the nonconstant coefficients of a rank-2 h-vector's polynomial."""
-    return [classify_definiteness(c) for c in hr_vector_to_polynomial(h).coeffs[1:]]
-
-
 def check_h2_psd(p: Polytope) -> list[DefinitenessReport]:
     """Classify every rank-2 h-vector entry of P."""
-    return _classify_entries(to_hr_vector(p, 2))
+    return [classify_definiteness(entry) for entry in to_hr_vector(p, 2).entries]
 
 
 def check_ehrhart_psd(p: Polytope) -> list[DefinitenessReport]:
     """Classify the nonconstant coefficients of the rank-2 moment polynomial."""
-    return _classify_coefficients(to_hr_vector(p, 2))
+    return [classify_definiteness(c) for c in ehrhart_tensor_polynomial(p, 2).coeffs[1:]]
 
 
 def palindromic(h: HrVector) -> bool:
@@ -268,22 +258,32 @@ def trial_seed(seed: int, trial: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+# name -> (P needs an interior lattice point, (h, d) -> checks as (index, tensor,
+# past the conjectured range)); the first family is ``scan --which``'s default
+SCAN_FAMILIES = {
+    "psd": (False, lambda h, d: [(i, h[i], False) for i in range(len(h))]),
+    "hibi": (True, lambda h, d: [(i, h[i] - h[1], i == d + 2) for i in range(1, d + 3)]),
+}
+
+
 def conjecture_scan(d: int, trials: int, coord_bound: int, num_gens: int,
                     seed: int, which: str = "psd") -> ScanReport:
     """Scan random polytopes for non-PSD h-matrix behaviour.
 
-    ``which='psd'`` classifies every rank-2 h-vector entry; ``which='hibi'``
-    classifies the differences h_i - h_1 for polytopes with an interior
-    lattice point (others are skipped and counted), with the top index
-    reported separately since the conjectured range stops below it.
-    Any non-PSD classification is recorded with its witness direction.
+    ``which`` names an entry of :data:`SCAN_FAMILIES`: ``'psd'`` classifies
+    every rank-2 h-vector entry; ``'hibi'`` classifies the differences
+    h_i - h_1, i = 1..d+2, for polytopes with an interior lattice point
+    (others are skipped and counted).  A non-PSD check is recorded with its
+    witness direction, in ``violations_last_index`` when its index is past the
+    conjectured range (the hibi top index) and in ``violations`` otherwise.
     """
-    if which not in ("psd", "hibi"):
-        raise ValueError("scan kind must be 'psd' or 'hibi'")
+    if which not in SCAN_FAMILIES:
+        raise ValueError(f"scan kind must be {' or '.join(map(repr, SCAN_FAMILIES))}")
     if d < 1:
         raise ValueError("dimension must be positive")
     if trials < 0:
         raise ValueError("trial count must be nonnegative")
+    needs_interior, checks = SCAN_FAMILIES[which]
     start = time.monotonic()
     violations: list[ScanViolation] = []
     last_index: list[ScanViolation] = []
@@ -292,20 +292,14 @@ def conjecture_scan(d: int, trials: int, coord_bound: int, num_gens: int,
     for trial in range(trials):
         p = random_lattice_polytope(d, coord_bound, num_gens, trial_seed(seed, trial))
         # P has an interior lattice point iff a row of 1P has a strict span
-        if which == "hibi" and not any(slo <= shi for *_, slo, shi in dilate_rows(p, 1)):
+        if needs_interior and not any(slo <= shi for *_, slo, shi in dilate_rows(p, 1)):
             skipped += 1
             continue
-        h = to_hr_vector(p, 2)
-        if which == "psd":
-            checks = [(i, h[i], violations) for i in range(len(h))]
-        else:
-            checks = [(i, h[i] - h[1], violations if i < d + 2 else last_index)
-                      for i in range(1, d + 3)]
-        for i, tensor, found in checks:
+        for i, tensor, past_range in checks(to_hr_vector(p, 2), d):
             rep = classify_definiteness(tensor)
             if not rep.is_psd:
-                found.append(ScanViolation(trial, p.vertices, i, rep.classification,
-                                           rep.witness, rep.witness_value))
+                (last_index if past_range else violations).append(ScanViolation(
+                    trial, p.vertices, i, rep.classification, rep.witness, rep.witness_value))
         completed += 1
     return ScanReport(which=which, dimension=d, trials=trials,
                       coord_bound=coord_bound, num_gens=num_gens, seed=seed,

@@ -213,6 +213,33 @@ def test_scan_deterministic_output(capsys):
     assert data["violations"] == []
 
 
+def _scan_which(parser):
+    (subparsers,) = [a for a in parser._actions if a.dest == "command"]
+    (which,) = [a for a in subparsers.choices["scan"]._actions if a.dest == "which"]
+    return which
+
+
+def test_scan_families_come_from_the_table(monkeypatch, capsys):
+    which = _scan_which(cli._PARSER)
+    assert which.choices == tuple(positivity.SCAN_FAMILIES)
+    assert which.default == "psd"
+    # a family added to the table is a choice of the next parser built
+    monkeypatch.setitem(positivity.SCAN_FAMILIES, "negated", (
+        False, lambda h, d: [(i, -h[i], False) for i in range(len(h))]))
+    monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+    assert _scan_which(cli._PARSER).choices[-1] == "negated"
+    code, out, _ = run_cli(["scan", "--dim", "2", "--trials", "2", "--which", "negated"], capsys)
+    assert code == 0
+    assert json.loads(out)["which"] == "negated"
+
+
+def test_scan_refuses_an_unknown_family(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--which", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
 def test_scan_takes_any_positive_dimension(capsys):
     code, out, _ = run_cli(["scan", "--dim", "5", "--trials", "1", "--which", "hibi"], capsys)
     assert code == 0

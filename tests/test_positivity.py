@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehrtensor as et
+from ehrtensor import positivity
 from ehrtensor.positivity import NotPositiveSemidefiniteError, _congruence, trial_seed
 
 from conftest import NAMED_POLYGONS, fraction_congruence, leibniz_det
@@ -496,6 +497,28 @@ def test_scan_outputs_are_pinned():
     assert [(v.trial, v.index) for v in hibi[-1].violations] == [(95, 5)]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
         "d986becbcac3ced0834404bab232f28f54869a31c3cbf008e63eac6abb382ce1"
+
+
+def test_a_family_added_to_the_table_runs_through_the_scan(monkeypatch):
+    # a third family, the negated entries on polytopes with an interior point
+    # and the top index past the range, needs no edit beyond its table entry
+    monkeypatch.setitem(positivity.SCAN_FAMILIES, "negated", (
+        True, lambda h, d: [(i, -h[i], i == d + 2) for i in range(len(h))]))
+    rep = et.conjecture_scan(2, 10, 3, 6, seed=1, which="negated")
+    assert (rep.which, rep.completed, rep.skipped_no_interior) == ("negated", 8, 2)
+    expected, expected_last = [], []
+    for trial in range(10):
+        p = et.random_lattice_polytope(2, 3, 6, trial_seed(1, trial))
+        if not et.interior_lattice_points(p, 1):
+            continue
+        for i, entry in enumerate(et.to_hr_vector(p, 2).entries):
+            cls = et.classify_definiteness(-entry)
+            if not cls.is_psd:
+                (expected_last if i == 4 else expected).append((trial, i, cls.classification))
+    assert [(v.trial, v.index, v.classification) for v in rep.violations] == expected
+    assert [(v.trial, v.index, v.classification) for v in rep.violations_last_index] == \
+        expected_last
+    assert expected and expected_last
 
 
 def test_trial_seed_stable():
