@@ -30,6 +30,11 @@ class CliError(Exception):
         super().__init__(message)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # a typed refusal; subparsers share the class
+        raise CliError(EXIT_MALFORMED, "invalid_arguments", message)
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
@@ -322,7 +327,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ehrtensor",
         description="Exact moment tensors and h-tensor vectors of lattice polytopes")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -393,9 +398,9 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     digits = _get_int_max_str_digits()
     try:
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except CliError as exc:
         _emit(exc.payload)

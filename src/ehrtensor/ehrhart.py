@@ -27,11 +27,11 @@ one at odd m from V, two at even m from V and F (:func:`hr_vectors`);
 :func:`_route` alone decides this, and the oracle, per dimension and rank.
 
 The rows of nP do not depend on the rank: :func:`~ehrtensor.polytopes.dilate_rows`
-scans each dilate once, and one pass over its rows gives the moments of ranks
-0..max(r, 2).  Both are kept on the polytope, each side of a pass under its
-own key of :attr:`~ehrtensor.polytopes.Polytope.dilates`, and freed with it,
-so a large dilate (``moments --n`` big) is held until its request ends.  A
-CLI request asks :func:`hr_vectors` once, for every rank it reads.
+scans each dilate once, and one pass over them gives the moments of ranks 0..2,
+or 0..r above, for each side of nP that lacks rank r (:func:`_moments`).  Both
+are kept under their own keys of :attr:`~ehrtensor.polytopes.Polytope.dilates`
+and freed with the polytope, so a large dilate (``moments --n`` big) is held
+until its request ends.  A CLI request asks :func:`hr_vectors` once.
 
 ``ehrtensor verify`` and :func:`reciprocity_check` meet the h route with an
 oracle h that does not read it (:func:`_oracle`): where the h route reads
@@ -40,12 +40,11 @@ triangulation of the stored boundary, else :func:`_closed_moment_oracle`,
 the closed moments at n = 0..m-2 and the top two entries from those sums.
 ``verify`` reads each oracle h twice: its top entry against L(P°), and at -n
 in the binomial basis against L(nP°), n = 1, 2, 3 (:func:`_reciprocity_holds`).
-The volume and facet moments are one integer pass per polytope over the
-faces of its boundary, for ranks 0..max(r, 2), kept on the polytope beside
-the dilates: the Newton kernel of the vertex parts,
-:func:`~ehrtensor.tensors._newton_columns`, with weights c!, where by Euler's
-identity for homogeneous integrands the volume sum is the facet sum with
-each face weighted by its plane's right-hand side (Lasserre, 1998).  The h
+The volume and facet moments are one integer pass over the faces of the
+boundary, kept by the same rule beside the dilates: the Newton kernel of the
+vertex parts, :func:`~ehrtensor.tensors._newton_columns`, with weights c!, where
+by Euler's identity for homogeneous integrands the volume sum is the facet sum
+with each face weighted by its plane's right-hand side (Lasserre, 1998).  The h
 route reads their integer sums, the public functions divide each entry once.
 """
 from __future__ import annotations
@@ -64,22 +63,22 @@ from .tensors import (BOTH, CLOSED, INTERIOR, HrVector, SymTensor, TensorPolynom
 
 
 def _moments(p: Polytope, r: int, n: int, sides=BOTH) -> list[tuple[int, ...]]:
-    """Entries of L^r(nP) and/or L^r(nP°), per side asked for: one pass over the rows
-    of nP computes the sides ``p.dilates`` lacks, kept under ``(top, n, side)``;
-    ranks 0..2 share the pass of ``top = max(r, 2)``.  At n = 0 no scan and no
-    pass: 0P = {0}, so L^r(0P) is 1 at r = 0 and 0 above, and 0P° is empty."""
+    """Entries of L^r(nP) and/or L^r(nP°), per side asked for, each side of nP kept
+    under ``(n, side)`` in ``p.dilates``: the sides missing there or holding no rank r
+    take one pass over the rows of nP, for ranks 0..max(r, 2).  At n = 0 no scan and
+    no pass: 0P = {0}, so L^r(0P) is 1 at r = 0 and 0 above, and 0P° is empty."""
     if r < 0 or n < 0:
         raise ValueError("rank and dilation must be nonnegative")
     if n == 0:
         zero = (0,) * len(multi_indices(p.dim, r))
         return [(1,) if side == "closed" and r == 0 else zero for side in sides]
-    top, store = max(r, 2), p.dilates
-    missing = [side for side in sides if (top, n, side) not in store]
+    store = p.dilates
+    missing = [side for side in sides if len(store.get((n, side), ())) <= r]
     if missing:
-        passes = row_moments(dilate_rows(p, n), top, p.dim, missing, p.scan_order)
+        passes = row_moments(dilate_rows(p, n), max(r, 2), p.dim, missing, p.scan_order)
         for side, ranks in zip(missing, zip(*passes)):
-            store[top, n, side] = tuple(map(tuple, ranks))
-    return [store[top, n, side][r] for side in sides]
+            store[n, side] = tuple(map(tuple, ranks))
+    return [store[n, side][r] for side in sides]
 
 
 def discrete_moment(p: Polytope, r: int, n: int) -> SymTensor:
@@ -114,14 +113,14 @@ def _hr(p: Polytope, r: int, entries) -> HrVector:
     return HrVector(tuple(SymTensor.from_entries(r, p.dim, e) for e in entries))
 
 
-def _route(dim: int, r: int) -> tuple[int, int, bool]:
-    """The dimension policy: ``(k, known, coned)``.  The h route of rank r scans nP
-    for n = 1..k and reads the top ``known`` coefficients of L^r(nP), m = dim + r,
+def _route(dim: int, r: int) -> tuple[int, int]:
+    """The dimension policy: ``(k, known)``.  The h route of rank r scans nP for
+    n = 1..k and reads the top ``known`` coefficients of L^r(nP), m = dim + r,
     from the volume moment and, at even m, the facet moments, which it does
-    from dim 4 on; exactly there :func:`_oracle` takes the half-open cells
-    (``coned``), elsewhere :func:`_closed_moment_oracle`, which reads both sums."""
+    from dim 4 on; exactly where ``known > 0`` :func:`_oracle` takes the
+    half-open cells, elsewhere :func:`_closed_moment_oracle`, which reads both sums."""
     known = 0 if dim < 4 else 2 - (dim + r) % 2
-    return (dim + r - known + 1) // 2, known, known > 0
+    return (dim + r - known + 1) // 2, known
 
 
 def hr_vectors(p: Polytope, ranks) -> list[HrVector]:
@@ -145,7 +144,7 @@ def hr_vectors(p: Polytope, ranks) -> list[HrVector]:
     out = []
     for r in ranks:
         m = p.dim + r
-        k, known, _ = _route(p.dim, r)
+        k, known = _route(p.dim, r)
         both = [_moments(p, r, n) for n in range(k + 1)]    # 0P° is empty
         h = (_numerator([c for c, _ in both], m)[:m // 2 + 1]
              + _numerator([i for _, i in both], m)[:0:-1])
@@ -166,7 +165,7 @@ def _fill_from_sums(p: Polytope, r: int, h: list, i: int, count: int) -> None:
     the entries held, one is A; two, weighing w + 2 and w = m-1-2i in F, are
     ``h_i = (B - w A)/2``, divided exactly, and ``h_(i+1) = A - h_i``."""
     m = p.dim + r
-    volume, facets = (sums[r] for sums in _simplex_sums(p, max(r, 2)))
+    volume, facets = (sums[r] for sums in _simplex_sums(p, r))
     weights = [m + 1 - 2 * j for j in (*range(i), *range(i + count, m + 1))]
     a, b = zip(*((v - sum(col), f - sum(map(mul, weights, col)))
                  for v, f, *col in zip(volume, facets, *h)))
@@ -215,16 +214,12 @@ def ehrhart_tensor_polynomial(p: Polytope, r: int) -> TensorPolynomial:
 
 
 def _closed_moment_oracle(p: Polytope, r: int) -> HrVector:
-    """h-vector from the closed moments of nP, n = 0..m-2, m = dim + r; the
-    volume and facet sums give h_(m-1) and h_m (:func:`_fill_from_sums`).
-
-    The oracle where the h route reads neither sum (:func:`_route`): it reads
-    no interior moment, so reciprocity and h-top meet a route that does not
-    read what they test.  It asks for both sides up to the later of n = 3
-    (reciprocity) and the h route's last dilate, so each dilate is one pass.
-    """
-    m, half = p.dim + r, max(_route(p.dim, max(r, 2))[0], 3)
-    h = _numerator([_moments(p, r, n, BOTH if n <= half else CLOSED)[0] for n in range(m - 1)], m)
+    """h-vector from the closed moments of nP, n = 0..m-2, m = dim + r, with h_(m-1)
+    and h_m from the volume and facet sums (:func:`_fill_from_sums`): the oracle
+    where the h route reads neither sum (:func:`_route`).  It asks for no interior
+    side, so reciprocity and h-top meet a route that does not read what they test."""
+    m = p.dim + r
+    h = _numerator([_moments(p, r, n, CLOSED)[0] for n in range(m - 1)], m)
     _fill_from_sums(p, r, h, m - 1, 2)
     return _hr(p, r, h)
 
@@ -259,7 +254,7 @@ def _oracle(p: Polytope, ranks) -> list[HrVector]:
     Elsewhere, :func:`_closed_moment_oracle`, which reads the closed side of
     the dilates the h route scans, and no interior moment.
     """
-    if _route(p.dim, max(ranks))[2]:
+    if _route(p.dim, max(ranks))[1]:
         return _hr_sums([(s, box_slices(s)) for s in _halfopen_cells(p)], ranks)
     return [_closed_moment_oracle(p, r) for r in ranks]
 
@@ -290,8 +285,8 @@ def _reciprocity_holds(p: Polytope, h: HrVector, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # exact volume and facet moments
 
-def _simplex_sums(p: Polytope, top: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """``(V, F)``, per rank q = 0..top the entries of ``F_q = sum_F g_F H_q(F)``
+def _simplex_sums(p: Polytope, r: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """``(V, F)``, per rank q = 0..top, top >= r, the entries of ``F_q = sum_F g_F H_q(F)``
     over the faces of :attr:`~ehrtensor.polytopes.Polytope.boundary`, g_F the
     face's lattice volume, and of ``V_q = (dim+q)! integral_P x^q``, the same
     sum weighted by ``rhs_F g_F``: x^q is homogeneous, so ``(dim+q)
@@ -301,19 +296,18 @@ def _simplex_sums(p: Polytope, top: int) -> tuple[tuple[tuple[int, ...], ...], .
     = g H_q / (k+q)!``, ``H_q = q! h_q`` with h_q the complete homogeneous
     tensor of its vertices (Baldoni et al., "How to integrate a polynomial
     over a simplex", 2011): :func:`~ehrtensor.tensors._newton_columns` with
-    weights c!, one column per face.  One pass per polytope, kept under
-    ``(top, "boundary")`` in :attr:`~ehrtensor.polytopes.Polytope.dilates`;
-    ranks 0..2 share the pass of ``top = 2``.
+    weights c!, one column per face, kept under ``"boundary"`` in
+    :attr:`~ehrtensor.polytopes.Polytope.dilates` by the rule of :func:`_moments`.
     """
-    store = p.dilates
-    if (top, "boundary") not in store:
+    store, top = p.dilates, max(r, 2)
+    if "boundary" not in store or len(store["boundary"][0]) <= r:
         points, boundary = p.boundary
         hs = _newton_columns(points, [face for face, _, _ in boundary], top, p.dim,
                              [(math.factorial(c),) for c in range(top + 1)])
-        store[top, "boundary"] = tuple(
+        store["boundary"] = tuple(
             tuple(tuple(sum(map(mul, weights, column)) for column in h[0]) for h in hs)
             for weights in ([rhs * g for _, (_, rhs), g in boundary], [g for _, _, g in boundary]))
-    return store[top, "boundary"]
+    return store["boundary"]
 
 
 def moment_tensor(p: Polytope, r: int) -> SymTensor:
@@ -324,7 +318,7 @@ def moment_tensor(p: Polytope, r: int) -> SymTensor:
     once, by (dim+r)!.
     """
     den = math.factorial(p.dim + r)
-    return SymTensor(r, p.dim, tuple(Fraction(a, den) for a in _simplex_sums(p, max(r, 2))[0][r]))
+    return SymTensor(r, p.dim, tuple(Fraction(a, den) for a in _simplex_sums(p, r)[0][r]))
 
 
 def second_coefficient_facets(p: Polytope, r: int) -> SymTensor:
@@ -337,4 +331,4 @@ def second_coefficient_facets(p: Polytope, r: int) -> SymTensor:
     (Lasserre 1998), with one division per entry, by 2 (dim-1+r)!.
     """
     den = 2 * math.factorial(p.dim - 1 + r)
-    return SymTensor(r, p.dim, tuple(Fraction(a, den) for a in _simplex_sums(p, max(r, 2))[1][r]))
+    return SymTensor(r, p.dim, tuple(Fraction(a, den) for a in _simplex_sums(p, r)[1][r]))

@@ -111,11 +111,11 @@ class Polytope:
     @cached_property
     def dilates(self) -> dict:
         """Work on the dilates nP, kept as long as the polytope: n -> the rows of
-        :func:`dilate_rows`, in the scan frame; ``(top, n, side)`` -> the
-        moments of ranks 0..top read off them, of nP (side ``"closed"``) or
-        nP° (``"interior"``); ``(top, "boundary")`` -> the integer sums behind
-        the volume and facet moments of ranks 0..top, the top two coefficients
-        of the moment polynomial in n, from one pass over :attr:`boundary`."""
+        :func:`dilate_rows`, in the scan frame; ``(n, side)`` -> the moments of
+        ranks 0..top of the last pass over them, of nP (side ``"closed"``) or
+        nP° (``"interior"``); ``"boundary"`` -> the integer sums behind the
+        volume and facet moments of ranks 0..top, the top two coefficients of
+        the moment polynomial in n, from one pass over :attr:`boundary`."""
         return {}
 
     def translate(self, t: Sequence[int]) -> "Polytope":

@@ -234,10 +234,36 @@ def test_scan_families_come_from_the_table(monkeypatch, capsys):
 
 
 def test_scan_refuses_an_unknown_family(capsys):
+    code, out, err = run_cli(["scan", "--which", "nope"], capsys)
+    assert code == 2 and err == ""
+    error = json.loads(out)["error"]
+    assert error["kind"] == "invalid_arguments"
+    assert "invalid choice: 'nope'" in error["message"]
+
+
+@pytest.mark.parametrize("args, says", [
+    (["scan", "--dim", "abc"], "invalid int value: 'abc'"),
+    (["nope", SQUARE], "invalid choice: 'nope'"),
+    (["hvec"], "required: input"),
+    (["verify", SQUARE, "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "required: command"),
+], ids=["bad-int", "unknown-subcommand", "missing-input", "unknown-flag", "no-command"])
+def test_argument_refusals_are_typed_errors(args, says, capsys):
+    # argparse refuses these before any command runs; they print the same
+    # typed error on stdout as the refusals of the commands themselves, with
+    # no usage text on stderr
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and err == ""
+    error = json.loads(out)["error"]
+    assert error["kind"] == "invalid_arguments" and says in error["message"]
+
+
+@pytest.mark.parametrize("args", [["--help"], ["scan", "--help"]])
+def test_help_still_exits_zero(args, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["scan", "--which", "nope"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'nope'" in capsys.readouterr().err
+        main(args)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ehrtensor")
 
 
 def test_scan_takes_any_positive_dimension(capsys):

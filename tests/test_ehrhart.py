@@ -8,7 +8,7 @@ import pytest
 
 import ehrtensor as et
 from ehrtensor import ehrhart, polytopes
-from ehrtensor.ehrhart import BOTH, CLOSED
+from ehrtensor.ehrhart import BOTH, CLOSED, INTERIOR
 from ehrtensor.linalg import gcd_vector
 from ehrtensor.positivity import trial_seed
 from ehrtensor.tensors import _newton_columns, vneg, vsub
@@ -193,7 +193,7 @@ def test_all_dilates_h_meets_the_volume_and_facet_sums():
         for r in range(5):
             m = d + r
             columns = list(zip(*(e.entries for e in all_dilates_oracle(p, r).entries)))
-            volume, facets = (sums[r] for sums in ehrhart._simplex_sums(p, max(r, 2)))
+            volume, facets = (sums[r] for sums in ehrhart._simplex_sums(p, r))
             assert [sum(col) for col in columns] == list(volume), (d, r)
             assert [sum((m + 1 - 2 * i) * x for i, x in enumerate(col))
                     for col in columns] == list(facets), (d, r)
@@ -444,6 +444,56 @@ def test_h_route_makes_one_two_sided_pass_per_dilate(build, ranks, last, monkeyp
     dilates = list(range(1, last + 1))
     assert [c["n"] for c in reads] == dilates
     assert [(c["r"], tuple(c["sides"])) for c in passes] == [(2, BOTH)] * len(dilates)
+
+
+def test_a_moment_pass_serves_every_rank_up_to_its_top(monkeypatch):
+    # each side of nP is kept under (n, side) with the ranks 0..top of its
+    # last pass, and passed again only for a rank it lacks, at top max(r, 2):
+    # on a 3-polytope rank 4 reads n = 1..4, and ranks 1 and 3 read n <= 2
+    # and n <= 3 off those passes
+    p = et.random_lattice_polytope(3, 2, 6, seed=763)
+    passes = record_calls(monkeypatch, ehrhart, "row_moments")
+    hs = et.hr_vectors(p, (4, 1, 3))
+    assert [c["r"] for c in passes] == [4] * 4
+    assert {key for key in p.dilates if isinstance(key, tuple)} \
+        == {(n, side) for n in range(1, 5) for side in BOTH}
+    passes.clear()
+    assert et.to_hr_vector(p, 1) == hs[1]
+    assert passes == []
+    # a rank above the kept top passes again, at its own rank
+    fresh = et.convex_hull(p.vertices)
+    assert et.hr_vectors(fresh, (1, 3)) == hs[1:]
+    assert [c["r"] for c in passes] == [2, 2, 3, 3, 3]
+
+
+def test_the_boundary_pass_serves_every_rank_up_to_its_top(monkeypatch):
+    p = et.random_lattice_polytope(4, 2, 8, seed=763)
+    boundary = record_calls(monkeypatch, ehrhart, "_newton_columns")
+    high = et.moment_tensor(p, 4)
+    low = et.moment_tensor(p, 1)
+    assert [c["r"] for c in boundary] == [4]
+    fresh = et.convex_hull(p.vertices)
+    assert (et.moment_tensor(fresh, 4), et.moment_tensor(fresh, 1)) == (high, low)
+
+
+def test_the_closed_moment_oracle_asks_for_the_closed_side_only(monkeypatch):
+    # on a fresh polytope the oracle passes the closed side of each dilate it
+    # reads, and reciprocity_check the interior side of nP and no other
+    p = et.random_lattice_polytope(3, 2, 6, seed=763)
+    h = et.to_hr_vector(et.convex_hull(p.vertices), 3)
+    reads = record_calls(monkeypatch, ehrhart, "dilate_rows")
+    passes = record_calls(monkeypatch, ehrhart, "row_moments")
+    assert ehrhart._closed_moment_oracle(p, 3) == h
+    assert [c["n"] for c in reads] == [1, 2, 3, 4]
+    assert [tuple(c["sides"]) for c in passes] == [CLOSED] * 4
+    for p in reciprocity_corpus():
+        for r in range(4):
+            for n in (1, 2, 3):
+                reads.clear()
+                passes.clear()
+                assert et.reciprocity_check(et.convex_hull(p.vertices), r, n)
+                made = [(read["n"], tuple(c["sides"])) for read, c in zip(reads, passes)]
+                assert [m for m in made if m[1] != CLOSED] == [(n, INTERIOR)], (p.dim, r, n)
 
 
 def test_record_calls_forwards_and_records_keywords(monkeypatch):

@@ -253,7 +253,7 @@ def test_equal_polytopes_hash_alike_and_keep_their_own_dilates(monkeypatch):
     assert dilate_rows(a, 2) == dilate_rows(b, 2) == dilate_rows(c, 2)
     assert len(scans) == 3
     et.to_hr_vector(a, 1)
-    assert set(a.dilates) == {1, 2} | {(2, n, side) for n in (1, 2)
+    assert set(a.dilates) == {1, 2} | {(n, side) for n in (1, 2)
                                        for side in ("closed", "interior")}
     assert list(b.dilates) == list(c.dilates) == [2]
     assert dilate_rows(b, 2) is b.dilates[2] is not a.dilates[2]
