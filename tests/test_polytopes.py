@@ -1,5 +1,6 @@
 """Hulls, facets, exact enumeration, reflexivity, seeded generation."""
 import gc
+import hashlib
 import math
 import random
 import weakref
@@ -9,7 +10,7 @@ from itertools import combinations, product
 import pytest
 
 import ehrtensor as et
-from ehrtensor import polytopes
+from ehrtensor import ehrhart, polytopes
 from ehrtensor.linalg import affine_basis, gcd_vector, primitive
 from ehrtensor.polytopes import (DegenerateInputError, FacetIneq, dilate_rows,
                                  placing_triangulation, polytope_from_json, polytope_to_json)
@@ -228,6 +229,44 @@ def test_every_hull_keeps_the_boundary_it_built(monkeypatch):
     for p in (polygon, moved, polygon, moved):
         assert p.boundary[0] == p.vertices
     assert [c["points"] for c in builds] == [polygon.vertices, moved.vertices]
+
+
+def _boundary_pin_polygons():
+    """The named polygons, a triangle with two non-vertex boundary points and
+    an interior point, and seeded draws of 4..12 points from boxes of bound
+    2..8, two per bound and count, as input point lists."""
+    yield from NAMED_POLYGONS.values()
+    yield [(0, 0), (1, 0), (3, 0), (0, 2), (0, 3), (1, 1)]
+    rng = random.Random(4400)
+    for bound in range(2, 9):
+        for count in range(4, 13):
+            for _ in range(2):
+                yield [(rng.randint(-bound, bound), rng.randint(-bound, bound))
+                       for _ in range(count)]
+
+
+def test_polygon_boundary_and_sums_are_pinned():
+    # a polygon's boundary faces are its hull edges whichever routine lists
+    # them: the same (corner points, plane, lattice length) as the placing
+    # triangulation of its vertices, and the same volume and facet sums
+    def faces(points, boundary):
+        return {(tuple(sorted(points[i] for i in face)), plane, g) for face, plane, g in boundary}
+
+    digest, on_edge, inside, kept = hashlib.sha256(), 0, 0, 0
+    for pts in _boundary_pin_polygons():
+        try:
+            p = et.convex_hull(pts)
+        except DegenerateInputError:
+            continue
+        assert faces(*p.boundary) == faces(p.vertices, placing_triangulation(p.vertices)[1]), pts
+        digest.update(repr(ehrhart._simplex_sums(p, 4)).encode())
+        rest = set(pts) - set(p.vertices)
+        on_edge += any(any(dot(f.normal, x) == f.rhs for f in p.facets) for x in rest)
+        inside += any(p.contains(x, strict=True) for x in rest)
+        kept += 1
+    assert (kept, on_edge, inside) == (136, 45, 104)
+    assert digest.hexdigest() == \
+        "c833aebb38356cc290d641aaa15ffd89afd0fd54069e12f9db41fe57ec9dea20"
 
 
 def test_a_hibi_scan_triangulates_each_hull_once(monkeypatch):
