@@ -10,7 +10,6 @@ exactness is the only requirement.
 """
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 
@@ -74,21 +73,6 @@ def int_inverse(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
         raise SingularMatrixError("singular matrix")
     sign = -1 if rows and rows[0][0] < 0 else 1
     return [[sign * x for x in row[n:]] for row in rows], sign * rows[0][0] if rows else 1
-
-
-def gcd_vector(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
-    return g
-
-
-def primitive(v: Sequence[int]) -> tuple[int, ...]:
-    """Divide an integer vector by the gcd of its entries (sign kept)."""
-    g = gcd_vector(v)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in v)
 
 
 def cross2(o: Sequence[int], a: Sequence[int], b: Sequence[int]) -> int:

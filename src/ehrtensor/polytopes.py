@@ -1,10 +1,11 @@
 """Lattice polytopes in small dimension with exact facet and point machinery.
 
-V-representation in, facets derived from the boundary of one integer
-beneath-beyond placing triangulation (a monotone chain for polygons).  Its
-starting simplex reads the planes and lattice volumes of its faces off the
-barycentric rows of one integer inverse, and every later face takes them from
-the two known planes at its horizon ridge.
+V-representation in, facets derived from one boundary built by the hull and
+kept on the polytope: a polygon's monotone-chain edges, and above 2D the
+boundary of one integer beneath-beyond placing triangulation, whose starting
+simplex reads the planes and lattice volumes of its faces off the barycentric
+rows of one integer inverse, and every later face takes them from the two
+known planes at its horizon ridge.  A translate re-hulls its vertices.
 Lattice point enumeration runs in one axis order per polytope, the cheapest
 by the projected volumes of its boundary, and clips each prefix level exactly
 by the facets of a projection (Fourier-Motzkin shadows), so no epsilon
@@ -12,6 +13,7 @@ appears anywhere.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,7 +21,7 @@ from itertools import accumulate, chain
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import affine_basis, cross2, gcd_vector, int_inverse, primitive
+from .linalg import affine_basis, cross2, int_inverse
 from .tensors import IntPoint, dot, vadd
 
 
@@ -74,12 +76,14 @@ class Polytope:
 
     @cached_property
     def boundary(self):
-        """``(points, faces)``: a triangulation of the boundary by the
-        :func:`placing_triangulation` boundary triples ``(face, (normal, rhs),
-        volume)``, each face indexing ``points``.  :func:`convex_hull` keeps the
-        one it built on its input points, whose non-vertex points may be
-        corners; otherwise the vertices are triangulated once, on first use."""
-        return self.vertices, tuple(placing_triangulation(self.vertices)[1])
+        """``(points, faces)``: a triangulation of the boundary as ``(face,
+        (normal, rhs), volume)`` triples, the boundary form of
+        :func:`placing_triangulation`, each face indexing ``points``.
+        :func:`convex_hull` keeps the one it built on its sorted input
+        points: a polygon's chain edges, and above 2D a triangulation whose
+        corners may be non-vertex points.  A translate or a hand-built
+        polytope re-hulls its vertices, once, on first use."""
+        return convex_hull(self.vertices).boundary
 
     @cached_property
     def scan_order(self) -> tuple[int, ...]:
@@ -143,17 +147,6 @@ def _hull_2d(points: list[IntPoint]) -> list[IntPoint]:
     return lower[:-1] + upper[:-1]
 
 
-def _facets_from_cycle(cycle: Sequence[IntPoint]) -> list[FacetIneq]:
-    facets = []
-    k = len(cycle)
-    for i in range(k):
-        u, w = cycle[i], cycle[(i + 1) % k]
-        dx, dy = w[0] - u[0], w[1] - u[1]
-        normal = primitive((dy, -dx))
-        facets.append(FacetIneq(normal, dot(normal, u)))
-    return facets
-
-
 def _affine_basis(pts: Sequence[IntPoint]) -> tuple[int, ...]:
     """Indices of the first d+1 affinely independent points; raises when there are fewer."""
     basis = affine_basis(pts)
@@ -185,7 +178,7 @@ def barycentric_facets(rows: Sequence[Sequence[int]]) -> list[tuple[tuple[IntPoi
     d = len(rows) - 1
     out = []
     for a in rows:
-        g = gcd_vector(a[:d])
+        g = math.gcd(*a[:d])
         out.append(((tuple(-x // g for x in a[:d]), a[d] // g), g))
     return out
 
@@ -257,7 +250,7 @@ def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[
             (ng, rg), _ = boundary[on[1 - i]]
             af, ag = heights[visible], sum(map(mul, ng, q)) - rg
             normal = [af * y - ag * x for x, y in zip(nf, ng)]
-            c = gcd_vector(normal)
+            c = math.gcd(*normal)
             normal = tuple(x // c for x in normal)
             rhs = (af * rg - ag * rf) // c
             on[i] = face = tuple(sorted(ridge + (k,)))
@@ -273,14 +266,16 @@ def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[
 def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
     """Convex hull of integer points: irredundant vertex set plus facet list.
 
-    Facets are the distinct boundary planes of :func:`placing_triangulation`;
-    a point is a vertex iff no other point lies on every facet it lies on.
-    The polytope keeps the triangulation's boundary, on the sorted input
-    points, as its :attr:`Polytope.boundary`.  Raises
-    :class:`DegenerateInputError` when the points are not full-dimensional in
-    their ambient space.
+    The boundary is built once, on the sorted input points: in 2D the edges
+    of the monotone chain (:func:`_hull_2d`), above it the boundary of
+    :func:`placing_triangulation`, as the same ``(face, (normal, rhs),
+    volume)`` triples, and the polytope keeps it as its
+    :attr:`Polytope.boundary`.  Facets are its distinct planes.  The vertices
+    are the chain's in 2D; above it, a point is a vertex iff no other point
+    lies on every facet it lies on.  Raises :class:`DegenerateInputError`
+    when the points are not full-dimensional in their ambient space.
     """
-    pts = sorted(set(tuple(map(checked_int, p)) for p in points))
+    pts = tuple(sorted(set(tuple(map(checked_int, p)) for p in points)))
     if not pts:
         raise ValueError("no input points")
     d = len(pts[0])
@@ -292,18 +287,26 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
     if d == 2:
         _affine_basis(pts)      # raises on collinear points
         cycle = _hull_2d(pts)
-        facets = tuple(sorted(_facets_from_cycle(cycle), key=lambda f: (f.normal, f.rhs)))
-        return Polytope(2, tuple(sorted(cycle)), facets)
-
-    _, boundary = placing_triangulation(pts)
+        index = {p: k for k, p in enumerate(pts)}
+        boundary = []
+        for u, w in zip(cycle, cycle[1:] + cycle[:1]):
+            # the chain runs counterclockwise, so (dy, -dx) points outward
+            dx, dy = w[0] - u[0], w[1] - u[1]
+            g = math.gcd(dx, dy)
+            normal = (dy // g, -dx // g)
+            boundary.append((tuple(sorted((index[u], index[w]))), (normal, dot(normal, u)), g))
+        vertices = tuple(sorted(cycle))
+    else:
+        _, boundary = placing_triangulation(pts)
     planes = sorted({plane for _, plane, _ in boundary})
-    # bit i of masks[k] is set when point k lies on facet i
-    masks = [sum(1 << i for i, (normal, rhs) in enumerate(planes)
-                 if sum(map(mul, normal, p)) == rhs) for p in pts]
-    vertices = tuple(p for k, (p, m) in enumerate(zip(pts, masks))
-                     if not any(o & m == m for j, o in enumerate(masks) if j != k))
+    if d != 2:
+        # bit i of masks[k] is set when point k lies on facet i
+        masks = [sum(1 << i for i, (normal, rhs) in enumerate(planes)
+                     if sum(map(mul, normal, p)) == rhs) for p in pts]
+        vertices = tuple(p for k, (p, m) in enumerate(zip(pts, masks))
+                         if not any(o & m == m for j, o in enumerate(masks) if j != k))
     p = Polytope(d, vertices, tuple(FacetIneq(n, r) for n, r in planes))
-    object.__setattr__(p, "boundary", (tuple(pts), tuple(boundary)))
+    object.__setattr__(p, "boundary", (pts, tuple(boundary)))
     return p
 
 
@@ -332,7 +335,7 @@ def shadow_levels(facets: Sequence[tuple[IntPoint, int]], points: Sequence[IntPo
             for a, c, up in ups:
                 if (up & down).bit_count() >= k:
                     normal = [a[k] * y - b[k] * x for x, y in zip(a[:k], b)]
-                    g = gcd_vector(normal + [a[k] * e - b[k] * c])
+                    g = math.gcd(*normal, a[k] * e - b[k] * c)
                     nxt.add((tuple(x // g for x in normal), (a[k] * e - b[k] * c) // g))
         out.append(level := tuple(sorted(nxt)))
     lo, hi = min(p[0] for p in points), max(p[0] for p in points)

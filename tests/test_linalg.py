@@ -195,12 +195,6 @@ def test_rank():
     assert len(linalg._reduce([[1, 2, 3], [2, 4, 6]])[1]) == 1
 
 
-def test_primitive():
-    assert linalg.primitive((4, -6, 8)) == (2, -3, 4)
-    with pytest.raises(ValueError):
-        linalg.primitive((0, 0))
-
-
 def test_affine_rank():
     assert len(linalg.affine_basis([(0, 0), (1, 1), (2, 2)])) - 1 == 1
     assert len(linalg.affine_basis([(0, 0), (1, 0), (0, 1)])) - 1 == 2
