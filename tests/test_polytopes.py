@@ -272,6 +272,64 @@ def test_polygon_boundary_and_sums_are_pinned():
         "c833aebb38356cc290d641aaa15ffd89afd0fd54069e12f9db41fe57ec9dea20"
 
 
+def test_translates_and_their_boundaries_are_pinned():
+    # a translate has the moved vertices and facets of its polytope, and its
+    # boundary faces as (sorted corner points, plane, lattice volume)
+    digest, rng = hashlib.sha256(), random.Random(4500)
+    for d in range(1, 6):
+        for k in range(6):
+            p = et.random_lattice_polytope(d, 2, d + 3, seed=4500 + 10 * d + k)
+            t = tuple(rng.randint(-10 ** (k + 1), 10 ** (k + 1)) for _ in range(d))
+            moved = p.translate(t)
+            points, boundary = moved.boundary
+            assert points == moved.vertices
+            faces = sorted((tuple(sorted(points[i] for i in face)), plane, g)
+                           for face, plane, g in boundary)
+            digest.update(repr((moved.dim, moved.vertices, moved.facets, faces)).encode())
+    assert digest.hexdigest() == \
+        "7d99db12d95048b91c63cf86d2544eb607a7ef1e5e572498e4ee3efed81eec75"
+
+
+def _flat_point_sets():
+    """``(points, affine_dim)``: single and repeated points in d = 1..4, and
+    seeded collinear 2D sets and coplanar 3D sets, with their affine dimension."""
+    for d in range(1, 5):
+        x = tuple(range(3, 3 + d))
+        yield [x], 0
+        yield [x, x, x], 0
+    yield [(0, 0), (1, 1), (2, 2)], 1
+    yield [(0, 0), (0, 1), (0, 5), (0, 1)], 1
+    yield [(-2, 3), (4, 3)], 1
+    yield [(0, 0, 0), (1, 2, 3), (-1, -2, -3)], 1
+    yield [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], 2
+    yield [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)], 3
+    rng = random.Random(4501)
+    for _ in range(20):
+        u = (rng.randint(-3, 3), rng.randint(1, 3))
+        o = (rng.randint(-5, 5), rng.randint(-5, 5))
+        cs = [rng.randint(-3, 3) for _ in range(rng.randint(1, 6))]
+        yield [(o[0] + c * u[0], o[1] + c * u[1]) for c in cs], int(len(set(cs)) > 1)
+    for _ in range(20):
+        u, v = (tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(2))
+        if not any(cofactor_cross([u, v], 3)):
+            continue
+        cs = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(1, 7))]
+        spread = {(a - cs[0][0], b - cs[0][1]) for a, b in cs} - {(0, 0)}
+        flat = 0 if not spread else 1 if all(
+            x * b - y * a == 0 for a, b in spread for x, y in spread) else 2
+        yield [tuple(a * s + b * w for s, w in zip(u, v)) for a, b in cs], flat
+
+
+def test_degenerate_refusals_are_pinned():
+    refused = []
+    for pts, flat in _flat_point_sets():
+        with pytest.raises(DegenerateInputError) as err:
+            et.convex_hull(pts)
+        refused.append((err.value.affine_dim, err.value.ambient_dim))
+        assert refused[-1] == (flat, len(pts[0])), pts
+    assert len(refused) == 53 and len(set(refused)) == 8
+
+
 def test_a_hibi_scan_triangulates_each_hull_once(monkeypatch):
     # the h route's volume and facet sums read the boundary each hull kept,
     # and each hull takes one integer inverse for its starting simplex
