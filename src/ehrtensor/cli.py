@@ -13,8 +13,7 @@ import math
 import sys
 
 from . import ehrhart, halfopen, positivity, triangulation
-from .polytopes import (DegenerateInputError, Polytope, facet_to_json,
-                        polytope_from_json)
+from .polytopes import DegenerateInputError, facet_to_json, polytope_from_json
 from .tensors import SymTensor, rational_to_str, tensor_to_json
 
 EXIT_OK = 0
@@ -60,21 +59,14 @@ def _load_json(source: str):
         _set_int_max_str_digits(0)
 
 
-def _load_polytope(source: str) -> Polytope:
+def _load(source: str, parse):
+    """``parse`` of the JSON at ``source``, its refusals as CLI errors."""
     data = _load_json(source)
     try:
-        return polytope_from_json(data)
+        return parse(data)
     except DegenerateInputError as exc:
         raise CliError(EXIT_DEGENERATE, "degenerate_polytope", str(exc),
                        affine_dim=exc.affine_dim) from exc
-    except (ValueError, TypeError, KeyError) as exc:
-        raise CliError(EXIT_MALFORMED, "malformed_input", str(exc)) from exc
-
-
-def _load_halfopen(source: str) -> halfopen.HalfOpenSimplex:
-    data = _load_json(source)
-    try:
-        return halfopen.halfopen_from_json(data)
     except (ValueError, TypeError, KeyError) as exc:
         raise CliError(EXIT_MALFORMED, "malformed_input", str(exc)) from exc
 
@@ -106,7 +98,7 @@ def _print_tensor_block(label: str, t: SymTensor) -> None:
 # subcommands
 
 def _cmd_moments(args) -> int:
-    p = _load_polytope(args.input)
+    p = _load(args.input, polytope_from_json)
     t = ehrhart.discrete_moment(p, args.r, args.n)
     if args.table:
         _print_tensor_block(f"L^{args.r}({args.n}P)", t)
@@ -116,7 +108,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_ehrhart(args) -> int:
-    p = _load_polytope(args.input)
+    p = _load(args.input, polytope_from_json)
     poly = ehrhart.ehrhart_tensor_polynomial(p, args.r)
     if args.table:
         for k, c in enumerate(poly.coeffs):
@@ -128,7 +120,7 @@ def _cmd_ehrhart(args) -> int:
 
 
 def _cmd_hvec(args) -> int:
-    p = _load_polytope(args.input)
+    p = _load(args.input, polytope_from_json)
     h = ehrhart.to_hr_vector(p, args.r)
     if args.table:
         for k, c in enumerate(h.entries):
@@ -139,7 +131,7 @@ def _cmd_hvec(args) -> int:
 
 
 def _cmd_pick(args) -> int:
-    p = _load_polytope(args.input)
+    p = _load(args.input, polytope_from_json)
     if p.dim != 2:
         raise CliError(EXIT_MALFORMED, "not_a_polygon",
                        "pick formulas need a 2-dimensional polytope")
@@ -174,7 +166,7 @@ def _cmd_pick(args) -> int:
 
 
 def _cmd_halfopen(args) -> int:
-    s = _load_halfopen(args.input)
+    s = _load(args.input, halfopen.halfopen_from_json)
     box = halfopen.box_slices(s)
     (h,) = halfopen._hr_sums([(s, box)], (args.r,))
     out = {
@@ -205,7 +197,7 @@ def _report_json(rep: positivity.DefinitenessReport) -> dict:
 
 
 def _cmd_psd(args) -> int:
-    p = _load_polytope(args.input)
+    p = _load(args.input, polytope_from_json)
     h = ehrhart.to_hr_vector(p, 2)
     h_reports = [positivity.classify_definiteness(e) for e in h.entries]
     l_reports = [positivity.classify_definiteness(c)
@@ -226,7 +218,7 @@ def _cmd_psd(args) -> int:
 
 
 def _cmd_reflexive(args) -> int:
-    p = _load_polytope(args.input)
+    p = _load(args.input, polytope_from_json)
     reflexive = positivity.is_reflexive(p)
     origin_interior = all(f.rhs >= 1 for f in p.facets)
     hstar, h2 = ehrhart.hr_vectors(p, (0, 2))
@@ -270,7 +262,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    p = _load_polytope(args.input)
+    p = _load(args.input, polytope_from_json)
     checks: list[tuple[str, bool]] = []
 
     # the h of ranks 0..2 from one call, met by routes that do not read it; the

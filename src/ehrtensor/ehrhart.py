@@ -125,7 +125,9 @@ def _route(dim: int, r: int) -> tuple[int, int]:
 
 def hr_vectors(p: Polytope, ranks) -> list[HrVector]:
     """The h-tensor vector of P of each rank in ``ranks``, in that order, from one call:
-    ``sum_n L^r(nP) t^n = sum_i h_i t^i / (1-t)^(m+1)``, m = dim + r.
+    ``sum_n L^r(nP) t^n = sum_i h_i t^i / (1-t)^(m+1)``, m = dim + r.  Each distinct
+    rank is derived once, the highest first, so the moment pass of each dilate holds
+    every lower rank (:func:`_moments`).
 
     The closed moments of nP, n = 0..k, give h_0..h_k, and by reciprocity
     ``sum_{n>=1} L^r(nP°) t^n = sum_i h_i t^(m+1-i) / (1-t)^(m+1)`` the
@@ -141,8 +143,8 @@ def hr_vectors(p: Polytope, ranks) -> list[HrVector]:
     ranks = tuple(ranks)
     if not ranks or min(ranks) < 0:
         raise ValueError("rank and dilation must be nonnegative" if ranks else "no rank asked for")
-    out = []
-    for r in ranks:
+    out = {}
+    for r in sorted(set(ranks), reverse=True):
         m = p.dim + r
         k, known = _route(p.dim, r)
         both = [_moments(p, r, n) for n in range(k + 1)]    # 0P° is empty
@@ -150,8 +152,8 @@ def hr_vectors(p: Polytope, ranks) -> list[HrVector]:
              + _numerator([i for _, i in both], m)[:0:-1])
         if known:
             _fill_from_sums(p, r, h, k + 1, known)
-        out.append(_hr(p, r, h))
-    return out
+        out[r] = _hr(p, r, h)
+    return [out[r] for r in ranks]
 
 
 def to_hr_vector(p: Polytope, r: int) -> HrVector:

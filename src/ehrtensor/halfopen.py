@@ -340,8 +340,6 @@ def _add_scaled(poly: dict[int, list[int]], deg: int, x: list[int], c: int) -> N
     """``poly[deg] += c * x`` on entry lists, creating the coefficient if absent.
 
     The lists are never changed in place, so ``poly[deg]`` may be x itself."""
-    if not c:
-        return
     if deg not in poly:
         poly[deg] = x if c == 1 else [c * b for b in x]
     elif c == 1:

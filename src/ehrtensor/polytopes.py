@@ -5,7 +5,8 @@ kept on the polytope: a polygon's monotone-chain edges, and above 2D the
 boundary of one integer beneath-beyond placing triangulation, whose starting
 simplex reads the planes and lattice volumes of its faces off the barycentric
 rows of one integer inverse, and every later face takes them from the two
-known planes at its horizon ridge.  A translate re-hulls its vertices.
+known planes at its horizon ridge.  A translate is the hull of its moved
+vertices, so it keeps a boundary too; only a hand-built polytope re-hulls.
 Lattice point enumeration runs in one axis order per polytope, the cheapest
 by the projected volumes of its boundary, and clips each prefix level exactly
 by the facets of a projection (Fourier-Motzkin shadows), so no epsilon
@@ -81,8 +82,8 @@ class Polytope:
         :func:`placing_triangulation`, each face indexing ``points``.
         :func:`convex_hull` keeps the one it built on its sorted input
         points: a polygon's chain edges, and above 2D a triangulation whose
-        corners may be non-vertex points.  A translate or a hand-built
-        polytope re-hulls its vertices, once, on first use."""
+        corners may be non-vertex points.  A translate is such a hull; only a
+        hand-built polytope re-hulls its vertices, once, on first use."""
         return convex_hull(self.vertices).boundary
 
     @cached_property
@@ -94,8 +95,9 @@ class Polytope:
         faces of :attr:`boundary`, ties in index order.  That weight is twice
         the volume of the projection along axis i (Cauchy's projection
         formula), and a dilate has about as many rows as lattice points in its
-        projection along the last scan axis.  Below dim 3 the identity, so a
-        polygon builds no boundary for it."""
+        projection along the last scan axis.  Below dim 3 the identity: on the
+        180 seed-1 pick-2d polygons of ``bench/`` the weight rule reorders 75,
+        and their items ran no faster for it (``item_ms_p50`` 1.022x)."""
         if self.dim < 3:
             return tuple(range(self.dim))
         weights = [0] * self.dim
@@ -124,16 +126,14 @@ class Polytope:
 
     def translate(self, t: Sequence[int]) -> "Polytope":
         t = tuple(map(checked_int, t))
-        verts = tuple(sorted(vadd(v, t) for v in self.vertices))
-        facets = tuple(FacetIneq(f.normal, f.rhs + dot(f.normal, t)) for f in self.facets)
-        return Polytope(self.dim, verts, facets)
+        return convex_hull(vadd(v, t) for v in self.vertices)
 
 
-def _hull_2d(points: list[IntPoint]) -> list[IntPoint]:
-    """Monotone chain; returns CCW vertex cycle without collinear points."""
-    pts = sorted(set(points))
+def _hull_2d(pts: Sequence[IntPoint]) -> list[IntPoint]:
+    """Monotone chain over sorted, distinct points: the CCW vertex cycle without
+    collinear points, or the points themselves when there are at most two."""
     if len(pts) <= 2:
-        return pts
+        return list(pts)
     lower: list[IntPoint] = []
     for p in pts:
         while len(lower) >= 2 and cross2(lower[-2], lower[-1], p) <= 0:
@@ -145,14 +145,6 @@ def _hull_2d(points: list[IntPoint]) -> list[IntPoint]:
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]
-
-
-def _affine_basis(pts: Sequence[IntPoint]) -> tuple[int, ...]:
-    """Indices of the first d+1 affinely independent points; raises when there are fewer."""
-    basis = affine_basis(pts)
-    if len(basis) <= len(pts[0]):
-        raise DegenerateInputError(len(basis) - 1, len(pts[0]))
-    return basis
 
 
 def _in_frame(x: Sequence[int], order: Sequence[int]) -> IntPoint:
@@ -210,7 +202,9 @@ def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[
     """
     pts = [tuple(p) for p in points]
     d = len(pts[0])
-    first = _affine_basis(pts)
+    first = affine_basis(pts)
+    if len(first) <= d:
+        raise DegenerateInputError(len(first) - 1, d)
     boundary = {}       # boundary simplex (sorted indices) -> ((normal, rhs), volume)
     ridges = {}         # ridge (d-1 sorted indices) -> the two boundary simplices on it
 
@@ -273,7 +267,8 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
     :attr:`Polytope.boundary`.  Facets are its distinct planes.  The vertices
     are the chain's in 2D; above it, a point is a vertex iff no other point
     lies on every facet it lies on.  Raises :class:`DegenerateInputError`
-    when the points are not full-dimensional in their ambient space.
+    when the points are not full-dimensional in their ambient space: in 2D
+    when the chain's cycle has fewer than three points.
     """
     pts = tuple(sorted(set(tuple(map(checked_int, p)) for p in points)))
     if not pts:
@@ -285,8 +280,9 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
         raise ValueError("points need at least one coordinate")
 
     if d == 2:
-        _affine_basis(pts)      # raises on collinear points
         cycle = _hull_2d(pts)
+        if len(cycle) < 3:
+            raise DegenerateInputError(len(cycle) - 1, 2)
         index = {p: k for k, p in enumerate(pts)}
         boundary = []
         for u, w in zip(cycle, cycle[1:] + cycle[:1]):

@@ -166,6 +166,28 @@ def test_psd_subcommand(capsys):
                for rep in data["h2"])
 
 
+def test_psd_fails_on_an_indefinite_entry_only_when_asked(capsys, monkeypatch):
+    # every h2 entry of the triangle is PSD, so a patched classifier reports
+    # the second one, h2_1, indefinite
+    classify, calls = positivity.classify_definiteness, []
+
+    def indefinite_second(t):
+        calls.append(t)
+        if len(calls) == 2:
+            return positivity.DefinitenessReport("indefinite", (1, 0), -1)
+        return classify(t)
+
+    monkeypatch.setattr(positivity, "classify_definiteness", indefinite_second)
+    for flags, exit_code in (([], 0), (["--fail-on-violation"], 1)):
+        calls.clear()
+        code, out, _ = run_cli(["psd", *flags, TRIANGLE_51], capsys)
+        assert code == exit_code
+        h2 = json.loads(out)["h2"]
+        assert [rep["classification"] == "indefinite" for rep in h2] == \
+            [False, True, False, False, False]
+        assert h2[1]["witness_value"] == "-1"
+
+
 def test_reflexive_subcommand(capsys):
     code, out, _ = run_cli(["reflexive", '{"vertices": [[1,0],[0,1],[-1,-1]]}'], capsys)
     assert code == 0
@@ -638,11 +660,12 @@ def test_negative_trial_count_exit_code(capsys):
 
 
 def test_degenerate_input_exit_code(capsys):
-    code, out, _ = run_cli(["moments", '{"vertices": [[0,0],[1,1],[2,2]]}'], capsys)
-    assert code == 3
-    data = json.loads(out)
-    assert data["error"]["kind"] == "degenerate_polytope"
-    assert data["error"]["affine_dim"] == 1
+    for vertices, affine_dim in (("[[0,0],[1,1],[2,2]]", 1), ("[[1,1],[1,1]]", 0)):
+        code, out, _ = run_cli(["moments", '{"vertices": %s}' % vertices], capsys)
+        assert code == 3
+        data = json.loads(out)
+        assert data["error"]["kind"] == "degenerate_polytope"
+        assert data["error"]["affine_dim"] == affine_dim
 
 
 def test_table_mode_aligned_matrix(capsys):

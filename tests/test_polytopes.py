@@ -207,8 +207,8 @@ def test_pencil_planes_and_volumes_match_cofactor_cross(name):
 def test_every_hull_keeps_the_boundary_it_built(monkeypatch):
     # the boundary indexes the sorted input points, so above 2D a non-vertex
     # point may be a corner, and nothing is triangulated again; a polygon
-    # keeps its chain's edges and triangulates nothing, and a translate
-    # re-hulls its vertices once, on the first read
+    # keeps its chain's edges and triangulates nothing, and a translate is
+    # the hull of its moved vertices, so no boundary read builds one again
     builds = record_calls(monkeypatch, polytopes, "placing_triangulation")
     for d in (1, 2, 3, 4):
         rng = random.Random(8100 + d)
@@ -227,11 +227,27 @@ def test_every_hull_keeps_the_boundary_it_built(monkeypatch):
             kept += 1
             non_vertex += len(p.vertices) < len(points)
     polygon = et.convex_hull(NAMED_POLYGONS["skew_quad"])
-    moved = et.convex_hull(NAMED_SOLIDS["reeve_tetrahedron"]).translate((3, -2, 5))
+    solid = et.convex_hull(NAMED_SOLIDS["reeve_tetrahedron"])
+    builds.clear()
+    moved = solid.translate((3, -2, 5))
+    assert [c["points"] for c in builds] == [moved.vertices]
     builds.clear()
     for p in (polygon, moved, polygon, moved):
         assert p.boundary[0] == p.vertices
-    assert [c["points"] for c in builds] == [moved.vertices]
+    assert builds == []
+
+
+def test_a_polygon_hull_takes_no_affine_basis(monkeypatch):
+    # the monotone chain refuses collinear input itself; above 2D the placing
+    # triangulation finds its starting simplex by one affine basis
+    bases = record_calls(monkeypatch, polytopes, "affine_basis")
+    for pts in NAMED_POLYGONS.values():
+        et.convex_hull(pts)
+    with pytest.raises(DegenerateInputError):
+        et.convex_hull([(0, 0), (1, 1), (2, 2)])
+    assert bases == []
+    et.convex_hull(NAMED_SOLIDS["reeve_tetrahedron"])
+    assert len(bases) == 1
 
 
 def _boundary_pin_polygons():
