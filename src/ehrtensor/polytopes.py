@@ -97,7 +97,7 @@ class Polytope:
         formula), and a dilate has about as many rows as lattice points in its
         projection along the last scan axis.  Below dim 3 the identity: on the
         180 seed-1 pick-2d polygons of ``bench/`` the weight rule reorders 75,
-        and their items ran no faster for it (``item_ms_p50`` 1.022x)."""
+        and their items ran about 2% slower for it (``item_ms_p50`` 1.022x)."""
         if self.dim < 3:
             return tuple(range(self.dim))
         weights = [0] * self.dim
