@@ -99,7 +99,9 @@ def _print_tensor_block(label: str, t: SymTensor) -> None:
 
 def _cmd_moments(args) -> int:
     p = _load(args.input, polytope_from_json)
-    t = ehrhart.discrete_moment(p, args.r, args.n)
+    # past the dilates the h route scans, its polynomial at n rather than a scan of nP
+    t = (ehrhart.ehrhart_tensor_polynomial(p, args.r).evaluate(args.n)
+         if args.n > -(-(p.dim + args.r) // 2) else ehrhart.discrete_moment(p, args.r, args.n))
     if args.table:
         _print_tensor_block(f"L^{args.r}({args.n}P)", t)
     else:
@@ -266,14 +268,12 @@ def _cmd_verify(args) -> int:
     checks: list[tuple[str, bool]] = []
 
     # the h of ranks 0..2 from one call, met by routes that do not read it; the
-    # volume checks read its polynomial where it reads no volume sum (_route)
+    # volume checks read its polynomial where its route reads no volume sum
     hs = ehrhart.hr_vectors(p, (0, 1, 2))
-    polys = [None if ehrhart._route(p.dim, r)[1] else ehrhart.hr_vector_to_polynomial(h)
-             for r, h in enumerate(hs)]
+    reads_sums = ehrhart.routes(p.dim)[0].reads_sums
+    polys = [None if reads_sums else ehrhart.hr_vector_to_polynomial(h) for h in hs]
 
-    # the oracle h of ranks 0..2 from one call, for reciprocity and h-top: the
-    # half-open cells where the h route reads the volume and facet sums, else
-    # the closed moments of nP, n <= m - 2, and those two sums
+    # the oracle h of ranks 0..2 from one call, for reciprocity and h-top
     oracles = ehrhart._oracle(p, (0, 1, 2))
     for r, h_oracle in enumerate(oracles):
         ok = all(ehrhart._reciprocity_holds(p, h_oracle, n) for n in (1, 2, 3))

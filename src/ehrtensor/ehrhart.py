@@ -21,31 +21,30 @@ and those of the interior moments the upper half, from the scans of nP for
 n = 1..ceil(m/2) only.  The polynomial is the binomial expansion of h,
 ``L(n) = sum_i h_i C(n+m-i, m)``, so its two top coefficients are two sums
 of h: ``sum_i h_i = V``, the volume moment times m!, and ``sum_i (m+1-2i)
-h_i = F``, the facet-moment sum.  From dim 4 on one dilate fewer is
-scanned, and these two identities give the missing middle entries of h:
-one at odd m from V, two at even m from V and F (:func:`hr_vectors`);
-:func:`_route` alone decides this, and the oracle, per dimension and rank.
+h_i = F``, the facet-moment sum.  A second scan stops one dilate earlier,
+and these two identities give the missing middle entries of h: one at odd m
+from V, two at even m from V and F (:func:`_scan`).
 
 The rows of nP do not depend on the rank: :func:`~ehrtensor.polytopes.dilate_rows`
 scans each dilate once, and one pass over them gives the moments of ranks 0..2,
 or 0..r above, for each side of nP that lacks rank r (:func:`_moments`).  Both
 are kept under their own keys of :attr:`~ehrtensor.polytopes.Polytope.dilates`
-and freed with the polytope, so a large dilate (``moments --n`` big) is held
-until its request ends.  A CLI request asks :func:`hr_vectors` once.
+and freed with the polytope.  A CLI request asks :func:`hr_vectors` once.
 
-``ehrtensor verify`` and :func:`reciprocity_check` meet the h route with an
-oracle h that does not read it (:func:`_oracle`): where the h route reads
-the volume and facet moments, the half-open cells of one pulling
-triangulation of the stored boundary, else :func:`_closed_moment_oracle`,
-the closed moments at n = 0..m-2 and the top two entries from those sums.
-``verify`` reads each oracle h twice: its top entry against L(P°), and at -n
-in the binomial basis against L(nP°), n = 1, 2, 3 (:func:`_reciprocity_holds`).
+Four routes give h, every rank asked for from one call (:class:`Route`): the two
+dilate scans, the half-open cells of one pulling triangulation of the stored
+boundary, and the closed moments at n = 0..m-2 with the top two entries from the
+sums (:func:`_closed_moment_oracle`).  :data:`ROUTES` is the one place that pairs
+the production h (:func:`hr_vectors`) with the oracle that ``ehrtensor verify`` and
+:func:`reciprocity_check` meet it with (:func:`_oracle`).  ``verify`` reads each
+oracle h twice: its top entry against L(P°), and at -n in the binomial basis
+against L(nP°), n = 1, 2, 3 (:func:`_reciprocity_holds`).
 The volume and facet moments are one integer pass over the faces of the
 boundary, kept by the same rule beside the dilates: the Newton kernel of the
 vertex parts, :func:`~ehrtensor.tensors._newton_columns`, with weights c!, where
 by Euler's identity for homogeneous integrands the volume sum is the facet sum
-with each face weighted by its plane's right-hand side (Lasserre, 1998).  The h
-route reads their integer sums, the public functions divide each entry once.
+with each face weighted by its plane's right-hand side (Lasserre, 1998).  The
+routes read their integer sums, the public functions divide each entry once.
 """
 from __future__ import annotations
 
@@ -54,6 +53,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
+from typing import Callable, NamedTuple
 
 from .halfopen import HalfOpenSimplex, _hr_sums, box_slices, half_open_decomposition
 from .polytopes import Polytope, dilate_rows
@@ -113,40 +113,21 @@ def _hr(p: Polytope, r: int, entries) -> HrVector:
     return HrVector(tuple(SymTensor.from_entries(r, p.dim, e) for e in entries))
 
 
-def _route(dim: int, r: int) -> tuple[int, int]:
-    """The dimension policy: ``(k, known)``.  The h route of rank r scans nP for
-    n = 1..k and reads the top ``known`` coefficients of L^r(nP), m = dim + r,
-    from the volume moment and, at even m, the facet moments, which it does
-    from dim 4 on; exactly where ``known > 0`` :func:`_oracle` takes the
-    half-open cells, elsewhere :func:`_closed_moment_oracle`, which reads both sums."""
-    known = 0 if dim < 4 else 2 - (dim + r) % 2
-    return (dim + r - known + 1) // 2, known
-
-
-def hr_vectors(p: Polytope, ranks) -> list[HrVector]:
-    """The h-tensor vector of P of each rank in ``ranks``, in that order, from one call:
-    ``sum_n L^r(nP) t^n = sum_i h_i t^i / (1-t)^(m+1)``, m = dim + r.  Each distinct
-    rank is derived once, the highest first, so the moment pass of each dilate holds
-    every lower rank (:func:`_moments`).
-
-    The closed moments of nP, n = 0..k, give h_0..h_k, and by reciprocity
-    ``sum_{n>=1} L^r(nP°) t^n = sum_i h_i t^(m+1-i) / (1-t)^(m+1)`` the
-    interior moments, n = 1..k, give h_m down to h_(m-k+1).  Below dim 4,
-    k = ceil(m/2) and that is all of h.  From dim 4 on the scans stop one
-    dilate earlier (:func:`_route`) and the volume moment ``V = m!
-    integral_P x^r = sum_i h_i`` fixes the one missing entry at odd m; at
-    even m the facet sum ``F = sum_i (m+1-2i) h_i`` (Brion-Vergne 1997;
-    Lasserre 1998) weighs the two missing ones, h_(m/2) and h_(m/2+1), +1
-    and -1, so each is half of an integer sum, divided exactly.  The top
-    entry is L^r(P°) and, for r >= 1, entry 0 vanishes and entry 1 is L^r(P).
-    """
-    ranks = tuple(ranks)
-    if not ranks or min(ranks) < 0:
-        raise ValueError("rank and dilation must be nonnegative" if ranks else "no rank asked for")
+def _scan(p: Polytope, ranks, sums: bool) -> list[HrVector]:
+    """The h-tensor vector of each rank in ``ranks``, in that order, from the dilate scans,
+    each distinct rank once, the highest first, so the moment pass of each dilate holds
+    every lower rank (:func:`_moments`).  The closed moments of nP, n = 0..k, give
+    h_0..h_k and the interior moments, n = 1..k, h_m down to h_(m-k+1), m = dim + r.
+    Without the ``sums`` k = ceil(m/2), and that is all of h.  With them k is one less:
+    ``V = sum_i h_i`` gives the one missing entry at odd m, and at even m ``F = sum_i
+    (m+1-2i) h_i`` weighs the two missing ones +1 and -1, so each is half of an integer
+    sum, divided exactly (:func:`_fill_from_sums`).  The top entry is L^r(P°) and, for
+    r >= 1, entry 0 vanishes and entry 1 is L^r(P)."""
     out = {}
     for r in sorted(set(ranks), reverse=True):
         m = p.dim + r
-        k, known = _route(p.dim, r)
+        known = 2 - m % 2 if sums else 0
+        k = (m - known + 1) // 2
         both = [_moments(p, r, n) for n in range(k + 1)]    # 0P° is empty
         h = (_numerator([c for c, _ in both], m)[:m // 2 + 1]
              + _numerator([i for _, i in both], m)[:0:-1])
@@ -154,6 +135,14 @@ def hr_vectors(p: Polytope, ranks) -> list[HrVector]:
             _fill_from_sums(p, r, h, k + 1, known)
         out[r] = _hr(p, r, h)
     return [out[r] for r in ranks]
+
+
+def hr_vectors(p: Polytope, ranks) -> list[HrVector]:
+    """The h-tensor vector of each rank in ``ranks``, in order, by the :data:`ROUTES` production."""
+    ranks = tuple(ranks)
+    if not ranks or min(ranks) < 0:
+        raise ValueError("rank and dilation must be nonnegative" if ranks else "no rank asked for")
+    return routes(p.dim)[0].h(p, ranks)
 
 
 def to_hr_vector(p: Polytope, r: int) -> HrVector:
@@ -216,10 +205,9 @@ def ehrhart_tensor_polynomial(p: Polytope, r: int) -> TensorPolynomial:
 
 
 def _closed_moment_oracle(p: Polytope, r: int) -> HrVector:
-    """h-vector from the closed moments of nP, n = 0..m-2, m = dim + r, with h_(m-1)
-    and h_m from the volume and facet sums (:func:`_fill_from_sums`): the oracle
-    where the h route reads neither sum (:func:`_route`).  It asks for no interior
-    side, so reciprocity and h-top meet a route that does not read what they test."""
+    """h-vector from the closed moments of nP, n = 0..m-2, m = dim + r, with h_(m-1) and
+    h_m from the volume and facet sums (:func:`_fill_from_sums`): no interior side, so
+    reciprocity and h-top meet a route that does not read what they test."""
     m = p.dim + r
     h = _numerator([_moments(p, r, n, CLOSED)[0] for n in range(m - 1)], m)
     _fill_from_sums(p, r, h, m - 1, 2)
@@ -242,23 +230,35 @@ def _halfopen_cells(p: Polytope) -> list[HalfOpenSimplex]:
                                             if sum(map(mul, normal, points[k])) != rhs])
 
 
-def _oracle(p: Polytope, ranks) -> list[HrVector]:
-    """The h-vector of each rank in ``ranks`` by a route that :func:`hr_vectors` does
-    not take: the oracle of ``ehrtensor verify`` and :func:`reciprocity_check`.
+class Route(NamedTuple):
+    """An h route: ``h(p, ranks)``, the h-tensor vector of each rank in ``ranks``, in that
+    order, from one call, and whether it reads the volume and facet sums."""
+    h: Callable[[Polytope, tuple], list[HrVector]]
+    reads_sums: bool
 
-    Where the h route reads the volume and facet moments (:func:`_route`), the
-    sum over the half-open cells of :func:`_halfopen_cells` (Koeppe-Verdoolaege,
-    2008): one box enumeration per cell and one vertex-part pass for all the
-    cells serve every rank, and the entries are summed across the cells
-    before any tensor is built (:func:`~ehrtensor.halfopen._hr_sums`).  It
-    shares no enumeration, moment pass or numerator map with the h route; the
-    two run one Newton kernel, on other simplices with other weights.
-    Elsewhere, :func:`_closed_moment_oracle`, which reads the closed side of
-    the dilates the h route scans, and no interior moment.
-    """
-    if _route(p.dim, max(ranks))[1]:
-        return _hr_sums([(s, box_slices(s)) for s in _halfopen_cells(p)], ranks)
-    return [_closed_moment_oracle(p, r) for r in ranks]
+
+SCAN = Route(lambda p, ranks: _scan(p, ranks, False), False)
+SCAN_WITH_SUMS = Route(lambda p, ranks: _scan(p, ranks, True), True)
+HALFOPEN_CELLS = Route(
+    lambda p, ranks: _hr_sums([(s, box_slices(s)) for s in _halfopen_cells(p)], ranks), False)
+CLOSED_MOMENTS = Route(lambda p, ranks: [_closed_moment_oracle(p, r) for r in ranks], True)
+
+# The dimension policy: from the first dimension of each row on, the production h route
+# and its oracle, which reads the volume and facet sums only where production does not.
+# The half-open cells (Koeppe-Verdoolaege, 2008) share no enumeration, moment pass or
+# numerator map with a scan.  Each route looks up what it calls in this module as it runs.
+ROUTES = ((0, SCAN, CLOSED_MOMENTS), (4, SCAN_WITH_SUMS, HALFOPEN_CELLS))
+
+
+def routes(dim: int) -> tuple[Route, Route]:
+    """``(production, oracle)`` in dimension ``dim``: the last :data:`ROUTES` row at or below."""
+    return next(row[1:] for row in reversed(ROUTES) if row[0] <= dim)
+
+
+def _oracle(p: Polytope, ranks) -> list[HrVector]:
+    """The h-vector of each rank in ``ranks`` by the oracle of :data:`ROUTES`, which meets
+    :func:`hr_vectors` in ``ehrtensor verify`` and :func:`reciprocity_check`."""
+    return routes(p.dim)[1].h(p, ranks)
 
 
 def reciprocity_check(p: Polytope, r: int, n: int) -> bool:

@@ -593,6 +593,65 @@ def test_verify_d4_reads_the_halfopen_oracle(capsys, monkeypatch):
     assert len(status) == 7
 
 
+D5_REQUEST = random_request(5, 1, 1)
+
+
+def test_a_d5_row_of_cells_and_closed_moments_moves_every_call(capsys, monkeypatch):
+    # ehrhart.ROUTES alone pairs production with an oracle.  With the shipped
+    # table verify's production reads the volume and facet sums at d = 5, so
+    # it runs no volume check, and its output is the one pinned here.  Set the
+    # d = 5 row to the half-open cells as production and the closed moments as
+    # oracle: h of ranks 0..3 is the same, production scans no dilate and makes
+    # one decomposition, the oracle makes none, and verify, whose production
+    # now reads neither sum, adds the volume checks and still passes
+    shipped = ehrhart.hr_vectors(polytopes.polytope_from_json(json.loads(D5_REQUEST)), range(4))
+    code, out, _ = run_cli(["verify", "--json", D5_REQUEST], capsys)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == \
+        "fb8afd52ff6ff9e94d53b2e5fbc930cb3a14096dfbfb1b3ad59079b527ad6648"
+    monkeypatch.setattr(ehrhart, "ROUTES", ehrhart.ROUTES + (
+        (5, ehrhart.HALFOPEN_CELLS, ehrhart.CLOSED_MOMENTS), (6, *ehrhart.routes(6))))
+    scans = record_calls(monkeypatch, ehrhart, "dilate_rows")
+    decompositions = record_calls(monkeypatch, ehrhart, "half_open_decomposition")
+    closed = record_calls(monkeypatch, ehrhart, "_closed_moment_oracle")
+    assert ehrhart.hr_vectors(polytopes.polytope_from_json(json.loads(D5_REQUEST)), range(4)) \
+        == shipped
+    assert scans == closed == [] and len(decompositions) == 1
+    decompositions.clear()
+    assert ehrhart._oracle(polytopes.polytope_from_json(json.loads(D5_REQUEST)), range(4)) \
+        == shipped
+    assert [c["r"] for c in closed] == [0, 1, 2, 3] and decompositions == []
+    code, out, _ = run_cli(["verify", "--json", D5_REQUEST], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["all_pass"] is True
+    volume_checks = {f"{name}_r{r}" for r in range(3) for name in (
+        "leading_coefficient_is_volume_moment", "h_sum_is_normalized_volume_moment")}
+    assert volume_checks <= {c["name"] for c in report["checks"]}
+    assert len(report["checks"]) == 6 + len(volume_checks)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_moments_past_the_scanned_dilates_evaluate_the_polynomial(d, capsys, monkeypatch):
+    # above n = ceil(m/2), m = d + r, `moments` evaluates the polynomial of the
+    # production h, which scans no dilate past ceil(m/2), instead of scanning
+    # nP; below it scans nP.  Either way it prints the scan's moment
+    p = et.random_lattice_polytope(d, {1: 6, 2: 3, 3: 2}.get(d, 1), d + 2, seed=4650 + d)
+    request = json.dumps(et.polytope_to_json(p))
+    scans = record_calls(monkeypatch, ehrhart, "dilate_rows")
+    for r in range(4):
+        half = -(-(d + r) // 2)
+        for n in range(d + r + 3):
+            scans.clear()
+            code, out, _ = run_cli(["moments", request, "--r", str(r), "--n", str(n)], capsys)
+            assert code == 0
+            read = [c["n"] for c in scans]
+            if n > half:
+                assert max(read, default=0) <= half, (r, n)
+            else:
+                assert read == [n] * (n > 0), (r, n)
+            assert json.loads(out) == {"r": r, "n": n, "dim": d, "moment": tensor_to_json(
+                ehrhart.discrete_moment(p, r, n))}, (r, n)
+
+
 def test_verify_table_mode(capsys):
     code, out, _ = run_cli(["verify", SQUARE], capsys)
     assert code == 0

@@ -355,6 +355,30 @@ def test_dimension_policy_is_pinned(d, monkeypatch):
         assert taken == [oracle], (d, r)
 
 
+# Seeded polytopes per dimension, (d, coordinate bound, seeds); the first of each
+# dimension is met far from the origin too.
+ROUTE_CORPUS = ((1, 6, 4), (2, 3, 4), (3, 2, 4), (4, 1, 3), (5, 1, 2), (6, 1, 1))
+
+
+@pytest.mark.parametrize("d, bound, seeds", ROUTE_CORPUS, ids=[f"d{c[0]}" for c in ROUTE_CORPUS])
+def test_each_row_of_the_route_table_meets_the_all_dilates_h(d, bound, seeds):
+    # the production route and the oracle of the row that holds d, and the
+    # all-dilates h, each on a freshly built copy that shares no stored pass,
+    # give the same h of ranks 0..3; a row that changes is met here as it is
+    production, oracle = ehrhart.routes(d)
+    corpus = [et.random_lattice_polytope(d, bound, d + 2, seed=4600 + seed)
+              for seed in range(seeds)]
+    shift = tuple((-1) ** i * (10**6 + 7 * i) for i in range(d))
+    for p in corpus + [corpus[0].translate(shift)]:
+        expected = [all_dilates_oracle(et.convex_hull(p.vertices), r) for r in range(4)]
+        assert production.h(et.convex_hull(p.vertices), range(4)) == expected, p.vertices
+        assert oracle.h(et.convex_hull(p.vertices), range(4)) == expected, p.vertices
+
+
+def test_the_route_corpus_reaches_every_row():
+    assert {ehrhart.routes(d) for d, _, _ in ROUTE_CORPUS} == {row[1:] for row in ehrhart.ROUTES}
+
+
 def test_hr_vector_scans_dilates_up_to_half_the_degree(monkeypatch):
     # reciprocity halves the dilates: h of rank r reads the scans of nP for
     # n = 1..ceil((m - known)/2), m = d + r, each once, where from d = 4 on
