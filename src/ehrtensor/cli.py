@@ -268,10 +268,12 @@ def _cmd_verify(args) -> int:
     checks: list[tuple[str, bool]] = []
 
     # the h of ranks 0..2 from one call, met by routes that do not read it; the
-    # volume checks read its polynomial where its route reads no volume sum
+    # volume checks read its polynomial where its route reads no volume sum,
+    # and the Pick polynomial checks read it at d = 2 whatever the route
     hs = ehrhart.hr_vectors(p, (0, 1, 2))
-    reads_sums = ehrhart.routes(p.dim)[0].reads_sums
-    polys = [None if reads_sums else ehrhart.hr_vector_to_polynomial(h) for h in hs]
+    volume_checks = not ehrhart.routes(p.dim)[0].reads_sums
+    polys = [ehrhart.hr_vector_to_polynomial(h) for h in hs] \
+        if volume_checks or p.dim == 2 else None
 
     # the oracle h of ranks 0..2 from one call, for reciprocity and h-top
     oracles = ehrhart._oracle(p, (0, 1, 2))
@@ -279,15 +281,15 @@ def _cmd_verify(args) -> int:
         ok = all(ehrhart._reciprocity_holds(p, h_oracle, n) for n in (1, 2, 3))
         checks.append((f"reciprocity_r{r}", ok))
 
-    for r, (h, h_oracle, poly) in enumerate(zip(hs, oracles, polys)):
-        if poly is not None:
-            volume_moment = ehrhart.moment_tensor(p, r)
+    for r, (h, h_oracle) in enumerate(zip(hs, oracles)):
+        if volume_checks:
+            poly, volume_moment = polys[r], ehrhart.moment_tensor(p, r)
             checks.append((f"leading_coefficient_is_volume_moment_r{r}",
                            poly.coeffs[-1] == volume_moment))
-        if p.dim == 2:
-            checks.append((f"second_coefficient_facet_sum_r{r}",
-                           poly.coeffs[p.dim + r - 1] == ehrhart.second_coefficient_facets(p, r)))
-        if poly is not None:
+            if p.dim == 2:
+                checks.append((f"second_coefficient_facet_sum_r{r}",
+                               poly.coeffs[p.dim + r - 1]
+                               == ehrhart.second_coefficient_facets(p, r)))
             total = sum(h.entries, SymTensor.zero(r, p.dim))
             checks.append((f"h_sum_is_normalized_volume_moment_r{r}",
                            total == volume_moment * math.factorial(p.dim + r)))

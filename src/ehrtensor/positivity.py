@@ -1,14 +1,18 @@
 """Exact definiteness classification, square certificates and scanners.
 
-A rank-2 tensor is classified by its inertia: an exact congruence
-diagonalization C^t M C = D with C invertible keeps the numbers of positive,
-negative and zero eigenvalues (Sylvester's law of inertia), so the signs of
-the diagonal of D fix the class, and the columns of C give the witness and
-kernel directions.  No eigenvalue is ever computed; the elimination runs on
-integer columns, each with one integer scale.  The class is read from the
-signs of the integer diagonal, in Z; only the witness and kernel columns, and
-for a square certificate D and the rows of C^-1, from one integer inverse of
-the integer basis, are read back in Q.
+A definite rank-2 tensor is decided by its leading principal minors
+(Sylvester's criterion), read off the pivots of one fraction-free
+elimination with no basis; most forms a scan classifies are definite and
+exit there.  Every other tensor is classified by its inertia: an exact
+congruence diagonalization C^t M C = D with C invertible keeps the numbers of
+positive, negative and zero eigenvalues (Sylvester's law of inertia), so the
+signs of the diagonal of D fix the class, and the columns of C give the
+witness and kernel directions.  No eigenvalue is ever computed; both
+eliminations run in integers, the congruence on integer columns, each with
+one integer scale.  The class is read from signs in Z, and each witness is
+checked on the form in Z; only the witness and kernel columns, and for a
+square certificate D and the rows of C^-1, from one integer inverse of the
+integer basis, are read back in Q.
 """
 from __future__ import annotations
 
@@ -108,19 +112,65 @@ def _congruence(matrix) -> tuple[list[list[int]], list[list[int]], list[int], in
     return a, x, s, scale
 
 
+def _positive_definite(a: list[list[int]]) -> bool:
+    """Whether the symmetric integer matrix ``a`` is positive definite, by
+    Sylvester's criterion: every leading principal minor is positive.
+
+    The minors are the pivots of Bareiss's fraction-free elimination
+    ("Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", 1968): step k leaves the (k+1)-th leading minor in
+    ``a[k][k]``, and each division, by the previous pivot, is exact.  The
+    trailing block stays symmetric, so only its upper triangle is updated, in
+    place.  No basis is kept.
+    """
+    d, prev = len(a), 1
+    for k in range(d):
+        row = a[k]
+        p = row[k]
+        if p <= 0:
+            return False
+        for i in range(k + 1, d):
+            ri, f = a[i], row[i]
+            for j in range(i, d):
+                ri[j] = (ri[j] * p - f * row[j]) // prev
+        prev = p
+    return True
+
+
 def classify_definiteness(t: SymTensor) -> DefinitenessReport:
     """Exact definiteness class of a rank-2 tensor, with rational witnesses.
 
-    The class is read from the signs of the integer diagonal of
-    :func:`_congruence`; only the witness (the first negative column of C)
-    and the kernel direction (the first zero one) are built in Q.
+    A definite form exits on its leading principal minors, the pivots of one
+    fraction-free elimination of ``sign(M_00) L M`` (:func:`_positive_definite`):
+    ``positive_definite`` with no witness, or, when M_00 < 0,
+    ``negative_definite`` with witness e_0 and value M_00, which is what the
+    congruence gives, since a nonzero first pivot leaves basis column 0 alone.
+    Every other form runs :func:`_congruence`, and its class is read from the
+    signs of the integer diagonal; only the witness (the first negative column
+    of C) and the kernel direction (the first zero one) are built in Q.  Each
+    witness is checked on the form in integers: ``L T(X_k) = A_kk`` is
+    ``T(C_k) = D_kk`` times ``s_k^2 L``.
     """
     if t.rank != 2:
         raise ValueError("definiteness is a rank-2 notion")
     if t.is_zero:
         e0 = tuple(Fraction(int(i == 0)) for i in range(t.dim))
         return DefinitenessReport("zero", kernel=e0)
-    a, x, s, scale = _congruence(t.to_matrix())
+    m = t.to_matrix()
+    m00 = m[0][0]
+    if m00:
+        # sign(M_00) L M is positive definite iff M is definite with the sign of M_00
+        scale = lcm(*(v.denominator for v in t.entries)) * (1 if m00 > 0 else -1)
+        if _positive_definite([[v.numerator * (scale // v.denominator) for v in row]
+                               for row in m]):
+            if scale > 0:
+                return DefinitenessReport("positive_definite")
+            e0 = [int(i == 0) for i in range(t.dim)]
+            if t.apply(e0) != m00:
+                raise AssertionError("witness value mismatch")
+            return DefinitenessReport("negative_definite", witness=tuple(map(Fraction, e0)),
+                                      witness_value=Fraction(m00))
+    a, x, s, scale = _congruence(m)
     diag = [a[k][k] for k in range(t.dim)]
     neg = next((k for k, v in enumerate(diag) if v < 0), None)
     null = next((k for k, v in enumerate(diag) if v == 0), None)
@@ -135,11 +185,11 @@ def classify_definiteness(t: SymTensor) -> DefinitenessReport:
         cls = "negative_definite" if null is None else "negative_semidefinite"
     else:
         cls = "indefinite"
-    witness = tuple(Fraction(row[neg], s[neg]) for row in x)
-    witness_value = Fraction(diag[neg], s[neg] * s[neg] * scale)
-    if t.apply(witness) != witness_value:
+    column = [row[neg] for row in x]
+    if scale * t.apply(column) != diag[neg]:
         raise AssertionError("witness value mismatch")
-    return DefinitenessReport(cls, witness=witness, witness_value=witness_value,
+    return DefinitenessReport(cls, witness=tuple(Fraction(v, s[neg]) for v in column),
+                              witness_value=Fraction(diag[neg], s[neg] * s[neg] * scale),
                               kernel=kernel)
 
 

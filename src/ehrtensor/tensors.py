@@ -259,8 +259,10 @@ def _newton_columns(vertices: Sequence[Sequence[int]], faces: Sequence[Sequence[
     """``H[k][deg]``, k = 0..r: one column over ``faces`` per stored entry of rank k.
 
     Each face is a tuple of indices into ``vertices``, and P_c, its vertex
-    power sum ``sum_v v^c``, is one column per entry, added up from each
-    vertex's powers.  The columns of H_k are the t^deg coefficients of
+    power sum ``sum_v v^c``, is one column per entry: the entries of v^c are
+    built once per vertex as columns, transposed to one row per vertex, each
+    face's rows are zipped and summed, and the face sums are transposed back.
+    The columns of H_k are the t^deg coefficients of
     Newton's recurrence with polynomial weights
     ``k H_k = sum_(c=1..k) w_c(t) sym_product(H_(k-c), P_c)``, H_0 = 1, where
     ``weights[c][deg]`` is the t^deg coefficient of w_c, with the unnormalized
@@ -275,7 +277,8 @@ def _newton_columns(vertices: Sequence[Sequence[int]], faces: Sequence[Sequence[
         if c > 1:
             powers = [list(map(mul, powers[a], axes[i]))
                       for a, i in (pairs[0] for pairs in _product_plan(dim, c - 1, 1))]
-        sums.append([[sum(map(col.__getitem__, face)) for face in faces] for col in powers])
+        rows = list(zip(*powers))
+        sums.append(list(zip(*[map(sum, zip(*map(rows.__getitem__, face))) for face in faces])))
     columns: list[dict[int, list[list[int]]]] = [{0: [[1] * len(faces)]}]
     for k in range(1, r + 1):
         acc: dict[int, list[list[int]]] = {}

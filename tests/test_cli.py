@@ -629,6 +629,22 @@ def test_a_d5_row_of_cells_and_closed_moments_moves_every_call(capsys, monkeypat
     assert len(report["checks"]) == 6 + len(volume_checks)
 
 
+@pytest.mark.parametrize("seed", [None, 4701], ids=["unit_square", "seeded_polygon"])
+def test_a_d2_row_whose_production_reads_the_sums_still_verifies(seed, capsys, monkeypatch):
+    # with a d = 2 production that reads the volume and facet sums, verify runs
+    # neither the volume checks nor the facet-sum check, and the Pick
+    # polynomial checks still read the production polynomial
+    request = SQUARE if seed is None else random_request(2, 6, seed)
+    monkeypatch.setattr(ehrhart, "ROUTES", ((0, ehrhart.SCAN_WITH_SUMS, ehrhart.HALFOPEN_CELLS),))
+    code, out, _ = run_cli(["verify", "--json", request], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["all_pass"] is True
+    names = [c["name"] for c in report["checks"]]
+    assert {"pick_vector_polynomial_agrees", "pick_matrix_polynomial_agrees"} <= set(names)
+    assert not [n for n in names if n.startswith(("leading_", "second_", "h_sum_"))]
+    assert len(names) == 11
+
+
 @pytest.mark.parametrize("d", range(1, 6))
 def test_moments_past_the_scanned_dilates_evaluate_the_polynomial(d, capsys, monkeypatch):
     # above n = ceil(m/2), m = d + r, `moments` evaluates the polynomial of the

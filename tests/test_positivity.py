@@ -13,7 +13,7 @@ import ehrtensor as et
 from ehrtensor import positivity
 from ehrtensor.positivity import NotPositiveSemidefiniteError, _congruence, trial_seed
 
-from conftest import NAMED_POLYGONS, fraction_congruence, leibniz_det
+from conftest import NAMED_POLYGONS, fraction_congruence, leibniz_det, record_calls
 
 F = Fraction
 
@@ -178,6 +178,80 @@ def test_congruence_matches_fraction_oracle_on_the_d4_scan():
     for h in hs:
         for i in range(1, 7):
             _assert_congruence_matches_oracle((h[i] - h[1]).to_matrix())
+
+
+def _definite_matrices(seed: int, count: int):
+    """Positive- and negative-definite matrices with d = 1..6 and integer or
+    Fraction entries: a positive diagonal plus weighted squares, times +-1."""
+    rng = random.Random(seed)
+    for k in range(count):
+        d = 1 + k % 6
+        if k % 2:
+            def weight():
+                return rng.randint(1, 5)
+        else:
+            def weight():
+                return F(rng.randint(1, 9), rng.randint(1, 7))
+        m = [[weight() if i == j else 0 for j in range(d)] for i in range(d)]
+        for _ in range(rng.randint(0, d)):
+            w, v = weight(), [rng.randint(-3, 3) for _ in range(d)]
+            m = [[m[i][j] + w * v[i] * v[j] for j in range(d)] for i in range(d)]
+        sign = -1 if k % 4 >= 2 else 1
+        yield [[sign * x for x in row] for row in m]
+
+
+def test_definite_forms_never_reach_the_congruence(monkeypatch):
+    # a definite form exits on its leading minors with the congruence's report
+    calls = record_calls(monkeypatch, positivity, "_congruence")
+    classes = set()
+    for m in _definite_matrices(29, 600):
+        rep = et.classify_definiteness(mat(m))
+        assert rep == fraction_report(m)
+        assert all(type(v) is F for v in (rep.witness or ()) + (rep.witness_value,)
+                   if v is not None)
+        classes.add(rep.classification)
+    assert calls == []
+    assert classes == {"positive_definite", "negative_definite"}
+
+
+def test_the_d4_scan_runs_the_congruence_only_on_forms_that_are_not_definite(monkeypatch):
+    # the seed-42 d=4 hibi scan classifies h_i - h_1, i = 1..6, per polytope
+    # with an interior point; the zero and the definite forms exit first
+    forms = []
+    for trial in range(96):
+        p = et.random_lattice_polytope(4, 2, 8, trial_seed(42, trial))
+        if et.interior_lattice_points(p, 1):
+            h = et.to_hr_vector(p, 2)
+            forms += [(h[i] - h[1]).to_matrix() for i in range(1, 7)]
+    rest = [m for m in forms if fraction_report(m).classification
+            not in ("zero", "positive_definite", "negative_definite")]
+    assert 0 < len(rest) < len(forms) // 4
+    calls = record_calls(monkeypatch, positivity, "_congruence")
+    et.conjecture_scan(4, 96, 2, 8, 42, "hibi")
+    assert [c["matrix"] for c in calls] == rest
+
+
+def test_a_wrong_witness_raises(monkeypatch):
+    # both exits check their witness on the form: the congruence's column, here
+    # doubled so that its value is four times A_kk, and the negative-definite e_0
+    congruence = positivity._congruence
+
+    def doubled_witness(matrix):
+        a, x, s, scale = congruence(matrix)
+        neg = next(k for k in range(len(a)) if a[k][k] < 0)
+        return a, [[2 * v if j == neg else v for j, v in enumerate(row)] for row in x], s, scale
+
+    monkeypatch.setattr(positivity, "_congruence", doubled_witness)
+    with pytest.raises(AssertionError, match="witness value mismatch"):
+        et.classify_definiteness(mat([[1, 2], [2, 1]]))
+    with pytest.raises(AssertionError, match="witness value mismatch"):
+        et.classify_definiteness(mat([[0, F(1, 2)], [F(1, 2), 0]]))
+    monkeypatch.undo()
+    apply = et.SymTensor.apply
+    monkeypatch.setattr(et.SymTensor, "apply", lambda self, v: apply(self, v) + 1)
+    assert et.classify_definiteness(mat([[2, 1], [1, 3]])).classification == "positive_definite"
+    with pytest.raises(AssertionError, match="witness value mismatch"):
+        et.classify_definiteness(mat([[-2, 1], [1, -3]]))
 
 
 def _brute_force_sign_scan(t: et.SymTensor, bound: int = 10):
