@@ -573,6 +573,19 @@ def test_scan_outputs_are_pinned():
         "d986becbcac3ced0834404bab232f28f54869a31c3cbf008e63eac6abb382ce1"
 
 
+# (d, trials, bound, gens, seed) of hibi scans that skip most of their trials
+# (78, 71 and 55), so the test for an interior point decides most of the report
+SKIP_HEAVY_CASES = [(2, 100, 1, 4, 4), (3, 100, 1, 6, 2), (4, 60, 1, 6, 1)]
+
+
+def test_skip_heavy_hibi_scans_are_pinned():
+    reports = [et.conjecture_scan(*case, "hibi") for case in SKIP_HEAVY_CASES]
+    assert [rep.skipped_no_interior for rep in reports] == [78, 71, 55]
+    lines = [json.dumps(rep.to_json(), sort_keys=True) for rep in reports]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "b1bc3f81647dfffb97eec675e4731e8101fe5f81a04e6fc3f593bb174c2ccc04"
+
+
 def test_a_family_added_to_the_table_runs_through_the_scan(monkeypatch):
     # a third family, the negated entries on polytopes with an interior point
     # and the top index past the range, needs no edit beyond its table entry
