@@ -17,19 +17,21 @@ The h-tensor vector is the numerator of the moment series,
 reciprocity for moment tensors gives the interior series the reversed
 numerator, ``sum_{n>=1} L(nP°) t^n = sum_i h_i t^(m+1-i) / (1-t)^(m+1)``.
 So alternating binomial sums of the closed moments give the lower half of h
-and those of the interior moments the upper half, from the scans of nP for
-n = 1..ceil(m/2) only.  The polynomial is the binomial expansion of h,
-``L(n) = sum_i h_i C(n+m-i, m)``, so its two top coefficients are two sums
-of h: ``sum_i h_i = V``, the volume moment times m!, and ``sum_i (m+1-2i)
-h_i = F``, the facet-moment sum.  A second scan stops one dilate earlier,
-and these two identities give the missing middle entries of h: one at odd m
-from V, two at even m from V and F (:func:`_scan`).
+and those of the interior moments the upper half, from the rows of nP for
+n = 1..ceil(m/2) only, asked for from the largest down, so that P is read off
+the rows of 2P with no scan of its own.  The polynomial is the binomial
+expansion of h, ``L(n) = sum_i h_i C(n+m-i, m)``, so its two top coefficients
+are two sums of h: ``sum_i h_i = V``, the volume moment times m!, and
+``sum_i (m+1-2i) h_i = F``, the facet-moment sum.  A second scan stops one
+dilate earlier, and these two identities give the missing middle entries of h:
+one at odd m from V, two at even m from V and F (:func:`_scan`).
 
 The rows of nP do not depend on the rank: :func:`~ehrtensor.polytopes.dilate_rows`
-scans each dilate once, and one pass over them gives the moments of ranks 0..2,
-or 0..r above, for each side of nP that lacks rank r (:func:`_moments`).  Both
-are kept under their own keys of :attr:`~ehrtensor.polytopes.Polytope.dilates`
-and freed with the polytope.  A CLI request asks :func:`hr_vectors` once.
+makes them once per dilate, by a scan or off the rows of a stored multiple, and one
+pass over them gives the moments of ranks 0..2, or 0..r above, for each side of nP
+that lacks rank r (:func:`_moments`).  Both are kept under their own keys of
+:attr:`~ehrtensor.polytopes.Polytope.dilates` and freed with the polytope.  A CLI
+request asks :func:`hr_vectors` once.
 
 Four routes give h, every rank asked for from one call (:class:`Route`): the two
 dilate scans, the half-open cells of one pulling triangulation of the stored
@@ -128,7 +130,8 @@ def _scan(p: Polytope, ranks, sums: bool) -> list[HrVector]:
         m = p.dim + r
         known = 2 - m % 2 if sums else 0
         k = (m - known + 1) // 2
-        both = [_moments(p, r, n) for n in range(k + 1)]    # 0P° is empty
+        # the largest dilate first, so the smaller ones are read off its rows
+        both = [_moments(p, r, n) for n in range(k, -1, -1)][::-1]     # 0P° is empty
         h = (_numerator([c for c, _ in both], m)[:m // 2 + 1]
              + _numerator([i for _, i in both], m)[:0:-1])
         if known:

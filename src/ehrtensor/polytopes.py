@@ -117,7 +117,8 @@ class Polytope:
     @cached_property
     def dilates(self) -> dict:
         """Work on the dilates nP, kept as long as the polytope: n -> the rows of
-        :func:`dilate_rows`, in the scan frame; ``(n, side)`` -> the moments of
+        :func:`dilate_rows`, in the scan frame, scanned or read off the rows of a
+        stored multiple of n; ``(n, side)`` -> the moments of
         ranks 0..top of the last pass over them, of nP (side ``"closed"``) or
         nP° (``"interior"``); ``"boundary"`` -> the integer sums behind the
         volume and facet moments of ranks 0..top, the top two coefficients of
@@ -265,8 +266,13 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
     :func:`placing_triangulation`, as the same ``(face, (normal, rhs),
     volume)`` triples, and the polytope keeps it as its
     :attr:`Polytope.boundary`.  Facets are its distinct planes.  The vertices
-    are the chain's in 2D; above it, a point is a vertex iff no other point
-    lies on every facet it lies on.  Raises :class:`DegenerateInputError`
+    are the chain's in 2D.  Above it, each point's facets are read off the
+    boundary, those of the faces it is a corner of, and a corner is a vertex
+    iff no other corner has each of its facets.  That is the rule "no other
+    point lies on every facet it lies on": every vertex is a corner, a corner
+    lies on a facet iff it is a corner of a face on it, and a point the
+    triangulation skipped or covered dominates no vertex, whose facets meet
+    in it alone.  Raises :class:`DegenerateInputError`
     when the points are not full-dimensional in their ambient space: in 2D
     when the chain's cycle has fewer than three points.
     """
@@ -296,11 +302,15 @@ def convex_hull(points: Iterable[Sequence[int]]) -> Polytope:
         _, boundary = placing_triangulation(pts)
     planes = sorted({plane for _, plane, _ in boundary})
     if d != 2:
-        # bit i of masks[k] is set when point k lies on facet i
-        masks = [sum(1 << i for i, (normal, rhs) in enumerate(planes)
-                     if sum(map(mul, normal, p)) == rhs) for p in pts]
-        vertices = tuple(p for k, (p, m) in enumerate(zip(pts, masks))
-                         if not any(o & m == m for j, o in enumerate(masks) if j != k))
+        # bit i of masks[k] is set when point k is a corner of a face on facet i
+        bits = {plane: 1 << i for i, plane in enumerate(planes)}
+        masks = [0] * len(pts)
+        for face, plane, _ in boundary:
+            for k in face:
+                masks[k] |= bits[plane]
+        corners = [(k, m) for k, m in enumerate(masks) if m]
+        vertices = tuple(pts[k] for k, m in corners
+                         if not any(o & m == m for j, o in corners if j != k))
     p = Polytope(d, vertices, tuple(FacetIneq(n, r) for n, r in planes))
     object.__setattr__(p, "boundary", (pts, tuple(boundary)))
     return p
@@ -453,19 +463,38 @@ def dilate_rows(p: Polytope, n: int) -> tuple[tuple[IntPoint, int, int, int, int
     frame of :attr:`Polytope.scan_order` (prefix coordinate k is axis
     ``scan_order[k]``, and each row runs along axis ``scan_order[-1]``).
 
-    Scanned once per (polytope, n) into :attr:`Polytope.dilates`, so every
-    rank's moments and the point lists read one scan.  The rows live as long
-    as the polytope: a large dilate (``moments --n`` big) holds all of its
-    rows in memory until its polytope is dropped.
+    Made once per (polytope, n) into :attr:`Polytope.dilates`, so every
+    rank's moments and the point lists read one set of rows.  For n >= 1, when
+    the store holds the rows of a multiple N = q n, q >= 2 (the least such N),
+    the rows of nP are read off them: x is in nP (nP°) iff qx is in NP (NP°),
+    so they are the rows of NP whose prefix is divisible by q, with the prefix
+    and the interval ends divided by q, rounded inward, and those left empty
+    dropped.  Otherwise nP is scanned.  The rows live as long as the polytope:
+    a large dilate (``moments --n`` big) holds all of its rows in memory until
+    its polytope is dropped.
     """
     if n < 0:
         raise ValueError("dilation factor must be nonnegative")
-    if n not in p.dilates:
-        order = p.scan_order
-        cons = [(_in_frame(f.normal, order), n * f.rhs) for f in p.facets]
-        shadows = [[(a, n * c) for a, c in level] for level in p.shadows]
-        p.dilates[n] = tuple(scan_rows(_in_frame(dilate_bounds(p, n), order), cons, shadows))
-    return p.dilates[n]
+    store = p.dilates
+    if n not in store:
+        multiple = n and min((m for m in store if type(m) is int and m > n and not m % n),
+                             default=0)
+        if multiple:
+            q = multiple // n
+            rows = []
+            for prefix, lo, hi, slo, shi in store[multiple]:
+                if not any(map(q.__rmod__, prefix)):
+                    lo, hi = -(-lo // q), hi // q
+                    if lo <= hi:
+                        rows.append((tuple(map(q.__rfloordiv__, prefix)), lo, hi,
+                                     -(-slo // q), shi // q))
+            store[n] = tuple(rows)
+        else:
+            order = p.scan_order
+            cons = [(_in_frame(f.normal, order), n * f.rhs) for f in p.facets]
+            shadows = [[(a, n * c) for a, c in level] for level in p.shadows]
+            store[n] = tuple(scan_rows(_in_frame(dilate_bounds(p, n), order), cons, shadows))
+    return store[n]
 
 
 def _points(p: Polytope, n: int, strict: bool) -> list[IntPoint]:

@@ -308,6 +308,18 @@ def trial_seed(seed: int, trial: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _has_interior_point(p: Polytope) -> bool:
+    """Whether P has a lattice point in its interior.  The lattice point nearest the
+    vertex centroid, rounded half up in integers, is tried first; only when it is not
+    strictly inside are the rows of P read, where such a point is a row with a strict
+    span.  A scan's h reads P off the rows of a larger dilate, so a trial the centroid
+    point certifies scans P no more."""
+    count = len(p.vertices)
+    centroid = [(2 * sum(column) + count) // (2 * count) for column in zip(*p.vertices)]
+    return (p.contains(centroid, strict=True)
+            or any(slo <= shi for *_, slo, shi in dilate_rows(p, 1)))
+
+
 # name -> (P needs an interior lattice point, (h, d) -> checks as (index, tensor,
 # past the conjectured range)); the first family is ``scan --which``'s default
 SCAN_FAMILIES = {
@@ -323,9 +335,11 @@ def conjecture_scan(d: int, trials: int, coord_bound: int, num_gens: int,
     ``which`` names an entry of :data:`SCAN_FAMILIES`: ``'psd'`` classifies
     every rank-2 h-vector entry; ``'hibi'`` classifies the differences
     h_i - h_1, i = 1..d+2, for polytopes with an interior lattice point
-    (others are skipped and counted).  A non-PSD check is recorded with its
-    witness direction, in ``violations_last_index`` when its index is past the
-    conjectured range (the hibi top index) and in ``violations`` otherwise.
+    (others are skipped and counted; :func:`_has_interior_point` tries the
+    point nearest the vertex centroid before it reads the rows of P).  A
+    non-PSD check is recorded with its witness direction, in
+    ``violations_last_index`` when its index is past the conjectured range
+    (the hibi top index) and in ``violations`` otherwise.
     """
     if which not in SCAN_FAMILIES:
         raise ValueError(f"scan kind must be {' or '.join(map(repr, SCAN_FAMILIES))}")
@@ -341,8 +355,7 @@ def conjecture_scan(d: int, trials: int, coord_bound: int, num_gens: int,
     skipped = 0
     for trial in range(trials):
         p = random_lattice_polytope(d, coord_bound, num_gens, trial_seed(seed, trial))
-        # P has an interior lattice point iff a row of 1P has a strict span
-        if needs_interior and not any(slo <= shi for *_, slo, shi in dilate_rows(p, 1)):
+        if needs_interior and not _has_interior_point(p):
             skipped += 1
             continue
         for i, tensor, past_range in checks(to_hr_vector(p, 2), d):

@@ -15,6 +15,8 @@ from which production's h (d >= 4) and verify's oracle h (d <= 3) fill in
 entries.  The point
 expansion of row scans, the tensor pushforward and the binomial translation
 expansion are the right-hand sides of identities the library must satisfy.
+The hull's vertices, which the library reads off its boundary's corners,
+meet the rule of one dot product per point and facet.
 """
 from __future__ import annotations
 
@@ -149,6 +151,16 @@ def box_filter_rows(bounds, constraints):
         if closed:
             rows.append((prefix, closed, [t for t in closed if meets(prefix + (t,), True)]))
     return rows
+
+
+def dot_product_vertices(points, facets) -> tuple:
+    """The vertices among sorted, distinct ``points`` of their hull with these facets:
+    a point is a vertex iff no other point lies on every facet it lies on, each
+    incidence read off one dot product ``normal . x == rhs``."""
+    on = [{i for i, f in enumerate(facets) if sum(a * b for a, b in zip(f.normal, x)) == f.rhs}
+          for x in points]
+    return tuple(x for k, x in enumerate(points)
+                 if not any(on[k] <= t for j, t in enumerate(on) if j != k))
 
 
 NAMED_SOLIDS = {

@@ -366,19 +366,20 @@ def test_verify_with_a_non_vertex_point_builds_one_triangulation(capsys, monkeyp
     assert len(builds) == 1 and (1, 0, 0) in builds[0]
 
 
-# (n, sides) of each moment pass of a verify request, by dimension; 0P's
-# moments are read in closed form, with no pass.  Below dim 4 the oracle
+# (n, sides, scanned) of each moment pass of a verify request, by dimension;
+# 0P's moments are read in closed form, with no pass.  Below dim 4 the oracle
 # reads the closed side of the dilates up to dim + r - 2 <= dim, which the h
-# route scans already, and the volume and facet sums.  From dim 4 on the
+# route has read already, and the volume and facet sums.  From dim 4 on the
 # oracle is the half-open cells of one decomposition, which scan no dilate.
-# So only the h route (both sides up to its last dilate) and reciprocity
-# (the interior side for n <= 3) make passes.
+# So only the h route (both sides from its last dilate down) and reciprocity
+# (the interior side for n <= 3) make passes.  A dilate is scanned unless a
+# multiple of it is stored: the h route reads 1P off the rows of 2P.
 VERIFY_PASSES = {
-    1: [(1, BOTH), (2, BOTH), (3, INTERIOR)],
-    2: [(1, BOTH), (2, BOTH), (3, INTERIOR)],
-    3: [(n, BOTH) for n in range(1, 4)],
-    4: [(1, BOTH), (2, BOTH), (3, INTERIOR)],
-    5: [(n, BOTH) for n in range(1, 4)],
+    1: [(2, BOTH, True), (1, BOTH, False), (3, INTERIOR, True)],
+    2: [(2, BOTH, True), (1, BOTH, False), (3, INTERIOR, True)],
+    3: [(3, BOTH, True), (2, BOTH, True), (1, BOTH, False)],
+    4: [(2, BOTH, True), (1, BOTH, False), (3, INTERIOR, True)],
+    5: [(3, BOTH, True), (2, BOTH, True), (1, BOTH, False)],
 }
 
 
@@ -386,29 +387,36 @@ VERIFY_PASSES = {
                          [(1, 6, 1), (2, 6, 1), (3, 2, 1), (4, 2, trial_seed(42, 95)), (5, 1, 1)])
 def test_verify_scans_each_dilate_once(dim, bound, seed, capsys, monkeypatch):
     # every rank, the oracle, the interior moments and the triangulation's
-    # point list read one scan of each dilate in VERIFY_PASSES, and none of
-    # 0P, whose moments are known in closed form.  Ranks 0..2 share one
-    # moment pass per dilate, over the sides that some reader asks for: both
-    # sides where the h route reads, the interior where only reciprocity
-    # (n <= 3) reads; the oracle (dim <= 3) reads closed sides the h route
-    # has scanned.  From dim 4 on the oracle takes one half-open
-    # decomposition instead.  The scans live on the request's polytope, so a
+    # point list read one set of rows of each dilate in VERIFY_PASSES, and
+    # none of 0P, whose moments are known in closed form.  Ranks 0..2 share
+    # one moment pass per dilate, over the sides that some reader asks for:
+    # both sides where the h route reads, the interior where only
+    # reciprocity (n <= 3) reads; the oracle (dim <= 3) reads closed sides
+    # the h route has passed.  From dim 4 on the oracle takes one half-open
+    # decomposition instead.  The rows live on the request's polytope, so a
     # second request of the same JSON scans them again.
     request = random_request(dim, bound, seed)
-    scans = record_calls(monkeypatch, polytopes, "scan_rows")
-    reads = record_calls(monkeypatch, ehrhart, "dilate_rows")
+    events = []     # n per read of the h routes, "scan" per scan_rows call
+    scan, read = polytopes.scan_rows, ehrhart.dilate_rows
+    monkeypatch.setattr(polytopes, "scan_rows", lambda *args: events.append("scan") or scan(*args))
+    monkeypatch.setattr(ehrhart, "dilate_rows", lambda p, n: events.append(n) or read(p, n))
     passes = record_calls(monkeypatch, ehrhart, "row_moments")
     decompositions = record_calls(monkeypatch, ehrhart, "half_open_decomposition")
     for _ in range(2):
-        for calls in (scans, reads, passes, decompositions):
+        for calls in (events, passes, decompositions):
             calls.clear()
         code, out, _ = run_cli(["verify", "--json", request], capsys)
         assert code == 0 and json.loads(out)["all_pass"] is True
-        # a 1D scan is one 2D slice under a dummy first coordinate, a nested call
-        assert len(scans) == len(VERIFY_PASSES[dim]) * (1 + (dim == 1))
+        reads = []
+        for event in events:
+            if event == "scan":
+                reads[-1][1] += 1
+            else:
+                reads.append([event, 0])
         assert len(reads) == len(passes) and {c["r"] for c in passes} == {2}
-        assert [(read["n"], tuple(c["sides"])) for read, c in zip(reads, passes)] \
-            == VERIFY_PASSES[dim]
+        # a 1D scan is one 2D slice under a dummy first coordinate, a nested call
+        assert [(n, tuple(c["sides"]), scans) for (n, scans), c in zip(reads, passes)] \
+            == [(n, sides, scanned * (1 + (dim == 1))) for n, sides, scanned in VERIFY_PASSES[dim]]
         assert len(decompositions) == (dim >= 4)
 
 

@@ -17,8 +17,9 @@ from ehrtensor.polytopes import (DegenerateInputError, FacetIneq, dilate_rows,
 from ehrtensor.positivity import trial_seed
 from ehrtensor.tensors import dot, vneg, vsub
 
-from conftest import (NAMED_POLYGONS, NAMED_SOLIDS, cofactor_cross, fraction_rref, leibniz_det,
-                      oracle_polygon_interior_points, oracle_polygon_points, record_calls)
+from conftest import (NAMED_POLYGONS, NAMED_SOLIDS, cofactor_cross, dot_product_vertices,
+                      fraction_rref, leibniz_det, oracle_polygon_interior_points,
+                      oracle_polygon_points, record_calls)
 
 
 def test_square_hull_removes_duplicates_and_interior():
@@ -106,6 +107,51 @@ def test_convex_hull_matches_brute_force_oracle():
         while not assert_hull_matches_oracle(
                 [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(8)]):
             pass
+
+
+def hidden_point_sets():
+    """Per d = 3..6, the vertices 0, 6e_i and (5, ..., 5), and their negatives, with
+    points in the relative interior of edges (3e_i, 3e_i + 3e_j) and 2-faces (2e_i +
+    2e_j; 2e_i + 2e_j + 2e_k, inside P at d = 3), each sorting, and so placed, before a
+    vertex that hides it; and seeded points in d = 3..5 with every integral midpoint."""
+    for d in range(3, 7):
+        e = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+
+        def combination(c, *axes):
+            return tuple(c * sum(x) for x in zip(*axes))
+
+        vertices = [(0,) * d, *(combination(6, u) for u in e), (5,) * d]
+        hidden = ([combination(3, u) for u in e]
+                  + [combination(c, u, v) for c in (3, 2) for u, v in combinations(e, 2)]
+                  + [combination(2, *axes) for axes in combinations(e, 3)])
+        for sign in (1, -1):
+            yield ([tuple(sign * x for x in q) for q in hidden + vertices],
+                   sorted(tuple(sign * x for x in v) for v in vertices))
+    for d in range(3, 6):
+        rng = random.Random(8800 + d)
+        for _ in range(6):
+            pts = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d + 3)]
+            yield pts + [tuple((a + b) // 2 for a, b in zip(u, v)) for u, v in combinations(pts, 2)
+                         if not any((a + b) % 2 for a, b in zip(u, v))], None
+
+
+def test_vertices_are_the_boundary_corners_no_other_point_dominates():
+    # a vertex is a corner of the boundary, a corner lies on a facet exactly when it
+    # is a corner of a face on it, and a point the placing triangulation skipped
+    # dominates no vertex: the vertices read off the corners are those of the
+    # dot-product rule, on hulls with non-vertex points among the corners
+    pinned, hidden_corners = [], 0
+    for pts, expected in hidden_point_sets():
+        p = et.convex_hull(pts)
+        points, boundary = p.boundary
+        assert p.vertices == dot_product_vertices(points, p.facets), pts
+        assert expected is None or list(p.vertices) == expected, pts
+        hidden_corners += len({i for face, _, _ in boundary for i in face
+                               if points[i] not in p.vertices})
+        pinned.append(repr((p.vertices, p.facets)))
+    assert hidden_corners == 266
+    assert hashlib.sha256("\n".join(pinned).encode()).hexdigest() == \
+        "40a3f6284264dcdd22c5666f31459ad3793dd56231c59836d8eb6cc9d29dcb0f"
 
 
 def test_placing_simplices_sum_to_normalized_volume():
@@ -368,12 +414,49 @@ def test_equal_polytopes_hash_alike_and_keep_their_own_dilates(monkeypatch):
     scans = record_calls(monkeypatch, polytopes, "scan_rows")
     assert dilate_rows(a, 2) == dilate_rows(b, 2) == dilate_rows(c, 2)
     assert len(scans) == 3
+    # the h of rank 1 reads 2P, then 1P off its rows, with no scan
     et.to_hr_vector(a, 1)
     assert set(a.dilates) == {1, 2} | {(n, side) for n in (1, 2)
                                        for side in ("closed", "interior")}
     assert list(b.dilates) == list(c.dilates) == [2]
     assert dilate_rows(b, 2) is b.dilates[2] is not a.dilates[2]
-    assert len(scans) == 4
+    assert len(scans) == 3
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_smaller_dilates_are_read_off_a_stored_multiple(d, monkeypatch):
+    # x is in nP iff qx is in NP, and in nP° iff qx is in NP°: with the rows of NP
+    # stored, those of nP, n | N, are read off them with no scan, and equal the
+    # scan of nP on a fresh copy, on seeded polytopes and a far translate
+    scans = record_calls(monkeypatch, polytopes, "scan_rows")
+    nested = 1 + (d == 1)       # a 1D scan is one 2D slice, a nested call
+    corpus = [et.random_lattice_polytope(d, (6, 3, 2, 1, 1)[d - 1], d + 3, seed=4800 + 10 * d + k)
+              for k in range(3)]
+    shift = tuple((-1) ** i * (10**9 + 7 * i) for i in range(d))
+    for p in corpus + [corpus[0].translate(shift)]:
+        for multiple, n in [(2, 1), (3, 1), (4, 1), (4, 2)]:
+            q = et.convex_hull(p.vertices)
+            dilate_rows(q, multiple)
+            scans.clear()
+            read = dilate_rows(q, n)
+            assert scans == [], (p.vertices, multiple, n)
+            assert read == dilate_rows(et.convex_hull(p.vertices), n), (p.vertices, multiple, n)
+            assert len(scans) == nested
+        # 0P and a dilate no stored one is a multiple of are scanned; 1P is
+        # read off the least stored multiple, 2P, and not off 4P's rows
+        q = et.convex_hull(p.vertices)
+        dilate_rows(q, 4)
+        scans.clear()
+        assert dilate_rows(q, 3) == dilate_rows(et.convex_hull(p.vertices), 3)
+        assert len(scans) == 2 * nested
+        scans.clear()
+        assert [row[:3] for row in dilate_rows(q, 0)] == [((0,) * (d - 1), 0, 0)]
+        assert len(scans) == nested
+        dilate_rows(q, 2)
+        q.dilates[4] = ()
+        scans.clear()
+        assert dilate_rows(q, 1) == dilate_rows(et.convex_hull(p.vertices), 1)
+        assert len(scans) == nested
 
 
 @pytest.mark.parametrize("build", [

@@ -1,6 +1,7 @@
 """Definiteness classification, square certificates, scanners."""
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehrtensor as et
-from ehrtensor import positivity
+from ehrtensor import polytopes, positivity
 from ehrtensor.positivity import NotPositiveSemidefiniteError, _congruence, trial_seed
 
 from conftest import NAMED_POLYGONS, fraction_congruence, leibniz_det, record_calls
@@ -534,7 +535,6 @@ def test_hibi_scan_reads_interior_emptiness_off_the_rows(monkeypatch):
     # the hibi scan tests the interior of 1P for emptiness on the rows of
     # dilate 1 and builds no point list; the skips are those polytopes whose
     # interior point list is empty
-    from ehrtensor import polytopes
     expected = sum(not et.interior_lattice_points(
         et.random_lattice_polytope(4, 2, 8, trial_seed(3, k)), 1) for k in range(20))
     assert 0 < expected < 20
@@ -546,6 +546,69 @@ def test_hibi_scan_reads_interior_emptiness_off_the_rows(monkeypatch):
     rep = et.conjecture_scan(4, 20, 2, 8, seed=3, which="hibi")
     assert rep.skipped_no_interior == expected
     assert rep.completed == 20 - expected
+
+
+def centroid_point_is_interior(p) -> bool:
+    """Whether the lattice point nearest P's vertex centroid, ties rounded up, is inside P."""
+    centroid = [Fraction(sum(column), len(p.vertices)) for column in zip(*p.vertices)]
+    return p.contains([math.floor(c + Fraction(1, 2)) for c in centroid], strict=True)
+
+
+def test_a_centroid_point_inside_spares_the_scan_of_p(monkeypatch):
+    # the 120 trials of a seed-1 scan-d4 run of bench/ (60 items, two d = 4 hibi
+    # trials each, bound 2, 8 generators): a trial whose centroid point is
+    # interior scans 2P alone and reads P off its rows; any other one scans P
+    # to decide, and 2P after it when it has an interior point.  The skips are
+    # the polytopes with no interior lattice point, as the rows of P tell.
+    rng = random.Random("scan-d4/1")
+    seeds = [rng.getrandbits(63) for _ in range(60)]
+    trials = []     # per trial: its polytope, scans, reads of P by the test, h derived
+    build = positivity.random_lattice_polytope
+
+    def built(*args):
+        trials.append([build(*args), 0, 0, 0])
+        return trials[-1][0]
+
+    def counted(index, fn):
+        def call(*args):
+            trials[-1][index] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(positivity, "random_lattice_polytope", built)
+    monkeypatch.setattr(polytopes, "scan_rows", counted(1, polytopes.scan_rows))
+    monkeypatch.setattr(positivity, "dilate_rows", counted(2, positivity.dilate_rows))
+    monkeypatch.setattr(positivity, "to_hr_vector", counted(3, positivity.to_hr_vector))
+    skipped = sum(et.conjecture_scan(4, 2, 2, 8, seed, "hibi").skipped_no_interior
+                  for seed in seeds)
+    monkeypatch.undo()
+    kinds = []
+    for p, scans, reads, derived in trials:
+        certified = centroid_point_is_interior(p)
+        interior = bool(et.interior_lattice_points(et.convex_hull(p.vertices), 1))
+        expected = (1, 0, 1) if certified else (1 + interior, 1, interior)
+        assert (scans, reads, derived) == expected, p.vertices
+        kinds.append((certified, interior))
+    assert (len(trials), skipped) == (120, 1)
+    assert [kinds.count(kind) for kind in [(True, True), (False, True), (False, False)]] \
+        == [100, 19, 1]
+
+
+def test_the_interior_test_meets_far_translates_in_integers():
+    # the centroid point of a translate by 10^400 is rounded in integers, with
+    # no float to overflow; a centroid point outside falls back to the rows
+    cases = [((0, 0), (1, 0), (0, 1)), ((-2, 0), (-1, -1), (0, 0), (1, 2)),
+             ((0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)),
+             ((-1, 0, 2), (-1, 2, 2), (0, 2, -1), (1, 2, -2), (2, -2, 1)),
+             ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+    seen = []
+    for vertices in cases:
+        p = et.convex_hull(vertices)
+        far = p.translate((10**400,) * p.dim)
+        interior = bool(et.interior_lattice_points(p, 1))
+        assert positivity._has_interior_point(far) is interior, vertices
+        seen.append((centroid_point_is_interior(far), interior))
+    assert seen == [(False, False), (False, True), (True, True), (False, True), (False, False)]
 
 
 SCAN_PIN_CASES = [(1, 6, 3, 2, 0), (1, 5, 1, 3, 7), (2, 10, 3, 6, 1), (2, 8, 1, 4, 5),
