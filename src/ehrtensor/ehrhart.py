@@ -40,7 +40,10 @@ sums (:func:`_closed_moment_oracle`).  :data:`ROUTES` is the one place that pair
 the production h (:func:`hr_vectors`) with the oracle that ``ehrtensor verify`` and
 :func:`reciprocity_check` meet it with (:func:`_oracle`).  ``verify`` reads each
 oracle h twice: its top entry against L(P°), and at -n in the binomial basis
-against L(nP°), n = 1, 2, 3 (:func:`_reciprocity_holds`).
+against L(nP°), n = 1, 2, 3, in one pass per rank (:func:`_reciprocity_holds`).
+It expands the production h into coefficients only where a check reads them
+(:func:`_coefficients`): whole polynomials at d = 2 alone, the leading row at
+d = 1 and 3, and none from d = 4 on.
 The volume and facet moments are one integer pass over the faces of the
 boundary, kept by the same rule beside the dilates: the Newton kernel of the
 vertex parts, :func:`~ehrtensor.tensors._newton_columns`, with weights c!, where
@@ -184,18 +187,20 @@ def _binomial_expansion(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*columns))
 
 
-def hr_vector_to_polynomial(h: HrVector) -> TensorPolynomial:
-    """Expand an h-tensor vector in the shifted binomial basis to powers of n.
-
-    ``L(n) = sum_i h_i C(n+m-i, m)``: one integer matrix applied to the
-    entries, then one division by m!.
-    """
+def _coefficients(h: HrVector, ks) -> list[SymTensor]:
+    """The coefficients of n^k, k in ``ks``, of ``L(n) = sum_i h_i C(n+m-i, m)``: rows
+    ``ks`` of one integer matrix applied to the entries, then one division by m!."""
     m = len(h) - 1
-    fact = math.factorial(m)
+    fact, rows = math.factorial(m), _binomial_expansion(m)
     columns = list(zip(*(e.entries for e in h.entries)))
-    return TensorPolynomial(tuple(
-        SymTensor(h.rank, h.dim, tuple(Fraction(sum(map(mul, row, col)), fact) for col in columns))
-        for row in _binomial_expansion(m)))
+    return [SymTensor(h.rank, h.dim, tuple(Fraction(sum(map(mul, rows[k], col)), fact)
+                                           for col in columns)) for k in ks]
+
+
+def hr_vector_to_polynomial(h: HrVector) -> TensorPolynomial:
+    """Expand an h-tensor vector in the shifted binomial basis to powers of n:
+    every row of :func:`_coefficients`."""
+    return TensorPolynomial(tuple(_coefficients(h, range(len(h)))))
 
 
 def ehrhart_tensor_polynomial(p: Polytope, r: int) -> TensorPolynomial:
@@ -274,17 +279,22 @@ def reciprocity_check(p: Polytope, r: int, n: int) -> bool:
     """
     if r < 0 or n < 1:
         raise ValueError("reciprocity check needs r >= 0 and n >= 1")
-    return _reciprocity_holds(p, _oracle(p, (r,))[0], n)
+    return _reciprocity_holds(p, _oracle(p, (r,))[0], (n,))
 
 
-def _reciprocity_holds(p: Polytope, h: HrVector, n: int) -> bool:
-    """:func:`reciprocity_check` at n >= 1 on an oracle h already built, so
-    ``verify`` builds one per rank."""
+def _reciprocity_holds(p: Polytope, h: HrVector, ns) -> bool:
+    """:func:`reciprocity_check` at each n >= 1 in ``ns``, in order, on an oracle h
+    already built, so ``verify`` builds one per rank: h's entry columns are read
+    once, and each n compares one weighted row with
+    :func:`discrete_moment_interior`, stopping at the first that differs."""
     m = len(h) - 1
-    weights = [math.comb(n + i - 1, m) for i in range(m + 1)]
-    columns = zip(*(e.entries for e in h.entries))
-    lhs = SymTensor.from_entries(h.rank, p.dim, [sum(map(mul, weights, col)) for col in columns])
-    return lhs == discrete_moment_interior(p, h.rank, n)
+    columns = list(zip(*(e.entries for e in h.entries)))
+    for n in ns:
+        weights = [math.comb(n + i - 1, m) for i in range(m + 1)]
+        if [sum(map(mul, weights, col)) for col in columns] \
+                != list(discrete_moment_interior(p, h.rank, n).entries):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,12 @@ def _perm_count(index: tuple[int, ...]) -> int:
     return n
 
 
+_EXACT = frozenset({int, Fraction})
+
+
 def _refuse_inexact(values: Sequence, what: str) -> None:
-    inexact = set(map(type, values)) - {int, Fraction}
-    if inexact:
+    if not _EXACT.issuperset(map(type, values)):
+        inexact = set(map(type, values)) - _EXACT
         raise TypeError(f"{what} must be int or Fraction, got "
                         + ", ".join(sorted(t.__name__ for t in inexact)))
 

@@ -587,6 +587,54 @@ def test_verify_below_d4_fails_on_a_wrong_volume_or_facet_sum(dim, bound, kind, 
     assert {name for name, ok in status.items() if ok == "FAIL"} == expected
 
 
+VERIFY_REQUESTS = [(1, 6, 1), (2, 6, 1), (3, 2, 1), (4, 2, trial_seed(42, 95)), (5, 1, 1)]
+
+
+@pytest.mark.parametrize("dim, bound, seed", VERIFY_REQUESTS)
+def test_verify_expands_whole_polynomials_only_in_2d(dim, bound, seed, capsys, monkeypatch):
+    # at d = 1 and 3 the volume checks read the leading coefficient row alone,
+    # and from d = 4 on production reads the sums, so verify runs no volume
+    # check; only the Pick and facet-sum checks at d = 2 read whole
+    # polynomials, one per rank.  The output does not move either way
+    request = random_request(dim, bound, seed)
+    _, want, _ = run_cli(["verify", "--json", request], capsys)
+    expand, ranks = ehrhart.hr_vector_to_polynomial, []
+
+    def patched(h):
+        if dim != 2:
+            raise AssertionError("a whole polynomial was expanded")
+        ranks.append(h.rank)
+        return expand(h)
+
+    monkeypatch.setattr(ehrhart, "hr_vector_to_polynomial", patched)
+    code, out, _ = run_cli(["verify", "--json", request], capsys)
+    assert code == 0 and json.loads(out)["all_pass"] is True
+    assert out == want
+    assert ranks == ([0, 1, 2] if dim == 2 else [])
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("r", (0, 1, 2))
+@pytest.mark.parametrize("dim, bound, seed", VERIFY_REQUESTS[:4])
+def test_verify_reciprocity_fails_at_the_one_wrong_interior_moment(dim, bound, seed, r, n,
+                                                                   capsys, monkeypatch):
+    # one reciprocity pass per rank compares n = 1, 2, 3 with the interior
+    # moments: a wrong L^r(nP°) fails reciprocity_r{r} alone, and h-top of
+    # rank r with it at n = 1, which reads L^r(P°) too; reciprocity_check
+    # fails at that n and no other
+    request = random_request(dim, bound, seed)
+    interior = ehrhart.discrete_moment_interior
+    monkeypatch.setattr(ehrhart, "discrete_moment_interior", lambda p, rank, k: (
+        _perturbed(interior(p, rank, k)) if (rank, k) == (r, n) else interior(p, rank, k)))
+    code, out, _ = run_cli(["verify", request], capsys)
+    status = dict(line.split() for line in out.splitlines())
+    assert code == 1
+    assert {name for name, ok in status.items() if ok == "FAIL"} == {
+        "overall", f"reciprocity_r{r}", *[f"h_top_is_interior_moment_r{r}"] * (n == 1)}
+    p = polytopes.polytope_from_json(json.loads(request))
+    assert [ehrhart.reciprocity_check(p, r, k) for k in (1, 2, 3)] == [k != n for k in (1, 2, 3)]
+
+
 def test_verify_d4_reads_the_halfopen_oracle(capsys, monkeypatch):
     # from dim 4 on reciprocity and h-top read the half-open h: perturbing
     # its rank-2 vector fails exactly their rank-2 checks on the finding

@@ -132,6 +132,50 @@ def test_hr_vector_binomial_expansion_round_trip(corpus_polygons):
             assert et.hr_vector_to_polynomial(h) == poly
 
 
+@pytest.mark.parametrize("d", range(1, 6))
+def test_chosen_coefficient_rows_are_the_polynomial_rows(d):
+    # _coefficients gives the rows asked for, in the order asked, of the
+    # expansion hr_vector_to_polynomial gives whole, here on the production h
+    # of ranks 0..3
+    p = et.random_lattice_polytope(d, 2 if d < 4 else 1, d + 3, seed=620 + d)
+    for h in ehrhart.hr_vectors(p, range(4)):
+        coeffs = et.hr_vector_to_polynomial(h).coeffs
+        assert [ehrhart._coefficients(h, (k,))[0] for k in range(len(h))] == list(coeffs)
+        assert ehrhart._coefficients(h, range(len(h) - 1, -1, -1)) == list(coeffs[::-1])
+
+
+def test_chosen_coefficient_rows_of_a_fraction_h_vector():
+    # entries need not be integers: the rows still meet the polynomial, and
+    # the polynomial is sum_i h_i C(n+m-i, m) at n = -2..4
+    h = et.HrVector((vec((F(1, 2), 3)), vec((F(-2, 3), F(5, 7))), vec((0, F(1, 9))),
+                     vec((4, F(-3, 4)))))
+    poly = et.hr_vector_to_polynomial(h)
+    assert [ehrhart._coefficients(h, (k,))[0] for k in range(4)] == list(poly.coeffs)
+    assert ehrhart._coefficients(h, (3, 1)) == [poly.coeffs[3], poly.coeffs[1]]
+    for n in range(-2, 5):
+        binomial = [math.prod(range(n + 1 - i, n + 4 - i)) // 6 for i in range(4)]
+        assert poly.evaluate(n) == sum((e * b for e, b in zip(h.entries, binomial)),
+                                       et.SymTensor.zero(1, 2))
+
+
+def test_reciprocity_pass_stops_at_the_first_wrong_n(monkeypatch):
+    # one pass per rank reads the oracle h once and asks for L^r(nP°) at each
+    # n in order, until one differs
+    p = et.random_lattice_polytope(3, 2, 6, seed=763)
+    h = ehrhart._oracle(p, (2,))[0]
+    interior, asked = ehrhart.discrete_moment_interior, []
+
+    def perturbed(p, r, n):
+        asked.append(n)
+        t = interior(p, r, n)
+        return et.SymTensor(t.rank, t.dim, (t.entries[0] + (n == 2),) + t.entries[1:])
+
+    monkeypatch.setattr(ehrhart, "discrete_moment_interior", perturbed)
+    assert ehrhart._reciprocity_holds(p, h, (1, 3))
+    assert not ehrhart._reciprocity_holds(p, h, (1, 2, 3))
+    assert asked == [1, 3, 1, 2]
+
+
 def test_reciprocity_examples():
     sq = et.convex_hull(NAMED_POLYGONS["unit_square"])
     assert et.reciprocity_check(sq, 0, 1)

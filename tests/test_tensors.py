@@ -221,6 +221,14 @@ def test_inexact_entries_are_refused():
         et.outer_power((1.0, 2), 1)
 
 
+def test_an_inexact_refusal_names_each_offending_type_once():
+    with pytest.raises(TypeError, match="^tensor entries must be int or Fraction, got bool, float$"):
+        SymTensor.from_entries(1, 4, [0.5, True, Fraction(1, 2), 2.5])
+    with pytest.raises(TypeError, match="^direction entries must be int or Fraction, got float$"):
+        et.outer_power((1, 2, 3), 2).apply((1, 0.5, 1.5))
+    assert SymTensor.from_entries(1, 3, [1, Fraction(1, 2), 0]).entries[1] == Fraction(1, 2)
+
+
 def test_apply_refuses_inexact_directions():
     t = et.outer_power((1, 2), 2)
     with pytest.raises(TypeError):
