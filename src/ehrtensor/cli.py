@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import ehrhart, halfopen, positivity, triangulation
@@ -267,12 +266,11 @@ def _cmd_verify(args) -> int:
     p = _load(args.input, polytope_from_json)
     checks: list[tuple[str, bool]] = []
 
-    # the h of ranks 0..2 from one call, met by routes that do not read it; the
-    # volume checks read its leading coefficient where its route reads no volume
-    # sum, and the Pick and facet-sum checks read its polynomials at d = 2
+    # the h of ranks 0..2 from one call, met by routes that do not read it; where its route
+    # reads no volume sum, the volume checks meet sum_i h_i with V and, at d = 2, the facet
+    # check sum_i (m+1-2i) h_i with F: m! and 2(m-1)! times the top two coefficients
     hs = ehrhart.hr_vectors(p, (0, 1, 2))
     volume_checks = not ehrhart.routes(p.dim)[0].reads_sums
-    polys = [ehrhart.hr_vector_to_polynomial(h) for h in hs] if p.dim == 2 else None
 
     # the oracle h of ranks 0..2 from one call, for reciprocity and h-top
     oracles = ehrhart._oracle(p, (0, 1, 2))
@@ -281,15 +279,12 @@ def _cmd_verify(args) -> int:
 
     for r, (h, h_oracle) in enumerate(zip(hs, oracles)):
         if volume_checks:
-            m, volume_moment = p.dim + r, ehrhart.moment_tensor(p, r)
-            leading = polys[r].coeffs[m] if polys else ehrhart._coefficients(h, (m,))[0]
-            checks.append((f"leading_coefficient_is_volume_moment_r{r}", leading == volume_moment))
-            if polys:
-                checks.append((f"second_coefficient_facet_sum_r{r}",
-                               polys[r].coeffs[m - 1] == ehrhart.second_coefficient_facets(p, r)))
-            total = SymTensor(r, p.dim, tuple(map(sum, zip(*(e.entries for e in h.entries)))))
-            checks.append((f"h_sum_is_normalized_volume_moment_r{r}",
-                           total == volume_moment * math.factorial(m)))
+            volume, facets = (not any(gaps) for gaps in ehrhart._sum_gaps(
+                p, r, [e.entries for e in h.entries], range(len(h))))
+            checks.append((f"leading_coefficient_is_volume_moment_r{r}", volume))
+            if p.dim == 2:
+                checks.append((f"second_coefficient_facet_sum_r{r}", facets))
+            checks.append((f"h_sum_is_normalized_volume_moment_r{r}", volume))
         # the h route's top entry is L(P°) by construction; test the oracle's
         checks.append((f"h_top_is_interior_moment_r{r}",
                        h_oracle[len(h_oracle) - 1] == ehrhart.discrete_moment_interior(p, r, 1)))
@@ -298,10 +293,10 @@ def _cmd_verify(args) -> int:
         tri = triangulation.unimodular_triangulation(p)
         checks.append(("pick_h1_agrees", triangulation.h1_pick(tri) == hs[1]))
         checks.append(("pick_h2_agrees", triangulation.h2_pick(tri) == hs[2]))
-        checks.append(("pick_vector_polynomial_agrees",
-                       triangulation.ehrhart_vector_pick(tri) == polys[1]))
-        checks.append(("pick_matrix_polynomial_agrees",
-                       triangulation.ehrhart_matrix_pick(tri) == polys[2]))
+        checks.append(("pick_vector_polynomial_agrees", triangulation.ehrhart_vector_pick(tri)
+                       == ehrhart.hr_vector_to_polynomial(hs[1])))
+        checks.append(("pick_matrix_polynomial_agrees", triangulation.ehrhart_matrix_pick(tri)
+                       == ehrhart.hr_vector_to_polynomial(hs[2])))
         checks.append(("h2_entries_psd",
                        all(positivity.classify_definiteness(e).is_psd for e in hs[2].entries)))
 

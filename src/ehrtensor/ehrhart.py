@@ -41,9 +41,9 @@ the production h (:func:`hr_vectors`) with the oracle that ``ehrtensor verify`` 
 :func:`reciprocity_check` meet it with (:func:`_oracle`).  ``verify`` reads each
 oracle h twice: its top entry against L(P°), and at -n in the binomial basis
 against L(nP°), n = 1, 2, 3, in one pass per rank (:func:`_reciprocity_holds`).
-It expands the production h into coefficients only where a check reads them
-(:func:`_coefficients`): whole polynomials at d = 2 alone, the leading row at
-d = 1 and 3, and none from d = 4 on.
+Below d = 4 it meets the production h with V and F as the two integer sums above
+(:func:`_sum_gaps`, which :func:`_fill_from_sums` solves with), and expands it into
+polynomials only for the Pick checks, of ranks 1 and 2 at d = 2.
 The volume and facet moments are one integer pass over the faces of the
 boundary, kept by the same rule beside the dilates: the Newton kernel of the
 vertex parts, :func:`~ehrtensor.tensors._newton_columns`, with weights c!, where
@@ -156,16 +156,22 @@ def to_hr_vector(p: Polytope, r: int) -> HrVector:
     return hr_vectors(p, (r,))[0]
 
 
+def _sum_gaps(p: Polytope, r: int, h, held) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(V - sum_j h_j, F - sum_j (m+1-2j) h_j)`` per entry, m = dim + r, the sums of rank r
+    (:func:`_simplex_sums`) less the entry lists ``h`` holds at the indices ``held``: on a
+    whole h, m! and 2 (m-1)! times the top two coefficients of its polynomial less V and F."""
+    volume, facets = (sums[r] for sums in _simplex_sums(p, r))
+    weights = [p.dim + r + 1 - 2 * j for j in held]
+    return tuple(zip(*((v - sum(col), f - sum(map(mul, weights, col)))
+                       for v, f, *col in zip(volume, facets, *h))))
+
+
 def _fill_from_sums(p: Polytope, r: int, h: list, i: int, count: int) -> None:
     """Insert into ``h`` at i the ``count`` (1 or 2) entries it lacks, m = dim + r: with A, B
-    the sums ``sum_j h_j = V`` and ``sum_j (m+1-2j) h_j = F`` (:func:`_simplex_sums`) less
-    the entries held, one is A; two, weighing w + 2 and w = m-1-2i in F, are
-    ``h_i = (B - w A)/2``, divided exactly, and ``h_(i+1) = A - h_i``."""
+    the gaps :func:`_sum_gaps` leaves over the entries held, one is A; two, weighing w + 2 and
+    w = m-1-2i in F, are ``h_i = (B - w A)/2``, divided exactly, and ``h_(i+1) = A - h_i``."""
     m = p.dim + r
-    volume, facets = (sums[r] for sums in _simplex_sums(p, r))
-    weights = [m + 1 - 2 * j for j in (*range(i), *range(i + count, m + 1))]
-    a, b = zip(*((v - sum(col), f - sum(map(mul, weights, col)))
-                 for v, f, *col in zip(volume, facets, *h)))
+    a, b = _sum_gaps(p, r, h, (*range(i), *range(i + count, m + 1)))
     if count == 1:
         h.insert(i, list(a))
         return
@@ -177,30 +183,29 @@ def _fill_from_sums(p: Polytope, r: int, h: list, i: int, count: int) -> None:
 
 @lru_cache(maxsize=None)
 def _binomial_expansion(m: int) -> tuple[tuple[int, ...], ...]:
-    """Row k, column i: the coefficient of n^k in ``m! C(n+m-i, m) = prod_{j<m} (n+m-i-j)``."""
-    columns = []
-    for i in range(m + 1):
-        coeffs = [1]
-        for j in range(m):
-            coeffs = [(m - i - j) * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
-        columns.append(coeffs)
+    """Row k, column i: the coefficient of n^k in ``m! C(n+m-i, m) = prod_{j<m} (n+m-i-j)``;
+    column i+1 is column i times (n - i), divided exactly by (n + m - i) from the top down."""
+    column = [1]
+    for j in range(1, m + 1):
+        column = [j * a + b for a, b in zip(column + [0], [0] + column)]
+    columns = [column]
+    for i in range(m):
+        product = [b - i * a for a, b in zip(columns[-1] + [0], [0] + columns[-1])]
+        column = [product[-1]]
+        for c in product[-2:0:-1]:
+            column.append(c - (m - i) * column[-1])
+        columns.append(column[::-1])
     return tuple(zip(*columns))
 
 
-def _coefficients(h: HrVector, ks) -> list[SymTensor]:
-    """The coefficients of n^k, k in ``ks``, of ``L(n) = sum_i h_i C(n+m-i, m)``: rows
-    ``ks`` of one integer matrix applied to the entries, then one division by m!."""
-    m = len(h) - 1
-    fact, rows = math.factorial(m), _binomial_expansion(m)
-    columns = list(zip(*(e.entries for e in h.entries)))
-    return [SymTensor(h.rank, h.dim, tuple(Fraction(sum(map(mul, rows[k], col)), fact)
-                                           for col in columns)) for k in ks]
-
-
 def hr_vector_to_polynomial(h: HrVector) -> TensorPolynomial:
-    """Expand an h-tensor vector in the shifted binomial basis to powers of n:
-    every row of :func:`_coefficients`."""
-    return TensorPolynomial(tuple(_coefficients(h, range(len(h)))))
+    """Expand an h-tensor vector in the shifted binomial basis to powers of n: the rows
+    of one integer matrix applied to the entries, then one division by m!."""
+    m = len(h) - 1
+    fact, columns = math.factorial(m), list(zip(*(e.entries for e in h.entries)))
+    return TensorPolynomial(tuple(
+        SymTensor(h.rank, h.dim, tuple(Fraction(sum(map(mul, row, col)), fact) for col in columns))
+        for row in _binomial_expansion(m)))
 
 
 def ehrhart_tensor_polynomial(p: Polytope, r: int) -> TensorPolynomial:

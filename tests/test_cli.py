@@ -335,10 +335,10 @@ def test_verify_and_oracle_outputs_are_pinned(capsys):
 
 @pytest.mark.parametrize("dim, bound", [(2, 6), (3, 2)])
 def test_verify_builds_one_placing_triangulation(dim, bound, capsys, monkeypatch):
-    # moment_tensor and second_coefficient_facets read the boundary the
-    # polytope keeps, the one convex_hull built on the input points (in 2D
+    # the volume and facet sums that verify meets h with read the boundary
+    # the polytope keeps, the one convex_hull built on the input points (in 2D
     # the monotone chain's edges, with no placing triangulation), and its
-    # stored volumes, in one integer pass with one division per entry
+    # stored volumes, in one integer pass
     request = random_request(dim, bound, 1)
     builds = []
     build = polytopes.placing_triangulation
@@ -515,7 +515,10 @@ def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, mon
 
 
 # Each check of `verify` on a polygon, with a function on its side that does
-# not read the shared h.  Checks that share a route flip together.
+# not read the shared h.  Checks that share a route flip together.  The volume
+# and facet checks meet h with the integer sums (`_simplex_sums`) that
+# moment_tensor and second_coefficient_facets divide: their rows perturb the
+# sum of their rank, and the function moves with it.
 SECOND_ROUTES = [
     *[(f"reciprocity_r{r}", ehrhart, "discrete_moment_interior") for r in (0, 1, 2)],
     *[(f"leading_coefficient_is_volume_moment_r{r}", ehrhart, "moment_tensor") for r in (0, 1, 2)],
@@ -530,6 +533,7 @@ SECOND_ROUTES = [
     ("pick_matrix_polynomial_agrees", triangulation, "ehrhart_matrix_pick"),
     ("h2_entries_psd", positivity, "classify_definiteness"),
 ]
+SUMS = {"moment_tensor": 0, "second_coefficient_facets": 1}
 
 
 def _perturbed(value):
@@ -547,7 +551,21 @@ def _perturbed(value):
                          ids=[f"{name}-{side}" for name, _, side in SECOND_ROUTES])
 def test_verify_check_meets_a_second_route(name, module, side, capsys, monkeypatch):
     route = getattr(module, side)
-    monkeypatch.setattr(module, side, lambda *a: _perturbed(route(*a)))
+    if side in SUMS:
+        # 2, not 1, so that the oracle's parity check on the sums still holds
+        r, sums = int(name[-1]), ehrhart._simplex_sums
+
+        def perturbed(p, top):
+            out = [list(per_rank) for per_rank in sums(p, top)]
+            out[SUMS[side]][r] = (out[SUMS[side]][r][0] + 2,) + out[SUMS[side]][r][1:]
+            return tuple(map(tuple, out))
+
+        square = polytopes.polytope_from_json(json.loads(SQUARE))
+        before = route(square, r)
+        monkeypatch.setattr(ehrhart, "_simplex_sums", perturbed)
+        assert route(square, r) != before
+    else:
+        monkeypatch.setattr(module, side, lambda *a: _perturbed(route(*a)))
     code, out, _ = run_cli(["verify", SQUARE], capsys)
     status = dict(line.split() for line in out.splitlines())
     assert code == 1
@@ -592,25 +610,23 @@ VERIFY_REQUESTS = [(1, 6, 1), (2, 6, 1), (3, 2, 1), (4, 2, trial_seed(42, 95)), 
 
 @pytest.mark.parametrize("dim, bound, seed", VERIFY_REQUESTS)
 def test_verify_expands_whole_polynomials_only_in_2d(dim, bound, seed, capsys, monkeypatch):
-    # at d = 1 and 3 the volume checks read the leading coefficient row alone,
-    # and from d = 4 on production reads the sums, so verify runs no volume
-    # check; only the Pick and facet-sum checks at d = 2 read whole
-    # polynomials, one per rank.  The output does not move either way
+    # below d = 4 the volume and facet checks meet h's integer sums with V and
+    # F, so verify divides neither into moment_tensor or
+    # second_coefficient_facets, and only the Pick checks at d = 2 expand
+    # whole polynomials, of ranks 1 and 2; from d = 4 on production reads the
+    # sums, so verify runs no volume check.  The output does not move either way
     request = random_request(dim, bound, seed)
     _, want, _ = run_cli(["verify", "--json", request], capsys)
-    expand, ranks = ehrhart.hr_vector_to_polynomial, []
-
-    def patched(h):
-        if dim != 2:
-            raise AssertionError("a whole polynomial was expanded")
-        ranks.append(h.rank)
-        return expand(h)
-
-    monkeypatch.setattr(ehrhart, "hr_vector_to_polynomial", patched)
+    polys = record_calls(monkeypatch, ehrhart, "hr_vector_to_polynomial")
+    expansions = record_calls(monkeypatch, ehrhart, "_binomial_expansion")
+    divided = [record_calls(monkeypatch, ehrhart, name)
+               for name in ("moment_tensor", "second_coefficient_facets")]
     code, out, _ = run_cli(["verify", "--json", request], capsys)
     assert code == 0 and json.loads(out)["all_pass"] is True
     assert out == want
-    assert ranks == ([0, 1, 2] if dim == 2 else [])
+    assert [c["h"].rank for c in polys] == ([1, 2] if dim == 2 else [])
+    assert [c["m"] for c in expansions] == ([3, 4] if dim == 2 else [])
+    assert divided == [[], []]
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))

@@ -124,6 +124,58 @@ def test_hr_vector_top_entry_is_interior_moment(corpus_polygons):
             assert h[len(h) - 1] == et.discrete_moment_interior(p, r, 1)
 
 
+@pytest.mark.parametrize("m", range(13))
+def test_binomial_expansion_is_the_product_of_linear_factors(m):
+    # column i holds the coefficients of prod_{j<m} (n+m-i-j), lowest first
+    columns = []
+    for i in range(m + 1):
+        coeffs = [1]
+        for j in range(m):
+            coeffs = [(m - i - j) * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        columns.append(tuple(coeffs))
+    assert ehrhart._binomial_expansion(m) == tuple(zip(*columns))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_binomial_expansion_top_rows_give_the_sum_identities(m):
+    # row m is all ones and row m-1 is (m/2)(m+1-2i): the coefficients of
+    # n^m and n^(m-1) are sum_i h_i / m! and sum_i (m+1-2i) h_i / (2 (m-1)!)
+    rows = ehrhart._binomial_expansion(m)
+    assert rows[m] == (1,) * (m + 1)
+    assert [2 * x for x in rows[m - 1]] == [m * (m + 1 - 2 * i) for i in range(m + 1)]
+
+
+def _fraction_checks(p, h):
+    """The volume and facet comparisons verify made on Fraction tensors: the
+    leading coefficient against moment_tensor, the second against
+    second_coefficient_facets, and the entry sums against m! moment_tensor."""
+    m, r = len(h) - 1, h.rank
+    coeffs, volume = et.hr_vector_to_polynomial(h).coeffs, et.moment_tensor(p, r)
+    total = et.SymTensor(r, p.dim, tuple(map(sum, zip(*(e.entries for e in h.entries)))))
+    return (coeffs[m] == volume, coeffs[m - 1] == et.second_coefficient_facets(p, r),
+            total == volume * math.factorial(m))
+
+
+@pytest.mark.parametrize("shift", [0, 10 ** 30, -10 ** 30])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_integer_sum_identities_decide_as_the_fraction_checks(d, shift):
+    # on the production h, and on it with any one entry moved, the integer
+    # gaps give the booleans of the Fraction comparisons they replace; a move
+    # of h_i with m+1-2i = 0 keeps the facet identity in both
+    for seed in range(3):
+        p = et.random_lattice_polytope(d, 6 if d < 3 else 2, 8, seed)
+        p = p.translate((shift,) * d) if shift else p
+        for h in ehrhart.hr_vectors(p, (0, 1, 2)):
+            moved = [et.HrVector(h.entries[:i] + (et.SymTensor(
+                h.rank, d, (e.entries[0] + 1,) + e.entries[1:]),) + h.entries[i + 1:])
+                for i, e in enumerate(h.entries)]
+            for candidate in (h, *moved):
+                volume, facets = (not any(g) for g in ehrhart._sum_gaps(
+                    p, h.rank, [e.entries for e in candidate.entries], range(len(h))))
+                assert (volume, facets, volume) == _fraction_checks(p, candidate)
+            assert _fraction_checks(p, h) == (True, True, True)
+
+
 def test_hr_vector_binomial_expansion_round_trip(corpus_polygons):
     for p in corpus_polygons.values():
         for r in (0, 1, 2):
@@ -134,24 +186,31 @@ def test_hr_vector_binomial_expansion_round_trip(corpus_polygons):
 
 @pytest.mark.parametrize("d", range(1, 6))
 def test_chosen_coefficient_rows_are_the_polynomial_rows(d):
-    # _coefficients gives the rows asked for, in the order asked, of the
-    # expansion hr_vector_to_polynomial gives whole, here on the production h
-    # of ranks 0..3
+    # the rows verify checks, n^m and n^(m-1), are m! and 2(m-1)! times two
+    # integer sums of h, and on the production h of ranks 0..3 those sums are
+    # the volume and facet sums: both gaps of _sum_gaps are zero
     p = et.random_lattice_polytope(d, 2 if d < 4 else 1, d + 3, seed=620 + d)
     for h in ehrhart.hr_vectors(p, range(4)):
-        coeffs = et.hr_vector_to_polynomial(h).coeffs
-        assert [ehrhart._coefficients(h, (k,))[0] for k in range(len(h))] == list(coeffs)
-        assert ehrhart._coefficients(h, range(len(h) - 1, -1, -1)) == list(coeffs[::-1])
+        m, coeffs = len(h) - 1, et.hr_vector_to_polynomial(h).coeffs
+        columns = list(zip(*(e.entries for e in h.entries)))
+        assert [c * math.factorial(m) for c in coeffs[m].entries] == list(map(sum, columns))
+        assert [c * 2 * math.factorial(m - 1) for c in coeffs[m - 1].entries] == \
+            [sum((m + 1 - 2 * i) * x for i, x in enumerate(col)) for col in columns]
+        zero = (0,) * len(columns)
+        assert ehrhart._sum_gaps(p, h.rank, [e.entries for e in h.entries],
+                                 range(m + 1)) == (zero, zero)
 
 
 def test_chosen_coefficient_rows_of_a_fraction_h_vector():
-    # entries need not be integers: the rows still meet the polynomial, and
-    # the polynomial is sum_i h_i C(n+m-i, m) at n = -2..4
+    # entries need not be integers: rows m and m-1 are still the two sums of
+    # h over m! and 2(m-1)!, and the polynomial is sum_i h_i C(n+m-i, m) at
+    # n = -2..4
     h = et.HrVector((vec((F(1, 2), 3)), vec((F(-2, 3), F(5, 7))), vec((0, F(1, 9))),
                      vec((4, F(-3, 4)))))
     poly = et.hr_vector_to_polynomial(h)
-    assert [ehrhart._coefficients(h, (k,))[0] for k in range(4)] == list(poly.coeffs)
-    assert ehrhart._coefficients(h, (3, 1)) == [poly.coeffs[3], poly.coeffs[1]]
+    zero = et.SymTensor.zero(1, 2)
+    assert poly.coeffs[3] * 6 == sum(h.entries, zero)
+    assert poly.coeffs[2] * 4 == sum((e * (4 - 2 * i) for i, e in enumerate(h.entries)), zero)
     for n in range(-2, 5):
         binomial = [math.prod(range(n + 1 - i, n + 4 - i)) // 6 for i in range(4)]
         assert poly.evaluate(n) == sum((e * b for e, b in zip(h.entries, binomial)),
