@@ -1,9 +1,9 @@
-"""Command-line front door: polytope I/O, computations, cross-checks, scans.
-
-Reproducibility first: flags only, deterministic JSON (sorted keys), no
-config files.  All rationals print reduced as "p/q".  Exit codes: 0 success,
-1 failed checks or violations under --fail-on-violation, 2 malformed input,
-3 degenerate polytope.
+"""Command-line front door: it parses flags, loads input and formats results; each identity
+lives with its route (:func:`ehrtensor.ehrhart.route_identities`, the Pick formulas of
+:mod:`ehrtensor.triangulation`, the PSD checks of :mod:`ehrtensor.positivity`).
+Reproducibility first: flags only, deterministic JSON (sorted keys), no config files.  All
+rationals print reduced as "p/q".  Exit codes: 0 success, 1 failed checks or violations under
+--fail-on-violation, 2 malformed input, 3 degenerate polytope.
 """
 from __future__ import annotations
 
@@ -131,20 +131,25 @@ def _cmd_hvec(args) -> int:
     return EXIT_OK
 
 
+def _pick_agreements(p, h1, h2):
+    """The unimodular triangulation of the polygon P, its four Pick formulas (h^1, h^2, L^1,
+    L^2), and ``(name, passed)`` of each against production h1, h2 and their polynomials."""
+    tri = triangulation.unimodular_triangulation(p)
+    formulas = (triangulation.h1_pick(tri), triangulation.h2_pick(tri),
+                triangulation.ehrhart_vector_pick(tri), triangulation.ehrhart_matrix_pick(tri))
+    production = (h1, h2, ehrhart.hr_vector_to_polynomial(h1), ehrhart.hr_vector_to_polynomial(h2))
+    names = ("pick_h1_agrees", "pick_h2_agrees", "pick_vector_polynomial_agrees",
+             "pick_matrix_polynomial_agrees")
+    return tri, formulas, [(n, f == g) for n, f, g in zip(names, formulas, production)]
+
+
 def _cmd_pick(args) -> int:
     p = _load(args.input, polytope_from_json)
     if p.dim != 2:
         raise CliError(EXIT_MALFORMED, "not_a_polygon",
                        "pick formulas need a 2-dimensional polytope")
-    tri = triangulation.unimodular_triangulation(p)
-    h1 = triangulation.h1_pick(tri)
-    h2 = triangulation.h2_pick(tri)
-    l1 = triangulation.ehrhart_vector_pick(tri)
-    l2 = triangulation.ehrhart_matrix_pick(tri)
-    i1, i2 = ehrhart.hr_vectors(p, (1, 2))
-    agree = (h1 == i1 and h2 == i2
-             and l1 == ehrhart.hr_vector_to_polynomial(i1)
-             and l2 == ehrhart.hr_vector_to_polynomial(i2))
+    tri, (h1, h2, l1, l2), checks = _pick_agreements(p, *ehrhart.hr_vectors(p, (1, 2)))
+    agree = all(ok for _, ok in checks)
     out = {
         "h1": [tensor_to_json(c) for c in h1.entries],
         "h2": [tensor_to_json(c) for c in h2.entries],
@@ -200,9 +205,7 @@ def _report_json(rep: positivity.DefinitenessReport) -> dict:
 def _cmd_psd(args) -> int:
     p = _load(args.input, polytope_from_json)
     h = ehrhart.to_hr_vector(p, 2)
-    h_reports = [positivity.classify_definiteness(e) for e in h.entries]
-    l_reports = [positivity.classify_definiteness(c)
-                 for c in ehrhart.hr_vector_to_polynomial(h).coeffs[1:]]
+    h_reports, l_reports = positivity.check_h2_psd(h), positivity.check_ehrhart_psd(h)
     out = {"h2": [_report_json(r) for r in h_reports],
            "ehrhart2": [_report_json(r) for r in l_reports]}
     if args.table:
@@ -212,10 +215,8 @@ def _cmd_psd(args) -> int:
             print(f"L2_{i}: {r.classification}")
     else:
         _emit(out)
-    violating = [r for r in h_reports if not r.is_psd]
-    if args.fail_on_violation and violating:
-        return EXIT_FAIL
-    return EXIT_OK
+    violating = args.fail_on_violation and not all(r.is_psd for r in h_reports)
+    return EXIT_FAIL if violating else EXIT_OK
 
 
 def _cmd_reflexive(args) -> int:
@@ -264,41 +265,12 @@ def _cmd_scan(args) -> int:
 
 def _cmd_verify(args) -> int:
     p = _load(args.input, polytope_from_json)
-    checks: list[tuple[str, bool]] = []
-
-    # the h of ranks 0..2 from one call, met by routes that do not read it; where its route
-    # reads no volume sum, the volume checks meet sum_i h_i with V and, at d = 2, the facet
-    # check sum_i (m+1-2i) h_i with F: m! and 2(m-1)! times the top two coefficients
+    # the h of ranks 0..2 from one call, met by routes that do not read it
     hs = ehrhart.hr_vectors(p, (0, 1, 2))
-    volume_checks = not ehrhart.routes(p.dim)[0].reads_sums
-
-    # the oracle h of ranks 0..2 from one call, for reciprocity and h-top
-    oracles = ehrhart._oracle(p, (0, 1, 2))
-    for r, h_oracle in enumerate(oracles):
-        checks.append((f"reciprocity_r{r}", ehrhart._reciprocity_holds(p, h_oracle, (1, 2, 3))))
-
-    for r, (h, h_oracle) in enumerate(zip(hs, oracles)):
-        if volume_checks:
-            volume, facets = (not any(gaps) for gaps in ehrhart._sum_gaps(
-                p, r, [e.entries for e in h.entries], range(len(h))))
-            checks.append((f"leading_coefficient_is_volume_moment_r{r}", volume))
-            if p.dim == 2:
-                checks.append((f"second_coefficient_facet_sum_r{r}", facets))
-            checks.append((f"h_sum_is_normalized_volume_moment_r{r}", volume))
-        # the h route's top entry is L(P°) by construction; test the oracle's
-        checks.append((f"h_top_is_interior_moment_r{r}",
-                       h_oracle[len(h_oracle) - 1] == ehrhart.discrete_moment_interior(p, r, 1)))
-
+    checks = ehrhart.route_identities(p, hs)
     if p.dim == 2:
-        tri = triangulation.unimodular_triangulation(p)
-        checks.append(("pick_h1_agrees", triangulation.h1_pick(tri) == hs[1]))
-        checks.append(("pick_h2_agrees", triangulation.h2_pick(tri) == hs[2]))
-        checks.append(("pick_vector_polynomial_agrees", triangulation.ehrhart_vector_pick(tri)
-                       == ehrhart.hr_vector_to_polynomial(hs[1])))
-        checks.append(("pick_matrix_polynomial_agrees", triangulation.ehrhart_matrix_pick(tri)
-                       == ehrhart.hr_vector_to_polynomial(hs[2])))
-        checks.append(("h2_entries_psd",
-                       all(positivity.classify_definiteness(e).is_psd for e in hs[2].entries)))
+        checks += _pick_agreements(p, hs[1], hs[2])[2]
+        checks.append(("h2_entries_psd", all(r.is_psd for r in positivity.check_h2_psd(hs[2]))))
 
     all_pass = all(ok for _, ok in checks)
     if args.as_json:

@@ -38,12 +38,12 @@ dilate scans, the half-open cells of one pulling triangulation of the stored
 boundary, and the closed moments at n = 0..m-2 with the top two entries from the
 sums (:func:`_closed_moment_oracle`).  :data:`ROUTES` is the one place that pairs
 the production h (:func:`hr_vectors`) with the oracle that ``ehrtensor verify`` and
-:func:`reciprocity_check` meet it with (:func:`_oracle`).  ``verify`` reads each
-oracle h twice: its top entry against L(P°), and at -n in the binomial basis
-against L(nP°), n = 1, 2, 3, in one pass per rank (:func:`_reciprocity_holds`).
-Below d = 4 it meets the production h with V and F as the two integer sums above
-(:func:`_sum_gaps`, which :func:`_fill_from_sums` solves with), and expands it into
-polynomials only for the Pick checks, of ranks 1 and 2 at d = 2.
+:func:`reciprocity_check` meet it with (:func:`_oracle`).  ``verify`` reads its route
+identities off :func:`route_identities`, which reads each oracle h twice: at -n in
+the binomial basis against L(nP°), n = 1, 2, 3, in one pass per rank
+(:func:`_reciprocity_holds`), and its top entry against L(P°).  Where the production
+route reads no V and F (below d = 4) it meets the production h with them as the two
+integer sums above (:func:`_sum_gaps`, which :func:`_fill_from_sums` solves with).
 The volume and facet moments are one integer pass over the faces of the
 boundary, kept by the same rule beside the dilates: the Newton kernel of the
 vertex parts, :func:`~ehrtensor.tensors._newton_columns`, with weights c!, where
@@ -300,6 +300,28 @@ def _reciprocity_holds(p: Polytope, h: HrVector, ns) -> bool:
                 != list(discrete_moment_interior(p, h.rank, n).entries):
             return False
     return True
+
+
+def route_identities(p: Polytope, hs) -> list[tuple[str, bool]]:
+    """``(name, passed)`` of each identity in ``ehrtensor verify``'s order, with ``hs`` the
+    production h of ranks 0, 1, .. of P: reciprocity of each rank's oracle h at n = 1, 2, 3;
+    then per rank, where production reads no V and F, ``sum_i h_i = V`` (two names) and at
+    d = 2 ``sum_i (m+1-2i) h_i = F`` on ``hs``, and the oracle's top entry against L(P°)."""
+    volume_checks = not routes(p.dim)[0].reads_sums
+    oracles = _oracle(p, range(len(hs)))
+    checks = [(f"reciprocity_r{r}", _reciprocity_holds(p, h, (1, 2, 3)))
+              for r, h in enumerate(oracles)]
+    for r, (h, h_oracle) in enumerate(zip(hs, oracles)):
+        if volume_checks:
+            volume, facets = (not any(gaps) for gaps in _sum_gaps(
+                p, r, [e.entries for e in h.entries], range(len(h))))
+            checks.append((f"leading_coefficient_is_volume_moment_r{r}", volume))
+            if p.dim == 2:
+                checks.append((f"second_coefficient_facet_sum_r{r}", facets))
+            checks.append((f"h_sum_is_normalized_volume_moment_r{r}", volume))
+        checks.append((f"h_top_is_interior_moment_r{r}",
+                       h_oracle[len(h_oracle) - 1] == discrete_moment_interior(p, r, 1)))
+    return checks
 
 
 # ---------------------------------------------------------------------------

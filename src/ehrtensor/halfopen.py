@@ -138,14 +138,16 @@ def half_open_decomposition(points, simplices) -> list[HalfOpenSimplex]:
     Facet i is ``(-a_i[:d], a_i[d])`` times a positive factor (see
     :meth:`HalfOpenSimplex.facets`), so it is removed iff the first nonzero
     entry of ``(a_i.(sum(v), d+1), a_i[:d])`` is negative: one inverse per cell.
+    Each point that a simplex uses is checked once, and its cells share the tuple.
     """
     if not simplices:
         return []
+    used = {i: tuple(map(checked_int, points[i])) for i in set().union(*simplices)}
     d = len(points[0])
-    lifted_sum = [sum(points[i][j] for i in simplices[0]) for j in range(d)] + [d + 1]
+    lifted_sum = [sum(used[i][j] for i in simplices[0]) for j in range(d)] + [d + 1]
     cells = []
     for simplex in simplices:
-        vertices = tuple(tuple(map(checked_int, points[i])) for i in simplex)
+        vertices = tuple(map(used.__getitem__, simplex))
         inverse = linalg.int_inverse(_lifted(vertices))
         removed = frozenset(i for i, a in enumerate(inverse[0])
                             if next(x for x in (dot(a, lifted_sum),) + tuple(a[:d]) if x) < 0)
@@ -175,9 +177,11 @@ class BoxSlices:
         return self.bounds[-1]
 
     def moments(self, r: int) -> list[list[list[int]]]:
-        """``moments[k][i]``: the entries of the rank-k moment of slice i, k = 0..r."""
+        """``moments[k][i]``: the entries of the rank-k moment of slice i, k = 0..r; an
+        empty slice's are zeros, with no column pass."""
         d = len(self.columns)
-        per_slice = [_column_moments([col[a:b] for col in self.columns], b - a, r, d)
+        per_slice = [_column_moments([col[a:b] for col in self.columns], b - a, r, d) if b > a
+                     else [[0] * math.comb(d + k - 1, k) for k in range(r + 1)]
                      for a, b in zip(self.bounds, self.bounds[1:])]
         return [list(ranks) for ranks in zip(*per_slice)]
 

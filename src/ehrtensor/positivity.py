@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .ehrhart import ehrhart_tensor_polynomial, to_hr_vector
+from .ehrhart import hr_vector_to_polynomial, to_hr_vector
 from .polytopes import Polytope, dilate_rows, is_reflexive, random_lattice_polytope
 from .tensors import HrVector, SymTensor, rational_to_str
 
@@ -217,14 +217,16 @@ def sos_certificate(t: SymTensor) -> SosCertificate:
     return cert
 
 
-def check_h2_psd(p: Polytope) -> list[DefinitenessReport]:
-    """Classify every rank-2 h-vector entry of P."""
-    return [classify_definiteness(entry) for entry in to_hr_vector(p, 2).entries]
+def check_h2_psd(p: Polytope | HrVector) -> list[DefinitenessReport]:
+    """Classify every entry of the rank-2 h-vector of P, or of the rank-2 h-vector given."""
+    h = p if isinstance(p, HrVector) else to_hr_vector(p, 2)
+    return [classify_definiteness(entry) for entry in h.entries]
 
 
-def check_ehrhart_psd(p: Polytope) -> list[DefinitenessReport]:
-    """Classify the nonconstant coefficients of the rank-2 moment polynomial."""
-    return [classify_definiteness(c) for c in ehrhart_tensor_polynomial(p, 2).coeffs[1:]]
+def check_ehrhart_psd(p: Polytope | HrVector) -> list[DefinitenessReport]:
+    """Classify the nonconstant coefficients of the rank-2 moment polynomial of P, or of its h."""
+    h = p if isinstance(p, HrVector) else to_hr_vector(p, 2)
+    return [classify_definiteness(c) for c in hr_vector_to_polynomial(h).coeffs[1:]]
 
 
 def palindromic(h: HrVector) -> bool:

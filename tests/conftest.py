@@ -408,6 +408,16 @@ NAMED_POLYGONS = {
 }
 
 
+def pick_pin_polygons() -> list[et.Polytope]:
+    """404 polygons: bounds 2, 3, 5 and 8 with 8 generators, seeds 0-99, and four
+    collinear-heavy shapes."""
+    polygons = [et.random_lattice_polytope(2, bound, 8, seed=seed)
+                for bound in (2, 3, 5, 8) for seed in range(100)]
+    return polygons + [et.convex_hull(v) for v in (
+        [(0, 0), (7, 0), (3, 1)], [(0, 0), (9, 0), (5, 1), (8, -1)],
+        [(-4, 0), (4, 0), (0, 1), (1, -1)], [(0, 0), (8, 0), (8, 1), (0, 1)])]
+
+
 @pytest.fixture(scope="session")
 def corpus_polygons() -> dict[str, et.Polytope]:
     polys = {name: et.convex_hull(v) for name, v in NAMED_POLYGONS.items()}

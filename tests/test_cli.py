@@ -15,7 +15,7 @@ from ehrtensor.ehrhart import BOTH, CLOSED, INTERIOR
 from ehrtensor.positivity import trial_seed
 from ehrtensor.tensors import tensor_to_json
 
-from conftest import record_calls
+from conftest import pick_pin_polygons, record_calls
 
 SQUARE = '{"vertices": [[0,0],[1,0],[0,1],[1,1]]}'
 TRIANGLE_51 = '{"dim": 2, "vertices": [[0,1],[-1,-7],[1,-4]]}'
@@ -572,6 +572,37 @@ def test_verify_check_meets_a_second_route(name, module, side, capsys, monkeypat
     assert status.pop("overall") == "FAIL"
     assert status[name] == "FAIL"
     assert set(status) == {n for n, _, _ in SECOND_ROUTES}
+
+
+PICK_CHECKS = ("pick_h1_agrees", "pick_h2_agrees", "pick_vector_polynomial_agrees",
+               "pick_matrix_polynomial_agrees")
+
+
+def _pick_and_verify(request, capsys):
+    """``pick``'s agrees_with_interpolation and verify's pick_* checks on one polygon."""
+    code, out, _ = run_cli(["pick", request], capsys)
+    assert code == 0
+    agrees = json.loads(out)["agrees_with_interpolation"]
+    _, out, _ = run_cli(["verify", "--json", request], capsys)
+    checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+    return agrees, [checks[name] for name in PICK_CHECKS]
+
+
+def test_pick_agreement_is_verify_pick_checks_on_the_pin_corpus(capsys, monkeypatch):
+    # pick and verify read one copy of the four Pick comparisons: on every
+    # polygon of the pick pin corpus agrees_with_interpolation is the `all` of
+    # verify's pick_* checks, and each formula made wrong fails both
+    requests = [json.dumps(et.polytope_to_json(p)) for p in pick_pin_polygons()]
+    assert len(requests) == 404
+    for request in requests:
+        agrees, checks = _pick_and_verify(request, capsys)
+        assert agrees is all(checks) is True
+    for k, name in enumerate(("h1_pick", "h2_pick", "ehrhart_vector_pick", "ehrhart_matrix_pick")):
+        route = getattr(triangulation, name)
+        monkeypatch.setattr(triangulation, name, lambda t, route=route: _perturbed(route(t)))
+        for request in requests[::101]:
+            assert _pick_and_verify(request, capsys) == (False, [j != k for j in range(4)])
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("kind", ["volume", "facets"])

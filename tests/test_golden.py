@@ -10,6 +10,7 @@ on purpose.
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import ehrtensor
+from ehrtensor import ehrhart
 from ehrtensor.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -284,6 +286,40 @@ def test_cli_output_is_golden(name):
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_output_is_golden(name):
     assert run_demo(name) == GOLDEN[name]
+
+
+VERIFY_POLYTOPES = {"d1": SEGMENT, "d2": TRIANGLE, "d3": POLY3, "d4_finding": FINDING,
+                    "d5": POLY5, "d3_stretched": STRETCHED3, "d4_stretched": STRETCHED4}
+
+
+@pytest.mark.parametrize("wrong", [None, 1, 2], ids=["as_is", "interior_r1", "interior_r2"])
+@pytest.mark.parametrize("name", VERIFY_POLYTOPES)
+def test_route_identities_are_the_route_part_of_verify(name, wrong, monkeypatch):
+    # ehrhart.route_identities on the production h of ranks 0..2 gives the
+    # names, order and passes of verify's checks before its Pick and PSD
+    # checks (polygons only), also when a wrong L^r(P°) fails some of them
+    if wrong is not None:
+        interior = ehrhart.discrete_moment_interior
+
+        def moved(p, r, n):
+            t = interior(p, r, n)
+            if (r, n) != (wrong, 1):
+                return t
+            return ehrtensor.SymTensor(r, p.dim, (t.entries[0] + 1,) + t.entries[1:])
+
+        monkeypatch.setattr(ehrhart, "discrete_moment_interior", moved)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", VERIFY_POLYTOPES[name], "--json"])
+    checks = [(c["name"], c["pass"]) for c in json.loads(out.getvalue())["checks"]]
+    p = ehrtensor.polytope_from_json(json.loads(VERIFY_POLYTOPES[name]))
+    pairs = ehrhart.route_identities(p, ehrtensor.hr_vectors(p, (0, 1, 2)))
+    assert checks[:len(pairs)] == pairs
+    assert [n for n, _ in checks[len(pairs):]] == (
+        ["pick_h1_agrees", "pick_h2_agrees", "pick_vector_polynomial_agrees",
+         "pick_matrix_polynomial_agrees", "h2_entries_psd"] if p.dim == 2 else [])
+    assert code == (0 if wrong is None else 1)
+    assert all(ok for _, ok in pairs) is (wrong is None)
 
 
 def test_golden_table_covers_every_case():

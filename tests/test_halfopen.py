@@ -200,7 +200,7 @@ def _unimodular_simplex(rng, d):
 
 def test_box_slices_match_brute_force_oracle():
     rng = random.Random(404)
-    unimodular = 0
+    unimodular = empty = 0
     for d in range(1, 5):
         for k in range(d + 1):
             cases = [_unimodular_simplex(rng, d)]
@@ -215,12 +215,18 @@ def test_box_slices_match_brute_force_oracle():
                 assert box.slices == brute_force_box_slices(s), (verts, s.removed)
                 assert box.total == s.normalized_volume()
                 unimodular += s.normalized_volume() == 1
+                # every slice's moments, the empty ones' included, ranks 0..3
+                empty += box.slices.count(())
+                for r in range(4):
+                    assert box.moments(r) == [
+                        [list(moment_of_points(sl, k, d).entries) for sl in box.slices]
+                        for k in range(r + 1)]
                 for i, (normal, rhs) in enumerate(s.facets()):
                     assert math.gcd(*normal) == 1
                     assert [dot(normal, v) - rhs == 0 for v in s.vertices] == \
                         [j != i for j in range(d + 1)]
                     assert dot(normal, s.vertices[i]) < rhs
-    assert unimodular >= 14
+    assert unimodular >= 14 and empty >= 100
 
 
 def _compositions(total, parts):
@@ -762,6 +768,50 @@ def test_half_open_decomposition_reduces_each_cell_at_most_twice(monkeypatch):
     assert [s.vertices for s in cells] == [tuple(points[i] for i in sx) for sx in simplices]
     assert [s.removed for s in cells] == cells_seen_from_point(points, simplices)[0]
     assert [s.removed for s in cells] == [frozenset(), frozenset({3})]
+
+
+FINDING = [(-2, 0, -2, -2), (-2, 0, 0, 0), (-2, 0, 1, 0), (-1, 0, 0, 2), (0, 0, -1, -1),
+           (0, 1, -1, -2), (0, 1, 1, 1), (1, 2, 0, -1)]
+
+
+def test_half_open_decomposition_checks_each_used_point_once(monkeypatch):
+    # the finding's oracle takes 5 cells with 25 corners over 8 points: one
+    # integer check per coordinate of each point, and the cells share the
+    # checked tuples
+    p = et.convex_hull(FINDING)
+    checks = record_calls(monkeypatch, halfopen, "checked_int")
+    cells = ehrhart._halfopen_cells(p)
+    vertices = {v for s in cells for v in s.vertices}
+    assert len(cells) == 5 and len(vertices) == 8
+    assert len(checks) == 8 * 4
+    assert len({id(v) for s in cells for v in s.vertices}) == 8
+
+
+def test_box_moments_pass_only_the_nonempty_slices(monkeypatch):
+    # 11 of the 25 box slices of the finding's oracle cells are empty: they
+    # get zero entry lists with no column pass
+    boxes = [halfopen.box_slices(s) for s in ehrhart._halfopen_cells(et.convex_hull(FINDING))]
+    passes = record_calls(monkeypatch, halfopen, "_column_moments")
+    for box in boxes:
+        box.moments(2)
+    assert sum(len(box.slices) for box in boxes) == 25
+    assert len(passes) == 25 - sum(box.slices.count(()) for box in boxes) == 14
+
+
+@pytest.mark.parametrize("bad", [bool, float])
+def test_half_open_decomposition_refuses_a_non_integer_used_point(bad):
+    # a bool or float coordinate in a point that a simplex uses raises; a
+    # point that no simplex uses is not read
+    points = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (bad(1), 0.5, 0)]
+    simplices = [(0, 1, 2, 3), (1, 2, 3, 4)]
+    cells = et.half_open_decomposition(points, simplices)
+    assert [s.vertices for s in cells] == [tuple(points[i] for i in sx) for sx in simplices]
+    for i in range(5):
+        for j in range(3):
+            wrong = list(points)
+            wrong[i] = tuple(bad(x) if k == j else x for k, x in enumerate(points[i]))
+            with pytest.raises(ValueError, match="expected an integer"):
+                et.half_open_decomposition(wrong, simplices)
 
 
 def test_each_cell_reduces_its_lifted_matrix_once(monkeypatch):

@@ -456,6 +456,16 @@ def test_check_ehrhart_psd_examples():
     assert all(r.is_psd for r in et.check_ehrhart_psd(sq))
 
 
+def test_psd_checks_take_a_polytope_or_its_rank2_h(corpus_polygons, random_3polytopes):
+    # a caller that holds the rank-2 h gets the reports that the polytope gives
+    for p in [*corpus_polygons.values(), *random_3polytopes]:
+        h = et.to_hr_vector(p, 2)
+        assert et.check_h2_psd(h) == et.check_h2_psd(p)
+        assert et.check_ehrhart_psd(h) == et.check_ehrhart_psd(p)
+    neg = et.to_hr_vector(et.convex_hull(NAMED_POLYGONS["neg_def_triangle"]), 2)
+    assert et.check_ehrhart_psd(neg)[1].classification == "negative_definite"
+
+
 def test_halfopen_non_monotonicity_reproduced():
     s = et.HalfOpenSimplex.make([(2, -2), (3, -2), (2, -1)], [0])
     h = et.hr_halfopen(s, 2)

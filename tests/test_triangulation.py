@@ -13,7 +13,8 @@ from ehrtensor.polytopes import _hull_2d, placing_triangulation
 from ehrtensor.tensors import dot, vadd, vsub
 from ehrtensor.triangulation import INSERTION_ORDERS, EdgeStats
 
-from conftest import NAMED_POLYGONS, oracle_moment, oracle_polygon_points, scan_points
+from conftest import (NAMED_POLYGONS, oracle_moment, oracle_polygon_points, pick_pin_polygons,
+                      scan_points)
 
 F = Fraction
 
@@ -335,13 +336,8 @@ def test_pick_route_outputs_are_pinned():
             return sorted(value)
         return value
 
-    polygons = [et.random_lattice_polytope(2, bound, 8, seed=seed)
-                for bound in (2, 3, 5, 8) for seed in range(100)]
-    polygons += [et.convex_hull(v) for v in (
-        [(0, 0), (7, 0), (3, 1)], [(0, 0), (9, 0), (5, 1), (8, -1)],
-        [(-4, 0), (4, 0), (0, 1), (1, -1)], [(0, 0), (8, 0), (8, 1), (0, 1)])]
     digest = hashlib.sha256()
-    for p in polygons:
+    for p in pick_pin_polygons():
         for order in INSERTION_ORDERS:
             t = et.unimodular_triangulation(p, order)
             s = et.edge_stats(t)
