@@ -177,11 +177,9 @@ class BoxSlices:
         return self.bounds[-1]
 
     def moments(self, r: int) -> list[list[list[int]]]:
-        """``moments[k][i]``: the entries of the rank-k moment of slice i, k = 0..r; an
-        empty slice's are zeros, with no column pass."""
+        """``moments[k][i]``: the entries of the rank-k moment of slice i, k = 0..r."""
         d = len(self.columns)
-        per_slice = [_column_moments([col[a:b] for col in self.columns], b - a, r, d) if b > a
-                     else [[0] * math.comb(d + k - 1, k) for k in range(r + 1)]
+        per_slice = [_column_moments([col[a:b] for col in self.columns], b - a, r, d)
                      for a, b in zip(self.bounds, self.bounds[1:])]
         return [list(ranks) for ranks in zip(*per_slice)]
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from . import linalg
-from .ehrhart import hr_vector_to_polynomial, to_hr_vector
+from . import ehrhart, linalg
+from .ehrhart import to_hr_vector
 from .polytopes import Polytope, dilate_rows, is_reflexive, random_lattice_polytope
 from .tensors import HrVector, SymTensor, rational_to_str
 
@@ -217,16 +217,18 @@ def sos_certificate(t: SymTensor) -> SosCertificate:
     return cert
 
 
+def _h2(p: Polytope | HrVector) -> HrVector:
+    return p if isinstance(p, HrVector) else to_hr_vector(p, 2)
+
+
 def check_h2_psd(p: Polytope | HrVector) -> list[DefinitenessReport]:
     """Classify every entry of the rank-2 h-vector of P, or of the rank-2 h-vector given."""
-    h = p if isinstance(p, HrVector) else to_hr_vector(p, 2)
-    return [classify_definiteness(entry) for entry in h.entries]
+    return [classify_definiteness(entry) for entry in _h2(p).entries]
 
 
 def check_ehrhart_psd(p: Polytope | HrVector) -> list[DefinitenessReport]:
     """Classify the nonconstant coefficients of the rank-2 moment polynomial of P, or of its h."""
-    h = p if isinstance(p, HrVector) else to_hr_vector(p, 2)
-    return [classify_definiteness(c) for c in hr_vector_to_polynomial(h).coeffs[1:]]
+    return [classify_definiteness(c) for c in ehrhart.hr_vector_to_polynomial(_h2(p)).coeffs[1:]]
 
 
 def palindromic(h: HrVector) -> bool:

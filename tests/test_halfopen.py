@@ -787,17 +787,6 @@ def test_half_open_decomposition_checks_each_used_point_once(monkeypatch):
     assert len({id(v) for s in cells for v in s.vertices}) == 8
 
 
-def test_box_moments_pass_only_the_nonempty_slices(monkeypatch):
-    # 11 of the 25 box slices of the finding's oracle cells are empty: they
-    # get zero entry lists with no column pass
-    boxes = [halfopen.box_slices(s) for s in ehrhart._halfopen_cells(et.convex_hull(FINDING))]
-    passes = record_calls(monkeypatch, halfopen, "_column_moments")
-    for box in boxes:
-        box.moments(2)
-    assert sum(len(box.slices) for box in boxes) == 25
-    assert len(passes) == 25 - sum(box.slices.count(()) for box in boxes) == 14
-
-
 @pytest.mark.parametrize("bad", [bool, float])
 def test_half_open_decomposition_refuses_a_non_integer_used_point(bad):
     # a bool or float coordinate in a point that a simplex uses raises; a
