@@ -1,4 +1,5 @@
 """Half-open simplices: box slices, Eulerian numerators, closed 2D forms."""
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -227,6 +228,37 @@ def test_box_slices_match_brute_force_oracle():
                         [j != i for j in range(d + 1)]
                     assert dot(normal, s.vertices[i]) < rhs
     assert unimodular >= 14 and empty >= 100
+
+
+def halfopen_bench_simplices(seed, count):
+    """The inputs of the halfopen-d4 benchmark workload at ``seed``: vertices in
+    [-3, 3]^4, the k-th simplex removing k mod 5 random facets."""
+    rng = random.Random(f"halfopen-d4/{seed}")
+    out = []
+    while len(out) < count:
+        vertices = [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(5)]
+        removed = rng.sample(range(5), len(out) % 5)
+        try:
+            out.append(et.HalfOpenSimplex.make(vertices, removed))
+        except ValueError:      # affinely dependent draw
+            continue
+    return out
+
+
+@pytest.mark.parametrize("seed, expected", [
+    (1, "3ef6da5f247f16318a1b7af4e8b0506118537419a25ea861a4ed6e41ca4b420d"),
+    (7, "193fc5167f0546d3fab4628ec216d41c292b302cbddd435277118463ca900808"),
+])
+def test_box_slices_and_hr_halfopen_are_pinned_on_bench_simplices(seed, expected):
+    # the box columns, their slice bounds and h of ranks 0..3 of the 150
+    # simplices a halfopen-d4 benchmark run at this seed times
+    digest = hashlib.sha256()
+    for s in halfopen_bench_simplices(seed, 150):
+        box = et.box_slices(s)
+        digest.update(repr((box.columns, box.bounds)).encode())
+        for r in range(4):
+            digest.update(repr([e.entries for e in et.hr_halfopen(s, r).entries]).encode())
+    assert digest.hexdigest() == expected
 
 
 def _compositions(total, parts):
