@@ -64,7 +64,7 @@ from .halfopen import HalfOpenSimplex, _hr_sums, box_slices, half_open_decomposi
 from .polytopes import Polytope, dilate_rows
 # the scan-row moment kernel lives in tensors and stays importable from here
 from .tensors import (BOTH, CLOSED, INTERIOR, HrVector, SymTensor, TensorPolynomial,
-                      _newton_columns, multi_indices, row_moments)
+                      _newton_columns, entry_count, row_moments)
 
 
 def _moments(p: Polytope, r: int, n: int, sides=BOTH) -> list[tuple[int, ...]]:
@@ -75,7 +75,7 @@ def _moments(p: Polytope, r: int, n: int, sides=BOTH) -> list[tuple[int, ...]]:
     if r < 0 or n < 0:
         raise ValueError("rank and dilation must be nonnegative")
     if n == 0:
-        zero = (0,) * len(multi_indices(p.dim, r))
+        zero = (0,) * entry_count(p.dim, r)
         return [(1,) if side == "closed" and r == 0 else zero for side in sides]
     store = p.dilates
     missing = [side for side in sides if len(store.get((n, side), ())) <= r]

@@ -24,15 +24,17 @@ rank asked for on entry lists and builds the tensors once; a single simplex
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
-from operator import add, floordiv, mod, mul, sub
+from operator import add, lshift, mul, sub
 
 from . import linalg
 from .polytopes import _lifted, barycentric_facets, checked_int, scan_rows, shadow_levels
 from .tensors import (CLOSED, HrVector, IntPoint, SymTensor, _column_moments, _newton_columns,
-                      _product_entries, dot, moment_of_points, multi_indices, outer_power,
+                      _product_entries, dot, entry_count, moment_of_points, outer_power,
                       row_moments, sym_product)
 
 
@@ -196,34 +198,61 @@ def box_slices(s: HalfOpenSimplex) -> BoxSlices:
     kept as one residue column per coordinate, and each generator adds its
     cosets in one comprehension per column.  Residue a maps to
     ``z = sum_j a_j (v_j, 1) / D``, with a_j = D instead of 0 on removed
-    facets, one coordinate column at a time as a chain of ``map`` over the
-    residue columns of nonzero weight (a weight of 1 or -1 adds or subtracts
-    the column itself), and every point is checked to be integral.  One sort
-    of the point indices by height z[d] groups the columns z[:d] into slices.
+    facets.  Each residue column is packed once into one int of D slots,
+    64 L bits each (:func:`_pack`), and each lifted coordinate is one
+    integer combination of those ints with the coordinates as weights, so
+    one big-int sum maps every point of a coordinate at once.  With S the
+    largest sum of |weights| of a coordinate, every numerator lies in
+    [-DS, DS]; the combination adds DS to each slot, so a slot holds 0..2DS,
+    and L is one more than the 64-bit words in the bit length of DS, so
+    every coordinate size takes this path.  The slots are read back as
+    native 64-bit words (:func:`_unpack`), every one is checked to be
+    divisible by D, so each point is integral, and z is the slot over D,
+    less S.  One sort of the point indices by height z[d] groups the
+    columns z[:d] into slices.
     """
     d = s.dim
     rows, dabs = s.barycentric_rows()
     cols = _residue_columns(rows, dabs)
     for j in s.removed:
         cols[j] = [x or dabs for x in cols[j]]
+    lifted = _lifted(s.vertices)
+    shift = max(sum(map(abs, c)) for c in lifted)
+    limbs = (dabs * shift).bit_length() // 64 + 1
+    packed = [_pack(col, limbs) for col in cols]
+    offset = dabs * shift * _pack(repeat(1, dabs), limbs)
     z = []
-    for c in _lifted(s.vertices):
-        numer = repeat(0)
-        for col, x in zip(cols, c):
-            if x == 1:
-                numer = map(add, numer, col)
-            elif x == -1:
-                numer = map(sub, numer, col)
-            elif x:
-                numer = map(add, numer, map(mul, col, repeat(x)))
-        numer = list(numer)
-        if any(map(mod, numer, repeat(dabs))):
+    for c in lifted:
+        quotient, remainder = divmod(sum(map(mul, c, packed), offset), dabs)
+        z.append(_unpack(quotient, dabs, limbs))
+        if remainder or max(z[-1]) > 2 * shift:
             raise AssertionError("a box residue is not a lattice point")
-        z.append(list(map(floordiv, numer, repeat(dabs))))
     heights = z.pop()
     order = sorted(range(dabs), key=heights.__getitem__)
-    bounds = tuple(accumulate((heights.count(i) for i in range(d + 1)), initial=0))
-    return BoxSlices(tuple(tuple(map(col.__getitem__, order)) for col in z), bounds)
+    bounds = tuple(accumulate((heights.count(i + shift) for i in range(d + 1)), initial=0))
+    return BoxSlices(tuple(tuple(map(sub, map(col.__getitem__, order), repeat(shift)))
+                           for col in z), bounds)
+
+
+def _pack(values, limbs: int) -> int:
+    """``sum_p values[p] 2^(64 limbs p)``: value p, below 2^64, in the low word of slot p."""
+    low = array("Q", values)
+    words = array("Q", bytes(8 * limbs * len(low)))
+    words[::limbs] = low
+    if sys.byteorder == "big":      # native words, most significant first
+        words.reverse()
+    return int.from_bytes(words, sys.byteorder)
+
+
+def _unpack(n: int, count: int, limbs: int):
+    """The ``count`` slots of ``limbs`` 64-bit words each that make up n >= 0."""
+    words = array("Q", n.to_bytes(8 * limbs * count, sys.byteorder))
+    if sys.byteorder == "big":
+        words.reverse()
+    values = words[::limbs]
+    for k in range(1, limbs):
+        values = list(map(add, values, map(lshift, words[k::limbs], repeat(64 * k))))
+    return values
 
 
 def _residue_columns(rows: list[list[int]], dabs: int) -> list[list[int]]:
@@ -235,9 +264,8 @@ def _residue_columns(rows: list[list[int]], dabs: int) -> list[list[int]]:
     for gen in zip(*rows):
         # the cosets H + k*gen, 0 < k < m, of the subgroup H so far; the least
         # m > 0 with m*gen in H divides the order of gen, so only divisors are tried
-        order = dabs // math.gcd(dabs, *gen)
-        m = next(k for k in range(1, order + 1)
-                 if order % k == 0 and tuple(k * x % dabs for x in gen) in members)
+        m = next(k for k in _divisors(dabs // math.gcd(dabs, *gen))
+                 if tuple(k * x % dabs for x in gen) in members)
         if m > 1:
             cosets = [[(x + k * y) % dabs for k in range(1, m) for x in col]
                       for col, y in zip(cols, gen)]
@@ -249,6 +277,13 @@ def _residue_columns(rows: list[list[int]], dabs: int) -> list[list[int]]:
     if len(members) != dabs or len(cols[0]) != dabs:
         raise AssertionError(f"{len(members)} box residues for normalized volume {dabs}")
     return cols
+
+
+@lru_cache(maxsize=None)
+def _divisors(n: int) -> tuple[int, ...]:
+    """The divisors of n >= 1, ascending."""
+    low = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    return tuple(low + [n // k for k in reversed(low) if k * k != n])
 
 
 def moment_halfopen(s: HalfOpenSimplex, r: int, n: int) -> SymTensor:
@@ -332,7 +367,7 @@ def _hr_sums(cells, ranks) -> list[HrVector]:
                     _add_scaled(out, deg + e, x, (-1) ** e * math.comb(k0, e))
         if max(out) > d + r:
             raise AssertionError("numerator degree exceeded d+r")
-        zero = (0,) * len(multi_indices(d, r))
+        zero = (0,) * entry_count(d, r)
         hs.append(HrVector(tuple(SymTensor(r, d, tuple(out.get(n, zero)))
                                  for n in range(d + r + 1))))
     return hs

@@ -64,6 +64,13 @@ def multi_indices(dim: int, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations_with_replacement(range(dim), rank))
 
 
+def entry_count(dim: int, rank: int) -> int:
+    """The number of stored entries of a rank-``rank`` tensor on Q^dim,
+    ``len(multi_indices(dim, rank))``, without listing them: C(dim + rank - 1, rank),
+    read as C(0, rank) at dim = 0, whose one index is the empty one of rank 0."""
+    return math.comb(max(dim + rank - 1, 0), rank)
+
+
 @lru_cache(maxsize=None)
 def _index_position(dim: int, rank: int) -> dict[tuple[int, ...], int]:
     return {m: k for k, m in enumerate(multi_indices(dim, rank))}
@@ -97,7 +104,7 @@ class SymTensor:
     entries: tuple[Scalar, ...]
 
     def __post_init__(self):
-        expected = len(multi_indices(self.dim, self.rank))
+        expected = entry_count(self.dim, self.rank)
         if len(self.entries) != expected:
             raise ValueError(
                 f"rank-{self.rank} tensor on Q^{self.dim} needs {expected} entries, "
@@ -107,8 +114,7 @@ class SymTensor:
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls, rank: int, dim: int) -> "SymTensor":
-        n = len(multi_indices(dim, rank))
-        return cls(rank, dim, (0,) * n)
+        return cls(rank, dim, (0,) * entry_count(dim, rank))
 
     @classmethod
     def from_entries(cls, rank: int, dim: int, values: Iterable) -> "SymTensor":
@@ -456,11 +462,11 @@ def _product_entries(x: Sequence, y: Sequence, dim: int, ra: int, rb: int) -> li
 def _product_plan(dim: int, ra: int, rb: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per stored index m of rank ra + rb, the factor entry positions of each
     of its C(ra + rb, ra) slot splits; m is sorted, so each part is stored."""
-    apos, bpos, r = _index_position(dim, ra), _index_position(dim, rb), ra + rb
-    return tuple(tuple((apos[tuple(m[i] for i in sel)],
-                        bpos[tuple(m[i] for i in range(r) if i not in sel)])
-                       for sel in combinations(range(r), ra))
-                 for m in multi_indices(dim, r))
+    apos, bpos, slots = _index_position(dim, ra), _index_position(dim, rb), range(ra + rb)
+    splits = [(sel, tuple(i for i in slots if i not in sel)) for sel in combinations(slots, ra)]
+    return tuple([tuple([(apos[tuple(map(m.__getitem__, sel))], bpos[tuple(map(m.__getitem__, rest))])
+                         for sel, rest in splits])
+                  for m in multi_indices(dim, ra + rb)])
 
 
 @dataclass(frozen=True)
