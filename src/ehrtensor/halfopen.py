@@ -26,10 +26,11 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from bisect import bisect_left
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, repeat
-from operator import add, lshift, mul, sub
+from itertools import repeat
+from operator import add, itemgetter, lshift, mod, mul, sub
 
 from . import linalg
 from .polytopes import _lifted, barycentric_facets, checked_int, scan_rows, shadow_levels
@@ -220,18 +221,20 @@ def box_slices(s: HalfOpenSimplex) -> BoxSlices:
     shift = max(sum(map(abs, c)) for c in lifted)
     limbs = (dabs * shift).bit_length() // 64 + 1
     packed = [_pack(col, limbs) for col in cols]
-    offset = dabs * shift * _pack(repeat(1, dabs), limbs)
+    # shift * D in every slot: a 1 in the low byte of each slot, times shift * D
+    offset = dabs * shift * int.from_bytes(b"\1".ljust(8 * limbs, b"\0") * dabs, "little")
     z = []
     for c in lifted:
         quotient, remainder = divmod(sum(map(mul, c, packed), offset), dabs)
         z.append(_unpack(quotient, dabs, limbs))
         if remainder or max(z[-1]) > 2 * shift:
             raise AssertionError("a box residue is not a lattice point")
-    heights = z.pop()
-    order = sorted(range(dabs), key=heights.__getitem__)
-    bounds = tuple(accumulate((heights.count(i + shift) for i in range(d + 1)), initial=0))
-    return BoxSlices(tuple(tuple(map(sub, map(col.__getitem__, order), repeat(shift)))
-                           for col in z), bounds)
+    # the point indices by height, as (height + shift) * D + index, sorted as plain ints
+    keys = sorted(map(add, map(mul, z.pop(), repeat(dabs)), range(dabs)))
+    bounds = tuple(bisect_left(keys, (i + shift) * dabs) for i in range(d + 2))
+    # one more index, so that one box point still gives a tuple; repeat(shift, D) drops it
+    pick = itemgetter(*map(mod, keys, repeat(dabs)), 0)
+    return BoxSlices(tuple(tuple(map(sub, pick(col), repeat(shift, dabs))) for col in z), bounds)
 
 
 def _pack(values, limbs: int) -> int:
@@ -257,8 +260,11 @@ def _unpack(n: int, count: int, limbs: int):
 
 def _residue_columns(rows: list[list[int]], dabs: int) -> list[list[int]]:
     """The group generated mod D by the columns of ``rows``, one residue column
-    per row; raises when it does not have D distinct elements.  The closure
-    stops at the generator that completes the group."""
+    per row; raises when it does not have D elements.  The closure stops at
+    the generator that completes the group.  The cosets it adds are disjoint
+    from each other and from the subgroup so far, by the choice of m below,
+    so the residues are distinct; the set of them is kept only while a later
+    generator is tested against it."""
     cols = [[0] for _ in rows]
     members = {(0,) * len(rows)}
     for gen in zip(*rows):
@@ -269,13 +275,13 @@ def _residue_columns(rows: list[list[int]], dabs: int) -> list[list[int]]:
         if m > 1:
             cosets = [[(x + k * y) % dabs for k in range(1, m) for x in col]
                       for col, y in zip(cols, gen)]
-            members.update(zip(*cosets))
             for col, new in zip(cols, cosets):
                 col += new
-            if len(cols[0]) == dabs:    # the whole group: no later generator adds to it
+            if len(cols[0]) >= dabs:    # the whole group: no later generator adds to it
                 break
-    if len(members) != dabs or len(cols[0]) != dabs:
-        raise AssertionError(f"{len(members)} box residues for normalized volume {dabs}")
+            members.update(zip(*cosets))
+    if len(cols[0]) != dabs:
+        raise AssertionError(f"{len(cols[0])} box residues for normalized volume {dabs}")
     return cols
 
 
