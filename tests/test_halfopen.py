@@ -1,5 +1,6 @@
 """Half-open simplices: box slices, Eulerian numerators, closed 2D forms."""
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from ehrtensor.triangulation import INSERTION_ORDERS
 
 from conftest import (all_dilates_oracle, box_rows, fraction_inverse, leibniz_det, oracle_moment,
                       record_calls, scan_points)
+from test_golden import HALF4_LARGE
 
 F = Fraction
 
@@ -199,9 +201,10 @@ def _unimodular_simplex(rng, d):
     return [shift] + [[a + b for a, b in zip(shift, row)] for row in basis]
 
 
-def test_box_slices_match_brute_force_oracle():
+def brute_force_oracle_simplices():
+    """Half-open simplices in d = 1..4 with every number of removed facets:
+    per (d, count) one unimodular simplex and three with vertices in [-2, 2]^d."""
     rng = random.Random(404)
-    unimodular = empty = 0
     for d in range(1, 5):
         for k in range(d + 1):
             cases = [_unimodular_simplex(rng, d)]
@@ -211,23 +214,44 @@ def test_box_slices_match_brute_force_oracle():
                 if leibniz_det([v + [1] for v in verts]):
                     cases.append(verts)
             for verts in cases:
-                s = et.HalfOpenSimplex.make(verts, rng.sample(range(d + 1), k))
-                box = et.box_slices(s)
-                assert box.slices == brute_force_box_slices(s), (verts, s.removed)
-                assert box.total == s.normalized_volume()
-                unimodular += s.normalized_volume() == 1
-                # every slice's moments, the empty ones' included, ranks 0..3
-                empty += box.slices.count(())
-                for r in range(4):
-                    assert box.moments(r) == [
-                        [list(moment_of_points(sl, k, d).entries) for sl in box.slices]
-                        for k in range(r + 1)]
-                for i, (normal, rhs) in enumerate(s.facets()):
-                    assert math.gcd(*normal) == 1
-                    assert [dot(normal, v) - rhs == 0 for v in s.vertices] == \
-                        [j != i for j in range(d + 1)]
-                    assert dot(normal, s.vertices[i]) < rhs
+                yield et.HalfOpenSimplex.make(verts, rng.sample(range(d + 1), k))
+
+
+def test_box_slices_match_brute_force_oracle():
+    unimodular = empty = 0
+    for s in brute_force_oracle_simplices():
+        d = s.dim
+        box = et.box_slices(s)
+        assert box.slices == brute_force_box_slices(s), (s.vertices, s.removed)
+        assert box.total == s.normalized_volume()
+        unimodular += s.normalized_volume() == 1
+        # every slice's moments, the empty ones' included, ranks 0..3
+        empty += box.slices.count(())
+        for r in range(4):
+            assert box.moments(r) == [
+                [list(moment_of_points(sl, k, d).entries) for sl in box.slices]
+                for k in range(r + 1)]
+        for i, (normal, rhs) in enumerate(s.facets()):
+            assert math.gcd(*normal) == 1
+            assert [dot(normal, v) - rhs == 0 for v in s.vertices] == \
+                [j != i for j in range(d + 1)]
+            assert dot(normal, s.vertices[i]) < rhs
     assert unimodular >= 14 and empty >= 100
+
+
+@pytest.mark.parametrize("t", [10 ** 30, -7 * 10 ** 40, 2 ** 63 - 1, -2 ** 64])
+def test_box_slices_of_a_translate_are_the_slices_moved(t):
+    # a translate's bounding box is far too large to enumerate; its box points
+    # are those of S with slice i moved by i*t, and its coordinates need slots
+    # of two or three 64-bit words in the packed map
+    simplices = list(brute_force_oracle_simplices())
+    simplices.append(halfopen_from_json(json.loads(HALF4_LARGE)))
+    for s in simplices:
+        moved = et.HalfOpenSimplex.make([[x + t for x in v] for v in s.vertices], s.removed)
+        expected = tuple(tuple(tuple(x + i * t for x in p) for p in sl)
+                         for i, sl in enumerate(et.box_slices(s).slices))
+        assert et.box_slices(moved).slices == expected, (s.vertices, s.removed, t)
+    assert len(simplices) == 57
 
 
 def halfopen_bench_simplices(seed, count):
@@ -449,6 +473,12 @@ def test_a_corrupted_residue_column_is_not_a_lattice_point(monkeypatch):
         et.hr_halfopen(s, 2)
     with pytest.raises(AssertionError, match="not a lattice point"):
         et.box_slices(s)
+
+
+def test_divisors_are_listed_in_ascending_order():
+    # the residue closure tries only these as the index of a generator
+    for n in range(1, 500):
+        assert halfopen._divisors(n) == tuple(k for k in range(1, n + 1) if n % k == 0), n
 
 
 def test_hr_halfopen_enumerates_the_box_once(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehrtensor as et
+from ehrtensor import tensors
 from ehrtensor.tensors import (SymTensor, _index_position, _moment_entries, dot, moment_of_points,
                                multi_indices, rational_to_str, tensor_to_json)
 
@@ -322,3 +323,29 @@ def test_sym_product_refuses_mixed_dimensions():
     for ra, rb in ((0, 0), (0, 2), (1, 0), (2, 1)):
         with pytest.raises(ValueError, match="dimension mismatch"):
             et.sym_product(SymTensor.zero(ra, 2), SymTensor.zero(rb, 3))
+
+
+def reference_product_plan(dim, ra, rb):
+    """The slot splits of :func:`tensors._product_plan` by the earlier comprehension."""
+    apos, bpos, r = _index_position(dim, ra), _index_position(dim, rb), ra + rb
+    return tuple(tuple((apos[tuple(m[i] for i in sel)],
+                        bpos[tuple(m[i] for i in range(r) if i not in sel)])
+                       for sel in combinations(range(r), ra))
+                 for m in multi_indices(dim, r))
+
+
+def test_product_plan_matches_the_reference_comprehension():
+    for dim in range(1, 7):
+        for ra in range(5):
+            for rb in range(5):
+                assert tensors._product_plan(dim, ra, rb) == \
+                    reference_product_plan(dim, ra, rb), (dim, ra, rb)
+
+
+def test_entry_count_is_the_number_of_multi_indices():
+    for dim in range(8):
+        for rank in range(7):
+            assert tensors.entry_count(dim, rank) == len(multi_indices(dim, rank)), (dim, rank)
+    for dim in range(3):
+        with pytest.raises(ValueError):
+            tensors.entry_count(dim, -1)
