@@ -13,6 +13,15 @@ the box is enumerated once into coordinate columns grouped by height, each
 box slice's moments of every rank come from those columns, and only the
 d+r+1 output entries become :class:`~ehrtensor.tensors.SymTensor` values.
 
+The box residues become points through packed-integer columns
+(:func:`box_slices`): each residue column is one int with a slot of 64 L
+bits per residue, L taken from the bit length of D times the largest sum of
+|coordinates| over the lifted rows, so large and small coordinates take the
+same path.  A lifted coordinate of every point is then one integer
+combination of those ints plus an offset that keeps every slot nonnegative,
+divided by D once, with every slot checked to be divisible by D; the slots
+are read back with ``array('Q')`` in ``sys.byteorder``.
+
 Any triangulation of a polytope, in any dimension, splits into half-open
 cells that partition it (:func:`half_open_decomposition`), so the moments
 and h-vectors of the cells add up to the polytope's with no
@@ -197,20 +206,26 @@ def box_slices(s: HalfOpenSimplex) -> BoxSlices:
     of z in Z^(d+1) form the group generated by the columns of the rows; it
     has D elements, found by closing {0} under each generator.  The group is
     kept as one residue column per coordinate, and each generator adds its
-    cosets in one comprehension per column.  Residue a maps to
-    ``z = sum_j a_j (v_j, 1) / D``, with a_j = D instead of 0 on removed
-    facets.  Each residue column is packed once into one int of D slots,
-    64 L bits each (:func:`_pack`), and each lifted coordinate is one
-    integer combination of those ints with the coordinates as weights, so
-    one big-int sum maps every point of a coordinate at once.  With S the
-    largest sum of |weights| of a coordinate, every numerator lies in
-    [-DS, DS]; the combination adds DS to each slot, so a slot holds 0..2DS,
-    and L is one more than the 64-bit words in the bit length of DS, so
-    every coordinate size takes this path.  The slots are read back as
-    native 64-bit words (:func:`_unpack`), every one is checked to be
-    divisible by D, so each point is integral, and z is the slot over D,
-    less S.  One sort of the point indices by height z[d] groups the
-    columns z[:d] into slices.
+    cosets in one comprehension per column (:func:`_residue_columns`).
+    Residue a maps to ``z = sum_j a_j (v_j, 1) / D``, with a_j = D instead of
+    0 on removed facets.
+
+    The map packs each residue column once into one int of D slots, 64 L bits
+    each, residue p in slot p (:func:`_pack`), so one integer combination of
+    those ints, with a lifted coordinate of the vertices as weights, holds
+    every numerator of that coordinate.  With S the largest sum of |weights|
+    over the coordinates, each numerator lies in [-DS, DS]; an offset of DS
+    in every slot keeps each slot in 0..2DS, and L, one more than the 64-bit
+    words in the bit length of DS, lets 2DS fit, so every coordinate size
+    takes this one path.  The sum is divided by D once.  A remainder of 0
+    with every quotient slot at most 2S means that D times each quotient
+    slot is the sum's slot, so every slot is divisible by D and each point is
+    integral; anything else raises.  The quotient slots are read back as
+    64-bit words in the machine's byte order (:func:`_unpack`), and a point's
+    coordinate is its slot less S.  One sort of the integer keys
+    ``(z[d] + S) D + index`` groups the columns z[:d] into slices by height
+    z[d], each in residue order; the slice bounds are bisected out of the
+    keys and every column is read out by one ``itemgetter``.
     """
     d = s.dim
     rows, dabs = s.barycentric_rows()
