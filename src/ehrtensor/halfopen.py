@@ -292,7 +292,7 @@ def _residue_columns(rows: list[list[int]], dabs: int) -> list[list[int]]:
                       for col, y in zip(cols, gen)]
             for col, new in zip(cols, cosets):
                 col += new
-            if len(cols[0]) >= dabs:    # the whole group: no later generator adds to it
+            if len(cols[0]) == dabs:    # the whole group: no later generator adds to it
                 break
             members.update(zip(*cosets))
     if len(cols[0]) != dabs:

@@ -464,8 +464,8 @@ def _product_plan(dim: int, ra: int, rb: int) -> tuple[tuple[tuple[int, int], ..
     of its C(ra + rb, ra) slot splits; m is sorted, so each part is stored."""
     apos, bpos, slots = _index_position(dim, ra), _index_position(dim, rb), range(ra + rb)
     splits = [(sel, tuple(i for i in slots if i not in sel)) for sel in combinations(slots, ra)]
-    return tuple([tuple([(apos[tuple(map(m.__getitem__, sel))], bpos[tuple(map(m.__getitem__, rest))])
-                         for sel, rest in splits])
+    return tuple([tuple([(apos[tuple(map(m.__getitem__, sel))],
+                          bpos[tuple(map(m.__getitem__, rest))]) for sel, rest in splits])
                   for m in multi_indices(dim, ra + rb)])
 
 
