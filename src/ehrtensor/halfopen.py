@@ -42,7 +42,7 @@ from itertools import repeat
 from operator import add, itemgetter, lshift, mod, mul, sub
 
 from . import linalg
-from .polytopes import _lifted, barycentric_facets, checked_int, scan_rows, shadow_levels
+from .polytopes import barycentric_facets, checked_int, scan_rows, shadow_levels
 from .tensors import (CLOSED, HrVector, IntPoint, SymTensor, _column_moments, _newton_columns,
                       _product_entries, dot, entry_count, moment_of_points, outer_power,
                       row_moments, sym_product)
@@ -74,7 +74,7 @@ class HalfOpenSimplex:
 
     vertices: tuple[IntPoint, ...]
     removed: frozenset[int]
-    inverse: InitVar[tuple | None] = None   # int_inverse of _lifted(vertices), if made
+    inverse: InitVar[tuple | None] = None   # linalg.lifted_inverse(vertices), if made
 
     def __post_init__(self, inverse):
         if not self.vertices or not self.vertices[0]:
@@ -106,7 +106,7 @@ class HalfOpenSimplex:
 
     @cached_property
     def _inverse(self) -> tuple[list[list[int]], int]:
-        return linalg.int_inverse(_lifted(self.vertices))
+        return linalg.lifted_inverse(self.vertices)
 
     def normalized_volume(self) -> int:
         return self._inverse[1]
@@ -160,7 +160,7 @@ def half_open_decomposition(points, simplices) -> list[HalfOpenSimplex]:
     cells = []
     for simplex in simplices:
         vertices = tuple(map(used.__getitem__, simplex))
-        inverse = linalg.int_inverse(_lifted(vertices))
+        inverse = linalg.lifted_inverse(vertices)
         removed = frozenset(i for i, a in enumerate(inverse[0])
                             if next(x for x in (dot(a, lifted_sum),) + tuple(a[:d]) if x) < 0)
         cells.append(HalfOpenSimplex(vertices, removed, inverse))
@@ -232,7 +232,7 @@ def box_slices(s: HalfOpenSimplex) -> BoxSlices:
     cols = _residue_columns(rows, dabs)
     for j in s.removed:
         cols[j] = [x or dabs for x in cols[j]]
-    lifted = _lifted(s.vertices)
+    lifted = [list(c) for c in zip(*s.vertices)] + [[1] * (d + 1)]     # columns (v_j, 1)
     shift = max(sum(map(abs, c)) for c in lifted)
     limbs = (dabs * shift).bit_length() // 64 + 1
     packed = [_pack(col, limbs) for col in cols]

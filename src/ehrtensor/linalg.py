@@ -10,6 +10,7 @@ exactness is the only requirement.
 """
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 
@@ -73,6 +74,25 @@ def int_inverse(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
         raise SingularMatrixError("singular matrix")
     sign = -1 if rows and rows[0][0] < 0 else 1
     return [[sign * x for x in row[n:]] for row in rows], sign * rows[0][0] if rows else 1
+
+
+def lifted_inverse(points: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """:func:`int_inverse` of the matrix with columns ``(p_j, 1)``, for d+1 points of Z^d.
+
+    Barycentric coordinates do not move with the points, so it comes from the
+    d x d inverse ``(m, D)`` of the edge matrix with columns ``p_j - p_0``,
+    j = 1..d: row j of the result is ``m[j-1]`` followed by ``-m[j-1].p_0``,
+    and row 0 makes each of the first d columns sum to 0 and the last to D.
+    Raises ``TypeError`` on a non-``int`` coordinate, as :func:`int_inverse`
+    does on the lifted matrix.
+    """
+    if any(type(x) is not int for p in points for x in p):
+        raise TypeError("lifted_inverse needs int coordinates")
+    origin = points[0]
+    inverse, dabs = int_inverse([[p[i] - o for p in points[1:]] for i, o in enumerate(origin)])
+    last = [-sum(map(mul, row, origin)) for row in inverse]
+    return ([[-sum(col) for col in zip(*inverse)] + [dabs - sum(last)]]
+            + [row + [x] for row, x in zip(inverse, last)]), dabs
 
 
 def cross2(o: Sequence[int], a: Sequence[int], b: Sequence[int]) -> int:

@@ -22,7 +22,7 @@ from itertools import accumulate, chain
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import affine_basis, cross2, int_inverse
+from .linalg import affine_basis, cross2, lifted_inverse
 from .tensors import IntPoint, dot, vadd
 
 
@@ -153,14 +153,9 @@ def _in_frame(x: Sequence[int], order: Sequence[int]) -> IntPoint:
     return tuple(map(x.__getitem__, order))
 
 
-def _lifted(vertices) -> list[list[int]]:
-    """The matrix with columns (v_j, 1)."""
-    return [list(c) for c in zip(*vertices)] + [[1] * len(vertices)]
-
-
 def barycentric_facets(rows: Sequence[Sequence[int]]) -> list[tuple[tuple[IntPoint, int], int]]:
     """Facet i of a d-simplex as ``((normal, rhs), g)``, i = 0..d, from the rows
-    a_i of ``int_inverse(_lifted(vertices))[0]``.
+    a_i of ``lifted_inverse(vertices)[0]`` (:func:`~ehrtensor.linalg.lifted_inverse`).
 
     Facet i, opposite vertex i, is ``a_i.(x, 1) >= 0`` on the simplex.  With g
     the gcd of ``a_i[:d]``, its primitive plane is ``normal . x <= rhs``,
@@ -214,7 +209,7 @@ def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[
             if face[j] != skip:
                 ridges.setdefault(face[:j] + face[j + 1:], []).append(face)
 
-    rows, _ = int_inverse(_lifted([pts[i] for i in first]))
+    rows, _ = lifted_inverse([pts[i] for i in first])
     for j, entry in enumerate(barycentric_facets(rows)):
         face = first[:j] + first[j + 1:]
         boundary[face] = entry

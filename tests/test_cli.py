@@ -489,7 +489,7 @@ def test_verify_builds_each_oracle_and_volume_once(dim, bound, seed, capsys, mon
     parts = record_calls(monkeypatch, halfopen, "_newton_columns")
     box_moments = counted(halfopen.BoxSlices, "moments")
     hulls = counted(polytopes, "placing_triangulation")
-    hull_inverses = counted(polytopes, "int_inverse")
+    hull_inverses = counted(polytopes, "lifted_inverse")
     cell_checks = counted(linalg, "affine_basis")
     passes = record_calls(monkeypatch, ehrhart, "_newton_columns")
     code, out, _ = run_cli(["verify", "--json", "{}"], capsys)

@@ -103,6 +103,35 @@ def test_int_inverse_refuses_non_int_entries(entry):
         linalg.int_inverse([[2, 1], [entry, 3]])
 
 
+def test_lifted_inverse_is_the_inverse_of_the_lifted_matrix():
+    # the edge matrix's inverse, extended, against int_inverse of the matrix
+    # with columns (p_j, 1); far translates and singular point sets included
+    rng = random.Random(7070)
+    singular = 0
+    for d in range(1, 7):
+        for _ in range(60):
+            points = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d + 1)]
+            if rng.random() < 0.2:
+                points = [[x + rng.choice((10 ** 30, -2 ** 64)) for x in p] for p in points]
+            lifted = [list(c) for c in zip(*points)] + [[1] * (d + 1)]
+            try:
+                expected = linalg.int_inverse(lifted)
+            except linalg.SingularMatrixError:
+                singular += 1
+                with pytest.raises(linalg.SingularMatrixError):
+                    linalg.lifted_inverse(points)
+                continue
+            assert linalg.lifted_inverse(points) == expected, points
+    assert singular > 10
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 2.0, True], ids=["fraction", "float", "bool"])
+def test_lifted_inverse_refuses_non_int_coordinates(entry):
+    # an edge p - p_0 of bools would be an int; the points themselves are checked
+    with pytest.raises(TypeError):
+        linalg.lifted_inverse([[0, 0], [1, 0], [0, entry]])
+
+
 def forward_affine_basis(pts):
     """First d+1 affinely independent points by forward integer elimination.
 

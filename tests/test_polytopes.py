@@ -190,7 +190,7 @@ def test_facet_volumes_add_no_cross_product(monkeypatch):
     # above 2D the hull takes one integer inverse, whose rows give the faces
     # of its starting simplex, and a polygon's chain takes none; the volume
     # and facet moments read the lattice volumes the boundary keeps
-    inverses = record_calls(monkeypatch, polytopes, "int_inverse")
+    inverses = record_calls(monkeypatch, polytopes, "lifted_inverse")
     for d in (2, 3, 4, 5):
         inverses.clear()
         p = et.random_lattice_polytope(d, 2, d + 4, seed=8300 + d)
@@ -396,7 +396,7 @@ def test_a_hibi_scan_triangulates_each_hull_once(monkeypatch):
     # the h route's volume and facet sums read the boundary each hull kept,
     # and each hull takes one integer inverse for its starting simplex
     builds = record_calls(monkeypatch, polytopes, "placing_triangulation")
-    inverses = record_calls(monkeypatch, polytopes, "int_inverse")
+    inverses = record_calls(monkeypatch, polytopes, "lifted_inverse")
     report = et.conjecture_scan(4, 60, 2, 8, 1, "hibi")
     assert report.completed + report.skipped_no_interior == 60
     assert len(builds) == len(inverses) == 60
