@@ -38,7 +38,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import product, repeat
 from operator import add, itemgetter, lshift, mod, mul, sub
 
 from . import linalg
@@ -288,8 +288,10 @@ def _residue_columns(rows: list[list[int]], dabs: int) -> list[list[int]]:
         m = next(k for k in _divisors(dabs // math.gcd(dabs, *gen))
                  if tuple(k * x % dabs for x in gen) in members)
         if m > 1:
-            cosets = [[(x + k * y) % dabs for k in range(1, m) for x in col]
-                      for col, y in zip(cols, gen)]
+            # k*gen for k = 1..m-1 as one range per entry, each step g mod D + D > 0
+            steps = [range(y, m * y, y) for y in (g % dabs + dabs for g in gen)]
+            cosets = [[(x + s) % dabs for s, x in product(ks, col)]
+                      for col, ks in zip(cols, steps)]
             for col, new in zip(cols, cosets):
                 col += new
             if len(cols[0]) == dabs:    # the whole group: no later generator adds to it
