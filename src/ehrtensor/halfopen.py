@@ -355,8 +355,8 @@ def _hr_sums(cells, ranks) -> list[HrVector]:
     moments of every rank come from the box's coordinate columns, enumerated
     once and grouped by height (:meth:`BoxSlices.moments`).  The products
     ``parts[q-k_0](t) S_(k_0)(t)`` are added up on integer entry lists
-    across the cells, each sum is multiplied by ``(1-t)^(k_0)``, signed
-    binomials, once, and only the numerators become
+    across the cells, the sums are weighed by ``(1-t)^(k_0)`` once, by
+    Horner's rule in (1-t) from k_0 = q down, and only the numerators become
     :class:`~ehrtensor.tensors.SymTensor` values.
     """
     if min(ranks) < 0:
@@ -384,10 +384,13 @@ def _hr_sums(cells, ranks) -> list[HrVector]:
     hs = []
     for by_k0, r in zip(sums, ranks):
         out: dict[int, list[int]] = {}      # sum_(k_0) (1-t)^(k_0) sums[j][k_0]
-        for k0, products in enumerate(by_k0):
-            for e in range(k0 + 1):
-                for deg, x in products.items():
-                    _add_scaled(out, deg + e, x, (-1) ** e * math.comb(k0, e))
+        for products in reversed(by_k0):    # out <- products + (1-t) out, k_0 = r..0
+            shifted = dict(out)
+            for deg, x in out.items():
+                _add_scaled(shifted, deg + 1, x, -1)
+            for deg, x in products.items():
+                _add_scaled(shifted, deg, x, 1)
+            out = shifted
         if max(out) > d + r:
             raise AssertionError("numerator degree exceeded d+r")
         zero = (0,) * entry_count(d, r)
