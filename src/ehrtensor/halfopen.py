@@ -400,17 +400,14 @@ def _hr_sums(cells, ranks) -> list[HrVector]:
 
 
 def _add_scaled(poly: dict[int, list[int]], deg: int, x: list[int], c: int) -> None:
-    """``poly[deg] += c * x`` on entry lists, creating the coefficient if absent.
+    """``poly[deg] += c * x`` on entry lists, c = 1 or -1, creating the coefficient
+    if absent.
 
     The lists are never changed in place, so ``poly[deg]`` may be x itself."""
     if deg not in poly:
-        poly[deg] = x if c == 1 else [c * b for b in x]
-    elif c == 1:
-        poly[deg] = list(map(add, poly[deg], x))
-    elif c == -1:
-        poly[deg] = list(map(sub, poly[deg], x))
+        poly[deg] = x if c == 1 else [-b for b in x]
     else:
-        poly[deg] = [a + c * b for a, b in zip(poly[deg], x)]
+        poly[deg] = list(map(add if c == 1 else sub, poly[deg], x))
 
 
 def _slice_lookup(s: HalfOpenSimplex, max_rank: int):
