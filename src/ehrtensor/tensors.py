@@ -64,10 +64,12 @@ def multi_indices(dim: int, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations_with_replacement(range(dim), rank))
 
 
+@lru_cache(maxsize=None)
 def entry_count(dim: int, rank: int) -> int:
     """The number of stored entries of a rank-``rank`` tensor on Q^dim,
     ``len(multi_indices(dim, rank))``, without listing them: C(dim + rank - 1, rank),
-    read as C(0, rank) at dim = 0, whose one index is the empty one of rank 0."""
+    read as C(0, rank) at dim = 0, whose one index is the empty one of rank 0.
+    Every tensor construction asks, and a table lookup is cheaper than the call."""
     return math.comb(max(dim + rank - 1, 0), rank)
 
 
